@@ -24,8 +24,8 @@ dispatch cutoff documented in ``docs/parallelism.md``.
 
 Memory measurements (schema 3): every protocol entry carries the peak RSS
 of the run, and a ``large_n`` section runs the full push-pull protocol at
-n = 100000 once per knowledge-storage layout (``dense`` / ``paged`` /
-``sparse``, :mod:`repro.engine.layouts`) with per-layout wall-clock, peak
+n = 100000 once per knowledge-storage layout (``dense`` / ``paged``,
+:mod:`repro.engine.layouts`) with per-layout wall-clock, peak
 RSS and resident storage bytes, cross-checked for bit-identical final
 states via the storage fingerprint.  ``ru_maxrss`` is a process-lifetime
 high-water mark, so each of these measurements runs in a fresh subprocess
@@ -51,7 +51,7 @@ import numpy as np
 from repro import FastGossiping, MemoryGossiping, PushPullGossip, erdos_renyi
 from repro.engine import FrontierKnowledge, KnowledgeMatrix, backends, make_rng
 from repro.engine import _ckernel
-from repro.engine.knowledge import _DEFAULT_CROSSOVER, _FRONTIER_MIN_WORDS
+from repro.engine.knowledge import _CROSSOVER, _FRONTIER_MIN_WORDS
 from repro.graphs import paper_edge_probability
 
 #: Thread counts exercised by the thread-scaling micro-bench.
@@ -60,7 +60,7 @@ SCALING_THREADS = (1, 2, 4, 8)
 SIZES = (1000, 5000, 20000)
 #: Large-n layout benchmark: one full protocol run per storage layout.
 LARGE_N = 100_000
-LARGE_N_LAYOUTS = ("dense", "paged", "sparse")
+LARGE_N_LAYOUTS = ("dense", "paged")
 GRAPH_SEED = 5
 PROTOCOL_SEEDS = {"push-pull": 1, "fast-gossiping": 2, "memory": 3}
 
@@ -266,8 +266,8 @@ def simd_entry(n: int, repeats: int) -> Optional[Dict[str, object]]:
     """Per-kernel scalar-vs-SIMD timings on the serial C backend.
 
     Times the swap-form exchange round, the scatter batch and the fused
-    recount at every instruction-set level this CPU can run (scalar / sse2 /
-    avx2 / avx512, :func:`repro.engine._ckernel.set_simd_level`), plus a
+    recount at every instruction-set level this CPU can run (scalar / avx2 /
+    avx512, :func:`repro.engine._ckernel.set_simd_level`), plus a
     ``REPRO_DISABLE_SIMD=1`` control run in a fresh subprocess proving the
     environment override actually lands on the scalar path.
     """
@@ -608,13 +608,7 @@ def main() -> int:
         "backend": backends.active().describe(),
         "simd": backends.simd_info() if _ckernel.available() else None,
         "cpu_count": os.cpu_count(),
-        "frontier": {
-            "enabled": not bool(os.environ.get("REPRO_DISABLE_FRONTIER")),
-            "crossover": float(
-                os.environ.get("REPRO_FRONTIER_CROSSOVER", _DEFAULT_CROSSOVER)
-            ),
-            "min_words": _FRONTIER_MIN_WORDS,
-        },
+        "frontier": {"crossover": _CROSSOVER, "min_words": _FRONTIER_MIN_WORDS},
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "machine": platform.machine(),

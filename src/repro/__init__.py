@@ -41,8 +41,8 @@ per-walk Python loop survives on the per-round hot path.
   :class:`repro.engine.FrontierKnowledge`, which tracks each row's nonzero
   words as an index frontier and scatters only the words actually in flight
   while batches are sparse, falling back (one-way) to the dense kernels as
-  rows saturate past the crossover threshold.  Set
-  ``REPRO_DISABLE_FRONTIER=1`` to force the dense path (bit-identical).
+  rows saturate past the crossover threshold (bit-identical to the dense
+  path).
 * Kernel execution is pluggable: :mod:`repro.engine.backends` exposes one
   dispatch surface over three interchangeable backends — ``numpy``, ``c``
   (the serial compiled kernels built by :mod:`repro.engine._ckernel` at

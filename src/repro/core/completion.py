@@ -15,7 +15,7 @@ return — and its per-row recount delegates to
 :meth:`~repro.engine.knowledge.KnowledgeStorage.count_missing`, so every
 storage layout answers it natively (dense rows dispatch through the active
 :mod:`repro.engine.backends` backend, frontier rows are counted from their
-active word set, paged/sparse layouts count block-locally) without this
+active word set, the paged layout counts block-locally) without this
 module ever touching raw row storage.
 """
 
@@ -158,7 +158,7 @@ class CompletionTracker:
         Delegates to the storage layout's native counter: dense layouts run
         the fused mask-and-popcount backend kernel (sharded on the threaded
         backend), frontier rows count from their active word set, and the
-        paged/sparse layouts count block-locally without materializing rows.
+        paged layout counts block-locally without materializing rows.
         All paths are pinned bit-identical to the plain masked scan.
         """
         return self.knowledge.count_missing(self.mask, rows)

@@ -47,7 +47,7 @@ from .knowledge import (
     dense_knowledge,
 )
 from . import layouts
-from .layouts import PagedKnowledge, SparseKnowledge
+from .layouts import PagedKnowledge
 from .metrics import MessageAccounting, PhaseTotals, TransmissionLedger
 from .rng import RandomState, derive_seed, ensure_rng, make_rng, spawn_rngs
 from .trace import RoundRecord, SpreadingTrace
@@ -76,7 +76,6 @@ __all__ = [
     "KnowledgeMatrix",
     "KnowledgeStorage",
     "PagedKnowledge",
-    "SparseKnowledge",
     "SingleMessageState",
     "WORD_BITS",
     "adaptive_knowledge",

@@ -26,8 +26,8 @@ thread counts live in :mod:`repro.engine.backends`.
 
 All kernel families run their word loops through a small set of
 runtime-dispatched row primitives (OR-2, OR-accumulate, masked popcount,
-frontier pair gather) with scalar, SSE2, AVX2 and AVX-512 variants
-selected per CPU at load time (``repro_simd_set``); ``REPRO_DISABLE_SIMD``
+frontier pair gather) with scalar, AVX2 and AVX-512 variants selected
+per CPU at load time (``repro_simd_set``); ``REPRO_DISABLE_SIMD``
 pins the honest scalar forms, and :func:`set_simd_level` /
 :func:`simd_active` expose the dispatch to Python.  The swap-form kernels
 additionally accept a completion mask to fuse deficit recounts into the
@@ -38,9 +38,11 @@ instead of re-ORing them — see ``docs/architecture.md``.
 The build is strictly best-effort: if no compiler is present, the build
 fails, or ``REPRO_DISABLE_CKERNEL`` is set in the environment, callers fall
 back to the pure-NumPy implementations (which are semantically identical —
-see ``tests/engine/test_kernel_equivalence.py``).  The shared library is
-cached in a private per-user directory keyed on source hash, build flags
-and CPU signature, so repeated imports pay nothing and heterogeneous
+see ``tests/engine/test_kernel_equivalence.py``).  A failure never breaks
+the import: :func:`status` names its reason, the ``describe()`` of every
+kernel backend carries it, and it is logged once at WARNING on this
+module's logger.  The shared library is cached in a private per-user
+directory keyed on source hash, build flags and CPU signature, so repeated imports pay nothing and heterogeneous
 machines sharing a filesystem never load each other's tuned binaries.
 """
 
@@ -49,14 +51,17 @@ from __future__ import annotations
 import ctypes
 import getpass
 import hashlib
+import logging
 import os
 import platform
 import shutil
 import subprocess
 import tempfile
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "SIMD_LEVELS",
@@ -80,6 +85,7 @@ __all__ = [
     "simd_active",
     "simd_detected",
     "simd_name",
+    "status",
 ]
 
 _SOURCE = r"""
@@ -102,7 +108,7 @@ _SOURCE = r"""
  * per-function target attributes (the TU itself is built WITHOUT
  * -march=native, so an "avx2" function really is AVX2 and nothing
  * wider).  repro_simd_set installs one level into the function
- * pointers; levels are 0=scalar, 1=sse2, 2=avx2, 3=avx512.  Dispatch
+ * pointers; levels are 0=scalar, 1=avx2, 2=avx512.  Dispatch
  * happens once per row, not per word, so the indirection is noise
  * next to the word traffic.  The scalar forms carry a no-vectorize
  * attribute so a level-0 run (REPRO_DISABLE_SIMD=1) is an honest
@@ -162,40 +168,6 @@ static REPRO_SCALAR void repro_fgather_scalar(const uint64_t *row,
 }
 
 #ifdef REPRO_SIMD_X86
-
-__attribute__((target("sse2"))) static void
-repro_or2_sse2(uint64_t *dst, const uint64_t *a, const uint64_t *b,
-               int64_t words) {
-    int64_t w = 0;
-    for (; w + 4 <= words; w += 4) {
-        __m128i x0 = _mm_or_si128(_mm_loadu_si128((const __m128i *)(a + w)),
-                                  _mm_loadu_si128((const __m128i *)(b + w)));
-        __m128i x1 =
-            _mm_or_si128(_mm_loadu_si128((const __m128i *)(a + w + 2)),
-                         _mm_loadu_si128((const __m128i *)(b + w + 2)));
-        _mm_storeu_si128((__m128i *)(dst + w), x0);
-        _mm_storeu_si128((__m128i *)(dst + w + 2), x1);
-    }
-    for (; w < words; w++)
-        dst[w] = a[w] | b[w];
-}
-
-__attribute__((target("sse2"))) static void
-repro_oracc_sse2(uint64_t *dst, const uint64_t *src, int64_t words) {
-    int64_t w = 0;
-    for (; w + 4 <= words; w += 4) {
-        __m128i x0 =
-            _mm_or_si128(_mm_loadu_si128((const __m128i *)(dst + w)),
-                         _mm_loadu_si128((const __m128i *)(src + w)));
-        __m128i x1 =
-            _mm_or_si128(_mm_loadu_si128((const __m128i *)(dst + w + 2)),
-                         _mm_loadu_si128((const __m128i *)(src + w + 2)));
-        _mm_storeu_si128((__m128i *)(dst + w), x0);
-        _mm_storeu_si128((__m128i *)(dst + w + 2), x1);
-    }
-    for (; w < words; w++)
-        dst[w] |= src[w];
-}
 
 __attribute__((target("avx2"))) static void
 repro_or2_avx2(uint64_t *dst, const uint64_t *a, const uint64_t *b,
@@ -331,10 +303,8 @@ int repro_simd_detect(void) {
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512vpopcntdq"))
-        return 3;
-    if (__builtin_cpu_supports("avx2"))
         return 2;
-    if (__builtin_cpu_supports("sse2"))
+    if (__builtin_cpu_supports("avx2"))
         return 1;
 #endif
     return 0;
@@ -359,15 +329,11 @@ int repro_simd_set(int level) {
     if (__builtin_cpu_supports("popcnt"))
         repro_missing = repro_missing_popcnt;
     if (level >= 1) {
-        repro_or2 = repro_or2_sse2;
-        repro_oracc = repro_oracc_sse2;
-    }
-    if (level >= 2) {
         repro_or2 = repro_or2_avx2;
         repro_oracc = repro_oracc_avx2;
         repro_fgather = repro_fgather_avx2;
     }
-    if (level >= 3) {
+    if (level >= 2) {
         repro_or2 = repro_or2_avx512;
         repro_oracc = repro_oracc_avx512;
         repro_missing = repro_missing_avx512;
@@ -1095,13 +1061,14 @@ def _cpu_signature() -> str:
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:8]
 
 
-def _cache_dir(digest: str) -> Optional[str]:
+def _cache_dir(digest: str) -> str:
     """A private, user-owned directory to build and load the library from.
 
     ``ctypes.CDLL`` executes code from the returned path, so it must not be
     attacker-preparable: prefer ``~/.cache``, fall back to a per-user temp
     directory, create it ``0700``, and refuse paths not owned by us or
-    writable by others.
+    writable by others.  Raises :class:`OSError` when the directory cannot
+    be created or is refused.
     """
     try:
         user = getpass.getuser()
@@ -1110,14 +1077,13 @@ def _cache_dir(digest: str) -> Optional[str]:
     home_cache = os.path.join(os.path.expanduser("~"), ".cache")
     base = home_cache if os.path.isdir(home_cache) else tempfile.gettempdir()
     cache_dir = os.path.join(base, f"repro-ckernel-{user}-{digest}")
-    try:
-        os.makedirs(cache_dir, mode=0o700, exist_ok=True)
-        if hasattr(os, "getuid"):
-            st = os.stat(cache_dir)
-            if st.st_uid != os.getuid() or (st.st_mode & 0o022):
-                return None
-    except OSError:
-        return None
+    os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+    if hasattr(os, "getuid"):
+        st = os.stat(cache_dir)
+        if st.st_uid != os.getuid() or (st.st_mode & 0o022):
+            raise PermissionError(
+                f"{cache_dir} is not owned by this user or is writable by others"
+            )
     return cache_dir
 
 
@@ -1130,35 +1096,34 @@ def _cache_dir(digest: str) -> Optional[str]:
 _CFLAGS = ("-O3", "-mtune=native", "-pthread", "-shared", "-fPIC")
 
 
-def _build() -> Optional[ctypes.CDLL]:
-    if os.environ.get("REPRO_DISABLE_CKERNEL"):
-        return None
-    compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if compiler is None:
-        return None
-    digest = hashlib.sha256(
-        ("|".join(_CFLAGS) + "\n" + _SOURCE).encode()
-    ).hexdigest()[:16]
-    cache_dir = _cache_dir(f"{digest}-{_cpu_signature()}")
-    if cache_dir is None:
-        return None
-    lib_path = os.path.join(cache_dir, "libreprokernel.so")
+def _compile(compiler: str, lib_path: str) -> None:
+    """Compile to ``lib_path`` through per-process temp source and output.
+
+    Concurrent cold-cache imports must never compile a source file another
+    process is truncating, nor load a half-written library.
+    """
+    tmp_path = lib_path + f".tmp{os.getpid()}"
+    src_path = tmp_path + ".c"
     try:
-        if not os.path.exists(lib_path):
-            src_path = os.path.join(cache_dir, "kernel.c")
-            with open(src_path, "w") as fh:
-                fh.write(_SOURCE)
-            tmp_path = lib_path + f".tmp{os.getpid()}"
-            subprocess.run(
-                [compiler, *_CFLAGS, src_path, "-o", tmp_path],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            os.replace(tmp_path, lib_path)
-        lib = ctypes.CDLL(lib_path)
-    except Exception:
-        return None
+        with open(src_path, "w") as fh:
+            fh.write(_SOURCE)
+        subprocess.run(
+            [compiler, *_CFLAGS, src_path, "-o", tmp_path],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        os.replace(tmp_path, lib_path)
+    finally:
+        for leftover in (src_path, tmp_path):
+            try:
+                os.remove(leftover)
+            except FileNotFoundError:
+                pass
+
+
+def _bind(lib: ctypes.CDLL) -> None:
+    """Declare every exported symbol's signature (AttributeError if missing)."""
     u64p = ctypes.POINTER(ctypes.c_uint64)
     i64p = ctypes.POINTER(ctypes.c_int64)
     i64 = ctypes.c_int64
@@ -1221,10 +1186,50 @@ def _build() -> Optional[ctypes.CDLL]:
     lib.repro_frontier_scatter_mt.restype = None
     lib.repro_recount_mt.argtypes = [u64p, u64p, i64p, i64, i64, i64p, i64]
     lib.repro_recount_mt.restype = None
-    return lib
 
 
-_LIB = _build()
+def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
+    """Build, load and bind the library: ``(lib, None)`` or ``(None, reason)``.
+
+    Never raises.  The reason is ``"disabled"`` when ``REPRO_DISABLE_CKERNEL``
+    is set, otherwise it names the failure: no compiler, a refused cache
+    directory, a compiler error or timeout, or a library that does not load
+    or lacks a symbol.
+    """
+    if os.environ.get("REPRO_DISABLE_CKERNEL"):
+        return None, "disabled"
+    compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+    if compiler is None:
+        return None, "no C compiler (cc, gcc or clang) on PATH"
+    digest = hashlib.sha256(
+        ("|".join(_CFLAGS) + "\n" + _SOURCE).encode()
+    ).hexdigest()[:16]
+    try:
+        cache_dir = _cache_dir(f"{digest}-{_cpu_signature()}")
+    except OSError as exc:
+        return None, f"cache directory refused: {exc}"
+    lib_path = os.path.join(cache_dir, "libreprokernel.so")
+    try:
+        if not os.path.exists(lib_path):
+            _compile(compiler, lib_path)
+        lib = ctypes.CDLL(lib_path)
+        _bind(lib)
+    except subprocess.CalledProcessError as exc:
+        stderr = exc.stderr.decode(errors="replace").strip().splitlines()
+        return None, f"compiler error: {stderr[-1] if stderr else exc}"
+    except subprocess.TimeoutExpired:
+        return None, "compiler timed out after 120 s"
+    except AttributeError as exc:
+        return None, f"missing symbol: {exc}"
+    except OSError as exc:
+        return None, f"library not built or loaded: {exc}"
+    return lib, None
+
+
+_LIB, _UNAVAILABLE = _build()
+
+if _UNAVAILABLE is not None and _UNAVAILABLE != "disabled":
+    _log.warning("compiled kernels unavailable, using NumPy: %s", _UNAVAILABLE)
 
 if _LIB is not None and os.environ.get("REPRO_DISABLE_SIMD"):
     _LIB.repro_simd_set(0)
@@ -1238,8 +1243,19 @@ def available() -> bool:
     return _LIB is not None
 
 
+def status() -> str:
+    """``"loaded"``, or why the compiled kernels are unavailable.
+
+    ``"disabled"`` means ``REPRO_DISABLE_CKERNEL`` is set; anything else is
+    the build or load failure logged at import.
+    """
+    if _LIB is not None:
+        return "loaded"
+    return _UNAVAILABLE or "unavailable"
+
+
 #: Dispatch level names, indexed by the C-side level integer.
-SIMD_LEVELS = ("scalar", "sse2", "avx2", "avx512")
+SIMD_LEVELS = ("scalar", "avx2", "avx512")
 
 
 def simd_detected() -> int:

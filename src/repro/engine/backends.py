@@ -119,8 +119,17 @@ class KernelBackend:
         return 1
 
     def describe(self) -> Dict[str, object]:
-        """Backend identity for benchmark/report headers."""
-        return {"name": self.name, "compiled": self.use_compiled(), "max_threads": 1}
+        """Backend identity for benchmark/report headers.
+
+        ``ckernel`` is :func:`repro.engine._ckernel.status`: ``"loaded"``,
+        or why the compiled kernels are unavailable.
+        """
+        return {
+            "name": self.name,
+            "compiled": self.use_compiled(),
+            "max_threads": 1,
+            "ckernel": _ckernel.status(),
+        }
 
     # -- compiled batch primitives (only called when use_compiled()) ---- #
     def scatter_or(self, data, source, senders, receivers) -> None:
@@ -171,9 +180,6 @@ class NumpyBackend(KernelBackend):
     def use_compiled(self) -> bool:
         return False
 
-    def describe(self) -> Dict[str, object]:
-        return {"name": self.name, "compiled": False, "max_threads": 1}
-
 
 class CSerialBackend(KernelBackend):
     """Serial compiled kernels (the PR 1-3 behaviour)."""
@@ -185,12 +191,7 @@ class CSerialBackend(KernelBackend):
         return _ckernel.available()
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "compiled": self.use_compiled(),
-            "max_threads": 1,
-            "simd": simd_info(),
-        }
+        return {**super().describe(), "simd": simd_info()}
 
     def scatter_or(self, data, source, senders, receivers) -> None:
         _ckernel.scatter_or(data, source, senders, receivers)
@@ -261,13 +262,9 @@ class CThreadsBackend(CSerialBackend):
         )
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "compiled": self.use_compiled(),
-            "max_threads": self.max_threads,
-            "shard_work": self.shard_work,
-            "simd": simd_info(),
-        }
+        described = super().describe()
+        described.update(max_threads=self.max_threads, shard_work=self.shard_work)
+        return described
 
     def threads_for(self, work_units: int) -> int:
         """Shard count for a batch moving ``work_units`` 64-bit words.

@@ -46,16 +46,15 @@ dense family:
     A light-weight informed/uninformed boolean vector used by the
     single-message *broadcasting* baselines in :mod:`repro.broadcast`.
 
-The block-paged and lifetime-sparse layouts that break the dense memory wall
-live in :mod:`repro.engine.layouts` together with the layout registry
+The block-paged layout that breaks the dense memory wall lives in :mod:`repro.engine.layouts` together with the layout registry
 (``REPRO_KNOWLEDGE_LAYOUT`` / :func:`repro.engine.layouts.use`).  Protocols
 construct their state through :func:`adaptive_knowledge`, which delegates to
 the registry's memory model; :func:`dense_knowledge` keeps the historical
 frontier-or-plain choice for callers that explicitly want the dense family.
 
 No caller outside this package may hold a raw ``data`` reference: the
-swap-form kernels exchange the underlying buffer, and the paged/sparse
-layouts do not have a resident dense matrix at all.  Use ``rows`` /
+swap-form kernels exchange the underlying buffer, and the paged layout
+does not have a resident dense matrix at all.  Use ``rows`` /
 ``scatter_rows`` / ``count_missing`` and friends instead; the read-only
 ``data`` property on non-dense layouts materializes a dense copy for tests
 and debugging only.
@@ -140,7 +139,7 @@ class KnowledgeStorage:
     """Interface and shared logic for pluggable knowledge-storage layouts.
 
     Concrete layouts — the dense :class:`KnowledgeMatrix` family here, the
-    block-paged and lifetime-sparse layouts in :mod:`repro.engine.layouts` —
+    block-paged layout in :mod:`repro.engine.layouts` —
     implement the storage primitives (:meth:`rows`, :meth:`iter_blocks`,
     :meth:`scatter_rows`, :meth:`assign_rows`, the two round entry points
     and the point mutators); everything else — aggregate queries, equality,
@@ -166,7 +165,7 @@ class KnowledgeStorage:
 
     __slots__ = ("n_nodes", "n_messages", "words", "fused_deficits", "filter_stats")
 
-    #: Registry tag of the layout family (``dense`` / ``paged`` / ``sparse``).
+    #: Registry tag of the layout family (``dense`` / ``paged``).
     layout = "dense"
 
     def __init__(self, n_nodes: int, n_messages: Optional[int] = None) -> None:
@@ -1019,12 +1018,12 @@ class KnowledgeMatrix(KnowledgeStorage):
     __hash__ = None  # mutable container
 
 
-#: Default fraction of ``transmissions * words`` below which the frontier
+#: Fraction of ``transmissions * words`` below which the frontier
 #: (word-sparse) path is used; also sizes the per-row active-word capacity.
 #: 0.125 won the crossover sweep at n=20000 (see docs/benchmarks.md): the
 #: compiled pair pass costs ~4-6x more per word than the streaming dense
 #: kernels, so the sparse path should stop well before nominal break-even.
-_DEFAULT_CROSSOVER = 0.125
+_CROSSOVER = 0.125
 
 
 class FrontierKnowledge(KnowledgeMatrix):
@@ -1042,7 +1041,7 @@ class FrontierKnowledge(KnowledgeMatrix):
 
     * per batch, the estimated frontier cost (``sum`` of sender active-word
       counts, dense rows counted at full width) is compared against
-      ``crossover * transmissions * words``; at or past the threshold the
+      ``0.125 * transmissions * words``; at or past the threshold the
       batch takes the existing dense scatter-OR / double-buffer path;
     * per row, once more than ``word_cap`` words become active — or the row
       is written through a dense batch, a direct ``data`` mutation, or a
@@ -1053,17 +1052,9 @@ class FrontierKnowledge(KnowledgeMatrix):
     semantics (all gathers strictly precede all writes), so trajectories are
     bit-identical to a plain :class:`KnowledgeMatrix` at equal seeds; see
     ``tests/engine/test_frontier_knowledge.py``.
-
-    Parameters
-    ----------
-    crossover:
-        Fraction of the dense per-batch cost below which the sparse path is
-        chosen (default 0.125, or ``REPRO_FRONTIER_CROSSOVER``).  Also sizes
-        ``word_cap``, the per-row active-word capacity.
     """
 
     __slots__ = (
-        "crossover",
         "word_cap",
         "_nnz",
         "_active_words",
@@ -1080,18 +1071,10 @@ class FrontierKnowledge(KnowledgeMatrix):
         n_messages: Optional[int] = None,
         *,
         initialize_own: bool = True,
-        crossover: Optional[float] = None,
     ) -> None:
         super().__init__(n_nodes, n_messages, initialize_own=initialize_own)
-        if crossover is None:
-            crossover = float(
-                os.environ.get("REPRO_FRONTIER_CROSSOVER", _DEFAULT_CROSSOVER)
-            )
-        if not 0.0 < crossover <= 1.0:
-            raise ValueError(f"crossover must be in (0, 1], got {crossover}")
-        self.crossover = float(crossover)
         #: Active words a row may list before it ratchets onto the dense path.
-        self.word_cap = min(self.words, max(4, int(round(self.words * self.crossover))))
+        self.word_cap = min(self.words, max(4, int(round(self.words * _CROSSOVER))))
         #: Rows permanently on the dense path (no frontier bookkeeping).
         self._dense_rows = np.zeros(self.n_nodes, dtype=bool)
         #: Number of active words listed per row.
@@ -1136,7 +1119,7 @@ class FrontierKnowledge(KnowledgeMatrix):
             return super().apply_transmissions(senders, receivers, snapshot)
         if snapshot is None:
             dense_sel, estimate = self._estimate(senders)
-            if estimate < self.crossover * senders.size * self.words:
+            if estimate < _CROSSOVER * senders.size * self.words:
                 return self._sparse_apply(senders, receivers, dense_sel)
         touched = super().apply_transmissions(senders, receivers, snapshot)
         self._mark_dense(receivers)
@@ -1175,7 +1158,7 @@ class FrontierKnowledge(KnowledgeMatrix):
             senders = np.concatenate([callers, targets])
             receivers = np.concatenate([targets, callers])
             dense_sel, estimate = self._estimate(senders)
-            if estimate < self.crossover * senders.size * self.words:
+            if estimate < _CROSSOVER * senders.size * self.words:
                 return self._sparse_apply(senders, receivers, dense_sel), empty
         # Dense (or saturation-filtered) rounds go through the parent kernel;
         # by the time rows saturate the matrix is dense anyway, so everything
@@ -1441,13 +1424,9 @@ def dense_knowledge(
     Returns a :class:`FrontierKnowledge` (sparse/dense adaptive) for wide
     matrices (``>= 96`` words, i.e. ``n_messages >= 6081``); narrow rows are
     cheap to move whole — especially through the SIMD word-OR kernels — so
-    smaller problems stay on the plain dense :class:`KnowledgeMatrix`.  Setting ``REPRO_DISABLE_FRONTIER`` in the
-    environment forces the plain matrix at every size.  Both produce
-    bit-identical trajectories; the switch exists for A/B benchmarking and
-    equivalence testing.
+    smaller problems stay on the plain dense :class:`KnowledgeMatrix`.  Both
+    produce bit-identical trajectories.
     """
-    if os.environ.get("REPRO_DISABLE_FRONTIER"):
-        return KnowledgeMatrix(n_nodes, n_messages)
     words = _n_words(n_nodes if n_messages is None else n_messages)
     if words < _FRONTIER_MIN_WORDS:
         return KnowledgeMatrix(n_nodes, n_messages)

@@ -3,8 +3,8 @@
 The dense :class:`~repro.engine.knowledge.KnowledgeMatrix` keeps the whole
 ``n_nodes x words`` bitset matrix (plus a swap buffer) resident, which walls
 off large problem sizes: at n = 1M nodes the matrix alone is ~125 GB.  This
-module provides the two layouts that break that wall, plus the registry that
-picks between them — one stable call surface over interchangeable storage
+module provides the layout that breaks that wall, plus the registry that
+picks between the two — one stable call surface over interchangeable storage
 backends chosen by problem size, mirroring the kernel-backend registry in
 :mod:`repro.engine.backends`:
 
@@ -17,19 +17,9 @@ backends chosen by problem size, mirroring the kernel-backend registry in
     which also keeps a full swap buffer — and, more importantly, rounds only
     dirty the pages they touch.
 
-``SparseKnowledge``
-    Rows kept in lifetime-sparse ``(word index, word value)`` pair form for
-    their whole life — they never ratchet to a resident dense matrix the way
-    :class:`~repro.engine.knowledge.FrontierKnowledge` does.  Pair capacity
-    grows per block on demand; a block escapes to a dense array only when
-    its rows saturate past ``2/3`` of the row width (the endgame, where
-    dense is optimal anyway).  Intended for large ``words`` and early-phase
-    workloads; the gather side still materializes the unique *sender* rows
-    of a batch transiently (``8 * unique_senders * words`` bytes).
-
-Both layouts implement the gather-all-then-write-all schedule, so — OR being
-commutative — trajectories are **bit-identical** to the dense layout at
-every size where dense fits (``tests/engine/test_layouts.py``).
+The paged layout implements the gather-all-then-write-all schedule, so — OR
+being commutative — trajectories are **bit-identical** to the dense layout
+at every size where dense fits (``tests/engine/test_layouts.py``).
 
 Memory model (bytes, resident; ``w`` = words = ceil(n_messages / 64)):
 
@@ -39,29 +29,27 @@ layout       resident bytes
 dense        ``16 n w`` (matrix + swap buffer) + frontier bookkeeping
              (``~n w + 12 n + 4 n ceil(w / 8)``) when ``w >= 64``
 paged        ``8 n w`` + one CSR scratch (``~16 block_rows``)
-sparse       ``12 n cap`` growing with fill (floor ``cap = 4``), per-row
-             pairs; saturated blocks escape to ``8 block_rows w`` each
 ===========  ==========================================================
 
 Selection: :func:`make_knowledge` resolves ``auto`` to **dense** while the
 dense estimate fits the budget (default 1 GiB, ``REPRO_KNOWLEDGE_DENSE_BUDGET``)
-and **paged** beyond it.  The lifetime-sparse layout is opt-in (explicit
-``sparse``) because its cost is fill-dependent.  Overrides, strongest first:
-an explicit ``layout=`` argument, the :func:`use` scope, then
-``REPRO_KNOWLEDGE_LAYOUT`` (``auto`` / ``dense`` / ``paged`` / ``sparse``).
-``REPRO_KNOWLEDGE_BLOCK`` sets the paged/sparse block row count.
+and **paged** beyond it.  Overrides, strongest first: an explicit ``layout=``
+argument, the :func:`use` scope, then ``REPRO_KNOWLEDGE_LAYOUT`` (``auto`` /
+``dense`` / ``paged``).  ``REPRO_KNOWLEDGE_BLOCK`` sets the paged block row
+count.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import backends
 from .knowledge import (
+    _CROSSOVER,
     WORD_BITS,
     KnowledgeStorage,
     _layered_scatter,
@@ -75,7 +63,6 @@ __all__ = [
     "DEFAULT_DENSE_BUDGET",
     "LAYOUTS",
     "PagedKnowledge",
-    "SparseKnowledge",
     "default_block_rows",
     "dense_budget",
     "estimate_bytes",
@@ -85,9 +72,9 @@ __all__ = [
 ]
 
 #: Recognized layout names (``auto`` resolves through the memory model).
-LAYOUTS = ("auto", "dense", "paged", "sparse")
+LAYOUTS = ("auto", "dense", "paged")
 
-#: Rows per block for the paged and sparse layouts.  4096 rows x 196 words
+#: Rows per block for the paged layout.  4096 rows x 196 words
 #: (n = 12.5k messages) is ~6.4 MB per block — big enough to amortize the
 #: per-block CSR build, small enough that skipped blocks save real traffic.
 DEFAULT_BLOCK_ROWS = 4096
@@ -120,8 +107,7 @@ def estimate_bytes(
     """Resident bytes of ``layout`` for an ``n_nodes x n_messages`` problem.
 
     The documented memory model behind ``auto`` selection (see the module
-    docstring for the formulas).  The sparse estimate is the allocation
-    *floor* — its true cost grows with fill.
+    docstring for the formulas).
     """
     n = int(n_nodes)
     words = _n_words(n if n_messages is None else int(n_messages))
@@ -130,13 +116,11 @@ def estimate_bytes(
     if layout == "dense":
         total = 16 * n * words  # matrix + swap buffer
         if words >= 64:  # frontier bookkeeping (FrontierKnowledge)
-            word_cap = min(words, max(4, round(words * 0.125)))
+            word_cap = min(words, max(4, round(words * _CROSSOVER)))
             total += n * words + 12 * n + 4 * n * word_cap
         return total
     if layout == "paged":
         return 8 * n * words + 16 * min(block_rows, n)
-    if layout == "sparse":
-        return 12 * n * _SparseBlock.INITIAL_CAP + 8 * n
     raise ValueError(f"unknown layout {layout!r} (expected one of {LAYOUTS})")
 
 
@@ -182,7 +166,7 @@ def make_knowledge(
     """Construct the knowledge storage the resolved layout prescribes.
 
     ``auto`` picks dense while :func:`estimate_bytes` fits :func:`dense_budget`
-    and paged beyond; ``sparse`` is explicit-only (fill-dependent cost).
+    and paged beyond.
     """
     choice = resolve_layout(layout)
     if choice == "auto":
@@ -192,9 +176,7 @@ def make_knowledge(
             choice = "paged"
     if choice == "dense":
         return dense_knowledge(n_nodes, n_messages)
-    if choice == "paged":
-        return PagedKnowledge(n_nodes, n_messages)
-    return SparseKnowledge(n_nodes, n_messages)
+    return PagedKnowledge(n_nodes, n_messages)
 
 
 class PagedKnowledge(KnowledgeStorage):
@@ -405,7 +387,7 @@ class PagedKnowledge(KnowledgeStorage):
         deficit_mask: Optional[np.ndarray] = None,
         deficits_out: Optional[np.ndarray] = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
-        # The block-streamed layouts have no swap-form kernel to fuse the
+        # The block-streamed layout has no swap-form kernel to fuse the
         # recount into; deficit_mask/deficits_out are accepted for interface
         # parity and ignored (fused_deficits stays false, callers recount).
         callers = np.asarray(callers, dtype=np.int64)
@@ -452,502 +434,4 @@ class PagedKnowledge(KnowledgeStorage):
                 mask,
                 np.ascontiguousarray(rows[sel] - b * self.block_rows),
             )
-        return out
-
-
-class _SparseBlock:
-    """Per-row ``(word index, word value)`` pairs for one row-block.
-
-    ``idx[i, :nnz[i]]`` are the active (nonzero) word columns of local row
-    ``i`` and ``val[i, :nnz[i]]`` their 64-bit values; all other words are
-    zero.  Capacity is shared by the block and grows geometrically.
-    """
-
-    __slots__ = ("idx", "val", "nnz")
-
-    #: Starting pair capacity per row (the allocation floor).
-    INITIAL_CAP = 4
-
-    def __init__(self, rows: int, cap: int = INITIAL_CAP) -> None:
-        self.idx = np.zeros((rows, cap), dtype=np.int32)
-        self.val = np.zeros((rows, cap), dtype=_WORD_DTYPE)
-        self.nnz = np.zeros(rows, dtype=np.int64)
-
-    @property
-    def cap(self) -> int:
-        return self.idx.shape[1]
-
-    def grow(self, cap: int) -> None:
-        if cap <= self.cap:
-            return
-        idx = np.zeros((self.idx.shape[0], cap), dtype=np.int32)
-        val = np.zeros((self.val.shape[0], cap), dtype=_WORD_DTYPE)
-        idx[:, : self.cap] = self.idx
-        val[:, : self.cap] = self.val
-        self.idx, self.val = idx, val
-
-    def copy(self) -> "_SparseBlock":
-        clone = _SparseBlock.__new__(_SparseBlock)
-        clone.idx = self.idx.copy()
-        clone.val = self.val.copy()
-        clone.nnz = self.nnz.copy()
-        return clone
-
-    def nbytes(self) -> int:
-        return self.idx.nbytes + self.val.nbytes + self.nnz.nbytes
-
-
-class SparseKnowledge(KnowledgeStorage):
-    """Lifetime-sparse rows: ``(word, value)`` pairs for a row's whole life.
-
-    Unlike :class:`~repro.engine.knowledge.FrontierKnowledge` — which keeps
-    a resident dense matrix and merely *indexes* into it — this layout's
-    primary storage is the pair form itself, so memory scales with the bits
-    actually known, not with ``n_nodes x words``.  Two escape valves keep
-    the endgame from degenerating:
-
-    * **heavy senders** (more than ``words / 8`` active words) are delivered
-      as whole rows through the block-dense kernel rather than exploded into
-      pairs, escaping the receiving blocks to dense;
-    * a block whose rows would exceed ``2/3`` of the row width in pairs
-      escapes to a dense array (pair form would cost more than dense there).
-
-    Gathers still materialize the unique sender rows of a batch transiently;
-    storage stays sparse.  Bit-identical to the dense layout — the same
-    gather-all-then-write-all schedule, merged by OR.
-    """
-
-    __slots__ = (
-        "block_rows",
-        "n_blocks",
-        "_store",
-        "_heavy_words",
-        "_cap_limit",
-        "_csr_off",
-        "_csr_adj",
-    )
-
-    layout = "sparse"
-
-    def __init__(
-        self,
-        n_nodes: int,
-        n_messages: Optional[int] = None,
-        *,
-        initialize_own: bool = True,
-        block_rows: Optional[int] = None,
-    ) -> None:
-        super().__init__(n_nodes, n_messages)
-        if block_rows is None:
-            block_rows = default_block_rows()
-        if block_rows <= 0:
-            raise ValueError(f"block_rows must be positive, got {block_rows}")
-        self.block_rows = int(min(block_rows, self.n_nodes))
-        self.n_blocks = -(-self.n_nodes // self.block_rows)
-        #: Sender rows wider than this go through the dense block path.
-        self._heavy_words = max(2, self.words // 8)
-        #: Pair capacity past which a block escapes to dense.
-        self._cap_limit = max(4, (2 * self.words) // 3)
-        #: Per block: a ``_SparseBlock`` or (escaped) a dense array.
-        self._store: List[Union[_SparseBlock, np.ndarray]] = []
-        for b in range(self.n_blocks):
-            rows = min(self.block_rows, self.n_nodes - b * self.block_rows)
-            self._store.append(_SparseBlock(rows))
-        self._csr_off: Optional[np.ndarray] = None
-        self._csr_adj: Optional[np.ndarray] = None
-        if initialize_own:
-            upto = min(self.n_nodes, self.n_messages)
-            idx = np.arange(upto)
-            for b in np.unique(idx // self.block_rows):
-                start = b * self.block_rows
-                sel = idx[(idx >= start) & (idx < start + self.block_rows)]
-                store = self._store[b]
-                local = sel - start
-                store.idx[local, 0] = (sel // WORD_BITS).astype(np.int32)
-                store.val[local, 0] = np.left_shift(
-                    np.uint64(1), (sel % WORD_BITS).astype(_WORD_DTYPE)
-                )
-                store.nnz[local] = 1
-
-    # ------------------------------------------------------------------ #
-    # Block addressing and escapes
-    # ------------------------------------------------------------------ #
-    def _block_dense(self, b: int) -> np.ndarray:
-        """The block's dense image (the store itself if escaped, else a copy)."""
-        store = self._store[b]
-        if isinstance(store, np.ndarray):
-            return store
-        rows = store.nnz.size
-        dense = np.zeros((rows, self.words), dtype=_WORD_DTYPE)
-        total = int(store.nnz.sum())
-        if total:
-            tx = np.repeat(np.arange(rows, dtype=np.int64), store.nnz)
-            ends = np.cumsum(store.nnz)
-            rank = np.arange(total, dtype=np.int64) - np.repeat(
-                ends - store.nnz, store.nnz
-            )
-            dense[tx, store.idx[tx, rank].astype(np.int64)] = store.val[tx, rank]
-        return dense
-
-    def _escape(self, b: int) -> np.ndarray:
-        """Replace block ``b``'s pair store with its dense image."""
-        store = self._store[b]
-        if isinstance(store, np.ndarray):
-            return store
-        dense = self._block_dense(b)
-        self._store[b] = dense
-        return dense
-
-    def _csr_buffers(self, edges: int) -> "tuple[np.ndarray, np.ndarray]":
-        if self._csr_off is None:
-            self._csr_off = np.empty(self.block_rows + 1, dtype=np.int64)
-        if self._csr_adj is None or self._csr_adj.size < edges:
-            self._csr_adj = np.empty(edges, dtype=np.int64)
-        return self._csr_off, self._csr_adj
-
-    def iter_blocks(self) -> Iterator[Tuple[int, np.ndarray]]:
-        for b in range(self.n_blocks):
-            yield b * self.block_rows, self._block_dense(b)
-
-    # ------------------------------------------------------------------ #
-    # Storage primitives
-    # ------------------------------------------------------------------ #
-    def rows(self, nodes: np.ndarray) -> np.ndarray:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        out = np.zeros((nodes.size, self.words), dtype=_WORD_DTYPE)
-        blk = nodes // self.block_rows
-        for b in np.unique(blk):
-            sel = blk == b
-            local = nodes[sel] - b * self.block_rows
-            store = self._store[b]
-            if isinstance(store, np.ndarray):
-                out[sel] = store[local]
-                continue
-            pos = np.flatnonzero(sel)
-            nnz = store.nnz[local]
-            total = int(nnz.sum())
-            if not total:
-                continue
-            tx = np.repeat(np.arange(local.size, dtype=np.int64), nnz)
-            ends = np.cumsum(nnz)
-            rank = np.arange(total, dtype=np.int64) - np.repeat(ends - nnz, nnz)
-            r = local[tx]
-            out[pos[tx], store.idx[r, rank].astype(np.int64)] = store.val[r, rank]
-        return out
-
-    def row(self, node: int) -> np.ndarray:
-        """``node``'s row, materialized (a copy — mutations are not seen)."""
-        return self.rows(np.asarray([node], dtype=np.int64))[0]
-
-    def assign_rows(self, nodes: np.ndarray, row: np.ndarray) -> None:
-        # Assignment targets are saturated rows (promotions); their blocks
-        # are in the endgame, so the dense escape is the right home.
-        nodes = np.asarray(nodes, dtype=np.int64)
-        blk = nodes // self.block_rows
-        for b in np.unique(blk):
-            sel = blk == b
-            self._escape(b)[nodes[sel] - b * self.block_rows] = row
-
-    def copy(self) -> "SparseKnowledge":
-        clone = SparseKnowledge.empty(self.n_nodes, self.n_messages)
-        clone.block_rows = self.block_rows
-        clone.n_blocks = self.n_blocks
-        clone._heavy_words = self._heavy_words
-        clone._cap_limit = self._cap_limit
-        clone._store = [store.copy() for store in self._store]
-        return clone
-
-    def storage_nbytes(self) -> int:
-        total = 0
-        for store in self._store:
-            total += store.nbytes if isinstance(store, np.ndarray) else store.nbytes()
-        for buf in (self._csr_off, self._csr_adj):
-            if buf is not None:
-                total += buf.nbytes
-        return total
-
-    def sparse_fraction(self) -> float:
-        """Fraction of blocks still in pair (non-escaped) form."""
-        escaped = sum(isinstance(store, np.ndarray) for store in self._store)
-        return 1.0 - escaped / float(self.n_blocks)
-
-    # ------------------------------------------------------------------ #
-    # The pair-merge core
-    # ------------------------------------------------------------------ #
-    def _write_pairs(
-        self, rows: np.ndarray, wcols: np.ndarray, vals: np.ndarray
-    ) -> None:
-        """OR unique ``(row, word) -> value`` pairs into storage.
-
-        ``(rows[i], wcols[i])`` must be unique pairs (pre-merged by the
-        caller); rows are global node identifiers.
-        """
-        if rows.size == 0:
-            return
-        blk = rows // self.block_rows
-        for b in np.unique(blk):
-            sel = blk == b
-            local = rows[sel] - b * self.block_rows
-            store = self._store[b]
-            if isinstance(store, np.ndarray):
-                store[local, wcols[sel]] |= vals[sel]
-            else:
-                self._merge_sparse(b, local, wcols[sel], vals[sel])
-
-    def _merge_sparse(
-        self, b: int, local: np.ndarray, wcols: np.ndarray, vals: np.ndarray
-    ) -> None:
-        """Merge incoming pairs with block ``b``'s stored pairs, rewriting rows."""
-        store = self._store[b]
-        u_rows, inv = np.unique(local, return_inverse=True)
-        old_nnz = store.nnz[u_rows]
-        old_total = int(old_nnz.sum())
-        if old_total:
-            tx_old = np.repeat(np.arange(u_rows.size, dtype=np.int64), old_nnz)
-            ends = np.cumsum(old_nnz)
-            rank = np.arange(old_total, dtype=np.int64) - np.repeat(
-                ends - old_nnz, old_nnz
-            )
-            rows_old = u_rows[tx_old]
-            all_tx = np.concatenate([tx_old, inv])
-            all_w = np.concatenate(
-                [store.idx[rows_old, rank].astype(np.int64), wcols.astype(np.int64)]
-            )
-            all_v = np.concatenate([store.val[rows_old, rank], vals])
-        else:
-            all_tx, all_w, all_v = inv, wcols.astype(np.int64), vals
-        lin = all_tx * self.words + all_w
-        order = np.argsort(lin, kind="stable")
-        lin_sorted = lin[order]
-        bounds = np.flatnonzero(np.r_[True, lin_sorted[1:] != lin_sorted[:-1]])
-        merged = np.bitwise_or.reduceat(all_v[order], bounds)
-        m_tx = lin_sorted[bounds] // self.words
-        m_w = lin_sorted[bounds] % self.words
-        counts = np.bincount(m_tx, minlength=u_rows.size)
-        need = int(counts.max())
-        if need > self._cap_limit:
-            # Pair form would cost more than dense rows here: escape the
-            # block, then OR the merged pairs in (idempotent over the old
-            # values the escape already materialized).
-            self._escape(b)[u_rows[m_tx], m_w] |= merged
-            return
-        if need > store.cap:
-            store.grow(min(self._cap_limit, max(need, 2 * store.cap)))
-        starts = np.r_[0, np.cumsum(counts)[:-1]]
-        pos = np.arange(m_tx.size, dtype=np.int64) - starts[m_tx]
-        target = u_rows[m_tx]
-        store.idx[target, pos] = m_w.astype(np.int32)
-        store.val[target, pos] = merged
-        store.nnz[u_rows] = counts
-
-    # ------------------------------------------------------------------ #
-    # Element mutators
-    # ------------------------------------------------------------------ #
-    def add(self, node: int, message: int) -> None:
-        self._check_message(message)
-        self._write_pairs(
-            np.asarray([node], dtype=np.int64),
-            np.asarray([message // WORD_BITS], dtype=np.int64),
-            np.asarray([self._bit(message)], dtype=_WORD_DTYPE),
-        )
-
-    def add_many(self, nodes: np.ndarray, message: int) -> None:
-        self._check_message(message)
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        if not nodes.size:
-            return
-        self._write_pairs(
-            nodes,
-            np.full(nodes.size, message // WORD_BITS, dtype=np.int64),
-            np.full(nodes.size, self._bit(message), dtype=_WORD_DTYPE),
-        )
-
-    def union_into(self, dst: int, src_row: np.ndarray) -> None:
-        active = np.flatnonzero(src_row).astype(np.int64)
-        if not active.size:
-            return
-        self._write_pairs(
-            np.full(active.size, dst, dtype=np.int64),
-            active,
-            np.asarray(src_row, dtype=_WORD_DTYPE)[active],
-        )
-
-    def union_from_node(
-        self, dst: int, src: int, snapshot: Optional[np.ndarray] = None
-    ) -> None:
-        self.union_into(dst, self.row(src) if snapshot is None else snapshot[src])
-
-    # ------------------------------------------------------------------ #
-    # Bulk updates
-    # ------------------------------------------------------------------ #
-    def _apply_batch(
-        self, source: np.ndarray, src_idx: np.ndarray, receivers: np.ndarray
-    ) -> None:
-        """Deliver gathered source rows: heavy rows dense, light rows as pairs.
-
-        ``source`` is disjoint external/gathered storage; all reads of this
-        object's state happened at gather time, so heavy-before-light write
-        order cannot leak within-batch writes into reads.
-        """
-        if receivers.size == 0:
-            return
-        src_nnz = np.count_nonzero(source, axis=1).astype(np.int64)
-        tx_nnz = src_nnz[src_idx]
-        heavy = tx_nnz > self._heavy_words
-        if heavy.any():
-            h_idx = src_idx[heavy]
-            h_recv = receivers[heavy]
-            backend = backends.active()
-            compiled = backend.use_compiled()
-            csource = np.ascontiguousarray(source) if compiled else source
-            blk = h_recv // self.block_rows
-            for b in np.unique(blk):
-                sel = blk == b
-                local = h_recv[sel] - b * self.block_rows
-                dense = self._escape(b)
-                if compiled:
-                    off, adj = self._csr_buffers(local.size)
-                    backend.block_round(
-                        dense,
-                        csource,
-                        np.ascontiguousarray(h_idx[sel]),
-                        np.ascontiguousarray(local),
-                        off,
-                        adj,
-                    )
-                else:
-                    _layered_scatter(dense, source, h_idx[sel], local)
-        light = ~heavy
-        if not light.any():
-            return
-        keep = tx_nnz[light] > 0
-        l_idx = src_idx[light][keep]
-        l_recv = receivers[light][keep]
-        if not l_idx.size:
-            return
-        nnz = src_nnz[l_idx]
-        total = int(nnz.sum())
-        # Nonzero structure of the source pool, grouped by source row.
-        nz_rows, nz_cols = np.nonzero(source)
-        row_starts = np.searchsorted(nz_rows, np.arange(source.shape[0]))
-        tx = np.repeat(np.arange(l_idx.size, dtype=np.int64), nnz)
-        ends = np.cumsum(nnz)
-        rank = np.arange(total, dtype=np.int64) - np.repeat(ends - nnz, nnz)
-        flat = row_starts[l_idx[tx]] + rank
-        wcols = nz_cols[flat].astype(np.int64)
-        vals = source[l_idx[tx], wcols]
-        lin = l_recv[tx] * self.words + wcols
-        order = np.argsort(lin, kind="stable")
-        lin_sorted = lin[order]
-        bounds = np.flatnonzero(np.r_[True, lin_sorted[1:] != lin_sorted[:-1]])
-        merged = np.bitwise_or.reduceat(vals[order], bounds)
-        self._write_pairs(
-            lin_sorted[bounds] // self.words, lin_sorted[bounds] % self.words, merged
-        )
-
-    def scatter_rows(
-        self, source: np.ndarray, src_idx: np.ndarray, receivers: np.ndarray
-    ) -> None:
-        self._apply_batch(
-            np.asarray(source),
-            np.asarray(src_idx, dtype=np.int64),
-            np.asarray(receivers, dtype=np.int64),
-        )
-
-    def apply_transmissions(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        snapshot: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        senders = np.asarray(senders, dtype=np.int64)
-        receivers = np.asarray(receivers, dtype=np.int64)
-        if senders.shape != receivers.shape:
-            raise ValueError("senders and receivers must have identical shapes")
-        if senders.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if snapshot is not None:
-            self._apply_batch(snapshot, senders, receivers)
-            return receivers
-        unique_senders, sender_pos = np.unique(senders, return_inverse=True)
-        self._apply_batch(self.rows(unique_senders), sender_pos, receivers)
-        return receivers
-
-    def apply_exchange(
-        self,
-        callers: np.ndarray,
-        targets: np.ndarray,
-        *,
-        complete: Optional[np.ndarray] = None,
-        complete_row: Optional[np.ndarray] = None,
-        deficit_mask: Optional[np.ndarray] = None,
-        deficits_out: Optional[np.ndarray] = None,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        # The block-streamed layouts have no swap-form kernel to fuse the
-        # recount into; deficit_mask/deficits_out are accepted for interface
-        # parity and ignored (fused_deficits stays false, callers recount).
-        callers = np.asarray(callers, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        if callers.shape != targets.shape:
-            raise ValueError("callers and targets must have identical shapes")
-        empty = np.zeros(0, dtype=np.int64)
-        self.fused_deficits = False
-        if callers.size == 0:
-            return empty, empty
-        if complete is not None and not complete.any():
-            complete = None
-        push_s, push_r, pull_s, pull_r, promoted = self._filter_exchange(
-            callers, targets, complete
-        )
-        touched = empty
-        if push_r.size or pull_r.size:
-            all_r = np.concatenate([push_r, pull_r])
-            unique_senders, pos = np.unique(
-                np.concatenate([push_s, pull_s]), return_inverse=True
-            )
-            self._apply_batch(self.rows(unique_senders), pos, all_r)
-            touched = all_r
-        if promoted.size:
-            self.assign_rows(promoted, complete_row)
-        return touched, promoted
-
-    # ------------------------------------------------------------------ #
-    # Queries with a pair-aware fast path
-    # ------------------------------------------------------------------ #
-    def count_missing(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        backend = backends.active()
-        total = int(np.bitwise_count(mask).sum())
-        out = np.empty(rows.size, dtype=np.int64)
-        blk = rows // self.block_rows
-        for b in np.unique(blk):
-            sel = blk == b
-            local = rows[sel] - b * self.block_rows
-            store = self._store[b]
-            if isinstance(store, np.ndarray):
-                if backend.use_compiled():
-                    out[sel] = backend.recount_deficits(
-                        store, mask, np.ascontiguousarray(local)
-                    )
-                else:
-                    out[sel] = (
-                        np.bitwise_count(mask[None, :] & ~store[local])
-                        .sum(axis=1)
-                        .astype(np.int64)
-                    )
-                continue
-            nnz = store.nnz[local]
-            pairs = int(nnz.sum())
-            known = np.zeros(local.size, dtype=np.int64)
-            if pairs:
-                tx = np.repeat(np.arange(local.size, dtype=np.int64), nnz)
-                ends = np.cumsum(nnz)
-                rank = np.arange(pairs, dtype=np.int64) - np.repeat(ends - nnz, nnz)
-                r = local[tx]
-                w = store.idx[r, rank].astype(np.int64)
-                got = np.bitwise_count(store.val[r, rank] & mask[w]).astype(np.int64)
-                np.add.at(known, tx, got)
-            out[sel] = total - known
         return out

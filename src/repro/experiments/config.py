@@ -79,7 +79,7 @@ class ScaleConfig:
     ----------
     sizes:
         Graph sizes; the point of the scenario is sizes past the dense
-        comfort zone, where the paged/sparse layouts earn their keep.
+        comfort zone, where the paged layout earns its keep.
     layouts:
         Knowledge-storage layouts compared per size
         (:data:`repro.engine.layouts.LAYOUTS` names).
@@ -98,7 +98,7 @@ class ScaleConfig:
     """
 
     sizes: Tuple[int, ...] = (4096, 16384)
-    layouts: Tuple[str, ...] = ("dense", "paged", "sparse")
+    layouts: Tuple[str, ...] = ("dense", "paged")
     repetitions: int = 1
     seed: Optional[int] = 20150525
     protocol: str = "push-pull"
@@ -112,8 +112,8 @@ class ScaleConfig:
 
     @classmethod
     def paper_scale(cls) -> "ScaleConfig":
-        """The n >= 100k regime the layouts exist for (slow, memory-heavy)."""
-        return cls(sizes=(50_000, 100_000), layouts=("paged", "sparse"))
+        """The n >= 100k regime the paged layout exists for (slow, memory-heavy)."""
+        return cls(sizes=(50_000, 100_000), layouts=("paged",))
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,15 @@ The paper simulates graphs up to n = 10⁶ on half-terabyte machines; the
 reproduction's dense knowledge matrix walls off well before that (the matrix
 alone is ``n² / 8`` bytes).  This scenario sweeps one protocol across sizes
 under each pluggable knowledge-storage layout
-(:mod:`repro.engine.layouts`: ``dense`` / ``paged`` / ``sparse``) and records
+(:mod:`repro.engine.layouts`: ``dense`` / ``paged``) and records
 rounds, per-node message cost and the resident storage footprint per layout.
 
 Because trajectories are bit-identical across layouts, the rounds and message
 columns must agree within each size — the sweep doubles as a large-n
 cross-layout consistency check, while the ``storage_mb`` column shows what
 each layout pays for it.  ``scale --smoke`` keeps CI-friendly sizes;
-``ScaleConfig.paper_scale()`` moves to the n >= 100k regime the paged and
-sparse layouts exist for.
+``ScaleConfig.paper_scale()`` moves to the n >= 100k regime the paged
+layout exists for.
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ SCALE = register(
         name="scale",
         result_name="scale",
         description=(
-            "Storage-layout scaling: one protocol per size under the dense, "
-            "paged and lifetime-sparse knowledge layouts — identical "
-            "trajectories, different memory footprints"
+            "Storage-layout scaling: one protocol per size under the dense "
+            "and paged knowledge layouts — identical trajectories, different "
+            "memory footprints"
         ),
         task=scale_task,
         grid=_configurations,

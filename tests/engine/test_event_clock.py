@@ -287,7 +287,7 @@ class TestBatchedEqualsSequential:
 class TestWholeRunParity:
     """Event-clock runs are bit-identical across layouts and backends."""
 
-    LAYOUT_NAMES = ("dense", "paged", "sparse")
+    LAYOUT_NAMES = ("dense", "paged")
     BACKEND_NAMES = ("numpy", "c", "c-threads")
 
     def _fingerprint(self, graph, layout, backend):

@@ -11,7 +11,7 @@ row saturates past the crossover threshold.  These tests pin
 * single-word versus multi-word message spaces,
 * ``REPRO_DISABLE_CKERNEL``-style parity (compiled vs NumPy frontier paths),
 * whole-protocol trajectory identity between ``adaptive_knowledge`` runs and
-  ``REPRO_DISABLE_FRONTIER`` dense runs at equal seeds, and
+  plain ``KnowledgeMatrix`` runs at equal seeds, and
 * the memory-model replay batcher (merged groups vs per-group replay).
 """
 
@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.core.memory_gossiping import _ReplayBatcher
-from repro.engine import _ckernel
+from repro.engine import _ckernel, knowledge
 from repro.engine.knowledge import (
+    _CROSSOVER,
     FrontierKnowledge,
     KnowledgeMatrix,
     WORD_BITS,
@@ -153,8 +154,7 @@ class TestFrontierMatchesDense:
 class TestCrossoverBoundary:
     def test_exactly_at_cap_stays_sparse_one_past_ratchets(self, kernel_path):
         """A row may list exactly ``word_cap`` words; one more goes dense."""
-        n = 300  # words = 5 at n=300... use explicit message space below
-        fk = FrontierKnowledge(64 * 40, crossover=0.2)  # words=40, cap=8
+        fk = FrontierKnowledge(64 * 64)  # words=64, cap=8
         assert fk.word_cap == 8
         node = 3
         # Fill the row's frontier to exactly the cap (own word counts).
@@ -181,7 +181,7 @@ class TestCrossoverBoundary:
 
     def test_batch_exactly_at_crossover_uses_dense(self, monkeypatch):
         """The estimate comparison is strict: at-threshold batches go dense."""
-        fk = FrontierKnowledge(64 * 64, crossover=0.5)
+        fk = FrontierKnowledge(64 * 64)
         calls = []
         original = KnowledgeMatrix.apply_transmissions
 
@@ -191,8 +191,10 @@ class TestCrossoverBoundary:
 
         monkeypatch.setattr(KnowledgeMatrix, "apply_transmissions", spy)
         node = 0
-        # Give node 0 exactly crossover * words active words.
-        target = int(fk.crossover * fk.words)
+        # Give node 0 exactly crossover * words active words; at 64 words
+        # that is also the row's cap, so the row itself stays sparse.
+        target = int(_CROSSOVER * fk.words)
+        assert target == fk.word_cap == 8
         for i in range(target - int(fk._nnz[node])):
             fk.add(node, (1 + i) * WORD_BITS)
         assert int(fk._nnz[node]) == target
@@ -238,12 +240,6 @@ class TestCrossoverBoundary:
             km.apply_transmissions(senders, receivers)
             assert np.array_equal(fk.data, km.data)
         assert_frontier_invariants(fk)
-
-    def test_invalid_crossover_rejected(self):
-        with pytest.raises(ValueError):
-            FrontierKnowledge(100, crossover=0.0)
-        with pytest.raises(ValueError):
-            FrontierKnowledge(100, crossover=1.5)
 
 
 @pytest.mark.skipif(not _ckernel.available(), reason="no compiled kernel")
@@ -291,13 +287,13 @@ class TestProtocolTrajectoryEquivalence:
                 "memory": lambda: MemoryGossiping(leader=0),
             }[protocol_name]()
 
-        monkeypatch.delenv("REPRO_DISABLE_FRONTIER", raising=False)
         # This test pins the frontier-vs-dense contract specifically; neutralize
         # any forced storage layout from the surrounding environment.
         monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "dense")
         frontier = make().run(graph, rng=41)
         assert isinstance(frontier.knowledge, FrontierKnowledge)
-        monkeypatch.setenv("REPRO_DISABLE_FRONTIER", "1")
+        # A width gate past every row width keeps the plain matrix.
+        monkeypatch.setattr(knowledge, "_FRONTIER_MIN_WORDS", 1 << 30)
         dense = make().run(graph, rng=41)
         assert type(dense.knowledge) is KnowledgeMatrix
         assert frontier.rounds == dense.rounds
@@ -307,14 +303,11 @@ class TestProtocolTrajectoryEquivalence:
         assert np.array_equal(frontier.ledger.per_node(), dense.ledger.per_node())
 
     def test_adaptive_gate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_FRONTIER", raising=False)
         monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "dense")
         assert isinstance(adaptive_knowledge(96 * 64), FrontierKnowledge)
         # Below the post-SIMD break-even (96 words) the dense kernels win.
         assert type(adaptive_knowledge(64 * 64)) is KnowledgeMatrix
         assert type(adaptive_knowledge(1000)) is KnowledgeMatrix
-        monkeypatch.setenv("REPRO_DISABLE_FRONTIER", "1")
-        assert type(adaptive_knowledge(96 * 64)) is KnowledgeMatrix
 
 
 class TestReplayBatcher:

@@ -15,12 +15,7 @@ import pytest
 
 from repro.engine import layouts
 from repro.engine.knowledge import KnowledgeMatrix
-from repro.engine.layouts import (
-    PagedKnowledge,
-    SparseKnowledge,
-    estimate_bytes,
-    make_knowledge,
-)
+from repro.engine.layouts import PagedKnowledge, estimate_bytes, make_knowledge
 
 #: n = m = 128 gives words = 2, so the dense estimate is exactly
 #: 16 * 128 * 2 = 4096 bytes (no frontier bookkeeping below 64 words).
@@ -56,8 +51,8 @@ class TestBudgetBoundary:
 
     def test_use_scope_beats_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_KNOWLEDGE_DENSE_BUDGET", str(DENSE_BYTES))
-        with layouts.use("sparse"):
-            assert isinstance(make_knowledge(N, N), SparseKnowledge)
+        with layouts.use("paged"):
+            assert isinstance(make_knowledge(N, N), PagedKnowledge)
 
 
 def _exercise(storage):
@@ -86,17 +81,15 @@ class TestBlockGeometry:
         assert paged.n_blocks == N
         assert _exercise(paged) == _exercise(KnowledgeMatrix(N, N))
 
-    @pytest.mark.parametrize("layout_cls", [PagedKnowledge, SparseKnowledge])
-    def test_n_exactly_on_block_boundary(self, layout_cls):
+    def test_n_exactly_on_block_boundary(self):
         """n = 64 with 32-row blocks: the last block is full, no ragged tail."""
-        storage = layout_cls(64, 64, block_rows=32)
+        storage = PagedKnowledge(64, 64, block_rows=32)
         assert storage.n_blocks == 2
         assert _exercise(storage) == _exercise(KnowledgeMatrix(64, 64))
 
-    @pytest.mark.parametrize("layout_cls", [PagedKnowledge, SparseKnowledge])
-    def test_ragged_tail_block(self, layout_cls):
+    def test_ragged_tail_block(self):
         """n = 65 with 32-row blocks leaves a one-row tail block."""
-        storage = layout_cls(65, 65, block_rows=32)
+        storage = PagedKnowledge(65, 65, block_rows=32)
         assert storage.n_blocks == 3
         assert _exercise(storage) == _exercise(KnowledgeMatrix(65, 65))
 

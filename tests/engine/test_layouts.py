@@ -1,9 +1,9 @@
 """Cross-layout equivalence tests for the pluggable knowledge storage.
 
 The storage contract (:class:`repro.engine.knowledge.KnowledgeStorage`) is
-that every layout — dense :class:`KnowledgeMatrix`, block-paged
-:class:`PagedKnowledge`, lifetime-sparse :class:`SparseKnowledge` — produces
-**bit-identical trajectories** at every size where dense fits.  These tests
+that every layout — dense :class:`KnowledgeMatrix` and block-paged
+:class:`PagedKnowledge` — produces **bit-identical trajectories** at every
+size where dense fits.  These tests
 pin that contract:
 
 * randomized batch operations (``apply_transmissions``, ``apply_exchange``
@@ -13,7 +13,7 @@ pin that contract:
 * ``count_missing`` for every layout (including the frontier's
   active-word-set counter) pinned to the plain masked scan,
 * whole-protocol trajectory parity across the full layout x backend matrix
-  (dense / paged / sparse x numpy / c / c-threads),
+  (dense / paged x numpy / c / c-threads),
 * the selection registry (env var, ``use`` scope, explicit argument, the
   ``auto`` memory model),
 * a sweep interrupted under the dense layout and resumed under the paged
@@ -33,7 +33,7 @@ from repro.engine.knowledge import (
     KnowledgeMatrix,
     KnowledgeStorage,
 )
-from repro.engine.layouts import PagedKnowledge, SparseKnowledge
+from repro.engine.layouts import PagedKnowledge
 
 
 @pytest.fixture(params=["compiled", "numpy"])
@@ -55,7 +55,6 @@ def make_layouts(n, n_messages=None):
     return {
         "dense": KnowledgeMatrix(n, n_messages),
         "paged": PagedKnowledge(n, n_messages, block_rows=BLOCK),
-        "sparse": SparseKnowledge(n, n_messages, block_rows=BLOCK),
     }
 
 
@@ -229,47 +228,36 @@ class TestCountMissingPinned:
         assert np.array_equal(got, self.reference(fk, mask, rows))
 
 
-class TestSparseMechanics:
-    """Sparse-layout internals: growth, merge dedup, dense escape."""
+class TestPagedMechanics:
+    """Paged-layout internals: block validation and resident footprint."""
 
-    def test_capacity_growth_and_escape(self):
-        n = 2 * BLOCK
-        sk = SparseKnowledge(n, block_rows=BLOCK)
-        km = KnowledgeMatrix(n)
-        rng = np.random.default_rng(3)
-        assert sk.sparse_fraction() == 1.0
-        # Saturate node 0's row far past the escape threshold.
-        for _ in range(6):
-            messages = rng.integers(0, n, 8)
-            for m in messages.tolist():
-                sk.add(0, m)
-                km.add(0, m)
-            senders, receivers = random_batch(rng, n, 4 * n)
-            sk.apply_transmissions(senders, receivers)
-            km.apply_transmissions(senders, receivers)
-        assert sk == km
-        # Promotion assigns whole rows, escaping the target block to dense.
-        full = km.full_row_mask()
-        sk.assign_rows(np.asarray([1], dtype=np.int64), full)
-        km.assign_rows(np.asarray([1], dtype=np.int64), full)
-        assert sk == km
-        assert sk.sparse_fraction() < 1.0
+    def test_rejects_nonpositive_block_rows(self):
+        for block_rows in (0, -4):
+            with pytest.raises(ValueError, match="block_rows must be positive"):
+                PagedKnowledge(BLOCK, block_rows=block_rows)
 
-    def test_storage_floor_well_below_dense(self):
-        n, m = 4096, 4096
-        sk = SparseKnowledge(n, m)
-        km = KnowledgeMatrix(n, m)
-        # One pair per row vs a full n x words matrix.
-        assert sk.storage_nbytes() < km.storage_nbytes() / 4
+    def test_footprint_is_blocks_plus_one_block_of_scratch(self, kernel_path):
+        """``8 n w`` of blocks; the compiled CSR scratch is sized per block."""
+        n = 3 * BLOCK + 5
+        paged = PagedKnowledge(n, block_rows=BLOCK)
+        blocks = 8 * n * paged.words
+        assert paged.storage_nbytes() == blocks
+        assert layouts.estimate_bytes("paged", n, block_rows=BLOCK) == blocks + 16 * BLOCK
+        senders, receivers = random_batch(np.random.default_rng(9), n, 3 * n)
+        paged.apply_transmissions(senders, receivers)
+        # Offsets for one block plus the busiest block's edge list.
+        busiest = int(np.bincount(receivers // BLOCK).max())
+        scratch = 8 * (BLOCK + 1 + busiest) if kernel_path == "compiled" else 0
+        assert paged.storage_nbytes() == blocks + scratch
 
 
 class TestLayoutRegistry:
     def test_resolve_precedence(self, monkeypatch):
         monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "paged")
         assert layouts.resolve_layout() == "paged"
-        with layouts.use("sparse"):
-            assert layouts.resolve_layout() == "sparse"
-            assert layouts.resolve_layout("dense") == "dense"  # explicit wins
+        with layouts.use("dense"):
+            assert layouts.resolve_layout() == "dense"
+            assert layouts.resolve_layout("auto") == "auto"  # explicit wins
         assert layouts.resolve_layout() == "paged"
 
     def test_invalid_layout_rejected(self, monkeypatch):
@@ -294,8 +282,7 @@ class TestLayoutRegistry:
         n, m = 100_000, 100_000
         dense = layouts.estimate_bytes("dense", n, m)
         paged = layouts.estimate_bytes("paged", n, m)
-        sparse = layouts.estimate_bytes("sparse", n, m)
-        assert sparse < paged < dense
+        assert paged < dense
         # The paged layout halves the dense matrix+swap footprint.
         assert paged < 0.6 * dense
 
@@ -341,7 +328,7 @@ class TestCrossLayoutTrajectoryParity:
         # Small blocks so n = 256 spans several blocks per layout.
         monkeypatch.setenv("REPRO_KNOWLEDGE_BLOCK", "100")
         reference = None
-        for layout in ("dense", "paged", "sparse"):
+        for layout in ("dense", "paged"):
             for backend_label, backend in self._backend_matrix():
                 with layouts.use(layout), backends.use(backend):
                     result = factory().run(small_paper_graph, rng=seed)

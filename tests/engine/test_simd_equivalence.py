@@ -2,7 +2,7 @@
 
 The compiled library dispatches its row primitives (row OR, OR-accumulate,
 missing-word popcounts, frontier gathers) through function pointers selected
-at load time from the CPU: scalar, SSE2, AVX2 or AVX-512
+at load time from the CPU: scalar, AVX2 or AVX-512
 (``REPRO_DISABLE_SIMD=1`` pins scalar).  The vector forms must be *exactly*
 the scalar forms, only wider — these tests replay identical op sequences at
 every level the host supports and require bit-identical storage states,
@@ -11,15 +11,17 @@ deficit counts and fused in-kernel recounts.
 Shapes are chosen to hit the awkward cases:
 
 * word counts 1, 7, 63, 64, 65, 127 and 128 — below, at and just past each
-  vector width (2/4/8 words per 128/256/512-bit register), with ragged
+  vector width (4/8 words per 256/512-bit register), with ragged
   tails that no vector stride covers evenly;
 * odd word counts give *unaligned* row starts: row ``r`` begins at byte
   ``r * words * 8``, so e.g. 7-word rows never repeat the 32/64-byte
   alignment of row 0 and the kernels must use unaligned loads throughout;
 * partially-filled last words (``n_messages`` not a multiple of 64)
   exercise the tail masks of the popcount kernels;
-* the paged/sparse layouts run at ``block_rows`` 1, 3 and 8 so block seams
-  fall inside, between and across vector strides.
+* the paged layout runs at ``block_rows`` 1, 3 and 8 so block seams
+  fall inside, between and across vector strides, and at 11, 32 and 64 so
+  the 33 rows end exactly on a block boundary, leave a one-row tail block,
+  or fit one block (the default geometry at small n).
 
 ``_SWAP_MIN_WORK`` is forced to 0 so these small matrices take the
 swap-form round kernels (plain, saturation-filtered and fused-deficit
@@ -38,26 +40,25 @@ from repro.engine import (
     FrontierKnowledge,
     KnowledgeMatrix,
     PagedKnowledge,
-    SparseKnowledge,
 )
 
 pytestmark = pytest.mark.skipif(
     not _ckernel.available(), reason="no compiled kernel"
 )
 
-#: Word counts straddling the 128/256/512-bit vector widths.
+#: Word counts straddling the 256/512-bit vector widths.
 WORD_COUNTS = (1, 7, 63, 64, 65, 127, 128)
 
-#: (layout, block_rows) pairs; block_rows only shapes the block layouts.
+#: (layout, block_rows) pairs; block_rows only shapes the paged layout.
 LAYOUTS = (
     ("dense", 1),
     ("frontier", 1),
     ("paged", 1),
     ("paged", 3),
     ("paged", 8),
-    ("sparse", 1),
-    ("sparse", 3),
-    ("sparse", 8),
+    ("paged", 11),
+    ("paged", 32),
+    ("paged", 64),
 )
 
 BACKENDS = ("c", "c-threads")
@@ -73,9 +74,7 @@ def _make(layout: str, block_rows: int, n: int, m: int):
         return KnowledgeMatrix(n, m)
     if layout == "frontier":
         return FrontierKnowledge(n, m)
-    if layout == "paged":
-        return PagedKnowledge(n, m, block_rows=block_rows)
-    return SparseKnowledge(n, m, block_rows=block_rows)
+    return PagedKnowledge(n, m, block_rows=block_rows)
 
 
 def _trajectory(layout: str, block_rows: int, words: int, seed: int) -> list:
@@ -121,8 +120,8 @@ def _trajectory(layout: str, block_rows: int, words: int, seed: int) -> list:
         deficits_out=tracker.deficits,
     )
     if layout == "dense":
-        # Only the resident-matrix swap kernel fuses the recount; the block
-        # layouts (and the frontier's sparse rounds) recount via the tracker.
+        # Only the resident-matrix swap kernel fuses the recount; the paged
+        # layout (and the frontier's sparse rounds) recount via the tracker.
         assert storage.fused_deficits
     if storage.fused_deficits:
         tracker.refresh()
@@ -208,6 +207,19 @@ def test_set_simd_level_clamps_and_reports():
         assert _ckernel.set_simd_level(-3) == 0
         assert _ckernel.simd_name(0) == "scalar"
         assert _ckernel.simd_name(detected) == _ckernel.SIMD_LEVELS[detected]
+    finally:
+        _ckernel.set_simd_level(original)
+
+
+@pytest.mark.parametrize("level,name", list(enumerate(_ckernel.SIMD_LEVELS)))
+def test_each_level_installs_under_its_name(level, name):
+    """Python's level names index the C dispatch levels one to one."""
+    original = _ckernel.simd_active()
+    try:
+        installed = _ckernel.set_simd_level(level)
+        assert installed == _ckernel.simd_active() == min(level, _ckernel.simd_detected())
+        assert _ckernel.simd_name(level) == name
+        assert backends.simd_info()["active"] == _ckernel.SIMD_LEVELS[installed]
     finally:
         _ckernel.set_simd_level(original)
 

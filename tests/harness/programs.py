@@ -25,7 +25,6 @@ from repro.engine import (
     KnowledgeMatrix,
     KnowledgeStorage,
     PagedKnowledge,
-    SparseKnowledge,
     group_events,
 )
 
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 #: Layout names the harness sweeps (``frontier`` is the dense fast path).
-HARNESS_LAYOUTS = ("dense", "frontier", "paged", "sparse")
+HARNESS_LAYOUTS = ("dense", "frontier", "paged")
 
 #: Every op kind the generator can emit.
 OP_KINDS = (
@@ -63,7 +62,7 @@ _WORD_EDGE_MESSAGES = (63, 64, 65, 127, 128)
 
 
 def make_storage(layout: str, program: Dict[str, Any]) -> KnowledgeStorage:
-    """Instantiate ``layout`` for a program (tiny blocks for the block layouts)."""
+    """Instantiate ``layout`` for a program (tiny blocks for the paged layout)."""
     n, m = program["n_nodes"], program["n_messages"]
     if layout == "dense":
         return KnowledgeMatrix(n, m)
@@ -71,8 +70,6 @@ def make_storage(layout: str, program: Dict[str, Any]) -> KnowledgeStorage:
         return FrontierKnowledge(n, m)
     if layout == "paged":
         return PagedKnowledge(n, m, block_rows=program["block_rows"])
-    if layout == "sparse":
-        return SparseKnowledge(n, m, block_rows=program["block_rows"])
     raise ValueError(f"unknown harness layout {layout!r}")
 
 
