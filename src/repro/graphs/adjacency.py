@@ -86,31 +86,24 @@ class Adjacency:
         Self-loops and duplicate edges are removed.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            # Drop self loops.
-            edges = edges[edges[:, 0] != edges[:, 1]]
-            # Canonical order + dedup.
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            keys = lo * np.int64(n) + hi
-            _, unique_idx = np.unique(keys, return_index=True)
-            edges = np.column_stack([lo[unique_idx], hi[unique_idx]])
-        # Symmetrise.
-        if edges.size:
-            src = np.concatenate([edges[:, 0], edges[:, 1]])
-            dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        else:
-            src = np.zeros(0, dtype=np.int64)
-            dst = np.zeros(0, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-        counts = np.bincount(src, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dst)
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        n64 = np.int64(n)
+        # One key ``lo * n + hi`` per edge: sorted, the keys run in (lo, hi)
+        # order with duplicates adjacent.  Self-loops are dropped first.
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        keys = np.sort((lo * n64 + hi)[lo != hi])
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        # Mirror every edge; one sort of the 2m directed keys is the CSR
+        # order (owner, then neighbour), so each row is a key range.
+        lo, hi = np.divmod(keys, n64)
+        directed = np.concatenate([keys, hi * n64 + lo])
+        directed.sort()
+        indptr = np.searchsorted(directed, np.arange(n + 1, dtype=np.int64) * n64)
+        return cls(indptr, np.remainder(directed, n64, out=directed))
 
     @classmethod
     def from_neighbor_lists(cls, neighbor_lists: Sequence[Sequence[int]]) -> "Adjacency":
@@ -421,6 +414,8 @@ class Adjacency:
         """
         dist = np.full(self.n, -1, dtype=np.int64)
         dist[source] = 0
+        # Per-node scratch for deduplicating a frontier without sorting it.
+        slot = np.empty(self.n, dtype=np.int64)
         frontier = np.asarray([source], dtype=np.int64)
         level = 0
         while frontier.size:
@@ -432,13 +427,15 @@ class Adjacency:
             total = int(counts.sum())
             if total == 0:
                 break
-            starts = self.indptr[frontier]
-            offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            nbrs = self.indices[np.repeat(starts, counts) + offsets]
-            fresh = np.unique(nbrs[dist[nbrs] < 0])
-            if fresh.size:
-                dist[fresh] = level + 1
-            frontier = fresh
+            shift = self.indptr[frontier] - (np.cumsum(counts) - counts)
+            nbrs = self.indices[np.arange(total) + np.repeat(shift, counts)]
+            fresh = nbrs[dist[nbrs] < 0]
+            # Each node keeps only the candidate that wrote its slot last:
+            # O(len(fresh)) per level, with no sort and no scan of all n.
+            order = np.arange(fresh.size)
+            slot[fresh] = order
+            frontier = fresh[slot[fresh] == order]
+            dist[frontier] = level + 1
             level += 1
         return dist
 

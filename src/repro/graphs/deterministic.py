@@ -21,11 +21,10 @@ def complete_graph(n: int) -> Adjacency:
     """The complete graph ``K_n`` (every pair of distinct nodes adjacent)."""
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if n == 1:
-        return Adjacency(np.asarray([0, 0], dtype=np.int64), np.zeros(0, dtype=np.int64))
-    rows, cols = np.triu_indices(n, k=1)
-    edges = np.column_stack([rows, cols]).astype(np.int64)
-    return Adjacency.from_edges(n, edges)
+    # Row v lists 0..n-1 without v: slot j holds j, or j + 1 once j >= v.
+    slots = np.arange(n - 1, dtype=np.int64)
+    indices = slots + (slots >= np.arange(n, dtype=np.int64)[:, None])
+    return Adjacency(np.arange(n + 1, dtype=np.int64) * (n - 1), indices.ravel())
 
 
 def hypercube(dimension: int) -> Adjacency:

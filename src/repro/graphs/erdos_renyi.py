@@ -3,9 +3,10 @@
 The paper's empirical section uses ``G(n, p)`` with ``p = log^2 n / n`` (i.e.
 expected degree ``log^2 n``), and the analysis covers expected degrees
 ``Omega(log^{2+eps} n)``.  The generator below uses the standard geometric
-skipping technique (Batagelj & Brandes) so that sampling costs ``O(n + m)``
-expected time instead of ``O(n^2)``, with the inner loop fully vectorised in
-NumPy.
+skipping technique (Batagelj & Brandes) so that sampling the edges costs
+``O(n + m)`` expected time instead of ``O(n^2)``, with the inner loop fully
+vectorised in NumPy; building the CSR adjacency from them is one
+``O(m log m)`` sort.  ``p = 1`` is the complete graph, built directly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from ..engine.rng import RandomState, make_rng
 from .adjacency import Adjacency
+from .deterministic import complete_graph
 
 __all__ = ["erdos_renyi", "expected_degree_to_p", "paper_edge_probability"]
 
@@ -45,11 +47,7 @@ def _sample_gnp_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     total_pairs = n * (n - 1) // 2
     if total_pairs == 0 or p <= 0.0:
         return np.zeros((0, 2), dtype=np.int64)
-    if p >= 1.0:
-        rows, cols = np.triu_indices(n, k=1)
-        return np.column_stack([rows, cols]).astype(np.int64)
 
-    expected_edges = int(total_pairs * p)
     positions = []
     current = -1
     # Draw geometric gaps in batches sized to the expected remaining count.
@@ -66,19 +64,16 @@ def _sample_gnp_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
             current = total_pairs  # overshot the end: done
         else:
             current = int(batch[-1])
-    if not positions:
-        return np.zeros((0, 2), dtype=np.int64)
     linear = np.concatenate(positions)
-    if linear.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
     # Convert linear upper-triangle positions back to (row, col) pairs.  Row r
-    # (0-based) owns positions [r*n - r*(r+1)/2 - r .. ), easier via search on
-    # the cumulative row sizes.
-    row_sizes = np.arange(n - 1, 0, -1, dtype=np.int64)
-    row_starts = np.concatenate([[0], np.cumsum(row_sizes)])
-    rows = np.searchsorted(row_starts, linear, side="right") - 1
-    cols = linear - row_starts[rows] + rows + 1
-    return np.column_stack([rows, cols]).astype(np.int64)
+    # (0-based) owns the n - 1 - r positions from r*n - r*(r+1)/2 on, and
+    # ``linear`` is sorted: one search of the n row starts counts each row.
+    r = np.arange(n, dtype=np.int64)
+    row_starts = r * n - r * (r + 1) // 2
+    counts = np.diff(np.searchsorted(linear, row_starts), append=linear.size)
+    rows = np.repeat(r, counts)
+    cols = linear - np.repeat(row_starts - r - 1, counts)
+    return np.column_stack([rows, cols])
 
 
 def erdos_renyi(
@@ -121,6 +116,8 @@ def erdos_renyi(
         p = expected_degree_to_p(n, float(expected_degree))
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+    if p >= 1.0:
+        return complete_graph(n)
     generator = make_rng(rng)
     attempts = max(1, max_retries if require_connected else 1)
     last: Optional[Adjacency] = None

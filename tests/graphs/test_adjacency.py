@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,9 +313,45 @@ class TestTraversal:
 # --------------------------------------------------------------------------- #
 # Property-based tests
 # --------------------------------------------------------------------------- #
+def reference_csr(n, edges):
+    """The earlier ``from_edges`` (``np.unique`` + ``np.lexsort``), as an oracle."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    _, first = np.unique(lo * np.int64(n) + hi, return_index=True)
+    src = np.concatenate([lo[first], hi[first]])
+    dst = np.concatenate([hi[first], lo[first]])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
+
+
+def reference_bfs(n, edges, source, cutoff=None):
+    """Queue BFS over an adjacency-set view of the raw edge list."""
+    neighbours = collections.defaultdict(set)
+    for u, v in edges.tolist():
+        if u != v:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+    dist = [-1] * n
+    dist[source] = 0
+    queue = collections.deque([source])
+    while queue:
+        u = queue.popleft()
+        if cutoff is not None and dist[u] >= cutoff:
+            continue
+        for v in neighbours[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 @st.composite
 def random_edge_list(draw):
-    n = draw(st.integers(min_value=2, max_value=30))
+    n = draw(st.integers(min_value=1, max_value=30))
     m = draw(st.integers(min_value=0, max_value=60))
     edges = draw(
         st.lists(
@@ -329,6 +367,41 @@ def random_edge_list(draw):
 
 
 class TestAdjacencyProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(random_edge_list())
+    def test_matches_reference_construction(self, data):
+        """Byte-identical CSR to the unique + lexsort construction."""
+        n, edges = data
+        graph = Adjacency.from_edges(n, edges)
+        indptr, indices = reference_csr(n, edges)
+        assert graph.indptr.tobytes() == indptr.tobytes()
+        assert graph.indices.tobytes() == indices.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_edge_list(), st.data())
+    def test_bfs_matches_queue_bfs(self, data, choices):
+        n, edges = data
+        graph = Adjacency.from_edges(n, edges)
+        source = choices.draw(st.integers(min_value=0, max_value=n - 1))
+        cutoff = choices.draw(st.none() | st.integers(min_value=0, max_value=4))
+        expected = reference_bfs(n, edges, source, cutoff)
+        assert graph.bfs_distances(source, cutoff=cutoff).tolist() == expected
+        if cutoff is None:
+            assert graph.is_connected() == (min(expected) >= 0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bfs_matches_queue_bfs_on_sparse_random_graphs(self, seed):
+        """Hundreds of nodes just below the connectivity threshold: small
+        components beside a giant one, with wide frontiers."""
+        rng = np.random.default_rng(seed)
+        n = 600
+        edges = rng.integers(0, n, (int(0.4 * n * np.log(n)), 2))
+        graph = Adjacency.from_edges(n, edges)
+        for source in rng.integers(0, n, 4).tolist():
+            for cutoff in (None, 1, 3):
+                expected = reference_bfs(n, edges, source, cutoff)
+                assert graph.bfs_distances(source, cutoff=cutoff).tolist() == expected
+
     @settings(max_examples=50, deadline=None)
     @given(random_edge_list())
     def test_handshake_lemma(self, data):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.graphs import (
     random_regular,
 )
 from repro.graphs.erdos_renyi import expected_degree_to_p
+from repro.graphs.generators import _KINDS
 
 
 class TestErdosRenyi:
@@ -40,7 +42,11 @@ class TestErdosRenyi:
 
     def test_p_zero_and_one(self):
         assert erdos_renyi(10, 0.0, rng=1).num_edges == 0
-        assert erdos_renyi(10, 1.0, rng=1).num_edges == 45
+        dense = erdos_renyi(10, 1.0, rng=1)
+        assert dense.num_edges == 45
+        complete = complete_graph(10)
+        assert np.array_equal(dense.indptr, complete.indptr)
+        assert np.array_equal(dense.indices, complete.indices)
 
     def test_expected_degree_parametrisation(self):
         graph = erdos_renyi(300, expected_degree=20, rng=3)
@@ -200,6 +206,56 @@ class TestPowerLaw:
         assert graph.max_degree() > 2 * graph.mean_degree()
 
 
+def graph_digest(graph) -> str:
+    """sha256 of ``indptr || indices`` as little-endian int64."""
+    digest = hashlib.sha256(graph.indptr.astype("<i8").tobytes())
+    digest.update(graph.indices.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+#: ``graph_digest(make_graph(spec, rng=1))`` per spec: every kind, the
+#: benchmark's paper and density sizes, and the complete-graph edge cases.
+#: A drift in a sampler's RNG stream or in the CSR order changes a digest.
+GRAPH_DIGESTS = [
+    (GraphSpec("erdos_renyi", 64, {"p": 0.2}),
+     "7f298d148701d9b64fa1eeb3ad46d3c16ecba8d0ab6dab78d74e2494af2e3364"),
+    (paper_graph_spec(2048),
+     "3164abfa7cee9a41e33f41e94766602e6314159f3c0cf6b87e5af36a550b09f9"),
+    (paper_graph_spec(8192),
+     "564bc3c0606ed5b2308aea012191daec2697110d40c0da7f0731fa73812813aa"),
+    (GraphSpec("erdos_renyi", 2048, {"expected_degree": 121.0, "require_connected": True}),
+     "c160a64bac0f9216178f782fdee9ede6594e9ab0679b7c9fd8e3f396c3b3b973"),
+    (GraphSpec("erdos_renyi", 2048, {"expected_degree": 484.0, "require_connected": True}),
+     "095217640b22598354b68f32271b784235aeb211edbe4088e2400e2fb4db08fc"),
+    (GraphSpec("erdos_renyi", 64, {"expected_degree": 63.0}),  # p = 1
+     "751e0cce0eb3823596651a9f0b37ff81333477af927a0f14256b99475eedd483"),
+    (GraphSpec("random_regular", 64, {"d": 6}),
+     "41bf6c4d5a593b13e2e506c948d69355bfe63ab66911f1d18516b2b7c04270dc"),
+    (GraphSpec("random_regular", 1024, {"d": 16, "require_connected": True}),
+     "8ceb06359df56b51f1100d39c41f2b749f91b9522eae8f2c8df653cc007870b9"),
+    (GraphSpec("configuration_model", 6, {"degrees": [2, 2, 2, 2, 2, 2]}),
+     "abc59841b3efbe5c6148af2a356404f4edd8fdefac7cc9c334229b0d6874a9d6"),
+    (GraphSpec("complete", 1),
+     "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
+    (GraphSpec("complete", 2),
+     "c8b9af456571329ad39419553d14c5af97f36474bd52d2920a364e990801d5f0"),
+    (GraphSpec("complete", 16),
+     "a0a61860d2a2a694ddbc52abfaa9d8122608e5ab733631e98216032567e2ec09"),
+    (GraphSpec("complete", 17),
+     "9fed5198eea44614e56a7f672afd9eb27599df356f6a11df56dd284ebdfacfc8"),
+    (GraphSpec("complete", 2048),
+     "be3d470061bb951d0b48e972252bac892da1fd82b99b7140eb319723ac24aff2"),
+    (GraphSpec("hypercube", 16),
+     "1a36b0769a25bd95ec3d42da10d4f2c97849fe065997035cc7b2fd8f8d2a6434"),
+    (GraphSpec("hypercube", 4096),
+     "c3d4298731dc4817b56c9c1833966b01db374b320ce84b7459f05683eeb21507"),
+    (GraphSpec("power_law", 100, {"exponent": 2.5}),
+     "2c3c1299cf2dd6640c92172996cfacb2d27c81b2f0aa85bd2452b35c2abe64d5"),
+    (GraphSpec("power_law", 1000, {"exponent": 2.5}),
+     "95878b01b4c228266d63f9df8d84ca0460e9b32d15f5e5422532d06eae3da4f8"),
+]
+
+
 class TestGraphSpec:
     def test_spec_roundtrip(self):
         spec = GraphSpec(kind="erdos_renyi", n=64, params={"p": 0.2})
@@ -215,17 +271,15 @@ class TestGraphSpec:
             GraphSpec(kind="complete", n=0)
 
     def test_make_graph_all_kinds(self):
-        specs = [
-            GraphSpec("erdos_renyi", 64, {"p": 0.2}),
-            GraphSpec("random_regular", 64, {"d": 6}),
-            GraphSpec("configuration_model", 6, {"degrees": [2, 2, 2, 2, 2, 2]}),
-            GraphSpec("complete", 16),
-            GraphSpec("hypercube", 16),
-            GraphSpec("power_law", 100, {"exponent": 2.5}),
-        ]
-        for spec in specs:
+        assert {spec.kind for spec, _ in GRAPH_DIGESTS} == set(_KINDS)
+        drifted = {}
+        for spec, pinned in GRAPH_DIGESTS:
             graph = make_graph(spec, rng=1)
             assert graph.n == spec.n
+            digest = graph_digest(graph)
+            if digest != pinned:
+                drifted[spec.describe()] = digest
+        assert not drifted, drifted
 
     def test_hypercube_requires_power_of_two(self):
         with pytest.raises(ValueError):
