@@ -1,21 +1,24 @@
 #!/usr/bin/env python
 """Large-n smoke: a 100k-node gossip run under the paged layout, RSS-bounded.
 
-CI-grade proof that the paged knowledge layout breaks the dense memory
-ceiling: runs a full synchronous push-pull exchange loop (every node calls a
-uniform random partner each round, both directions merge, the incremental
+CI-grade check that a 100k-node run fits a bounded footprint under the
+paged knowledge layout: runs a full synchronous push-pull exchange loop
+(every node calls a uniform random partner each round, both directions
+merge, the incremental
 :class:`~repro.core.completion.CompletionTracker` drives termination) at
 
 * ``n = 100000`` nodes with ``m = 8192`` messages (128 words per row —
   rectangular on purpose: the protocols' square ``m = n`` default would make
-  the *gathered sender rows* alone 1.25 GB, which is a benchmark, not a
+  each round's next-state buffer alone 1.25 GB, which is a benchmark, not a
   smoke test), and
 * the **paged** layout forced via :func:`repro.engine.layouts.use`,
 
-then asserts the process peak RSS stayed under a ceiling that the dense
-layout could not meet (dense matrix + swap buffer alone: 2 x 100000 x 128 x 8
-= ~205 MB plus frontier bookkeeping; the paged layout keeps one copy and
-streams blocks).  The run itself verifies correctness end to end: the loop
+then asserts the process peak RSS stayed under a ceiling (400 MB by default).
+The paged layout keeps one 102 MB matrix between rounds and frees each
+exchange round's next-state buffer; the dense layout keeps matrix and swap
+buffer (2 x 100000 x 128 x 8 = ~205 MB) plus frontier bookkeeping resident.
+On a 2-core x86-64 VM the run peaks at about 245 MB paged and 300 MB with
+``--layout dense``.  The run itself verifies correctness end to end: the loop
 must reach completion (every node knows all 8192 messages) within the round
 cap, and the tracker's incremental verdict is cross-checked against a final
 :func:`~repro.core.completion.gossip_complete` scan.

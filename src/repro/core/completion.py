@@ -13,10 +13,10 @@ recounts only the receiver rows a round actually touched — fed with the
 (possibly duplicated) receiver multiset the knowledge-storage batch kernels
 return — and its per-row recount delegates to
 :meth:`~repro.engine.knowledge.KnowledgeStorage.count_missing`, so every
-storage layout answers it natively (dense rows dispatch through the active
-:mod:`repro.engine.backends` backend, frontier rows are counted from their
-active word set, the paged layout counts block-locally) without this
-module ever touching raw row storage.
+storage layout answers it natively (dense and paged rows dispatch through
+the active :mod:`repro.engine.backends` backend, frontier rows are counted
+from their active word set) without this module ever touching raw row
+storage.
 """
 
 from __future__ import annotations
@@ -155,11 +155,11 @@ class CompletionTracker:
     def _recount(self, rows: np.ndarray) -> np.ndarray:
         """Missing-bit counts (``popcount(mask & ~row)``) for the given rows.
 
-        Delegates to the storage layout's native counter: dense layouts run
-        the fused mask-and-popcount backend kernel (sharded on the threaded
-        backend), frontier rows count from their active word set, and the
-        paged layout counts block-locally without materializing rows.
-        All paths are pinned bit-identical to the plain masked scan.
+        Delegates to the storage layout's native counter: dense and paged
+        layouts run the fused mask-and-popcount backend kernel (sharded on
+        the threaded backend), and frontier rows count from their active
+        word set.  All paths are pinned bit-identical to the plain masked
+        scan.
         """
         return self.knowledge.count_missing(self.mask, rows)
 

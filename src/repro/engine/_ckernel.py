@@ -66,8 +66,6 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "SIMD_LEVELS",
     "available",
-    "block_round",
-    "block_round_mt",
     "ensure_shards",
     "exchange",
     "exchange_filtered",
@@ -541,38 +539,6 @@ void repro_push_round(const uint64_t *cur, uint64_t *next,
     repro_swap_rows(cur, next, off, adj, 0, n, words, NULL, NULL);
 }
 
-/* OR the listed gathered rows into each local row of `block`: row r gains
- * OR(gathered[adj[j]]) over its CSR slice.  Unlike the swap kernels this
- * mutates `block` in place — rows without senders are never touched — which
- * is what the paged layout wants: `gathered` is already snapshot storage
- * (the round's unique sender rows, copied before any write), so in-place
- * ORs are order-independent and skipped rows cost nothing. */
-static void repro_or_rows(uint64_t *block, const uint64_t *gathered,
-                          const int64_t *off, const int64_t *adj,
-                          int64_t lo, int64_t hi, int64_t words) {
-    for (int64_t r = lo; r < hi; r++) {
-        const int64_t start = r ? off[r - 1] : 0;
-        const int64_t end = off[r];
-        if (start == end)
-            continue;
-        uint64_t *dst = block + r * words;
-        for (int64_t j = start; j < end; j++)
-            repro_oracc(dst, gathered + adj[j] * words, words);
-    }
-}
-
-/* One block of a paged round: edge i ORs gathered[src[i]] into block-local
- * row dst[i].  `rows` is the block's row count; `off` needs rows + 1 slots
- * and `adj` k slots.  Bit-identical to repro_scatter_or over the same edges
- * (OR commutes); the CSR touches each receiver row exactly once. */
-void repro_block_round(uint64_t *block, const uint64_t *gathered,
-                       const int64_t *src, const int64_t *dst,
-                       int64_t k, int64_t rows, int64_t words,
-                       int64_t *off, int64_t *adj) {
-    repro_sender_csr(src, dst, k, rows, 0, off, adj);
-    repro_or_rows(block, gathered, off, adj, 0, rows, words);
-}
-
 /* OR source[src[i]] into data[dst[i]] for all i.  `source` must be a
  * start-of-step snapshot (disjoint storage from `data`), which makes the
  * result independent of processing order even with duplicate receivers. */
@@ -902,33 +868,6 @@ void repro_push_round_mt(const uint64_t *cur, uint64_t *next,
 }
 
 typedef struct {
-    uint64_t *block;
-    const uint64_t *gathered;
-    const int64_t *off;
-    const int64_t *adj;
-    int64_t rows, words;
-} repro_block_round_args;
-
-static void repro_block_round_shard(int64_t tid, int64_t T, void *p) {
-    repro_block_round_args *a = (repro_block_round_args *)p;
-    int64_t lo, hi;
-    repro_shard_range(a->rows, tid, T, &lo, &hi);
-    repro_or_rows(a->block, a->gathered, a->off, a->adj, lo, hi, a->words);
-}
-
-/* Sharded block round: serial CSR build, then the in-place OR pass shards
- * over disjoint local-row ranges reading only the immutable gathered pool —
- * bit-identical to repro_block_round at every shard count. */
-void repro_block_round_mt(uint64_t *block, const uint64_t *gathered,
-                          const int64_t *src, const int64_t *dst,
-                          int64_t k, int64_t rows, int64_t words,
-                          int64_t *off, int64_t *adj, int64_t nshards) {
-    repro_sender_csr(src, dst, k, rows, 0, off, adj);
-    repro_block_round_args a = {block, gathered, off, adj, rows, words};
-    repro_run_sharded(repro_block_round_shard, &a, nshards);
-}
-
-typedef struct {
     uint64_t *data;
     int32_t *active;
     int64_t *nnz;
@@ -1154,14 +1093,6 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.repro_simd_active.restype = ctypes.c_int
     lib.repro_push_round.argtypes = [u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p]
     lib.repro_push_round.restype = None
-    lib.repro_block_round.argtypes = [
-        u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p,
-    ]
-    lib.repro_block_round.restype = None
-    lib.repro_block_round_mt.argtypes = [
-        u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p, i64,
-    ]
-    lib.repro_block_round_mt.restype = None
     lib.repro_pool_ensure.argtypes = [i64]
     lib.repro_pool_ensure.restype = i64
     lib.repro_scatter_or_mt.argtypes = [u64p, u64p, i64p, i64p, i64, i64, i64, i64]
@@ -1428,35 +1359,6 @@ def push_round(
     )
 
 
-def block_round(
-    block: np.ndarray,
-    gathered: np.ndarray,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    off: np.ndarray,
-    adj: np.ndarray,
-) -> None:
-    """OR ``gathered[senders[i]]`` into block-local row ``receivers[i]``.
-
-    The paged layout's per-block round: ``gathered`` is the round's unique
-    sender rows (snapshot copies, disjoint from ``block``), ``receivers``
-    are block-local row indices, and ``off``/``adj`` are CSR scratch with
-    ``block.shape[0] + 1`` and ``senders.size`` usable slots.  Mutates
-    ``block`` in place; rows without incoming edges are untouched.
-    """
-    _LIB.repro_block_round(
-        _u64(block),
-        _u64(gathered),
-        _i64(senders),
-        _i64(receivers),
-        ctypes.c_int64(senders.size),
-        ctypes.c_int64(block.shape[0]),
-        ctypes.c_int64(block.shape[1]),
-        _i64(off),
-        _i64(adj),
-    )
-
-
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 _I32P = ctypes.POINTER(ctypes.c_int32)
 
@@ -1651,30 +1553,6 @@ def push_round_mt(
         ctypes.c_int64(senders.size),
         ctypes.c_int64(data.shape[0]),
         ctypes.c_int64(data.shape[1]),
-        _i64(off),
-        _i64(adj),
-        ctypes.c_int64(shards),
-    )
-
-
-def block_round_mt(
-    block: np.ndarray,
-    gathered: np.ndarray,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    off: np.ndarray,
-    adj: np.ndarray,
-    shards: int,
-) -> None:
-    """Sharded :func:`block_round` (serial CSR build + row-sharded OR pass)."""
-    _LIB.repro_block_round_mt(
-        _u64(block),
-        _u64(gathered),
-        _i64(senders),
-        _i64(receivers),
-        ctypes.c_int64(senders.size),
-        ctypes.c_int64(block.shape[0]),
-        ctypes.c_int64(block.shape[1]),
         _i64(off),
         _i64(adj),
         ctypes.c_int64(shards),

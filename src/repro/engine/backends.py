@@ -157,11 +157,6 @@ class KernelBackend:
     def push_round(self, data, scratch, senders, receivers, off, adj) -> None:
         raise NotImplementedError
 
-    def block_round(self, block, gathered, senders, receivers, off, adj) -> None:
-        """Paged-layout per-block round: OR gathered sender rows into the
-        block's local receiver rows (see ``_ckernel.block_round``)."""
-        raise NotImplementedError
-
     def frontier_scatter(
         self, data, active, nnz, word_active, dense_rows,
         senders, receivers, val_buf, lin_buf, total,
@@ -215,9 +210,6 @@ class CSerialBackend(KernelBackend):
 
     def push_round(self, data, scratch, senders, receivers, off, adj) -> None:
         _ckernel.push_round(data, scratch, senders, receivers, off, adj)
-
-    def block_round(self, block, gathered, senders, receivers, off, adj) -> None:
-        _ckernel.block_round(block, gathered, senders, receivers, off, adj)
 
     def frontier_scatter(
         self, data, active, nnz, word_active, dense_rows,
@@ -334,15 +326,6 @@ class CThreadsBackend(CSerialBackend):
             )
         else:
             _ckernel.push_round(data, scratch, senders, receivers, off, adj)
-
-    def block_round(self, block, gathered, senders, receivers, off, adj) -> None:
-        shards = self._shards(senders.size * block.shape[1])
-        if shards > 1:
-            _ckernel.block_round_mt(
-                block, gathered, senders, receivers, off, adj, shards
-            )
-        else:
-            _ckernel.block_round(block, gathered, senders, receivers, off, adj)
 
     def frontier_scatter(
         self, data, active, nnz, word_active, dense_rows,

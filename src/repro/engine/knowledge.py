@@ -46,15 +46,15 @@ dense family:
     A light-weight informed/uninformed boolean vector used by the
     single-message *broadcasting* baselines in :mod:`repro.broadcast`.
 
-The block-paged layout that breaks the dense memory wall lives in :mod:`repro.engine.layouts` together with the layout registry
+The paged layout — this matrix without a resident swap buffer — lives in
+:mod:`repro.engine.layouts` together with the layout registry
 (``REPRO_KNOWLEDGE_LAYOUT`` / :func:`repro.engine.layouts.use`).  Protocols
 construct their state through :func:`adaptive_knowledge`, which delegates to
 the registry's memory model; :func:`dense_knowledge` keeps the historical
 frontier-or-plain choice for callers that explicitly want the dense family.
 
 No caller outside this package may hold a raw ``data`` reference: the
-swap-form kernels exchange the underlying buffer, and the paged layout
-does not have a resident dense matrix at all.  Use ``rows`` /
+swap-form kernels exchange the underlying buffer.  Use ``rows`` /
 ``scatter_rows`` / ``count_missing`` and friends instead; the read-only
 ``data`` property on non-dense layouts materializes a dense copy for tests
 and debugging only.
@@ -139,7 +139,7 @@ class KnowledgeStorage:
     """Interface and shared logic for pluggable knowledge-storage layouts.
 
     Concrete layouts — the dense :class:`KnowledgeMatrix` family here, the
-    block-paged layout in :mod:`repro.engine.layouts` —
+    paged layout in :mod:`repro.engine.layouts` —
     implement the storage primitives (:meth:`rows`, :meth:`iter_blocks`,
     :meth:`scatter_rows`, :meth:`assign_rows`, the two round entry points
     and the point mutators); everything else — aggregate queries, equality,
@@ -633,8 +633,8 @@ class KnowledgeMatrix(KnowledgeStorage):
     # Constructors and copies
     # ------------------------------------------------------------------ #
     def copy(self) -> "KnowledgeMatrix":
-        """Deep copy of the knowledge state."""
-        clone = KnowledgeMatrix.empty(self.n_nodes, self.n_messages)
+        """Deep copy of the knowledge state, of the same storage class."""
+        clone = type(self).empty(self.n_nodes, self.n_messages)
         clone.data[:] = self.data
         return clone
 
@@ -1100,6 +1100,16 @@ class FrontierKnowledge(KnowledgeMatrix):
             self._nnz[:upto] = 1
             self._word_active[idx, own_word] = True
 
+    def copy(self) -> "FrontierKnowledge":
+        """Deep copy of the matrix and of its frontier bookkeeping."""
+        clone = super().copy()
+        clone._dense_rows[:] = self._dense_rows
+        clone._nnz[:] = self._nnz
+        clone._active_words[:] = self._active_words
+        clone._word_active[:] = self._word_active
+        clone._retired = self._retired
+        return clone
+
     # ------------------------------------------------------------------ #
     # Batch entry points
     # ------------------------------------------------------------------ #
@@ -1440,7 +1450,7 @@ def adaptive_knowledge(
 
     Delegates to the layout registry (:mod:`repro.engine.layouts`): the
     documented memory model picks dense storage while it fits the budget and
-    the block-paged layout beyond, and ``REPRO_KNOWLEDGE_LAYOUT`` or a
+    the paged layout beyond, and ``REPRO_KNOWLEDGE_LAYOUT`` or a
     per-scope :func:`repro.engine.layouts.use` override forces a specific
     layout.  All layouts produce bit-identical trajectories.
     """

@@ -1,17 +1,21 @@
 """Cross-layout equivalence tests for the pluggable knowledge storage.
 
 The storage contract (:class:`repro.engine.knowledge.KnowledgeStorage`) is
-that every layout — dense :class:`KnowledgeMatrix` and block-paged
-:class:`PagedKnowledge` — produces **bit-identical trajectories** at every
-size where dense fits.  These tests
-pin that contract:
+that every layout — dense :class:`KnowledgeMatrix` and
+:class:`PagedKnowledge`, the dense matrix without a resident swap buffer —
+produces **bit-identical trajectories** at every size where dense fits.
+These tests pin that contract:
 
 * randomized batch operations (``apply_transmissions``, ``apply_exchange``
   with the saturation filter, ``scatter_rows``, element mutators) against
-  the dense reference, at block-boundary sizes ``n = block_rows ± 1`` and on
-  both the compiled and pure-NumPy kernel paths,
+  the dense reference on the compiled serial, compiled sharded and
+  pure-NumPy kernel paths,
+* paged rounds on every kernel branch they take — swap form and
+  snapshot + scatter on either side of ``_SWAP_MIN_WORK``, and a filtered
+  exchange with promotions — plus the paged footprint between rounds,
 * ``count_missing`` for every layout (including the frontier's
   active-word-set counter) pinned to the plain masked scan,
+* ``copy`` keeping the storage class and everything a later round reads,
 * whole-protocol trajectory parity across the full layout x backend matrix
   (dense / paged x numpy / c / c-threads),
 * the selection registry (env var, ``use`` scope, explicit argument, the
@@ -28,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro.engine import _ckernel, backends, layouts
+from repro.engine import knowledge as knowledge_mod
 from repro.engine.knowledge import (
     FrontierKnowledge,
     KnowledgeMatrix,
@@ -36,25 +41,32 @@ from repro.engine.knowledge import (
 from repro.engine.layouts import PagedKnowledge
 
 
-@pytest.fixture(params=["compiled", "numpy"])
+@pytest.fixture(params=["compiled", "threads", "numpy"])
 def kernel_path(request, monkeypatch):
+    """The active backend's compiled kernels, the sharded ones, or NumPy."""
     if request.param == "numpy":
         monkeypatch.setattr(_ckernel, "_LIB", None)
-    elif not _ckernel.available():
+        yield request.param
+        return
+    if not _ckernel.available():
         pytest.skip("compiled kernel unavailable on this machine")
-    return request.param
+    if request.param == "threads":
+        # Two shards for every batch, however small: the *_mt kernels.
+        with backends.use(backends.CThreadsBackend(max_threads=2, shard_work=1)):
+            yield request.param
+        return
+    yield request.param
 
 
-BLOCK = 16
-#: Block-boundary sizes: one block minus/plus one row, and a multi-block n.
-BOUNDARY_SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+#: Small node counts, odd and even.
+SIZES = (15, 16, 17, 53)
 
 
 def make_layouts(n, n_messages=None):
-    """One instance of every layout, block sizes forced small."""
+    """One instance of every layout."""
     return {
         "dense": KnowledgeMatrix(n, n_messages),
-        "paged": PagedKnowledge(n, n_messages, block_rows=BLOCK),
+        "paged": PagedKnowledge(n, n_messages),
     }
 
 
@@ -67,7 +79,7 @@ def random_batch(rng, n, size):
 class TestUnitEquivalence:
     """Randomized storage operations match the dense reference bit-for-bit."""
 
-    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("seed", range(3))
     def test_apply_transmissions(self, kernel_path, n, seed):
         rng = np.random.default_rng(seed)
@@ -81,7 +93,7 @@ class TestUnitEquivalence:
             assert store == reference, f"layout {name} diverged"
             assert store.fingerprint() == reference.fingerprint()
 
-    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("seed", range(3))
     def test_apply_exchange_with_saturation(self, kernel_path, n, seed):
         rng = np.random.default_rng(100 + seed)
@@ -120,7 +132,7 @@ class TestUnitEquivalence:
         for name, store in instances.items():
             assert store == reference, f"layout {name} diverged"
 
-    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("n", SIZES)
     def test_scatter_rows_external_source(self, kernel_path, n):
         rng = np.random.default_rng(7)
         instances = make_layouts(n)
@@ -134,7 +146,7 @@ class TestUnitEquivalence:
         for name, store in instances.items():
             assert store == reference, f"layout {name} diverged"
 
-    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("n", SIZES)
     def test_element_mutators(self, kernel_path, n):
         rng = np.random.default_rng(13)
         instances = make_layouts(n)
@@ -153,7 +165,7 @@ class TestUnitEquivalence:
             assert store.total_known() == reference.total_known()
             assert np.array_equal(store.counts(), reference.counts())
 
-    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("n", SIZES)
     def test_row_queries_and_data_property(self, kernel_path, n):
         rng = np.random.default_rng(17)
         instances = make_layouts(n)
@@ -176,12 +188,32 @@ class TestUnitEquivalence:
                 ),
             )
 
-    def test_copy_is_independent(self):
-        for name, store in make_layouts(40).items():
-            clone = store.copy()
-            assert clone == store
-            clone.add(0, 5)
-            assert not store.knows(0, 5), f"layout {name} copy aliases storage"
+    @pytest.mark.parametrize("layout", ["dense", "frontier", "paged"])
+    def test_copy_is_independent(self, kernel_path, layout):
+        """A copy keeps its class and evolves exactly like the original."""
+        # 40 words per row: wide enough that the frontier's sparse path runs.
+        n, m = 40, 64 * 40
+        cls = {
+            "dense": KnowledgeMatrix,
+            "frontier": FrontierKnowledge,
+            "paged": PagedKnowledge,
+        }[layout]
+        store = cls(n, m)
+        rng = np.random.default_rng(23)
+        for node, message in zip(rng.integers(0, n, 60), rng.integers(0, m, 60)):
+            store.add(int(node), int(message))
+        store.apply_transmissions(*random_batch(rng, n, n // 4))
+        clone = store.copy()
+        assert type(clone) is type(store)
+        assert clone == store
+        callers = np.sort(rng.choice(n, size=n // 2, replace=False)).astype(np.int64)
+        targets = rng.integers(0, n, callers.size).astype(np.int64)
+        for state in (store, clone):
+            state.apply_exchange(callers, targets)
+        assert clone.fingerprint() == store.fingerprint()
+        message = int(store.missing_messages_at(0)[0])
+        clone.add(0, message)
+        assert not store.knows(0, message), f"layout {layout} copy aliases storage"
 
 
 class TestCountMissingPinned:
@@ -193,7 +225,7 @@ class TestCountMissingPinned:
             axis=1, dtype=np.int64
         )
 
-    @pytest.mark.parametrize("n", (BLOCK + 1, 3 * BLOCK + 5))
+    @pytest.mark.parametrize("n", (17, 53))
     @pytest.mark.parametrize("seed", range(3))
     def test_all_layouts(self, kernel_path, n, seed):
         rng = np.random.default_rng(seed)
@@ -229,26 +261,106 @@ class TestCountMissingPinned:
 
 
 class TestPagedMechanics:
-    """Paged-layout internals: block validation and resident footprint."""
+    """Paged rounds: the resident footprint and every kernel branch."""
 
-    def test_rejects_nonpositive_block_rows(self):
-        for block_rows in (0, -4):
-            with pytest.raises(ValueError, match="block_rows must be positive"):
-                PagedKnowledge(BLOCK, block_rows=block_rows)
+    @pytest.mark.parametrize("swap_min_work", [0, 1 << 62], ids=["swap", "scatter"])
+    def test_footprint_is_matrix_plus_csr(self, kernel_path, monkeypatch, swap_min_work):
+        """Between rounds: ``8 n w`` plus the CSR buffers, no swap buffer."""
+        monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", swap_min_work)
+        n = 53
+        paged = PagedKnowledge(n)
+        matrix = 8 * n * paged.words
+        assert paged.storage_nbytes() == matrix
+        assert layouts.estimate_bytes("paged", n) == matrix + 8 * (3 * n + 1)
+        rng = np.random.default_rng(9)
+        callers = np.arange(n, dtype=np.int64)
+        targets = rng.integers(0, n, n).astype(np.int64)
+        paged.apply_exchange(callers, targets)
+        # The compiled exchange keeps its CSR: n + 1 offsets, 2n edges.
+        csr = 8 * (n + 1 + 2 * n) if kernel_path != "numpy" else 0
+        assert paged._scratch is None
+        assert paged.storage_nbytes() == matrix + csr
+        paged.apply_transmissions(*random_batch(rng, n, 3 * n))
+        assert paged._scratch is None
+        assert paged.storage_nbytes() == matrix + csr
+        complete = np.zeros(n, dtype=bool)
+        complete[:5] = True
+        paged.assign_rows(np.arange(5), paged.full_row_mask())
+        paged.apply_exchange(
+            callers, targets, complete=complete, complete_row=paged.full_row_mask()
+        )
+        assert paged._scratch is None
+        assert paged.storage_nbytes() == matrix + csr
 
-    def test_footprint_is_blocks_plus_one_block_of_scratch(self, kernel_path):
-        """``8 n w`` of blocks; the compiled CSR scratch is sized per block."""
-        n = 3 * BLOCK + 5
-        paged = PagedKnowledge(n, block_rows=BLOCK)
-        blocks = 8 * n * paged.words
-        assert paged.storage_nbytes() == blocks
-        assert layouts.estimate_bytes("paged", n, block_rows=BLOCK) == blocks + 16 * BLOCK
-        senders, receivers = random_batch(np.random.default_rng(9), n, 3 * n)
-        paged.apply_transmissions(senders, receivers)
-        # Offsets for one block plus the busiest block's edge list.
-        busiest = int(np.bincount(receivers // BLOCK).max())
-        scratch = 8 * (BLOCK + 1 + busiest) if kernel_path == "compiled" else 0
-        assert paged.storage_nbytes() == blocks + scratch
+    @pytest.mark.parametrize("swap_min_work", [0, 1 << 62], ids=["swap", "scatter"])
+    @pytest.mark.parametrize("n_messages", [15, 448, 4096, 4160])
+    def test_rounds_match_dense(self, kernel_path, monkeypatch, swap_min_work, n_messages):
+        """Exchange (plain and filtered with promotions) and push rounds.
+
+        ``_SWAP_MIN_WORK`` 0 sends the filtered exchange through the filtered
+        swap kernel; above the matrix size it takes the snapshot + scatter
+        path.  The dense reference always runs on NumPy.
+        """
+        from repro.core.completion import CompletionTracker
+
+        monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", swap_min_work)
+        n = 33
+        rng = np.random.default_rng(n_messages)
+        paged = PagedKnowledge(n, n_messages)
+        reference = KnowledgeMatrix(n, n_messages)
+        trackers = {id(s): CompletionTracker(s) for s in (paged, reference)}
+
+        def both(step):
+            with backends.use(backends.NumpyBackend()):
+                expected = step(reference)
+            got = step(paged)
+            assert paged._scratch is None
+            assert paged.fingerprint() == reference.fingerprint()
+            return got, expected
+
+        def exchange(complete):
+            callers = np.sort(rng.choice(n, size=n - 3, replace=False)).astype(np.int64)
+            targets = rng.integers(0, n, callers.size).astype(np.int64)
+
+            def step(state):
+                tracker = trackers[id(state)]
+                touched, promoted = state.apply_exchange(
+                    callers,
+                    targets,
+                    complete=tracker.complete_rows if complete else None,
+                    complete_row=tracker.mask if complete else None,
+                    deficit_mask=tracker.mask,
+                    deficits_out=tracker.deficits,
+                )
+                if state.fused_deficits:
+                    tracker.refresh()
+                else:
+                    tracker.update(touched)
+                    tracker.mark_promoted(promoted)
+                return state.fused_deficits, np.sort(promoted)
+
+            (fused, promoted), (_, expected) = both(step)
+            assert np.array_equal(promoted, expected)
+            assert np.array_equal(
+                trackers[id(paged)].deficits, trackers[id(reference)].deficits
+            )
+            return fused, promoted.size
+
+        fused, _ = exchange(complete=False)
+        assert fused == (kernel_path != "numpy")
+        # Saturate a third of the rows so the filter drops and promotes.
+        saturated = np.arange(0, n, 3, dtype=np.int64)
+        for state in (paged, reference):
+            state.assign_rows(saturated, state.full_row_mask())
+            trackers[id(state)].mark_promoted(saturated)
+        fused, promotions = exchange(complete=True)
+        assert fused == (kernel_path != "numpy" and swap_min_work == 0)
+        # A second filtered round, on whichever branch its live rows pick.
+        assert promotions + exchange(complete=True)[1] > 0
+        # Push rounds: a dense batch (most nodes send) and a sparse one.
+        for size in (2 * n, 3):
+            senders, receivers = random_batch(rng, n, size)
+            both(lambda state: state.apply_transmissions(senders, receivers))
 
 
 class TestLayoutRegistry:
@@ -286,12 +398,6 @@ class TestLayoutRegistry:
         # The paged layout halves the dense matrix+swap footprint.
         assert paged < 0.6 * dense
 
-    def test_block_rows_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KNOWLEDGE_BLOCK", "33")
-        pk = PagedKnowledge(100)
-        assert pk.block_rows == 33
-        assert pk.n_blocks == 4
-
     def test_protocols_pick_up_use_scope(self, small_paper_graph):
         from repro import PushPullGossip
 
@@ -314,9 +420,7 @@ class TestCrossLayoutTrajectoryParity:
             )
 
     @pytest.mark.parametrize("protocol_name", ["push-pull", "fast-gossiping", "memory"])
-    def test_all_layouts_all_backends(
-        self, small_paper_graph, protocol_name, monkeypatch
-    ):
+    def test_all_layouts_all_backends(self, small_paper_graph, protocol_name):
         from repro import FastGossiping, MemoryGossiping, PushPullGossip
 
         factory = {
@@ -325,8 +429,6 @@ class TestCrossLayoutTrajectoryParity:
             "memory": lambda: MemoryGossiping(leader=0),
         }[protocol_name]
         seed = {"push-pull": 21, "fast-gossiping": 22, "memory": 23}[protocol_name]
-        # Small blocks so n = 256 spans several blocks per layout.
-        monkeypatch.setenv("REPRO_KNOWLEDGE_BLOCK", "100")
         reference = None
         for layout in ("dense", "paged"):
             for backend_label, backend in self._backend_matrix():
@@ -401,7 +503,7 @@ class TestPagedResumeFromStore:
         file_a = (tmp_path / "a" / "layout-resume.jsonl").read_bytes()
 
         # Kill after two complete records plus a truncated third, then resume
-        # the remainder under the paged layout with small blocks.  The rounds,
+        # the remainder under the paged layout.  The rounds,
         # transmissions and knowledge fingerprints of the re-run pairs must be
         # bit-identical, so the store file converges to the reference bytes.
         lines = file_a.splitlines(keepends=True)
@@ -411,7 +513,6 @@ class TestPagedResumeFromStore:
             b"".join(lines[:2]) + lines[2][:40]
         )
         monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "paged")
-        monkeypatch.setenv("REPRO_KNOWLEDGE_BLOCK", "50")
         store_b = ResultStore(tmp_path / "b")
         result_b = run_scenario(spec, config=config, store=store_b, resume=True)
         store_b.close()

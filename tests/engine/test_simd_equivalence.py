@@ -17,11 +17,7 @@ Shapes are chosen to hit the awkward cases:
   ``r * words * 8``, so e.g. 7-word rows never repeat the 32/64-byte
   alignment of row 0 and the kernels must use unaligned loads throughout;
 * partially-filled last words (``n_messages`` not a multiple of 64)
-  exercise the tail masks of the popcount kernels;
-* the paged layout runs at ``block_rows`` 1, 3 and 8 so block seams
-  fall inside, between and across vector strides, and at 11, 32 and 64 so
-  the 33 rows end exactly on a block boundary, leave a one-row tail block,
-  or fit one block (the default geometry at small n).
+  exercise the tail masks of the popcount kernels.
 
 ``_SWAP_MIN_WORK`` is forced to 0 so these small matrices take the
 swap-form round kernels (plain, saturation-filtered and fused-deficit
@@ -49,17 +45,7 @@ pytestmark = pytest.mark.skipif(
 #: Word counts straddling the 256/512-bit vector widths.
 WORD_COUNTS = (1, 7, 63, 64, 65, 127, 128)
 
-#: (layout, block_rows) pairs; block_rows only shapes the paged layout.
-LAYOUTS = (
-    ("dense", 1),
-    ("frontier", 1),
-    ("paged", 1),
-    ("paged", 3),
-    ("paged", 8),
-    ("paged", 11),
-    ("paged", 32),
-    ("paged", 64),
-)
+LAYOUTS = ("dense", "frontier", "paged")
 
 BACKENDS = ("c", "c-threads")
 
@@ -69,15 +55,15 @@ def _n_messages(words: int) -> int:
     return 64 * words - (17 if words % 2 else 0)
 
 
-def _make(layout: str, block_rows: int, n: int, m: int):
+def _make(layout: str, n: int, m: int):
     if layout == "dense":
         return KnowledgeMatrix(n, m)
     if layout == "frontier":
         return FrontierKnowledge(n, m)
-    return PagedKnowledge(n, m, block_rows=block_rows)
+    return PagedKnowledge(n, m)
 
 
-def _trajectory(layout: str, block_rows: int, words: int, seed: int) -> list:
+def _trajectory(layout: str, words: int, seed: int) -> list:
     """Replay a fixed seeded op sequence; return everything observable.
 
     The sequence walks every kernel family: a dense transmission round
@@ -88,7 +74,7 @@ def _trajectory(layout: str, block_rows: int, words: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     n = 33
     m = _n_messages(words)
-    storage = _make(layout, block_rows, n, m)
+    storage = _make(layout, n, m)
     everyone = np.arange(n, dtype=np.int64)
     out = []
 
@@ -119,9 +105,9 @@ def _trajectory(layout: str, block_rows: int, words: int, seed: int) -> list:
         deficit_mask=tracker.mask,
         deficits_out=tracker.deficits,
     )
-    if layout == "dense":
-        # Only the resident-matrix swap kernel fuses the recount; the paged
-        # layout (and the frontier's sparse rounds) recount via the tracker.
+    if layout != "frontier":
+        # The swap kernel fuses the recount; the frontier's sparse rounds
+        # recount via the tracker.
         assert storage.fused_deficits
     if storage.fused_deficits:
         tracker.refresh()
@@ -172,9 +158,9 @@ def _trajectory(layout: str, block_rows: int, words: int, seed: int) -> list:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("layout,block_rows", LAYOUTS)
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("words", WORD_COUNTS)
-def test_all_levels_bit_identical(words, layout, block_rows, backend, monkeypatch):
+def test_all_levels_bit_identical(words, layout, backend, monkeypatch):
     if _ckernel.simd_detected() == 0:
         pytest.skip("CPU supports no SIMD level beyond scalar")
     monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", 0)
@@ -184,14 +170,14 @@ def test_all_levels_bit_identical(words, layout, block_rows, backend, monkeypatc
             reference = None
             for level in range(_ckernel.simd_detected() + 1):
                 assert _ckernel.set_simd_level(level) == level
-                got = _trajectory(layout, block_rows, words, seed=words * 101)
+                got = _trajectory(layout, words, seed=words * 101)
                 if reference is None:
                     reference = got
                 elif got != reference:
                     bad = [i for i, (a, b) in enumerate(zip(reference, got)) if a != b]
                     pytest.fail(
                         f"{_ckernel.simd_name(level)} diverged from scalar on "
-                        f"layout={layout} block_rows={block_rows} words={words} "
+                        f"layout={layout} words={words} "
                         f"backend={backend} at observation(s) {bad}"
                     )
     finally:

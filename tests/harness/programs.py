@@ -62,14 +62,14 @@ _WORD_EDGE_MESSAGES = (63, 64, 65, 127, 128)
 
 
 def make_storage(layout: str, program: Dict[str, Any]) -> KnowledgeStorage:
-    """Instantiate ``layout`` for a program (tiny blocks for the paged layout)."""
+    """Instantiate ``layout`` for a program."""
     n, m = program["n_nodes"], program["n_messages"]
     if layout == "dense":
         return KnowledgeMatrix(n, m)
     if layout == "frontier":
         return FrontierKnowledge(n, m)
     if layout == "paged":
-        return PagedKnowledge(n, m, block_rows=program["block_rows"])
+        return PagedKnowledge(n, m)
     raise ValueError(f"unknown harness layout {layout!r}")
 
 
@@ -147,7 +147,6 @@ def generate_program(seed: int) -> Dict[str, Any]:
         "seed": seed,
         "n_nodes": n,
         "n_messages": m,
-        "block_rows": int(rng.choice([1, 3, 8])),
         "ops": ops,
     }
 
@@ -302,7 +301,7 @@ def describe_failure(
     lines = [
         f"differential harness failure: layout={layout} backend={backend}",
         f"  seed={program['seed']} n_nodes={program['n_nodes']} "
-        f"n_messages={program['n_messages']} block_rows={program['block_rows']}",
+        f"n_messages={program['n_messages']}",
         f"  {failure!r}",
         "  minimal op sequence:",
     ]
