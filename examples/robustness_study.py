@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import RobustnessConfig, RobustnessDetailConfig, run_figure2, run_figure5
+from repro.experiments import RobustnessConfig, RobustnessDetailConfig, run_scenario
 from repro.io import format_records
 
 
@@ -26,7 +26,7 @@ def main(n: int = 1024, repetitions: int = 3) -> None:
         failed_fractions=(0.0, 0.05, 0.1, 0.2, 0.3, 0.4),
         repetitions=repetitions,
     )
-    ratio = run_figure2(ratio_config)
+    ratio = run_scenario("figure2", config=ratio_config)
     print(
         ratio.to_table(
             ("n", "failed", "failed_fraction", "additional_lost", "loss_ratio"),
@@ -41,7 +41,7 @@ def main(n: int = 1024, repetitions: int = 3) -> None:
         thresholds=(0, 10, 100),
         repetitions=repetitions,
     )
-    detail = run_figure5(detail_config)
+    detail = run_scenario("figure5", config=detail_config)
     print(
         format_records(
             detail.rows,

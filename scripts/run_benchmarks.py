@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Run the simulator kernel benchmark baseline and write ``BENCH_kernel.json``.
 
-This script times the same hot building blocks as
-``benchmarks/bench_protocols_micro.py`` — full protocol runs plus the raw
-knowledge-kernel operations — at fixed seeds and sizes (n in {1000, 5000,
-20000} by default), and records the results as a machine-readable baseline.
+This script times the simulator's hot building blocks — full protocol runs
+plus the raw knowledge-kernel operations — at fixed seeds and sizes (n in
+{1000, 5000, 20000} by default), and records the results as a
+machine-readable baseline.
 Each future performance PR should rerun it and compare against the committed
 ``BENCH_kernel.json`` so the repository accumulates a perf trajectory.
 

@@ -1,11 +1,10 @@
-"""Fault-tolerant supervision around the streaming sweep scheduler.
+"""Fault-tolerant sweep scheduler: the one process pool of the library.
 
-:func:`repro.analysis.sweep.run_sweep` is deliberately fail-fast: the first
-worker exception aborts the whole sweep.  That is the right default for unit
-tests, but a sweep run as a long background job must *survive* its execution
-layer the way the paper's gossip survives ``f = n^epsilon`` node failures.
-:func:`run_supervised_sweep` wraps the same chunked-submission /
-completion-streaming scheduler with:
+:func:`run_supervised_sweep` executes a sweep on a
+:class:`~concurrent.futures.ProcessPoolExecutor` with chunked submission
+(a bounded window of in-flight tasks) and completion streaming, and keeps it
+alive through its execution layer the way the paper's gossip survives
+``f = n^epsilon`` node failures:
 
 * **per-task wall-clock timeouts** — an overdue task's worker pool is killed
   and respawned; the task is charged a ``timeout`` attempt, innocent
@@ -24,18 +23,25 @@ completion-streaming scheduler with:
 * a final :class:`SweepReport` distinguishing ok / retried / quarantined
   work, making a *degraded* run an explicit, machine-readable outcome.
 
-Execution always goes through a :class:`~concurrent.futures.ProcessPoolExecutor`
-(even for ``n_jobs=1``): process isolation is what makes kill/timeout
-recovery possible at all, and task functions are already required to be
-picklable by the sweep contract.  Deterministic chaos injection
-(:mod:`repro.engine.chaos`) plugs in via the ``chaos`` argument; fault
-targets are matched by the result store's ``(config_hash, repetition)`` pair
-identity.
+The fail-fast :func:`repro.analysis.sweep.run_sweep` runs on this loop too:
+with ``max_retries=0`` and an ``on_failure`` hook that re-raises
+:attr:`TaskFailure.error`, the worker's own exception.  The ``finally`` of
+the loop kills the pool on any exceptional exit.
+
+Execution always goes through the pool (even for ``n_jobs=1``): process
+isolation is what makes kill/timeout recovery possible at all, and task
+functions are already required to be picklable by the sweep contract.  A pool
+initializer installs the parent's ``REPRO_*`` environment in every worker, so
+sweeps select the same kernels under the ``fork`` and ``spawn`` start
+methods.  Deterministic chaos injection (:mod:`repro.engine.chaos`) plugs in
+via the ``chaos`` argument; fault targets are matched by the result store's
+``(config_hash, repetition)`` pair identity.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -46,16 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..engine.chaos import Fault, FaultPlan, inject_worker_faults
 from ..engine.rng import derive_seed
 from ..io.store import config_hash
-from .sweep import (
-    ProgressHook,
-    ResultHook,
-    SweepTask,
-    _capture_worker_env,
-    _notify,
-    _run_one,
-    _worker_initializer,
-    stable_key_hash,
-)
+from .sweep import ProgressHook, ResultHook, SweepTask, _notify, _run_one, stable_key_hash
 
 __all__ = [
     "RetryPolicy",
@@ -131,7 +128,9 @@ class TaskFailure:
     """Structured record of a quarantined (poison) task.
 
     Persisted to the result store as a ``failure`` entry instead of raising,
-    so a degraded sweep stays machine-readable and resumable.
+    so a degraded sweep stays machine-readable and resumable.  ``error`` is
+    the exception that ended the last attempt (the worker's own, or a
+    ``BrokenProcessPool`` / ``TimeoutError``); it is not serialized.
     """
 
     index: int
@@ -142,6 +141,7 @@ class TaskFailure:
     kind: str
     message: str
     history: List[Dict[str, Any]] = field(default_factory=list)
+    error: Optional[BaseException] = field(default=None, repr=False, compare=False)
 
     def to_jsonable(self) -> Dict[str, Any]:
         return {
@@ -218,6 +218,17 @@ class SweepReport:
         return line + (f" [{', '.join(extras)}]" if extras else "")
 
 
+def _worker_initializer(env: Dict[str, str]) -> None:
+    """Install the parent's ``REPRO_*`` environment in a pool worker.
+
+    Under the ``fork`` start method the environment is inherited anyway; under
+    ``spawn`` this runs before any backend is resolved, so
+    ``REPRO_KERNEL_BACKEND`` / ``REPRO_KERNEL_THREADS`` (and the kill
+    switches) select the same kernels in workers as in the parent.
+    """
+    os.environ.update(env)
+
+
 def _supervised_attempt(
     task_fn: Callable[[SweepTask], Dict[str, Any]],
     task: SweepTask,
@@ -268,17 +279,16 @@ class _Supervisor:
         self.window = window if window is not None else max(4 * n_jobs, 16)
         if self.window < 1:
             raise ValueError(f"window must be at least 1, got {self.window}")
-        if pairs is None:
-            pairs = [(config_hash(t.key, t.params), t.repetition) for t in self.tasks]
-        elif len(pairs) != self.total:
+        if pairs is not None and len(pairs) != self.total:
             raise ValueError("pairs must align one-to-one with tasks")
-        self.worker_faults: List[Tuple[Fault, ...]] = [
-            chaos.worker_faults(pair) if chaos is not None else ()
-            for pair in pairs
-        ]
+        self.worker_faults: List[Tuple[Fault, ...]] = [()] * self.total
+        if chaos is not None:
+            if pairs is None:
+                pairs = [(config_hash(t.key, t.params), t.repetition) for t in self.tasks]
+            self.worker_faults = [chaos.worker_faults(pair) for pair in pairs]
         self.records: List[Optional[Dict[str, Any]]] = [None] * self.total
         self.report = SweepReport(total=self.total)
-        self.env = _capture_worker_env()
+        self.env = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
         self.ready = deque(_TaskState(i, t) for i, t in enumerate(self.tasks))
         #: (not_before, index, state) heap of retries waiting out their backoff.
         self.delayed: List[Tuple[float, int, _TaskState]] = []
@@ -358,7 +368,9 @@ class _Supervisor:
         if self.progress is not None:
             self.progress(self.settled, self.total)
 
-    def _fail_attempt(self, state: _TaskState, kind: str, message: str) -> None:
+    def _fail_attempt(
+        self, state: _TaskState, kind: str, message: str, error: BaseException
+    ) -> None:
         state.history.append({"attempt": state.attempts, "kind": kind, "message": message})
         state.attempts += 1
         if state.attempts > self.policy.max_retries:
@@ -371,6 +383,7 @@ class _Supervisor:
                 kind=kind,
                 message=message,
                 history=list(state.history),
+                error=error,
             )
             self.report.quarantined.append(failure)
             if self.on_failure is not None:
@@ -432,11 +445,11 @@ class _Supervisor:
                         pool_broken = True
                         self.report.worker_crashes += 1
                         self._fail_attempt(
-                            state, "worker-crash", str(error) or "worker process died"
+                            state, "worker-crash", str(error) or "worker process died", error
                         )
                     except Exception as error:
                         self._fail_attempt(
-                            state, "error", f"{type(error).__name__}: {error}"
+                            state, "error", f"{type(error).__name__}: {error}", error
                         )
                     else:
                         self._settle_ok(state, record)
@@ -449,8 +462,9 @@ class _Supervisor:
                     ):
                         state = self.in_flight[future]
                         self.report.worker_crashes += 1
+                        message = "process pool broke while in flight"
                         self._fail_attempt(
-                            state, "worker-crash", "process pool broke while in flight"
+                            state, "worker-crash", message, BrokenProcessPool(message)
                         )
                     self._restart_pool(kill=True)
                     continue
@@ -461,11 +475,8 @@ class _Supervisor:
                         state = self.in_flight.pop(future)
                         self.deadlines.pop(future, None)
                         self.report.timeouts += 1
-                        self._fail_attempt(
-                            state,
-                            "timeout",
-                            f"exceeded {self.policy.timeout}s wall clock; worker killed",
-                        )
+                        message = f"exceeded {self.policy.timeout}s wall clock; worker killed"
+                        self._fail_attempt(state, "timeout", message, TimeoutError(message))
                     # Timeouts are enforced by killing the pool, so requeue
                     # the innocent in-flight tasks without charging them.
                     self._requeue_uncharged()
@@ -473,8 +484,9 @@ class _Supervisor:
             completed_normally = True
         finally:
             # Normal completion leaves an idle, healthy pool: shut it down
-            # gracefully.  On an exceptional exit (e.g. KeyboardInterrupt)
-            # kill the workers so chaos hangs or stuck tasks cannot block us.
+            # gracefully.  On an exceptional exit (KeyboardInterrupt, or a
+            # fail-fast hook re-raising a task error) kill the workers so
+            # chaos hangs or stuck tasks cannot block us.
             self._discard_pool(kill=not completed_normally)
         return self.records, self.report
 
@@ -494,7 +506,8 @@ def run_supervised_sweep(
 ) -> Tuple[List[Optional[Dict[str, Any]]], SweepReport]:
     """Execute a sweep under supervision; never raises on task failure.
 
-    Parameters largely mirror :func:`repro.analysis.sweep.run_sweep`; the
+    ``task_fn``, ``tasks``, ``n_jobs``, ``progress``, ``on_result`` and
+    ``window`` are as for :func:`repro.analysis.sweep.run_sweep`; the
     additions:
 
     policy:
@@ -503,10 +516,12 @@ def run_supervised_sweep(
         Optional :class:`~repro.engine.chaos.FaultPlan` of injected faults.
     pairs:
         Optional pre-computed ``(config_hash, repetition)`` pair per task
-        (chaos target identity); derived from the tasks when omitted.
+        (chaos target identity); derived from the tasks when a chaos plan
+        needs them and none are given.
     on_failure:
         Hook fired with ``(index, task, failure)`` when a task is quarantined
-        (the scenario engine persists a structured failure entry here).
+        (the scenario engine persists a structured failure entry here; an
+        exception it raises aborts the sweep and kills the pool).
 
     Returns
     -------

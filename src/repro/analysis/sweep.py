@@ -1,20 +1,14 @@
-"""Parameter sweeps with streaming, resumable process-based parallelism.
+"""Parameter sweeps: work items, stable seeds and the fail-fast runner.
 
 Experiments are embarrassingly parallel across (configuration, repetition)
-pairs, so :func:`run_sweep` distributes them over a
-:class:`concurrent.futures.ProcessPoolExecutor` when ``n_jobs > 1``.  Work
-items must be picklable, which is why the sweep operates on *task functions*
-defined at module level plus plain-data task descriptions rather than on
-closures.
-
-The scheduler streams completions (``concurrent.futures.wait`` with a bounded
-submission window rather than blocking in submission order), reports progress
-through a callback, hands every finished record to an ``on_result`` hook the
-moment it exists (the result store uses this for incremental persistence), and
-propagates the kernel-backend environment (``REPRO_KERNEL_BACKEND``,
-``REPRO_KERNEL_THREADS``, and the other ``REPRO_*`` switches) into worker
-processes via a pool initializer so sweeps behave identically under the
-``fork`` and ``spawn`` start methods.
+pairs.  :func:`expand_grid` turns a grid into :class:`SweepTask` work items
+and :func:`run_sweep` executes them: in-process for ``n_jobs == 1`` (or a
+single task), otherwise on the process pool of
+:func:`repro.analysis.supervisor.run_supervised_sweep`, the library's one
+scheduler, with a zero retry budget and a failure hook that re-raises the
+worker's own exception.  Work items must be picklable, which is why the sweep
+operates on *task functions* defined at module level plus plain-data task
+descriptions rather than on closures.
 
 Seeds are derived from a *stable hash of the configuration key* (not the
 configuration's position in the grid), so adding or removing one configuration
@@ -24,8 +18,6 @@ never reshuffles the seeds — and therefore the trajectories — of the others.
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -116,22 +108,6 @@ def _run_one(task_fn: Callable[[SweepTask], Dict[str, Any]], task: SweepTask) ->
     return record
 
 
-def _capture_worker_env() -> Dict[str, str]:
-    """Snapshot the ``REPRO_*`` switches that must reach worker processes."""
-    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-
-
-def _worker_initializer(env: Dict[str, str]) -> None:
-    """Install the parent's kernel-backend environment in a pool worker.
-
-    Under the ``fork`` start method the environment is inherited anyway; under
-    ``spawn`` this runs before any backend is resolved, so
-    ``REPRO_KERNEL_BACKEND`` / ``REPRO_KERNEL_THREADS`` (and the kill
-    switches) select the same kernels in workers as in the parent.
-    """
-    os.environ.update(env)
-
-
 def _notify(
     records: List[Optional[Dict[str, Any]]],
     index: int,
@@ -155,7 +131,7 @@ def run_sweep(
     on_result: Optional[ResultHook] = None,
     window: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
-    """Execute ``task_fn`` for every task, serially or over a process pool.
+    """Execute ``task_fn`` for every task, in-process or over a process pool.
 
     Parameters
     ----------
@@ -166,7 +142,9 @@ def run_sweep(
         The work items, typically produced by :func:`expand_grid`.
     n_jobs:
         Number of worker processes; ``1`` (default) runs in-process, which is
-        also the fallback whenever only one task exists.
+        also the fallback whenever only one task exists.  Above one, the
+        tasks run on :func:`~repro.analysis.supervisor.run_supervised_sweep`
+        with no retries.
     progress:
         Optional ``(done, total)`` callback, fired after every completion in
         completion order.
@@ -188,59 +166,34 @@ def run_sweep(
     Raises
     ------
     Exception
-        The first task error is re-raised immediately (fail-fast); pending
-        work is cancelled.
+        The first task error is re-raised immediately (fail-fast), with the
+        worker's own exception type; the pool's workers are killed.
     """
     tasks = list(tasks)
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     total = len(tasks)
-    records: List[Optional[Dict[str, Any]]] = [None] * total
-    if n_jobs == 1 or total <= 1:
-        for index, task in enumerate(tasks):
-            _notify(records, index, task, _run_one(task_fn, task), on_result)
-            if progress is not None:
-                progress(index + 1, total)
-        return [record for record in records if record is not None]
+    if n_jobs > 1 and total > 1:
+        # Imported here because the supervisor builds on this module.
+        from .supervisor import RetryPolicy, run_supervised_sweep
 
-    if window is None:
-        window = max(4 * n_jobs, 16)
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
+        def reraise(index: int, task: SweepTask, failure) -> None:
+            raise failure.error
 
-    done_count = 0
-    pending_iter = iter(enumerate(tasks))
-    with ProcessPoolExecutor(
-        max_workers=n_jobs,
-        initializer=_worker_initializer,
-        initargs=(_capture_worker_env(),),
-    ) as pool:
-        in_flight: Dict[Any, int] = {}
-
-        def submit_next() -> bool:
-            try:
-                index, task = next(pending_iter)
-            except StopIteration:
-                return False
-            in_flight[pool.submit(_run_one, task_fn, task)] = index
-            return True
-
-        for _ in range(min(window, total)):
-            submit_next()
-        try:
-            while in_flight:
-                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    index = in_flight.pop(future)
-                    # .result() re-raises worker exceptions -> fail-fast.
-                    _notify(records, index, tasks[index], future.result(), on_result)
-                    done_count += 1
-                    if progress is not None:
-                        progress(done_count, total)
-                    submit_next()
-        except BaseException:
-            for future in in_flight:
-                future.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-    return [record for record in records if record is not None]
+        records, _ = run_supervised_sweep(
+            task_fn,
+            tasks,
+            n_jobs=n_jobs,
+            policy=RetryPolicy(max_retries=0),
+            progress=progress,
+            on_result=on_result,
+            on_failure=reraise,
+            window=window,
+        )
+        return records
+    records = [None] * total
+    for index, task in enumerate(tasks):
+        _notify(records, index, task, _run_one(task_fn, task), on_result)
+        if progress is not None:
+            progress(index + 1, total)
+    return records

@@ -21,11 +21,6 @@ Installed as ``python -m repro``; the subcommands cover the common workflows:
     injects deterministic faults for drills (see ``docs/robustness.md``);
     Ctrl-C flushes the store and prints the exact resume command.
 
-``experiment``
-    Legacy alias: run one named scenario at the quick laptop scale, print the
-    reproduced rows and optionally an ASCII rendition of the figure, and
-    persist the rows to a directory.
-
 ``results``
     Query a result store without re-scanning JSONL: ``results query`` lists
     completed records with equality filters, ``results stats`` prints
@@ -167,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     srun_parser.add_argument(
         "--max-retries",
         type=int,
-        default=2,
+        default=RetryPolicy.max_retries,
         help="supervised retry budget per (configuration, repetition) before "
-        "the pair is quarantined (default 2)",
+        f"the pair is quarantined (default {RetryPolicy.max_retries})",
     )
     srun_parser.add_argument(
         "--timeout",
@@ -199,23 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries this simulates a poison configuration (default 1)",
     )
     srun_parser.set_defaults(func=_cmd_scenarios_run)
-
-    experiment_parser = subparsers.add_parser(
-        "experiment", help="run a named experiment (alias of `scenarios run`)"
-    )
-    experiment_parser.add_argument(
-        "name",
-        choices=scenario_names(),
-        help="experiment to run (paper figure/table or extension)",
-    )
-    experiment_parser.add_argument(
-        "--output", default=None, help="directory to persist the result rows into"
-    )
-    experiment_parser.add_argument(
-        "--plot", action="store_true", help="render an ASCII plot of the main series"
-    )
-    experiment_parser.add_argument("--seed", type=int, default=None, help="override base seed")
-    experiment_parser.set_defaults(func=_cmd_experiment)
 
     results_parser = subparsers.add_parser(
         "results", help="query a result store through its SQLite index"
@@ -372,13 +350,10 @@ def _print_plot(result) -> None:
 
 
 def _cmd_scenarios_list(args: argparse.Namespace) -> int:
-    rows = [
-        [spec.name, spec.result_name, spec.legacy_entry or "-", spec.description]
-        for spec in all_scenarios()
-    ]
+    rows = [[spec.name, spec.result_name, spec.description] for spec in all_scenarios()]
     print(
         format_table(
-            ["scenario", "result", "legacy entry point", "description"],
+            ["scenario", "result", "description"],
             rows,
             title="Registered experiment scenarios",
         )
@@ -399,6 +374,10 @@ def _resume_command(args: argparse.Namespace) -> str:
         parts += ["--jobs", str(args.jobs)]
     if args.seed is not None:
         parts += ["--seed", str(args.seed)]
+    if args.max_retries != RetryPolicy.max_retries:
+        parts += ["--max-retries", str(args.max_retries)]
+    if args.timeout is not None:
+        parts += ["--timeout", str(args.timeout)]
     return " ".join(parts)
 
 
@@ -663,21 +642,6 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 3
-    return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    spec = get_scenario(args.name)
-    config = resolve_config(spec, seed=args.seed, profile="cli")
-    result = run_scenario(spec, config=config)
-    print(result.to_table())
-    if args.plot:
-        _print_plot(result)
-    if args.output:
-        paths = result.save(args.output)
-        print()
-        for label, path in paths.items():
-            print(f"saved {label}: {path}")
     return 0
 
 

@@ -1,21 +1,19 @@
-"""Experiment harness: a declarative scenario registry plus legacy wrappers.
+"""Experiment harness: a declarative scenario registry and its one runner.
 
 Every paper table/figure and every extension is registered as a
 :class:`~repro.experiments.scenarios.ScenarioSpec` — grid, task function,
 aggregation recipe and render hints — and executed by
 :func:`~repro.experiments.scenarios.run_scenario`, optionally against the
-resumable on-disk result store (:class:`repro.io.store.ResultStore`).  The
-historical ``run_*`` functions remain as thin wrappers over the registry;
-each returns an :class:`~repro.experiments.runner.ExperimentResult` whose
-rows correspond to the points of the paper's plot (or the rows of its
-table); call ``result.to_table()`` for a printable report or
-``result.save(dir)`` to persist the rows as JSON/CSV.
+resumable on-disk result store (:class:`repro.io.store.ResultStore`).
+``run_scenario(name)`` uses the scenario's library-scale default config;
+``run_scenario(name, config=...)`` runs any other scale.  It returns an
+:class:`~repro.experiments.runner.ExperimentResult` whose rows correspond to
+the points of the paper's plot (or the rows of its table); call
+``result.to_table()`` for a printable report or ``result.save(dir)`` to
+persist the rows as JSON/CSV.
 """
 
-from .ablation_parameters import run_parameter_ablation
-from .ablation_redundancy import run_redundancy_ablation
-from .broadcast_vs_gossip import run_broadcast_ablation
-from .churn import CHURN_COLUMNS, run_churn
+from .churn import CHURN_COLUMNS
 from .config import (
     BroadcastAblationConfig,
     ChurnConfig,
@@ -28,14 +26,11 @@ from .config import (
     ScaleConfig,
     SizeSweepConfig,
 )
-from .density_sweep import run_density_sweep
-from .figure1 import FIGURE1_COLUMNS, run_figure1
-from .figure2 import FIGURE2_COLUMNS, run_figure2
-from .figure3 import FIGURE3_COLUMNS, Figure3Config, run_figure3
-from .figure4 import FIGURE4_COLUMNS, default_figure4_config, run_figure4
-from .figure5 import figure5_columns, run_figure5
-from .graph_models import run_graph_model_comparison
-from .leader_election_cost import run_leader_election_cost
+from .figure1 import FIGURE1_COLUMNS
+from .figure2 import FIGURE2_COLUMNS
+from .figure3 import FIGURE3_COLUMNS, Figure3Config
+from .figure4 import FIGURE4_COLUMNS, default_figure4_config
+from .figure5 import figure5_columns
 from .report import (
     build_report,
     experiment_section,
@@ -43,9 +38,9 @@ from .report import (
     scenario_plot,
     write_report,
 )
-from .push_sum import PUSHSUM_COLUMNS, run_pushsum
+from .push_sum import PUSHSUM_COLUMNS
 from .runner import ExperimentResult, aggregate_records, make_protocol
-from .scale import SCALE_COLUMNS, run_scale
+from .scale import SCALE_COLUMNS
 from .scenarios import (
     ScenarioSpec,
     all_scenarios,
@@ -55,43 +50,29 @@ from .scenarios import (
     run_scenario,
     scenario_names,
 )
-from .table1 import TABLE1_COLUMNS, run_table1
+from .table1 import TABLE1_COLUMNS
 
 __all__ = [
-    "run_parameter_ablation",
-    "run_redundancy_ablation",
-    "run_broadcast_ablation",
     "BroadcastAblationConfig",
     "ChurnConfig",
     "CHURN_COLUMNS",
-    "run_churn",
     "DensitySweepConfig",
     "LeaderElectionConfig",
     "ParameterAblationConfig",
     "PushSumConfig",
     "PUSHSUM_COLUMNS",
-    "run_pushsum",
     "RobustnessConfig",
     "RobustnessDetailConfig",
     "ScaleConfig",
     "SizeSweepConfig",
-    "run_density_sweep",
     "FIGURE1_COLUMNS",
-    "run_figure1",
     "FIGURE2_COLUMNS",
-    "run_figure2",
     "FIGURE3_COLUMNS",
     "Figure3Config",
-    "run_figure3",
     "FIGURE4_COLUMNS",
     "default_figure4_config",
-    "run_figure4",
     "figure5_columns",
-    "run_figure5",
-    "run_graph_model_comparison",
-    "run_leader_election_cost",
     "SCALE_COLUMNS",
-    "run_scale",
     "build_report",
     "experiment_section",
     "markdown_table",
@@ -108,5 +89,4 @@ __all__ = [
     "run_scenario",
     "scenario_names",
     "TABLE1_COLUMNS",
-    "run_table1",
 ]

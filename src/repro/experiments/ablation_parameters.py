@@ -7,20 +7,20 @@ random-walk probability factor and the length of the per-round broadcast
 sub-phase — and reports the resulting per-node message cost and running time,
 making the time/messages trade-off of the paper concrete.
 
-Declared as a scenario spec; ``run_parameter_ablation`` is a thin wrapper.
+Declared as a scenario spec.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec
 from .config import ParameterAblationConfig
-from .runner import ExperimentResult, gossip_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import gossip_task
+from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_parameter_ablation", "ABLATION_COLUMNS", "PARAMETER_ABLATION"]
+__all__ = ["ABLATION_COLUMNS", "PARAMETER_ABLATION"]
 
 ABLATION_COLUMNS = (
     "walk_probability_factor",
@@ -119,13 +119,5 @@ PARAMETER_ABLATION = register(
         },
         columns=ABLATION_COLUMNS,
         render=None,
-        legacy_entry="run_parameter_ablation",
     )
 )
-
-
-def run_parameter_ablation(
-    config: Optional[ParameterAblationConfig] = None,
-) -> ExperimentResult:
-    """Sweep fast-gossiping's walk probability and broadcast length."""
-    return run_scenario(PARAMETER_ABLATION, config=config or ParameterAblationConfig.quick())

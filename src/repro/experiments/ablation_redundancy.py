@@ -10,12 +10,12 @@ packets but loses far fewer messages when nodes crash; the strict tree loses
 messages at ratios much closer to the magnitudes the paper reports for its
 large graphs.
 
-Declared as a scenario spec; ``run_redundancy_ablation`` is a thin wrapper.
+Declared as a scenario spec.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.sweep import SweepTask
 from ..core.memory_gossiping import MemoryGossiping
@@ -25,11 +25,9 @@ from ..engine.metrics import MessageAccounting
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec, make_graph
 from .config import RobustnessConfig
-from .runner import ExperimentResult
-from .scenarios import ScenarioSpec, register, run_scenario
+from .scenarios import ScenarioSpec, register
 
 __all__ = [
-    "run_redundancy_ablation",
     "redundancy_task",
     "REDUNDANCY_COLUMNS",
     "REDUNDANCY_ABLATION",
@@ -158,13 +156,5 @@ REDUNDANCY_ABLATION = register(
         },
         columns=REDUNDANCY_COLUMNS,
         render={"x": "failed", "y": "loss_ratio", "group_by": "gather_contacts", "log_x": False},
-        legacy_entry="run_redundancy_ablation",
     )
 )
-
-
-def run_redundancy_ablation(
-    config: Optional[RobustnessConfig] = None,
-) -> ExperimentResult:
-    """Compare the 'all contacts' and 'first contact' gather structures."""
-    return run_scenario(REDUNDANCY_ABLATION, config=config or RobustnessConfig.quick())

@@ -11,12 +11,12 @@ ablation makes the contrast measurable:
   graph (``Theta(log n)`` envelope vs ``Theta(log log n)``), while
 * the memory-model gossiping cost stays flat on both topologies.
 
-Declared as a scenario spec; ``run_broadcast_ablation`` is a thin wrapper.
+Declared as a scenario spec.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.sweep import SweepTask
 from ..broadcast.age_based import AgeBasedBroadcast
@@ -24,11 +24,10 @@ from ..engine.metrics import MessageAccounting
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec, make_graph
 from .config import BroadcastAblationConfig
-from .runner import ExperimentResult, make_protocol
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import make_protocol
+from .scenarios import ScenarioSpec, register
 
 __all__ = [
-    "run_broadcast_ablation",
     "broadcast_task",
     "BROADCAST_COLUMNS",
     "BROADCAST_ABLATION",
@@ -150,13 +149,5 @@ BROADCAST_ABLATION = register(
         },
         columns=BROADCAST_COLUMNS,
         render={"x": "n", "y": "messages_per_node", "group_by": "task", "log_x": True},
-        legacy_entry="run_broadcast_ablation",
     )
 )
-
-
-def run_broadcast_ablation(
-    config: Optional[BroadcastAblationConfig] = None,
-) -> ExperimentResult:
-    """Run the broadcast-vs-gossip density-separation ablation."""
-    return run_scenario(BROADCAST_ABLATION, config=config or BroadcastAblationConfig.quick())

@@ -17,15 +17,15 @@ permanent failures.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec
 from .config import ChurnConfig
-from .runner import ExperimentResult, churn_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import churn_task
+from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_churn", "CHURN_COLUMNS", "CHURN"]
+__all__ = ["CHURN_COLUMNS", "CHURN"]
 
 #: Columns of the aggregated churn rows.
 CHURN_COLUMNS = (
@@ -126,11 +126,5 @@ CHURN = register(
             "y": "messages_per_node",
             "group_by": "n",
         },
-        legacy_entry="run_churn",
     )
 )
-
-
-def run_churn(config: Optional[ChurnConfig] = None) -> ExperimentResult:
-    """Run the node-churn sweep."""
-    return run_scenario(CHURN, config=config or ChurnConfig.quick())

@@ -6,7 +6,7 @@ suite finishes on a laptop in minutes while preserving the growth trends over
 a decade of sizes.  Every configuration dataclass has two constructors:
 
 ``quick()``
-    The default used by the test-suite and the pytest benchmarks.
+    The default used by the test-suite and by ``run_scenario`` without a config.
 
 ``paper_scale()``
     Larger sizes closer to the paper's ranges, for users with more time and

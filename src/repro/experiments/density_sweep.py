@@ -8,19 +8,19 @@ extension fixes ``n`` and sweeps the density from ``log² n`` up to the
 complete graph, which exposes the claim directly: for each protocol the
 per-node message count should stay essentially flat across densities.
 
-Declared as a scenario spec; ``run_density_sweep`` is a thin wrapper.
+Declared as a scenario spec.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..graphs.generators import GraphSpec
 from .config import DensitySweepConfig
-from .runner import ExperimentResult, gossip_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import gossip_task
+from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_density_sweep", "DENSITY_COLUMNS", "DENSITY_SWEEP"]
+__all__ = ["DENSITY_COLUMNS", "DENSITY_SWEEP"]
 
 DENSITY_COLUMNS = (
     "expected_degree",
@@ -120,11 +120,5 @@ DENSITY_SWEEP = register(
             "group_by": "protocol",
             "log_x": True,
         },
-        legacy_entry="run_density_sweep",
     )
 )
-
-
-def run_density_sweep(config: Optional[DensitySweepConfig] = None) -> ExperimentResult:
-    """Run the density sweep: per-node message cost vs expected degree."""
-    return run_scenario(DENSITY_SWEEP, config=config or DensitySweepConfig.quick())

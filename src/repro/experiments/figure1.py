@@ -12,13 +12,13 @@ findings:
 * the memory model stays bounded by a small constant (≈5 in the paper).
 
 The experiment is expressed as a :class:`~repro.experiments.scenarios
-.ScenarioSpec` (grid + task + aggregation + finalize hook); ``run_figure1``
-is a thin wrapper over the registry.
+.ScenarioSpec` (grid + task + aggregation + finalize hook); run it with
+``run_scenario("figure1")``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.bounds import (
     fast_gossiping_messages_per_node,
@@ -29,12 +29,12 @@ from ..analysis.bounds import (
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec
 from .config import SizeSweepConfig
-from .runner import ExperimentResult, gossip_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import gossip_task
+from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_figure1", "FIGURE1_COLUMNS", "FIGURE1"]
+__all__ = ["FIGURE1_COLUMNS", "FIGURE1"]
 
-#: Columns of the aggregated Figure 1 rows (used by reports and benches).
+#: Columns of the aggregated Figure 1 rows (used by reports).
 FIGURE1_COLUMNS = (
     "n",
     "protocol",
@@ -128,11 +128,5 @@ FIGURE1 = register(
         },
         columns=FIGURE1_COLUMNS,
         render={"x": "n", "y": "messages_per_node", "group_by": "protocol", "log_x": True},
-        legacy_entry="run_figure1",
     )
 )
-
-
-def run_figure1(config: Optional[SizeSweepConfig] = None) -> ExperimentResult:
-    """Reproduce Figure 1 (messages per node vs graph size, three protocols)."""
-    return run_scenario(FIGURE1, config=config or SizeSweepConfig.quick())

@@ -10,20 +10,20 @@ network fails.
 
 The reproduction uses a smaller graph; failure counts are expressed as
 fractions of ``n`` so the x-axis is comparable across scales.  Declared as a
-scenario spec; ``run_figure2`` is a thin wrapper over the registry.
+scenario spec; run it with ``run_scenario("figure2")``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec
 from .config import RobustnessConfig
-from .runner import ExperimentResult, robustness_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import robustness_task
+from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_figure2", "FIGURE2_COLUMNS", "FIGURE2", "robustness_configurations"]
+__all__ = ["FIGURE2_COLUMNS", "FIGURE2", "robustness_configurations"]
 
 FIGURE2_COLUMNS = (
     "n",
@@ -102,11 +102,5 @@ FIGURE2 = register(
         },
         columns=FIGURE2_COLUMNS,
         render={"x": "failed", "y": "loss_ratio", "group_by": None, "log_x": False},
-        legacy_entry="run_figure2",
     )
 )
-
-
-def run_figure2(config: Optional[RobustnessConfig] = None) -> ExperimentResult:
-    """Reproduce Figure 2 (additional lost messages / F vs F, memory model)."""
-    return run_scenario(FIGURE2, config=config or RobustnessConfig.quick())

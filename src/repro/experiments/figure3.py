@@ -8,23 +8,22 @@ shape across scales.  The reproduction runs the identical sweep on two
 The scenario expresses the multi-size study as a single grid whose keys are
 ``(n, failed)`` — seeds derive from a stable hash of the key, so every
 (size, failure-count) cell keeps its trajectory no matter which other sizes
-are in the grid.  ``run_figure3`` is a thin wrapper over the registry.
+are in the grid.  Run it with ``run_scenario("figure3", config=Figure3Config(...))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec
 from .config import RobustnessConfig
 from .figure2 import FIGURE2_COLUMNS
-from .runner import ExperimentResult, robustness_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import robustness_task
+from .scenarios import ScenarioSpec, register
 
 __all__ = [
-    "run_figure3",
     "FIGURE3_COLUMNS",
     "FIGURE3",
     "Figure3Config",
@@ -114,30 +113,5 @@ FIGURE3 = register(
         },
         columns=FIGURE3_COLUMNS,
         render={"x": "failed", "y": "loss_ratio", "group_by": "n", "log_x": False},
-        legacy_entry="run_figure3",
     )
 )
-
-
-def run_figure3(
-    config: Optional[RobustnessConfig] = None,
-    *,
-    sizes: Optional[Sequence[int]] = None,
-) -> ExperimentResult:
-    """Reproduce Figure 3 (robustness ratio vs F at two graph sizes)."""
-    base = config or RobustnessConfig.quick()
-    explicit = tuple(int(s) for s in sizes) if sizes is not None else None
-    if isinstance(base, Figure3Config):
-        resolved = replace(base, sizes=explicit) if explicit is not None else base
-    else:
-        resolved = Figure3Config(
-            size=base.size,
-            failed_fractions=base.failed_fractions,
-            num_trees=base.num_trees,
-            repetitions=base.repetitions,
-            seed=base.seed,
-            density_exponent=base.density_exponent,
-            n_jobs=base.n_jobs,
-            sizes=explicit if explicit is not None else default_figure3_sizes(),
-        )
-    return run_scenario(FIGURE3, config=resolved)

@@ -8,22 +8,22 @@ per node decrease slightly because the per-round random-walk probability
 series on a finer (but smaller) grid and report, for every consecutive pair of
 sizes with identical resolved schedules, whether the cost indeed decreased.
 
-Declared as a scenario spec; ``run_figure4`` is a thin wrapper.
+Declared as a scenario spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..core.parameters import tuned_fast_gossiping
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec
 from .config import SizeSweepConfig
-from .runner import ExperimentResult, gossip_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import gossip_task
+from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_figure4", "FIGURE4_COLUMNS", "FIGURE4", "default_figure4_config"]
+__all__ = ["FIGURE4_COLUMNS", "FIGURE4", "default_figure4_config"]
 
 FIGURE4_COLUMNS = (
     "n",
@@ -128,11 +128,5 @@ FIGURE4 = register(
         },
         columns=FIGURE4_COLUMNS,
         render={"x": "n", "y": "messages_per_node", "group_by": None, "log_x": True},
-        legacy_entry="run_figure4",
     )
 )
-
-
-def run_figure4(config: Optional[SizeSweepConfig] = None) -> ExperimentResult:
-    """Reproduce Figure 4 (fast-gossiping messages per node, fine size grid)."""
-    return run_scenario(FIGURE4, config=config or default_figure4_config())

@@ -8,21 +8,20 @@ more than a handful of additional messages.
 
 The reproduction runs repeated robustness simulations per (size, failure
 count) and reports one exceedance-fraction column per threshold.  The custom
-exceedance aggregation is declared on the scenario spec; ``run_figure5`` is a
-thin wrapper.
+exceedance aggregation is declared on the scenario spec.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec
 from .config import RobustnessDetailConfig
-from .runner import ExperimentResult, robustness_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import robustness_task
+from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_figure5", "figure5_columns", "FIGURE5"]
+__all__ = ["figure5_columns", "FIGURE5"]
 
 
 def figure5_columns(thresholds) -> Tuple[str, ...]:
@@ -118,11 +117,5 @@ FIGURE5 = register(
             "seed": config.seed,
         },
         render={"x": "failed", "y": "exceed_T0", "group_by": "n", "log_x": False},
-        legacy_entry="run_figure5",
     )
 )
-
-
-def run_figure5(config: Optional[RobustnessDetailConfig] = None) -> ExperimentResult:
-    """Reproduce Figure 5 (fraction of runs losing more than T extra messages)."""
-    return run_scenario(FIGURE5, config=config or RobustnessDetailConfig.quick())

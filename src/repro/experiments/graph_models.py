@@ -8,20 +8,20 @@ and on a random-regular (configuration-model) graph of the *same* expected
 degree and size, and compares the per-node message cost — the two families
 should be indistinguishable for every protocol.
 
-Declared as a scenario spec; ``run_graph_model_comparison`` is a thin wrapper.
+Declared as a scenario spec.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..graphs.generators import GraphSpec
 from .config import SizeSweepConfig
-from .runner import ExperimentResult, gossip_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import gossip_task
+from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_graph_model_comparison", "GRAPH_MODEL_COLUMNS", "GRAPH_MODELS"]
+__all__ = ["GRAPH_MODEL_COLUMNS", "GRAPH_MODELS"]
 
 GRAPH_MODEL_COLUMNS = (
     "n",
@@ -130,13 +130,5 @@ GRAPH_MODELS = register(
         },
         columns=GRAPH_MODEL_COLUMNS,
         render={"x": "n", "y": "messages_per_node", "group_by": "model", "log_x": True},
-        legacy_entry="run_graph_model_comparison",
     )
 )
-
-
-def run_graph_model_comparison(
-    config: Optional[SizeSweepConfig] = None,
-) -> ExperimentResult:
-    """Compare gossiping costs on Erdős–Rényi vs configuration-model graphs."""
-    return run_scenario(GRAPH_MODELS, config=config or _default_config())

@@ -8,12 +8,12 @@ every step, ``Theta(log n)`` per node) and the budgeted variant in which nodes
 go quiet a few steps after activation (``Theta(log log n)`` per node) — and
 verifies that the elected leader is unique.
 
-Declared as a scenario spec; ``run_leader_election_cost`` is a thin wrapper.
+Declared as a scenario spec.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import math
 
@@ -23,11 +23,9 @@ from ..core.parameters import LeaderElectionParameters, loglog2
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec, make_graph
 from .config import LeaderElectionConfig
-from .runner import ExperimentResult
-from .scenarios import ScenarioSpec, register, run_scenario
+from .scenarios import ScenarioSpec, register
 
 __all__ = [
-    "run_leader_election_cost",
     "election_task",
     "ELECTION_COLUMNS",
     "LEADER_ELECTION_COST",
@@ -127,13 +125,5 @@ LEADER_ELECTION_COST = register(
         },
         columns=ELECTION_COLUMNS,
         render={"x": "n", "y": "messages_per_node", "group_by": "variant", "log_x": True},
-        legacy_entry="run_leader_election_cost",
     )
 )
-
-
-def run_leader_election_cost(
-    config: Optional[LeaderElectionConfig] = None,
-) -> ExperimentResult:
-    """Measure leader-election cost per node vs n for both variants."""
-    return run_scenario(LEADER_ELECTION_COST, config=config or LeaderElectionConfig.quick())

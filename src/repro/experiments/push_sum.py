@@ -20,15 +20,15 @@ scenario, not just a noisy plot.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec
 from .config import PushSumConfig
-from .runner import ExperimentResult, push_sum_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import push_sum_task
+from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_pushsum", "PUSHSUM_COLUMNS", "PUSHSUM"]
+__all__ = ["PUSHSUM_COLUMNS", "PUSHSUM"]
 
 #: Columns of the aggregated push-sum rows.
 PUSHSUM_COLUMNS = (
@@ -140,11 +140,5 @@ PUSHSUM = register(
             "group_by": "clock",
             "log_x": True,
         },
-        legacy_entry="run_pushsum",
     )
 )
-
-
-def run_pushsum(config: Optional[PushSumConfig] = None) -> ExperimentResult:
-    """Run the push-sum averaging sweep."""
-    return run_scenario(PUSHSUM, config=config or PushSumConfig.quick())

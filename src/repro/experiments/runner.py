@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ..analysis.statistics import aggregate_records
-from ..analysis.sweep import SweepTask, expand_grid, run_sweep, stable_key_hash
+from ..analysis.sweep import SweepTask, stable_key_hash
 from ..core.fast_gossiping import FastGossiping
 from ..core.memory_gossiping import MemoryGossiping
 from ..core.parameters import (
@@ -57,7 +57,6 @@ __all__ = [
     "spread_monotone",
     "ExperimentResult",
     "aggregate_records",
-    "run_gossip_sweep",
 ]
 
 #: Names of the gossiping protocols compared in the paper's Figure 1.
@@ -334,21 +333,3 @@ class ExperimentResult:
         if self.raw_records:
             paths["raw_csv"] = save_csv(self.raw_records, directory / f"{self.name}_raw.csv")
         return paths
-
-
-def run_gossip_sweep(
-    configurations: Sequence[Tuple[Any, Dict[str, Any]]],
-    *,
-    repetitions: int,
-    seed: Optional[int],
-    n_jobs: int = 1,
-    task=gossip_task,
-) -> List[Dict[str, Any]]:
-    """Expand configurations into tasks and execute them.
-
-    Legacy convenience shim over :func:`expand_grid` + :func:`run_sweep`;
-    scenarios go through :func:`repro.experiments.scenarios.run_scenario`,
-    which also supports progress reporting and the result store.
-    """
-    tasks = expand_grid(configurations, repetitions, seed)
-    return run_sweep(task, tasks, n_jobs=n_jobs)

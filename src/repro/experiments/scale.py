@@ -18,17 +18,17 @@ layout exists for.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.sweep import SweepTask, stable_key_hash
 from ..engine.rng import derive_seed
 from ..graphs.erdos_renyi import paper_edge_probability
 from ..graphs.generators import GraphSpec
 from .config import ScaleConfig
-from .runner import ExperimentResult, gossip_task
-from .scenarios import ScenarioSpec, register, run_scenario
+from .runner import gossip_task
+from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_scale", "SCALE_COLUMNS", "SCALE"]
+__all__ = ["SCALE_COLUMNS", "SCALE"]
 
 #: Columns of the aggregated scale rows.
 SCALE_COLUMNS = (
@@ -148,11 +148,5 @@ SCALE = register(
             "group_by": "knowledge_layout",
             "log_x": True,
         },
-        legacy_entry="run_scale",
     )
 )
-
-
-def run_scale(config: Optional[ScaleConfig] = None) -> ExperimentResult:
-    """Run the storage-layout scale sweep."""
-    return run_scenario(SCALE, config=config or ScaleConfig.quick())

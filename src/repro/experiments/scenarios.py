@@ -16,14 +16,16 @@ one :class:`ScenarioSpec` — a declarative bundle of
 New workloads therefore become *data*: registering a spec is enough to make
 an experiment runnable through :func:`run_scenario`, the ``repro scenarios``
 CLI, the combined report builder and the on-disk result store — including
-``--resume`` after an interrupted sweep.  The legacy ``run_figure1`` …
-``run_table1`` entry points are thin wrappers over this registry.
+``--resume`` after an interrupted sweep.  :func:`run_scenario` is the one way
+to run an experiment; with no config it uses the spec's library-scale
+default.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -78,11 +80,11 @@ class ScenarioSpec:
     grid:
         ``config -> [(key, params), ...]`` building the sweep grid.
     default_config:
-        Library-scale config factory (used by the legacy ``run_*`` wrappers
-        when called without a config).
+        Library-scale config factory (used by :func:`run_scenario` when
+        called without a config).
     cli_config:
         ``seed -> config`` factory at the CLI quick scale
-        (``repro experiment`` / ``repro scenarios run``).
+        (``repro scenarios run``).
     smoke_config:
         ``seed -> config`` factory at the tiny ``--smoke`` scale.
     group_by / metrics:
@@ -106,8 +108,6 @@ class ScenarioSpec:
     run_override:
         Full bypass for non-sweep scenarios (Table 1's deterministic
         constants); receives the resolved config and returns the result.
-    legacy_entry:
-        Name of the thin legacy wrapper (documentation only).
     """
 
     name: str
@@ -129,7 +129,6 @@ class ScenarioSpec:
     columns: Optional[Tuple[str, ...]] = None
     render: Optional[Mapping[str, Any]] = None
     run_override: Optional[Callable[[Any], ExperimentResult]] = None
-    legacy_entry: str = ""
 
 
 # --------------------------------------------------------------------------- #
@@ -269,12 +268,14 @@ def run_scenario(
         ``metadata["cache"]`` reports ``total`` / ``hits`` /
         ``primary_hits`` / ``secondary_hits`` / ``executed``.
     read_store:
-        Optional secondary *read-only* cache (a :class:`ResultStore` or a
-        store directory path) — e.g. a team-shared result store.  Requires
-        ``store``.  Pairs missing from the primary store but present in the
-        secondary (same config hash, repetition and derived seed) are copied
-        into the primary store instead of being executed; quarantined
-        failures and corrupt lines in the secondary never satisfy a hit.
+        Optional secondary *read-only* cache (a :class:`ResultStore` or the
+        path of an existing store directory) — e.g. a team-shared result
+        store.  Requires ``store``; a path that is not a directory raises
+        :class:`ValueError` and creates nothing.  Pairs missing from the
+        primary store but present in the secondary (same config hash,
+        repetition and derived seed) are copied into the primary store
+        instead of being executed; quarantined failures and corrupt lines in
+        the secondary never satisfy a hit.
     resume:
         With ``store``: skip pairs already persisted.  Without ``resume``,
         a store that already holds records for this scenario is an error
@@ -301,9 +302,8 @@ def run_scenario(
     -------
     ExperimentResult
         Aggregated rows, raw records (in deterministic task order) and
-        metadata, exactly as the legacy per-experiment entry points return.
-        Quarantined pairs are absent from the records (the sweep is degraded,
-        not aborted).
+        metadata.  Quarantined pairs are absent from the records (the sweep
+        is degraded, not aborted).
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
     config = resolve_config(spec, config=config, seed=seed, smoke=smoke, profile=profile)
@@ -352,8 +352,11 @@ def run_scenario(
             spec.task, exec_tasks, n_jobs=n_jobs, progress=progress, on_result=on_result
         )
 
-    if read_store is not None and store is None:
-        raise ValueError("read_store requires a primary store to copy hits into")
+    if read_store is not None:
+        if store is None:
+            raise ValueError("read_store requires a primary store to copy hits into")
+        if not isinstance(read_store, ResultStore) and not Path(read_store).is_dir():
+            raise ValueError(f"read_store {read_store} is not a directory")
 
     if store is not None:
         completed = store.completed_entries(spec.name)

@@ -9,7 +9,7 @@ dataclasses.
 
 Table 1 is deterministic (no sweep, no randomness), so its scenario spec uses
 a ``run_override`` rather than the sweep engine; the "config" is simply the
-list of sizes.
+list of sizes, e.g. ``run_scenario("table1", config=[1024, 10**6])``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ..core.parameters import table1_rows, tuned_fast_gossiping, tuned_memory_go
 from .runner import ExperimentResult
 from .scenarios import ScenarioSpec, register
 
-__all__ = ["run_table1", "TABLE1_COLUMNS", "TABLE1"]
+__all__ = ["TABLE1_COLUMNS", "TABLE1"]
 
 TABLE1_COLUMNS = (
     "n",
@@ -87,6 +87,5 @@ TABLE1 = register(
         smoke_config=lambda seed: [1024, 65536],
         columns=TABLE1_COLUMNS,
         run_override=run_table1,
-        legacy_entry="run_table1",
     )
 )

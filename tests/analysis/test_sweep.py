@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
@@ -18,6 +19,13 @@ def failing_task(task: SweepTask) -> dict:
     """Module-level task that fails for one specific input."""
     if task.params["x"] == 3:
         raise RuntimeError("boom at x=3")
+    return {"value": task.params["x"]}
+
+
+def value_error_task(task: SweepTask) -> dict:
+    """Module-level task raising a ValueError for one specific input."""
+    if task.params["x"] == 2:
+        raise ValueError("bad input x=2")
     return {"value": task.params["x"]}
 
 
@@ -164,6 +172,14 @@ class TestSchedulerHooks:
         tasks = expand_grid([(i, {"x": i}) for i in range(8)], repetitions=1, base_seed=7)
         with pytest.raises(RuntimeError, match="boom"):
             run_sweep(failing_task, tasks, n_jobs=2, window=2)
+
+    @pytest.mark.skipif(os.cpu_count() is None or os.cpu_count() < 2, reason="needs >=2 CPUs")
+    def test_fail_fast_parallel_keeps_exception_type(self):
+        tasks = expand_grid([(i, {"x": i}) for i in range(8)], repetitions=1, base_seed=7)
+        with pytest.raises(ValueError, match="bad input x=2"):
+            run_sweep(value_error_task, tasks, n_jobs=2, window=2)
+        # The aborted pool's workers are killed and reaped, not left running.
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(os.cpu_count() is None or os.cpu_count() < 2, reason="needs >=2 CPUs")
     def test_backend_env_propagates_to_workers(self, monkeypatch):

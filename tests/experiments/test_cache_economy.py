@@ -7,15 +7,19 @@ Pins the read-through cache contract of :func:`repro.experiments.run_scenario`:
 * a grid superset executes only the new keys,
 * warm-run exports are byte-identical to a cold run's,
 * hits from a secondary ``read_store`` are copied into the primary store,
+  and a ``read_store`` path that is not a directory is an error,
 * seed mismatches, quarantined failures and CRC-corrupt lines never
   satisfy a cache hit,
 * ``SweepReport.cache_hits`` / ``executed`` and ``metadata["cache"]`` are
-  filled in and serialized.
+  filled in and serialized,
+* an unsupervised (fail-fast) pool run persists no failure entry.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -31,6 +35,13 @@ def counting_task(task: SweepTask) -> dict:
     with open(task.params["log"], "a") as handle:
         handle.write(f"{task.key}:{task.repetition}\n")
     return {"value": task.params["x"] * 2.0, "n": task.params["x"]}
+
+
+def failing_task(task: SweepTask) -> dict:
+    """Module-level task (picklable) that fails for one configuration."""
+    if task.params["x"] == 2:
+        raise ValueError("bad input x=2")
+    return counting_task(task)
 
 
 def _spec(log_path, xs=(1, 2, 3)) -> ScenarioSpec:
@@ -182,6 +193,16 @@ class TestSecondaryReadStore:
                 read_store=tmp_path / "shared",
             )
 
+    def test_missing_read_store_directory_is_an_error(self, tmp_path):
+        log = tmp_path / "log"
+        typo = tmp_path / "typo" / "shared-stor"
+        with ResultStore(tmp_path / "local") as local:
+            with pytest.raises(ValueError, match="not a directory"):
+                run_scenario(_spec(log), config=_config(), store=local, read_store=typo)
+        # Nothing was created and nothing executed.
+        assert not (tmp_path / "typo").exists()
+        assert _executions(log) == 0
+
     def test_seed_mismatch_in_read_store_is_a_miss(self, tmp_path):
         log = tmp_path / "log"
         with ResultStore(tmp_path / "shared") as shared:
@@ -265,6 +286,16 @@ class TestInvalidationNeverServesBadEntries:
         assert result.metadata["cache"]["hits"] == 2
         assert result.metadata["cache"]["executed"] == 1
         assert _executions(log) == 4
+
+
+class TestFailFastRuns:
+    def test_unsupervised_pool_failure_persists_nothing(self, tmp_path):
+        spec = replace(_spec(tmp_path / "log"), task=failing_task)
+        with ResultStore(tmp_path / "store") as store:
+            with pytest.raises(ValueError, match="bad input x=2"):
+                run_scenario(spec, config=_config(), store=store, n_jobs=2)
+            assert store.failures("counting") == {}
+        assert multiprocessing.active_children() == []
 
 
 class TestNoStoreRuns:

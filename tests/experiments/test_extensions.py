@@ -9,10 +9,7 @@ from repro.experiments import (
     DensitySweepConfig,
     LeaderElectionConfig,
     ParameterAblationConfig,
-    run_broadcast_ablation,
-    run_density_sweep,
-    run_leader_election_cost,
-    run_parameter_ablation,
+    run_scenario,
 )
 
 
@@ -26,7 +23,7 @@ class TestDensitySweep:
             repetitions=1,
             seed=1,
         )
-        return run_density_sweep(config)
+        return run_scenario("density", config=config)
 
     def test_rows_cover_all_densities_and_protocols(self, result):
         graphs = {row["graph"] for row in result.rows}
@@ -53,7 +50,7 @@ class TestDensitySweep:
 class TestBroadcastAblation:
     def test_rows_and_growth_metadata(self):
         config = BroadcastAblationConfig(sizes=(128, 256), repetitions=1, seed=2)
-        result = run_broadcast_ablation(config)
+        result = run_scenario("broadcast", config=config)
         assert len(result.rows) == 2 * 2 * 2  # sizes x topologies x tasks
         growth = result.metadata["broadcast_cost_growth"]
         assert set(growth) == {"sparse", "complete"}
@@ -73,7 +70,7 @@ class TestParameterAblation:
             repetitions=1,
             seed=3,
         )
-        result = run_parameter_ablation(config)
+        result = run_scenario("parameters", config=config)
         assert len(result.rows) == 2
         for row in result.rows:
             assert row["completed"]
@@ -85,7 +82,7 @@ class TestParameterAblation:
 class TestLeaderElectionCost:
     def test_variants_and_uniqueness(self):
         config = LeaderElectionConfig(sizes=(256,), repetitions=2, seed=4)
-        result = run_leader_election_cost(config)
+        result = run_scenario("election", config=config)
         assert len(result.rows) == 2  # one size, two variants
         by_variant = {row["variant"]: row for row in result.rows}
         assert by_variant["budgeted"]["messages_per_node"] < by_variant["pseudocode"][

@@ -10,15 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import (
+    Figure3Config,
     RobustnessConfig,
     RobustnessDetailConfig,
     SizeSweepConfig,
-    run_figure1,
-    run_figure2,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_table1,
+    run_scenario,
 )
 from repro.experiments.figure1 import FIGURE1_COLUMNS
 
@@ -26,7 +22,7 @@ from repro.experiments.figure1 import FIGURE1_COLUMNS
 @pytest.fixture(scope="module")
 def figure1_result():
     config = SizeSweepConfig(sizes=(128, 256), repetitions=2, seed=1)
-    return run_figure1(config)
+    return run_scenario("figure1", config=config)
 
 
 class TestFigure1:
@@ -74,7 +70,7 @@ class TestFigure4:
         config = SizeSweepConfig(
             sizes=(128, 192, 256), repetitions=1, seed=2, protocols=("fast-gossiping",)
         )
-        result = run_figure4(config)
+        result = run_scenario("figure4", config=config)
         assert len(result.rows) == 3
         for row in result.rows:
             assert row["walk_probability"] > 0
@@ -87,7 +83,7 @@ class TestFigure2:
         config = RobustnessConfig(
             size=256, failed_fractions=(0.0, 0.1, 0.5), repetitions=2, seed=3
         )
-        result = run_figure2(config)
+        result = run_scenario("figure2", config=config)
         assert len(result.rows) == 3
         by_failed = {row["failed"]: row for row in result.rows}
         assert by_failed[0]["additional_lost"] == 0.0
@@ -99,10 +95,10 @@ class TestFigure2:
 
 class TestFigure3:
     def test_two_sizes(self):
-        config = RobustnessConfig(
-            size=128, failed_fractions=(0.1, 0.4), repetitions=1, seed=4
+        config = Figure3Config(
+            size=128, sizes=(128, 256), failed_fractions=(0.1, 0.4), repetitions=1, seed=4
         )
-        result = run_figure3(config, sizes=(128, 256))
+        result = run_scenario("figure3", config=config)
         sizes = {row["n"] for row in result.rows}
         assert sizes == {128, 256}
         assert len(result.rows) == 4
@@ -117,7 +113,7 @@ class TestFigure5:
             repetitions=3,
             seed=5,
         )
-        result = run_figure5(config)
+        result = run_scenario("figure5", config=config)
         assert len(result.rows) == 2
         for row in result.rows:
             assert 0.0 <= row["exceed_T0"] <= 1.0
@@ -129,13 +125,13 @@ class TestFigure5:
 
 class TestTable1:
     def test_structure(self):
-        result = run_table1([1024, 10**6])
+        result = run_scenario("table1", config=[1024, 10**6])
         assert {row["n"] for row in result.rows} == {1024, 10**6}
         algorithms = {row["algorithm"] for row in result.rows}
         assert algorithms == {"algorithm1_fast_gossiping", "algorithm2_memory_model"}
 
     def test_known_values_for_million_nodes(self):
-        result = run_table1([10**6])
+        result = run_scenario("table1", config=[10**6])
         lookup = {
             (row["algorithm"], row["limit"]): row["value"] for row in result.rows
         }
@@ -145,5 +141,5 @@ class TestTable1:
         assert lookup[("algorithm2_memory_model", "first loop, number of steps (multiple of 4)")] == 40
 
     def test_default_sizes(self):
-        result = run_table1()
+        result = run_scenario("table1")
         assert len(result.rows) > 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import SizeSweepConfig, run_graph_model_comparison
+from repro.experiments import SizeSweepConfig, run_scenario
 from repro.experiments.graph_models import GRAPH_MODEL_COLUMNS
 
 
@@ -12,7 +12,7 @@ class TestGraphModelComparison:
     @pytest.fixture(scope="class")
     def result(self):
         config = SizeSweepConfig(sizes=(256,), repetitions=2, seed=21)
-        return run_graph_model_comparison(config)
+        return run_scenario("graph-models", config=config)
 
     def test_rows_cover_both_models_and_all_protocols(self, result):
         models = {row["model"] for row in result.rows}

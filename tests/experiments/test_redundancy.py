@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import RobustnessConfig, run_redundancy_ablation
+from repro.experiments import RobustnessConfig, run_scenario
 from repro.experiments.ablation_redundancy import REDUNDANCY_COLUMNS
 
 
@@ -14,7 +14,7 @@ class TestRedundancyAblation:
         config = RobustnessConfig(
             size=256, failed_fractions=(0.0, 0.3), num_trees=2, repetitions=2, seed=11
         )
-        return run_redundancy_ablation(config)
+        return run_scenario("redundancy", config=config)
 
     def test_rows_cover_both_modes(self, result):
         modes = {row["gather_contacts"] for row in result.rows}

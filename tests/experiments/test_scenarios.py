@@ -10,7 +10,6 @@ from repro.experiments import (
     all_scenarios,
     get_scenario,
     resolve_config,
-    run_figure2,
     run_scenario,
     scenario_names,
 )
@@ -48,7 +47,6 @@ class TestRegistry:
         for spec in all_scenarios():
             assert spec.description
             assert spec.result_name
-            assert spec.legacy_entry.startswith("run_")
             if spec.run_override is None:
                 # Sweep scenarios need a grid, a task and an aggregation.
                 assert spec.task is not None
@@ -94,16 +92,6 @@ class TestResolveConfig:
 
 
 class TestRunScenario:
-    def test_matches_legacy_wrapper(self):
-        config = RobustnessConfig(
-            size=128, failed_fractions=(0.0, 0.25), repetitions=1, seed=5
-        )
-        via_registry = run_scenario("figure2", config=config)
-        via_wrapper = run_figure2(config)
-        assert via_registry.rows == via_wrapper.rows
-        assert via_registry.raw_records == via_wrapper.raw_records
-        assert via_registry.metadata == via_wrapper.metadata
-
     def test_run_by_name_smoke(self):
         result = run_scenario("election", smoke=True)
         assert result.name == "leader_election_cost"
@@ -119,12 +107,12 @@ class TestRunScenario:
             run_scenario(spec)
 
     def test_figure3_config_sizes_respected(self):
-        from repro.experiments import Figure3Config, run_figure3
+        from repro.experiments import Figure3Config
 
         config = Figure3Config(
             sizes=(128,), failed_fractions=(0.1,), repetitions=1, seed=6
         )
-        result = run_figure3(config)
+        result = run_scenario("figure3", config=config)
         assert {row["n"] for row in result.rows} == {128}
 
     def test_progress_callback(self):

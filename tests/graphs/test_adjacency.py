@@ -99,6 +99,7 @@ class TestSampling:
         rng = make_rng(0)
         nodes = np.arange(10)
         samples = graph.sample_neighbors(nodes, rng)
+        assert samples.shape == nodes.shape
         for node, sample in zip(nodes.tolist(), samples.tolist()):
             assert graph.has_edge(node, sample)
 

@@ -19,11 +19,12 @@ class TestParser:
         assert args.protocol == "fast-gossiping"
         assert args.nodes == 1024
 
-    def test_experiment_choices(self):
-        args = build_parser().parse_args(["experiment", "figure1"])
-        assert args.name == "figure1"
+    def test_scenario_names(self):
+        args = build_parser().parse_args(["scenarios", "run", "figure1"])
+        assert args.names == ["figure1"]
+        # `scenarios run` is the one way to run an experiment.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "not-an-experiment"])
+            build_parser().parse_args(["experiment", "figure1"])
 
 
 class TestRunCommand:
@@ -48,33 +49,6 @@ class TestRunCommand:
         assert "complete(n=128)" in capsys.readouterr().out
 
 
-class TestExperimentCommand:
-    def test_table1_experiment(self, capsys):
-        code = main(["experiment", "table1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "algorithm1_fast_gossiping" in out
-
-    def test_figure2_with_output_and_plot(self, tmp_path, capsys):
-        code = main(
-            [
-                "experiment",
-                "figure2",
-                "--seed",
-                "7",
-                "--plot",
-                "--output",
-                str(tmp_path),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "loss" in out
-        assert "legend:" in out  # the ASCII plot was rendered
-        assert (tmp_path / "figure2_rows.csv").exists()
-        assert (tmp_path / "figure2_rows.json").exists()
-
-
 class TestScenariosCommand:
     def test_list(self, capsys):
         code = main(["scenarios", "list"])
@@ -82,6 +56,17 @@ class TestScenariosCommand:
         assert code == 0
         for name in ("figure1", "table1", "density", "graph-models"):
             assert name in out
+
+    def test_figure2_with_out_and_plot(self, tmp_path, capsys):
+        code = main(
+            ["scenarios", "run", "figure2", "--seed", "7", "--plot", "--out", str(tmp_path)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "loss" in out
+        assert "legend:" in out  # the ASCII plot was rendered
+        assert (tmp_path / "figure2_rows.csv").exists()
+        assert (tmp_path / "figure2_rows.json").exists()
 
     def test_run_smoke_with_store(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -190,6 +175,21 @@ class TestScenariosCommand:
         assert "resume with" in captured.err
         assert "--resume" in captured.err
         assert "figure2" in captured.err
+        # Default supervision flags are left out of the resume command.
+        assert "--max-retries" not in captured.err
+        assert "--timeout" not in captured.err
+
+        code = main(
+            [
+                "scenarios", "run", "figure2", "--smoke", "--out", str(tmp_path / "out"),
+                "--max-retries", "5", "--timeout", "30", "--jobs", "2",
+            ]
+        )
+        resume = capsys.readouterr().err.split("resume with:")[1].strip()
+        assert code == 130
+        assert "--max-retries 5" in resume
+        assert "--timeout 30.0" in resume
+        assert "--jobs 2" in resume
 
     def test_run_table1_scenario(self, capsys):
         code = main(["scenarios", "run", "table1", "--smoke"])

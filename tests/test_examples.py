@@ -1,14 +1,21 @@
-"""Smoke tests for the runnable examples (executed at tiny sizes)."""
+"""Smoke tests for the runnable examples.
+
+Each example runs once as a script at its default size (``runpy`` with
+``__name__ == "__main__"``, as ``python examples/<name>.py`` would) and once
+through its ``main()`` at a tiny size with its output checked.
+"""
 
 from __future__ import annotations
 
 import importlib.util
+import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+EXAMPLE_SCRIPTS = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
 def load_example(name: str):
@@ -30,6 +37,12 @@ class TestExamples:
             "density_comparison.py",
         }
         assert expected <= {p.name for p in EXAMPLES_DIR.glob("*.py")}
+
+    @pytest.mark.parametrize("path", EXAMPLE_SCRIPTS, ids=lambda path: path.stem)
+    def test_runs_as_script(self, path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", [str(path)])
+        runpy.run_path(str(path), run_name="__main__")
+        assert capsys.readouterr().out.strip()
 
     def test_quickstart(self, capsys):
         load_example("quickstart").main(128, seed=1)
