@@ -107,7 +107,10 @@ def aggregate_records(
         row: Dict[str, Any] = {k: v for k, v in zip(group_by, key)}
         row["repetitions"] = len(members)
         for metric in metrics:
-            values = [float(m[metric]) for m in members if metric in m and m[metric] is not None]
+            try:
+                values = [float(m[metric]) for m in members if metric in m and m[metric] is not None]
+            except ValueError as error:
+                raise ValueError(f"metric {metric!r} is not numeric: {error}") from None
             if not values:
                 continue
             stats = summarize(values)

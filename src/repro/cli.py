@@ -473,10 +473,10 @@ def _cmd_results_query(args: argparse.Namespace) -> int:
         return code
     try:
         where = _parse_where(args.where)
-    except ValueError as error:
+        rows = index.query(args.scenario, where=where or None, limit=args.limit)
+    except ValueError as error:  # a bad --where or scenario name
         print(f"error: {error}", file=sys.stderr)
         return 2
-    rows = index.query(args.scenario, where=where or None, limit=args.limit)
     _print_rows(rows, args.columns, args.json, f"{args.scenario}: completed records")
     return 0
 
@@ -494,18 +494,29 @@ def _cmd_results_stats(args: argparse.Namespace) -> int:
     metrics = (
         [m.strip() for m in args.metrics.split(",") if m.strip()] if args.metrics else None
     )
-    if args.group_by:
-        group_by = [g.strip() for g in args.group_by.split(",") if g.strip()]
-        rows = index.aggregate(args.scenario, group_by, metrics or [])
-        _print_rows(rows, None, args.json, f"{args.scenario}: grouped aggregate")
-        return 0
     try:
-        percentiles = [float(q) for q in args.percentiles.split(",") if q.strip()]
-    except ValueError:
-        print(f"error: bad --percentiles {args.percentiles!r}", file=sys.stderr)
+        if args.group_by:
+            group_by = [g.strip() for g in args.group_by.split(",") if g.strip()]
+            rows = index.aggregate(args.scenario, group_by, metrics or [])
+            title = "grouped aggregate"
+        else:
+            try:
+                percentiles = [float(q) for q in args.percentiles.split(",") if q.strip()]
+            except ValueError:
+                raise ValueError(f"bad --percentiles {args.percentiles!r}") from None
+            rows = index.stats(args.scenario, metrics, percentiles=percentiles)
+            title = "metric statistics"
+    except KeyError as error:
+        print(
+            f"error: --group-by field {error.args[0]!r} is missing from "
+            f"a completed {args.scenario} record",
+            file=sys.stderr,
+        )
         return 2
-    rows = index.stats(args.scenario, metrics, percentiles=percentiles)
-    _print_rows(rows, None, args.json, f"{args.scenario}: metric statistics")
+    except ValueError as error:  # bad scenario name, --percentiles or metric
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    _print_rows(rows, None, args.json, f"{args.scenario}: {title}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Compacted SQLite query index over the JSONL result store.
+"""SQLite query index over the JSONL result store.
 
 This is the read side of a CQRS split.  The append-only JSONL files of
 :class:`repro.io.store.ResultStore` remain the single source of truth; this
@@ -8,15 +8,15 @@ CSV/JSON exports — are served from indexed rows instead of re-parsing JSONL.
 
 Consistency model
 -----------------
-* **Incremental behind append.**  ``ResultStore._append_entry`` calls
-  :meth:`QueryIndex.note_append` while still holding the per-append
-  ``flock``, so the common path indexes exactly the one new line without
-  touching the rest of the file.
+* **Caught up on read.**  Appends never touch SQLite.  Every query first
+  refreshes its scenario under the store's per-scenario ``flock``: the
+  bytes appended since the last refresh are parsed and indexed in one
+  transaction.
 * **Prefix-CRC invalidation.**  For every scenario the index stores
   ``(indexed_end, prefix_crc)`` — the byte length of the indexed prefix and
-  the rolling CRC32 of those bytes.  Every read-side refresh re-checksums
-  the prefix; a mismatch (in-place corruption, rewrite, truncation) drops
-  the scenario's rows and rebuilds them from JSONL.  The index can therefore
+  the rolling CRC32 of those bytes.  Every refresh re-checksums the
+  prefix; a mismatch (in-place corruption, rewrite, truncation) drops the
+  scenario's rows and rebuilds them from JSONL.  The index can therefore
   always be deleted or rebuilt with no data loss.
 * **Same validity rules as the scanner.**  Lines are parsed with the store's
   own ``_parse_line``: CRC-corrupt and malformed lines are skipped (never
@@ -28,15 +28,12 @@ Consistency model
   mirroring ``ResultStore.completed`` exactly: a failure never satisfies a
   cache hit, and a later record supersedes an earlier failure.
 
-Compaction layer
-----------------
-Scalar record fields (ints, floats, bools, strings, nulls) are unpacked
-into a ``fields`` table so numeric statistics and grouped aggregates run
-without JSON-decoding full records.  Non-scalar fields (lists, dicts) live
-only in the canonical-JSON body and are treated as absent by field-based
-aggregates — the same behaviour ``aggregate_records`` has for missing
-metrics.  Full records (``query``/``export``) are decoded from the stored
-canonical JSON, so they are bit-identical to a JSONL scan.
+Each entry is stored once, as canonical JSON.  Full records
+(``query``/``export``) are decoded from it, so they are bit-identical to a
+JSONL scan.  Statistics and grouped aggregates decode the same bodies and
+use only their scalar fields (ints, floats, bools, strings, nulls); lists,
+dicts and integers wider than 64 bits count as absent — the same behaviour
+``aggregate_records`` has for missing metrics.
 """
 
 from __future__ import annotations
@@ -45,9 +42,9 @@ import json
 import math
 import os
 import zlib
-from collections import defaultdict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 try:  # stdlib, but some minimal builds omit it; the store degrades to scans.
     import sqlite3
@@ -61,7 +58,7 @@ __all__ = ["QueryIndex", "index_available", "nearest_rank"]
 
 #: Bump when the table layout changes; a mismatched on-disk index is dropped
 #: and lazily rebuilt from JSONL (the index is always disposable).
-_SCHEMA_VERSION = "1"
+_SCHEMA_VERSION = "2"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta(
@@ -85,20 +82,9 @@ CREATE TABLE IF NOT EXISTS entries(
     PRIMARY KEY (scenario, seq)
 );
 CREATE INDEX IF NOT EXISTS entries_pair ON entries(scenario, config, repetition);
-CREATE TABLE IF NOT EXISTS fields(
-    scenario TEXT NOT NULL,
-    seq INTEGER NOT NULL,
-    name TEXT NOT NULL,
-    kind TEXT NOT NULL,
-    ival INTEGER,
-    rval REAL,
-    tval TEXT,
-    PRIMARY KEY (scenario, seq, name)
-);
-CREATE INDEX IF NOT EXISTS fields_name ON fields(scenario, name);
 """
 
-#: SQLite INTEGER is a signed 64-bit word; wider Python ints stay JSON-only.
+#: Integers beyond a signed 64-bit word count as absent in aggregates.
 _INT64_MAX = 2**63 - 1
 
 #: Completed view: for each (config, repetition) pair the latest record
@@ -106,19 +92,13 @@ _INT64_MAX = 2**63 - 1
 #: and as Python str).  Failure entries never appear here, and a record
 #: always supersedes earlier failures for its pair — the scanner's rules.
 _COMPLETED_SQL = """
-SELECT config, repetition, seed, body_json, seq FROM entries
+SELECT config, repetition, seed, body_json FROM entries
 WHERE scenario = :s AND kind = 'record' AND seq IN (
     SELECT MAX(seq) FROM entries
     WHERE scenario = :s AND kind = 'record'
     GROUP BY config, repetition
 )
 ORDER BY config, repetition
-"""
-
-_COMPLETED_SEQS_SQL = """
-SELECT MAX(seq) FROM entries
-WHERE scenario = :s AND kind = 'record'
-GROUP BY config, repetition
 """
 
 
@@ -141,16 +121,49 @@ def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[min(len(sorted_values), max(rank, 1)) - 1]
 
 
-def _decode_field(kind: str, ival: Optional[int], rval: Optional[float], tval: Optional[str]) -> Any:
-    if kind == "i":
-        return int(ival)  # type: ignore[arg-type]
-    if kind == "f":
-        return float(rval)  # type: ignore[arg-type]
-    if kind == "b":
-        return bool(ival)
-    if kind == "s":
-        return tval
-    return None  # "n"
+def _is_scalar(value: Any) -> bool:
+    """Whether a decoded JSON value counts in statistics and aggregates:
+    lists, dicts and integers wider than 64 bits count as absent."""
+    if type(value) is int:
+        return abs(value) <= _INT64_MAX
+    return not isinstance(value, (list, dict))
+
+
+def _entry_row(entry: StoreEntry) -> tuple:
+    """The ``entries`` columns of one parsed store entry, after ``seq``."""
+    kind = entry.kind
+    return (
+        entry["config"],
+        int(entry["repetition"]),
+        int(entry["seed"]),
+        kind,
+        canonical_json(entry["key"]),
+        canonical_json(entry[kind]),
+    )
+
+
+def _metric_names(records: Sequence[Dict[str, Any]]) -> List[str]:
+    """Sorted names of the int and float (not bool) scalar fields."""
+    return sorted(
+        {
+            name
+            for record in records
+            for name, value in record.items()
+            if type(value) in (int, float) and _is_scalar(value)
+        }
+    )
+
+
+@contextmanager
+def _transaction(con: "sqlite3.Connection") -> Iterator[None]:
+    """One write transaction: committed on success, rolled back on error."""
+    con.execute("BEGIN IMMEDIATE")
+    try:
+        yield
+        con.execute("COMMIT")
+    except BaseException:
+        con.execute("ROLLBACK")
+        raise
 
 
 class QueryIndex:
@@ -188,21 +201,17 @@ class QueryIndex:
                 (_SCHEMA_VERSION,),
             )
         elif row[0] != _SCHEMA_VERSION:
-            # Foreign schema version: drop the derived rows; every scenario
-            # rebuilds from JSONL on its next refresh.
-            con.execute("BEGIN IMMEDIATE")
-            try:
+            # Foreign schema version: drop the derived rows (and the
+            # per-field table of schema 1); every scenario rebuilds from
+            # JSONL on its next refresh.
+            with _transaction(con):
+                con.execute("DROP TABLE IF EXISTS fields")
                 con.execute("DELETE FROM entries")
-                con.execute("DELETE FROM fields")
                 con.execute("DELETE FROM files")
                 con.execute(
                     "UPDATE meta SET value = ? WHERE key = 'schema'",
                     (_SCHEMA_VERSION,),
                 )
-                con.execute("COMMIT")
-            except BaseException:
-                con.execute("ROLLBACK")
-                raise
         self._con = con
         return con
 
@@ -213,7 +222,7 @@ class QueryIndex:
             self._con = None
 
     # ------------------------------------------------------------------ #
-    # Maintenance: refresh, incremental append, rebuild
+    # Maintenance: refresh and rebuild
     # ------------------------------------------------------------------ #
     def refresh(self, scenario: str) -> None:
         """Bring the scenario's index rows up to date with its JSONL file.
@@ -226,13 +235,8 @@ class QueryIndex:
         con = self._connect()
         path = self.store.path_for(scenario)
         if not path.exists():
-            con.execute("BEGIN IMMEDIATE")
-            try:
+            with _transaction(con):
                 self._delete_rows(con, scenario)
-                con.execute("COMMIT")
-            except BaseException:
-                con.execute("ROLLBACK")
-                raise
             return
         with path.open("rb") as handle:
             self.store._acquire_lock(handle, path)
@@ -240,39 +244,6 @@ class QueryIndex:
                 self._catch_up(con, scenario, handle)
             finally:
                 self.store._release_lock(handle)
-
-    def note_append(self, scenario: str, entry: StoreEntry, line: bytes, offset: int) -> None:
-        """Index one just-appended line (caller holds the store's flock).
-
-        Fast path: when the index is exactly at ``offset``, the new line is
-        indexed alone and the prefix CRC chained forward.  Otherwise (first
-        sighting, external appends, truncation) the whole file is caught up
-        via a plain read handle — no second flock, the caller already holds
-        it and a same-process re-acquisition would deadlock.
-        """
-        con = self._connect()
-        row = con.execute(
-            "SELECT indexed_end, prefix_crc FROM files WHERE scenario = ?",
-            (scenario,),
-        ).fetchone()
-        if row is None and offset == 0:
-            base_crc = 0
-        elif row is not None and int(row[0]) == offset:
-            base_crc = int(row[1])
-        else:
-            with self.store.path_for(scenario).open("rb") as handle:
-                self._catch_up(con, scenario, handle)
-            return
-        crc = zlib.crc32(line, base_crc) & 0xFFFFFFFF
-        con.execute("BEGIN IMMEDIATE")
-        try:
-            seq = self._next_seq(con, scenario)
-            self._insert_entry(con, scenario, seq, entry)
-            self._upsert_file(con, scenario, offset + len(line), crc)
-            con.execute("COMMIT")
-        except BaseException:
-            con.execute("ROLLBACK")
-            raise
 
     def rebuild(self, scenario: Optional[str] = None) -> List[str]:
         """Drop and re-derive index rows from JSONL; returns scenarios done.
@@ -284,13 +255,8 @@ class QueryIndex:
         names = [scenario] if scenario is not None else self.scenario_names()
         con = self._connect()
         for name in names:
-            con.execute("BEGIN IMMEDIATE")
-            try:
+            with _transaction(con):
                 self._delete_rows(con, name)
-                con.execute("COMMIT")
-            except BaseException:
-                con.execute("ROLLBACK")
-                raise
             self.refresh(name)
         return names
 
@@ -301,10 +267,8 @@ class QueryIndex:
     def _catch_up(self, con: "sqlite3.Connection", scenario: str, handle) -> None:
         """Parse bytes beyond the verified prefix into index rows.
 
-        ``handle`` is an open binary read handle for the scenario file; the
-        caller is responsible for holding the store lock (or knowingly
-        reading a live file, which the CRC check makes safe: a torn read
-        surfaces as a mismatch and triggers a rebuild on the next refresh).
+        ``handle`` is an open binary read handle for the scenario file, on
+        which the caller holds the store's flock.
         """
         handle.seek(0, os.SEEK_END)
         size = handle.tell()
@@ -324,7 +288,7 @@ class QueryIndex:
                 rebuild = True
         handle.seek(start)
         data = handle.read(size - start)
-        new_entries: List[StoreEntry] = []
+        new_rows: List[tuple] = []
         indexed_end, indexed_crc = start, crc
         running = crc
         pos = 0
@@ -343,23 +307,28 @@ class QueryIndex:
                 # indexed_end so tail repair cannot invalidate the index.
                 pass
             else:
-                new_entries.append(entry)
+                new_rows.append(_entry_row(entry))
                 indexed_end = start + newline + 1
                 indexed_crc = running
             pos = newline + 1
-        con.execute("BEGIN IMMEDIATE")
-        try:
+        with _transaction(con):
             if rebuild:
                 self._delete_rows(con, scenario)
-            seq = self._next_seq(con, scenario)
-            for entry in new_entries:
-                self._insert_entry(con, scenario, seq, entry)
-                seq += 1
-            self._upsert_file(con, scenario, indexed_end, indexed_crc)
-            con.execute("COMMIT")
-        except BaseException:
-            con.execute("ROLLBACK")
-            raise
+            (seq,) = con.execute(
+                "SELECT COALESCE(MAX(seq), -1) + 1 FROM entries WHERE scenario = ?",
+                (scenario,),
+            ).fetchone()
+            con.executemany(
+                "INSERT INTO entries(scenario, seq, config, repetition, seed, kind, "
+                "key_json, body_json) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                ((scenario, seq + i, *row) for i, row in enumerate(new_rows)),
+            )
+            con.execute(
+                "INSERT INTO files(scenario, indexed_end, prefix_crc) VALUES (?, ?, ?) "
+                "ON CONFLICT(scenario) DO UPDATE SET "
+                "indexed_end = excluded.indexed_end, prefix_crc = excluded.prefix_crc",
+                (scenario, indexed_end, indexed_crc),
+            )
 
     @staticmethod
     def _prefix_crc(handle, end: int) -> int:
@@ -376,92 +345,38 @@ class QueryIndex:
         return crc
 
     @staticmethod
-    def _next_seq(con: "sqlite3.Connection", scenario: str) -> int:
-        return int(
-            con.execute(
-                "SELECT COALESCE(MAX(seq), -1) + 1 FROM entries WHERE scenario = ?",
-                (scenario,),
-            ).fetchone()[0]
-        )
-
-    @staticmethod
     def _delete_rows(con: "sqlite3.Connection", scenario: str) -> None:
         con.execute("DELETE FROM entries WHERE scenario = ?", (scenario,))
-        con.execute("DELETE FROM fields WHERE scenario = ?", (scenario,))
         con.execute("DELETE FROM files WHERE scenario = ?", (scenario,))
-
-    @staticmethod
-    def _upsert_file(con: "sqlite3.Connection", scenario: str, end: int, crc: int) -> None:
-        con.execute(
-            "INSERT INTO files(scenario, indexed_end, prefix_crc) VALUES (?, ?, ?) "
-            "ON CONFLICT(scenario) DO UPDATE SET "
-            "indexed_end = excluded.indexed_end, prefix_crc = excluded.prefix_crc",
-            (scenario, end, crc),
-        )
-
-    @staticmethod
-    def _insert_entry(con: "sqlite3.Connection", scenario: str, seq: int, entry: Mapping[str, Any]) -> None:
-        kind = "record" if "record" in entry else "failure"
-        body = entry[kind]
-        con.execute(
-            "INSERT INTO entries(scenario, seq, config, repetition, seed, kind, key_json, body_json) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                scenario,
-                seq,
-                entry["config"],
-                int(entry["repetition"]),
-                int(entry["seed"]),
-                kind,
-                canonical_json(entry["key"]),
-                canonical_json(body),
-            ),
-        )
-        if kind != "record" or not isinstance(body, Mapping):
-            return
-        rows: List[Tuple[str, int, str, str, Optional[int], Optional[float], Optional[str]]] = []
-        for name, value in body.items():
-            if isinstance(value, bool):
-                rows.append((scenario, seq, name, "b", int(value), None, None))
-            elif isinstance(value, int):
-                if abs(value) <= _INT64_MAX:  # wider ints stay JSON-only
-                    rows.append((scenario, seq, name, "i", value, None, None))
-            elif isinstance(value, float):
-                rows.append((scenario, seq, name, "f", None, value, None))
-            elif isinstance(value, str):
-                rows.append((scenario, seq, name, "s", None, None, value))
-            elif value is None:
-                rows.append((scenario, seq, name, "n", None, None, None))
-            # lists/dicts: JSON body only (absent from field-based aggregates)
-        con.executemany(
-            "INSERT INTO fields(scenario, seq, name, kind, ival, rval, tval) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            rows,
-        )
 
     # ------------------------------------------------------------------ #
     # Query surface (each method refreshes first)
     # ------------------------------------------------------------------ #
+    def _completed_rows(self, scenario: str) -> "sqlite3.Cursor":
+        """Refresh, then the completed view's ``(config, repetition, seed,
+        body_json)`` rows in pair-sorted order."""
+        self.refresh(scenario)
+        return self._connect().execute(_COMPLETED_SQL, {"s": scenario})
+
+    def _completed_objects(self, scenario: str) -> Iterator[Dict[str, Any]]:
+        """Completed records for field access, decoded one at a time; a
+        non-object record reads as ``{}``."""
+        for _config, _rep, _seed, body in self._completed_rows(scenario):
+            record = json.loads(body)
+            yield record if isinstance(record, dict) else {}
+
     def completed(self, scenario: str) -> Dict[Pair, Dict[str, Any]]:
         """Index-served equivalent of :meth:`ResultStore.completed`."""
-        self.refresh(scenario)
-        con = self._connect()
         return {
             (config, int(repetition)): json.loads(body)
-            for config, repetition, _seed, body, _seq in con.execute(
-                _COMPLETED_SQL, {"s": scenario}
-            )
+            for config, repetition, _seed, body in self._completed_rows(scenario)
         }
 
     def completed_seeds(self, scenario: str) -> Dict[Pair, int]:
         """Seed stored with each completed pair (resume/cache validation)."""
-        self.refresh(scenario)
-        con = self._connect()
         return {
             (config, int(repetition)): int(seed)
-            for config, repetition, seed, _body, _seq in con.execute(
-                _COMPLETED_SQL, {"s": scenario}
-            )
+            for config, repetition, seed, _body in self._completed_rows(scenario)
         }
 
     def records(self, scenario: str) -> List[Dict[str, Any]]:
@@ -530,12 +445,8 @@ class QueryIndex:
         Each row is ``{"config", "repetition", "seed", **record}`` in
         pair-sorted order.  ``where`` matches on any column by equality.
         """
-        self.refresh(scenario)
-        con = self._connect()
         rows: List[Dict[str, Any]] = []
-        for config, repetition, seed, body, _seq in con.execute(
-            _COMPLETED_SQL, {"s": scenario}
-        ):
+        for config, repetition, seed, body in self._completed_rows(scenario):
             row = {"config": config, "repetition": int(repetition), "seed": int(seed)}
             row.update(json.loads(body))
             if where and any(row.get(name) != value for name, value in where.items()):
@@ -547,17 +458,7 @@ class QueryIndex:
 
     def metric_names(self, scenario: str) -> List[str]:
         """Numeric field names present in the completed view, sorted."""
-        self.refresh(scenario)
-        con = self._connect()
-        return [
-            name
-            for (name,) in con.execute(
-                "SELECT DISTINCT name FROM fields "
-                "WHERE scenario = :s AND kind IN ('i', 'f') AND seq IN "
-                f"({_COMPLETED_SEQS_SQL}) ORDER BY name",
-                {"s": scenario},
-            )
-        ]
+        return _metric_names(self._completed_objects(scenario))
 
     def stats(
         self,
@@ -570,27 +471,23 @@ class QueryIndex:
 
         Returns one row per metric with count/mean/std/min/max plus
         nearest-rank percentile columns (``p50`` etc).  Values are the
-        ascending-sorted floats of the metric over completed records; mean
-        and std use :func:`repro.analysis.statistics.summarize` on that
-        sorted sequence, so the result is reproducible bit-for-bit from a
-        scan that sorts the same way.
+        ascending-sorted floats of the metric's scalar numbers (bools count
+        as 0/1) over completed records; mean and std use
+        :func:`repro.analysis.statistics.summarize` on that sorted
+        sequence, so the result is reproducible bit-for-bit from a scan
+        that sorts the same way.
         """
-        self.refresh(scenario)
-        con = self._connect()
+        records = list(self._completed_objects(scenario))
         if metrics is None:
-            metrics = self.metric_names(scenario)
+            metrics = _metric_names(records)
         from ..analysis.statistics import summarize  # lazy: io must not need analysis at import
 
         rows: List[Dict[str, Any]] = []
         for name in metrics:
             values = sorted(
-                float(value)
-                for (value,) in con.execute(
-                    "SELECT CASE kind WHEN 'f' THEN rval ELSE ival END FROM fields "
-                    "WHERE scenario = :s AND name = :name AND kind IN ('i', 'f', 'b') "
-                    f"AND seq IN ({_COMPLETED_SEQS_SQL})",
-                    {"s": scenario, "name": name},
-                )
+                float(record[name])
+                for record in records
+                if type(record.get(name)) in (int, float, bool) and _is_scalar(record[name])
             )
             if not values:
                 continue
@@ -616,32 +513,17 @@ class QueryIndex:
     ) -> List[Dict[str, Any]]:
         """Grouped mean/std aggregate over the completed view.
 
-        Reconstructs minimal records (only the needed scalar fields) from
-        the compacted ``fields`` table in pair-sorted order and feeds them
-        to :func:`repro.analysis.statistics.aggregate_records` — the same
+        Reduces each completed record, in pair-sorted order, to the scalar
+        fields among ``group_by`` and ``metrics`` and feeds them to
+        :func:`repro.analysis.statistics.aggregate_records` — the same
         function the scan path uses, so results are bit-identical to a full
         JSONL-scan recompute by construction.
         """
-        self.refresh(scenario)
-        con = self._connect()
         names = list(dict.fromkeys([*group_by, *metrics]))
-        ordered_seqs = [
-            int(seq)
-            for _config, _repetition, _seed, _body, seq in con.execute(
-                _COMPLETED_SQL, {"s": scenario}
-            )
+        records = [
+            {name: record[name] for name in names if name in record and _is_scalar(record[name])}
+            for record in self._completed_objects(scenario)
         ]
-        by_seq: Dict[int, Dict[str, Any]] = defaultdict(dict)
-        if names:
-            marks = ", ".join("?" for _ in names)
-            for seq, name, kind, ival, rval, tval in con.execute(
-                "SELECT seq, name, kind, ival, rval, tval FROM fields "
-                f"WHERE scenario = ? AND name IN ({marks}) "
-                f"AND seq IN ({_COMPLETED_SEQS_SQL.replace(':s', '?')})",
-                (scenario, *names, scenario),
-            ):
-                by_seq[int(seq)][name] = _decode_field(kind, ival, rval, tval)
-        records = [by_seq.get(seq, {}) for seq in ordered_seqs]
         from ..analysis.statistics import aggregate_records  # lazy, see stats()
 
         return aggregate_records(records, group_by=group_by, metrics=metrics)
@@ -652,14 +534,7 @@ class QueryIndex:
         Same filenames, same pair-sorted order, same canonical records —
         exports are byte-identical to the scan path.
         """
-        self.refresh(scenario)
-        con = self._connect()
-        records = [
-            json.loads(body)
-            for _config, _repetition, _seed, body, _seq in con.execute(
-                _COMPLETED_SQL, {"s": scenario}
-            )
-        ]
+        records = [json.loads(body) for _config, _rep, _seed, body in self._completed_rows(scenario)]
         directory = Path(directory)
         return {
             "records_json": save_json(records, directory / f"{scenario}_records.json"),

@@ -25,8 +25,20 @@ __all__ = [
 ]
 
 
+#: Exact types :func:`to_jsonable` returns unchanged (subclasses such as
+#: ``np.float64`` or an ``IntEnum`` take the general branches below).
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def to_jsonable(value: Any) -> Any:
     """Convert numpy scalars/arrays and nested containers to JSON-safe types."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is dict:
+        return {str(k): to_jsonable(v) for k, v in value.items()}
+    if kind is list:
+        return [to_jsonable(v) for v in value]
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):

@@ -128,12 +128,12 @@ class ResultStore:
         Seconds to wait for the per-scenario write lock before raising
         :class:`StoreLockTimeout`.
     index:
-        Whether to maintain the compacted SQLite query index
-        (:mod:`repro.io.index`) next to the JSONL files.  ``None`` (the
+        Whether to serve queries from the SQLite query index
+        (:mod:`repro.io.index`) kept next to the JSONL files.  ``None`` (the
         default) enables it when ``sqlite3`` is importable and the
         ``REPRO_DISABLE_STORE_INDEX`` environment variable is unset.  The
-        index is derived state: disabling it only routes reads through full
-        JSONL scans.
+        index is derived state, caught up on each read (appends never touch
+        it): disabling it only routes reads through full JSONL scans.
     """
 
     def __init__(
@@ -379,11 +379,6 @@ class ResultStore:
             self._apply_entry(state, entry)
             state["valid_end"] = offset + len(data)
             state["size"] = offset + len(data)
-            query_index = self.query_index
-            if query_index is not None:
-                # Still under the flock: the index sees each append exactly
-                # where the file write put it (fast single-line path).
-                query_index.note_append(scenario, entry, data, offset)
         finally:
             self._release_lock(handle)
         return entry

@@ -3,8 +3,8 @@
 A *program* is a plain-data op sequence (dicts of ints/strings only, so it
 prints and replays verbatim) exercising the write side of
 :class:`repro.io.ResultStore` together with every external mutation the
-JSONL files can suffer in the wild: record appends (through the store, so
-the index's ``note_append`` fast path runs under the flock), ``failure``
+JSONL files can suffer in the wild: record appends (through the store,
+which leaves the index to catch up on the next read), ``failure``
 quarantine entries, crc-less legacy lines written straight to the file,
 same-length in-place garbles (valid JSON, caught only by the line CRC and
 the index's prefix-CRC chain), raw byte garbles, and tail truncation.
@@ -79,9 +79,9 @@ def _gen_record_fields(rng: np.random.Generator, config: int) -> Dict[str, Any]:
     if rng.random() < 0.2:
         fields["series"] = [config, int(rng.integers(0, 10))]
     if rng.random() < 0.15:
-        # Wider than 64 bits: stays JSON-body-only in the index (never a
-        # compacted field) but must still round-trip through completed /
-        # records / export comparisons bit-for-bit.
+        # Wider than 64 bits: absent from the index's statistics but must
+        # still round-trip through completed / records / export comparisons
+        # bit-for-bit.
         fields["wide"] = 2**70 + int(rng.integers(0, 1000))
     return fields
 
@@ -262,7 +262,7 @@ def _scan_answers(directory: Path) -> Dict[str, Any]:
 
 def _scan_stats(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Re-derive index.stats() from scan records: ascending-sorted floats of
-    each compactable numeric field over the completed view, summarized plus
+    each scalar numeric field over the completed view, summarized plus
     nearest-rank percentiles."""
     rows: List[Dict[str, Any]] = []
     for name in METRICS:

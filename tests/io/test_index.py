@@ -1,9 +1,10 @@
-"""Tests for the compacted SQLite query index (repro.io.index).
+"""Tests for the SQLite query index (repro.io.index).
 
 The load-bearing guarantees:
 
 * every index-served view (completed / records / failures / query / stats /
   aggregate / export) equals a fresh full-JSONL-scan recompute,
+* appends never touch SQLite; the first read catches the index up,
 * the index follows external appends, in-place corruption (prefix-CRC
   mismatch -> rebuild) and truncation without ever serving stale rows,
 * CRC-skipped lines and quarantined ``failure`` entries never satisfy an
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 
 import pytest
 
-pytest.importorskip("sqlite3")
+sqlite3 = pytest.importorskip("sqlite3")
 
 from repro.analysis.statistics import aggregate_records, summarize
 from repro.io import ResultStore, index_available
@@ -52,6 +54,90 @@ def _scan(directory):
     return ResultStore(directory, index=False)
 
 
+#: Group keys, aggregate metrics and stats metrics the compared views use.
+_GROUP_BY, _METRICS, _STATS = ["n", "proto"], ["rounds", "ok"], ["n", "rounds", "ok"]
+
+
+def _index_views(index, out):
+    """Every index-served answer for the "demo" scenario."""
+    index.export("demo", out)
+    return {
+        "completed": index.completed("demo"),
+        "records": index.records("demo"),
+        "failures": index.failures("demo"),
+        "counts": index.counts("demo"),
+        "query": index.query("demo"),
+        "metric_names": index.metric_names("demo"),
+        "aggregate": index.aggregate("demo", _GROUP_BY, _METRICS),
+        "stats": index.stats("demo", _STATS),
+        "export": {path.name: path.read_bytes() for path in sorted(out.iterdir())},
+    }
+
+
+def _scan_views(directory, out):
+    """The same answers recomputed from a full JSONL scan."""
+    scan = _scan(directory)
+    pairs = scan.completed_entries("demo")
+    records = [pairs[pair]["record"] for pair in sorted(pairs)]
+    stats = []
+    for name in _STATS:
+        values = sorted(float(record[name]) for record in records)
+        summary = summarize(values)
+        stats.append(
+            {
+                "metric": name,
+                "count": summary.count,
+                "mean": summary.mean,
+                "std": summary.std,
+                "min": summary.minimum,
+                "max": summary.maximum,
+                **{f"p{q}": nearest_rank(values, q) for q in (50, 90, 99)},
+            }
+        )
+    scan.export("demo", out)
+    return {
+        "completed": scan.completed("demo"),
+        "records": scan.records("demo"),
+        "failures": scan.failures("demo"),
+        "counts": {
+            "records": len(scan.records("demo")),
+            "configurations": len({e["config"] for e in scan.entries("demo") if e.kind == "record"}),
+            "failures": len(scan.failures("demo")),
+        },
+        "query": [
+            {"config": config, "repetition": rep, "seed": pairs[(config, rep)]["seed"], **record}
+            for (config, rep), record in zip(sorted(pairs), records)
+        ],
+        "metric_names": sorted(
+            {name for record in records for name, value in record.items() if type(value) in (int, float)}
+        ),
+        "aggregate": aggregate_records(records, group_by=_GROUP_BY, metrics=_METRICS),
+        "stats": stats,
+        "export": {path.name: path.read_bytes() for path in sorted(out.iterdir())},
+    }
+
+
+#: The table layout of schema "1", which also kept every scalar record
+#: field in a ``fields`` table.
+_SCHEMA_1 = """
+CREATE TABLE meta(key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE files(
+    scenario TEXT PRIMARY KEY, indexed_end INTEGER NOT NULL, prefix_crc INTEGER NOT NULL
+);
+CREATE TABLE entries(
+    scenario TEXT NOT NULL, seq INTEGER NOT NULL, config TEXT NOT NULL,
+    repetition INTEGER NOT NULL, seed INTEGER NOT NULL, kind TEXT NOT NULL,
+    key_json TEXT NOT NULL, body_json TEXT NOT NULL, PRIMARY KEY (scenario, seq)
+);
+CREATE INDEX entries_pair ON entries(scenario, config, repetition);
+CREATE TABLE fields(
+    scenario TEXT NOT NULL, seq INTEGER NOT NULL, name TEXT NOT NULL, kind TEXT NOT NULL,
+    ival INTEGER, rval REAL, tval TEXT, PRIMARY KEY (scenario, seq, name)
+);
+CREATE INDEX fields_name ON fields(scenario, name);
+"""
+
+
 class TestAvailability:
     def test_index_available_here(self):
         assert index_available()
@@ -78,6 +164,36 @@ class TestAvailability:
         store.close()
         assert (tmp_path / "index.sqlite").exists()
         assert list(ResultStore(tmp_path).index()) == ["demo"]
+
+
+class TestCatchUpOnRead:
+    def test_appends_leave_sqlite_alone_and_first_read_catches_up(self, tmp_path):
+        store = _populate(tmp_path, configs=4, reps=3)
+        store.append_failure(
+            "demo", key=["cfg", 9], params={"c": 9}, repetition=0, seed=900,
+            failure={"kind": "error", "message": "boom"},
+        )
+        assert not (tmp_path / "index.sqlite").exists()
+        first = store.query_index.aggregate("demo", ["n"], ["rounds"])
+        pairs = _scan(tmp_path).completed_entries("demo")
+        records = [pairs[pair]["record"] for pair in sorted(pairs)]
+        assert first == aggregate_records(records, group_by=["n"], metrics=["rounds"])
+        store.close()
+
+    def test_index_file_unchanged_by_appends_until_the_next_read(self, tmp_path):
+        store = _populate(tmp_path)
+        index = store.query_index
+        assert len(index.records("demo")) == 6
+        before = (tmp_path / "index.sqlite").read_bytes()
+        for repetition in range(3):
+            store.append(
+                "demo", key=["cfg", 7], params={"c": 7}, repetition=repetition,
+                seed=700 + repetition, record={"n": 512, "rounds": 1.5},
+            )
+        assert (tmp_path / "index.sqlite").read_bytes() == before
+        assert index.records("demo") == _scan(tmp_path).records("demo")
+        assert index.counts("demo")["records"] == 9
+        store.close()
 
 
 class TestIndexMatchesScan:
@@ -225,8 +341,8 @@ class TestInvalidation:
         path = tmp_path / "demo.jsonl"
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:3]))
-        # note_append sees indexed_end != offset and falls back to a full
-        # catch-up without re-acquiring the already-held flock.
+        # The next read finds the indexed prefix gone (CRC mismatch) and
+        # re-derives the scenario, appended line included.
         store.append(
             "demo", key=["cfg", 9], params={"c": 9}, repetition=0, seed=9, record={"n": 5}
         )
@@ -290,10 +406,46 @@ class TestInvalidation:
         fresh.close()
         store.close()
 
+    def test_schema_1_index_is_rebuilt_without_fields_table(self, tmp_path):
+        store = _populate(tmp_path)
+        store.append_failure(
+            "demo", key=["cfg", 9], params={"c": 9}, repetition=0, seed=900,
+            failure={"kind": "error", "message": "boom"},
+        )
+        store.close()
+        data = (tmp_path / "demo.jsonl").read_bytes()
+        con = sqlite3.connect(str(tmp_path / "index.sqlite"))
+        con.executescript(_SCHEMA_1)
+        con.execute("INSERT INTO meta VALUES ('schema', '1')")
+        # A prefix that verifies against the file, over stale rows: only the
+        # schema version can tell the index to rebuild.
+        con.execute(
+            "INSERT INTO files VALUES ('demo', ?, ?)", (len(data), zlib.crc32(data) & 0xFFFFFFFF)
+        )
+        for seq, line in enumerate(data.splitlines()):
+            entry = json.loads(line)
+            con.execute(
+                "INSERT INTO entries VALUES ('demo', ?, ?, ?, ?, 'record', ?, ?)",
+                (seq, entry["config"], entry["repetition"], entry["seed"], "[]", '{"n":1}'),
+            )
+            con.execute("INSERT INTO fields VALUES ('demo', ?, 'n', 'i', 1, NULL, NULL)", (seq,))
+        con.commit()
+        con.close()
+
+        fresh = ResultStore(tmp_path)
+        views = _index_views(fresh.query_index, tmp_path / "via_index")
+        assert views == _scan_views(tmp_path, tmp_path / "via_scan")
+        assert views["failures"] and views["aggregate"]
+        tables = fresh.query_index._connect().execute(
+            "SELECT name FROM sqlite_master WHERE name LIKE 'fields%'"
+        )
+        assert tables.fetchall() == []
+        fresh.close()
+
     def test_wide_ints_survive_via_json_body(self, tmp_path):
         store = ResultStore(tmp_path)
-        huge = 2**70  # does not fit SQLite INTEGER; must stay JSON-only
-        big = 2**62  # fits 64-bit exactly; REAL would corrupt it
+        huge = 2**70  # wider than 64 bits: kept in the body, absent from stats
+        big = 2**62  # fits 64 bits: counts in stats, decoded exactly
         store.append(
             "demo", key="k", params={}, repetition=0, seed=1,
             record={"huge": huge, "big": big},
@@ -302,7 +454,7 @@ class TestInvalidation:
         assert list(index.completed("demo").values()) == [{"huge": huge, "big": big}]
         (row,) = index.stats("demo", ["big"])
         assert row["min"] == float(big)
-        assert index.stats("demo", ["huge"]) == []  # not compacted, not lost
+        assert index.stats("demo", ["huge"]) == []  # absent from stats, not lost
         store.close()
 
 

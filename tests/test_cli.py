@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.io import ResultStore
 
 
 class TestParser:
@@ -288,6 +289,32 @@ class TestResultsCommand:
         code = main(["results", "stats", str(tmp_path / "nope")])
         assert code == 2
         assert "not a store directory" in capsys.readouterr().err
+
+    def test_stats_unknown_group_by_field(self, smoke_store, capsys):
+        code = main(["results", "stats", str(smoke_store), "figure2", "--group-by", "nosuch"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "'nosuch'" in err
+
+    def test_query_invalid_scenario_name(self, smoke_store, capsys):
+        code = main(["results", "query", str(smoke_store), "../x"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "invalid scenario name" in err
+
+    def test_stats_non_numeric_metric(self, tmp_path, capsys):
+        with ResultStore(tmp_path) as store:
+            for n in (64, 128):
+                store.append(
+                    "figure1", key=[n], params={}, repetition=0, seed=n,
+                    record={"n": n, "graph": "complete", "rounds": 3},
+                )
+        code = main(
+            ["results", "stats", str(tmp_path), "figure1", "--group-by", "n", "--metrics", "graph"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "'graph' is not numeric" in err
 
     def test_disabled_index_is_an_error(self, smoke_store, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_STORE_INDEX", "1")
