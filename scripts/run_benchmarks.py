@@ -17,7 +17,9 @@ Usage::
 Timings are best-of-``--repeats`` wall-clock; graph construction is excluded
 from protocol timings.  The JSON records the active kernel backend
 (:mod:`repro.engine.backends`) in its header, per-backend protocol and
-kernel timings (``numpy`` / ``c`` / ``c-threads``) for every size, and a
+kernel timings for every size (``numpy``, ``c`` — the compiled backend at
+one thread — and ``c-threads`` — the compiled backend at its default thread
+budget), and a
 thread-scaling micro-bench that times one forced-``t``-thread exchange
 round at t in {1, 2, 4, 8} — the measurement behind the small-batch
 dispatch cutoff documented in ``docs/parallelism.md``.
@@ -89,13 +91,18 @@ def best_of(func: Callable[[], object], repeats: int) -> "tuple[float, object]":
 
 
 def available_backends() -> "Dict[str, backends.KernelBackend]":
-    """The backend variants this machine can run (numpy always; C if built)."""
+    """The backend variants this machine can run (numpy always; C if built).
+
+    ``c`` is the compiled backend at one thread and ``c-threads`` the same
+    backend at its default thread budget; the keys keep the names of the
+    two compiled backends they replace, so older baselines compare directly.
+    """
     variants: Dict[str, backends.KernelBackend] = {
         "numpy": backends.NumpyBackend()
     }
     if _ckernel.available():
-        variants["c"] = backends.CSerialBackend()
-        variants["c-threads"] = backends.CThreadsBackend()
+        variants["c"] = backends.CBackend(max_threads=1)
+        variants["c-threads"] = backends.CBackend()
     return variants
 
 
@@ -263,7 +270,7 @@ def protocol_entry(protocol, graph, seed: int, repeats: int) -> Dict[str, object
 
 
 def simd_entry(n: int, repeats: int) -> Optional[Dict[str, object]]:
-    """Per-kernel scalar-vs-SIMD timings on the serial C backend.
+    """Per-kernel scalar-vs-SIMD timings on the C backend at one thread.
 
     Times the swap-form exchange round, the scatter batch and the fused
     recount at every instruction-set level this CPU can run (scalar / avx2 /
@@ -290,7 +297,7 @@ def simd_entry(n: int, repeats: int) -> Optional[Dict[str, object]]:
         "levels": {},
     }
     try:
-        with backends.use(backends.CSerialBackend()):
+        with backends.use(backends.CBackend(max_threads=1)):
             for level in range(detected + 1):
                 _ckernel.set_simd_level(level)
                 exchange, _ = best_of(
@@ -398,12 +405,7 @@ def kernel_entry(n: int, repeats: int) -> Dict[str, object]:
         }
     if _ckernel.available():
         for threads in SCALING_THREADS:
-            if threads == 1:
-                backend = backends.CSerialBackend()
-            else:
-                backend = backends.CThreadsBackend(
-                    max_threads=threads, shard_work=1
-                )
+            backend = backends.CBackend(max_threads=threads, shard_work=1)
             with backends.use(backend):
                 wall, _ = best_of(
                     lambda: km.apply_exchange(nodes, targets), repeats

@@ -44,13 +44,12 @@ per-walk Python loop survives on the per-round hot path.
   rows saturate past the crossover threshold (bit-identical to the dense
   path).
 * Kernel execution is pluggable: :mod:`repro.engine.backends` exposes one
-  dispatch surface over three interchangeable backends — ``numpy``, ``c``
-  (the serial compiled kernels built by :mod:`repro.engine._ckernel` at
-  first import, cached per machine) and ``c-threads`` (the same kernels
-  sharded by receiver rows across a persistent worker pool).  Selection is
-  ``REPRO_KERNEL_BACKEND`` (default ``auto``) with the thread budget in
-  ``REPRO_KERNEL_THREADS``; trajectories are bit-identical across backends
-  and thread counts.  ``REPRO_DISABLE_CKERNEL=1`` remains the kill switch
+  dispatch surface over two interchangeable backends — ``numpy`` and ``c``
+  (the compiled kernels built by :mod:`repro.engine._ckernel` at first
+  import, cached per machine, which shard large batches by receiver rows
+  across a persistent worker pool).  Selection is ``REPRO_KERNEL_BACKEND``
+  (default ``auto``) with the thread budget in ``REPRO_KERNEL_THREADS``;
+  trajectories are bit-identical across backends and thread counts.  ``REPRO_DISABLE_CKERNEL=1`` remains the kill switch
   that forces the pure-NumPy fallback.
 * Experiments are declarative scenarios: every paper figure/table and
   extension is a :class:`repro.experiments.ScenarioSpec` executed by a

@@ -156,8 +156,8 @@ class CompletionTracker:
         """Missing-bit counts (``popcount(mask & ~row)``) for the given rows.
 
         Delegates to the storage layout's native counter: dense and paged
-        layouts run the fused mask-and-popcount backend kernel (sharded on
-        the threaded backend), and frontier rows count from their active
+        layouts run the fused mask-and-popcount backend kernel (sharded when
+        the batch is large enough), and frontier rows count from their active
         word set.  All paths are pinned bit-identical to the plain masked
         scan.
         """

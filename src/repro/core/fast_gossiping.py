@@ -23,7 +23,7 @@ All three phases run on the batched knowledge kernels (push rounds, walk
 deliveries and the Phase III exchange-with-saturation-filter), which
 dispatch through the active kernel backend (:mod:`repro.engine.backends`):
 the driver is backend-agnostic and its trajectories are bit-identical across
-the ``numpy``, ``c`` and ``c-threads`` backends at every thread count
+the ``numpy`` and ``c`` backends at every thread count
 (``REPRO_KERNEL_BACKEND`` / ``REPRO_KERNEL_THREADS``; see
 ``docs/parallelism.md``).
 """

@@ -48,8 +48,8 @@ frontier path.
 
 Every scatter-OR batch dispatches through the active kernel backend
 (:mod:`repro.engine.backends`): the protocol is backend-agnostic and its
-trajectories are bit-identical across the ``numpy``, ``c`` and
-``c-threads`` backends at every thread count (``REPRO_KERNEL_BACKEND`` /
+trajectories are bit-identical across the ``numpy`` and ``c`` backends at
+every thread count (``REPRO_KERNEL_BACKEND`` /
 ``REPRO_KERNEL_THREADS``; see ``docs/parallelism.md``).
 """
 

@@ -12,7 +12,7 @@ Each synchronous round is one
 incremental :class:`~repro.core.completion.CompletionTracker` update.  Both
 dispatch through the active kernel backend (:mod:`repro.engine.backends`), so
 the driver is backend-agnostic and its trajectories are bit-identical across
-the ``numpy``, ``c`` and ``c-threads`` backends at every thread count
+the ``numpy`` and ``c`` backends at every thread count
 (``REPRO_KERNEL_BACKEND`` / ``REPRO_KERNEL_THREADS``; see
 ``docs/parallelism.md``).
 

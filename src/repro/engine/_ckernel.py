@@ -4,9 +4,7 @@ NumPy's fancy-indexing machinery moves every gathered row through fresh
 temporaries, which caps the gossip kernel's throughput well below what the
 hardware allows.  This module compiles a small C library once per machine
 with the system C compiler and loads it through :mod:`ctypes`.  It exposes
-two families of primitives:
-
-*Serial kernels* — the swap-form full-round kernels (:func:`exchange`,
+five primitives: the swap-form full-round kernels (:func:`exchange`,
 :func:`push_round`: build the round's incoming-sender CSR, write each
 row's next state exactly once into the spare buffer, caller swaps — about
 half the traffic of snapshot + read-modify-write), the order-independent
@@ -15,14 +13,15 @@ half the traffic of snapshot + read-modify-write), the order-independent
 :class:`~repro.engine.knowledge.FrontierKnowledge`, and the fused
 mask-and-popcount deficit :func:`recount_deficits`.
 
-*Sharded (multithreaded) kernels* — ``*_mt`` variants of the same five
-primitives that partition the *receiver rows* of a batch into disjoint
-contiguous shards across a persistent worker pool (:func:`ensure_shards`).
+Every primitive takes a trailing ``shards`` count.  One shard (the default)
+runs inline on the calling thread, lock-free.  More partition the *receiver
+rows* of a batch into disjoint contiguous shards across a persistent worker
+pool; :func:`ensure_shards` grows the pool and returns the count to pass.
 Because shards partition receivers and every gather still strictly precedes
-every write, the threaded kernels are bit-identical to the serial ones for
-any shard count; see ``docs/parallelism.md`` for the determinism argument.
-Callers do not pick a code path here — backend selection and per-batch
-thread counts live in :mod:`repro.engine.backends`.
+every write, the results are bit-identical for any shard count; see
+``docs/parallelism.md`` for the determinism argument.  Callers do not pick
+a shard count here — the per-batch thread count lives in
+:mod:`repro.engine.backends`.
 
 All kernel families run their word loops through a small set of
 runtime-dispatched row primitives (OR-2, OR-accumulate, masked popcount,
@@ -69,16 +68,10 @@ __all__ = [
     "ensure_shards",
     "exchange",
     "exchange_filtered",
-    "exchange_filtered_mt",
-    "exchange_mt",
     "push_round",
-    "push_round_mt",
     "frontier_scatter",
-    "frontier_scatter_mt",
     "recount_deficits",
-    "recount_deficits_mt",
     "scatter_or",
-    "scatter_or_mt",
     "set_simd_level",
     "simd_active",
     "simd_detected",
@@ -501,125 +494,23 @@ static void repro_swap_rows_f(const uint64_t *cur, uint64_t *next,
     }
 }
 
-/* One synchronous push-pull round: for every channel (callers[i],
- * targets[i]) both endpoints learn each other's start-of-round row.
- * Writes the full next state into `next`; the caller swaps buffers. */
-void repro_exchange(const uint64_t *cur, uint64_t *next,
-                    const int64_t *callers, const int64_t *targets,
-                    int64_t k, int64_t n, int64_t words,
-                    int64_t *off, int64_t *adj,
-                    const uint64_t *mask, int64_t *deficits) {
-    repro_sender_csr(callers, targets, k, n, 1, off, adj);
-    repro_swap_rows(cur, next, off, adj, 0, n, words, mask, deficits);
-}
-
-/* Saturation-filtered push-pull round: `complete` (n uint8 flags) marks
- * rows already holding every required bit, `promoted` (n uint8, caller
- * zeroes it) reports rows assigned the `full_row` mask row this round,
- * and the fused deficit write covers OR-updated and promoted rows. */
-void repro_exchange_f(const uint64_t *cur, uint64_t *next,
-                      const int64_t *callers, const int64_t *targets,
-                      int64_t k, int64_t n, int64_t words,
-                      int64_t *off, int64_t *adj,
-                      const uint8_t *complete, uint8_t *promoted,
-                      const uint64_t *full_row,
-                      const uint64_t *mask, int64_t *deficits) {
-    repro_sender_csr_f(callers, targets, k, n, 1, complete, promoted, off,
-                       adj);
-    repro_swap_rows_f(cur, next, off, adj, 0, n, words, promoted, full_row,
-                      mask, deficits);
-}
-
-/* One-directional variant: dst[i] learns src[i]'s start-of-round row. */
-void repro_push_round(const uint64_t *cur, uint64_t *next,
-                      const int64_t *src, const int64_t *dst,
-                      int64_t k, int64_t n, int64_t words,
-                      int64_t *off, int64_t *adj) {
-    repro_sender_csr(src, dst, k, n, 0, off, adj);
-    repro_swap_rows(cur, next, off, adj, 0, n, words, NULL, NULL);
-}
-
-/* OR source[src[i]] into data[dst[i]] for all i.  `source` must be a
- * start-of-step snapshot (disjoint storage from `data`), which makes the
- * result independent of processing order even with duplicate receivers. */
-void repro_scatter_or(uint64_t *data, const uint64_t *source,
-                      const int64_t *src, const int64_t *dst,
-                      int64_t k, int64_t words) {
-    for (int64_t i = 0; i < k; i++)
-        repro_oracc(data + dst[i] * words, source + src[i] * words, words);
-}
-
-/* The frontier (sparsity-aware) transmission pass.  Every sender row lists
- * its nonzero words in `active` (row-major, `cap` slots per row, `nnz[s]`
- * valid); a transmission contributes only those (word, value) pairs.
- *
- * Pass 1 gathers all pair values and linear targets into the caller-sized
- * buffers BEFORE any write — the snapshot-read / live-write semantics of a
- * synchronous round — so duplicate targets merge order-independently.
- * Pass 2 scatters and maintains the frontier bookkeeping in place: a newly
- * activated word is appended to the receiver's list, and a receiver pushed
- * past `cap` ratchets onto the dense path (dense_rows).  The bookkeeping
- * only steers future path decisions; the data result is bit-identical to
- * the dense kernels. */
-void repro_frontier_scatter(uint64_t *data, int32_t *active, int64_t *nnz,
-                            uint8_t *word_active, uint8_t *dense_rows,
-                            int64_t cap, int64_t words,
-                            const int64_t *src, const int64_t *dst, int64_t k,
-                            uint64_t *val_buf, int64_t *lin_buf) {
-    int64_t p = 0;
-    for (int64_t i = 0; i < k; i++) {
-        const int64_t s = src[i];
-        const int64_t m = nnz[s];
-        repro_fgather(data + s * words, active + s * cap, m, dst[i] * words,
-                      val_buf + p, lin_buf + p);
-        p += m;
-    }
-    for (int64_t q = 0; q < p; q++) {
-        const int64_t lin = lin_buf[q];
-        data[lin] |= val_buf[q];
-        if (!word_active[lin]) {
-            /* Fresh activation: rare once a round is under way, so the
-             * divide and the list append stay off the common path.  (The
-             * mask is also set for dense-flagged rows — harmless, it is
-             * never read for them again.) */
-            word_active[lin] = 1;
-            const int64_t r = lin / words;
-            if (!dense_rows[r]) {
-                if (nnz[r] < cap) {
-                    active[r * cap + nnz[r]] = (int32_t)(lin - r * words);
-                    nnz[r] += 1;
-                } else {
-                    dense_rows[r] = 1;
-                }
-            }
-        }
-    }
-}
-
-/* deficits[i] = popcount(mask & ~data[rows[i]]) — the number of required
- * message bits still missing from each listed row. */
-void repro_recount(const uint64_t *data, const uint64_t *mask,
-                   const int64_t *rows, int64_t k, int64_t words,
-                   int64_t *deficits) {
-    for (int64_t i = 0; i < k; i++)
-        deficits[i] = repro_missing(data + rows[i] * words, mask, words);
-}
-
 /* ==================================================================== *
- * Persistent worker pool and receiver-sharded (multithreaded) kernels.
+ * Persistent worker pool and receiver sharding.
  *
- * Every *_mt kernel partitions the RECEIVER rows of its batch into
- * `nshards` disjoint contiguous ranges; shard t applies exactly the
- * writes whose target row lies in [n*t/T, n*(t+1)/T).  All gathers
- * (snapshot copies, frontier pair-value reads) run as a separate pool
- * job that completes before the scatter job starts, so threads only
- * read state no thread is writing, and each row is written by exactly
- * one thread in the same relative order the serial kernel would use.
- * The results — row data and frontier bookkeeping alike — are therefore
- * bit-identical to the serial kernels for every shard count.
+ * Every kernel below takes `nshards` and partitions the RECEIVER rows of
+ * its batch into that many disjoint contiguous ranges; shard t applies
+ * exactly the writes whose target row lies in [n*t/T, n*(t+1)/T).  All
+ * gathers (snapshot copies, frontier pair-value reads) run as a separate
+ * job that completes before the scatter job starts, so threads only read
+ * state no thread is writing, and each row is written by exactly one
+ * thread in the same relative order a single shard would use.  The
+ * results — row data and frontier bookkeeping alike — are therefore
+ * bit-identical for every shard count.
  *
- * The pool is spawned lazily (repro_pool_ensure), never shrinks, and
- * its detached workers sleep on a condition variable between jobs.  The
+ * One shard runs inline on the calling thread: no lock, no pool wake-up,
+ * no allocation, so single-shard calls stay lock-free and reentrant.  The
+ * pool is spawned lazily (repro_pool_ensure), never shrinks, and its
+ * detached workers sleep on a condition variable between jobs.  The
  * calling thread always executes shard 0 itself, so a pool of W workers
  * serves up to W + 1 shards.
  * ==================================================================== */
@@ -632,10 +523,10 @@ typedef struct {
 
 static pthread_mutex_t repro_pool_mu = PTHREAD_MUTEX_INITIALIZER;
 /* Serializes job submission: the pool has a single job slot, and the
- * *_mt kernels may be invoked from several Python threads at once
- * (ctypes releases the GIL), e.g. protocol runs inside a
- * ThreadPoolExecutor.  Each sharded job runs to completion under this
- * lock; the serial kernels stay lock-free and reentrant. */
+ * kernels may be invoked from several Python threads at once (ctypes
+ * releases the GIL), e.g. protocol runs inside a ThreadPoolExecutor.
+ * Each sharded job runs to completion under this lock; single-shard calls
+ * never take it. */
 static pthread_mutex_t repro_caller_mu = PTHREAD_MUTEX_INITIALIZER;
 static pthread_cond_t repro_pool_wake = PTHREAD_COND_INITIALIZER;
 static pthread_cond_t repro_pool_done = PTHREAD_COND_INITIALIZER;
@@ -743,12 +634,20 @@ int64_t repro_pool_ensure(int64_t workers) {
 
 /* Run one job over `nshards` shards: the calling thread takes shard 0,
  * pool workers the rest.  Every worker (even idle ones) acknowledges the
- * job before the next one can be posted, so generations never skip.
- * Caller must guarantee nshards <= repro_pool_workers + 1. */
+ * job before the next one can be posted, so generations never skip.  A
+ * count beyond the pool (say, in a fork child that has not re-grown it)
+ * is clamped to the workers present; every shard count gives the same
+ * bits, so the clamp only costs parallelism. */
 static void repro_run_sharded(void (*fn)(int64_t, int64_t, void *),
                               void *arg, int64_t nshards) {
+    if (nshards <= 1) {
+        fn(0, 1, arg);
+        return;
+    }
     pthread_mutex_lock(&repro_caller_mu);
     pthread_mutex_lock(&repro_pool_mu);
+    if (nshards > repro_pool_workers + 1)
+        nshards = repro_pool_workers + 1;
     repro_pool_job.fn = fn;
     repro_pool_job.arg = arg;
     repro_pool_job.nshards = nshards;
@@ -770,37 +669,8 @@ static void repro_shard_range(int64_t total, int64_t tid, int64_t nshards,
     *hi = total * (tid + 1) / nshards;
 }
 
-typedef struct {
-    uint64_t *data;
-    const uint64_t *source;
-    const int64_t *src;
-    const int64_t *dst;
-    int64_t k, n, words;
-} repro_scatter_args;
-
-static void repro_scatter_shard(int64_t tid, int64_t T, void *p) {
-    repro_scatter_args *a = (repro_scatter_args *)p;
-    int64_t lo, hi;
-    repro_shard_range(a->n, tid, T, &lo, &hi);
-    const int64_t words = a->words;
-    for (int64_t i = 0; i < a->k; i++) {
-        const int64_t d = a->dst[i];
-        if (d < lo || d >= hi)
-            continue;
-        uint64_t *dr = a->data + d * words;
-        const uint64_t *sr = a->source + a->src[i] * words;
-        for (int64_t w = 0; w < words; w++)
-            dr[w] |= sr[w];
-    }
-}
-
-void repro_scatter_or_mt(uint64_t *data, const uint64_t *source,
-                         const int64_t *src, const int64_t *dst,
-                         int64_t k, int64_t n, int64_t words,
-                         int64_t nshards) {
-    repro_scatter_args a = {data, source, src, dst, k, n, words};
-    repro_run_sharded(repro_scatter_shard, &a, nshards);
-}
+/* Each shard function below copies its argument block into a local first,
+ * so the compiler knows the row writes cannot alias the loop bounds. */
 
 typedef struct {
     const uint64_t *cur;
@@ -815,41 +685,47 @@ typedef struct {
 } repro_swap_args;
 
 static void repro_swap_shard(int64_t tid, int64_t T, void *p) {
-    repro_swap_args *a = (repro_swap_args *)p;
+    const repro_swap_args a = *(const repro_swap_args *)p;
     int64_t lo, hi;
-    repro_shard_range(a->n, tid, T, &lo, &hi);
-    if (a->promoted != NULL)
-        repro_swap_rows_f(a->cur, a->next, a->off, a->adj, lo, hi, a->words,
-                          a->promoted, a->full_row, a->mask, a->deficits);
+    repro_shard_range(a.n, tid, T, &lo, &hi);
+    if (a.promoted != NULL)
+        repro_swap_rows_f(a.cur, a.next, a.off, a.adj, lo, hi, a.words,
+                          a.promoted, a.full_row, a.mask, a.deficits);
     else
-        repro_swap_rows(a->cur, a->next, a->off, a->adj, lo, hi, a->words,
-                        a->mask, a->deficits);
+        repro_swap_rows(a.cur, a.next, a.off, a.adj, lo, hi, a.words, a.mask,
+                        a.deficits);
 }
 
-/* The CSR build is O(k) integer work — serial on the calling thread —
- * and the row pass shards over disjoint row ranges reading only the
- * immutable `cur` (deficit writes land in the shard's own rows), so
- * every shard count produces identical bits. */
-void repro_exchange_mt(const uint64_t *cur, uint64_t *next,
-                       const int64_t *callers, const int64_t *targets,
-                       int64_t k, int64_t n, int64_t words,
-                       int64_t *off, int64_t *adj,
-                       const uint64_t *mask, int64_t *deficits,
-                       int64_t nshards) {
+/* One synchronous push-pull round: for every channel (callers[i],
+ * targets[i]) both endpoints learn each other's start-of-round row.
+ * Writes the full next state into `next`; the caller swaps buffers.  The
+ * CSR build is O(k) integer work on the calling thread; the row pass
+ * shards over disjoint row ranges reading only the immutable `cur`
+ * (deficit writes land in the shard's own rows). */
+void repro_exchange(const uint64_t *cur, uint64_t *next,
+                    const int64_t *callers, const int64_t *targets,
+                    int64_t k, int64_t n, int64_t words,
+                    int64_t *off, int64_t *adj,
+                    const uint64_t *mask, int64_t *deficits,
+                    int64_t nshards) {
     repro_sender_csr(callers, targets, k, n, 1, off, adj);
     repro_swap_args a = {cur,  next, off,  adj,     n,
                          words, NULL, NULL, mask, deficits};
     repro_run_sharded(repro_swap_shard, &a, nshards);
 }
 
-void repro_exchange_f_mt(const uint64_t *cur, uint64_t *next,
-                         const int64_t *callers, const int64_t *targets,
-                         int64_t k, int64_t n, int64_t words,
-                         int64_t *off, int64_t *adj,
-                         const uint8_t *complete, uint8_t *promoted,
-                         const uint64_t *full_row,
-                         const uint64_t *mask, int64_t *deficits,
-                         int64_t nshards) {
+/* Saturation-filtered push-pull round: `complete` (n uint8 flags) marks
+ * rows already holding every required bit, `promoted` (n uint8, caller
+ * zeroes it) reports rows assigned the `full_row` mask row this round,
+ * and the fused deficit write covers OR-updated and promoted rows. */
+void repro_exchange_f(const uint64_t *cur, uint64_t *next,
+                      const int64_t *callers, const int64_t *targets,
+                      int64_t k, int64_t n, int64_t words,
+                      int64_t *off, int64_t *adj,
+                      const uint8_t *complete, uint8_t *promoted,
+                      const uint64_t *full_row,
+                      const uint64_t *mask, int64_t *deficits,
+                      int64_t nshards) {
     repro_sender_csr_f(callers, targets, k, n, 1, complete, promoted, off,
                        adj);
     repro_swap_args a = {cur,   next,     off,      adj,  n,
@@ -857,14 +733,46 @@ void repro_exchange_f_mt(const uint64_t *cur, uint64_t *next,
     repro_run_sharded(repro_swap_shard, &a, nshards);
 }
 
-void repro_push_round_mt(const uint64_t *cur, uint64_t *next,
-                         const int64_t *src, const int64_t *dst,
-                         int64_t k, int64_t n, int64_t words,
-                         int64_t *off, int64_t *adj, int64_t nshards) {
+/* One-directional variant: dst[i] learns src[i]'s start-of-round row. */
+void repro_push_round(const uint64_t *cur, uint64_t *next,
+                      const int64_t *src, const int64_t *dst,
+                      int64_t k, int64_t n, int64_t words,
+                      int64_t *off, int64_t *adj, int64_t nshards) {
     repro_sender_csr(src, dst, k, n, 0, off, adj);
     repro_swap_args a = {cur,  next, off,  adj,  n,
-                        words, NULL, NULL, NULL, NULL};
+                         words, NULL, NULL, NULL, NULL};
     repro_run_sharded(repro_swap_shard, &a, nshards);
+}
+
+typedef struct {
+    uint64_t *data;
+    const uint64_t *source;
+    const int64_t *src;
+    const int64_t *dst;
+    int64_t k, n, words;
+} repro_scatter_args;
+
+static void repro_scatter_shard(int64_t tid, int64_t T, void *p) {
+    const repro_scatter_args a = *(const repro_scatter_args *)p;
+    int64_t lo, hi;
+    repro_shard_range(a.n, tid, T, &lo, &hi);
+    for (int64_t i = 0; i < a.k; i++) {
+        const int64_t d = a.dst[i];
+        if (d >= lo && d < hi)
+            repro_oracc(a.data + d * a.words, a.source + a.src[i] * a.words,
+                        a.words);
+    }
+}
+
+/* OR source[src[i]] into data[dst[i]] for all i.  `source` must be a
+ * start-of-step snapshot (disjoint storage from `data`), which makes the
+ * result independent of processing order even with duplicate receivers;
+ * each shard applies the transmissions into its own receiver rows. */
+void repro_scatter_or(uint64_t *data, const uint64_t *source,
+                      const int64_t *src, const int64_t *dst,
+                      int64_t k, int64_t n, int64_t words, int64_t nshards) {
+    repro_scatter_args a = {data, source, src, dst, k, n, words};
+    repro_run_sharded(repro_scatter_shard, &a, nshards);
 }
 
 typedef struct {
@@ -882,71 +790,100 @@ typedef struct {
 } repro_frontier_args;
 
 static void repro_frontier_gather_shard(int64_t tid, int64_t T, void *pa) {
-    repro_frontier_args *a = (repro_frontier_args *)pa;
+    const repro_frontier_args a = *(const repro_frontier_args *)pa;
     int64_t lo, hi;
-    repro_shard_range(a->k, tid, T, &lo, &hi);
+    repro_shard_range(a.k, tid, T, &lo, &hi);
     for (int64_t i = lo; i < hi; i++) {
-        const int64_t s = a->src[i];
-        repro_fgather(a->data + s * a->words, a->active + s * a->cap,
-                      a->nnz[s], a->dst[i] * a->words,
-                      a->val_buf + a->off[i], a->lin_buf + a->off[i]);
+        const int64_t s = a.src[i];
+        repro_fgather(a.data + s * a.words, a.active + s * a.cap, a.nnz[s],
+                      a.dst[i] * a.words, a.val_buf + a.off[i],
+                      a.lin_buf + a.off[i]);
     }
 }
 
 static void repro_frontier_scatter_shard(int64_t tid, int64_t T, void *pa) {
-    repro_frontier_args *a = (repro_frontier_args *)pa;
+    const repro_frontier_args a = *(const repro_frontier_args *)pa;
     int64_t lo, hi;
-    repro_shard_range(a->n, tid, T, &lo, &hi);
+    repro_shard_range(a.n, tid, T, &lo, &hi);
     /* Row r lies in [lo, hi) iff its linear word index lies in
      * [lo*words, hi*words) — no divide on the filter path. */
-    const int64_t lo_lin = lo * a->words, hi_lin = hi * a->words;
-    for (int64_t q = 0; q < a->p; q++) {
-        const int64_t lin = a->lin_buf[q];
+    const int64_t lo_lin = lo * a.words, hi_lin = hi * a.words;
+    for (int64_t q = 0; q < a.p; q++) {
+        const int64_t lin = a.lin_buf[q];
         if (lin < lo_lin || lin >= hi_lin)
             continue;
-        a->data[lin] |= a->val_buf[q];
-        if (!a->word_active[lin]) {
-            a->word_active[lin] = 1;
-            const int64_t r = lin / a->words;
-            if (!a->dense_rows[r]) {
-                if (a->nnz[r] < a->cap) {
-                    a->active[r * a->cap + a->nnz[r]] =
-                        (int32_t)(lin - r * a->words);
-                    a->nnz[r] += 1;
+        a.data[lin] |= a.val_buf[q];
+        if (!a.word_active[lin]) {
+            /* Fresh activation: rare once a round is under way, so the
+             * divide and the list append stay off the common path.  (The
+             * mask is also set for dense-flagged rows — harmless, it is
+             * never read for them again.) */
+            a.word_active[lin] = 1;
+            const int64_t r = lin / a.words;
+            if (!a.dense_rows[r]) {
+                if (a.nnz[r] < a.cap) {
+                    a.active[r * a.cap + a.nnz[r]] =
+                        (int32_t)(lin - r * a.words);
+                    a.nnz[r] += 1;
                 } else {
-                    a->dense_rows[r] = 1;
+                    a.dense_rows[r] = 1;
                 }
             }
         }
     }
 }
 
-/* Sharded frontier pass.  Pair offsets per transmission are a serial O(k)
- * prefix sum (cheap next to the word traffic); the pair gather then runs
- * sharded over transmissions (disjoint buffer slices), and the scatter +
- * bookkeeping run sharded over receiver rows.  A shard scans all pairs
- * and skips foreign rows, so every row's pairs are processed in the same
- * ascending order as the serial kernel — bookkeeping is bit-identical. */
-void repro_frontier_scatter_mt(uint64_t *data, int32_t *active, int64_t *nnz,
-                               uint8_t *word_active, uint8_t *dense_rows,
-                               int64_t cap, int64_t words, int64_t n,
-                               const int64_t *src, const int64_t *dst,
-                               int64_t k, uint64_t *val_buf, int64_t *lin_buf,
-                               int64_t nshards) {
-    int64_t *off = (int64_t *)malloc((size_t)k * sizeof(int64_t));
-    if (off == NULL) { /* out of memory: the serial kernel needs no offsets */
-        repro_frontier_scatter(data, active, nnz, word_active, dense_rows,
-                               cap, words, src, dst, k, val_buf, lin_buf);
-        return;
-    }
+/* The frontier (sparsity-aware) transmission pass.  Every sender row lists
+ * its nonzero words in `active` (row-major, `cap` slots per row, `nnz[s]`
+ * valid); a transmission contributes only those (word, value) pairs.
+ *
+ * Pass 1 gathers all pair values and linear targets into the caller-sized
+ * buffers BEFORE any write — the snapshot-read / live-write semantics of a
+ * synchronous round — so duplicate targets merge order-independently.
+ * Pass 2 scatters and maintains the frontier bookkeeping in place: a newly
+ * activated word is appended to the receiver's list, and a receiver pushed
+ * past `cap` ratchets onto the dense path (dense_rows).  The bookkeeping
+ * only steers future path decisions; the data result is bit-identical to
+ * the dense kernels.
+ *
+ * One shard gathers in transmission order and needs no offsets.  More
+ * shards first take per-transmission pair offsets (a serial O(k) prefix
+ * sum, cheap next to the word traffic); the gather then runs sharded over
+ * transmissions (disjoint buffer slices), and the scatter + bookkeeping
+ * sharded over receiver rows.  A shard scans all pairs and skips foreign
+ * rows, so every row's pairs are processed in the same ascending order at
+ * any shard count — bookkeeping is bit-identical. */
+void repro_frontier_scatter(uint64_t *data, int32_t *active, int64_t *nnz,
+                            uint8_t *word_active, uint8_t *dense_rows,
+                            int64_t cap, int64_t words, int64_t n,
+                            const int64_t *src, const int64_t *dst, int64_t k,
+                            uint64_t *val_buf, int64_t *lin_buf,
+                            int64_t nshards) {
+    int64_t *off = NULL;
+    if (nshards > 1)
+        off = (int64_t *)malloc((size_t)k * sizeof(int64_t));
     int64_t p = 0;
-    for (int64_t i = 0; i < k; i++) {
-        off[i] = p;
-        p += nnz[src[i]];
+    if (off == NULL) { /* one shard (or out of memory): gather in order */
+        for (int64_t i = 0; i < k; i++) {
+            const int64_t s = src[i];
+            const int64_t m = nnz[s];
+            repro_fgather(data + s * words, active + s * cap, m,
+                          dst[i] * words, val_buf + p, lin_buf + p);
+            p += m;
+        }
+    } else {
+        for (int64_t i = 0; i < k; i++) {
+            off[i] = p;
+            p += nnz[src[i]];
+        }
     }
     repro_frontier_args a = {data, active,  nnz, word_active, dense_rows,
                              cap,  words,   n,   k,           p,
                              src,  dst,     val_buf, lin_buf, off};
+    if (off == NULL) {
+        repro_frontier_scatter_shard(0, 1, &a);
+        return;
+    }
     repro_run_sharded(repro_frontier_gather_shard, &a, nshards);
     repro_run_sharded(repro_frontier_scatter_shard, &a, nshards);
     free(off);
@@ -961,17 +898,19 @@ typedef struct {
 } repro_recount_args;
 
 static void repro_recount_shard(int64_t tid, int64_t T, void *pa) {
-    repro_recount_args *a = (repro_recount_args *)pa;
+    const repro_recount_args a = *(const repro_recount_args *)pa;
     int64_t lo, hi;
-    repro_shard_range(a->k, tid, T, &lo, &hi);
+    repro_shard_range(a.k, tid, T, &lo, &hi);
     for (int64_t i = lo; i < hi; i++)
-        a->deficits[i] =
-            repro_missing(a->data + a->rows[i] * a->words, a->mask, a->words);
+        a.deficits[i] =
+            repro_missing(a.data + a.rows[i] * a.words, a.mask, a.words);
 }
 
-void repro_recount_mt(const uint64_t *data, const uint64_t *mask,
-                      const int64_t *rows, int64_t k, int64_t words,
-                      int64_t *deficits, int64_t nshards) {
+/* deficits[i] = popcount(mask & ~data[rows[i]]) — the number of required
+ * message bits still missing from each listed row. */
+void repro_recount(const uint64_t *data, const uint64_t *mask,
+                   const int64_t *rows, int64_t k, int64_t words,
+                   int64_t *deficits, int64_t nshards) {
     repro_recount_args a = {data, mask, rows, k, words, deficits};
     repro_run_sharded(repro_recount_shard, &a, nshards);
 }
@@ -1065,58 +1004,38 @@ def _bind(lib: ctypes.CDLL) -> None:
     """Declare every exported symbol's signature (AttributeError if missing)."""
     u64p = ctypes.POINTER(ctypes.c_uint64)
     i64p = ctypes.POINTER(ctypes.c_int64)
-    i64 = ctypes.c_int64
-    lib.repro_scatter_or.argtypes = [u64p, u64p, i64p, i64p, i64, i64]
-    lib.repro_scatter_or.restype = None
     u8p = ctypes.POINTER(ctypes.c_uint8)
     i32p = ctypes.POINTER(ctypes.c_int32)
-    lib.repro_frontier_scatter.argtypes = [
-        u64p, i32p, i64p, u8p, u8p, i64, i64, i64p, i64p, i64, u64p, i64p,
-    ]
-    lib.repro_frontier_scatter.restype = None
-    lib.repro_recount.argtypes = [u64p, u64p, i64p, i64, i64, i64p]
-    lib.repro_recount.restype = None
-    lib.repro_exchange.argtypes = [
-        u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p, u64p, i64p,
-    ]
-    lib.repro_exchange.restype = None
-    lib.repro_exchange_f.argtypes = [
-        u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p,
-        u8p, u8p, u64p, u64p, i64p,
-    ]
-    lib.repro_exchange_f.restype = None
+    i64 = ctypes.c_int64
+    # Every kernel's last argument is its shard count.
+    kernels = {
+        "repro_scatter_or": [u64p, u64p, i64p, i64p, i64, i64, i64],
+        "repro_exchange": [
+            u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p, u64p, i64p,
+        ],
+        "repro_exchange_f": [
+            u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p,
+            u8p, u8p, u64p, u64p, i64p,
+        ],
+        "repro_push_round": [u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p],
+        "repro_frontier_scatter": [
+            u64p, i32p, i64p, u8p, u8p, i64, i64, i64, i64p, i64p, i64,
+            u64p, i64p,
+        ],
+        "repro_recount": [u64p, u64p, i64p, i64, i64, i64p],
+    }
+    for name, argtypes in kernels.items():
+        kernel = getattr(lib, name)
+        kernel.argtypes = argtypes + [i64]
+        kernel.restype = None
     lib.repro_simd_detect.argtypes = []
     lib.repro_simd_detect.restype = ctypes.c_int
     lib.repro_simd_set.argtypes = [ctypes.c_int]
     lib.repro_simd_set.restype = ctypes.c_int
     lib.repro_simd_active.argtypes = []
     lib.repro_simd_active.restype = ctypes.c_int
-    lib.repro_push_round.argtypes = [u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p]
-    lib.repro_push_round.restype = None
     lib.repro_pool_ensure.argtypes = [i64]
     lib.repro_pool_ensure.restype = i64
-    lib.repro_scatter_or_mt.argtypes = [u64p, u64p, i64p, i64p, i64, i64, i64, i64]
-    lib.repro_scatter_or_mt.restype = None
-    lib.repro_exchange_mt.argtypes = [
-        u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p, u64p, i64p, i64,
-    ]
-    lib.repro_exchange_mt.restype = None
-    lib.repro_exchange_f_mt.argtypes = [
-        u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p,
-        u8p, u8p, u64p, u64p, i64p, i64,
-    ]
-    lib.repro_exchange_f_mt.restype = None
-    lib.repro_push_round_mt.argtypes = [
-        u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p, i64,
-    ]
-    lib.repro_push_round_mt.restype = None
-    lib.repro_frontier_scatter_mt.argtypes = [
-        u64p, i32p, i64p, u8p, u8p, i64, i64, i64, i64p, i64p, i64,
-        u64p, i64p, i64,
-    ]
-    lib.repro_frontier_scatter_mt.restype = None
-    lib.repro_recount_mt.argtypes = [u64p, u64p, i64p, i64, i64, i64p, i64]
-    lib.repro_recount_mt.restype = None
 
 
 def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
@@ -1167,6 +1086,8 @@ if _LIB is not None and os.environ.get("REPRO_DISABLE_SIMD"):
 
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 _I64P = ctypes.POINTER(ctypes.c_int64)
+_U8P = ctypes.POINTER(ctypes.c_uint8)
+_I32P = ctypes.POINTER(ctypes.c_int32)
 
 
 def available() -> bool:
@@ -1231,11 +1152,46 @@ def _i64(arr: np.ndarray):
     return arr.ctypes.data_as(_I64P)
 
 
+#: Worker threads known to exist in the C pool (grown lazily, never shrunk),
+#: together with the process that owns them — pool threads do not survive
+#: ``fork``, so a child process must not trust the inherited count.
+_POOL_WORKERS = 0
+_POOL_PID: Optional[int] = None
+
+#: Hard cap on shards per job — far above any sensible core count, it only
+#: bounds runaway configuration values.
+MAX_SHARDS = 64
+
+
+def ensure_shards(shards: int) -> int:
+    """Grow the worker pool for ``shards``-way jobs; return the usable count.
+
+    The calling thread always executes shard 0 itself, so ``shards`` shards
+    need ``shards - 1`` pool workers.  Thread creation is best-effort: the
+    return value (possibly just 1, meaning "run on the calling thread") is
+    the shard count to pass to the kernels.  Safe after ``fork`` (e.g.
+    inside ``ProcessPoolExecutor`` workers): the cached count is per-process
+    and the C pool re-spawns its threads in the child.
+    """
+    global _POOL_WORKERS, _POOL_PID
+    if _LIB is None or shards <= 1:
+        return 1
+    pid = os.getpid()
+    if pid != _POOL_PID:
+        _POOL_WORKERS = 0
+        _POOL_PID = pid
+    shards = min(int(shards), MAX_SHARDS)
+    if shards - 1 > _POOL_WORKERS:
+        _POOL_WORKERS = int(_LIB.repro_pool_ensure(ctypes.c_int64(shards - 1)))
+    return min(shards, _POOL_WORKERS + 1)
+
+
 def scatter_or(
     data: np.ndarray,
     source: np.ndarray,
     senders: np.ndarray,
     receivers: np.ndarray,
+    shards: int = 1,
 ) -> None:
     """OR ``source[senders[i]]`` into ``data[receivers[i]]`` for all ``i``.
 
@@ -1249,7 +1205,9 @@ def scatter_or(
         _i64(senders),
         _i64(receivers),
         ctypes.c_int64(senders.size),
+        ctypes.c_int64(data.shape[0]),
         ctypes.c_int64(data.shape[1]),
+        ctypes.c_int64(shards),
     )
 
 
@@ -1262,6 +1220,7 @@ def exchange(
     adj: np.ndarray,
     mask: Optional[np.ndarray] = None,
     deficits: Optional[np.ndarray] = None,
+    shards: int = 1,
 ) -> None:
     """Apply one push-pull round in swap form.
 
@@ -1290,6 +1249,7 @@ def exchange(
         _i64(adj),
         _u64(mask) if mask is not None else None,
         _i64(deficits) if deficits is not None else None,
+        ctypes.c_int64(shards),
     )
 
 
@@ -1305,6 +1265,7 @@ def exchange_filtered(
     full_row: np.ndarray,
     mask: Optional[np.ndarray] = None,
     deficits: Optional[np.ndarray] = None,
+    shards: int = 1,
 ) -> None:
     """Saturation-filtered :func:`exchange`.
 
@@ -1331,6 +1292,7 @@ def exchange_filtered(
         _u64(full_row),
         _u64(mask) if mask is not None else None,
         _i64(deficits) if deficits is not None else None,
+        ctypes.c_int64(shards),
     )
 
 
@@ -1341,6 +1303,7 @@ def push_round(
     receivers: np.ndarray,
     off: np.ndarray,
     adj: np.ndarray,
+    shards: int = 1,
 ) -> None:
     """Apply one push-only round in swap form (see :func:`exchange`).
 
@@ -1356,11 +1319,8 @@ def push_round(
         ctypes.c_int64(data.shape[1]),
         _i64(off),
         _i64(adj),
+        ctypes.c_int64(shards),
     )
-
-
-_U8P = ctypes.POINTER(ctypes.c_uint8)
-_I32P = ctypes.POINTER(ctypes.c_int32)
 
 
 def frontier_scatter(
@@ -1373,6 +1333,7 @@ def frontier_scatter(
     receivers: np.ndarray,
     val_buf: np.ndarray,
     lin_buf: np.ndarray,
+    shards: int = 1,
 ) -> None:
     """Apply one word-sparse transmission batch with frontier bookkeeping.
 
@@ -1391,211 +1352,22 @@ def frontier_scatter(
         dense_rows.ctypes.data_as(_U8P),
         ctypes.c_int64(active.shape[1]),
         ctypes.c_int64(data.shape[1]),
+        ctypes.c_int64(data.shape[0]),
         _i64(senders),
         _i64(receivers),
         ctypes.c_int64(senders.size),
         _u64(val_buf),
         _i64(lin_buf),
+        ctypes.c_int64(shards),
     )
 
 
 def recount_deficits(
-    data: np.ndarray, mask: np.ndarray, rows: np.ndarray
+    data: np.ndarray, mask: np.ndarray, rows: np.ndarray, shards: int = 1
 ) -> np.ndarray:
     """Per-row count of bits in ``mask`` missing from ``data[rows]``."""
     deficits = np.empty(rows.size, dtype=np.int64)
     _LIB.repro_recount(
-        _u64(data),
-        _u64(mask),
-        _i64(rows),
-        ctypes.c_int64(rows.size),
-        ctypes.c_int64(data.shape[1]),
-        _i64(deficits),
-    )
-    return deficits
-
-
-# ---------------------------------------------------------------------- #
-# Sharded (multithreaded) variants
-# ---------------------------------------------------------------------- #
-
-#: Worker threads known to exist in the C pool (grown lazily, never shrunk),
-#: together with the process that owns them — pool threads do not survive
-#: ``fork``, so a child process must not trust the inherited count.
-_POOL_WORKERS = 0
-_POOL_PID: Optional[int] = None
-
-#: Hard cap on shards per job — far above any sensible core count, it only
-#: bounds runaway configuration values.
-MAX_SHARDS = 64
-
-
-def ensure_shards(shards: int) -> int:
-    """Grow the worker pool for ``shards``-way jobs; return the usable count.
-
-    The calling thread always executes shard 0 itself, so ``shards`` shards
-    need ``shards - 1`` pool workers.  Thread creation is best-effort: the
-    return value (possibly just 1, meaning "run serial") is the shard count
-    the ``*_mt`` kernels may actually be invoked with.  Safe after ``fork``
-    (e.g. inside ``ProcessPoolExecutor`` workers): the cached count is
-    per-process and the C pool re-spawns its threads in the child.
-    """
-    global _POOL_WORKERS, _POOL_PID
-    if _LIB is None or shards <= 1:
-        return 1
-    pid = os.getpid()
-    if pid != _POOL_PID:
-        _POOL_WORKERS = 0
-        _POOL_PID = pid
-    shards = min(int(shards), MAX_SHARDS)
-    if shards - 1 > _POOL_WORKERS:
-        _POOL_WORKERS = int(_LIB.repro_pool_ensure(ctypes.c_int64(shards - 1)))
-    return min(shards, _POOL_WORKERS + 1)
-
-
-def scatter_or_mt(
-    data: np.ndarray,
-    source: np.ndarray,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    shards: int,
-) -> None:
-    """Sharded :func:`scatter_or`; ``shards`` must come from :func:`ensure_shards`."""
-    _LIB.repro_scatter_or_mt(
-        _u64(data),
-        _u64(source),
-        _i64(senders),
-        _i64(receivers),
-        ctypes.c_int64(senders.size),
-        ctypes.c_int64(data.shape[0]),
-        ctypes.c_int64(data.shape[1]),
-        ctypes.c_int64(shards),
-    )
-
-
-def exchange_mt(
-    data: np.ndarray,
-    scratch: np.ndarray,
-    callers: np.ndarray,
-    targets: np.ndarray,
-    off: np.ndarray,
-    adj: np.ndarray,
-    shards: int,
-    mask: Optional[np.ndarray] = None,
-    deficits: Optional[np.ndarray] = None,
-) -> None:
-    """Sharded :func:`exchange` (serial CSR build + row-sharded swap pass)."""
-    _LIB.repro_exchange_mt(
-        _u64(data),
-        _u64(scratch),
-        _i64(callers),
-        _i64(targets),
-        ctypes.c_int64(callers.size),
-        ctypes.c_int64(data.shape[0]),
-        ctypes.c_int64(data.shape[1]),
-        _i64(off),
-        _i64(adj),
-        _u64(mask) if mask is not None else None,
-        _i64(deficits) if deficits is not None else None,
-        ctypes.c_int64(shards),
-    )
-
-
-def exchange_filtered_mt(
-    data: np.ndarray,
-    scratch: np.ndarray,
-    callers: np.ndarray,
-    targets: np.ndarray,
-    off: np.ndarray,
-    adj: np.ndarray,
-    complete: np.ndarray,
-    promoted: np.ndarray,
-    full_row: np.ndarray,
-    shards: int,
-    mask: Optional[np.ndarray] = None,
-    deficits: Optional[np.ndarray] = None,
-) -> None:
-    """Sharded :func:`exchange_filtered`; bit-identical at any shard count."""
-    _LIB.repro_exchange_f_mt(
-        _u64(data),
-        _u64(scratch),
-        _i64(callers),
-        _i64(targets),
-        ctypes.c_int64(callers.size),
-        ctypes.c_int64(data.shape[0]),
-        ctypes.c_int64(data.shape[1]),
-        _i64(off),
-        _i64(adj),
-        complete.ctypes.data_as(_U8P),
-        promoted.ctypes.data_as(_U8P),
-        _u64(full_row),
-        _u64(mask) if mask is not None else None,
-        _i64(deficits) if deficits is not None else None,
-        ctypes.c_int64(shards),
-    )
-
-
-def push_round_mt(
-    data: np.ndarray,
-    scratch: np.ndarray,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    off: np.ndarray,
-    adj: np.ndarray,
-    shards: int,
-) -> None:
-    """Sharded :func:`push_round` (serial CSR build + row-sharded swap pass)."""
-    _LIB.repro_push_round_mt(
-        _u64(data),
-        _u64(scratch),
-        _i64(senders),
-        _i64(receivers),
-        ctypes.c_int64(senders.size),
-        ctypes.c_int64(data.shape[0]),
-        ctypes.c_int64(data.shape[1]),
-        _i64(off),
-        _i64(adj),
-        ctypes.c_int64(shards),
-    )
-
-
-def frontier_scatter_mt(
-    data: np.ndarray,
-    active: np.ndarray,
-    nnz: np.ndarray,
-    word_active: np.ndarray,
-    dense_rows: np.ndarray,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    val_buf: np.ndarray,
-    lin_buf: np.ndarray,
-    shards: int,
-) -> None:
-    """Sharded :func:`frontier_scatter`; bookkeeping stays bit-identical."""
-    _LIB.repro_frontier_scatter_mt(
-        _u64(data),
-        active.ctypes.data_as(_I32P),
-        _i64(nnz),
-        word_active.ctypes.data_as(_U8P),
-        dense_rows.ctypes.data_as(_U8P),
-        ctypes.c_int64(active.shape[1]),
-        ctypes.c_int64(data.shape[1]),
-        ctypes.c_int64(data.shape[0]),
-        _i64(senders),
-        _i64(receivers),
-        ctypes.c_int64(senders.size),
-        _u64(val_buf),
-        _i64(lin_buf),
-        ctypes.c_int64(shards),
-    )
-
-
-def recount_deficits_mt(
-    data: np.ndarray, mask: np.ndarray, rows: np.ndarray, shards: int
-) -> np.ndarray:
-    """Sharded :func:`recount_deficits`."""
-    deficits = np.empty(rows.size, dtype=np.int64)
-    _LIB.repro_recount_mt(
         _u64(data),
         _u64(mask),
         _i64(rows),

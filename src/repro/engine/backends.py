@@ -1,6 +1,6 @@
 """Kernel backend registry: one dispatch surface over interchangeable kernels.
 
-The knowledge/completion hot paths can run on three interchangeable
+The knowledge/completion hot paths run on one of two interchangeable
 implementations, and protocols never see which one is active:
 
 ``numpy``
@@ -9,30 +9,25 @@ implementations, and protocols never see which one is active:
     the fallback whenever the compiled library is missing.
 
 ``c``
-    The serial compiled kernels from :mod:`repro.engine._ckernel` — fused
-    snapshot + scatter-OR rounds, the word-sparse frontier pass, and the
-    mask-and-popcount deficit recount.
-
-``c-threads``
-    The same compiled kernels, sharded across a persistent worker pool.
-    Receiver rows are partitioned into disjoint contiguous shards and all
-    gathers precede all writes, so trajectories are **bit-identical to the
-    serial kernels for every thread count** (see ``docs/parallelism.md``).
-    The per-batch thread count is chosen automatically from the batch's
-    word traffic, with a measured small-batch cutoff so small runs never
-    pay pool-dispatch overhead.
+    The compiled kernels from :mod:`repro.engine._ckernel` — swap-form
+    exchange and push rounds, the snapshot scatter-OR, the word-sparse
+    frontier pass, and the mask-and-popcount deficit recount — with a
+    thread budget.  Each batch picks its own shard count from its word
+    traffic, with a measured small-batch cutoff so small runs never pay
+    pool-dispatch overhead.  Receiver rows are partitioned into disjoint
+    contiguous shards and all gathers precede all writes, so trajectories
+    are **bit-identical at every thread count** (see
+    ``docs/parallelism.md``).
 
 Selection is environment driven and resolved once per process:
 
 ``REPRO_KERNEL_BACKEND``
-    ``auto`` (default), ``numpy``, ``c`` or ``c-threads``.  ``auto`` picks
-    ``c-threads`` when the compiled library is available and more than one
-    thread is allowed, ``c`` when compiled but single-threaded, and
-    ``numpy`` otherwise.
+    ``auto`` (default), ``numpy`` or ``c``.  ``auto`` picks ``c`` when the
+    compiled library is available and ``numpy`` otherwise.
 
 ``REPRO_KERNEL_THREADS``
-    Maximum threads for ``c-threads`` (default: the machine's CPU count).
-    ``1`` degenerates to serial dispatch.
+    Thread budget for ``c`` (default: the machine's CPU count).  ``1``
+    runs every batch on the calling thread.
 
 ``REPRO_DISABLE_CKERNEL``
     Back-compat kill switch: prevents the compiled build entirely, so every
@@ -55,8 +50,7 @@ from . import _ckernel
 
 __all__ = [
     "BACKENDS",
-    "CSerialBackend",
-    "CThreadsBackend",
+    "CBackend",
     "KernelBackend",
     "NumpyBackend",
     "active",
@@ -86,7 +80,7 @@ WORDS_PER_SHARD = 1 << 16
 
 
 def default_max_threads() -> int:
-    """Thread budget for ``c-threads``: ``REPRO_KERNEL_THREADS`` or CPU count."""
+    """Thread budget for ``c``: ``REPRO_KERNEL_THREADS`` or CPU count."""
     env = os.environ.get("REPRO_KERNEL_THREADS", "").strip()
     if env:
         try:
@@ -103,20 +97,19 @@ class KernelBackend:
 
     The knowledge-matrix code is structured as *"if the backend is compiled,
     hand it the batch; otherwise run the in-line NumPy kernels"* — so the one
-    method every backend must answer is :meth:`use_compiled`.  The batch
-    methods mirror the :mod:`repro.engine._ckernel` primitives and are only
-    invoked when :meth:`use_compiled` returned true.
+    method every backend must answer is :meth:`use_compiled`.  Only
+    :class:`CBackend` has batch methods, and callers reach them only after
+    :meth:`use_compiled` returned true.
     """
 
     name = "abstract"
 
-    def use_compiled(self) -> bool:
-        """Whether the compiled batch methods below may be called."""
-        raise NotImplementedError
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
 
-    def threads_for(self, work_units: int) -> int:
-        """Threads a batch of ``work_units`` word-units would be run on."""
-        return 1
+    def use_compiled(self) -> bool:
+        """Whether the compiled batch methods may be called."""
+        raise NotImplementedError
 
     def describe(self) -> Dict[str, object]:
         """Backend identity for benchmark/report headers.
@@ -131,41 +124,6 @@ class KernelBackend:
             "ckernel": _ckernel.status(),
         }
 
-    # -- compiled batch primitives (only called when use_compiled()) ---- #
-    def scatter_or(self, data, source, senders, receivers) -> None:
-        raise NotImplementedError
-
-    def exchange(
-        self, data, scratch, callers, targets, off, adj,
-        mask=None, deficits=None,
-    ) -> None:
-        """Swap-form round: writes the next state into ``scratch``; the
-        caller swaps the buffers afterwards (see ``_ckernel.exchange``).
-        ``mask``/``deficits`` opt into the fused completion recount."""
-        raise NotImplementedError
-
-    def exchange_filtered(
-        self, data, scratch, callers, targets, off, adj,
-        complete, promoted, full_row, mask=None, deficits=None,
-    ) -> None:
-        """Saturation-filtered swap-form round (see
-        ``_ckernel.exchange_filtered``): complete receivers keep their
-        rows, receivers of complete senders get one ``full_row`` memcpy
-        (reported in ``promoted``)."""
-        raise NotImplementedError
-
-    def push_round(self, data, scratch, senders, receivers, off, adj) -> None:
-        raise NotImplementedError
-
-    def frontier_scatter(
-        self, data, active, nnz, word_active, dense_rows,
-        senders, receivers, val_buf, lin_buf, total,
-    ) -> None:
-        raise NotImplementedError
-
-    def recount_deficits(self, data, mask, rows) -> np.ndarray:
-        raise NotImplementedError
-
 
 class NumpyBackend(KernelBackend):
     """Pure-NumPy execution: every call site takes its in-line NumPy path."""
@@ -176,70 +134,23 @@ class NumpyBackend(KernelBackend):
         return False
 
 
-class CSerialBackend(KernelBackend):
-    """Serial compiled kernels (the PR 1-3 behaviour)."""
-
-    name = "c"
-
-    def use_compiled(self) -> bool:
-        # Checked live (not cached) so tests may stub out the library.
-        return _ckernel.available()
-
-    def describe(self) -> Dict[str, object]:
-        return {**super().describe(), "simd": simd_info()}
-
-    def scatter_or(self, data, source, senders, receivers) -> None:
-        _ckernel.scatter_or(data, source, senders, receivers)
-
-    def exchange(
-        self, data, scratch, callers, targets, off, adj,
-        mask=None, deficits=None,
-    ) -> None:
-        _ckernel.exchange(
-            data, scratch, callers, targets, off, adj, mask, deficits
-        )
-
-    def exchange_filtered(
-        self, data, scratch, callers, targets, off, adj,
-        complete, promoted, full_row, mask=None, deficits=None,
-    ) -> None:
-        _ckernel.exchange_filtered(
-            data, scratch, callers, targets, off, adj,
-            complete, promoted, full_row, mask, deficits,
-        )
-
-    def push_round(self, data, scratch, senders, receivers, off, adj) -> None:
-        _ckernel.push_round(data, scratch, senders, receivers, off, adj)
-
-    def frontier_scatter(
-        self, data, active, nnz, word_active, dense_rows,
-        senders, receivers, val_buf, lin_buf, total,
-    ) -> None:
-        _ckernel.frontier_scatter(
-            data, active, nnz, word_active, dense_rows,
-            senders, receivers, val_buf, lin_buf,
-        )
-
-    def recount_deficits(self, data, mask, rows) -> np.ndarray:
-        return _ckernel.recount_deficits(data, mask, rows)
-
-
-class CThreadsBackend(CSerialBackend):
-    """Compiled kernels sharded across the persistent worker pool.
+class CBackend(KernelBackend):
+    """The compiled kernels, each batch sharded across up to ``max_threads``.
 
     Parameters
     ----------
     max_threads:
         Upper bound on shards per batch (default
-        :func:`default_max_threads`).
+        :func:`default_max_threads`); ``1`` runs every batch on the calling
+        thread.
     shard_work:
         Word-units of batch work per shard (default
         :data:`WORDS_PER_SHARD`).  Tests force tiny values to exercise the
-        threaded kernels on small batches; benchmarks may raise it to study
+        sharded kernels on small batches; benchmarks may raise it to study
         the dispatch cutoff.
     """
 
-    name = "c-threads"
+    name = "c"
 
     def __init__(
         self,
@@ -253,9 +164,23 @@ class CThreadsBackend(CSerialBackend):
             WORDS_PER_SHARD if shard_work is None else max(1, int(shard_work))
         )
 
+    def __repr__(self) -> str:
+        return (
+            f"CBackend(max_threads={self.max_threads}, "
+            f"shard_work={self.shard_work})"
+        )
+
+    def use_compiled(self) -> bool:
+        # Checked live (not cached) so tests may stub out the library.
+        return _ckernel.available()
+
     def describe(self) -> Dict[str, object]:
         described = super().describe()
-        described.update(max_threads=self.max_threads, shard_work=self.shard_work)
+        described.update(
+            max_threads=self.max_threads,
+            simd=simd_info(),
+            shard_work=self.shard_work,
+        )
         return described
 
     def threads_for(self, work_units: int) -> int:
@@ -263,69 +188,53 @@ class CThreadsBackend(CSerialBackend):
 
         One shard per :attr:`shard_work` word-units, clamped to
         :attr:`max_threads`; batches under two shards' worth of work run
-        serial (the measured small-batch cutoff — dispatching the pool for
-        less work than it amortizes would *slow down* small n).
+        on the calling thread (the measured small-batch cutoff — dispatching
+        the pool for less work than it amortizes would *slow down* small n).
         """
         threads = min(self.max_threads, work_units // self.shard_work)
         return int(threads) if threads >= 2 else 1
 
     def _shards(self, work_units: int) -> int:
-        threads = self.threads_for(work_units)
-        if threads <= 1:
-            return 1
-        return _ckernel.ensure_shards(threads)
+        return _ckernel.ensure_shards(self.threads_for(work_units))
 
     def scatter_or(self, data, source, senders, receivers) -> None:
         shards = self._shards(senders.size * data.shape[1])
-        if shards > 1:
-            _ckernel.scatter_or_mt(data, source, senders, receivers, shards)
-        else:
-            _ckernel.scatter_or(data, source, senders, receivers)
+        _ckernel.scatter_or(data, source, senders, receivers, shards)
 
     def exchange(
         self, data, scratch, callers, targets, off, adj,
         mask=None, deficits=None,
     ) -> None:
+        """Swap-form round: writes the next state into ``scratch``; the
+        caller swaps the buffers afterwards (see ``_ckernel.exchange``).
+        ``mask``/``deficits`` opt into the fused completion recount."""
         # Every row is read and written once, plus a partner row per
         # channel direction.
         n, words = data.shape
         shards = self._shards((2 * n + 2 * callers.size) * words)
-        if shards > 1:
-            _ckernel.exchange_mt(
-                data, scratch, callers, targets, off, adj, shards,
-                mask, deficits,
-            )
-        else:
-            _ckernel.exchange(
-                data, scratch, callers, targets, off, adj, mask, deficits
-            )
+        _ckernel.exchange(
+            data, scratch, callers, targets, off, adj, mask, deficits, shards
+        )
 
     def exchange_filtered(
         self, data, scratch, callers, targets, off, adj,
         complete, promoted, full_row, mask=None, deficits=None,
     ) -> None:
+        """Saturation-filtered swap-form round (see
+        ``_ckernel.exchange_filtered``): complete receivers keep their
+        rows, receivers of complete senders get one ``full_row`` memcpy
+        (reported in ``promoted``)."""
         n, words = data.shape
         shards = self._shards((2 * n + 2 * callers.size) * words)
-        if shards > 1:
-            _ckernel.exchange_filtered_mt(
-                data, scratch, callers, targets, off, adj,
-                complete, promoted, full_row, shards, mask, deficits,
-            )
-        else:
-            _ckernel.exchange_filtered(
-                data, scratch, callers, targets, off, adj,
-                complete, promoted, full_row, mask, deficits,
-            )
+        _ckernel.exchange_filtered(
+            data, scratch, callers, targets, off, adj,
+            complete, promoted, full_row, mask, deficits, shards,
+        )
 
     def push_round(self, data, scratch, senders, receivers, off, adj) -> None:
         n, words = data.shape
         shards = self._shards((2 * n + senders.size) * words)
-        if shards > 1:
-            _ckernel.push_round_mt(
-                data, scratch, senders, receivers, off, adj, shards
-            )
-        else:
-            _ckernel.push_round(data, scratch, senders, receivers, off, adj)
+        _ckernel.push_round(data, scratch, senders, receivers, off, adj, shards)
 
     def frontier_scatter(
         self, data, active, nnz, word_active, dense_rows,
@@ -333,30 +242,21 @@ class CThreadsBackend(CSerialBackend):
     ) -> None:
         # ``total`` word pairs are gathered and scattered once each.
         shards = self._shards(2 * total)
-        if shards > 1:
-            _ckernel.frontier_scatter_mt(
-                data, active, nnz, word_active, dense_rows,
-                senders, receivers, val_buf, lin_buf, shards,
-            )
-        else:
-            _ckernel.frontier_scatter(
-                data, active, nnz, word_active, dense_rows,
-                senders, receivers, val_buf, lin_buf,
-            )
+        _ckernel.frontier_scatter(
+            data, active, nnz, word_active, dense_rows,
+            senders, receivers, val_buf, lin_buf, shards,
+        )
 
     def recount_deficits(self, data, mask, rows) -> np.ndarray:
         shards = self._shards(rows.size * data.shape[1])
-        if shards > 1:
-            return _ckernel.recount_deficits_mt(data, mask, rows, shards)
-        return _ckernel.recount_deficits(data, mask, rows)
+        return _ckernel.recount_deficits(data, mask, rows, shards)
 
 
 #: Backend registry: name -> class.  ``auto`` is a resolution rule, not a
 #: registry entry — see :func:`resolve`.
 BACKENDS: Dict[str, Type[KernelBackend]] = {
     NumpyBackend.name: NumpyBackend,
-    CSerialBackend.name: CSerialBackend,
-    CThreadsBackend.name: CThreadsBackend,
+    CBackend.name: CBackend,
 }
 
 
@@ -366,20 +266,14 @@ def resolve(
     """Construct the backend ``name`` (or the environment's choice).
 
     ``name=None`` reads ``REPRO_KERNEL_BACKEND`` (default ``auto``).
-    ``auto`` picks the fastest correct option for this process: the
-    threaded compiled kernels when available and more than one thread is
-    allowed, the serial compiled kernels when single-threaded, NumPy when
-    there is no compiled library at all.
+    ``auto`` picks the compiled kernels when the library is available and
+    NumPy otherwise.  ``max_threads`` is the compiled backend's thread
+    budget (default :func:`default_max_threads`).
     """
     if name is None:
         name = os.environ.get("REPRO_KERNEL_BACKEND", "").strip().lower() or "auto"
     if name == "auto":
-        if not _ckernel.available():
-            return NumpyBackend()
-        threads = default_max_threads() if max_threads is None else max_threads
-        if threads > 1:
-            return CThreadsBackend(max_threads=threads)
-        return CSerialBackend()
+        name = "c" if _ckernel.available() else "numpy"
     try:
         cls = BACKENDS[name]
     except KeyError:
@@ -387,11 +281,13 @@ def resolve(
         raise ValueError(
             f"unknown kernel backend {name!r} (choose from: {options})"
         ) from None
-    if cls is not NumpyBackend and not _ckernel.available():
-        # An *explicit* request for a compiled backend that cannot run
+    if cls is NumpyBackend:
+        return NumpyBackend()
+    if not _ckernel.available():
+        # An *explicit* request for the compiled backend that cannot run
         # compiled code must not degrade silently: every dispatch site
         # would quietly take the NumPy path, so e.g. a CI job meant to
-        # exercise the threaded kernels would pass green without covering
+        # exercise the sharded kernels would pass green without covering
         # them.  Warn loudly (the run is still correct, just not what was
         # asked for).
         warnings.warn(
@@ -401,9 +297,7 @@ def resolve(
             RuntimeWarning,
             stacklevel=2,
         )
-    if cls is CThreadsBackend:
-        return CThreadsBackend(max_threads=max_threads)
-    return cls()
+    return CBackend(max_threads=max_threads)
 
 
 _ACTIVE: Optional[KernelBackend] = None

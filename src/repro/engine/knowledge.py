@@ -14,8 +14,8 @@ loop.  A round is applied as one *snapshot-gather + scatter-OR*: the sender
 rows involved are read (or the whole matrix double-buffered) before any row
 is written, which implements the synchronous-model discipline that every
 transmission of a step reads start-of-step state.  Duplicate receivers are
-resolved either by an order-independent compiled pass — serial or sharded
-across a worker pool, dispatched through the active
+resolved either by an order-independent compiled pass — sharded across a
+worker pool when the batch is large enough, dispatched through the active
 :mod:`repro.engine.backends` backend (``REPRO_KERNEL_BACKEND`` /
 ``REPRO_KERNEL_THREADS``; ``REPRO_DISABLE_CKERNEL=1`` forces NumPy) — or by
 a layered NumPy scatter; all paths are pinned bit-identical by
@@ -63,7 +63,6 @@ and debugging only.
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -96,10 +95,10 @@ def _n_words(n_bits: int) -> int:
 #: matrices live in cache, so the swap form's O(batch) CSR build costs more
 #: than the row traffic it saves (measured endpoints: -18% at 16k word
 #: matrices, +25% from ~400k up; exchange rounds carry two edges per channel
-#: and amortize the build even at small sizes, so they are not gated).
-#: ``REPRO_SWAP_MIN_WORK`` overrides the floor so the differential harness
-#: and CI can force the swap/filtered-swap kernels onto tiny matrices.
-_SWAP_MIN_WORK = int(os.environ.get("REPRO_SWAP_MIN_WORK", 1 << 17))
+#: and amortize the build even at small sizes, so they are not gated).  The
+#: same floor gates the saturation-filtered swap round.  Tests monkeypatch it
+#: to 0 to force the swap/filtered-swap kernels onto tiny matrices.
+_SWAP_MIN_WORK = 1 << 17
 
 
 def _layered_scatter(
@@ -824,8 +823,8 @@ class KnowledgeMatrix(KnowledgeStorage):
         """
         backend = backends.active()
         if backend.use_compiled():
-            # The compiled scatter applies transmissions row-sequentially
-            # (serial) or receiver-sharded (threaded); because ``source`` is
+            # The compiled scatter applies transmissions in batch order
+            # within each receiver shard; because ``source`` is
             # snapshot storage disjoint from ``data``, the result is
             # order-independent even with duplicate receivers, so no sorting
             # or layering is needed at all.

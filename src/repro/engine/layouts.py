@@ -26,7 +26,7 @@ Memory model (bytes, resident; ``w`` = words = ceil(n_messages / 64)):
 layout       resident bytes
 ===========  ==========================================================
 dense        ``16 n w`` (matrix + swap buffer) + frontier bookkeeping
-             (``~n w + 12 n + 4 n ceil(w / 8)``) when ``w >= 64``
+             (``~n w + 12 n + 4 n ceil(w / 8)``) when ``w >= 96``
 paged        ``8 n w`` + the CSR buffers of a full exchange round
              (``8 (3 n + 1)``)
 ===========  ==========================================================
@@ -48,6 +48,7 @@ import numpy as np
 
 from .knowledge import (
     _CROSSOVER,
+    _FRONTIER_MIN_WORDS,
     KnowledgeMatrix,
     KnowledgeStorage,
     _n_words,
@@ -94,7 +95,7 @@ def estimate_bytes(
     words = _n_words(n if n_messages is None else int(n_messages))
     if layout == "dense":
         total = 16 * n * words  # matrix + swap buffer
-        if words >= 64:  # frontier bookkeeping (FrontierKnowledge)
+        if words >= _FRONTIER_MIN_WORDS:  # FrontierKnowledge bookkeeping
             word_cap = min(words, max(4, round(words * _CROSSOVER)))
             total += n * words + 12 * n + 4 * n * word_cap
         return total

@@ -288,10 +288,16 @@ class TestWholeRunParity:
     """Event-clock runs are bit-identical across layouts and backends."""
 
     LAYOUT_NAMES = ("dense", "paged")
-    BACKEND_NAMES = ("numpy", "c", "c-threads")
+    #: NumPy, the compiled kernels on one thread, and the compiled kernels
+    #: forced to two shards on every batch.
+    BACKENDS = {
+        "numpy": backends.NumpyBackend(),
+        "c": backends.CBackend(max_threads=1),
+        "c-sharded": backends.CBackend(max_threads=2, shard_work=1),
+    }
 
     def _fingerprint(self, graph, layout, backend):
-        with backends.use(backend), layouts.use(layout):
+        with backends.use(self.BACKENDS[backend]), layouts.use(layout):
             result = PushPullGossip(PushPullParameters(clock="event")).run(
                 graph, rng=42
             )
@@ -307,7 +313,7 @@ class TestWholeRunParity:
         reference = self._fingerprint(graph, "dense", "numpy")
         compiled = _ckernel.available()
         for layout in self.LAYOUT_NAMES:
-            for backend in self.BACKEND_NAMES:
+            for backend in self.BACKENDS:
                 if backend != "numpy" and not compiled:
                     continue
                 got = self._fingerprint(graph, layout, backend)

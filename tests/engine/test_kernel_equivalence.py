@@ -13,8 +13,8 @@ row ORs evaluated against a start-of-step snapshot.  They cover
   across randomized round sequences, with and without failures,
 * bit-identical results between the compiled and pure-NumPy code paths,
   including whole protocol runs,
-* bit-identical whole-protocol trajectories across the ``numpy`` / ``c`` /
-  ``c-threads`` kernel backends at 1, 2 and 8 threads
+* bit-identical whole-protocol trajectories across the ``numpy`` and ``c``
+  kernel backends, ``c`` at 1, 2 and 8 threads
   (:class:`TestBackendTrajectoryParity`).
 """
 
@@ -256,19 +256,19 @@ class TestBackendTrajectoryParity:
     """Full-protocol trajectories are backend- and thread-count-invariant.
 
     Receiver shards partition rows disjointly and every gather precedes
-    every write, so the ``c-threads`` backend must reproduce the serial
+    every write, so the ``c`` backend must reproduce the one-thread
     trajectories bit-for-bit at any thread count.  ``shard_work=1`` forces
-    the threaded kernels on, despite the small test batches that would
+    the sharded kernels on, despite the small test batches that would
     normally stay below the dispatch cutoff.
     """
 
     def _backend_matrix(self):
         yield "numpy", backends.NumpyBackend()
-        yield "c", backends.CSerialBackend()
+        yield "c", backends.CBackend(max_threads=1)
         for threads in (1, 2, 8):
             yield (
-                f"c-threads[{threads}]",
-                backends.CThreadsBackend(max_threads=threads, shard_work=1),
+                f"c[{threads}]",
+                backends.CBackend(max_threads=threads, shard_work=1),
             )
 
     def test_all_protocols_all_backends(self, small_paper_graph):

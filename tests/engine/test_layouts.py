@@ -17,7 +17,7 @@ These tests pin that contract:
   active-word-set counter) pinned to the plain masked scan,
 * ``copy`` keeping the storage class and everything a later round reads,
 * whole-protocol trajectory parity across the full layout x backend matrix
-  (dense / paged x numpy / c / c-threads),
+  (dense / paged x numpy / c at one thread / c sharded),
 * the selection registry (env var, ``use`` scope, explicit argument, the
   ``auto`` memory model),
 * a sweep interrupted under the dense layout and resumed under the paged
@@ -51,8 +51,8 @@ def kernel_path(request, monkeypatch):
     if not _ckernel.available():
         pytest.skip("compiled kernel unavailable on this machine")
     if request.param == "threads":
-        # Two shards for every batch, however small: the *_mt kernels.
-        with backends.use(backends.CThreadsBackend(max_threads=2, shard_work=1)):
+        # Two shards for every batch, however small.
+        with backends.use(backends.CBackend(max_threads=2, shard_work=1)):
             yield request.param
         return
     yield request.param
@@ -398,6 +398,16 @@ class TestLayoutRegistry:
         # The paged layout halves the dense matrix+swap footprint.
         assert paged < 0.6 * dense
 
+    @pytest.mark.parametrize("words", [63, 64, 95, 96])
+    def test_dense_estimate_counts_frontier_exactly_when_built(self, words):
+        """The frontier term follows the gate ``dense_knowledge`` applies."""
+        n, m = 1000, 64 * words
+        frontier = isinstance(knowledge_mod.dense_knowledge(n, m), FrontierKnowledge)
+        assert frontier == (words >= 96)
+        # Everything beyond the matrix and its swap buffer.
+        frontier_bytes = layouts.estimate_bytes("dense", n, m) - 16 * n * words
+        assert frontier_bytes > 0 if frontier else frontier_bytes == 0
+
     def test_protocols_pick_up_use_scope(self, small_paper_graph):
         from repro import PushPullGossip
 
@@ -414,10 +424,8 @@ class TestCrossLayoutTrajectoryParity:
     def _backend_matrix(self):
         yield "numpy", backends.NumpyBackend()
         if _ckernel.available():
-            yield "c", backends.CSerialBackend()
-            yield "c-threads[2]", backends.CThreadsBackend(
-                max_threads=2, shard_work=1
-            )
+            yield "c", backends.CBackend(max_threads=1)
+            yield "c[2]", backends.CBackend(max_threads=2, shard_work=1)
 
     @pytest.mark.parametrize("protocol_name", ["push-pull", "fast-gossiping", "memory"])
     def test_all_layouts_all_backends(self, small_paper_graph, protocol_name):

@@ -47,7 +47,12 @@ WORD_COUNTS = (1, 7, 63, 64, 65, 127, 128)
 
 LAYOUTS = ("dense", "frontier", "paged")
 
-BACKENDS = ("c", "c-threads")
+#: The compiled kernels on one thread, and forced to two shards on every
+#: batch — the sharded scatter runs on the same SIMD row primitives.
+BACKENDS = {
+    "c": backends.CBackend(max_threads=1),
+    "c-sharded": backends.CBackend(max_threads=2, shard_work=1),
+}
 
 
 def _n_messages(words: int) -> int:
@@ -157,7 +162,7 @@ def _trajectory(layout: str, words: int, seed: int) -> list:
     return out
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", list(BACKENDS))
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("words", WORD_COUNTS)
 def test_all_levels_bit_identical(words, layout, backend, monkeypatch):
@@ -166,7 +171,7 @@ def test_all_levels_bit_identical(words, layout, backend, monkeypatch):
     monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", 0)
     original = _ckernel.simd_active()
     try:
-        with backends.use(backend):
+        with backends.use(BACKENDS[backend]):
             reference = None
             for level in range(_ckernel.simd_detected() + 1):
                 assert _ckernel.set_simd_level(level) == level

@@ -295,11 +295,15 @@ def shrink_program(
 
 
 def describe_failure(
-    program: Dict[str, Any], layout: str, backend: str, failure: Failure
+    program: Dict[str, Any], layout: str, backend: Any, failure: Failure
 ) -> str:
-    """Render the minimal failing program with exact replay instructions."""
+    """Render the minimal failing program with exact replay instructions.
+
+    ``backend`` is the kernel backend the program ran under; its ``repr``
+    is the constructor call the replay line uses.
+    """
     lines = [
-        f"differential harness failure: layout={layout} backend={backend}",
+        f"differential harness failure: layout={layout} backend={backend!r}",
         f"  seed={program['seed']} n_nodes={program['n_nodes']} "
         f"n_messages={program['n_messages']}",
         f"  {failure!r}",
@@ -309,9 +313,10 @@ def describe_failure(
         lines.append(f"    [{i}] {kind}: {arg}")
     lines += [
         "  replay with:",
-        f"    from programs import generate_program, run_program, shrink_program",
+        "    from programs import generate_program, run_program, shrink_program",
+        "    from repro.engine import backends",
         f"    prog = generate_program({program['seed']})",
-        f"    # then: run_program(prog, {layout!r}) "
-        f"under repro.engine.backends.use({backend!r})",
+        f"    with backends.use(backends.{backend!r}):",
+        f"        run_program(prog, {layout!r})",
     ]
     return "\n".join(lines)

@@ -39,7 +39,13 @@ N_PROGRAMS = int(os.environ.get("REPRO_HARNESS_PROGRAMS", "15"))
 #: Base seed; program k uses BASE_SEED + k under every configuration.
 BASE_SEED = 990000
 
-BACKENDS = ("numpy", "c", "c-threads")
+#: Backend configurations: the NumPy kernels, the compiled kernels on one
+#: thread, and the compiled kernels forced to two shards on every batch.
+BACKENDS = {
+    "numpy": backends.NumpyBackend(),
+    "c": backends.CBackend(max_threads=1),
+    "c-sharded": backends.CBackend(max_threads=2, shard_work=1),
+}
 
 
 def _require_backend(name: str) -> None:
@@ -47,11 +53,11 @@ def _require_backend(name: str) -> None:
         pytest.skip("compiled kernel unavailable on this machine")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", list(BACKENDS))
 @pytest.mark.parametrize("layout", HARNESS_LAYOUTS)
 def test_programs_match_oracle(layout: str, backend: str) -> None:
     _require_backend(backend)
-    with backends.use(backend):
+    with backends.use(BACKENDS[backend]) as active:
         for k in range(N_PROGRAMS):
             program = generate_program(BASE_SEED + k)
             failure = run_program(program, layout)
@@ -63,7 +69,7 @@ def test_programs_match_oracle(layout: str, backend: str) -> None:
                 program, lambda p: run_program(p, layout) is not None
             )
             final = run_program(minimal, layout)
-            pytest.fail(describe_failure(minimal, layout, backend, final or failure))
+            pytest.fail(describe_failure(minimal, layout, active, final or failure))
 
 
 @pytest.mark.parametrize("layout", HARNESS_LAYOUTS)
@@ -83,7 +89,7 @@ def test_programs_match_oracle_across_simd_levels(layout: str, monkeypatch) -> N
     monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", 0)
     original = _ckernel.simd_active()
     try:
-        with backends.use("c"):
+        with backends.use("c") as active:
             for level in range(_ckernel.simd_detected() + 1):
                 _ckernel.set_simd_level(level)
                 for k in range(max(1, N_PROGRAMS // 3)):
@@ -97,7 +103,7 @@ def test_programs_match_oracle_across_simd_levels(layout: str, monkeypatch) -> N
                     final = run_program(minimal, layout)
                     pytest.fail(
                         f"simd level {_ckernel.simd_name(level)}: "
-                        + describe_failure(minimal, layout, "c", final or failure)
+                        + describe_failure(minimal, layout, active, final or failure)
                     )
     finally:
         _ckernel.set_simd_level(original)
