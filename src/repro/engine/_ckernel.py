@@ -4,16 +4,20 @@ NumPy's fancy-indexing machinery moves every gathered row through fresh
 temporaries, which caps the gossip kernel's throughput well below what the
 hardware allows.  This module compiles a small C library once per machine
 with the system C compiler and loads it through :mod:`ctypes`.  It exposes
-five primitives: the swap-form full-round kernels (:func:`exchange`,
-:func:`push_round`: build the round's incoming-sender CSR, write each
-row's next state exactly once into the spare buffer, caller swaps — about
-half the traffic of snapshot + read-modify-write), the order-independent
-:func:`scatter_or` over an explicit snapshot, the word-sparse
-:func:`frontier_scatter` pass used by
+five knowledge primitives: the swap-form full-round kernels
+(:func:`exchange`, :func:`push_round`: build the round's incoming-sender
+CSR, write each row's next state exactly once into the spare buffer,
+caller swaps — about half the traffic of snapshot + read-modify-write),
+the order-independent :func:`scatter_or` over an explicit snapshot, the
+word-sparse :func:`frontier_scatter` pass used by
 :class:`~repro.engine.knowledge.FrontierKnowledge`, and the fused
-mask-and-popcount deficit :func:`recount_deficits`.
+mask-and-popcount deficit :func:`recount_deficits`.  Two serial graph
+kernels sit beside them: :func:`pairs_csr` builds the CSR of ``G(n, p)``
+straight from the sampler's sorted pair indices, and
+:func:`bfs_connected` is the connectivity check.
 
-Every primitive takes a trailing ``shards`` count.  One shard (the default)
+Every knowledge primitive takes a trailing ``shards`` count (the graph
+kernels take none and never wake the pool).  One shard (the default)
 runs inline on the calling thread, lock-free.  More partition the *receiver
 rows* of a batch into disjoint contiguous shards across a persistent worker
 pool; :func:`ensure_shards` grows the pool and returns the count to pass.
@@ -23,7 +27,7 @@ every write, the results are bit-identical for any shard count; see
 a shard count here — the per-batch thread count lives in
 :mod:`repro.engine.backends`.
 
-All kernel families run their word loops through a small set of
+All knowledge kernels run their word loops through a small set of
 runtime-dispatched row primitives (OR-2, OR-accumulate, masked popcount,
 frontier pair gather) with scalar, AVX2 and AVX-512 variants selected
 per CPU at load time (``repro_simd_set``); ``REPRO_DISABLE_SIMD``
@@ -65,11 +69,13 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "SIMD_LEVELS",
     "available",
+    "bfs_connected",
     "ensure_shards",
     "exchange",
     "exchange_filtered",
     "push_round",
     "frontier_scatter",
+    "pairs_csr",
     "recount_deficits",
     "scatter_or",
     "set_simd_level",
@@ -914,6 +920,98 @@ void repro_recount(const uint64_t *data, const uint64_t *mask,
     repro_recount_args a = {data, mask, rows, k, words, deficits};
     repro_run_sharded(repro_recount_shard, &a, nshards);
 }
+
+/* ------------------------------------------------------------------ *
+ * Graph kernels for G(n, p).
+ *
+ * The gap sampler emits the edge set as strictly increasing indices into
+ * the row-major upper triangle: pair (r, c), r < c, has index
+ * r*n - r*(r+1)/2 + (c - r - 1), so row r owns n - 1 - r consecutive
+ * indices.  Both kernels are serial (no shard count, no SIMD, no pool)
+ * and return a status.
+ * ------------------------------------------------------------------ */
+
+/* CSR of the undirected graph on `n` nodes whose edges are the `m` pair
+ * indices in `pairs`.  `indptr` has n + 1 slots and `indices` 2m.  Pass 1
+ * checks the input (strictly increasing, below n(n-1)/2) and counts
+ * degrees; pass 2 walks the pairs again, writing c into row r and r into
+ * row c through per-row cursors.  The pairs (v, u), v < u, that give row u
+ * its lower neighbours all precede row u's own pairs (u, c), so each row
+ * receives its lower neighbours first and then its upper ones, both
+ * ascending: the rows come out sorted with no sort.  Returns 0, or -1
+ * (nothing meaningful written to `indices`) when the input is invalid. */
+int64_t repro_pairs_csr(const int64_t *pairs, int64_t m, int64_t n,
+                        int64_t *indptr, int64_t *indices) {
+    const int64_t total = n > 1 ? n * (n - 1) / 2 : 0;
+    memset(indptr, 0, (size_t)(n + 1) * sizeof(int64_t));
+    /* Row r spans pair indices [start, end). */
+    int64_t prev = -1, r = 0, start = 0, end = n - 1;
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t pos = pairs[k];
+        if (pos <= prev || pos >= total)
+            return -1;
+        prev = pos;
+        while (pos >= end) {
+            r++;
+            start = end;
+            end += n - 1 - r;
+        }
+        indptr[r]++;
+        indptr[r + 1 + pos - start]++;
+    }
+    int64_t run = 0;
+    for (int64_t u = 0; u < n; u++) {
+        const int64_t d = indptr[u];
+        indptr[u] = run;
+        run += d;
+    }
+    indptr[n] = run;
+    r = 0;
+    start = 0;
+    end = n - 1;
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t pos = pairs[k];
+        while (pos >= end) {
+            r++;
+            start = end;
+            end += n - 1 - r;
+        }
+        const int64_t c = r + 1 + pos - start;
+        indices[indptr[r]++] = c;
+        indices[indptr[c]++] = r;
+    }
+    /* The cursors now hold each row's END: shift them back to starts. */
+    memmove(indptr + 1, indptr, (size_t)n * sizeof(int64_t));
+    indptr[0] = 0;
+    return 0;
+}
+
+/* 1 when every node of the CSR graph is reachable from node 0, else 0.
+ * `queue` has n slots and `seen` n zeroed bytes.  The queue BFS stops as
+ * soon as all n nodes are queued, so a connected graph never scans the
+ * lists of its last frontier.  The caller guarantees a valid CSR:
+ * indptr non-decreasing from 0 to the size of `indices`, entries < n. */
+int64_t repro_bfs_connected(const int64_t *indptr, const int64_t *indices,
+                            int64_t n, int64_t *queue, uint8_t *seen) {
+    if (n <= 1)
+        return 1;
+    int64_t head = 0, tail = 1;
+    queue[0] = 0;
+    seen[0] = 1;
+    while (head < tail) {
+        const int64_t u = queue[head++];
+        for (int64_t j = indptr[u]; j < indptr[u + 1]; j++) {
+            const int64_t v = indices[j];
+            if (!seen[v]) {
+                seen[v] = 1;
+                queue[tail++] = v;
+                if (tail == n)
+                    return 1;
+            }
+        }
+    }
+    return 0;
+}
 """
 
 
@@ -1028,6 +1126,11 @@ def _bind(lib: ctypes.CDLL) -> None:
         kernel = getattr(lib, name)
         kernel.argtypes = argtypes + [i64]
         kernel.restype = None
+    # The graph kernels are serial and return a status: no shard count.
+    lib.repro_pairs_csr.argtypes = [i64p, i64, i64, i64p, i64p]
+    lib.repro_pairs_csr.restype = i64
+    lib.repro_bfs_connected.argtypes = [i64p, i64p, i64, i64p, u8p]
+    lib.repro_bfs_connected.restype = i64
     lib.repro_simd_detect.argtypes = []
     lib.repro_simd_detect.restype = ctypes.c_int
     lib.repro_simd_set.argtypes = [ctypes.c_int]
@@ -1377,3 +1480,57 @@ def recount_deficits(
         ctypes.c_int64(shards),
     )
     return deficits
+
+
+def pairs_csr(n: int, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the ``n``-node graph with edge set ``pairs``.
+
+    ``pairs`` holds strictly increasing indices into the row-major upper
+    triangle (pair ``(r, c)``, ``r < c``, is ``r*n - r*(r+1)/2 + c - r - 1``),
+    as :mod:`repro.graphs.erdos_renyi` samples them.  Two serial O(n + m)
+    passes, no sort; the rows come out sorted.  Raises :class:`ValueError`
+    when ``pairs`` is not strictly increasing or leaves ``[0, n(n-1)/2)``.
+    """
+    pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+    if pairs.ndim != 1:
+        raise ValueError("pair indices must be one-dimensional")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indices = np.empty(2 * pairs.size, dtype=np.int64)
+    status = _LIB.repro_pairs_csr(
+        _i64(pairs),
+        ctypes.c_int64(pairs.size),
+        ctypes.c_int64(n),
+        _i64(indptr),
+        _i64(indices),
+    )
+    if status != 0:
+        raise ValueError(
+            f"pair indices must be strictly increasing and in [0, {n * (n - 1) // 2})"
+        )
+    return indptr, indices
+
+
+def bfs_connected(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether every node of a valid CSR graph is reachable from node 0.
+
+    The caller guarantees the CSR invariants that
+    :class:`~repro.graphs.adjacency.Adjacency` checks on construction:
+    ``indptr`` non-decreasing from 0 to ``indices.size`` and every entry of
+    ``indices`` in ``[0, n)``; the reads stay inside ``indices`` only then.
+    """
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    n = indptr.size - 1
+    queue = np.empty(max(n, 1), dtype=np.int64)
+    seen = np.zeros(max(n, 1), dtype=np.uint8)
+    return bool(
+        _LIB.repro_bfs_connected(
+            _i64(indptr),
+            _i64(indices),
+            ctypes.c_int64(n),
+            _i64(queue),
+            seen.ctypes.data_as(_U8P),
+        )
+    )

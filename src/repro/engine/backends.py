@@ -1,20 +1,23 @@
 """Kernel backend registry: one dispatch surface over interchangeable kernels.
 
-The knowledge/completion hot paths run on one of two interchangeable
-implementations, and protocols never see which one is active:
+The knowledge/completion hot paths, and the ``G(n, p)`` build and
+connectivity check, run on one of two interchangeable implementations, and
+protocols never see which one is active:
 
 ``numpy``
     Pure-NumPy kernels (the layered scatter-OR and ``reduceat`` merges
-    implemented inside :mod:`repro.engine.knowledge`).  Always available;
-    the fallback whenever the compiled library is missing.
+    implemented inside :mod:`repro.engine.knowledge`, the graph code in
+    :mod:`repro.graphs`).  Always available; the fallback whenever the
+    compiled library is missing.
 
 ``c``
     The compiled kernels from :mod:`repro.engine._ckernel` — swap-form
     exchange and push rounds, the snapshot scatter-OR, the word-sparse
     frontier pass, and the mask-and-popcount deficit recount — with a
-    thread budget.  Each batch picks its own shard count from its word
-    traffic, with a measured small-batch cutoff so small runs never pay
-    pool-dispatch overhead.  Receiver rows are partitioned into disjoint
+    thread budget, plus two serial graph kernels (the CSR fill from sorted
+    pair indices and a queue BFS).  Each batch picks its own shard count
+    from its word traffic, with a measured small-batch cutoff so small runs
+    never pay pool-dispatch overhead.  Receiver rows are partitioned into disjoint
     contiguous shards and all gathers precede all writes, so trajectories
     are **bit-identical at every thread count** (see
     ``docs/parallelism.md``).
@@ -250,6 +253,16 @@ class CBackend(KernelBackend):
     def recount_deficits(self, data, mask, rows) -> np.ndarray:
         shards = self._shards(rows.size * data.shape[1])
         return _ckernel.recount_deficits(data, mask, rows, shards)
+
+    # The graph kernels are serial: they never wake the thread pool.
+    def pairs_csr(self, n, pairs):
+        """CSR ``(indptr, indices)`` of ``G(n, p)`` from its sorted pair
+        indices (see ``_ckernel.pairs_csr``)."""
+        return _ckernel.pairs_csr(n, pairs)
+
+    def is_connected(self, indptr, indices) -> bool:
+        """Queue BFS from node 0 over a valid CSR graph."""
+        return _ckernel.bfs_connected(indptr, indices)
 
 
 #: Backend registry: name -> class.  ``auto`` is a resolution rule, not a

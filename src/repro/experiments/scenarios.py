@@ -44,6 +44,7 @@ from ..analysis.supervisor import (
     run_supervised_sweep,
 )
 from ..analysis.sweep import SweepTask, expand_grid, run_sweep
+from ..engine import backends
 from ..engine.chaos import ChaosSpec, FaultPlan, corrupt_last_line
 from ..io.store import ResultStore, StoreEntry, config_hash
 from .runner import ExperimentResult, aggregate_records
@@ -303,13 +304,18 @@ def run_scenario(
     ExperimentResult
         Aggregated rows, raw records (in deterministic task order) and
         metadata.  Quarantined pairs are absent from the records (the sweep
-        is degraded, not aborted).
+        is degraded, not aborted).  ``metadata["execution"]`` is the active
+        kernel backend's ``describe()``: its name, whether the compiled
+        kernels run, the thread budget, the C-kernel status and the SIMD
+        level.
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
     config = resolve_config(spec, config=config, seed=seed, smoke=smoke, profile=profile)
 
     if spec.run_override is not None:
-        return spec.run_override(config)
+        result = spec.run_override(config)
+        result.metadata["execution"] = backends.active().describe()
+        return result
 
     if spec.task is None or spec.grid is None:
         raise ValueError(f"scenario {spec.name!r} defines neither a sweep nor a run override")
@@ -462,6 +468,7 @@ def run_scenario(
     else:
         rows = aggregate_records(records, spec.group_by, spec.metrics)
     metadata: Dict[str, Any] = dict(spec.metadata(config)) if spec.metadata else {}
+    metadata["execution"] = backends.active().describe()
     if cache_info is not None:
         metadata["cache"] = cache_info
         if report is not None:

@@ -64,9 +64,12 @@ class Adjacency:
             raise ValueError("inconsistent CSR structure")
         self.n = int(self.indptr.size - 1)
         self.degrees = np.diff(self.indptr)
+        min_degree = int(self.degrees.min()) if self.n else 0
+        if min_degree < 0:
+            raise ValueError("indptr must be non-decreasing")
         #: Whether any node has degree zero (precomputed: neighbour sampling
         #: takes a branch-free fast path when every node has neighbours).
-        self.has_isolated = bool(self.n) and bool((self.degrees == 0).any())
+        self.has_isolated = bool(self.n) and min_degree == 0
         if self.indices.size and (
             self.indices.min() < 0 or self.indices.max() >= self.n
         ):
@@ -445,9 +448,19 @@ class Adjacency:
         return np.flatnonzero(dist >= 0)
 
     def is_connected(self) -> bool:
-        """Whether the graph is connected (empty graphs count as connected)."""
+        """Whether the graph is connected (empty graphs count as connected).
+
+        Under the compiled backend this is a queue BFS in C that stops once
+        every node is queued; otherwise the NumPy BFS of
+        :meth:`bfs_distances`.
+        """
         if self.n <= 1:
             return True
+        from ..engine import backends  # lazy: the engine imports this module
+
+        backend = backends.active()
+        if backend.use_compiled():
+            return backend.is_connected(self.indptr, self.indices)
         return self.connected_component(0).size == self.n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

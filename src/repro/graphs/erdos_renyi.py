@@ -5,8 +5,12 @@ expected degree ``log^2 n``), and the analysis covers expected degrees
 ``Omega(log^{2+eps} n)``.  The generator below uses the standard geometric
 skipping technique (Batagelj & Brandes) so that sampling the edges costs
 ``O(n + m)`` expected time instead of ``O(n^2)``, with the inner loop fully
-vectorised in NumPy; building the CSR adjacency from them is one
-``O(m log m)`` sort.  ``p = 1`` is the complete graph, built directly.
+vectorised in NumPy.  The sample is the sorted list of the present pairs'
+indices into the row-major upper triangle.  Under the compiled backend one
+serial C pass turns that list into the CSR adjacency in ``O(n + m)`` with no
+sort (:func:`repro.engine._ckernel.pairs_csr`); the NumPy path decodes it
+into an edge list for :meth:`Adjacency.from_edges`.  Both give the same
+bytes.  ``p = 1`` is the complete graph, built directly.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..engine import backends
 from ..engine.rng import RandomState, make_rng
 from .adjacency import Adjacency
 from .deterministic import complete_graph
@@ -37,16 +42,18 @@ def paper_edge_probability(n: int, exponent: float = 2.0) -> float:
     return min(1.0, math.log2(n) ** exponent / n)
 
 
-def _sample_gnp_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+def _sample_gnp_pairs(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Sample the edge set of ``G(n, p)`` via geometric gap skipping.
 
-    Edges of the upper triangle are enumerated in row-major order and the gaps
-    between successive present edges follow a geometric distribution with
-    success probability ``p``; we draw gaps in vectorised batches.
+    Pairs of the upper triangle are enumerated in row-major order (pair
+    ``(r, c)``, ``r < c``, is index ``r*n - r*(r+1)/2 + c - r - 1``) and the
+    gaps between successive present pairs follow a geometric distribution
+    with success probability ``p``; we draw gaps in vectorised batches.
+    Returns the present pairs' indices, strictly increasing.
     """
     total_pairs = n * (n - 1) // 2
     if total_pairs == 0 or p <= 0.0:
-        return np.zeros((0, 2), dtype=np.int64)
+        return np.zeros(0, dtype=np.int64)
 
     positions = []
     current = -1
@@ -55,25 +62,38 @@ def _sample_gnp_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
         remaining_expectation = max(
             1024, int((total_pairs - current) * p * 1.1) + 16
         )
-        gaps = rng.geometric(p, size=remaining_expectation)
-        steps = np.cumsum(gaps)
-        batch = current + steps
-        batch = batch[batch < total_pairs]
-        positions.append(batch)
-        if batch.size < steps.size:
+        batch = rng.geometric(p, size=remaining_expectation)
+        # Gaps are >= 1, so the running sums strictly increase: the part
+        # inside the triangle is a prefix, found by one binary search.
+        np.cumsum(batch, out=batch)
+        batch += current
+        inside = int(np.searchsorted(batch, total_pairs))
+        positions.append(batch[:inside])
+        if inside < batch.size:
             current = total_pairs  # overshot the end: done
         else:
             current = int(batch[-1])
-    linear = np.concatenate(positions)
-    # Convert linear upper-triangle positions back to (row, col) pairs.  Row r
-    # (0-based) owns the n - 1 - r positions from r*n - r*(r+1)/2 on, and
-    # ``linear`` is sorted: one search of the n row starts counts each row.
+    return positions[0] if len(positions) == 1 else np.concatenate(positions)
+
+
+def _pairs_to_edges(n: int, linear: np.ndarray) -> np.ndarray:
+    """Decode sorted upper-triangle pair indices into ``(row, col)`` edges."""
+    # Row r (0-based) owns the n - 1 - r positions from r*n - r*(r+1)/2 on,
+    # and ``linear`` is sorted: one search of the n row starts counts each row.
     r = np.arange(n, dtype=np.int64)
     row_starts = r * n - r * (r + 1) // 2
     counts = np.diff(np.searchsorted(linear, row_starts), append=linear.size)
     rows = np.repeat(r, counts)
     cols = linear - np.repeat(row_starts - r - 1, counts)
     return np.column_stack([rows, cols])
+
+
+def _graph_from_pairs(n: int, pairs: np.ndarray) -> Adjacency:
+    """The CSR adjacency of the sampled pairs, on the active kernel backend."""
+    backend = backends.active()
+    if backend.use_compiled():
+        return Adjacency(*backend.pairs_csr(n, pairs))
+    return Adjacency.from_edges(n, _pairs_to_edges(n, pairs))
 
 
 def erdos_renyi(
@@ -122,8 +142,7 @@ def erdos_renyi(
     attempts = max(1, max_retries if require_connected else 1)
     last: Optional[Adjacency] = None
     for _ in range(attempts):
-        edges = _sample_gnp_edges(n, p, generator)
-        graph = Adjacency.from_edges(n, edges)
+        graph = _graph_from_pairs(n, _sample_gnp_pairs(n, p, generator))
         last = graph
         if not require_connected or graph.is_connected():
             return graph

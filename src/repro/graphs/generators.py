@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Optional
 
 from ..engine.rng import RandomState, make_rng
@@ -106,14 +107,18 @@ def make_graph(spec: GraphSpec, rng: RandomState = None) -> Adjacency:
     Parameters
     ----------
     spec:
-        The graph description.
+        The graph description.  A parameter its kind does not take (say, a
+        misspelt ``require_connected``) raises :class:`ValueError` rather
+        than being ignored.
     rng:
         Randomness source (ignored by the deterministic kinds).
     """
     generator = make_rng(rng)
     params = dict(spec.params)
+    # Each kind takes its own keys; whatever is left over is a mistake.
     if spec.kind == "erdos_renyi":
-        return erdos_renyi(
+        build = partial(
+            erdos_renyi,
             spec.n,
             params.pop("p", None),
             expected_degree=params.pop("expected_degree", None),
@@ -121,29 +126,37 @@ def make_graph(spec: GraphSpec, rng: RandomState = None) -> Adjacency:
             max_retries=int(params.pop("max_retries", 20)),
             rng=generator,
         )
-    if spec.kind == "random_regular":
-        return random_regular(
+    elif spec.kind == "random_regular":
+        build = partial(
+            random_regular,
             spec.n,
             int(params.pop("d")),
             require_connected=bool(params.pop("require_connected", False)),
             max_retries=int(params.pop("max_retries", 20)),
             rng=generator,
         )
-    if spec.kind == "configuration_model":
-        return configuration_model(params.pop("degrees"), rng=generator)
-    if spec.kind == "complete":
-        return complete_graph(spec.n)
-    if spec.kind == "hypercube":
+    elif spec.kind == "configuration_model":
+        build = partial(configuration_model, params.pop("degrees"), rng=generator)
+    elif spec.kind == "complete":
+        build = partial(complete_graph, spec.n)
+    elif spec.kind == "hypercube":
         dimension = int(round(math.log2(spec.n)))
         if 2**dimension != spec.n:
             raise ValueError(f"hypercube size must be a power of two, got {spec.n}")
-        return hypercube(dimension)
-    if spec.kind == "power_law":
-        return power_law_graph(
+        build = partial(hypercube, dimension)
+    elif spec.kind == "power_law":
+        build = partial(
+            power_law_graph,
             spec.n,
             float(params.pop("exponent", 2.5)),
             min_degree=int(params.pop("min_degree", 2)),
             max_degree=params.pop("max_degree", None),
             rng=generator,
         )
-    raise ValueError(f"unknown graph kind {spec.kind!r}")  # pragma: no cover
+    else:  # pragma: no cover - GraphSpec validates the kind
+        raise ValueError(f"unknown graph kind {spec.kind!r}")
+    if params:
+        raise ValueError(
+            f"unknown parameter(s) for graph kind {spec.kind!r}: {sorted(params)}"
+        )
+    return build()

@@ -13,6 +13,7 @@ from repro.experiments import (
     run_scenario,
     scenario_names,
 )
+from repro.engine import _ckernel, backends
 from repro.experiments.scenarios import ScenarioSpec
 
 
@@ -96,6 +97,19 @@ class TestRunScenario:
         result = run_scenario("election", smoke=True)
         assert result.name == "leader_election_cost"
         assert result.rows and result.raw_records
+
+    @pytest.mark.skipif(not _ckernel.available(), reason="compiled kernel unavailable")
+    def test_metadata_records_compiled_execution(self):
+        with backends.use("c"):
+            execution = run_scenario("figure1", smoke=True).metadata["execution"]
+        assert execution["name"] == "c" and execution["compiled"] is True
+        assert execution["ckernel"] == "loaded"
+        assert execution["simd"]["active"] == _ckernel.simd_name()
+
+    def test_metadata_records_numpy_execution(self):
+        with backends.use("numpy"):
+            execution = run_scenario("figure1", smoke=True).metadata["execution"]
+        assert execution["name"] == "numpy" and execution["compiled"] is False
 
     def test_table1_override(self):
         result = run_scenario("table1", config=[1024])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.adjacency import Adjacency
+from repro.engine import _ckernel, backends
 from repro.engine.rng import make_rng
 
 
@@ -66,6 +67,11 @@ class TestConstruction:
     def test_inconsistent_csr_rejected(self):
         with pytest.raises(ValueError):
             Adjacency(np.asarray([0, 2]), np.asarray([1]))
+
+    def test_decreasing_indptr_rejected(self):
+        # Consistent ends, but row 1 would have degree -1.
+        with pytest.raises(ValueError, match="non-decreasing"):
+            Adjacency(np.array([0, 3, 2]), np.array([1, 0]))
 
 
 class TestQueries:
@@ -432,3 +438,38 @@ class TestAdjacencyProperties:
         rebuilt = Adjacency.from_edges(n, graph.edge_list())
         assert np.array_equal(rebuilt.indptr, graph.indptr)
         assert np.array_equal(rebuilt.indices, graph.indices)
+
+
+@pytest.mark.skipif(not _ckernel.available(), reason="compiled kernel unavailable")
+class TestCompiledConnectivity:
+    """The C queue BFS and the NumPy BFS answer ``is_connected`` alike."""
+
+    @staticmethod
+    def both_paths(graph):
+        with backends.use(backends.NumpyBackend()):
+            expected = graph.is_connected()
+        with backends.use(backends.CBackend(max_threads=1)):
+            return graph.is_connected(), expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_edge_list())
+    def test_matches_numpy_bfs(self, data):
+        n, edges = data
+        compiled, expected = self.both_paths(Adjacency.from_edges(n, edges))
+        assert compiled == expected
+
+    @pytest.mark.parametrize(
+        "n, edges, connected",
+        [
+            (1, [], True),
+            (2, [], False),
+            (2, [(0, 1)], True),
+            (5, [(0, 1), (1, 2), (2, 3)], False),  # isolated last node
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4)], True),
+            (6, [(0, 1), (1, 2), (3, 4), (4, 5)], False),  # two components
+            (6, [(0, 5), (5, 4), (4, 3), (3, 2), (2, 1)], True),
+        ],
+    )
+    def test_cases(self, n, edges, connected):
+        graph = Adjacency.from_edges(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+        assert self.both_paths(graph) == (connected, connected)

@@ -24,6 +24,7 @@ from repro.graphs import (
     power_law_graph,
     random_regular,
 )
+from repro.engine import _ckernel, backends
 from repro.graphs.erdos_renyi import expected_degree_to_p
 from repro.graphs.generators import _KINDS
 
@@ -256,6 +257,18 @@ GRAPH_DIGESTS = [
 ]
 
 
+#: One spec per kind with a parameter that kind does not take.
+MISSPELT_SPECS = [
+    (GraphSpec("erdos_renyi", 400, {"p": 0.004, "require_conected": True}),
+     "require_conected"),
+    (GraphSpec("random_regular", 64, {"d": 6, "max_retry": 3}), "max_retry"),
+    (GraphSpec("configuration_model", 6, {"degrees": [2] * 6, "seed": 1}), "seed"),
+    (GraphSpec("complete", 8, {"p": 0.1}), "p"),
+    (GraphSpec("hypercube", 16, {"dimension": 4}), "dimension"),
+    (GraphSpec("power_law", 100, {"exponnent": 2.5}), "exponnent"),
+]
+
+
 class TestGraphSpec:
     def test_spec_roundtrip(self):
         spec = GraphSpec(kind="erdos_renyi", n=64, params={"p": 0.2})
@@ -270,16 +283,38 @@ class TestGraphSpec:
         with pytest.raises(ValueError):
             GraphSpec(kind="complete", n=0)
 
-    def test_make_graph_all_kinds(self):
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            backends.NumpyBackend(),
+            pytest.param(
+                backends.CBackend(max_threads=1),
+                marks=pytest.mark.skipif(
+                    not _ckernel.available(), reason="compiled kernel unavailable"
+                ),
+            ),
+        ],
+        ids=["numpy", "c"],
+    )
+    def test_make_graph_all_kinds(self, backend):
+        """The NumPy CSR builder and the compiled one give the pinned bytes."""
         assert {spec.kind for spec, _ in GRAPH_DIGESTS} == set(_KINDS)
         drifted = {}
-        for spec, pinned in GRAPH_DIGESTS:
-            graph = make_graph(spec, rng=1)
-            assert graph.n == spec.n
-            digest = graph_digest(graph)
-            if digest != pinned:
-                drifted[spec.describe()] = digest
+        with backends.use(backend):
+            for spec, pinned in GRAPH_DIGESTS:
+                graph = make_graph(spec, rng=1)
+                assert graph.n == spec.n
+                digest = graph_digest(graph)
+                if digest != pinned:
+                    drifted[spec.describe()] = digest
         assert not drifted, drifted
+
+    @pytest.mark.parametrize(
+        "spec, typo", MISSPELT_SPECS, ids=[spec.kind for spec, _ in MISSPELT_SPECS]
+    )
+    def test_unknown_params_rejected(self, spec, typo):
+        with pytest.raises(ValueError, match=f"{spec.kind}.*{typo}"):
+            make_graph(spec, rng=1)
 
     def test_hypercube_requires_power_of_two(self):
         with pytest.raises(ValueError):
