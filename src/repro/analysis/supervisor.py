@@ -31,10 +31,11 @@ the loop kills the pool on any exceptional exit.
 Execution always goes through the pool (even for ``n_jobs=1``): process
 isolation is what makes kill/timeout recovery possible at all, and task
 functions are already required to be picklable by the sweep contract.  A pool
-initializer installs the parent's ``REPRO_*`` environment in every worker, so
-sweeps select the same kernels under the ``fork`` and ``spawn`` start
-methods.  Deterministic chaos injection (:mod:`repro.engine.chaos`) plugs in
-via the ``chaos`` argument; fault targets are matched by the result store's
+initializer installs the parent's ``REPRO_*`` environment, active kernel
+backend and storage-layout override in every worker, so sweeps run the same
+execution path under the ``fork`` and ``spawn`` start methods.
+Deterministic chaos injection (:mod:`repro.engine.chaos`) plugs in via the
+``chaos`` argument; fault targets are matched by the result store's
 ``(config_hash, repetition)`` pair identity.
 """
 
@@ -49,6 +50,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..engine import backends, layouts
 from ..engine.chaos import Fault, FaultPlan, inject_worker_faults
 from ..engine.rng import derive_seed
 from ..io.store import config_hash
@@ -218,15 +220,21 @@ class SweepReport:
         return line + (f" [{', '.join(extras)}]" if extras else "")
 
 
-def _worker_initializer(env: Dict[str, str]) -> None:
-    """Install the parent's ``REPRO_*`` environment in a pool worker.
+def _worker_initializer(
+    env: Dict[str, str], backend: backends.KernelBackend, layout: Optional[str]
+) -> None:
+    """Install the parent's ``REPRO_*`` environment and execution path.
 
-    Under the ``fork`` start method the environment is inherited anyway; under
-    ``spawn`` this runs before any backend is resolved, so
-    ``REPRO_KERNEL_BACKEND`` / ``REPRO_KERNEL_THREADS`` (and the kill
-    switches) select the same kernels in workers as in the parent.
+    Under the ``fork`` start method all of it is inherited anyway; under
+    ``spawn`` (and ``forkserver``) the worker starts from a fresh
+    interpreter, so this installs the parent's active kernel backend and its
+    :func:`repro.engine.layouts.use` override (as ``REPRO_KNOWLEDGE_LAYOUT``,
+    the value layout resolution falls back to) before any task runs.
     """
     os.environ.update(env)
+    backends.set_active(backend)
+    if layout is not None:
+        os.environ["REPRO_KNOWLEDGE_LAYOUT"] = layout
 
 
 def _supervised_attempt(
@@ -289,6 +297,8 @@ class _Supervisor:
         self.records: List[Optional[Dict[str, Any]]] = [None] * self.total
         self.report = SweepReport(total=self.total)
         self.env = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+        self.backend = backends.active()
+        self.layout = layouts._OVERRIDE
         self.ready = deque(_TaskState(i, t) for i, t in enumerate(self.tasks))
         #: (not_before, index, state) heap of retries waiting out their backoff.
         self.delayed: List[Tuple[float, int, _TaskState]] = []
@@ -304,7 +314,7 @@ class _Supervisor:
         return ProcessPoolExecutor(
             max_workers=self.n_jobs,
             initializer=_worker_initializer,
-            initargs=(self.env,),
+            initargs=(self.env, self.backend, self.layout),
         )
 
     def _discard_pool(self, kill: bool) -> None:

@@ -88,7 +88,8 @@ class FastGossiping(GossipProtocol):
         schedule = self.params.resolve(graph.n)
         # Frontier (sparsity-aware) knowledge: Phase I distribution steps are
         # the sparse extreme; rows ratchet dense as walks and broadcasts fill
-        # them (walk deliveries notify the matrix of their direct writes).
+        # them (walk deliveries go through ``merge_rows``, which keeps the
+        # frontier's bookkeeping).
         knowledge = adaptive_knowledge(graph.n)
         ledger = TransmissionLedger(graph.n)
         trace = SpreadingTrace(enabled=record_trace)

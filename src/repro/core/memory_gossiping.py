@@ -35,16 +35,16 @@ every still-uninformed caller per pull step through the batched
 ``open-avoid`` samplers (:mod:`repro.core.node_memory`,
 :meth:`repro.graphs.adjacency.Adjacency.sample_neighbors_avoiding_many`).
 The Phase II/III replays apply each recorded per-step edge group as one
-scatter-OR batch against start-of-round state, and :class:`_ReplayBatcher`
-merges consecutive groups whose senders do not collide with pending
-receivers into single batches (bit-identical; see
+scatter-OR batch against start-of-round state; the failure-free broadcast
+additionally drops edges into complete rows and assigns the full row to
+receivers of complete senders (:func:`_broadcast_group`; see
 ``docs/architecture.md``).  The replays run word-sparsely on
 :class:`~repro.engine.knowledge.FrontierKnowledge` while rows are thin.
 ``tests/core/test_batched_equivalence.py`` pins Phases I–III and the
 leader election bit-identically to per-node reference loops sharing the
 documented RNG stream discipline;
-``tests/engine/test_frontier_knowledge.py`` pins the batcher and the
-frontier path.
+``tests/engine/test_frontier_knowledge.py`` pins the per-group replay and
+the frontier path.
 
 Every scatter-OR batch dispatches through the active kernel backend
 (:mod:`repro.engine.backends`): the protocol is backend-agnostic and its
@@ -189,142 +189,47 @@ def _concat(chunks: List[np.ndarray]) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-class _ReplayBatcher:
-    """Merges replay step groups into single scatter-OR batches.
+def _broadcast_group(
+    knowledge: KnowledgeMatrix,
+    senders: np.ndarray,
+    receivers: np.ndarray,
+    complete: Optional[np.ndarray],
+    complete_row: Optional[np.ndarray],
+) -> None:
+    """Apply one Phase III step group, saturation-filtered when possible.
 
-    The Phase II/III replays apply one small edge group per recorded Phase I
-    step, so at large ``n`` they are bound by per-group row gathers.  Two
-    consecutive groups can be applied as *one* snapshot-gather + scatter-OR
-    batch whenever the later group's senders are disjoint from every pending
-    receiver: no merged sender row is then touched by the pending writes, so
-    reading all rows up front is bit-identical to replaying the groups in
-    sequence.  (Duplicate receivers are already order-independent — every
-    transmission of a batch ORs snapshot values.)
-
-    Groups whose senders *do* collide with pending receivers are merged as
-    well, through **transitive compensation**: if ``s -> r`` arrives while
-    edges ``x -> s`` are pending, the sequential replay would have ``s``
-    forward ``s_snapshot | x_snapshot``, so queueing the extra edges
-    ``x -> r`` next to ``s -> r`` reproduces exactly that value from the
-    common snapshot.  Compensation edges are recorded as pending edges into
-    ``r`` themselves, so chained collisions (``q -> p``, ``p -> s``,
-    ``s -> r``) compensate transitively.  A budget caps the edge inflation:
-    when the compensation fan-out for a group would exceed
-    ``max(64, 2 * group_size)`` the batcher flushes instead (the merge is an
-    optimisation, never a semantic requirement).
-
-    When a saturation filter is attached (``complete``/``complete_row``, no
-    failures only — the subset invariant must hold), :meth:`flush`
-    additionally drops edges into already-complete receivers and promotes
-    receivers fed by a complete sender to a direct row assignment, exactly
-    mirroring the filtered exchange kernels.  This collapses the Phase III
-    cascade — where most senders are complete — from edge-proportional OR
-    traffic to one row assignment per node.
-
-    Only the knowledge update is batched.  Ledger accounting — opens, packet
-    counters and ``end_round`` — stays with the caller per step group, so
-    round counts and per-node costs are unchanged.
+    Without ``complete`` (runs with failures) the group is one plain
+    transmission batch.  With it (no-failure runs only: every row is a
+    subset of ``complete_row``, so an OR from a complete sender is an
+    assignment and an OR into a complete receiver is a no-op), edges into
+    complete receivers are dropped, every receiver of a complete sender is
+    assigned the full row and marked complete, and the remaining edges form
+    the batch — mirroring the filtered exchange kernels.  The batch runs
+    before the assignments, so its senders still read start-of-group rows.
     """
-
-    __slots__ = (
-        "_knowledge",
-        "_receiver_hit",
-        "_senders",
-        "_receivers",
-        "_complete",
-        "_mask",
-    )
-
-    def __init__(
-        self,
-        knowledge: KnowledgeMatrix,
-        *,
-        complete: Optional[np.ndarray] = None,
-        complete_row: Optional[np.ndarray] = None,
-    ) -> None:
-        self._knowledge = knowledge
-        self._receiver_hit = np.zeros(knowledge.n_nodes, dtype=bool)
-        self._senders: List[np.ndarray] = []
-        self._receivers: List[np.ndarray] = []
-        self._complete = complete
-        self._mask = complete_row
-
-    def add(self, senders: np.ndarray, receivers: np.ndarray) -> None:
-        """Queue one step group, compensating or flushing on collisions."""
-        if senders.size == 0:
-            return
-        if self._senders and self._receiver_hit[senders].any():
-            if not self._add_compensated(senders, receivers):
-                self.flush()
-        self._senders.append(senders)
-        self._receivers.append(receivers)
-        self._receiver_hit[receivers] = True
-
-    def _add_compensated(self, senders: np.ndarray, receivers: np.ndarray) -> bool:
-        """Queue compensation edges for colliding senders; False = over budget.
-
-        For every new edge ``s -> r`` whose sender has pending incoming edges
-        ``x -> s``, queue ``x -> r``: the receiver then ORs the same snapshot
-        rows the sequential replay would have forwarded through ``s``.
-        """
-        pending_s = _concat(self._senders)
-        pending_r = _concat(self._receivers)
-        order = np.argsort(pending_r, kind="stable")
-        pending_r_sorted = pending_r[order]
-        lo = np.searchsorted(pending_r_sorted, senders, side="left")
-        hi = np.searchsorted(pending_r_sorted, senders, side="right")
-        counts = hi - lo
-        comp_total = int(counts.sum())
-        if comp_total > max(64, 2 * senders.size):
-            return False
-        # Rank trick: for new-edge i with counts[i] pending predecessors,
-        # enumerate pending slots lo[i] .. hi[i]-1 without a Python loop.
-        starts = np.cumsum(counts) - counts
-        take = (
-            np.repeat(lo, counts)
-            + np.arange(comp_total, dtype=np.int64)
-            - np.repeat(starts, counts)
-        )
-        comp_senders = pending_s[order[take]]
-        comp_receivers = np.repeat(receivers, counts)
-        self._senders.append(comp_senders)
-        self._receivers.append(comp_receivers)
-        self._receiver_hit[comp_receivers] = True
-        return True
-
-    def flush(self) -> None:
-        """Apply all pending groups as one transmission batch."""
-        if not self._senders:
-            return
-        senders = _concat(self._senders)
-        receivers = _concat(self._receivers)
-        self._senders.clear()
-        self._receivers.clear()
-        self._receiver_hit[receivers] = False
-        if self._complete is None:
-            self._knowledge.apply_transmissions(senders, receivers)
-            return
-        # Saturation-filtered flush (no-failure runs only: every row is a
-        # subset of ``complete_row``, so an OR from a complete sender is an
-        # assignment and an OR into a complete receiver is a no-op).
-        total = int(senders.size)
-        live = ~self._complete[receivers]
-        senders, receivers = senders[live], receivers[live]
-        from_complete = self._complete[senders]
-        promoted = np.unique(receivers[from_complete])
-        rest_s = senders[~from_complete]
-        rest_r = receivers[~from_complete]
-        if promoted.size and rest_r.size:
-            # OR contributions into promoted rows are subsets of the mask the
-            # assignment below writes — dropping them is bit-exact.
-            keep = ~np.isin(rest_r, promoted)
-            rest_s, rest_r = rest_s[keep], rest_r[keep]
-        if rest_s.size:
-            self._knowledge.apply_transmissions(rest_s, rest_r)
-        if promoted.size:
-            self._knowledge.assign_rows(promoted, self._mask)
-            self._complete[promoted] = True
-        self._knowledge._note_filter(total, int(rest_s.size), int(promoted.size))
+    if senders.size == 0:
+        return
+    if complete is None:
+        knowledge.apply_transmissions(senders, receivers)
+        return
+    total = int(senders.size)
+    live = ~complete[receivers]
+    senders, receivers = senders[live], receivers[live]
+    from_complete = complete[senders]
+    promoted = np.unique(receivers[from_complete])
+    rest_s = senders[~from_complete]
+    rest_r = receivers[~from_complete]
+    if promoted.size and rest_r.size:
+        # OR contributions into promoted rows are subsets of the mask the
+        # assignment below writes — dropping them is bit-exact.
+        keep = ~np.isin(rest_r, promoted)
+        rest_s, rest_r = rest_s[keep], rest_r[keep]
+    if rest_s.size:
+        knowledge.apply_transmissions(rest_s, rest_r)
+    if promoted.size:
+        knowledge.assign_rows(promoted, complete_row)
+        complete[promoted] = True
+    knowledge._note_filter(total, int(rest_s.size), int(promoted.size))
 
 
 class MemoryGossiping(GossipProtocol):
@@ -680,14 +585,11 @@ class MemoryGossiping(GossipProtocol):
         Edges recorded in the same Phase I step form one group whose
         transmissions all read the same start-of-round state — the
         synchronous-model snapshot discipline used by every other kernel.
-        Correctness only relies on cross-group ordering (a node's informing
-        contact lies in a strictly earlier Phase I step than its outgoing
-        contacts), so consecutive groups whose senders are disjoint from the
-        pending receivers are merged by :class:`_ReplayBatcher` into single
-        scatter-OR batches (bit-identical; round accounting unchanged).
+        Each group is one
+        :meth:`~repro.engine.knowledge.KnowledgeMatrix.apply_transmissions`
+        batch, which runs word-sparsely while the rows are thin.
         """
         push_parents, push_children, push_steps = self._selected_push_edges(tree, contacts)
-        batcher = _ReplayBatcher(knowledge)
         # First the pull-phase attachments, children first (reverse step
         # order): each node pushes everything it has to the node it pulled
         # the leader's message from.  Edges recorded in the same Phase I step
@@ -704,11 +606,9 @@ class MemoryGossiping(GossipProtocol):
                 ledger.record_pushes(children)
                 if alive is not None:
                     delivered = alive[parents]  # crashed recipient drops it
-                    batcher.add(children[delivered], parents[delivered])
-                else:
-                    batcher.add(children, parents)
+                    children, parents = children[delivered], parents[delivered]
+                knowledge.apply_transmissions(children, parents)
             ledger.end_round()
-        batcher.flush()
         # Then the push-phase contacts in reverse chronological order: the
         # parent re-opens the stored channel and the child answers with a pull
         # carrying all original messages it has accumulated so far.
@@ -726,9 +626,8 @@ class MemoryGossiping(GossipProtocol):
                 parents, children = parents[answering], children[answering]
             if children.size:
                 ledger.record_pulls(children)
-                batcher.add(children, parents)
+                knowledge.apply_transmissions(children, parents)
             ledger.end_round()
-        batcher.flush()
 
     # ------------------------------------------------------------------ #
     # Phase III — broadcast back down the tree
@@ -748,14 +647,12 @@ class MemoryGossiping(GossipProtocol):
         # sender's current combined message.  Because a node's own informing
         # contact happened strictly before its outgoing contacts, the leader's
         # complete set cascades down the tree in a single pass.  As in
-        # :meth:`_gather`, each per-step group reads start-of-round state, and
-        # groups are merged into single scatter-OR batches by
-        # :class:`_ReplayBatcher` (colliding senders handled by transitive
-        # compensation).  ``complete``/``complete_row`` additionally turn the
+        # :meth:`_gather`, each per-step group is one batch reading
+        # start-of-round state.  ``complete``/``complete_row`` turn the
         # cascade's dominant complete-sender transmissions into one row
-        # assignment per receiver (no-failure runs only).
+        # assignment per receiver (no-failure runs only; see
+        # :func:`_broadcast_group`).
         push_parents, push_children, push_steps = self._selected_push_edges(tree, contacts)
-        batcher = _ReplayBatcher(knowledge, complete=complete, complete_row=complete_row)
         all_steps = np.concatenate([push_steps, tree.pull_steps])
         push_count = push_steps.size
         for edge_indices in _steps_ascending(all_steps):
@@ -785,12 +682,14 @@ class MemoryGossiping(GossipProtocol):
                 p_delivered = alive[p_receivers]
                 p_senders = p_senders[p_delivered]
                 p_receivers = p_receivers[p_delivered]
-            batcher.add(
+            _broadcast_group(
+                knowledge,
                 np.concatenate([p_senders, l_senders]),
                 np.concatenate([p_receivers, l_receivers]),
+                complete,
+                complete_row,
             )
             ledger.end_round()
-        batcher.flush()
 
     # ------------------------------------------------------------------ #
     # Robustness bookkeeping

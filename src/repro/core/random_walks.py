@@ -12,11 +12,12 @@ The :class:`WalkPool` below stores all walks of one round in flat NumPy arrays
 (payload bitsets, move counters, per-walk host assignment and FIFO sequence
 numbers) and exposes the three operations the protocol needs: delivery of
 in-transit walks, one forwarding step, and the set of nodes that currently
-hold walks.  All three are fully vectorised: deliveries are grouped by
-destination with a stable sort and merged via ``np.bitwise_or.reduceat``, and
-the oldest-walk-per-host selection of a forwarding step is a ``lexsort`` over
-``(host, sequence)`` followed by a boundary pick — no per-walk Python loop
-survives on the hot path.
+hold walks.  All three are fully vectorised: a delivery merges every
+arriving payload with its destination row in one storage call
+(:meth:`~repro.engine.knowledge.KnowledgeStorage.merge_rows`, two
+scatter-OR passes), and the oldest-walk-per-host selection of a forwarding
+step is a ``lexsort`` over ``(host, sequence)`` followed by a boundary pick
+— no per-walk Python loop survives on the hot path.
 
 Synchronous semantics: all walks delivered in the same step read the
 destination node's *start-of-delivery* knowledge and the node accumulates the
@@ -145,10 +146,9 @@ class WalkPool:
 
         All arrivals of one call are synchronous: each walk merges with the
         node's start-of-delivery knowledge, and the node accumulates the union
-        of every arriving payload.  The destination rows are gathered (copied)
-        before any write, then the payload pool is scattered into storage via
-        :meth:`~repro.engine.knowledge.KnowledgeStorage.scatter_rows` — the
-        same snapshot-read / live-write discipline on every storage layout.
+        of every arriving payload — one
+        :meth:`~repro.engine.knowledge.KnowledgeStorage.merge_rows` call on
+        every storage layout.
         """
         walk_ids = self._transit_ids
         dests = self._transit_dests
@@ -167,14 +167,8 @@ class WalkPool:
                 dests = dests[~over]
         if walk_ids.size == 0:
             return
-        # Gather (copy) the destination rows first: the start-of-delivery
-        # snapshot every arriving walk merges with.  Payload rows are
-        # disjoint storage from the knowledge state, so the node-side union
-        # is one order-independent scatter (OR is commutative over duplicate
-        # destinations), and the walk-side union reads the pre-delivery rows.
-        node_rows = knowledge.rows(dests)
-        knowledge.scatter_rows(self.payloads, walk_ids, dests)
-        self.payloads[walk_ids] |= node_rows
+        # The walk ids of one delivery are distinct, as merge_rows requires.
+        knowledge.merge_rows(self.payloads, walk_ids, dests)
         # Enqueue in arrival order (FIFO per destination).
         self._host[walk_ids] = dests
         self._seq[walk_ids] = self._next_seq + np.arange(walk_ids.size)

@@ -257,6 +257,20 @@ class KnowledgeStorage:
         """
         raise NotImplementedError
 
+    def merge_rows(
+        self, external: np.ndarray, ext_rows: np.ndarray, nodes: np.ndarray
+    ) -> None:
+        """Union row ``nodes[i]`` and ``external[ext_rows[i]]`` both ways.
+
+        Afterwards ``nodes[i]`` and ``external[ext_rows[i]]`` each hold the
+        union of both rows as they were at the start of the call; a node
+        listed several times accumulates all of its external rows.
+        ``external`` is caller-owned, C-contiguous ``uint64`` row storage
+        (never this object's rows) and ``ext_rows`` must be distinct.  This
+        is random-walk payload delivery.
+        """
+        raise NotImplementedError
+
     def assign_rows(self, nodes: np.ndarray, row: np.ndarray) -> None:
         """Overwrite each row in ``nodes`` with the packed row ``row``."""
         raise NotImplementedError
@@ -667,6 +681,35 @@ class KnowledgeMatrix(KnowledgeStorage):
             np.asarray(src_idx, dtype=np.int64),
             np.asarray(receivers, dtype=np.int64),
         )
+
+    def merge_rows(
+        self, external: np.ndarray, ext_rows: np.ndarray, nodes: np.ndarray
+    ) -> None:
+        if (
+            external.dtype != _WORD_DTYPE
+            or external.ndim != 2
+            or external.shape[1] != self.words
+            or not external.flags.c_contiguous
+        ):
+            raise ValueError(
+                "external rows must be a C-contiguous uint64 array of shape "
+                f"(rows, {self.words})"
+            )
+        ext_rows = np.ascontiguousarray(ext_rows, dtype=np.int64)
+        nodes = np.ascontiguousarray(nodes, dtype=np.int64)
+        if nodes.size == 0:
+            return
+        # Pass 1 ORs each node's start-of-call row into its external row
+        # (distinct ``ext_rows``: one source per written row, and the two
+        # buffers are disjoint).  Pass 2 ORs the merged external rows back
+        # into the nodes; a node thereby ORs its own start-of-call row,
+        # which changes nothing.
+        backend = backends.active()
+        if backend.use_compiled():
+            backend.scatter_or(external, self.data, nodes, ext_rows)
+        else:
+            external[ext_rows] |= self.data[nodes]
+        self.scatter_rows(external, ext_rows, nodes)
 
     def assign_rows(self, nodes: np.ndarray, row: np.ndarray) -> None:
         self.data[np.asarray(nodes, dtype=np.int64)] = row
@@ -1306,7 +1349,8 @@ class FrontierKnowledge(KnowledgeMatrix):
         rows = rows[~self._dense_rows[rows] & ~self._word_active[rows, word]]
         if rows.size == 0:
             return
-        rows = np.unique(rows)
+        # Duplicated rows read the same ``_nnz`` before any write, so every
+        # copy writes the same slot with the same word: no dedup needed.
         self._word_active[rows, word] = True
         positions = self._nnz[rows]
         overflow = positions >= self.word_cap

@@ -36,6 +36,16 @@ def env_task(task: SweepTask) -> dict:
     return {"backend": os.environ.get("REPRO_KERNEL_BACKEND", "")}
 
 
+def execution_task(task: SweepTask) -> dict:
+    """Module-level task reporting the worker's backend and layout."""
+    from repro.engine import backends, layouts
+
+    return {
+        "backend": backends.active().describe()["name"],
+        "layout": layouts.resolve_layout(),
+    }
+
+
 class TestExpandGrid:
     def test_count(self):
         tasks = expand_grid([("a", {"x": 1}), ("b", {"x": 2})], repetitions=3, base_seed=0)
@@ -187,3 +197,21 @@ class TestSchedulerHooks:
         tasks = expand_grid([(i, {}) for i in range(2)], repetitions=1, base_seed=8)
         records = run_sweep(env_task, tasks, n_jobs=2)
         assert all(r["backend"] == "numpy" for r in records)
+
+    @pytest.mark.skipif(os.cpu_count() is None or os.cpu_count() < 2, reason="needs >=2 CPUs")
+    def test_scoped_overrides_reach_spawned_workers(self, monkeypatch):
+        """``backends.use`` / ``layouts.use`` in the parent hold in workers
+        that do not inherit its memory (the ``spawn`` start method)."""
+        from repro.engine import backends, layouts
+
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "dense")
+        tasks = expand_grid([(i, {}) for i in range(2)], repetitions=1, base_seed=9)
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            with backends.use("numpy"), layouts.use("paged"):
+                records = run_sweep(execution_task, tasks, n_jobs=2)
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        assert [(r["backend"], r["layout"]) for r in records] == [("numpy", "paged")] * 2

@@ -64,6 +64,21 @@ class TestWalkPoolDynamics:
         assert np.bitwise_count(pool.payloads[0]).sum() == 2
         assert pool.nodes_with_walks().tolist() == [5]
 
+    def test_simultaneous_arrivals_read_the_start_of_delivery_row(self, setting):
+        graph, knowledge, ledger = setting
+        pool = WalkPool(knowledge.rows(np.asarray([0, 1, 2])), move_cap=10)
+        pool.send_many(np.asarray([0, 1, 2]), np.asarray([7, 7, 9]))
+        pool.deliver(knowledge)
+        # Each walk learns its host's row as it was before the delivery,
+        # not the other walks' payloads; the host learns every payload.
+        assert knowledge.known_messages(7).tolist() == [0, 1, 7]
+        assert knowledge.known_messages(9).tolist() == [2, 9]
+        payload_sets = [
+            np.flatnonzero(np.unpackbits(row.view(np.uint8), bitorder="little")).tolist()
+            for row in pool.payloads
+        ]
+        assert payload_sets == [[0, 7], [1, 7], [2, 9]]
+
     def test_forward_step_moves_walks(self, setting):
         graph, knowledge, ledger = setting
         pool = WalkPool(knowledge.data[[0]].copy(), move_cap=10)

@@ -10,9 +10,9 @@ check the one case where the filter must stay off: churn, where live rows
 are no longer guaranteed subsets of the completion row.
 
 The stripped runs are produced by monkeypatching
-``KnowledgeMatrix.apply_exchange`` (and the memory protocol's replay
-batcher) to drop the optional kwargs, which forces the plain unfiltered /
-recount-in-Python paths of the very same kernels.
+``KnowledgeMatrix.apply_exchange`` (and the memory protocol's broadcast
+step-group helper) to drop the optional kwargs, which forces the plain
+unfiltered / recount-in-Python paths of the very same kernels.
 """
 
 from __future__ import annotations
@@ -57,14 +57,14 @@ def _strip_exchange_kwargs(monkeypatch, *, keep_filter=False):
     monkeypatch.setattr(KnowledgeMatrix, "apply_exchange", stripped)
 
 
-def _strip_batcher_filter(monkeypatch):
-    """Memory replay: keep batching, drop the saturation-filtered flush."""
-    orig = memory_gossiping._ReplayBatcher.__init__
+def _strip_replay_filter(monkeypatch):
+    """Memory broadcast: replay every step group unfiltered."""
+    orig = memory_gossiping._broadcast_group
 
-    def plain(self, knowledge, *, complete=None, complete_row=None):
-        orig(self, knowledge)
+    def plain(knowledge, senders, receivers, complete, complete_row):
+        orig(knowledge, senders, receivers, None, None)
 
-    monkeypatch.setattr(memory_gossiping._ReplayBatcher, "__init__", plain)
+    monkeypatch.setattr(memory_gossiping, "_broadcast_group", plain)
 
 
 class TestFilteredMatchesUnfiltered:
@@ -107,7 +107,7 @@ class TestFilteredMatchesUnfiltered:
         assert a.completed
         assert a.knowledge.filter_stats["rounds"] > 0
         with pytest.MonkeyPatch.context() as mp:
-            _strip_batcher_filter(mp)
+            _strip_replay_filter(mp)
             b = MemoryGossiping(leader=0).run(graph, rng=8)
         assert b.knowledge.filter_stats["rounds"] == 0
         assert _summary(a) == _summary(b)

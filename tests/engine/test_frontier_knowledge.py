@@ -12,7 +12,9 @@ row saturates past the crossover threshold.  These tests pin
 * ``REPRO_DISABLE_CKERNEL``-style parity (compiled vs NumPy frontier paths),
 * whole-protocol trajectory identity between ``adaptive_knowledge`` runs and
   plain ``KnowledgeMatrix`` runs at equal seeds, and
-* the memory-model replay batcher (merged groups vs per-group replay).
+* the memory-model replay: each step group as one batch on every storage
+  class, and the saturation-filtered broadcast helper against the
+  unfiltered replay.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.memory_gossiping import _ReplayBatcher
+from repro.core.memory_gossiping import _broadcast_group
 from repro.engine import _ckernel, knowledge
 from repro.engine.knowledge import (
     _CROSSOVER,
@@ -29,6 +31,7 @@ from repro.engine.knowledge import (
     WORD_BITS,
     adaptive_knowledge,
 )
+from repro.engine.layouts import PagedKnowledge
 
 
 @pytest.fixture(params=["compiled", "numpy"])
@@ -179,6 +182,31 @@ class TestCrossoverBoundary:
         km.apply_transmissions(s, r)
         assert np.array_equal(fk.data, km.data)
 
+    def test_add_many_with_duplicates_books_like_deduplicated(self):
+        """Repeated rows in ``add_many`` leave the same bookkeeping as one
+        call per row, including rows that cross ``word_cap``."""
+        rng = np.random.default_rng(31)
+        dup = FrontierKnowledge(64 * 64)  # words=64, cap=8
+        for i in range(dup.word_cap - int(dup._nnz[3])):
+            dup.add(3, (10 + i) * WORD_BITS)
+        assert int(dup._nnz[3]) == dup.word_cap
+        dedup = dup.copy()
+        for step in range(40):
+            nodes = rng.integers(0, 16, 24).astype(np.int64)
+            message = int(rng.integers(0, dup.n_messages))
+            if step == 0:
+                # Row 3 three times, with a word it does not list yet.
+                nodes[:3] = 3
+                message = 40 * WORD_BITS
+            dup.add_many(nodes, message)
+            dedup.add_many(np.unique(nodes), message)
+            for attr in ("data", "_nnz", "_active_words", "_word_active", "_dense_rows"):
+                assert np.array_equal(getattr(dup, attr), getattr(dedup, attr)), attr
+            if step == 0:
+                assert dup._dense_rows[3]
+        assert dup._dense_rows[:16].sum() > 1
+        assert_frontier_invariants(dup)
+
     def test_batch_exactly_at_crossover_uses_dense(self, monkeypatch):
         """The estimate comparison is strict: at-threshold batches go dense."""
         fk = FrontierKnowledge(64 * 64)
@@ -310,101 +338,118 @@ class TestProtocolTrajectoryEquivalence:
         assert type(adaptive_knowledge(1000)) is KnowledgeMatrix
 
 
-class TestReplayBatcher:
-    def reference_apply(self, n, groups):
-        km = KnowledgeMatrix(n)
-        for senders, receivers in groups:
-            km.apply_transmissions(senders, receivers)
-        return km.data
+#: The storage classes a memory-model replay can run on.
+REPLAY_STORAGES = {
+    "dense": KnowledgeMatrix,
+    "frontier": FrontierKnowledge,
+    "paged": PagedKnowledge,
+}
 
-    def batched_apply(self, n, groups, counter=None):
-        km = KnowledgeMatrix(n)
-        if counter is not None:
-            original = KnowledgeMatrix.apply_transmissions
 
-            def spy(self_, senders, receivers, snapshot=None):
-                counter.append(senders.size)
-                return original(self_, senders, receivers, snapshot)
+class TestPerGroupReplay:
+    """The memory model replays each recorded step group as one batch.
 
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(KnowledgeMatrix, "apply_transmissions", spy)
-                batcher = _ReplayBatcher(km)
-                for senders, receivers in groups:
-                    batcher.add(senders, receivers)
-                batcher.flush()
-        else:
-            batcher = _ReplayBatcher(km)
-            for senders, receivers in groups:
-                batcher.add(senders, receivers)
-            batcher.flush()
-        return km.data
+    Every storage class must match a per-edge reference that snapshots the
+    group's sender rows before any write, and the saturation-filtered
+    broadcast helper must match the unfiltered replay bit for bit.
+    """
 
-    def as_groups(self, *pairs):
+    #: 10 words per row, so the frontier's word-sparse path runs.
+    N = 640
+
+    @pytest.fixture(params=list(REPLAY_STORAGES))
+    def storage(self, request):
+        return REPLAY_STORAGES[request.param]
+
+    @staticmethod
+    def as_groups(*pairs):
         return [
             (np.asarray(s, dtype=np.int64), np.asarray(r, dtype=np.int64))
             for s, r in pairs
         ]
 
-    def test_disjoint_groups_merge_into_one_batch(self):
-        groups = self.as_groups(([0, 1], [5, 6]), ([2, 3], [7, 8]), ([4], [9]))
-        counter = []
-        batched = self.batched_apply(20, groups, counter)
-        assert counter == [5]  # one merged batch
-        assert np.array_equal(batched, self.reference_apply(20, groups))
+    @staticmethod
+    def reference_replay(n, groups):
+        data = KnowledgeMatrix(n).data.copy()
+        for senders, receivers in groups:
+            sent = data[senders].copy()  # start-of-group rows
+            for row, receiver in zip(sent, receivers):
+                data[receiver] |= row
+        return data
 
-    def test_sender_collision_merges_with_compensation(self):
-        """A chain (receiver of group 1 sends in group 2) merges via
-        transitive compensation: the extra snapshot edges reproduce the
-        relayed values in a single batch."""
-        groups = self.as_groups(([0], [1]), ([1], [2]), ([2], [3]))
-        counter = []
-        batched = self.batched_apply(10, groups, counter)
-        # One batch: 3 original edges + compensation 0->2, 0->3, 1->3.
-        assert counter == [6]
-        ref = self.reference_apply(10, groups)
-        assert np.array_equal(batched, ref)
-        # The chain actually relays: node 3 must know message 0 after the
-        # sequential replay (one hop per group).
-        km = KnowledgeMatrix(10)
-        km.data[:] = ref
-        assert km.knows(3, 0)
+    @staticmethod
+    def replay(state, groups, complete=None, complete_row=None):
+        for senders, receivers in groups:
+            _broadcast_group(state, senders, receivers, complete, complete_row)
+        return state
 
-    def test_compensation_budget_forces_flush(self):
-        """A colliding group whose compensation fan-out exceeds the budget is
-        applied after a flush instead (never merged unboundedly)."""
-        n = 600
-        # 200 pending edges all into node 0, then a 1-edge group sent by 0:
-        # compensation would need 200 extra edges > max(64, 2 * 1).
-        groups = self.as_groups(
-            (list(range(100, 300)), [0] * 200),
-            ([0], [1]),
-        )
-        counter = []
-        batched = self.batched_apply(n, groups, counter)
-        assert counter == [200, 1]  # flushed, not compensated
-        assert np.array_equal(batched, self.reference_apply(n, groups))
+    @staticmethod
+    def random_groups(rng, n, count, max_size):
+        return [
+            (
+                rng.integers(0, n, m).astype(np.int64),
+                rng.integers(0, n, m).astype(np.int64),
+            )
+            for m in rng.integers(1, max_size, count)
+        ]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_group_sequences_match_sequential(self, seed):
+    def test_random_group_sequences_match_sequential(self, kernel_path, storage, seed):
         rng = np.random.default_rng(600 + seed)
-        n = 120
-        groups = []
-        for _ in range(25):
-            m = int(rng.integers(1, 15))
-            groups.append(
-                (
-                    rng.integers(0, n, m).astype(np.int64),
-                    rng.integers(0, n, m).astype(np.int64),
-                )
-            )
-        assert np.array_equal(
-            self.batched_apply(n, groups), self.reference_apply(n, groups)
-        )
+        groups = self.random_groups(rng, self.N, 25, 40)
+        state = self.replay(storage(self.N), groups)
+        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
 
-    def test_empty_groups_are_skipped(self):
-        km = KnowledgeMatrix(5)
-        batcher = _ReplayBatcher(km)
+    def test_many_edges_into_one_node_then_it_sends(self, kernel_path, storage):
+        groups = self.as_groups((list(range(100, 300)), [0] * 200), ([0], [1]))
+        state = self.replay(storage(self.N), groups)
+        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+        assert state.known_messages(1).tolist() == [0, 1] + list(range(100, 300))
+
+    def test_sender_that_also_receives_forwards_its_start_row(self, kernel_path, storage):
+        # Node 1 receives from 0 and sends to 2 in the same group: 2 gets
+        # only 1's start-of-group row.  The next group relays message 0.
+        groups = self.as_groups(([0, 1], [1, 2]), ([1], [2]))
+        state = self.replay(storage(self.N), groups[:1])
+        assert state.known_messages(2).tolist() == [1, 2]
+        self.replay(state, groups[1:])
+        assert state.known_messages(2).tolist() == [0, 1, 2]
+        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+
+    def test_duplicate_receivers_accumulate(self, kernel_path, storage):
+        groups = self.as_groups(([7, 8, 9, 7], [5, 5, 5, 5]))
+        state = self.replay(storage(self.N), groups)
+        assert state.known_messages(5).tolist() == [5, 7, 8, 9]
+        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_filtered_broadcast_matches_unfiltered(self, kernel_path, storage, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = self.N
+        groups = self.random_groups(rng, n, 30, 60)
+        # A root that knows everything, as after the gather phase; every
+        # row is a subset of the full mask, which the filter relies on.
+        full = storage(n).full_row_mask()
+        plain, filtered = storage(n), storage(n)
+        for state in (plain, filtered):
+            state.assign_rows(np.asarray([0, 3], dtype=np.int64), full)
+        groups.insert(0, self.as_groups(([0] * 8, rng.integers(0, n, 8)))[0])
+        everyone = np.arange(n, dtype=np.int64)
+        complete = filtered.count_missing(full, everyone) == 0
+        self.replay(plain, groups)
+        self.replay(filtered, groups, complete, full)
+        assert filtered == plain
+        assert filtered.filter_stats["rounds"] == len(groups)
+        assert filtered.filter_stats["promotions"] > 0
+        assert plain.filter_stats["rounds"] == 0
+        # ``complete`` marks only rows that really are complete.
+        assert not plain.count_missing(full, np.flatnonzero(complete)).any()
+
+    def test_empty_groups_are_skipped(self, kernel_path, storage):
+        state = storage(5)
         empty = np.zeros(0, dtype=np.int64)
-        batcher.add(empty, empty)
-        batcher.flush()
-        assert np.array_equal(km.data, KnowledgeMatrix(5).data)
+        complete = np.zeros(5, dtype=bool)
+        _broadcast_group(state, empty, empty, None, None)
+        _broadcast_group(state, empty, empty, complete, state.full_row_mask())
+        assert np.array_equal(state.data, KnowledgeMatrix(5).data)
+        assert state.filter_stats["rounds"] == 0

@@ -10,6 +10,8 @@ These tests pin that contract:
   with the saturation filter, ``scatter_rows``, element mutators) against
   the dense reference on the compiled serial, compiled sharded and
   pure-NumPy kernel paths,
+* ``merge_rows`` on every storage class and backend against a per-pair
+  reference, including frontier rows leaving the frontier,
 * paged rounds on every kernel branch they take — swap form and
   snapshot + scatter on either side of ``_SWAP_MIN_WORK``, and a filtered
   exchange with promotions — plus the paged footprint between rounds,
@@ -68,6 +70,14 @@ def make_layouts(n, n_messages=None):
         "dense": KnowledgeMatrix(n, n_messages),
         "paged": PagedKnowledge(n, n_messages),
     }
+
+
+#: Every storage class, by the harness's layout names.
+STORAGE_CLASSES = {
+    "dense": KnowledgeMatrix,
+    "frontier": FrontierKnowledge,
+    "paged": PagedKnowledge,
+}
 
 
 def random_batch(rng, n, size):
@@ -188,17 +198,12 @@ class TestUnitEquivalence:
                 ),
             )
 
-    @pytest.mark.parametrize("layout", ["dense", "frontier", "paged"])
+    @pytest.mark.parametrize("layout", list(STORAGE_CLASSES))
     def test_copy_is_independent(self, kernel_path, layout):
         """A copy keeps its class and evolves exactly like the original."""
         # 40 words per row: wide enough that the frontier's sparse path runs.
         n, m = 40, 64 * 40
-        cls = {
-            "dense": KnowledgeMatrix,
-            "frontier": FrontierKnowledge,
-            "paged": PagedKnowledge,
-        }[layout]
-        store = cls(n, m)
+        store = STORAGE_CLASSES[layout](n, m)
         rng = np.random.default_rng(23)
         for node, message in zip(rng.integers(0, n, 60), rng.integers(0, m, 60)):
             store.add(int(node), int(message))
@@ -214,6 +219,93 @@ class TestUnitEquivalence:
         message = int(store.missing_messages_at(0)[0])
         clone.add(0, message)
         assert not store.knows(0, message), f"layout {layout} copy aliases storage"
+
+
+#: Backends ``merge_rows`` is pinned under: NumPy, the compiled kernels on
+#: one thread, and the compiled kernels forced to two shards per batch.
+MERGE_BACKENDS = {
+    "numpy": backends.NumpyBackend(),
+    "c": backends.CBackend(max_threads=1),
+    "c-sharded": backends.CBackend(max_threads=2, shard_work=1),
+}
+
+
+class TestMergeRows:
+    """``merge_rows`` leaves both sides with the union of their start rows."""
+
+    @pytest.fixture(params=list(MERGE_BACKENDS))
+    def backend(self, request):
+        if request.param != "numpy" and not _ckernel.available():
+            pytest.skip("compiled kernel unavailable on this machine")
+        with backends.use(MERGE_BACKENDS[request.param]):
+            yield request.param
+
+    @staticmethod
+    def reference(state, external, ext_rows, nodes):
+        """Per-pair loop over copies of the start-of-call rows."""
+        start_state, start_ext = state.copy(), external.copy()
+        state, external = state.copy(), external.copy()
+        for e, node in zip(ext_rows, nodes):
+            union = start_ext[e] | start_state[node]
+            external[e] = union
+            state[node] |= union
+        return state, external
+
+    @pytest.mark.parametrize("layout", list(STORAGE_CLASSES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_pair_reference(self, backend, layout, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = 53
+        store = STORAGE_CLASSES[layout](n, 64 * 12)
+        store.apply_transmissions(*random_batch(rng, n, n))
+        external = rng.integers(0, 2**63, size=(20, store.words), dtype=np.uint64)
+        ext_rows = rng.choice(20, size=15, replace=False).astype(np.int64)
+        # Fifteen rows onto six hosts: most nodes merge several rows.
+        nodes = rng.integers(0, 6, 15).astype(np.int64)
+        want_state, want_external = self.reference(
+            store.data, external, ext_rows, nodes
+        )
+        store.merge_rows(external, ext_rows, nodes)
+        assert np.array_equal(store.data, want_state)
+        assert np.array_equal(external, want_external)
+
+    def test_frontier_rows_leave_the_frontier(self, backend):
+        # 40 words per row: the frontier's sparse path is live.
+        fk = FrontierKnowledge(40, 64 * 40)
+        plain = KnowledgeMatrix(40, 64 * 40)
+        nodes = np.asarray([2, 5, 2], dtype=np.int64)
+        ext_rows = np.asarray([2, 0, 1], dtype=np.int64)
+        assert not fk._dense_rows.any()
+        external = np.stack(
+            [fk.row_with([100]), fk.row_with([2000, 2001]), fk.row_with([7])]
+        )
+        want_state, want_external = self.reference(
+            fk.data, external, ext_rows, nodes
+        )
+        plain_external = external.copy()
+        fk.merge_rows(external, ext_rows, nodes)
+        plain.merge_rows(plain_external, ext_rows, nodes)
+        assert np.array_equal(fk.data, want_state)
+        assert np.array_equal(external, want_external)
+        assert np.array_equal(plain_external, want_external)
+        assert np.flatnonzero(fk._dense_rows).tolist() == [2, 5]
+        # A later sparse round over the merged rows still matches.
+        senders = np.asarray([2, 5, 9], dtype=np.int64)
+        receivers = np.asarray([11, 12, 2], dtype=np.int64)
+        fk.apply_transmissions(senders, receivers)
+        plain.apply_transmissions(senders, receivers)
+        assert fk == plain
+
+    def test_empty_call_and_bad_external_rows(self, backend):
+        store = KnowledgeMatrix(10)
+        empty = np.zeros(0, dtype=np.int64)
+        store.merge_rows(np.zeros((0, store.words), dtype=np.uint64), empty, empty)
+        assert store == KnowledgeMatrix(10)
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="external rows"):
+            store.merge_rows(np.zeros((1, store.words + 1), dtype=np.uint64), one, one)
+        with pytest.raises(ValueError, match="external rows"):
+            store.merge_rows(np.zeros((1, store.words), dtype=np.int64), one, one)
 
 
 class TestCountMissingPinned:

@@ -18,6 +18,16 @@ import numpy as np
 __all__ = ["OracleKnowledge"]
 
 
+def _pack(rows: Sequence[set], n_messages: int) -> np.ndarray:
+    """Message-id sets as a dense packed uint64 matrix, engine word layout."""
+    words = max(1, -(-n_messages // 64))
+    out = np.zeros((len(rows), words), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        for message in row:
+            out[i, message // 64] |= np.uint64(1) << np.uint64(message % 64)
+    return out
+
+
 class OracleKnowledge:
     """Set-per-node reference model of the knowledge-storage contract."""
 
@@ -73,6 +83,24 @@ class OracleKnowledge:
         for s, r in zip(src_idx, receivers):
             self.rows_[r] |= set(source[s])
 
+    def merge_rows(
+        self,
+        external: Sequence[Sequence[int]],
+        ext_rows: Sequence[int],
+        nodes: Sequence[int],
+    ) -> np.ndarray:
+        """Union external rows and nodes both ways; return the packed pool.
+
+        Each pair reads both sides' start-of-call sets: the external row
+        becomes their union, and the node accumulates every such union.
+        """
+        pool = [set(row) for row in external]
+        start = {node: set(self.rows_[node]) for node in nodes}
+        for e, node in zip(ext_rows, nodes):
+            pool[e] = set(external[e]) | start[node]
+            self.rows_[node] |= pool[e]
+        return _pack(pool, self.n_messages)
+
     def assign_rows(self, nodes: Sequence[int], messages: Sequence[int]) -> None:
         for node in nodes:
             self.rows_[node] = set(messages)
@@ -104,9 +132,4 @@ class OracleKnowledge:
     # ------------------------------------------------------------------ #
     def packed(self) -> np.ndarray:
         """The state as a dense packed uint64 matrix, engine word layout."""
-        words = max(1, -(-self.n_messages // 64))
-        out = np.zeros((self.n_nodes, words), dtype=np.uint64)
-        for i, row in enumerate(self.rows_):
-            for message in row:
-                out[i, message // 64] |= np.uint64(1) << np.uint64(message % 64)
-        return out
+        return _pack(self.rows_, self.n_messages)

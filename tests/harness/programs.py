@@ -4,14 +4,16 @@ A *program* is a plain-data op sequence (lists and ints only, so it prints
 and replays verbatim) exercising every bulk primitive of
 :class:`repro.engine.knowledge.KnowledgeStorage`: directed transmissions,
 push–pull exchanges with and without the saturation filter, external-row
-scatters, row assignment, point adds, deficit recounts and event-clock
-batches grouped by :func:`repro.engine.event_clock.group_events`.
+scatters, two-way merges with external rows, row assignment, point adds,
+deficit recounts and event-clock batches grouped by
+:func:`repro.engine.event_clock.group_events`.
 
 :func:`run_program` replays a program against an engine layout and the
 set-based :class:`oracle.OracleKnowledge` side by side, comparing the packed
-state after every op.  :func:`shrink_program` delta-debugs a failing program
-down to a locally-minimal op sequence, and :func:`describe_failure` renders
-the minimal program plus exact replay instructions.
+state, and any rows or counts an op returns, after every op.
+:func:`shrink_program` delta-debugs a failing program down to a
+locally-minimal op sequence, and :func:`describe_failure` renders the
+minimal program plus exact replay instructions.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ OP_KINDS = (
     "exchange_complete",
     "event_batch",
     "scatter_rows",
+    "merge_rows",
     "assign_rows",
     "add",
     "add_many",
@@ -88,6 +91,14 @@ def _gen_pairs(rng: np.random.Generator, n: int, k: int) -> Tuple[List[int], Lis
     return a, b
 
 
+def _gen_message_rows(rng: np.random.Generator, m: int, count: int) -> List[List[int]]:
+    """``count`` small external rows, each a sorted message-id list."""
+    return [
+        sorted(int(x) for x in rng.choice(m, size=int(rng.integers(0, min(m, 8) + 1)), replace=False))
+        for _ in range(count)
+    ]
+
+
 def _gen_op(rng: np.random.Generator, n: int, m: int) -> Tuple[str, Dict[str, Any]]:
     kind = str(rng.choice(OP_KINDS))
     if kind == "transmissions":
@@ -103,15 +114,23 @@ def _gen_op(rng: np.random.Generator, n: int, m: int) -> Tuple[str, Dict[str, An
         return kind, {"callers": callers, "targets": targets}
     if kind == "scatter_rows":
         k_src = int(rng.integers(1, 5))
-        source = [
-            sorted(int(x) for x in rng.choice(m, size=int(rng.integers(0, min(m, 8) + 1)), replace=False))
-            for _ in range(k_src)
-        ]
+        source = _gen_message_rows(rng, m, k_src)
         k = int(rng.integers(1, n + 1))
         return kind, {
             "source": source,
             "src_idx": [int(x) for x in rng.integers(0, k_src, size=k)],
             "receivers": [int(x) for x in rng.integers(0, n, size=k)],
+        }
+    if kind == "merge_rows":
+        # A walk-style delivery: distinct external rows, and nodes drawn
+        # from a few hosts so that several rows meet at one node.
+        k_ext = int(rng.integers(1, 7))
+        k = int(rng.integers(1, k_ext + 1))
+        hosts = rng.integers(0, n, size=int(rng.integers(1, k + 1)))
+        return kind, {
+            "external": _gen_message_rows(rng, m, k_ext),
+            "ext_rows": [int(x) for x in rng.choice(k_ext, size=k, replace=False)],
+            "nodes": [int(x) for x in rng.choice(hosts, size=k)],
         }
     if kind == "assign_rows":
         k = int(rng.integers(1, max(2, n // 4 + 1)))
@@ -167,6 +186,7 @@ class Failure:
 
 
 def _apply_engine(engine: KnowledgeStorage, kind: str, arg: Dict[str, Any]) -> Optional[np.ndarray]:
+    """Run one op on the engine; return its output (deficits, merged rows)."""
     i64 = lambda xs: np.asarray(xs, dtype=np.int64)  # noqa: E731
     if kind == "transmissions":
         engine.apply_transmissions(i64(arg["senders"]), i64(arg["receivers"]))
@@ -194,6 +214,10 @@ def _apply_engine(engine: KnowledgeStorage, kind: str, arg: Dict[str, Any]) -> O
         source = np.stack([engine.row_with(row) for row in arg["source"]])
         engine.scatter_rows(source, i64(arg["src_idx"]), i64(arg["receivers"]))
         return None
+    if kind == "merge_rows":
+        external = np.stack([engine.row_with(row) for row in arg["external"]])
+        engine.merge_rows(external, i64(arg["ext_rows"]), i64(arg["nodes"]))
+        return external
     if kind == "assign_rows":
         engine.assign_rows(i64(arg["nodes"]), engine.row_with(arg["messages"]))
         return None
@@ -208,7 +232,8 @@ def _apply_engine(engine: KnowledgeStorage, kind: str, arg: Dict[str, Any]) -> O
     raise AssertionError(kind)
 
 
-def _apply_oracle(oracle: OracleKnowledge, kind: str, arg: Dict[str, Any]) -> Optional[List[int]]:
+def _apply_oracle(oracle: OracleKnowledge, kind: str, arg: Dict[str, Any]) -> Optional[Any]:
+    """Run one op on the oracle; return the output the engine must match."""
     if kind == "transmissions":
         oracle.apply_transmissions(arg["senders"], arg["receivers"])
         return None
@@ -224,6 +249,8 @@ def _apply_oracle(oracle: OracleKnowledge, kind: str, arg: Dict[str, Any]) -> Op
     if kind == "scatter_rows":
         oracle.scatter_rows(arg["source"], arg["src_idx"], arg["receivers"])
         return None
+    if kind == "merge_rows":
+        return oracle.merge_rows(arg["external"], arg["ext_rows"], arg["nodes"])
     if kind == "assign_rows":
         oracle.assign_rows(arg["nodes"], arg["messages"])
         return None
@@ -246,11 +273,13 @@ def run_program(program: Dict[str, Any], layout: str) -> Optional[Failure]:
     for i, (kind, arg) in enumerate(program["ops"]):
         engine_out = _apply_engine(engine, kind, arg)
         oracle_out = _apply_oracle(oracle, kind, arg)
-        if oracle_out is not None:
-            if list(engine_out) != list(oracle_out):
-                return Failure(
-                    i, kind, f"deficits {list(engine_out)} != oracle {oracle_out}"
-                )
+        if oracle_out is not None and not np.array_equal(engine_out, oracle_out):
+            return Failure(
+                i,
+                kind,
+                f"output {np.asarray(engine_out).tolist()} != oracle "
+                f"{np.asarray(oracle_out).tolist()}",
+            )
         got, want = engine.rows(everyone), oracle.packed()
         if not np.array_equal(got, want):
             bad = np.flatnonzero((got != want).any(axis=1))

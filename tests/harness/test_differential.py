@@ -2,10 +2,10 @@
 
 Seeded random programs (:mod:`programs`) exercise every knowledge-storage
 bulk primitive — transmissions, filtered and unfiltered exchanges, scatter,
-assignment, point adds, deficit recounts and event-clock batches — and each
-program is replayed on every layout x backend combination against the pure
-Python set-per-node oracle (:mod:`oracle`), comparing the packed state
-bit-for-bit after every op.
+two-way merges, assignment, point adds, deficit recounts and event-clock
+batches — and each program is replayed on every layout x backend
+combination against the pure Python set-per-node oracle (:mod:`oracle`),
+comparing the packed state bit-for-bit after every op.
 
 The SAME program seeds run under every configuration, so a divergence
 pinpoints the (layout, backend) pair at fault.  On failure the program is
