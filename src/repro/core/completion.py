@@ -12,7 +12,7 @@ Two forms are provided: the one-shot predicates (:func:`gossip_complete`,
 recounts only the receiver rows a round actually touched — fed with the
 (possibly duplicated) receiver multiset the knowledge-storage batch kernels
 return — and its per-row recount delegates to
-:meth:`~repro.engine.knowledge.KnowledgeStorage.count_missing`, so every
+:meth:`~repro.engine.knowledge.KnowledgeMatrix.count_missing`, so every
 storage layout answers it natively (dense and paged rows dispatch through
 the active :mod:`repro.engine.backends` backend, frontier rows are counted
 from their active word set) without this module ever touching raw row
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine.knowledge import WORD_BITS, KnowledgeStorage
+from ..engine.knowledge import WORD_BITS, KnowledgeMatrix
 
 __all__ = [
     "CompletionTracker",
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-def alive_message_mask(knowledge: KnowledgeStorage, alive_nodes: np.ndarray) -> np.ndarray:
+def alive_message_mask(knowledge: KnowledgeMatrix, alive_nodes: np.ndarray) -> np.ndarray:
     """Packed bitset row with one bit set per alive node's original message."""
     mask = np.zeros(knowledge.words, dtype=np.uint64)
     alive_nodes = np.asarray(alive_nodes, dtype=np.int64)
@@ -50,7 +50,7 @@ def alive_message_mask(knowledge: KnowledgeStorage, alive_nodes: np.ndarray) -> 
 
 
 def gossip_complete(
-    knowledge: KnowledgeStorage, alive_nodes: Optional[np.ndarray] = None
+    knowledge: KnowledgeMatrix, alive_nodes: Optional[np.ndarray] = None
 ) -> bool:
     """Whether gossiping has completed.
 
@@ -100,7 +100,7 @@ class CompletionTracker:
     __slots__ = ("knowledge", "mask", "deficits", "incomplete", "_complete", "_relevant")
 
     def __init__(
-        self, knowledge: KnowledgeStorage, alive_nodes: Optional[np.ndarray] = None
+        self, knowledge: KnowledgeMatrix, alive_nodes: Optional[np.ndarray] = None
     ) -> None:
         self.knowledge = knowledge
         if alive_nodes is None or alive_nodes.size == knowledge.n_nodes:
@@ -221,7 +221,7 @@ class CompletionTracker:
 
 
 def missing_pairs(
-    knowledge: KnowledgeStorage, alive_nodes: Optional[np.ndarray] = None
+    knowledge: KnowledgeMatrix, alive_nodes: Optional[np.ndarray] = None
 ) -> int:
     """Number of (alive node, alive message) pairs still missing."""
     if alive_nodes is None:

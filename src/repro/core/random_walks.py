@@ -14,7 +14,7 @@ numbers) and exposes the three operations the protocol needs: delivery of
 in-transit walks, one forwarding step, and the set of nodes that currently
 hold walks.  All three are fully vectorised: a delivery merges every
 arriving payload with its destination row in one storage call
-(:meth:`~repro.engine.knowledge.KnowledgeStorage.merge_rows`, two
+(:meth:`~repro.engine.knowledge.KnowledgeMatrix.merge_rows`, two
 scatter-OR passes), and the oldest-walk-per-host selection of a forwarding
 step is a ``lexsort`` over ``(host, sequence)`` followed by a boundary pick
 — no per-walk Python loop survives on the hot path.
@@ -32,7 +32,7 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from ..engine.knowledge import KnowledgeStorage
+from ..engine.knowledge import KnowledgeMatrix
 from ..engine.metrics import TransmissionLedger
 from ..graphs.adjacency import Adjacency
 
@@ -134,7 +134,7 @@ class WalkPool:
         self._transit_ids = np.concatenate([self._transit_ids, walk_ids])
         self._transit_dests = np.concatenate([self._transit_dests, destinations])
 
-    def deliver(self, knowledge: KnowledgeStorage) -> None:
+    def deliver(self, knowledge: KnowledgeMatrix) -> None:
         """Deliver all in-transit walks to their destinations.
 
         For every delivered walk ``w`` arriving at node ``v`` (and still under
@@ -147,7 +147,7 @@ class WalkPool:
         All arrivals of one call are synchronous: each walk merges with the
         node's start-of-delivery knowledge, and the node accumulates the union
         of every arriving payload — one
-        :meth:`~repro.engine.knowledge.KnowledgeStorage.merge_rows` call on
+        :meth:`~repro.engine.knowledge.KnowledgeMatrix.merge_rows` call on
         every storage layout.
         """
         walk_ids = self._transit_ids
@@ -239,7 +239,7 @@ class WalkPool:
 
 def start_walks(
     graph: Adjacency,
-    knowledge: KnowledgeStorage,
+    knowledge: KnowledgeMatrix,
     probability: float,
     move_cap: int,
     rng: np.random.Generator,

@@ -40,7 +40,6 @@ from .failures import (
 from .knowledge import (
     FrontierKnowledge,
     KnowledgeMatrix,
-    KnowledgeStorage,
     SingleMessageState,
     WORD_BITS,
     adaptive_knowledge,
@@ -74,7 +73,6 @@ __all__ = [
     "sample_uniform_failures",
     "FrontierKnowledge",
     "KnowledgeMatrix",
-    "KnowledgeStorage",
     "PagedKnowledge",
     "SingleMessageState",
     "WORD_BITS",

@@ -21,16 +21,15 @@ worker pool when the batch is large enough, dispatched through the active
 a layered NumPy scatter; all paths are pinned bit-identical by
 ``tests/engine/test_kernel_equivalence.py``.
 
-Storage is *pluggable*.  :class:`KnowledgeStorage` defines the interface
-every layout implements — snapshot-read row gathers, order-independent
-scatter-ORs, the two batched round entry points and the aggregate queries —
-and protocols only ever talk to that interface.  This module provides the
-dense family:
+Storage is one class.  :class:`KnowledgeMatrix` holds the full gossiping
+state as one contiguous ``n_nodes x words`` matrix and defines the storage
+contract — snapshot-read row gathers, order-independent scatter-ORs, the two
+batched round entry points and the aggregate queries — and protocols only
+ever talk to its methods.  This module provides it and its dense subclass:
 
 ``KnowledgeMatrix``
-    The full gossiping state as one contiguous ``n_nodes x words`` matrix,
-    updated through the dense batched kernels.  The default layout whenever
-    it fits in memory.
+    The matrix, updated through the dense batched kernels.  The default
+    whenever it fits in memory.
 
 ``FrontierKnowledge``
     A :class:`KnowledgeMatrix` that additionally tracks, per row, the set of
@@ -46,24 +45,23 @@ dense family:
     A light-weight informed/uninformed boolean vector used by the
     single-message *broadcasting* baselines in :mod:`repro.broadcast`.
 
-The paged layout — this matrix without a resident swap buffer — lives in
-:mod:`repro.engine.layouts` together with the layout registry
-(``REPRO_KNOWLEDGE_LAYOUT`` / :func:`repro.engine.layouts.use`).  Protocols
-construct their state through :func:`adaptive_knowledge`, which delegates to
-the registry's memory model; :func:`dense_knowledge` keeps the historical
-frontier-or-plain choice for callers that explicitly want the dense family.
+The class used over the dense budget — the matrix whose push rounds never
+allocate a second matrix — lives in :mod:`repro.engine.layouts` together
+with the layout registry (``REPRO_KNOWLEDGE_LAYOUT`` /
+:func:`repro.engine.layouts.use`).  Protocols construct their state through
+:func:`adaptive_knowledge`, which delegates to the registry's memory model;
+:func:`dense_knowledge` keeps the historical frontier-or-plain choice for
+callers that explicitly want the dense family.
 
 No caller outside this package may hold a raw ``data`` reference: the
 swap-form kernels exchange the underlying buffer.  Use ``rows`` /
-``scatter_rows`` / ``count_missing`` and friends instead; the read-only
-``data`` property on non-dense layouts materializes a dense copy for tests
-and debugging only.
+``scatter_rows`` / ``count_missing`` and friends instead.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -72,7 +70,6 @@ from . import backends
 __all__ = [
     "FrontierKnowledge",
     "KnowledgeMatrix",
-    "KnowledgeStorage",
     "SingleMessageState",
     "WORD_BITS",
     "adaptive_knowledge",
@@ -134,18 +131,23 @@ def _layered_scatter(
     return r_sorted[starts]
 
 
-class KnowledgeStorage:
-    """Interface and shared logic for pluggable knowledge-storage layouts.
+class KnowledgeMatrix:
+    """Which original messages each node currently knows, as packed bitsets.
 
-    Concrete layouts — the dense :class:`KnowledgeMatrix` family here, the
-    paged layout in :mod:`repro.engine.layouts` —
-    implement the storage primitives (:meth:`rows`, :meth:`iter_blocks`,
-    :meth:`scatter_rows`, :meth:`assign_rows`, the two round entry points
-    and the point mutators); everything else — aggregate queries, equality,
-    fingerprints, the saturation filter — is derived here, so all layouts
-    share one behaviour by construction.
+    Parameters
+    ----------
+    n_nodes:
+        Number of nodes in the network.
+    n_messages:
+        Number of distinct original messages.  Defaults to ``n_nodes`` (the
+        gossiping setting where node ``i`` starts with message ``i``).
+    initialize_own:
+        When true (the default) node ``i`` starts knowing message ``i``
+        (requires ``n_messages >= n_nodes`` or simply ``i < n_messages``).
 
-    The contract every layout must honour:
+    Notes
+    -----
+    The contract every storage class honours:
 
     * **Snapshot rounds.**  ``apply_transmissions`` / ``apply_exchange``
       evaluate every transmission of a batch against the same start-of-step
@@ -154,20 +156,40 @@ class KnowledgeStorage:
       resolved by OR, which commutes — so any gather-all-then-write-all
       schedule yields the same bits.
     * **Bit-identity.**  Given equal seeds, trajectories are bit-identical
-      across every layout (and every kernel backend) at every size where
-      the dense layout fits.  ``tests/engine/test_layouts.py`` pins this.
+      across every storage class and every kernel backend.
+      ``tests/engine/test_layouts.py`` pins this.
 
-    Protocols and analysis code must go through this interface; holding a
-    raw ``data`` reference is not allowed (the swap-form kernels exchange
-    the underlying buffer, and non-dense layouts have no resident matrix).
+    Bulk updates either mutate rows in place or — on the compiled full-round
+    paths — write the end-of-round state into a spare buffer and *swap* it
+    with ``data``, so protocols and analysis code must not hold references
+    to ``data`` (or row views) across round updates.  All update helpers
+    take a *snapshot* argument where the synchronous semantics of the random
+    phone call model require reading start-of-step state while writing
+    end-of-step state.
     """
 
-    __slots__ = ("n_nodes", "n_messages", "words", "fused_deficits", "filter_stats")
+    __slots__ = (
+        "n_nodes",
+        "n_messages",
+        "words",
+        "fused_deficits",
+        "filter_stats",
+        "data",
+        "_scratch",
+        "_csr_off",
+        "_csr_adj",
+    )
 
-    #: Registry tag of the layout family (``dense`` / ``paged``).
+    #: Registry tag of the storage class (``dense`` / ``paged``).
     layout = "dense"
 
-    def __init__(self, n_nodes: int, n_messages: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        n_nodes: int,
+        n_messages: Optional[int] = None,
+        *,
+        initialize_own: bool = True,
+    ) -> None:
         if n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
         if n_messages is None:
@@ -191,436 +213,6 @@ class KnowledgeStorage:
             "edges_dropped": 0,
             "promotions": 0,
         }
-
-    def _note_filter(
-        self, total_edges: int, kept_edges: int, promotions: int
-    ) -> None:
-        """Accumulate saturation-filter hit counters for one round."""
-        stats = self.filter_stats
-        stats["rounds"] += 1
-        stats["edges"] += int(total_edges)
-        stats["edges_dropped"] += int(total_edges) - int(kept_edges)
-        stats["promotions"] += int(promotions)
-
-    # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def empty(cls, n_nodes: int, n_messages: Optional[int] = None) -> "KnowledgeStorage":
-        """A state in which no node knows any message."""
-        return cls(n_nodes, n_messages, initialize_own=False)
-
-    def copy(self) -> "KnowledgeStorage":
-        """Deep copy of the knowledge state."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Storage primitives (implemented per layout)
-    # ------------------------------------------------------------------ #
-    def rows(self, nodes: np.ndarray) -> np.ndarray:
-        """Snapshot copies of the bitset rows of ``nodes`` (gather).
-
-        The result is a fresh dense ``(len(nodes), words)`` array owned by
-        the caller — safe to hold across subsequent bulk updates.
-        """
-        raise NotImplementedError
-
-    def row(self, node: int) -> np.ndarray:
-        """``node``'s bitset row.
-
-        Dense layouts return a live view valid only until the next bulk
-        update; non-dense layouts return a materialized copy.  Do not hold
-        the result across :meth:`apply_transmissions` /
-        :meth:`apply_exchange` calls.
-        """
-        raise NotImplementedError
-
-    def iter_blocks(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(row_start, block)`` dense blocks covering all rows in order.
-
-        Blocks are consecutive, non-overlapping row ranges; concatenated they
-        form the full dense matrix.  Dense layouts yield views (read-only by
-        convention); non-dense layouts may yield materialized copies.
-        """
-        raise NotImplementedError
-
-    def scatter_rows(
-        self, source: np.ndarray, src_idx: np.ndarray, receivers: np.ndarray
-    ) -> None:
-        """OR ``source[src_idx[i]]`` into row ``receivers[i]`` for all ``i``.
-
-        ``source`` is external row storage (never this object's own rows),
-        so the scatter is order-independent under duplicate receivers.  This
-        is the interface used by code that merges externally-staged rows —
-        e.g. random-walk payload delivery — replacing direct ``data``
-        mutation.
-        """
-        raise NotImplementedError
-
-    def merge_rows(
-        self, external: np.ndarray, ext_rows: np.ndarray, nodes: np.ndarray
-    ) -> None:
-        """Union row ``nodes[i]`` and ``external[ext_rows[i]]`` both ways.
-
-        Afterwards ``nodes[i]`` and ``external[ext_rows[i]]`` each hold the
-        union of both rows as they were at the start of the call; a node
-        listed several times accumulates all of its external rows.
-        ``external`` is caller-owned, C-contiguous ``uint64`` row storage
-        (never this object's rows) and ``ext_rows`` must be distinct.  This
-        is random-walk payload delivery.
-        """
-        raise NotImplementedError
-
-    def assign_rows(self, nodes: np.ndarray, row: np.ndarray) -> None:
-        """Overwrite each row in ``nodes`` with the packed row ``row``."""
-        raise NotImplementedError
-
-    def apply_transmissions(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        snapshot: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Apply a batch of directed transmissions ``senders[i] -> receivers[i]``."""
-        raise NotImplementedError
-
-    def apply_exchange(
-        self,
-        callers: np.ndarray,
-        targets: np.ndarray,
-        *,
-        complete: Optional[np.ndarray] = None,
-        complete_row: Optional[np.ndarray] = None,
-        deficit_mask: Optional[np.ndarray] = None,
-        deficits_out: Optional[np.ndarray] = None,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Apply one synchronous push–pull round: ``callers[i] <-> targets[i]``.
-
-        ``deficit_mask``/``deficits_out`` (given together) opt into the
-        fused completion recount: layouts that support it write
-        ``popcount(deficit_mask & ~row)`` into ``deficits_out[r]`` for every
-        row they change (``deficits_out`` must hold valid counts on entry —
-        unchanged rows are left alone) and set :attr:`fused_deficits`;
-        layouts that don't simply ignore the arguments and leave
-        :attr:`fused_deficits` false, in which case the caller recounts.
-        """
-        raise NotImplementedError
-
-    def add(self, node: int, message: int) -> None:
-        """Mark ``node`` as knowing ``message``."""
-        raise NotImplementedError
-
-    def add_many(self, nodes: np.ndarray, message: int) -> None:
-        """Mark every entry of ``nodes`` as knowing ``message``."""
-        raise NotImplementedError
-
-    def union_into(self, dst: int, src_row: np.ndarray) -> None:
-        """OR an external bitset row into ``dst``'s knowledge."""
-        raise NotImplementedError
-
-    def union_from_node(
-        self, dst: int, src: int, snapshot: Optional[np.ndarray] = None
-    ) -> None:
-        """Make ``dst`` learn everything ``src`` knows."""
-        raise NotImplementedError
-
-    def storage_nbytes(self) -> int:
-        """Bytes of resident storage (rows plus layout bookkeeping)."""
-        raise NotImplementedError
-
-    def notify_rows_written(self, rows: np.ndarray) -> None:
-        """Tell the storage that ``rows`` were mutated outside the helpers.
-
-        Layouts with bookkeeping (the frontier) override this; a no-op for
-        plain storage.  New code should prefer :meth:`scatter_rows`, which
-        keeps bookkeeping consistent without a separate notification.
-        """
-
-    # ------------------------------------------------------------------ #
-    # Derived: dense materialization
-    # ------------------------------------------------------------------ #
-    def _materialize(self) -> np.ndarray:
-        """The full dense matrix, assembled block by block."""
-        out = np.empty((self.n_nodes, self.words), dtype=_WORD_DTYPE)
-        for start, block in self.iter_blocks():
-            out[start : start + block.shape[0]] = block
-        return out
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only dense materialization of the state.
-
-        For non-dense layouts this allocates the full ``n_nodes x words``
-        matrix — intended for tests and debugging, never for hot paths.
-        (:class:`KnowledgeMatrix` shadows this with its resident buffer.)
-        """
-        out = self._materialize()
-        out.setflags(write=False)
-        return out
-
-    def snapshot(self) -> np.ndarray:
-        """A dense copy of the word matrix (used for synchronous-step reads)."""
-        return self._materialize()
-
-    # ------------------------------------------------------------------ #
-    # Derived: element access
-    # ------------------------------------------------------------------ #
-    def _bit(self, message: int) -> np.uint64:
-        return np.uint64(1) << np.uint64(message % WORD_BITS)
-
-    def _check_message(self, message: int) -> None:
-        if not 0 <= message < self.n_messages:
-            raise IndexError(
-                f"message {message} out of range [0, {self.n_messages})"
-            )
-
-    def knows(self, node: int, message: int) -> bool:
-        """Whether ``node`` currently knows ``message``."""
-        self._check_message(message)
-        word = self.row(node)[message // WORD_BITS]
-        return bool(word & self._bit(message))
-
-    def known_messages(self, node: int) -> np.ndarray:
-        """Sorted array of message identifiers known by ``node``."""
-        bits = np.unpackbits(
-            np.ascontiguousarray(self.row(node)).view(np.uint8), bitorder="little"
-        )
-        return np.flatnonzero(bits[: self.n_messages])
-
-    def missing_messages_at(self, node: int) -> np.ndarray:
-        """Message identifiers *not* known by ``node``."""
-        known = np.unpackbits(
-            np.ascontiguousarray(self.row(node)).view(np.uint8), bitorder="little"
-        )
-        return np.flatnonzero(~known[: self.n_messages].astype(bool))
-
-    # ------------------------------------------------------------------ #
-    # Derived: aggregate queries (stream over blocks)
-    # ------------------------------------------------------------------ #
-    def counts(self) -> np.ndarray:
-        """Number of messages known by each node (length ``n_nodes``)."""
-        out = np.empty(self.n_nodes, dtype=np.int64)
-        for start, block in self.iter_blocks():
-            out[start : start + block.shape[0]] = (
-                np.bitwise_count(block).sum(axis=1).astype(np.int64)
-            )
-        return out
-
-    def nodes_knowing(self, message: int) -> np.ndarray:
-        """Array of node identifiers that know ``message``."""
-        self._check_message(message)
-        word = message // WORD_BITS
-        bit = self._bit(message)
-        hits = [
-            start + np.flatnonzero((block[:, word] & bit) != 0)
-            for start, block in self.iter_blocks()
-        ]
-        return np.concatenate(hits)
-
-    def num_nodes_knowing(self, message: int) -> int:
-        """Number of nodes that know ``message``."""
-        return int(self.nodes_knowing(message).size)
-
-    def informed_counts_per_message(self) -> np.ndarray:
-        """For every message, the number of nodes knowing it."""
-        totals = np.zeros(self.n_messages, dtype=np.int64)
-        for _start, block in self.iter_blocks():
-            bits = np.unpackbits(
-                np.ascontiguousarray(block).view(np.uint8), axis=1, bitorder="little"
-            )[:, : self.n_messages]
-            totals += bits.sum(axis=0, dtype=np.int64)
-        return totals
-
-    def fully_informed_nodes(self) -> np.ndarray:
-        """Boolean mask of nodes that know every message."""
-        return self.counts() == self.n_messages
-
-    def is_complete(self) -> bool:
-        """True when every node knows every message (gossiping finished)."""
-        full_word = np.uint64(0xFFFFFFFFFFFFFFFF)
-        # Check all full words first (cheap early exit).
-        full_words = self.words - 1 if self.n_messages % WORD_BITS else self.words
-        rem = self.n_messages % WORD_BITS
-        tail_mask = (np.uint64(1) << np.uint64(rem)) - np.uint64(1) if rem else None
-        for _start, block in self.iter_blocks():
-            if full_words and not np.all(block[:, :full_words] == full_word):
-                return False
-            if rem and not np.all(block[:, -1] == tail_mask):
-                return False
-        return True
-
-    def total_known(self) -> int:
-        """Total number of (node, message) pairs currently known."""
-        total = 0
-        for _start, block in self.iter_blocks():
-            total += int(np.bitwise_count(block).sum())
-        return total
-
-    def coverage(self) -> float:
-        """Fraction of the ``n_nodes * n_messages`` pairs that are known."""
-        return self.total_known() / float(self.n_nodes * self.n_messages)
-
-    def count_missing(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Per-row deficits: ``popcount(mask & ~row)`` for each row in ``rows``.
-
-        ``mask`` is the completion target (usually :meth:`full_row_mask`).
-        This is the recount primitive behind
-        :class:`~repro.core.completion.CompletionTracker`; layouts override
-        it with representation-aware implementations that are pinned
-        bit-identical to this scan.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return (
-            np.bitwise_count(mask[None, :] & ~self.rows(rows))
-            .sum(axis=1)
-            .astype(np.int64)
-        )
-
-    # ------------------------------------------------------------------ #
-    # Derived: row constructors
-    # ------------------------------------------------------------------ #
-    def zero_row(self) -> np.ndarray:
-        """A fresh all-zero row compatible with this matrix."""
-        return np.zeros(self.words, dtype=_WORD_DTYPE)
-
-    def full_row_mask(self) -> np.ndarray:
-        """Packed row with every valid message bit set (the completion target)."""
-        mask = np.full(self.words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=_WORD_DTYPE)
-        rem = self.n_messages % WORD_BITS
-        if rem:
-            mask[-1] = (np.uint64(1) << np.uint64(rem)) - np.uint64(1)
-        return mask
-
-    def row_with(self, messages: Iterable[int]) -> np.ndarray:
-        """A fresh row with exactly ``messages`` set."""
-        row = self.zero_row()
-        for m in messages:
-            self._check_message(m)
-            row[m // WORD_BITS] |= self._bit(m)
-        return row
-
-    # ------------------------------------------------------------------ #
-    # Derived: the saturation filter (shared by every layout's exchange)
-    # ------------------------------------------------------------------ #
-    def _filter_exchange(
-        self,
-        callers: np.ndarray,
-        targets: np.ndarray,
-        complete: Optional[np.ndarray],
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-        """Split an exchange round into push/pull edges plus direct promotions.
-
-        Returns ``(push_s, push_r, pull_s, pull_r, promoted)``.  When
-        ``complete`` is given (a boolean saturated-row mask), transmissions
-        into saturated rows are dropped and receivers fed by a saturated
-        sender are returned in ``promoted`` for direct assignment of the
-        completion row — bit-exact provided every participating row is a
-        subset of the completion row.
-        """
-        empty = np.zeros(0, dtype=np.int64)
-        promoted = empty
-        if complete is None:
-            return callers, targets, targets, callers, promoted
-        keep_push = ~complete[targets]
-        keep_pull = ~complete[callers]
-        sat_push = keep_push & complete[callers]
-        sat_pull = keep_pull & complete[targets]
-        if sat_push.any() or sat_pull.any():
-            promoted = np.unique(
-                np.concatenate([targets[sat_push], callers[sat_pull]])
-            )
-            is_promoted = np.zeros(self.n_nodes, dtype=bool)
-            is_promoted[promoted] = True
-            keep_push &= ~is_promoted[targets]
-            keep_pull &= ~is_promoted[callers]
-        self._note_filter(
-            2 * callers.size,
-            int(keep_push.sum()) + int(keep_pull.sum()),
-            promoted.size,
-        )
-        return (
-            callers[keep_push],
-            targets[keep_push],
-            targets[keep_pull],
-            callers[keep_pull],
-            promoted,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Derived: identity
-    # ------------------------------------------------------------------ #
-    def fingerprint(self) -> str:
-        """SHA-256 over the dense row-major byte stream (layout-independent).
-
-        Two states with equal bits have equal fingerprints regardless of
-        layout or block partition, so this is the cheap cross-layout
-        bit-identity check at sizes where holding two dense matrices for
-        ``__eq__`` would be wasteful.
-        """
-        digest = hashlib.sha256()
-        digest.update(f"{self.n_nodes}:{self.n_messages}:".encode())
-        for _start, block in self.iter_blocks():
-            digest.update(np.ascontiguousarray(block).data)
-        return digest.hexdigest()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnowledgeStorage):
-            return NotImplemented
-        if self.n_nodes != other.n_nodes or self.n_messages != other.n_messages:
-            return False
-        for start, block in self.iter_blocks():
-            idx = np.arange(start, start + block.shape[0], dtype=np.int64)
-            if not np.array_equal(block, other.rows(idx)):
-                return False
-        return True
-
-    __hash__ = None  # mutable container
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}(n_nodes={self.n_nodes}, "
-            f"n_messages={self.n_messages}, coverage={self.coverage():.3f})"
-        )
-
-
-class KnowledgeMatrix(KnowledgeStorage):
-    """Which original messages each node currently knows, as packed bitsets.
-
-    Parameters
-    ----------
-    n_nodes:
-        Number of nodes in the network.
-    n_messages:
-        Number of distinct original messages.  Defaults to ``n_nodes`` (the
-        gossiping setting where node ``i`` starts with message ``i``).
-    initialize_own:
-        When true (the default) node ``i`` starts knowing message ``i``
-        (requires ``n_messages >= n_nodes`` or simply ``i < n_messages``).
-
-    Notes
-    -----
-    Bulk updates either mutate rows in place or — on the compiled full-round
-    paths — write the end-of-round state into a spare buffer and *swap* it
-    with ``data``, so do not hold references to ``data`` (or row views)
-    across round updates.  All update helpers take a *snapshot* argument
-    where the synchronous semantics of the random phone call model require
-    reading start-of-step state while writing end-of-step state.
-    """
-
-    __slots__ = ("data", "_scratch", "_csr_off", "_csr_adj")
-
-    layout = "dense"
-
-    def __init__(
-        self,
-        n_nodes: int,
-        n_messages: Optional[int] = None,
-        *,
-        initialize_own: bool = True,
-    ) -> None:
-        super().__init__(n_nodes, n_messages)
         self.data = np.zeros((self.n_nodes, self.words), dtype=_WORD_DTYPE)
         #: Reusable spare buffer for the swap-form round kernels and for
         #: start-of-step snapshots (lazily built).
@@ -642,9 +234,24 @@ class KnowledgeMatrix(KnowledgeStorage):
                 np.uint64(1), (idx % WORD_BITS).astype(_WORD_DTYPE)
             )
 
+    def _note_filter(
+        self, total_edges: int, kept_edges: int, promotions: int
+    ) -> None:
+        """Accumulate saturation-filter hit counters for one round."""
+        stats = self.filter_stats
+        stats["rounds"] += 1
+        stats["edges"] += int(total_edges)
+        stats["edges_dropped"] += int(total_edges) - int(kept_edges)
+        stats["promotions"] += int(promotions)
+
     # ------------------------------------------------------------------ #
     # Constructors and copies
     # ------------------------------------------------------------------ #
+    @classmethod
+    def empty(cls, n_nodes: int, n_messages: Optional[int] = None) -> "KnowledgeMatrix":
+        """A state in which no node knows any message."""
+        return cls(n_nodes, n_messages, initialize_own=False)
+
     def copy(self) -> "KnowledgeMatrix":
         """Deep copy of the knowledge state, of the same storage class."""
         clone = type(self).empty(self.n_nodes, self.n_messages)
@@ -659,6 +266,11 @@ class KnowledgeMatrix(KnowledgeStorage):
     # Storage primitives
     # ------------------------------------------------------------------ #
     def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """Snapshot copies of the bitset rows of ``nodes`` (gather).
+
+        The result is a fresh ``(len(nodes), words)`` array owned by the
+        caller — safe to hold across subsequent bulk updates.
+        """
         return self.data[np.asarray(nodes, dtype=np.int64)]
 
     def row(self, node: int) -> np.ndarray:
@@ -670,12 +282,17 @@ class KnowledgeMatrix(KnowledgeStorage):
         """
         return self.data[node]
 
-    def iter_blocks(self) -> Iterator[Tuple[int, np.ndarray]]:
-        yield 0, self.data
-
     def scatter_rows(
         self, source: np.ndarray, src_idx: np.ndarray, receivers: np.ndarray
     ) -> None:
+        """OR ``source[src_idx[i]]`` into row ``receivers[i]`` for all ``i``.
+
+        ``source`` is external row storage (never this object's own rows),
+        so the scatter is order-independent under duplicate receivers.  This
+        is the interface used by code that merges externally-staged rows —
+        e.g. random-walk payload delivery — replacing direct ``data``
+        mutation.
+        """
         self._scatter_or(
             source,
             np.asarray(src_idx, dtype=np.int64),
@@ -685,6 +302,15 @@ class KnowledgeMatrix(KnowledgeStorage):
     def merge_rows(
         self, external: np.ndarray, ext_rows: np.ndarray, nodes: np.ndarray
     ) -> None:
+        """Union row ``nodes[i]`` and ``external[ext_rows[i]]`` both ways.
+
+        Afterwards ``nodes[i]`` and ``external[ext_rows[i]]`` each hold the
+        union of both rows as they were at the start of the call; a node
+        listed several times accumulates all of its external rows.
+        ``external`` is caller-owned, C-contiguous ``uint64`` row storage
+        (never this object's rows) and ``ext_rows`` must be distinct.  This
+        is random-walk payload delivery.
+        """
         if (
             external.dtype != _WORD_DTYPE
             or external.ndim != 2
@@ -712,9 +338,11 @@ class KnowledgeMatrix(KnowledgeStorage):
         self.scatter_rows(external, ext_rows, nodes)
 
     def assign_rows(self, nodes: np.ndarray, row: np.ndarray) -> None:
+        """Overwrite each row in ``nodes`` with the packed row ``row``."""
         self.data[np.asarray(nodes, dtype=np.int64)] = row
 
     def storage_nbytes(self) -> int:
+        """Bytes of resident storage (rows plus the reusable round buffers)."""
         total = self.data.nbytes
         for buf in (self._scratch, self._csr_off, self._csr_adj):
             if buf is not None:
@@ -722,8 +350,36 @@ class KnowledgeMatrix(KnowledgeStorage):
         return total
 
     # ------------------------------------------------------------------ #
-    # Element mutators
+    # Element access and mutators
     # ------------------------------------------------------------------ #
+    def _bit(self, message: int) -> np.uint64:
+        return np.uint64(1) << np.uint64(message % WORD_BITS)
+
+    def _check_message(self, message: int) -> None:
+        if not 0 <= message < self.n_messages:
+            raise IndexError(
+                f"message {message} out of range [0, {self.n_messages})"
+            )
+
+    def knows(self, node: int, message: int) -> bool:
+        """Whether ``node`` currently knows ``message``."""
+        self._check_message(message)
+        return bool(self.data[node, message // WORD_BITS] & self._bit(message))
+
+    def known_messages(self, node: int) -> np.ndarray:
+        """Sorted array of message identifiers known by ``node``."""
+        bits = np.unpackbits(
+            np.ascontiguousarray(self.data[node]).view(np.uint8), bitorder="little"
+        )
+        return np.flatnonzero(bits[: self.n_messages])
+
+    def missing_messages_at(self, node: int) -> np.ndarray:
+        """Message identifiers *not* known by ``node``."""
+        known = np.unpackbits(
+            np.ascontiguousarray(self.data[node]).view(np.uint8), bitorder="little"
+        )
+        return np.flatnonzero(~known[: self.n_messages].astype(bool))
+
     def add(self, node: int, message: int) -> None:
         """Mark ``node`` as knowing ``message``."""
         self._check_message(message)
@@ -736,20 +392,100 @@ class KnowledgeMatrix(KnowledgeStorage):
         if nodes.size:
             self.data[nodes, message // WORD_BITS] |= self._bit(message)
 
-    def union_into(self, dst: int, src_row: np.ndarray) -> None:
-        """OR an external bitset row into ``dst``'s knowledge."""
-        self.data[dst] |= src_row
+    # ------------------------------------------------------------------ #
+    # Aggregate queries
+    # ------------------------------------------------------------------ #
+    def counts(self) -> np.ndarray:
+        """Number of messages known by each node (length ``n_nodes``)."""
+        return np.bitwise_count(self.data).sum(axis=1).astype(np.int64)
 
-    def union_from_node(
-        self, dst: int, src: int, snapshot: Optional[np.ndarray] = None
-    ) -> None:
-        """Make ``dst`` learn everything ``src`` knows.
+    def nodes_knowing(self, message: int) -> np.ndarray:
+        """Array of node identifiers that know ``message``."""
+        self._check_message(message)
+        column = self.data[:, message // WORD_BITS]
+        return np.flatnonzero((column & self._bit(message)) != 0)
 
-        If ``snapshot`` is given, ``src``'s knowledge is read from it (the
-        synchronous-model convention); otherwise the live matrix is read.
+    def num_nodes_knowing(self, message: int) -> int:
+        """Number of nodes that know ``message``."""
+        return int(self.nodes_knowing(message).size)
+
+    def informed_counts_per_message(self) -> np.ndarray:
+        """For every message, the number of nodes knowing it."""
+        bits = np.unpackbits(
+            np.ascontiguousarray(self.data).view(np.uint8), axis=1, bitorder="little"
+        )
+        return bits[:, : self.n_messages].sum(axis=0, dtype=np.int64)
+
+    def fully_informed_nodes(self) -> np.ndarray:
+        """Boolean mask of nodes that know every message."""
+        return self.counts() == self.n_messages
+
+    def is_complete(self) -> bool:
+        """True when every node knows every message (gossiping finished)."""
+        full_word = np.uint64(0xFFFFFFFFFFFFFFFF)
+        # Check all full words first (cheap early exit).
+        full_words = self.words - 1 if self.n_messages % WORD_BITS else self.words
+        rem = self.n_messages % WORD_BITS
+        if full_words and not np.all(self.data[:, :full_words] == full_word):
+            return False
+        if rem:
+            tail_mask = (np.uint64(1) << np.uint64(rem)) - np.uint64(1)
+            return bool(np.all(self.data[:, -1] == tail_mask))
+        return True
+
+    def total_known(self) -> int:
+        """Total number of (node, message) pairs currently known."""
+        return int(np.bitwise_count(self.data).sum())
+
+    def coverage(self) -> float:
+        """Fraction of the ``n_nodes * n_messages`` pairs that are known."""
+        return self.total_known() / float(self.n_nodes * self.n_messages)
+
+    def count_missing(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Per-row deficits: ``popcount(mask & ~row)`` for each row in ``rows``.
+
+        ``mask`` is the completion target (usually :meth:`full_row_mask`).
+        This is the recount primitive behind
+        :class:`~repro.core.completion.CompletionTracker`; subclasses
+        override it with representation-aware implementations that are
+        pinned bit-identical to this scan.
         """
-        source = self.data if snapshot is None else snapshot
-        self.data[dst] |= source[src]
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        backend = backends.active()
+        if backend.use_compiled():
+            return backend.recount_deficits(
+                self.data, mask, np.ascontiguousarray(rows)
+            )
+        return (
+            np.bitwise_count(mask[None, :] & ~self.data[rows])
+            .sum(axis=1)
+            .astype(np.int64)
+        )
+
+    # ------------------------------------------------------------------ #
+    # Row constructors
+    # ------------------------------------------------------------------ #
+    def zero_row(self) -> np.ndarray:
+        """A fresh all-zero row compatible with this matrix."""
+        return np.zeros(self.words, dtype=_WORD_DTYPE)
+
+    def full_row_mask(self) -> np.ndarray:
+        """Packed row with every valid message bit set (the completion target)."""
+        mask = np.full(self.words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=_WORD_DTYPE)
+        rem = self.n_messages % WORD_BITS
+        if rem:
+            mask[-1] = (np.uint64(1) << np.uint64(rem)) - np.uint64(1)
+        return mask
+
+    def row_with(self, messages: Iterable[int]) -> np.ndarray:
+        """A fresh row with exactly ``messages`` set."""
+        row = self.zero_row()
+        for m in messages:
+            self._check_message(m)
+            row[m // WORD_BITS] |= self._bit(m)
+        return row
 
     # ------------------------------------------------------------------ #
     # Bulk updates (the hot path)
@@ -915,9 +651,13 @@ class KnowledgeMatrix(KnowledgeStorage):
         the gather/scatter path below, whose cost scales with the surviving
         edges.
 
-        ``deficit_mask``/``deficits_out`` fuse the completion recount into
-        the compiled swap-form passes (see :class:`KnowledgeStorage`); the
-        gather/scatter paths leave :attr:`fused_deficits` false.
+        ``deficit_mask``/``deficits_out`` (given together) fuse the
+        completion recount into the compiled swap-form passes: they write
+        ``popcount(deficit_mask & ~row)`` into ``deficits_out[r]`` for every
+        row they change (``deficits_out`` must hold valid counts on entry —
+        unchanged rows are left alone) and set :attr:`fused_deficits`.  The
+        gather/scatter paths ignore the arguments and leave
+        :attr:`fused_deficits` false, in which case the caller recounts.
 
         Returns
         -------
@@ -1031,33 +771,89 @@ class KnowledgeMatrix(KnowledgeStorage):
         return touched, promoted
 
     # ------------------------------------------------------------------ #
-    # Queries with a dense fast path
+    # The saturation filter (shared by the exchange paths)
     # ------------------------------------------------------------------ #
-    def count_missing(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        backend = backends.active()
-        if backend.use_compiled():
-            return backend.recount_deficits(
-                self.data, mask, np.ascontiguousarray(rows)
+    def _filter_exchange(
+        self,
+        callers: np.ndarray,
+        targets: np.ndarray,
+        complete: Optional[np.ndarray],
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+        """Split an exchange round into push/pull edges plus direct promotions.
+
+        Returns ``(push_s, push_r, pull_s, pull_r, promoted)``.  When
+        ``complete`` is given (a boolean saturated-row mask), transmissions
+        into saturated rows are dropped and receivers fed by a saturated
+        sender are returned in ``promoted`` for direct assignment of the
+        completion row — bit-exact provided every participating row is a
+        subset of the completion row.
+        """
+        empty = np.zeros(0, dtype=np.int64)
+        promoted = empty
+        if complete is None:
+            return callers, targets, targets, callers, promoted
+        keep_push = ~complete[targets]
+        keep_pull = ~complete[callers]
+        sat_push = keep_push & complete[callers]
+        sat_pull = keep_pull & complete[targets]
+        if sat_push.any() or sat_pull.any():
+            promoted = np.unique(
+                np.concatenate([targets[sat_push], callers[sat_pull]])
             )
+            is_promoted = np.zeros(self.n_nodes, dtype=bool)
+            is_promoted[promoted] = True
+            keep_push &= ~is_promoted[targets]
+            keep_pull &= ~is_promoted[callers]
+        self._note_filter(
+            2 * callers.size,
+            int(keep_push.sum()) + int(keep_pull.sum()),
+            promoted.size,
+        )
         return (
-            np.bitwise_count(mask[None, :] & ~self.data[rows])
-            .sum(axis=1)
-            .astype(np.int64)
+            callers[keep_push],
+            targets[keep_push],
+            targets[keep_pull],
+            callers[keep_pull],
+            promoted,
         )
 
+    # ------------------------------------------------------------------ #
+    # Identity
+    # ------------------------------------------------------------------ #
+    def fingerprint(self) -> str:
+        """SHA-256 over the row-major byte stream (storage-class independent).
+
+        Two states with equal bits have equal fingerprints whatever their
+        storage class, so this is the cheap bit-identity check at sizes
+        where holding two matrices for ``__eq__`` would be wasteful.
+        """
+        digest = hashlib.sha256()
+        digest.update(f"{self.n_nodes}:{self.n_messages}:".encode())
+        digest.update(np.ascontiguousarray(self.data).data)
+        return digest.hexdigest()
+
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, KnowledgeMatrix):
-            return (
-                self.n_nodes == other.n_nodes
-                and self.n_messages == other.n_messages
-                and bool(np.array_equal(self.data, other.data))
-            )
-        return super().__eq__(other)
+        if not isinstance(other, KnowledgeMatrix):
+            return NotImplemented
+        return (
+            self.n_nodes == other.n_nodes
+            and self.n_messages == other.n_messages
+            and bool(np.array_equal(self.data, other.data))
+        )
 
     __hash__ = None  # mutable container
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(n_nodes={self.n_nodes}, "
+            f"n_messages={self.n_messages}, coverage={self.coverage():.3f})"
+        )
+
+
+#: Former name of :class:`KnowledgeMatrix`, kept only because the benchmark
+#: tracer (``bench/trace.py``) walks ``KnowledgeStorage.__subclasses__()`` to
+#: find the storage classes it wraps.
+KnowledgeStorage = KnowledgeMatrix
 
 
 #: Fraction of ``transmissions * words`` below which the frontier
@@ -1086,8 +882,8 @@ class FrontierKnowledge(KnowledgeMatrix):
       ``0.125 * transmissions * words``; at or past the threshold the
       batch takes the existing dense scatter-OR / double-buffer path;
     * per row, once more than ``word_cap`` words become active — or the row
-      is written through a dense batch, a direct ``data`` mutation, or a
-      saturation promotion — the row is flagged dense and is never
+      is written through a dense batch, an external-row scatter or
+      assignment, or a saturation promotion — the row is flagged dense and is never
       enumerated again (knowledge only grows, so density never decreases).
 
     Both paths implement the identical snapshot-read / live-write round
@@ -1375,16 +1171,6 @@ class FrontierKnowledge(KnowledgeMatrix):
         if nodes.size:
             self._note_single_word(nodes, message // WORD_BITS)
 
-    def union_into(self, dst: int, src_row: np.ndarray) -> None:
-        super().union_into(dst, src_row)
-        self._dense_rows[dst] = True
-
-    def union_from_node(
-        self, dst: int, src: int, snapshot: Optional[np.ndarray] = None
-    ) -> None:
-        super().union_from_node(dst, src, snapshot)
-        self._dense_rows[dst] = True
-
     def scatter_rows(
         self, source: np.ndarray, src_idx: np.ndarray, receivers: np.ndarray
     ) -> None:
@@ -1396,10 +1182,6 @@ class FrontierKnowledge(KnowledgeMatrix):
     def assign_rows(self, nodes: np.ndarray, row: np.ndarray) -> None:
         super().assign_rows(nodes, row)
         self._mark_dense(np.asarray(nodes, dtype=np.int64))
-
-    def notify_rows_written(self, rows: np.ndarray) -> None:
-        """Direct ``data`` mutations ratchet the written rows to dense."""
-        self._dense_rows[rows] = True
 
     # ------------------------------------------------------------------ #
     # Frontier-aware recounts
@@ -1488,7 +1270,7 @@ def dense_knowledge(
 
 def adaptive_knowledge(
     n_nodes: int, n_messages: Optional[int] = None
-) -> KnowledgeStorage:
+) -> KnowledgeMatrix:
     """The knowledge state protocols should instantiate.
 
     Delegates to the layout registry (:mod:`repro.engine.layouts`): the

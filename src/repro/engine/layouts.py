@@ -1,41 +1,45 @@
-"""Pluggable knowledge-storage layouts and their selection registry.
+"""Knowledge-storage layouts and their selection registry.
 
 The dense :class:`~repro.engine.knowledge.KnowledgeMatrix` keeps the whole
-``n_nodes x words`` bitset matrix plus a swap buffer resident, which walls
-off large problem sizes: at n = 1M nodes the matrix alone is ~125 GB.  This
-module provides the layout that halves that footprint, plus the registry
-that picks between the two — one stable call surface over interchangeable
-storage chosen by problem size, mirroring the kernel-backend registry in
-:mod:`repro.engine.backends`:
+``n_nodes x words`` bitset matrix resident, and its compiled round kernels
+add a swap buffer of the same size, which walls off large problem sizes: at
+n = 1M nodes the matrix alone is ~125 GB.  This module provides the class
+used over the dense budget, plus the registry that picks between the two —
+one stable call surface over interchangeable storage chosen by problem size,
+mirroring the kernel-backend registry in :mod:`repro.engine.backends`:
 
 ``PagedKnowledge``
-    The dense layout's contiguous matrix and kernels without a resident
-    swap buffer.  Exchange rounds run the swap-form kernels and drop the
-    round's next-state buffer afterwards; push-form rounds gather only the
-    round's unique sender rows and OR them in place.  Between rounds the
-    footprint is ``8 * n * words`` bytes plus the CSR buffers — half the
-    dense layout.
+    The plain matrix, without the frontier bookkeeping, whose push rounds
+    never allocate a second matrix: a push-form batch gathers only its
+    unique sender rows and ORs them in place.  Exchange rounds run the
+    dense kernels and keep the swap buffer resident, as the dense layout
+    does.  So the memory model (push rounds only) peaks near one matrix and
+    the exchange protocols near two.
 
 The paged layout runs the dense layout's own kernels, so trajectories are
 **bit-identical** to the dense layout at every size where dense fits
 (``tests/engine/test_layouts.py``).
 
-Memory model (bytes, resident; ``w`` = words = ceil(n_messages / 64)):
+Memory model (bytes at the peak of a full exchange loop; ``w`` = words =
+ceil(n_messages / 64)):
 
 ===========  ==========================================================
-layout       resident bytes
+layout       peak bytes
 ===========  ==========================================================
-dense        ``16 n w`` (matrix + swap buffer) + frontier bookkeeping
-             (``~n w + 12 n + 4 n ceil(w / 8)``) when ``w >= 96``
-paged        ``8 n w`` + the CSR buffers of a full exchange round
-             (``8 (3 n + 1)``)
+dense        ``16 n w`` (matrix + swap buffer) + the CSR buffers of a
+             full exchange round (``8 (3 n + 1)``); when ``w >= 96``,
+             plus the frontier bookkeeping (``n w + 12 n + 4 n
+             ceil(w / 8)``) and its pair buffers (``3 n w``)
+paged        ``16 n w + 8 (3 n + 1)``
 ===========  ==========================================================
 
-Selection: :func:`make_knowledge` resolves ``auto`` to **dense** while the
-dense estimate fits the budget (default 1 GiB, ``REPRO_KNOWLEDGE_DENSE_BUDGET``)
-and **paged** beyond it.  Overrides, strongest first: an explicit ``layout=``
-argument, the :func:`use` scope, then ``REPRO_KNOWLEDGE_LAYOUT`` (``auto`` /
-``dense`` / ``paged``).
+``tests/engine/test_layout_boundaries.py`` pins both against the measured
+peak of the loop at n = 16384.  Selection: :func:`make_knowledge` resolves
+``auto`` to **dense** while the dense estimate fits the budget (default
+1 GiB, ``REPRO_KNOWLEDGE_DENSE_BUDGET``) and **paged** beyond it.
+Overrides, strongest first: an explicit ``layout=`` argument, the
+:func:`use` scope, then ``REPRO_KNOWLEDGE_LAYOUT`` (``auto`` / ``dense`` /
+``paged``).  An empty variable counts as unset.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .knowledge import (
     _CROSSOVER,
     _FRONTIER_MIN_WORDS,
     KnowledgeMatrix,
-    KnowledgeStorage,
     _n_words,
     dense_knowledge,
 )
@@ -70,8 +73,8 @@ __all__ = [
 LAYOUTS = ("auto", "dense", "paged")
 
 #: Dense-layout budget for ``auto`` selection: matrices estimated below this
-#: stay dense (1 GiB keeps everything through n ~ 60k dense on the default
-#: square problem; n = 100k dense is ~2.7 GB and pages).
+#: stay dense (1 GiB keeps everything through n ~ 57.8k dense on the default
+#: square problem; n = 100k dense is ~3.2 GB and pages).
 DEFAULT_DENSE_BUDGET = 1 << 30
 
 #: Per-scope override installed by :func:`use` (None = no override).
@@ -79,31 +82,45 @@ _OVERRIDE: Optional[str] = None
 
 
 def dense_budget() -> int:
-    """Dense-layout byte budget (``REPRO_KNOWLEDGE_DENSE_BUDGET`` or 1 GiB)."""
-    return int(os.environ.get("REPRO_KNOWLEDGE_DENSE_BUDGET", DEFAULT_DENSE_BUDGET))
+    """Dense-layout byte budget (``REPRO_KNOWLEDGE_DENSE_BUDGET`` or 1 GiB).
+
+    An empty variable counts as unset, like the kernel-backend variables.
+    """
+    env = os.environ.get("REPRO_KNOWLEDGE_DENSE_BUDGET", "").strip()
+    if not env:
+        return DEFAULT_DENSE_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_KNOWLEDGE_DENSE_BUDGET must be an integer byte count, got {env!r}"
+        ) from None
 
 
 def estimate_bytes(
     layout: str, n_nodes: int, n_messages: Optional[int] = None
 ) -> int:
-    """Resident bytes of ``layout`` for an ``n_nodes x n_messages`` problem.
+    """Peak bytes of ``layout`` for an ``n_nodes x n_messages`` problem.
 
-    The documented memory model behind ``auto`` selection (see the module
-    docstring for the formulas).
+    The peak of a full push–pull exchange loop — the documented memory
+    model behind ``auto`` selection (see the module docstring for the
+    formulas).
     """
     n = int(n_nodes)
     words = _n_words(n if n_messages is None else int(n_messages))
-    if layout == "dense":
-        total = 16 * n * words  # matrix + swap buffer
-        if words >= _FRONTIER_MIN_WORDS:  # FrontierKnowledge bookkeeping
-            word_cap = min(words, max(4, round(words * _CROSSOVER)))
-            total += n * words + 12 * n + 4 * n * word_cap
-        return total
-    if layout == "paged":
-        # Matrix + CSR offsets (n + 1) and incoming edges (2 n) of a full
-        # exchange round.
-        return 8 * n * words + 8 * (3 * n + 1)
-    raise ValueError(f"unknown layout {layout!r} (expected one of {LAYOUTS})")
+    if layout not in ("dense", "paged"):
+        raise ValueError(f"unknown layout {layout!r} (expected one of {LAYOUTS})")
+    # Matrix + swap buffer, and the CSR offsets (n + 1) and incoming edges
+    # (2 n) of a full exchange round.
+    total = 16 * n * words + 8 * (3 * n + 1)
+    if layout == "dense" and words >= _FRONTIER_MIN_WORDS:
+        # FrontierKnowledge bookkeeping, plus its pair buffers: two 8-byte
+        # arrays of twice the largest sparse batch, which is under
+        # ``_CROSSOVER * 2 n w`` pairs.  That bounds them by 8 n w bytes;
+        # square exchange loops from n = 6144 to 32768 measured 2-4.1 n w.
+        word_cap = min(words, max(4, round(words * _CROSSOVER)))
+        total += n * words + 12 * n + 4 * n * word_cap + 3 * n * words
+    return total
 
 
 def resolve_layout(layout: Optional[str] = None) -> str:
@@ -115,7 +132,7 @@ def resolve_layout(layout: Optional[str] = None) -> str:
     if layout is None:
         layout = _OVERRIDE
     if layout is None:
-        layout = os.environ.get("REPRO_KNOWLEDGE_LAYOUT", "auto")
+        layout = os.environ.get("REPRO_KNOWLEDGE_LAYOUT", "").strip() or "auto"
     layout = layout.lower()
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r} (expected one of {LAYOUTS})")
@@ -144,7 +161,7 @@ def make_knowledge(
     n_nodes: int,
     n_messages: Optional[int] = None,
     layout: Optional[str] = None,
-) -> KnowledgeStorage:
+) -> KnowledgeMatrix:
     """Construct the knowledge storage the resolved layout prescribes.
 
     ``auto`` picks dense while :func:`estimate_bytes` fits :func:`dense_budget`
@@ -162,22 +179,18 @@ def make_knowledge(
 
 
 class PagedKnowledge(KnowledgeMatrix):
-    """The dense matrix without a resident swap buffer.
+    """The plain matrix used over the dense budget.
 
-    One contiguous ``(n_nodes, words)`` matrix updated through the dense
-    layout's kernels; only the swap-form kernels' next-state buffer is
-    given up between rounds:
-
-    * :meth:`apply_exchange` runs the dense exchange — the swap form with
-      fused deficits, or gather/scatter on sparse late rounds — then drops
-      the round's next-state buffer;
-    * :meth:`apply_transmissions` gathers only the round's unique sender
-      rows and ORs them in place, so a push-form round needs ``8 u w``
-      transient bytes (``u`` unique senders) and never a full next state.
+    Its push rounds never allocate a second matrix: a push-form batch
+    (:meth:`apply_transmissions` without a snapshot) gathers only its
+    unique sender rows and ORs them in place, so it needs ``8 u w``
+    transient bytes for ``u`` unique senders where the dense class fills
+    its ``8 n w`` swap buffer.  Everything else is :class:`KnowledgeMatrix`
+    — exchange rounds keep the swap buffer resident just as the dense class
+    does, and :meth:`row` views go stale across bulk updates.
 
     Bit-identical to the dense layout: the kernels are the same, and the
-    gather precedes every write of the round.  Like the dense layout's,
-    :meth:`row` views go stale across bulk updates.
+    gather precedes every write of the round.
     """
 
     __slots__ = ()
@@ -190,34 +203,9 @@ class PagedKnowledge(KnowledgeMatrix):
         receivers: np.ndarray,
         snapshot: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        senders = np.asarray(senders, dtype=np.int64)
-        receivers = np.asarray(receivers, dtype=np.int64)
-        if senders.shape != receivers.shape:
-            raise ValueError("senders and receivers must have identical shapes")
-        if senders.size == 0:
-            return np.zeros(0, dtype=np.int64)
         if snapshot is None:
-            unique_senders, sender_pos = np.unique(senders, return_inverse=True)
-            return self._scatter_or(self.data[unique_senders], sender_pos, receivers)
-        return self._scatter_or(snapshot, senders, receivers)
-
-    def apply_exchange(
-        self,
-        callers: np.ndarray,
-        targets: np.ndarray,
-        *,
-        complete: Optional[np.ndarray] = None,
-        complete_row: Optional[np.ndarray] = None,
-        deficit_mask: Optional[np.ndarray] = None,
-        deficits_out: Optional[np.ndarray] = None,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        result = super().apply_exchange(
-            callers,
-            targets,
-            complete=complete,
-            complete_row=complete_row,
-            deficit_mask=deficit_mask,
-            deficits_out=deficits_out,
-        )
-        self._scratch = None
-        return result
+            unique_senders, senders = np.unique(
+                np.asarray(senders, dtype=np.int64), return_inverse=True
+            )
+            snapshot = self.data[unique_senders]
+        return super().apply_transmissions(senders, receivers, snapshot)

@@ -10,7 +10,8 @@ a decade of sizes.  Every configuration dataclass has two constructors:
 
 ``paper_scale()``
     Larger sizes closer to the paper's ranges, for users with more time and
-    memory (still bounded by the O(n²/8) knowledge matrices).
+    memory (still bounded by the O(n²/8) knowledge matrices, and by twice
+    that on the exchange protocols, whose rounds keep a swap buffer).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class ScaleConfig:
     ----------
     sizes:
         Graph sizes; the point of the scenario is sizes past the dense
-        comfort zone, where the paged layout earns its keep.
+        budget, where ``auto`` picks the paged layout.
     layouts:
         Knowledge-storage layouts compared per size
         (:data:`repro.engine.layouts.LAYOUTS` names).
@@ -112,7 +113,7 @@ class ScaleConfig:
 
     @classmethod
     def paper_scale(cls) -> "ScaleConfig":
-        """The n >= 100k regime the paged layout exists for (slow, memory-heavy)."""
+        """The n >= 100k regime ``auto`` pages (slow, memory-heavy)."""
         return cls(sizes=(50_000, 100_000), layouts=("paged",))
 
 

@@ -5,14 +5,18 @@ reproduction's dense knowledge matrix walls off well before that (the matrix
 alone is ``n² / 8`` bytes).  This scenario sweeps one protocol across sizes
 under each pluggable knowledge-storage layout
 (:mod:`repro.engine.layouts`: ``dense`` / ``paged``) and records
-rounds, per-node message cost and the resident storage footprint per layout.
+rounds, per-node message cost and the storage each layout holds at the end
+of the run.
 
 Because trajectories are bit-identical across layouts, the rounds and message
 columns must agree within each size — the sweep doubles as a large-n
 cross-layout consistency check, while the ``storage_mb`` column shows what
-each layout pays for it.  ``scale --smoke`` keeps CI-friendly sizes;
-``ScaleConfig.paper_scale()`` moves to the n >= 100k regime the paged
-layout exists for.
+each layout pays for it.  On the exchange protocols (the default
+push-pull, fast-gossiping) that includes the swap buffer for ``paged`` as
+well as ``dense``: both keep it after an exchange round, and only the
+memory model's push rounds never allocate it.  ``scale --smoke`` keeps
+CI-friendly sizes; ``ScaleConfig.paper_scale()`` moves to the n >= 100k
+regime the paged layout is auto-selected for.
 """
 
 from __future__ import annotations

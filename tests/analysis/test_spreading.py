@@ -16,11 +16,11 @@ def synthetic_trace() -> SpreadingTrace:
     trace = SpreadingTrace()
     trace.record(0, "a", km)
     for i in range(8):
-        km.union_from_node(i, (i + 1) % 8)
+        km.apply_transmissions([(i + 1) % 8], [i])
     trace.record(1, "a", km)
     for i in range(8):
         for j in range(8):
-            km.union_from_node(i, j)
+            km.apply_transmissions([j], [i])
     trace.record(2, "b", km)
     return trace
 

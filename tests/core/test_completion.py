@@ -15,7 +15,7 @@ def fully_informed(n: int) -> KnowledgeMatrix:
     km = KnowledgeMatrix(n)
     full_row = km.row_with(range(n))
     for node in range(n):
-        km.union_into(node, full_row)
+        km.scatter_rows(full_row[None], [0], [node])
     return km
 
 
@@ -33,7 +33,7 @@ class TestGossipComplete:
         # Teach alive nodes all alive messages only.
         row = km.row_with([0, 1, 2])
         for node in alive:
-            km.union_into(int(node), row)
+            km.scatter_rows(row[None], [0], [int(node)])
         assert gossip_complete(km, alive)
         assert not gossip_complete(km)
 
@@ -46,7 +46,7 @@ class TestGossipComplete:
         alive = np.asarray([0, 1, 2])
         row = km.row_with([0, 1])  # message 2 missing
         for node in alive:
-            km.union_into(int(node), row)
+            km.scatter_rows(row[None], [0], [int(node)])
         assert not gossip_complete(km, alive)
 
 

@@ -279,8 +279,8 @@ class TestBatchedEqualsSequential:
             for c, t in zip(group.callers.tolist(), group.targets.tolist()):
                 sent = sequential.rows(np.asarray([c]))[0]
                 pulled = sequential.rows(np.asarray([t]))[0]
-                sequential.union_into(t, sent)
-                sequential.union_into(c, pulled)
+                sequential.scatter_rows(sent[None], [0], [t])
+                sequential.scatter_rows(pulled[None], [0], [c])
         assert batched.fingerprint() == sequential.fingerprint()
 
 

@@ -97,8 +97,7 @@ class TestFrontierMatchesDense:
         km = KnowledgeMatrix(n)
         saturated = rng.choice(n, size=n // 3, replace=False)
         full = km.full_row_mask()
-        fk.data[saturated] = full
-        fk.notify_rows_written(saturated)
+        fk.assign_rows(saturated, full)
         km.data[saturated] = full
         tracker = CompletionTracker(fk)
         for _ in range(8):
@@ -138,10 +137,10 @@ class TestFrontierMatchesDense:
         fk.add(5, 77)
         km.add(5, 77)
         row = km.row_with([1, 64, 199])
-        fk.union_into(9, row)
-        km.union_into(9, row)
-        fk.union_from_node(10, 9)
-        km.union_from_node(10, 9)
+        fk.scatter_rows(row[None], [0], [9])
+        km.scatter_rows(row[None], [0], [9])
+        fk.apply_transmissions([9], [10])
+        km.apply_transmissions([9], [10])
         assert np.array_equal(fk.data, km.data)
         assert fk._dense_rows[9] and fk._dense_rows[10]
         assert_frontier_invariants(fk)

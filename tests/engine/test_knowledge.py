@@ -85,21 +85,21 @@ class TestElementAccess:
     def test_row_with(self):
         km = KnowledgeMatrix(130)
         row = km.row_with([0, 64, 129])
-        km.union_into(5, row)
+        km.scatter_rows(row[None], [0], [5])
         assert km.knows(5, 0) and km.knows(5, 64) and km.knows(5, 129)
 
 
 class TestBulkUpdates:
-    def test_union_from_node(self):
+    def test_single_transmission_unions_rows(self):
         km = KnowledgeMatrix(8)
-        km.union_from_node(0, 1)
+        km.apply_transmissions([1], [0])
         assert km.knows(0, 1) and km.knows(0, 0)
 
-    def test_union_from_snapshot_uses_old_state(self):
+    def test_transmission_from_snapshot_uses_old_state(self):
         km = KnowledgeMatrix(8)
         snapshot = km.snapshot()
         km.add(1, 7)  # happens "after" the snapshot
-        km.union_from_node(0, 1, snapshot)
+        km.apply_transmissions([1], [0], snapshot=snapshot)
         assert not km.knows(0, 7)
 
     def test_apply_transmissions_synchronous(self):
@@ -200,7 +200,7 @@ class TestKnowledgeProperties:
         km = KnowledgeMatrix(n)
         reference = {node: {node} for node in range(n)}
         for dst, src in ops:
-            km.union_from_node(dst, src)
+            km.apply_transmissions([src], [dst])
             reference[dst] |= reference[src]
         for node in range(n):
             assert set(km.known_messages(node).tolist()) == reference[node]
@@ -211,7 +211,7 @@ class TestKnowledgeProperties:
         n, ops = data
         km = KnowledgeMatrix(n)
         for dst, src in ops:
-            km.union_from_node(dst, src)
+            km.apply_transmissions([src], [dst])
         counts = km.counts()
         for node in range(n):
             assert counts[node] == km.known_messages(node).size

@@ -20,7 +20,7 @@ class TestSpreadingTrace:
         km = KnowledgeMatrix(4)
         trace = SpreadingTrace()
         trace.record(0, "phase1", km)
-        km.union_from_node(0, 1)
+        km.apply_transmissions([1], [0])
         trace.record(1, "phase1", km)
         assert len(trace) == 2
         assert trace.records[0].coverage == pytest.approx(0.25)
@@ -32,7 +32,8 @@ class TestSpreadingTrace:
         trace = SpreadingTrace()
         rng = np.random.default_rng(0)
         for step in range(10):
-            km.union_from_node(int(rng.integers(8)), int(rng.integers(8)))
+            dst, src = int(rng.integers(8)), int(rng.integers(8))
+            km.apply_transmissions([src], [dst])
             trace.record(step, "p", km)
         curve = trace.coverage_curve()
         assert np.all(np.diff(curve) >= 0)

@@ -1,7 +1,7 @@
 """Pure-Python knowledge oracle for the differential property harness.
 
 A deliberately naive re-implementation of the
-:class:`repro.engine.knowledge.KnowledgeStorage` semantics using one Python
+:class:`repro.engine.knowledge.KnowledgeMatrix` semantics using one Python
 ``set`` of message identifiers per node — no numpy, no bit packing, no
 kernels, no layouts.  Every bulk operation follows the snapshot-round
 discipline literally (gather all source sets as copies, then write), so the
@@ -42,7 +42,7 @@ class OracleKnowledge:
                 self.rows_[i].add(i)
 
     # ------------------------------------------------------------------ #
-    # Bulk operations (snapshot semantics, mirroring KnowledgeStorage)
+    # Bulk operations (snapshot semantics, mirroring KnowledgeMatrix)
     # ------------------------------------------------------------------ #
     def apply_transmissions(self, senders: Sequence[int], receivers: Sequence[int]) -> None:
         """Directed sends, all evaluated against start-of-step state."""

@@ -2,7 +2,7 @@
 
 A *program* is a plain-data op sequence (lists and ints only, so it prints
 and replays verbatim) exercising every bulk primitive of
-:class:`repro.engine.knowledge.KnowledgeStorage`: directed transmissions,
+:class:`repro.engine.knowledge.KnowledgeMatrix`: directed transmissions,
 push–pull exchanges with and without the saturation filter, external-row
 scatters, two-way merges with external rows, row assignment, point adds,
 deficit recounts and event-clock batches grouped by
@@ -25,7 +25,6 @@ import numpy as np
 from repro.engine import (
     FrontierKnowledge,
     KnowledgeMatrix,
-    KnowledgeStorage,
     PagedKnowledge,
     group_events,
 )
@@ -64,7 +63,7 @@ OP_KINDS = (
 _WORD_EDGE_MESSAGES = (63, 64, 65, 127, 128)
 
 
-def make_storage(layout: str, program: Dict[str, Any]) -> KnowledgeStorage:
+def make_storage(layout: str, program: Dict[str, Any]) -> KnowledgeMatrix:
     """Instantiate ``layout`` for a program."""
     n, m = program["n_nodes"], program["n_messages"]
     if layout == "dense":
@@ -185,7 +184,7 @@ class Failure:
         return f"Failure(op={self.op_index} kind={self.kind!r}: {self.detail})"
 
 
-def _apply_engine(engine: KnowledgeStorage, kind: str, arg: Dict[str, Any]) -> Optional[np.ndarray]:
+def _apply_engine(engine: KnowledgeMatrix, kind: str, arg: Dict[str, Any]) -> Optional[np.ndarray]:
     """Run one op on the engine; return its output (deficits, merged rows)."""
     i64 = lambda xs: np.asarray(xs, dtype=np.int64)  # noqa: E731
     if kind == "transmissions":
