@@ -2,9 +2,10 @@
 """Large-n smoke: a 100k-node gossip run under the paged layout, RSS-bounded.
 
 CI-grade check that a 100k-node run fits a bounded footprint under the
-paged knowledge layout: runs a full synchronous push-pull exchange loop
-(every node calls a uniform random partner each round, both directions
-merge, the incremental
+paged knowledge layout: runs a few push rounds (every node pushes to a
+uniform random node, as fast-gossiping's Phase I does), then a full
+synchronous push-pull exchange loop (every node calls a uniform random
+partner each round, both directions merge, the incremental
 :class:`~repro.core.completion.CompletionTracker` drives termination) at
 
 * ``n = 100000`` nodes with ``m = 8192`` messages (128 words per row —
@@ -13,20 +14,26 @@ merge, the incremental
   smoke test), and
 * the **paged** layout forced via :func:`repro.engine.layouts.use`,
 
-then asserts two things about the process's memory:
+then asserts three things about the process's memory:
 
-* its peak RSS stayed under a ceiling (400 MB by default), and
-* its peak above the RSS it had just before allocating the matrix is at
-  most :func:`~repro.engine.layouts.estimate_bytes` plus
-  ``ESTIMATE_TOLERANCE`` (on the compiled kernels, which the estimate
-  models; the NumPy fallback's temporaries are not).
+* its peak RSS stayed under a ceiling (400 MB by default),
+* on the paged layout, its peak above the RSS it had just before
+  allocating the matrix, read before the first exchange allocates the swap
+  buffer, is at most one matrix plus the in-place push plan plus
+  ``ESTIMATE_TOLERANCE``: paged push rounds hold no second matrix, and
+* its peak above that start RSS over the whole run is at most
+  :func:`~repro.engine.layouts.estimate_bytes` plus ``ESTIMATE_TOLERANCE``.
+
+The two bounds hold on the compiled kernels, which they model; the NumPy
+fallback's temporaries are not modelled, so it skips them.
 
 An exchange round writes its next state into a swap buffer the size of the
 matrix, which the paged and dense layouts both keep between rounds
 (2 x 100000 x 128 x 8 = ~205 MB); the dense layout adds frontier
-bookkeeping.  On a 2-core x86-64 VM the run peaks at about 255 MB paged
-(215 MB above the start RSS, against a 207 MB estimate) and 300 MB with
-``--layout dense``.  The run itself verifies correctness end to end: the
+bookkeeping.  On a 2-core x86-64 VM the push rounds peak 110 MB above the
+start RSS (1.02 x one matrix plus the plan), and the run peaks at about
+258 MB paged (221 MB above the start RSS, 1.06 x the 207 MB estimate,
+which leaves out the 5 MB plan) and 298 MB with ``--layout dense``.  The run itself verifies correctness end to end: the
 loop must reach completion (every node knows all 8192 messages) within the
 round cap, and the tracker's incremental verdict is cross-checked against a
 final :func:`~repro.core.completion.gossip_complete` scan.
@@ -52,10 +59,14 @@ import numpy as np
 from repro.core.completion import CompletionTracker, gossip_complete
 from repro.engine import backends, layouts
 
-#: Allowed excess of the measured peak over ``estimate_bytes``.  Exchange
-#: loops at n = m = 16384 measured 0.96 x the estimate dense and 1.03 x
-#: paged; ``tests/engine/test_layout_boundaries.py`` holds both within it.
+#: Allowed excess of the measured peak over ``estimate_bytes``.  Runs at
+#: n = m = 16384 measured 0.93 x the estimate dense and 1.03 x paged;
+#: ``tests/engine/test_layout_boundaries.py`` holds both within it.  The
+#: paged push rounds' bound uses the same tolerance (measured 1.00 x).
 ESTIMATE_TOLERANCE = 0.08
+
+#: Push rounds before the exchange loop.
+PUSH_ROUNDS = 3
 
 
 def _status_bytes(field: str) -> int:
@@ -100,9 +111,33 @@ def main() -> int:
         flush=True,
     )
 
+    layout = type(knowledge).layout
+    compiled = backends.active().use_compiled()
+    callers = np.arange(n, dtype=np.int64)
+    for _ in range(PUSH_ROUNDS):
+        knowledge.apply_transmissions(callers, rng.integers(0, n, n).astype(np.int64))
+    # Read before the first exchange allocates the swap buffer.  The bound
+    # is one matrix plus the in-place kernel's integer plan: four int64
+    # slots per node, and a stack and an out-edge slot per transmission.
+    push_above = _status_bytes("VmHWM") - start_rss
+    push_bound = 8 * n * knowledge.words + 8 * (4 * n + 2 * n)
+    print(
+        f"{PUSH_ROUNDS} push rounds: peak above start {push_above / 1e6:.1f}MB "
+        f"= {push_above / push_bound:.3f} x one matrix + plan "
+        f"{push_bound / 1e6:.1f}MB",
+        flush=True,
+    )
+    if layout != "paged" or not compiled:
+        print("push-round bound skipped: it models paged compiled push rounds")
+    elif push_above > push_bound * (1 + ESTIMATE_TOLERANCE):
+        print(
+            "FAIL: paged push rounds exceed one matrix plus the plan by more "
+            f"than {ESTIMATE_TOLERANCE:.0%}"
+        )
+        return 1
+
     tracker = CompletionTracker(knowledge)
     complete_row = knowledge.full_row_mask()
-    callers = np.arange(n, dtype=np.int64)
     rounds = 0
     t0 = time.perf_counter()
     while not tracker.is_complete():
@@ -131,7 +166,6 @@ def main() -> int:
         return 1
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    layout = type(knowledge).layout
     estimate = layouts.estimate_bytes(layout, n, m)
     print(
         f"complete in {rounds} rounds, {wall:.1f}s; "
@@ -144,7 +178,7 @@ def main() -> int:
     if peak_mb > args.ceiling_mb:
         print(f"FAIL: peak RSS {peak_mb:.1f}MB exceeds ceiling {args.ceiling_mb}MB")
         return 1
-    if not backends.active().use_compiled():
+    if not compiled:
         print("estimate check skipped: the estimate models the compiled kernels")
     elif above > estimate * (1 + ESTIMATE_TOLERANCE):
         print(

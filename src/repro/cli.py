@@ -301,12 +301,27 @@ def _graph_spec(kind: str, n: int, expected_degree: Optional[float]) -> GraphSpe
     return GraphSpec(kind, n)
 
 
+def _sample_graph(args: argparse.Namespace):
+    """The ``(spec, graph)`` that ``--graph``/``--nodes``/``--expected-degree``
+    describe, or ``None`` after reporting why the input is unusable: a size
+    or degree the family rejects (ValueError), or no connected sample
+    (RuntimeError)."""
+    try:
+        spec = _graph_spec(args.graph, args.nodes, args.expected_degree)
+        return spec, make_graph(spec, rng=args.seed)
+    except (ValueError, RuntimeError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
 # --------------------------------------------------------------------------- #
 # Subcommand implementations
 # --------------------------------------------------------------------------- #
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _graph_spec(args.graph, args.nodes, args.expected_degree)
-    graph = make_graph(spec, rng=args.seed)
+    sampled = _sample_graph(args)
+    if sampled is None:
+        return 2
+    spec, graph = sampled
     protocols = {
         "push-pull": PushPullGossip(),
         "fast-gossiping": FastGossiping(),
@@ -323,7 +338,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     # Sync-only protocols do not take a clock argument at all.
     run_kwargs = {"clock": args.clock} if len(protocol.supported_clocks) > 1 else {}
-    result = protocol.run(graph, rng=args.seed + 1, **run_kwargs)
+    try:
+        result = protocol.run(graph, rng=args.seed + 1, **run_kwargs)
+    except ValueError as error:  # a graph the protocol cannot run on
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     summary = result.summary()
     summary["graph"] = spec.describe()
     if args.json:
@@ -667,8 +686,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_info(args: argparse.Namespace) -> int:
-    spec = _graph_spec(args.graph, args.nodes, args.expected_degree)
-    graph = make_graph(spec, rng=args.seed)
+    sampled = _sample_graph(args)
+    if sampled is None:
+        return 2
+    spec, graph = sampled
     profile = profile_graph(graph, rng=args.seed, spectral=(graph.n <= 4096))
     rows = [[key, value] for key, value in profile.as_dict().items()]
     print(format_table(["property", "value"], rows, title=spec.describe()))

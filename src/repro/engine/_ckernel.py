@@ -3,21 +3,24 @@
 NumPy's fancy-indexing machinery moves every gathered row through fresh
 temporaries, which caps the gossip kernel's throughput well below what the
 hardware allows.  This module compiles a small C library once per machine
-with the system C compiler and loads it through :mod:`ctypes`.  It exposes
-five knowledge primitives: the swap-form full-round kernels
-(:func:`exchange`, :func:`push_round`: build the round's incoming-sender
-CSR, write each row's next state exactly once into the spare buffer,
-caller swaps — about half the traffic of snapshot + read-modify-write),
-the order-independent :func:`scatter_or` over an explicit snapshot, the
+with the system C compiler and loads it through :mod:`ctypes`.  Its
+knowledge primitives are the swap-form full-round kernels
+(:func:`exchange` and its saturation-filtered :func:`exchange_filtered`,
+:func:`push_round`: build the round's incoming-sender CSR, write each
+row's next state exactly once into the spare buffer, caller swaps —
+about half the traffic of snapshot + read-modify-write), the
+order-independent :func:`scatter_or` over an explicit snapshot, the
 word-sparse :func:`frontier_scatter` pass used by
-:class:`~repro.engine.knowledge.FrontierKnowledge`, and the fused
-mask-and-popcount deficit :func:`recount_deficits`.  Two serial graph
-kernels sit beside them: :func:`pairs_csr` builds the CSR of ``G(n, p)``
-straight from the sampler's sorted pair indices, and
+:class:`~repro.engine.knowledge.FrontierKnowledge`, the fused
+mask-and-popcount deficit :func:`recount_deficits`, and the serial
+:func:`push_in_place`, which applies a push batch straight into the matrix
+in an order that reads every sender before anything writes it.  Two
+serial graph kernels sit beside them: :func:`pairs_csr` builds the CSR of
+``G(n, p)`` straight from the sampler's sorted pair indices, and
 :func:`bfs_connected` is the connectivity check.
 
-Every knowledge primitive takes a trailing ``shards`` count (the graph
-kernels take none and never wake the pool).  One shard (the default)
+Every other knowledge primitive takes a trailing ``shards`` count (the
+serial kernels take none and never wake the pool).  One shard (the default)
 runs inline on the calling thread, lock-free.  More partition the *receiver
 rows* of a batch into disjoint contiguous shards across a persistent worker
 pool; :func:`ensure_shards` grows the pool and returns the count to pass.
@@ -73,6 +76,7 @@ __all__ = [
     "ensure_shards",
     "exchange",
     "exchange_filtered",
+    "push_in_place",
     "push_round",
     "frontier_scatter",
     "pairs_csr",
@@ -922,6 +926,127 @@ void repro_recount(const uint64_t *data, const uint64_t *mask,
 }
 
 /* ------------------------------------------------------------------ *
+ * In-place push batches.
+ *
+ * A push batch ORs every sender's start-of-batch row into its receiver.
+ * Instead of copying the sender rows first, this kernel applies the
+ * batch straight into `data` and orders the writes so that every read
+ * still sees start-of-batch state.  Edge x->y reads x and writes y, so it
+ * may run only once every edge that reads y — each out-edge of y — has
+ * run.  A depth-first search along out-edges yields that order: edge
+ * x->y is applied when y is finished (all its out-edges applied) or has
+ * no out-edges.  x is unwritten then: it is still on the DFS stack, and
+ * nothing writes a node on the stack except an edge that closes a cycle.
+ * Such an edge, into a node y still on the stack, first copies y's row
+ * once into a snapshot, and every later read of y takes the snapshot.
+ * Self-loops OR a row into itself and are skipped.  OR is commutative,
+ * so the bits equal the snapshot + scatter result.  Serial: no shard
+ * count, never wakes the pool.
+ *
+ * The integer plan is caller-owned, REPRO_SLOTS int64 per node followed
+ * by 2k int64 of edge scratch (the DFS stack and the out-edge CSR).  The
+ * node part is zero on entry and again on return; only the batch's
+ * senders are ever touched, so the reset costs O(k), not O(n).  Snapshot
+ * rows — a few per batch, since push batches have few cycles — are
+ * malloc'd here and freed before returning.  Returns 0; -1 when a
+ * snapshot allocation failed (the batch is then partly applied); -2 when
+ * an index lies outside [0, n) (nothing is written).
+ * ------------------------------------------------------------------ */
+
+/* Per-node plan slots: out-edges not yet taken, CSR cursor, 1 + the
+ * snapshot row (0: none) and the DFS colour. */
+enum { REPRO_LEFT, REPRO_NEXT, REPRO_SNAP, REPRO_COLOUR, REPRO_SLOTS };
+enum { REPRO_WHITE, REPRO_GRAY, REPRO_BLACK };
+
+int64_t repro_push_in_place(uint64_t *data, const int64_t *src,
+                            const int64_t *dst, int64_t k, int64_t n,
+                            int64_t words, int64_t *plan) {
+    for (int64_t i = 0; i < k; i++)
+        if (src[i] < 0 || src[i] >= n || dst[i] < 0 || dst[i] >= n)
+            return -2;
+    int64_t *stack = plan + REPRO_SLOTS * n;
+    int64_t *adj = stack + k;
+    /* Out-edge CSR over the senders alone: count, hand out slices in
+     * order of first appearance (NEXT holds the slice end; 0 = no slice
+     * yet, as every slice is non-empty), then fill each slice backwards,
+     * which leaves NEXT at the slice start. */
+    for (int64_t i = 0; i < k; i++)
+        plan[src[i] * REPRO_SLOTS + REPRO_LEFT]++;
+    int64_t run = 0;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t *s = plan + src[i] * REPRO_SLOTS;
+        if (s[REPRO_NEXT] == 0) {
+            run += s[REPRO_LEFT];
+            s[REPRO_NEXT] = run;
+        }
+    }
+    for (int64_t i = 0; i < k; i++)
+        adj[--plan[src[i] * REPRO_SLOTS + REPRO_NEXT]] = dst[i];
+
+    const size_t row_bytes = (size_t)words * sizeof(uint64_t);
+    uint64_t *snaps = NULL;
+    int64_t nsnaps = 0, cap = 0, status = 0;
+    for (int64_t i = 0; i < k && status == 0; i++) {
+        if (plan[src[i] * REPRO_SLOTS + REPRO_COLOUR] != REPRO_WHITE)
+            continue;
+        plan[src[i] * REPRO_SLOTS + REPRO_COLOUR] = REPRO_GRAY;
+        int64_t depth = 1;
+        stack[0] = src[i];
+        while (depth > 0) {
+            int64_t x = stack[depth - 1], y;
+            int64_t *px = plan + x * REPRO_SLOTS;
+            if (px[REPRO_LEFT] == 0) {
+                /* Every out-edge of x has run: finish x, then apply the
+                 * parent's edge that opened it. */
+                px[REPRO_COLOUR] = REPRO_BLACK;
+                if (--depth == 0)
+                    break;
+                y = x;
+                x = stack[depth - 1];
+                px = plan + x * REPRO_SLOTS;
+            } else {
+                px[REPRO_LEFT]--;
+                y = adj[px[REPRO_NEXT]++];
+                if (y == x)
+                    continue;
+                int64_t *py = plan + y * REPRO_SLOTS;
+                if (py[REPRO_COLOUR] == REPRO_WHITE && py[REPRO_LEFT] > 0) {
+                    py[REPRO_COLOUR] = REPRO_GRAY;
+                    stack[depth++] = y;
+                    continue;
+                }
+                if (py[REPRO_COLOUR] == REPRO_GRAY && py[REPRO_SNAP] == 0) {
+                    /* x->y closes a cycle: y's own out-edges still have
+                     * to read its start-of-batch row. */
+                    if (nsnaps == cap) {
+                        const int64_t grown = cap ? 2 * cap : 16;
+                        uint64_t *more = (uint64_t *)realloc(
+                            snaps, (size_t)grown * row_bytes);
+                        if (more == NULL) {
+                            status = -1;
+                            break;
+                        }
+                        snaps = more;
+                        cap = grown;
+                    }
+                    memcpy(snaps + nsnaps * words, data + y * words,
+                           row_bytes);
+                    py[REPRO_SNAP] = ++nsnaps;
+                }
+            }
+            const uint64_t *from =
+                px[REPRO_SNAP] ? snaps + (px[REPRO_SNAP] - 1) * words
+                               : data + x * words;
+            repro_oracc(data + y * words, from, words);
+        }
+    }
+    for (int64_t i = 0; i < k; i++)
+        memset(plan + src[i] * REPRO_SLOTS, 0, REPRO_SLOTS * sizeof(int64_t));
+    free(snaps);
+    return status;
+}
+
+/* ------------------------------------------------------------------ *
  * Graph kernels for G(n, p).
  *
  * The gap sampler emits the edge set as strictly increasing indices into
@@ -1126,7 +1251,9 @@ def _bind(lib: ctypes.CDLL) -> None:
         kernel = getattr(lib, name)
         kernel.argtypes = argtypes + [i64]
         kernel.restype = None
-    # The graph kernels are serial and return a status: no shard count.
+    # The serial kernels return a status and take no shard count.
+    lib.repro_push_in_place.argtypes = [u64p, i64p, i64p, i64, i64, i64, i64p]
+    lib.repro_push_in_place.restype = i64
     lib.repro_pairs_csr.argtypes = [i64p, i64, i64, i64p, i64p]
     lib.repro_pairs_csr.restype = i64
     lib.repro_bfs_connected.argtypes = [i64p, i64p, i64, i64p, u8p]
@@ -1424,6 +1551,40 @@ def push_round(
         _i64(adj),
         ctypes.c_int64(shards),
     )
+
+
+def push_in_place(
+    data: np.ndarray, senders: np.ndarray, receivers: np.ndarray, plan: np.ndarray
+) -> None:
+    """OR each sender's start-of-batch row into its receiver, in ``data`` itself.
+
+    No sender rows are copied except the few that close a cycle in the
+    batch's sender -> receiver graph: the kernel orders the writes so that
+    every sender is read before anything writes it (see ``_SOURCE``).
+    Serial.  ``plan`` is caller-owned ``int64`` scratch of at least
+    ``4 n + 2 k`` entries (``n`` rows, ``k`` transmissions) whose first
+    ``4 n`` are zero; the kernel leaves them zero.  Index arrays must be
+    C-contiguous ``int64``.  Raises :class:`IndexError` (nothing written)
+    when an index lies outside ``[0, n)``, and :class:`MemoryError` (the
+    batch partly applied) when the cycle rows cannot be allocated.
+    """
+    n, words = data.shape
+    k = senders.size
+    if receivers.size != k or plan.size < 4 * n + 2 * k:
+        raise ValueError("receivers must match senders, and plan needs 4 n + 2 k slots")
+    status = _LIB.repro_push_in_place(
+        _u64(data),
+        _i64(senders),
+        _i64(receivers),
+        ctypes.c_int64(k),
+        ctypes.c_int64(n),
+        ctypes.c_int64(words),
+        _i64(plan),
+    )
+    if status == -2:
+        raise IndexError(f"transmission endpoints must lie in [0, {n})")
+    if status != 0:
+        raise MemoryError("cannot allocate the snapshot rows of a push batch")
 
 
 def frontier_scatter(

@@ -14,8 +14,9 @@ protocols never see which one is active:
     The compiled kernels from :mod:`repro.engine._ckernel` — swap-form
     exchange and push rounds, the snapshot scatter-OR, the word-sparse
     frontier pass, and the mask-and-popcount deficit recount — with a
-    thread budget, plus two serial graph kernels (the CSR fill from sorted
-    pair indices and a queue BFS).  Each batch picks its own shard count
+    thread budget, plus three serial kernels: the in-place push batch, and
+    the two graph kernels (the CSR fill from sorted pair indices and a
+    queue BFS).  Each sharded batch picks its own shard count
     from its word traffic, with a measured small-batch cutoff so small runs
     never pay pool-dispatch overhead.  Receiver rows are partitioned into disjoint
     contiguous shards and all gathers precede all writes, so trajectories
@@ -254,7 +255,13 @@ class CBackend(KernelBackend):
         shards = self._shards(rows.size * data.shape[1])
         return _ckernel.recount_deficits(data, mask, rows, shards)
 
-    # The graph kernels are serial: they never wake the thread pool.
+    # The in-place push and the graph kernels are serial: they never wake
+    # the thread pool.
+    def push_in_place(self, data, senders, receivers, plan) -> None:
+        """Push batch applied straight into ``data``, each sender read
+        before anything writes it (see ``_ckernel.push_in_place``)."""
+        _ckernel.push_in_place(data, senders, receivers, plan)
+
     def pairs_csr(self, n, pairs):
         """CSR ``(indptr, indices)`` of ``G(n, p)`` from its sorted pair
         indices (see ``_ckernel.pairs_csr``)."""

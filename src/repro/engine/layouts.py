@@ -10,15 +10,17 @@ mirroring the kernel-backend registry in :mod:`repro.engine.backends`:
 
 ``PagedKnowledge``
     The plain matrix, without the frontier bookkeeping, whose push rounds
-    never allocate a second matrix: a push-form batch gathers only its
-    unique sender rows and ORs them in place.  Exchange rounds run the
-    dense kernels and keep the swap buffer resident, as the dense layout
-    does.  So the memory model (push rounds only) peaks near one matrix and
-    the exchange protocols near two.
+    never allocate a second matrix: on the compiled kernels a push-form
+    batch is applied in place, ordered so that every sender is read before
+    anything writes it, with an integer plan of four slots per node and two
+    per transmission plus a copy of the few rows that close a cycle.
+    Exchange rounds run the dense kernels and keep the swap buffer
+    resident, as the dense layout does.  So the memory model (push rounds
+    only) peaks near one matrix and the exchange protocols near two.
 
-The paged layout runs the dense layout's own kernels, so trajectories are
-**bit-identical** to the dense layout at every size where dense fits
-(``tests/engine/test_layouts.py``).
+Every kernel the paged layout runs reads start-of-batch rows only, so
+trajectories are **bit-identical** to the dense layout at every size where
+dense fits (``tests/engine/test_layouts.py``).
 
 Memory model (bytes at the peak of a full exchange loop; ``w`` = words =
 ceil(n_messages / 64)):
@@ -34,9 +36,13 @@ paged        ``16 n w + 8 (3 n + 1)``
 ===========  ==========================================================
 
 ``tests/engine/test_layout_boundaries.py`` pins both against the measured
-peak of the loop at n = 16384.  Selection: :func:`make_knowledge` resolves
-``auto`` to **dense** while the dense estimate fits the budget (default
-1 GiB, ``REPRO_KNOWLEDGE_DENSE_BUDGET``) and **paged** beyond it.
+peak of the loop at n = 16384.  Exchange rounds never build the in-place
+push plan, so the model leaves it out; a run that pushes first keeps its
+``8 (4 n + 2 k)`` bytes resident on top, which the tolerance covers.
+
+Selection: :func:`make_knowledge` resolves ``auto`` to **dense** while the
+dense estimate fits the budget (default 1 GiB,
+``REPRO_KNOWLEDGE_DENSE_BUDGET``) and **paged** beyond it.
 Overrides, strongest first: an explicit ``layout=`` argument, the
 :func:`use` scope, then ``REPRO_KNOWLEDGE_LAYOUT`` (``auto`` / ``dense`` /
 ``paged``).  An empty variable counts as unset.
@@ -50,6 +56,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import backends
 from .knowledge import (
     _CROSSOVER,
     _FRONTIER_MIN_WORDS,
@@ -181,21 +188,28 @@ def make_knowledge(
 class PagedKnowledge(KnowledgeMatrix):
     """The plain matrix used over the dense budget.
 
-    Its push rounds never allocate a second matrix: a push-form batch
-    (:meth:`apply_transmissions` without a snapshot) gathers only its
-    unique sender rows and ORs them in place, so it needs ``8 u w``
-    transient bytes for ``u`` unique senders where the dense class fills
-    its ``8 n w`` swap buffer.  Everything else is :class:`KnowledgeMatrix`
-    — exchange rounds keep the swap buffer resident just as the dense class
-    does, and :meth:`row` views go stale across bulk updates.
+    Its push rounds never allocate a second matrix.  On the compiled
+    backend every push-form batch (:meth:`apply_transmissions` without a
+    snapshot) runs in place, whatever its size: the kernel orders the
+    writes so that each sender is read before anything writes it, with an
+    ``O(n + k)`` integer plan and a copy of the few rows that close a
+    cycle, where the dense class fills its ``8 n w`` swap buffer.  The
+    NumPy backend, the reference, gathers the batch's ``u`` unique sender
+    rows instead (``8 u w`` transient bytes).  Everything else is
+    :class:`KnowledgeMatrix` — exchange rounds keep the swap buffer
+    resident just as the dense class does, and :meth:`row` views go stale
+    across bulk updates.
 
-    Bit-identical to the dense layout: the kernels are the same, and the
-    gather precedes every write of the round.
+    Bit-identical to the dense layout: every path reads start-of-batch
+    rows only, and OR commutes.
     """
 
     __slots__ = ()
 
     layout = "paged"
+
+    def _pushes_in_place(self, transmissions: int) -> bool:
+        return True
 
     def apply_transmissions(
         self,
@@ -203,7 +217,7 @@ class PagedKnowledge(KnowledgeMatrix):
         receivers: np.ndarray,
         snapshot: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        if snapshot is None:
+        if snapshot is None and not backends.active().use_compiled():
             unique_senders, senders = np.unique(
                 np.asarray(senders, dtype=np.int64), return_inverse=True
             )

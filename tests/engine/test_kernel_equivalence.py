@@ -27,6 +27,7 @@ from repro.core.completion import CompletionTracker, gossip_complete
 from repro.core.random_walks import WalkPool
 from repro.engine import _ckernel, backends
 from repro.engine.knowledge import KnowledgeMatrix
+from repro.engine.layouts import PagedKnowledge
 
 
 def reference_apply(data: np.ndarray, senders, receivers, snapshot) -> None:
@@ -105,6 +106,59 @@ class TestApplyTransmissionsEquivalence:
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         )
         assert np.array_equal(km.data, before)
+
+    @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "sharded"])
+    @pytest.mark.parametrize("words", [1, 7, 64, 65, 313])
+    def test_in_place_write_order(self, threads, words):
+        """Compiled push batches whose write order is hard to get right.
+
+        The paged class applies every push batch in place, the dense class
+        those under ``n / 4`` transmissions (each shape also runs over a
+        fifth of the nodes for it).  Each shape runs in its own and in
+        reversed edge order, so a chain gives a DFS as deep as the chain
+        once each way.  The batches run back to back on the same states,
+        each from fresh sparse rows, so every one starts from a clean plan.
+        """
+        if not _ckernel.available():
+            pytest.skip("compiled kernel unavailable on this machine")
+        n = 150
+        rng = np.random.default_rng(2200 + words)
+        states = [KnowledgeMatrix(n, 64 * words), PagedKnowledge(n, 64 * words)]
+
+        def shapes(p):
+            m = p.size
+            a, b = p[0 : m // 2 * 2 : 2], p[1 : m // 2 * 2 : 2]
+            half, rest = p[: m // 2], p[m // 2 :]
+            pairs_s, pairs_r = rng.choice(p, m // 2), rng.choice(p, m // 2)
+            yield "chain", p[:-1], p[1:]
+            yield "reverse chain", p[1:], p[:-1]
+            yield "cycle", p, np.roll(p, -1)
+            yield "2-cycles", np.r_[a, b], np.r_[b, a]
+            yield "self-loops", np.r_[half, rest], np.r_[half, np.roll(rest, 1)]
+            yield "duplicates", np.r_[pairs_s, pairs_s], np.r_[pairs_r, pairs_r]
+            yield "one to many", np.full(m, p[0]), p
+            yield "many to one", p, np.full(m, p[0])
+            yield "mapping", p, rng.choice(p, m)
+            yield "k >> n", rng.choice(p, 8 * n), rng.choice(p, 8 * n)
+            yield "empty", p[:0], p[:0]
+
+        backend = backends.CBackend(max_threads=threads, shard_work=1)
+        with backends.use(backend):
+            for p in (np.arange(n), rng.permutation(n)[: n // 5]):
+                for name, senders, receivers in shapes(p.astype(np.int64)):
+                    for order in (slice(None), slice(None, None, -1)):
+                        s, r = senders[order], receivers[order]
+                        start = rng.integers(0, 2**63, (n, words), dtype=np.uint64)
+                        start &= rng.integers(0, 2**63, (n, words), dtype=np.uint64)
+                        ref = start.copy()
+                        reference_apply(ref, s, r, start)
+                        for state in states:
+                            state.data[...] = start
+                            state.apply_transmissions(s, r)
+                            assert np.array_equal(state.data, ref), (
+                                f"{type(state).__name__}: {name} over "
+                                f"{p.size} nodes, order {order}"
+                            )
 
 
 class TestApplyExchangeEquivalence:

@@ -88,9 +88,12 @@ class TestEstimateIsThePeak:
 
     The large-n smoke runs the loop at n = m = 16384 in a fresh interpreter
     and reports its VmHWM above the RSS it had before allocating the matrix.
-    On a 2-core x86-64 VM that peak is 0.96-0.97 x the dense estimate and
-    1.02-1.03 x the paged one; the estimates before they modelled the swap
-    buffer, the CSR and the frontier's pair buffers were 1.13 x and 2.04 x.
+    On a 2-core x86-64 VM that peak is 0.93-0.94 x the dense estimate and
+    1.02-1.03 x the paged one, after three push rounds (0.96-0.97 x dense
+    without them); the estimates before they modelled the swap buffer, the
+    CSR and the frontier's pair buffers were 1.13 x and 2.04 x.  A paged run
+    also fails unless its push rounds stay within the tolerance of one
+    matrix plus the in-place plan.
     """
 
     @pytest.mark.parametrize("layout", ["dense", "paged"])

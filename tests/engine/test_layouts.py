@@ -357,11 +357,15 @@ class TestPagedMechanics:
     def test_push_batches_never_allocate_the_swap_buffer(
         self, kernel_path, monkeypatch, swap_min_work
     ):
-        """Push-form batches gather their senders; the dense class swaps."""
+        """Push-form batches run in place (NumPy: gather their senders);
+        the dense class swaps."""
         monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", swap_min_work)
         n = 53
         paged, dense = PagedKnowledge(n), KnowledgeMatrix(n)
         rng = np.random.default_rng(9)
+        # The in-place kernel's plan stays resident on the compiled paths:
+        # four slots per node and two per transmission of the largest batch.
+        plan = 8 * (4 * n + 2 * 3 * n) if kernel_path != "numpy" else 0
         # A dense batch (every node sends, the swap form's trigger) and a
         # sparse one.
         for size in (3 * n, 3):
@@ -369,7 +373,7 @@ class TestPagedMechanics:
             for state in (paged, dense):
                 state.apply_transmissions(senders, receivers)
             assert paged._scratch is None
-            assert paged.storage_nbytes() == 8 * n * paged.words
+            assert paged.storage_nbytes() == 8 * n * paged.words + plan
             assert paged == dense
         assert dense._scratch is not None
 

@@ -222,6 +222,30 @@ class TestOtherCommands:
         assert "connected" in out
 
 
+class TestBadGraphInput:
+    """Unusable sizes and degrees give one error line and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--nodes", "0"], "n must be positive, got 0"),
+            (["run", "--nodes", "1"], "gossiping requires at least two nodes"),
+            (["run", "-n", "64", "--expected-degree", "-3"], "p must be in [0, 1]"),
+            (["run", "-n", "64", "--expected-degree", "0"], "connected G(64, 0)"),
+            (["graph-info", "--nodes", "0"], "n must be positive, got 0"),
+            (["graph-info", "-n", "64", "--expected-degree", "-3"], "p must be in"),
+            (["graph-info", "-n", "64", "--expected-degree", "0"], "connected G(64"),
+        ],
+    )
+    def test_reported_as_error(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+
 @pytest.fixture(scope="module")
 def smoke_store(tmp_path_factory):
     """One figure2 smoke run whose store backs the `repro results` tests."""
