@@ -25,9 +25,11 @@ per-walk Python loop survives on the per-round hot path.
   iterations: transmissions are applied either through one compiled
   scatter-OR pass (see below) or through a sort-by-receiver layered NumPy
   scatter whose layer count is the maximum in-degree, not the channel count.
-  Start-of-step snapshot semantics are preserved by gathering sender rows
-  (or filling a reusable double buffer) before the first write — never by
-  copying the full matrix per round.
+  Start-of-step snapshot semantics are preserved by applying compiled push
+  batches in an order that reads every sender row before anything writes
+  it, by writing exchange rounds into a reusable double buffer, or by
+  gathering sender rows before the first write — never by copying the full
+  matrix per round.
 * Completion checking is incremental
   (:class:`repro.core.completion.CompletionTracker`): per-node missing-bit
   deficits are recounted only for rows touched in the round, making the

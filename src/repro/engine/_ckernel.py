@@ -4,19 +4,19 @@ NumPy's fancy-indexing machinery moves every gathered row through fresh
 temporaries, which caps the gossip kernel's throughput well below what the
 hardware allows.  This module compiles a small C library once per machine
 with the system C compiler and loads it through :mod:`ctypes`.  Its
-knowledge primitives are the swap-form full-round kernels
-(:func:`exchange` and its saturation-filtered :func:`exchange_filtered`,
-:func:`push_round`: build the round's incoming-sender CSR, write each
-row's next state exactly once into the spare buffer, caller swaps —
-about half the traffic of snapshot + read-modify-write), the
-order-independent :func:`scatter_or` over an explicit snapshot, the
-word-sparse :func:`frontier_scatter` pass used by
-:class:`~repro.engine.knowledge.FrontierKnowledge`, the fused
-mask-and-popcount deficit :func:`recount_deficits`, and the serial
-:func:`push_in_place`, which applies a push batch straight into the matrix
-in an order that reads every sender before anything writes it.  Two
-serial graph kernels sit beside them: :func:`pairs_csr` builds the CSR of
-``G(n, p)`` straight from the sampler's sorted pair indices, and
+knowledge primitives are the swap-form exchange kernels (:func:`exchange`
+and its saturation-filtered :func:`exchange_filtered`: build the round's
+incoming-sender CSR, write each row's next state exactly once into the
+spare buffer, caller swaps — about half the traffic of snapshot +
+read-modify-write), the serial :func:`push_in_place`, which applies every
+push batch straight into the matrix in an order that reads every sender
+before anything writes it, the order-independent :func:`scatter_or` from
+rows stored apart from the written ones, the word-sparse
+:func:`frontier_scatter` pass used by
+:class:`~repro.engine.knowledge.FrontierKnowledge`, and the fused
+mask-and-popcount deficit :func:`recount_deficits`.  Two serial graph
+kernels sit beside them: :func:`pairs_csr` builds the CSR of ``G(n, p)``
+straight from the sampler's sorted pair indices, and
 :func:`bfs_connected` is the connectivity check.
 
 Every other knowledge primitive takes a trailing ``shards`` count (the
@@ -77,8 +77,8 @@ __all__ = [
     "exchange",
     "exchange_filtered",
     "push_in_place",
-    "push_round",
     "frontier_scatter",
+    "library_path",
     "pairs_csr",
     "recount_deficits",
     "scatter_or",
@@ -351,11 +351,11 @@ __attribute__((constructor)) static void repro_simd_init(void) {
 }
 
 /* ------------------------------------------------------------------ *
- * Full-round kernels in "swap" form.
+ * Exchange rounds in "swap" form.
  *
- * A naive full round snapshots the matrix (memcpy) and then RMWs every
- * receiver row — about 8·n·words words of memory traffic for a full
- * push-pull round.  The swap form instead builds the per-row incoming
+ * A naive exchange round snapshots the matrix (memcpy) and then RMWs
+ * every receiver row — about 8·n·words words of memory traffic for a
+ * full push-pull round.  The swap form instead builds the per-row incoming
  * sender lists (a CSR over the round's channels, O(k) integer work) and
  * writes the complete NEXT state into `next`:
  *
@@ -370,19 +370,18 @@ __attribute__((constructor)) static void repro_simd_init(void) {
  * sequential snapshot semantics.
  * ------------------------------------------------------------------ */
 
-/* Incoming-sender CSR for one round.  Edge i informs dst[i] from src[i];
- * with `both` set each channel also informs src[i] from dst[i] (the pull
- * direction of an exchange).  `off` has n+1 slots and `adj` one slot per
- * edge.  After the fill pass off[r] is the END of row r's slice (the
- * classic cursor trick), so row r spans [r ? off[r-1] : 0, off[r]). */
+/* Incoming-sender CSR for one exchange round: each channel informs
+ * dst[i] from src[i] and src[i] from dst[i].  `off` has n+1 slots and
+ * `adj` two slots per channel.  After the fill pass off[r] is the END of
+ * row r's slice (the classic cursor trick), so row r spans
+ * [r ? off[r-1] : 0, off[r]). */
 static void repro_sender_csr(const int64_t *src, const int64_t *dst,
-                             int64_t k, int64_t n, int both,
+                             int64_t k, int64_t n,
                              int64_t *off, int64_t *adj) {
     memset(off, 0, (size_t)(n + 1) * sizeof(int64_t));
     for (int64_t i = 0; i < k; i++) {
         off[dst[i]]++;
-        if (both)
-            off[src[i]]++;
+        off[src[i]]++;
     }
     int64_t run = 0;
     for (int64_t r = 0; r < n; r++) {
@@ -393,8 +392,7 @@ static void repro_sender_csr(const int64_t *src, const int64_t *dst,
     off[n] = run;
     for (int64_t i = 0; i < k; i++) {
         adj[off[dst[i]]++] = src[i];
-        if (both)
-            adj[off[src[i]]++] = dst[i];
+        adj[off[src[i]]++] = dst[i];
     }
 }
 
@@ -435,7 +433,7 @@ static void repro_swap_rows(const uint64_t *cur, uint64_t *next,
  * entries from its incomplete senders, which the swap pass ignores
  * (their contribution is a subset of the full row). */
 static void repro_sender_csr_f(const int64_t *src, const int64_t *dst,
-                               int64_t k, int64_t n, int both,
+                               int64_t k, int64_t n,
                                const uint8_t *complete, uint8_t *promoted,
                                int64_t *off, int64_t *adj) {
     memset(off, 0, (size_t)(n + 1) * sizeof(int64_t));
@@ -447,7 +445,7 @@ static void repro_sender_csr_f(const int64_t *src, const int64_t *dst,
             else
                 off[d]++;
         }
-        if (both && !complete[s]) {
+        if (!complete[s]) {
             if (complete[d])
                 promoted[s] = 1;
             else
@@ -463,10 +461,10 @@ static void repro_sender_csr_f(const int64_t *src, const int64_t *dst,
     off[n] = run;
     for (int64_t i = 0; i < k; i++) {
         const int64_t s = src[i], d = dst[i];
-        if (!complete[d] && !complete[s])
+        if (!complete[d] && !complete[s]) {
             adj[off[d]++] = s;
-        if (both && !complete[s] && !complete[d])
             adj[off[s]++] = d;
+        }
     }
 }
 
@@ -718,7 +716,7 @@ void repro_exchange(const uint64_t *cur, uint64_t *next,
                     int64_t *off, int64_t *adj,
                     const uint64_t *mask, int64_t *deficits,
                     int64_t nshards) {
-    repro_sender_csr(callers, targets, k, n, 1, off, adj);
+    repro_sender_csr(callers, targets, k, n, off, adj);
     repro_swap_args a = {cur,  next, off,  adj,     n,
                          words, NULL, NULL, mask, deficits};
     repro_run_sharded(repro_swap_shard, &a, nshards);
@@ -736,21 +734,9 @@ void repro_exchange_f(const uint64_t *cur, uint64_t *next,
                       const uint64_t *full_row,
                       const uint64_t *mask, int64_t *deficits,
                       int64_t nshards) {
-    repro_sender_csr_f(callers, targets, k, n, 1, complete, promoted, off,
-                       adj);
+    repro_sender_csr_f(callers, targets, k, n, complete, promoted, off, adj);
     repro_swap_args a = {cur,   next,     off,      adj,  n,
                          words, promoted, full_row, mask, deficits};
-    repro_run_sharded(repro_swap_shard, &a, nshards);
-}
-
-/* One-directional variant: dst[i] learns src[i]'s start-of-round row. */
-void repro_push_round(const uint64_t *cur, uint64_t *next,
-                      const int64_t *src, const int64_t *dst,
-                      int64_t k, int64_t n, int64_t words,
-                      int64_t *off, int64_t *adj, int64_t nshards) {
-    repro_sender_csr(src, dst, k, n, 0, off, adj);
-    repro_swap_args a = {cur,  next, off,  adj,  n,
-                         words, NULL, NULL, NULL, NULL};
     repro_run_sharded(repro_swap_shard, &a, nshards);
 }
 
@@ -1240,7 +1226,6 @@ def _bind(lib: ctypes.CDLL) -> None:
             u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p,
             u8p, u8p, u64p, u64p, i64p,
         ],
-        "repro_push_round": [u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p],
         "repro_frontier_scatter": [
             u64p, i32p, i64p, u8p, u8p, i64, i64, i64, i64p, i64p, i64,
             u64p, i64p,
@@ -1268,6 +1253,22 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.repro_pool_ensure.restype = i64
 
 
+def library_path() -> str:
+    """Where the library built from :data:`_SOURCE` and :data:`_CFLAGS` lives.
+
+    The cache directory is keyed on a digest of both and on the CPU
+    signature, and is created if missing.  :func:`_build` loads the file
+    there when it exists and compiles it otherwise, so a library placed at
+    this path beforehand (say, a sanitizer build) is the one loaded.
+    Raises :class:`OSError` when the directory is refused.
+    """
+    digest = hashlib.sha256(
+        ("|".join(_CFLAGS) + "\n" + _SOURCE).encode()
+    ).hexdigest()[:16]
+    cache_dir = _cache_dir(f"{digest}-{_cpu_signature()}")
+    return os.path.join(cache_dir, "libreprokernel.so")
+
+
 def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     """Build, load and bind the library: ``(lib, None)`` or ``(None, reason)``.
 
@@ -1281,14 +1282,10 @@ def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if compiler is None:
         return None, "no C compiler (cc, gcc or clang) on PATH"
-    digest = hashlib.sha256(
-        ("|".join(_CFLAGS) + "\n" + _SOURCE).encode()
-    ).hexdigest()[:16]
     try:
-        cache_dir = _cache_dir(f"{digest}-{_cpu_signature()}")
+        lib_path = library_path()
     except OSError as exc:
         return None, f"cache directory refused: {exc}"
-    lib_path = os.path.join(cache_dir, "libreprokernel.so")
     try:
         if not os.path.exists(lib_path):
             _compile(compiler, lib_path)
@@ -1522,33 +1519,6 @@ def exchange_filtered(
         _u64(full_row),
         _u64(mask) if mask is not None else None,
         _i64(deficits) if deficits is not None else None,
-        ctypes.c_int64(shards),
-    )
-
-
-def push_round(
-    data: np.ndarray,
-    scratch: np.ndarray,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    off: np.ndarray,
-    adj: np.ndarray,
-    shards: int = 1,
-) -> None:
-    """Apply one push-only round in swap form (see :func:`exchange`).
-
-    ``adj`` needs at least ``senders.size`` slots.
-    """
-    _LIB.repro_push_round(
-        _u64(data),
-        _u64(scratch),
-        _i64(senders),
-        _i64(receivers),
-        ctypes.c_int64(senders.size),
-        ctypes.c_int64(data.shape[0]),
-        ctypes.c_int64(data.shape[1]),
-        _i64(off),
-        _i64(adj),
         ctypes.c_int64(shards),
     )
 

@@ -12,16 +12,16 @@ protocols never see which one is active:
 
 ``c``
     The compiled kernels from :mod:`repro.engine._ckernel` — swap-form
-    exchange and push rounds, the snapshot scatter-OR, the word-sparse
-    frontier pass, and the mask-and-popcount deficit recount — with a
-    thread budget, plus three serial kernels: the in-place push batch, and
-    the two graph kernels (the CSR fill from sorted pair indices and a
-    queue BFS).  Each sharded batch picks its own shard count
-    from its word traffic, with a measured small-batch cutoff so small runs
-    never pay pool-dispatch overhead.  Receiver rows are partitioned into disjoint
-    contiguous shards and all gathers precede all writes, so trajectories
-    are **bit-identical at every thread count** (see
-    ``docs/parallelism.md``).
+    exchange rounds, the scatter-OR from pre-gathered or external rows, the
+    word-sparse frontier pass, and the mask-and-popcount deficit recount —
+    with a thread budget, plus three serial kernels: the in-place push
+    batch, which applies every push batch, and the two graph kernels (the
+    CSR fill from sorted pair indices and a queue BFS).  Each sharded batch
+    picks its own shard count from its word traffic, with a measured
+    small-batch cutoff so small runs never pay pool-dispatch overhead.
+    Receiver rows are partitioned into disjoint contiguous shards and all
+    gathers precede all writes, so trajectories are **bit-identical at
+    every thread count** (see ``docs/parallelism.md``).
 
 Selection is environment driven and resolved once per process:
 
@@ -234,11 +234,6 @@ class CBackend(KernelBackend):
             data, scratch, callers, targets, off, adj,
             complete, promoted, full_row, mask, deficits, shards,
         )
-
-    def push_round(self, data, scratch, senders, receivers, off, adj) -> None:
-        n, words = data.shape
-        shards = self._shards((2 * n + senders.size) * words)
-        _ckernel.push_round(data, scratch, senders, receivers, off, adj, shards)
 
     def frontier_scatter(
         self, data, active, nnz, word_active, dense_rows,

@@ -11,19 +11,22 @@ kernels.
 
 All bulk updates are fully batched — there is no per-transmission Python
 loop.  Every transmission of a step reads start-of-step state (the
-synchronous-model discipline).  Most rounds implement that as one
-*snapshot-gather + scatter-OR*: the sender rows involved are read (or the
-whole matrix double-buffered) before any row is written.  Compiled push
-batches of fewer than ``n_nodes / 4`` transmissions — every push batch on
-the paged layout — skip the gather: one serial kernel applies them in
-place, in an order that reads every sender row before anything writes it.
-Duplicate receivers are resolved either by an order-independent compiled
-pass — sharded across a worker pool when the batch is large enough,
-dispatched through the active :mod:`repro.engine.backends` backend
+synchronous-model discipline).  On the compiled backend one serial kernel
+applies every push batch in place, in an order that reads every sender row
+before anything writes it, and exchange rounds write each row's next state
+once into a spare buffer that then swaps with the matrix (the *swap
+form*).  The remaining batches — sparse saturation-filtered exchanges, and
+everything on the NumPy backend — are one *snapshot-gather + scatter-OR*:
+the sender rows involved are read before any row is written.  Duplicate
+receivers are resolved either by an order-independent compiled pass —
+sharded across a worker pool when the batch is large enough, dispatched
+through the active :mod:`repro.engine.backends` backend
 (``REPRO_KERNEL_BACKEND`` / ``REPRO_KERNEL_THREADS``;
 ``REPRO_DISABLE_CKERNEL=1`` forces NumPy) — or by a layered NumPy scatter;
 all paths are pinned bit-identical by
-``tests/engine/test_kernel_equivalence.py``.
+``tests/engine/test_kernel_equivalence.py``.  Every bulk entry point checks
+its node ids first and raises :class:`IndexError`, writing nothing, on an
+id outside ``[0, n_nodes)``.
 
 Storage is one class.  :class:`KnowledgeMatrix` holds the full gossiping
 state as one contiguous ``n_nodes x words`` matrix and defines the storage
@@ -91,15 +94,18 @@ def _n_words(n_bits: int) -> int:
     return (n_bits + WORD_BITS - 1) // WORD_BITS
 
 
-#: Matrix size (``n_nodes * words``) below which one-directional rounds keep
-#: the snapshot + scatter path instead of the swap-form kernel: small
-#: matrices live in cache, so the swap form's O(batch) CSR build costs more
-#: than the row traffic it saves (measured endpoints: -18% at 16k word
-#: matrices, +25% from ~400k up; exchange rounds carry two edges per channel
-#: and amortize the build even at small sizes, so they are not gated).  The
-#: same floor gates the saturation-filtered swap round.  Tests monkeypatch it
-#: to 0 to force the swap/filtered-swap kernels onto tiny matrices.
-_SWAP_MIN_WORK = 1 << 17
+def _ids(values, bound: int, name: str) -> np.ndarray:
+    """``values`` as a C-contiguous ``int64`` array of ids in ``[0, bound)``.
+
+    Raises :class:`IndexError` otherwise.  The compiled kernels index raw
+    memory with these ids, and NumPy would wrap ``-1`` round to the last
+    row, so every bulk entry point checks them before it writes anything.
+    """
+    ids = np.ascontiguousarray(values, dtype=np.int64)
+    # Viewed unsigned, a negative id is at least 2**63: one pass checks both ends.
+    if ids.size and int(ids.view(np.uint64).max()) >= bound:
+        raise IndexError(f"{name} must lie in [0, {bound})")
+    return ids
 
 
 def _layered_scatter(
@@ -164,13 +170,12 @@ class KnowledgeMatrix:
       across every storage class and every kernel backend.
       ``tests/engine/test_layouts.py`` pins this.
 
-    Bulk updates either mutate rows in place or — on the compiled full-round
-    paths — write the end-of-round state into a spare buffer and *swap* it
+    Bulk updates either mutate rows in place or — on the compiled exchange
+    rounds — write the end-of-round state into a spare buffer and *swap* it
     with ``data``, so protocols and analysis code must not hold references
-    to ``data`` (or row views) across round updates.  All update helpers
-    take a *snapshot* argument where the synchronous semantics of the random
-    phone call model require reading start-of-step state while writing
-    end-of-step state.
+    to ``data`` across round updates; :meth:`rows` returns copies.  Every
+    bulk entry point checks its node ids before it writes anything and
+    raises :class:`IndexError` on an id outside ``[0, n_nodes)``.
     """
 
     __slots__ = (
@@ -220,11 +225,12 @@ class KnowledgeMatrix:
             "promotions": 0,
         }
         self.data = np.zeros((self.n_nodes, self.words), dtype=_WORD_DTYPE)
-        #: Reusable spare buffer for the swap-form round kernels and for
-        #: start-of-step snapshots (lazily built).
+        #: Reusable spare buffer for the swap-form exchange kernels and for
+        #: the start-of-round copy of a dense gather/scatter exchange (lazily
+        #: built; push batches never build it).
         self._scratch: Optional[np.ndarray] = None
         #: Reusable CSR buffers (offsets / incoming senders) for the
-        #: swap-form round kernels (lazily built, grown on demand).
+        #: swap-form exchange kernels (lazily built, grown on demand).
         self._csr_off: Optional[np.ndarray] = None
         self._csr_adj: Optional[np.ndarray] = None
         #: Reusable integer plan for the in-place push kernel: four zeroed
@@ -268,10 +274,6 @@ class KnowledgeMatrix:
         clone.data[:] = self.data
         return clone
 
-    def snapshot(self) -> np.ndarray:
-        """A copy of the raw word matrix (used for synchronous-step reads)."""
-        return self.data.copy()
-
     # ------------------------------------------------------------------ #
     # Storage primitives
     # ------------------------------------------------------------------ #
@@ -283,31 +285,46 @@ class KnowledgeMatrix:
         """
         return self.data[np.asarray(nodes, dtype=np.int64)]
 
-    def row(self, node: int) -> np.ndarray:
-        """Live view of ``node``'s bitset row.
+    def _batch(
+        self,
+        first: np.ndarray,
+        second: np.ndarray,
+        names: "tuple[str, str]",
+        first_bound: Optional[int] = None,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The two id arrays of one batch, checked before anything is written.
 
-        Valid only until the next bulk update: the swap-form round kernels
-        exchange the underlying buffer, so do not hold this view across
-        :meth:`apply_transmissions` / :meth:`apply_exchange` calls.
+        ``second`` holds rows of this matrix and ``first`` rows of a matrix
+        with ``first_bound`` rows (default: this one).  Returns both as
+        C-contiguous ``int64`` arrays.  Raises :class:`IndexError` when an
+        id is out of range (see :func:`_ids`) and :class:`ValueError` when
+        the shapes differ.
         """
-        return self.data[node]
+        bound = self.n_nodes if first_bound is None else first_bound
+        first = _ids(first, bound, names[0])
+        second = _ids(second, self.n_nodes, names[1])
+        if first.shape != second.shape:
+            raise ValueError(f"{names[0]} and {names[1]} must have identical shapes")
+        return first, second
 
     def scatter_rows(
         self, source: np.ndarray, src_idx: np.ndarray, receivers: np.ndarray
     ) -> None:
         """OR ``source[src_idx[i]]`` into row ``receivers[i]`` for all ``i``.
 
-        ``source`` is external row storage (never this object's own rows),
-        so the scatter is order-independent under duplicate receivers.  This
-        is the interface used by code that merges externally-staged rows —
-        e.g. random-walk payload delivery — replacing direct ``data``
-        mutation.
+        ``source`` is external row storage of shape ``(rows, words)``
+        (never this object's own rows), so the scatter is order-independent
+        under duplicate receivers.  This is the interface used by code that
+        merges externally-staged rows — e.g. random-walk payload delivery —
+        replacing direct ``data`` mutation.
         """
-        self._scatter_or(
-            source,
-            np.asarray(src_idx, dtype=np.int64),
-            np.asarray(receivers, dtype=np.int64),
+        source = np.ascontiguousarray(source, dtype=_WORD_DTYPE)
+        if source.ndim != 2 or source.shape[1] != self.words:
+            raise ValueError(f"source rows must have shape (rows, {self.words})")
+        src_idx, receivers = self._batch(
+            src_idx, receivers, ("source rows", "receivers"), len(source)
         )
+        self._scatter_or(source, src_idx, receivers)
 
     def merge_rows(
         self, external: np.ndarray, ext_rows: np.ndarray, nodes: np.ndarray
@@ -331,8 +348,9 @@ class KnowledgeMatrix:
                 "external rows must be a C-contiguous uint64 array of shape "
                 f"(rows, {self.words})"
             )
-        ext_rows = np.ascontiguousarray(ext_rows, dtype=np.int64)
-        nodes = np.ascontiguousarray(nodes, dtype=np.int64)
+        ext_rows, nodes = self._batch(
+            ext_rows, nodes, ("external rows", "nodes"), len(external)
+        )
         if nodes.size == 0:
             return
         # Pass 1 ORs each node's start-of-call row into its external row
@@ -460,14 +478,12 @@ class KnowledgeMatrix:
         override it with representation-aware implementations that are
         pinned bit-identical to this scan.
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = _ids(rows, self.n_nodes, "rows")
         if rows.size == 0:
             return np.zeros(0, dtype=np.int64)
         backend = backends.active()
         if backend.use_compiled():
-            return backend.recount_deficits(
-                self.data, mask, np.ascontiguousarray(rows)
-            )
+            return backend.recount_deficits(self.data, mask, rows)
         return (
             np.bitwise_count(mask[None, :] & ~self.data[rows])
             .sum(axis=1)
@@ -501,34 +517,19 @@ class KnowledgeMatrix:
     # Bulk updates (the hot path)
     # ------------------------------------------------------------------ #
     def apply_transmissions(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        snapshot: Optional[np.ndarray] = None,
+        self, senders: np.ndarray, receivers: np.ndarray
     ) -> np.ndarray:
         """Apply a batch of directed transmissions ``senders[i] -> receivers[i]``.
 
         All transmissions are evaluated against the same start-of-step state,
         so a message cannot hop through several nodes within a single
         synchronous step; receivers may repeat (several incoming channels
-        per node).  With an explicit ``snapshot`` the batch is one
-        order-independent scatter-OR from it.  Without one, the compiled
-        backend applies the batch
-
-        * in place when :meth:`_pushes_in_place` says so (fewer than
-          ``n_nodes / 4`` transmissions here, every batch on the paged
-          layout): the kernel orders the writes so that every sender is
-          read before anything writes it, copying only the few rows that
-          close a cycle, so no sender rows are gathered at all;
-        * otherwise in swap form on matrices of at least ``_SWAP_MIN_WORK``
-          words: each row's next state is written once into the spare
-          buffer, and the buffers swap.
-
-        The remaining batches — smaller matrices, and every batch on the
-        NumPy backend — snapshot their sender rows before any write (one
-        sequential copy of the matrix when at least ``n_nodes / 4``
-        transmissions, otherwise a gather of the unique senders) and
-        scatter them, on the compiled pass or the layered NumPy one.
+        per node).  The compiled backend applies every batch in place: the
+        kernel orders the writes so that each sender is read before anything
+        writes it, copying only the few rows that close a cycle, so no
+        sender rows are gathered and no second matrix is allocated.  The
+        NumPy backend, the reference, gathers the batch's unique sender rows
+        before any write and scatters them with :func:`_layered_scatter`.
 
         Returns
         -------
@@ -539,60 +540,19 @@ class KnowledgeMatrix:
             as an unordered multiset; ``CompletionTracker.update``
             deduplicates internally.
         """
-        senders = np.asarray(senders, dtype=np.int64)
-        receivers = np.asarray(receivers, dtype=np.int64)
-        if senders.shape != receivers.shape:
-            raise ValueError("senders and receivers must have identical shapes")
+        senders, receivers = self._batch(senders, receivers, ("senders", "receivers"))
         if senders.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if snapshot is None:
-            backend = backends.active()
-            compiled = backend.use_compiled()
-            if compiled and self._pushes_in_place(senders.size):
-                backend.push_in_place(
-                    self.data,
-                    np.ascontiguousarray(senders),
-                    np.ascontiguousarray(receivers),
-                    self._push_plan(senders.size),
-                )
-                return receivers
-            if compiled and self.n_nodes * self.words >= _SWAP_MIN_WORK:
-                # Swap-form compiled round: the next state is written into
-                # the spare buffer (each row exactly once) and the buffers
-                # swap — no whole-matrix snapshot copy.  Small matrices stay
-                # on the snapshot + scatter path below: their rows fit in
-                # cache, so the CSR build's integer work would dominate
-                # (measured: the swap form loses ~18% at n=1000 x 16 words
-                # and wins ~25% from n=5000 x 79 words up).
-                self._ensure_scratch()
-                off, adj = self._csr_buffers(senders.size)
-                backend.push_round(
-                    self.data,
-                    self._scratch,
-                    np.ascontiguousarray(senders),
-                    np.ascontiguousarray(receivers),
-                    off,
-                    adj,
-                )
-                self.data, self._scratch = self._scratch, self.data
-                return receivers
-            source, senders = self._snapshot_sources(senders)
-        else:
-            source = snapshot
-        return self._scatter_or(source, senders, receivers)
-
-    def _pushes_in_place(self, transmissions: int) -> bool:
-        """Whether a compiled push batch of ``transmissions`` runs in place.
-
-        Below ``n_nodes / 4`` transmissions the in-place kernel beats the
-        unique gather + scatter it replaces (n = 20000 with 2000 senders:
-        0.85 against 2.2 ms).  Larger batches keep the swap form, which
-        streams each row once on all threads, and the ``copyto`` snapshot
-        below ``_SWAP_MIN_WORK``: with every node sending, both beat the
-        in-place kernel (n = 20000: 10.0 against 11.6 ms; n = 2048: 83-102
-        against 103-111 us).
-        """
-        return 4 * transmissions < self.n_nodes
+        backend = backends.active()
+        if backend.use_compiled():
+            backend.push_in_place(
+                self.data, senders, receivers, self._push_plan(senders.size)
+            )
+            return receivers
+        unique_senders, sender_pos = np.unique(senders, return_inverse=True)
+        return _layered_scatter(
+            self.data, self.data[unique_senders], sender_pos, receivers
+        )
 
     def _push_plan(self, edges: int) -> np.ndarray:
         """Integer plan for the in-place push kernel (grown on demand).
@@ -611,7 +571,7 @@ class KnowledgeMatrix:
         return self._scratch
 
     def _csr_buffers(self, edges: int) -> "tuple[np.ndarray, np.ndarray]":
-        """CSR scratch for the swap-form round kernels (grown on demand)."""
+        """CSR scratch for the swap-form exchange kernels (grown on demand)."""
         if self._csr_off is None:
             self._csr_off = np.empty(self.n_nodes + 1, dtype=np.int64)
         if self._csr_adj is None or self._csr_adj.size < edges:
@@ -623,10 +583,12 @@ class KnowledgeMatrix:
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Start-of-step source rows for ``senders``, copied before any write.
 
-        Dense batches (most nodes sending) reuse a full double buffer filled
-        with one sequential ``copyto`` — far faster than a random row gather.
-        Sparse batches gather only the unique sender rows, so the snapshot
-        cost scales with the actual senders, not with ``n_nodes``.
+        Serves the gather/scatter exchange rounds and the frontier's dense
+        sub-batches.  Dense batches (most nodes sending) reuse a full double
+        buffer filled with one sequential ``copyto`` — far faster than a
+        random row gather.  Sparse batches gather only the unique sender
+        rows, so the snapshot cost scales with the actual senders, not with
+        ``n_nodes``.
 
         Returns ``(source, indices)`` such that ``source[indices[i]]`` is
         sender ``i``'s start-of-step row.
@@ -716,10 +678,7 @@ class KnowledgeMatrix:
             ``promoted`` — sorted unique receivers directly saturated.  The
             two sets are disjoint.
         """
-        callers = np.asarray(callers, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        if callers.shape != targets.shape:
-            raise ValueError("callers and targets must have identical shapes")
+        callers, targets = self._batch(callers, targets, ("callers", "targets"))
         empty = np.zeros(0, dtype=np.int64)
         self.fused_deficits = False
         if callers.size == 0:
@@ -736,8 +695,8 @@ class KnowledgeMatrix:
             backend.exchange(
                 self.data,
                 self._scratch,
-                np.ascontiguousarray(callers),
-                np.ascontiguousarray(targets),
+                callers,
+                targets,
                 off,
                 adj,
                 deficit_mask,
@@ -746,11 +705,7 @@ class KnowledgeMatrix:
             self.data, self._scratch = self._scratch, self.data
             self.fused_deficits = deficits_out is not None
             return np.concatenate([callers, targets]), empty
-        if (
-            complete is not None
-            and backend.use_compiled()
-            and self.n_nodes * self.words >= _SWAP_MIN_WORK
-        ):
+        if complete is not None and backend.use_compiled():
             live_rows = int((~complete[callers]).sum()) + int(
                 (~complete[targets]).sum()
             )
@@ -765,8 +720,8 @@ class KnowledgeMatrix:
                 backend.exchange_filtered(
                     self.data,
                     self._scratch,
-                    np.ascontiguousarray(callers),
-                    np.ascontiguousarray(targets),
+                    callers,
+                    targets,
                     off,
                     adj,
                     np.ascontiguousarray(complete).view(np.uint8),
@@ -917,19 +872,19 @@ class FrontierKnowledge(KnowledgeMatrix):
     """A :class:`KnowledgeMatrix` with a sparsity-aware (frontier) fast path.
 
     In early gossip rounds almost every row holds a handful of message bits,
-    yet the dense kernels move full ``words``-wide rows (or snapshot the
-    whole matrix) per round.  This subclass tracks, for every row, the set
-    of *active* (nonzero) 64-bit words as an index frontier and applies a
-    sparse batch by scattering only ``(receiver, word)`` pairs drawn from
-    the senders' frontiers — the cost of a round scales with the number of
-    set words actually in flight, not with ``n_nodes * words``.
+    yet the dense kernels move full ``words``-wide rows per round.  This
+    subclass tracks, for every row, the set of *active* (nonzero) 64-bit
+    words as an index frontier and applies a sparse batch by scattering only
+    ``(receiver, word)`` pairs drawn from the senders' frontiers — the cost
+    of a round scales with the number of set words actually in flight, not
+    with ``n_nodes * words``.
 
     The representation is adaptive with a one-way ratchet:
 
     * per batch, the estimated frontier cost (``sum`` of sender active-word
       counts, dense rows counted at full width) is compared against
       ``0.125 * transmissions * words``; at or past the threshold the
-      batch takes the existing dense scatter-OR / double-buffer path;
+      batch takes the plain matrix's kernels;
     * per row, once more than ``word_cap`` words become active — or the row
       is written through a dense batch, an external-row scatter or
       assignment, or a saturation promotion — the row is flagged dense and is never
@@ -1001,24 +956,17 @@ class FrontierKnowledge(KnowledgeMatrix):
     # Batch entry points
     # ------------------------------------------------------------------ #
     def apply_transmissions(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        snapshot: Optional[np.ndarray] = None,
+        self, senders: np.ndarray, receivers: np.ndarray
     ) -> np.ndarray:
-        senders = np.asarray(senders, dtype=np.int64)
-        receivers = np.asarray(receivers, dtype=np.int64)
-        if senders.shape != receivers.shape:
-            raise ValueError("senders and receivers must have identical shapes")
+        senders, receivers = self._batch(senders, receivers, ("senders", "receivers"))
         if senders.size == 0:
             return np.zeros(0, dtype=np.int64)
         if self._retired:
-            return super().apply_transmissions(senders, receivers, snapshot)
-        if snapshot is None:
-            dense_sel, estimate = self._estimate(senders)
-            if estimate < _CROSSOVER * senders.size * self.words:
-                return self._sparse_apply(senders, receivers, dense_sel)
-        touched = super().apply_transmissions(senders, receivers, snapshot)
+            return super().apply_transmissions(senders, receivers)
+        dense_sel, estimate = self._estimate(senders)
+        if estimate < _CROSSOVER * senders.size * self.words:
+            return self._sparse_apply(senders, receivers, dense_sel)
+        touched = super().apply_transmissions(senders, receivers)
         self._mark_dense(receivers)
         return touched
 
@@ -1032,10 +980,7 @@ class FrontierKnowledge(KnowledgeMatrix):
         deficit_mask: Optional[np.ndarray] = None,
         deficits_out: Optional[np.ndarray] = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
-        callers = np.asarray(callers, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        if callers.shape != targets.shape:
-            raise ValueError("callers and targets must have identical shapes")
+        callers, targets = self._batch(callers, targets, ("callers", "targets"))
         empty = np.zeros(0, dtype=np.int64)
         self.fused_deficits = False
         if callers.size == 0:
@@ -1245,7 +1190,7 @@ class FrontierKnowledge(KnowledgeMatrix):
         available).  Pinned bit-identical to the scan path by
         ``tests/engine/test_layouts.py``.
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = _ids(rows, self.n_nodes, "rows")
         if rows.size == 0 or self._retired:
             return super().count_missing(mask, rows)
         dense_sel = self._dense_rows[rows]

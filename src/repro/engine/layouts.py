@@ -1,26 +1,29 @@
 """Knowledge-storage layouts and their selection registry.
 
 The dense :class:`~repro.engine.knowledge.KnowledgeMatrix` keeps the whole
-``n_nodes x words`` bitset matrix resident, and its compiled round kernels
-add a swap buffer of the same size, which walls off large problem sizes: at
-n = 1M nodes the matrix alone is ~125 GB.  This module provides the class
-used over the dense budget, plus the registry that picks between the two —
-one stable call surface over interchangeable storage chosen by problem size,
-mirroring the kernel-backend registry in :mod:`repro.engine.backends`:
+``n_nodes x words`` bitset matrix resident, and its compiled exchange
+kernels add a swap buffer of the same size, which walls off large problem
+sizes: at n = 1M nodes the matrix alone is ~125 GB.  This module provides
+the class used over the dense budget, plus the registry that picks between
+the two — one stable call surface over interchangeable storage chosen by
+problem size, mirroring the kernel-backend registry in
+:mod:`repro.engine.backends`:
 
 ``PagedKnowledge``
-    The plain matrix, without the frontier bookkeeping, whose push rounds
-    never allocate a second matrix: on the compiled kernels a push-form
+    The plain :class:`~repro.engine.knowledge.KnowledgeMatrix`, without the
+    frontier bookkeeping the dense layout adds on wide rows; the class
+    itself is only the ``paged`` tag.  Like every storage class, it never
+    allocates a second matrix for a push batch: on the compiled kernels the
     batch is applied in place, ordered so that every sender is read before
-    anything writes it, with an integer plan of four slots per node and two
-    per transmission plus a copy of the few rows that close a cycle.
-    Exchange rounds run the dense kernels and keep the swap buffer
-    resident, as the dense layout does.  So the memory model (push rounds
-    only) peaks near one matrix and the exchange protocols near two.
+    anything writes it, with an integer plan of four slots per node and
+    two per transmission plus a copy of the few rows that close a cycle.
+    Exchange rounds keep the swap buffer resident.  So the memory model
+    (push rounds only) peaks near one matrix and the exchange protocols
+    near two.
 
-Every kernel the paged layout runs reads start-of-batch rows only, so
-trajectories are **bit-identical** to the dense layout at every size where
-dense fits (``tests/engine/test_layouts.py``).
+The two layouts run the same kernels on the same rows, so trajectories are
+**bit-identical** at every size where dense fits
+(``tests/engine/test_layouts.py``).
 
 Memory model (bytes at the peak of a full exchange loop; ``w`` = words =
 ceil(n_messages / 64)):
@@ -54,9 +57,6 @@ import os
 from contextlib import contextmanager
 from typing import Optional
 
-import numpy as np
-
-from . import backends
 from .knowledge import (
     _CROSSOVER,
     _FRONTIER_MIN_WORDS,
@@ -186,40 +186,15 @@ def make_knowledge(
 
 
 class PagedKnowledge(KnowledgeMatrix):
-    """The plain matrix used over the dense budget.
+    """The plain matrix used over the dense budget: a layout tag.
 
-    Its push rounds never allocate a second matrix.  On the compiled
-    backend every push-form batch (:meth:`apply_transmissions` without a
-    snapshot) runs in place, whatever its size: the kernel orders the
-    writes so that each sender is read before anything writes it, with an
-    ``O(n + k)`` integer plan and a copy of the few rows that close a
-    cycle, where the dense class fills its ``8 n w`` swap buffer.  The
-    NumPy backend, the reference, gathers the batch's ``u`` unique sender
-    rows instead (``8 u w`` transient bytes).  Everything else is
-    :class:`KnowledgeMatrix` — exchange rounds keep the swap buffer
-    resident just as the dense class does, and :meth:`row` views go stale
-    across bulk updates.
-
-    Bit-identical to the dense layout: every path reads start-of-batch
-    rows only, and OR commutes.
+    It is :class:`KnowledgeMatrix` without the frontier bookkeeping that
+    the dense layout adds on wide rows.  No push batch allocates a second
+    matrix — the compiled backend applies every push batch in place, the
+    NumPy backend gathers its unique sender rows — and exchange rounds keep
+    the swap buffer resident.  Bit-identical to the dense layout.
     """
 
     __slots__ = ()
 
     layout = "paged"
-
-    def _pushes_in_place(self, transmissions: int) -> bool:
-        return True
-
-    def apply_transmissions(
-        self,
-        senders: np.ndarray,
-        receivers: np.ndarray,
-        snapshot: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        if snapshot is None and not backends.active().use_compiled():
-            unique_senders, senders = np.unique(
-                np.asarray(senders, dtype=np.int64), return_inverse=True
-            )
-            snapshot = self.data[unique_senders]
-        return super().apply_transmissions(senders, receivers, snapshot)

@@ -188,7 +188,7 @@ class TestEnsureShards:
     def test_counts_beyond_the_pool_still_write_every_row(self):
         """A shard count the pool cannot serve is clamped, not truncated."""
         base = random_state(13, 90, 3 * 64)
-        snapshot = base.snapshot()
+        snapshot = base.data.copy()
         rng = np.random.default_rng(5)
         senders = rng.integers(0, 90, 400).astype(np.int64)
         receivers = rng.integers(0, 90, 400).astype(np.int64)
@@ -208,7 +208,7 @@ class TestEnsureShards:
         """
         rng = np.random.default_rng(23)
         base = random_state(9, 150, 6 * 64)
-        snapshot = base.snapshot()
+        snapshot = base.data.copy()
         for shards in (2, 3, 5, 8):
             senders = rng.integers(0, 150, 600).astype(np.int64)
             receivers = rng.integers(0, 150, 600).astype(np.int64)
@@ -232,7 +232,7 @@ class TestEnsureShards:
         if got < 2:
             pytest.skip("no pool workers available")
         base = random_state(5, 200, 5 * 64)
-        snapshot = base.snapshot()
+        snapshot = base.data.copy()
         rng = np.random.default_rng(99)
         jobs = []
         for _ in range(4):
@@ -263,7 +263,7 @@ class TestEnsureShards:
         """
         assert _ckernel.ensure_shards(4) >= 1  # parent pool exists pre-fork
         base = random_state(3, 120, 4 * 64)
-        snapshot = base.snapshot()
+        snapshot = base.data.copy()
         rng = np.random.default_rng(77)
         senders = rng.integers(0, 120, 500).astype(np.int64)
         receivers = rng.integers(0, 120, 500).astype(np.int64)
@@ -308,7 +308,7 @@ class TestShardedKernelParity:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(16, 200))
         base = random_state(seed, n, 8 * 64)
-        snapshot = base.snapshot()
+        snapshot = base.data.copy()
         k = int(rng.integers(1, 4 * n))
         senders = rng.integers(0, n, k).astype(np.int64)
         receivers = rng.integers(0, n // 2, k).astype(np.int64)  # collisions
@@ -321,7 +321,7 @@ class TestShardedKernelParity:
 
     @pytest.mark.parametrize("shards", [2, 3, 8])
     @pytest.mark.parametrize("seed", range(3))
-    def test_exchange_and_push_round(self, shards, seed):
+    def test_exchange(self, shards, seed):
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(16, 150))
         base = random_state(seed, n, 6 * 64)
@@ -363,16 +363,6 @@ class TestShardedKernelParity:
             lambda out, s: _ckernel.exchange_filtered(
                 base.data, out, callers, targets, off, adj, complete,
                 np.zeros(n, dtype=np.uint8), full_row, shards=s,
-            )
-        ):
-            assert np.array_equal(state, expected)
-
-        expected = snapshot.copy()
-        for c, t in zip(targets.tolist(), callers.tolist()):
-            expected[t] |= snapshot[c]
-        for state in next_states(
-            lambda out, s: _ckernel.push_round(
-                base.data, out, targets, callers, off, adj, shards=s
             )
         ):
             assert np.array_equal(state, expected)

@@ -92,6 +92,19 @@ def test_compile_failures_report_their_reason(monkeypatch, tmp_path, compiler_ru
     assert list(cache.glob("*/*.tmp*")) == []  # no temp source or library left
 
 
+def test_build_loads_the_file_at_library_path(monkeypatch, tmp_path):
+    """A library placed at ``library_path()`` beforehand is loaded, not rebuilt.
+
+    The sanitizer CI job relies on this to run its own build.
+    """
+    _fresh_cache(monkeypatch, tmp_path)
+    monkeypatch.setattr(shutil, "which", lambda name: "cc")
+    monkeypatch.setattr(subprocess, "run", _hang)  # a compile would time out
+    Path(_ckernel.library_path()).write_bytes(b"not a shared object\n")
+    lib, reason = _ckernel._build()
+    assert lib is None and reason.startswith("library not built or loaded: ")
+
+
 @pytest.mark.parametrize("disabled", [False, True])
 def test_import_falls_back_with_reason(tmp_path, disabled):
     if disabled:

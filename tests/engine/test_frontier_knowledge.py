@@ -121,8 +121,8 @@ class TestFrontierMatchesDense:
         other.data |= rng.integers(0, 2**63, size=other.data.shape, dtype=np.uint64)
         senders = rng.integers(0, n, n).astype(np.int64)
         receivers = rng.integers(0, n, n).astype(np.int64)
-        fk.apply_transmissions(senders, receivers, other.data)
-        km.apply_transmissions(senders, receivers, other.data)
+        fk.scatter_rows(other.data, senders, receivers)
+        km.scatter_rows(other.data, senders, receivers)
         assert np.array_equal(fk.data, km.data)
         # Snapshot writes bypass the pair bookkeeping: rows ratchet dense.
         assert fk._dense_rows[receivers].all()
@@ -212,9 +212,9 @@ class TestCrossoverBoundary:
         calls = []
         original = KnowledgeMatrix.apply_transmissions
 
-        def spy(self, senders, receivers, snapshot=None):
+        def spy(self, senders, receivers):
             calls.append(senders.size)
-            return original(self, senders, receivers, snapshot)
+            return original(self, senders, receivers)
 
         monkeypatch.setattr(KnowledgeMatrix, "apply_transmissions", spy)
         node = 0

@@ -5,8 +5,9 @@ loops to vectorised NumPy (and optionally compiled C) kernels.  These tests
 pin the new kernels to the original reference semantics: per-transmission
 row ORs evaluated against a start-of-step snapshot.  They cover
 
-* ``KnowledgeMatrix.apply_transmissions`` against a reference Python loop on
-  randomized (senders, receivers, snapshot) batches with repeated receivers,
+* ``KnowledgeMatrix.apply_transmissions`` and ``scatter_rows`` against a
+  reference Python loop on randomized (senders, receivers, snapshot) batches
+  with repeated receivers,
 * ``KnowledgeMatrix.apply_exchange`` (including the saturation filter)
   against the same reference applied in both directions,
 * the incremental :class:`CompletionTracker` against ``gossip_complete``
@@ -79,6 +80,7 @@ class TestApplyTransmissionsEquivalence:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference_with_explicit_snapshot(self, kernel_path, seed):
+        """``scatter_rows`` from rows held apart: the batch reads only them."""
         rng = np.random.default_rng(100 + seed)
         n = 64
         km = random_matrix(rng, n)
@@ -87,7 +89,7 @@ class TestApplyTransmissionsEquivalence:
         senders, receivers = random_batch(rng, n, 3 * n)
 
         reference_apply(ref, senders, receivers, other.data)
-        km.apply_transmissions(senders, receivers, other.data)
+        km.scatter_rows(other.data, senders, receivers)
         assert np.array_equal(km.data, ref)
 
     def test_sequential_chaining_is_prevented(self, kernel_path):
@@ -112,11 +114,10 @@ class TestApplyTransmissionsEquivalence:
     def test_in_place_write_order(self, threads, words):
         """Compiled push batches whose write order is hard to get right.
 
-        The paged class applies every push batch in place, the dense class
-        those under ``n / 4`` transmissions (each shape also runs over a
-        fifth of the nodes for it).  Each shape runs in its own and in
-        reversed edge order, so a chain gives a DFS as deep as the chain
-        once each way.  The batches run back to back on the same states,
+        Both storage classes apply every compiled push batch in place; each
+        shape runs over all nodes and over a fifth of them.  Each shape runs
+        in its own and in reversed edge order, so a chain gives a DFS as
+        deep as the chain once each way.  The batches run back to back on the same states,
         each from fresh sparse rows, so every one starts from a clean plan.
         """
         if not _ckernel.available():

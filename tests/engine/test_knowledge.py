@@ -97,9 +97,9 @@ class TestBulkUpdates:
 
     def test_transmission_from_snapshot_uses_old_state(self):
         km = KnowledgeMatrix(8)
-        snapshot = km.snapshot()
+        snapshot = km.data.copy()
         km.add(1, 7)  # happens "after" the snapshot
-        km.apply_transmissions([1], [0], snapshot=snapshot)
+        km.scatter_rows(snapshot, [1], [0])
         assert not km.knows(0, 7)
 
     def test_apply_transmissions_synchronous(self):
@@ -117,7 +117,7 @@ class TestBulkUpdates:
 
     def test_apply_transmissions_empty(self):
         km = KnowledgeMatrix(4)
-        before = km.snapshot()
+        before = km.data.copy()
         km.apply_transmissions(np.asarray([], dtype=np.int64), np.asarray([], dtype=np.int64))
         assert np.array_equal(km.data, before)
 

@@ -12,11 +12,11 @@ dense fits.  These tests pin that contract:
   pure-NumPy kernel paths,
 * ``merge_rows`` on every storage class and backend against a per-pair
   reference, including frontier rows leaving the frontier,
-* paged rounds on every kernel branch they take — swap form and
-  snapshot + scatter on either side of ``_SWAP_MIN_WORK``, and a filtered
-  exchange with promotions — plus when the paged swap buffer exists: never
-  for push batches or a whole memory-model run, and kept and reused across
-  exchange rounds,
+* paged rounds on every kernel branch they take — the push batch, the
+  exchange, and a filtered exchange with promotions on both its swap and
+  its gather/scatter branch — plus when the swap buffer exists: never for a
+  push batch or a whole memory-model run on either class, and kept and
+  reused across exchange rounds,
 * ``count_missing`` for every layout (including the frontier's
   active-word-set counter) pinned to the plain masked scan,
 * ``copy`` keeping the storage class and everything a later round reads,
@@ -186,7 +186,7 @@ class TestUnitEquivalence:
         for store in instances.values():
             assert np.array_equal(store.data, reference)
             assert np.array_equal(store.rows(probe), reference[probe])
-            assert np.array_equal(store.row(int(probe[0])), reference[probe[0]])
+            assert np.array_equal(store.rows([probe[0]])[0], reference[probe[0]])
             assert np.array_equal(
                 store.known_messages(int(probe[1])),
                 np.flatnonzero(
@@ -219,24 +219,27 @@ class TestUnitEquivalence:
         assert not store.knows(0, message), f"layout {layout} copy aliases storage"
 
 
-#: Backends ``merge_rows`` is pinned under: NumPy, the compiled kernels on
-#: one thread, and the compiled kernels forced to two shards per batch.
-MERGE_BACKENDS = {
+#: Backends ``merge_rows`` and the id checks are pinned under: NumPy, the
+#: compiled kernels on one thread, and the compiled kernels forced to two
+#: shards per batch.
+BACKENDS = {
     "numpy": backends.NumpyBackend(),
     "c": backends.CBackend(max_threads=1),
     "c-sharded": backends.CBackend(max_threads=2, shard_work=1),
 }
 
 
+@pytest.fixture(params=list(BACKENDS))
+def backend(request):
+    """Each of :data:`BACKENDS`, installed for the test."""
+    if request.param != "numpy" and not _ckernel.available():
+        pytest.skip("compiled kernel unavailable on this machine")
+    with backends.use(BACKENDS[request.param]):
+        yield request.param
+
+
 class TestMergeRows:
     """``merge_rows`` leaves both sides with the union of their start rows."""
-
-    @pytest.fixture(params=list(MERGE_BACKENDS))
-    def backend(self, request):
-        if request.param != "numpy" and not _ckernel.available():
-            pytest.skip("compiled kernel unavailable on this machine")
-        with backends.use(MERGE_BACKENDS[request.param]):
-            yield request.param
 
     @staticmethod
     def reference(state, external, ext_rows, nodes):
@@ -306,6 +309,81 @@ class TestMergeRows:
             store.merge_rows(np.zeros((1, store.words), dtype=np.int64), one, one)
 
 
+def _ids_ending(last, size=10):
+    """The ids ``0 .. size - 2`` followed by ``last``."""
+    return np.r_[np.arange(size - 1), last].astype(np.int64)
+
+
+#: Every checked id argument, as a call on a 10-node state and a 3-row
+#: external array that puts ``bad(bound)`` into it, ``bound`` being the
+#: number of rows the argument indexes.
+OUT_OF_RANGE_CALLS = {
+    "transmission senders": lambda state, ext, bad: state.apply_transmissions(
+        _ids_ending(bad(10)), np.arange(10)
+    ),
+    "transmission receivers": lambda state, ext, bad: state.apply_transmissions(
+        np.arange(10), _ids_ending(bad(10))
+    ),
+    "exchange callers": lambda state, ext, bad: state.apply_exchange(
+        _ids_ending(bad(10)), np.arange(10)
+    ),
+    "exchange targets": lambda state, ext, bad: state.apply_exchange(
+        np.arange(10), _ids_ending(bad(10))
+    ),
+    "scatter receivers": lambda state, ext, bad: state.scatter_rows(
+        ext, np.zeros(10, dtype=np.int64), _ids_ending(bad(10))
+    ),
+    "scatter source rows": lambda state, ext, bad: state.scatter_rows(
+        ext, _ids_ending(bad(3), size=3), np.arange(3)
+    ),
+    "merge nodes": lambda state, ext, bad: state.merge_rows(
+        ext, np.arange(3), _ids_ending(bad(10), size=3)
+    ),
+    "merge external rows": lambda state, ext, bad: state.merge_rows(
+        ext, _ids_ending(bad(3), size=3), np.arange(3)
+    ),
+    "recount rows": lambda state, ext, bad: state.count_missing(
+        state.full_row_mask(), _ids_ending(bad(10))
+    ),
+}
+
+
+class TestOutOfRangeIds:
+    """An id outside its range raises before anything is written.
+
+    The compiled kernels index raw memory with these ids, so without the
+    check a bad id writes or reads past the matrix; NumPy wraps ``-1``
+    round to the last row.
+    """
+
+    @pytest.mark.parametrize("layout", list(STORAGE_CLASSES))
+    @pytest.mark.parametrize(
+        "bad", [lambda bound: bound, lambda bound: -1], ids=["bound", "minus-one"]
+    )
+    @pytest.mark.parametrize("call", list(OUT_OF_RANGE_CALLS))
+    def test_raises_and_writes_nothing(self, backend, layout, bad, call):
+        rng = np.random.default_rng(8)
+        state = STORAGE_CLASSES[layout](10)
+        state.apply_transmissions(np.arange(10), np.roll(np.arange(10), 1))
+        external = rng.integers(0, 2**63, size=(3, state.words), dtype=np.uint64)
+        before, external_before = state.fingerprint(), external.copy()
+        with pytest.raises(IndexError, match=r"must lie in \[0, (10|3)\)"):
+            OUT_OF_RANGE_CALLS[call](state, external, bad)
+        assert state.fingerprint() == before
+        assert np.array_equal(external, external_before)
+
+    def test_mismatched_shapes_are_rejected(self, backend):
+        state = KnowledgeMatrix(10)
+        rows = np.zeros((2, state.words), dtype=np.uint64)
+        with pytest.raises(ValueError, match="identical shapes"):
+            state.scatter_rows(rows, [0, 1], [2])
+        with pytest.raises(ValueError, match="identical shapes"):
+            state.merge_rows(rows, [0, 1], [2])
+        with pytest.raises(ValueError, match="source rows"):
+            state.scatter_rows(np.zeros((2, state.words + 1), dtype=np.uint64), [0], [1])
+        assert state == KnowledgeMatrix(10)
+
+
 class TestCountMissingPinned:
     """Every layout's count_missing equals the plain masked dense scan."""
 
@@ -353,29 +431,23 @@ class TestCountMissingPinned:
 class TestPagedMechanics:
     """Paged rounds: when the swap buffer exists, and every kernel branch."""
 
-    @pytest.mark.parametrize("swap_min_work", [0, 1 << 62], ids=["swap", "scatter"])
-    def test_push_batches_never_allocate_the_swap_buffer(
-        self, kernel_path, monkeypatch, swap_min_work
-    ):
-        """Push-form batches run in place (NumPy: gather their senders);
-        the dense class swaps."""
-        monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", swap_min_work)
+    def test_push_batches_never_allocate_the_swap_buffer(self, kernel_path):
+        """Push batches run in place (NumPy: gather their senders), on both
+        storage classes."""
         n = 53
         paged, dense = PagedKnowledge(n), KnowledgeMatrix(n)
         rng = np.random.default_rng(9)
         # The in-place kernel's plan stays resident on the compiled paths:
         # four slots per node and two per transmission of the largest batch.
         plan = 8 * (4 * n + 2 * 3 * n) if kernel_path != "numpy" else 0
-        # A dense batch (every node sends, the swap form's trigger) and a
-        # sparse one.
+        # A dense batch (every node sends) and a sparse one.
         for size in (3 * n, 3):
             senders, receivers = random_batch(rng, n, size)
             for state in (paged, dense):
                 state.apply_transmissions(senders, receivers)
-            assert paged._scratch is None
-            assert paged.storage_nbytes() == 8 * n * paged.words + plan
+                assert state._scratch is None
+                assert state.storage_nbytes() == 8 * n * state.words + plan
             assert paged == dense
-        assert dense._scratch is not None
 
     def test_exchange_keeps_and_reuses_the_swap_buffer(self, kernel_path):
         n = 53
@@ -392,18 +464,16 @@ class TestPagedMechanics:
         assert {id(paged.data), id(paged._scratch)} == buffers
 
     def test_memory_model_run_never_allocates_the_swap_buffer(
-        self, kernel_path, monkeypatch, small_paper_graph
+        self, kernel_path, small_paper_graph
     ):
-        """The memory model only pushes, so it peaks near one matrix.
+        """The memory model only pushes, so it peaks near one matrix on
+        either layout.
 
-        Fanout 8 and three trees give step groups of at least n / 4 senders,
-        which the dense class double-buffers (its swap form, with
-        ``_SWAP_MIN_WORK`` at 0, on the compiled paths).
+        Fanout 8 and three trees give step groups of at least n / 4 senders.
         """
         from repro import MemoryGossiping
         from repro.core.parameters import MemoryGossipingParameters
 
-        monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", 0)
         params = MemoryGossipingParameters(fanout=8, num_trees=3)
         knowledge = {}
         for layout in ("paged", "dense"):
@@ -414,22 +484,21 @@ class TestPagedMechanics:
             assert result.completed
             knowledge[layout] = result.knowledge
         assert type(knowledge["paged"]) is PagedKnowledge
-        assert knowledge["paged"]._scratch is None
-        assert knowledge["dense"]._scratch is not None
+        assert type(knowledge["dense"]) is KnowledgeMatrix
+        for state in knowledge.values():
+            assert state._scratch is None
         assert knowledge["paged"] == knowledge["dense"]
 
-    @pytest.mark.parametrize("swap_min_work", [0, 1 << 62], ids=["swap", "scatter"])
     @pytest.mark.parametrize("n_messages", [15, 448, 4096, 4160])
-    def test_rounds_match_dense(self, kernel_path, monkeypatch, swap_min_work, n_messages):
+    def test_rounds_match_dense(self, kernel_path, n_messages):
         """Exchange (plain and filtered with promotions) and push rounds.
 
-        ``_SWAP_MIN_WORK`` 0 sends the filtered exchange through the filtered
-        swap kernel; above the matrix size it takes the snapshot + scatter
-        path.  The dense reference always runs on NumPy.
+        A filtered round with at least half its rows live runs the filtered
+        swap kernel on the compiled paths, and one with fewer the gather +
+        scatter branch.  The dense reference always runs on NumPy.
         """
         from repro.core.completion import CompletionTracker
 
-        monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", swap_min_work)
         n = 33
         rng = np.random.default_rng(n_messages)
         paged = PagedKnowledge(n, n_messages)
@@ -481,9 +550,17 @@ class TestPagedMechanics:
             state.assign_rows(saturated, state.full_row_mask())
             trackers[id(state)].mark_promoted(saturated)
         fused, promotions = exchange(complete=True)
-        assert fused == (kernel_path != "numpy" and swap_min_work == 0)
+        assert fused == (kernel_path != "numpy")
         # A second filtered round, on whichever branch its live rows pick.
         assert promotions + exchange(complete=True)[1] > 0
+        # Saturate all but four rows: too few live rows for the swap form,
+        # so the round gathers and scatters, and the tracker recounts.
+        saturated = np.arange(4, n, dtype=np.int64)
+        for state in (paged, reference):
+            state.assign_rows(saturated, state.full_row_mask())
+            trackers[id(state)].mark_promoted(saturated)
+        fused, _ = exchange(complete=True)
+        assert not fused
         # Push rounds: a dense batch (most nodes send) and a sparse one.
         # Neither touches the swap buffer.
         buffers = (paged.data, paged._scratch)

@@ -19,19 +19,20 @@ Shapes are chosen to hit the awkward cases:
 * partially-filled last words (``n_messages`` not a multiple of 64)
   exercise the tail masks of the popcount kernels.
 
-``_SWAP_MIN_WORK`` is forced to 0 so these small matrices take the
-swap-form round kernels (plain, saturation-filtered and fused-deficit
-variants) exactly like production-size runs do.
+These small matrices take the same kernels as production-size runs: the
+in-place push, and the swap-form exchange in its plain, saturation-filtered
+and fused-deficit variants.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.completion import CompletionTracker
 from repro.engine import _ckernel, backends
-from repro.engine import knowledge as knowledge_mod
 from repro.engine import (
     FrontierKnowledge,
     KnowledgeMatrix,
@@ -71,10 +72,12 @@ def _make(layout: str, n: int, m: int):
 def _trajectory(layout: str, words: int, seed: int) -> list:
     """Replay a fixed seeded op sequence; return everything observable.
 
-    The sequence walks every kernel family: a dense transmission round
-    (swap push kernel), a sparse one (snapshot + scatter kernel), an
+    The sequence walks every kernel family: a dense transmission round and
+    a sparse one (in-place push kernel, or the frontier pass), an
     unfiltered exchange with fused deficits, a saturation-filtered
-    exchange, an external-row scatter, and a standalone deficit recount.
+    exchange (filtered swap kernel), an external-row scatter, a standalone
+    deficit recount, and a filtered exchange with few live rows (gather +
+    scatter kernel).
     """
     rng = np.random.default_rng(seed)
     n = 33
@@ -86,13 +89,13 @@ def _trajectory(layout: str, words: int, seed: int) -> list:
     def snap():
         out.append(storage.rows(everyone).tobytes())
 
-    # Dense transmission batch with receiver collisions -> swap-form round.
+    # Dense transmission batch with receiver collisions.
     senders = rng.integers(0, n, 2 * n).astype(np.int64)
     receivers = rng.integers(0, n, 2 * n).astype(np.int64)
     storage.apply_transmissions(senders, receivers)
     snap()
 
-    # Sparse batch (size * 4 < n) -> snapshot gather + scatter-OR kernel.
+    # Sparse batch: two transmissions.
     storage.apply_transmissions(
         np.asarray([1, 2], dtype=np.int64), np.asarray([3, 5], dtype=np.int64)
     )
@@ -128,7 +131,7 @@ def _trajectory(layout: str, words: int, seed: int) -> list:
     saturated = np.asarray([0, 7, 13], dtype=np.int64)
     storage.assign_rows(saturated, full)
     tracker.mark_promoted(saturated)
-    touched, promoted = storage.apply_exchange(
+    _, promoted = storage.apply_exchange(
         callers,
         targets,
         complete=tracker.complete_rows,
@@ -136,11 +139,9 @@ def _trajectory(layout: str, words: int, seed: int) -> list:
         deficit_mask=tracker.mask,
         deficits_out=tracker.deficits,
     )
-    if storage.fused_deficits:
-        tracker.refresh()
-    else:
-        tracker.update(touched)
-        tracker.mark_promoted(promoted)
+    # On every layout the filtered swap kernel takes it and fuses the recount.
+    assert storage.fused_deficits
+    tracker.refresh()
     out.append(np.sort(np.asarray(promoted)).tobytes())
     out.append(tracker.deficits.tobytes())
     out.append(dict(storage.filter_stats))
@@ -159,16 +160,82 @@ def _trajectory(layout: str, words: int, seed: int) -> list:
 
     # Standalone missing-word popcount over every row.
     out.append(storage.count_missing(full, everyone).tobytes())
+
+    # Saturate all but four rows: a filtered round with under half its rows
+    # live gathers its surviving edges and scatters them, unfused.
+    saturated = np.arange(4, n, dtype=np.int64)
+    storage.assign_rows(saturated, full)
+    tracker.mark_promoted(saturated)
+    touched, promoted = storage.apply_exchange(
+        callers,
+        targets,
+        complete=tracker.complete_rows,
+        complete_row=tracker.mask,
+        deficit_mask=tracker.mask,
+        deficits_out=tracker.deficits,
+    )
+    assert not storage.fused_deficits
+    tracker.update(touched)
+    tracker.mark_promoted(promoted)
+    out.append(tracker.deficits.tobytes())
+    snap()
     return out
+
+
+#: The compiled knowledge entry points, by their ``_ckernel`` names.
+KNOWLEDGE_KERNELS = (
+    "exchange",
+    "exchange_filtered",
+    "scatter_or",
+    "push_in_place",
+    "frontier_scatter",
+    "recount_deficits",
+)
+
+
+def test_trajectories_reach_every_knowledge_kernel(monkeypatch):
+    """These small matrices reach every compiled knowledge kernel, unforced.
+
+    Each ``_ckernel`` entry point is wrapped to count its calls, keyed by
+    whether a saturation-filtered ``apply_exchange`` made them, so a kernel
+    (or a branch of the filtered exchange) that small matrices stopped
+    reaching would leave its word loops untested at every SIMD level.
+    """
+    calls = Counter()
+    caller = []
+    for name in KNOWLEDGE_KERNELS:
+
+        def counted(*args, _kernel=getattr(_ckernel, name), _name=name, **kwargs):
+            calls[caller[-1] if caller else "other", _name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_ckernel, name, counted)
+    exchange = KnowledgeMatrix.apply_exchange
+
+    def tracked(self, callers, targets, **kwargs):
+        caller.append("filtered" if kwargs.get("complete") is not None else "other")
+        try:
+            return exchange(self, callers, targets, **kwargs)
+        finally:
+            caller.pop()
+
+    monkeypatch.setattr(KnowledgeMatrix, "apply_exchange", tracked)
+    with backends.use(BACKENDS["c"]):
+        for layout in LAYOUTS:
+            for words in WORD_COUNTS:
+                _trajectory(layout, words, seed=words * 101)
+    assert {name for _, name in calls} == set(KNOWLEDGE_KERNELS)
+    # Both branches of the filtered exchange.
+    assert calls["filtered", "exchange_filtered"] > 0
+    assert calls["filtered", "scatter_or"] > 0
 
 
 @pytest.mark.parametrize("backend", list(BACKENDS))
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("words", WORD_COUNTS)
-def test_all_levels_bit_identical(words, layout, backend, monkeypatch):
+def test_all_levels_bit_identical(words, layout, backend):
     if _ckernel.simd_detected() == 0:
         pytest.skip("CPU supports no SIMD level beyond scalar")
-    monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", 0)
     original = _ckernel.simd_active()
     try:
         with backends.use(BACKENDS[backend]):

@@ -73,20 +73,16 @@ def test_programs_match_oracle(layout: str, backend: str) -> None:
 
 
 @pytest.mark.parametrize("layout", HARNESS_LAYOUTS)
-def test_programs_match_oracle_across_simd_levels(layout: str, monkeypatch) -> None:
+def test_programs_match_oracle_across_simd_levels(layout: str) -> None:
     """The same programs, replayed at every SIMD level the CPU supports.
 
-    ``_SWAP_MIN_WORK`` is forced to 0 so the harness's small matrices take
-    the swap-form round kernels (including the saturation-filtered variant
-    behind ``exchange_complete``) instead of staying on the snapshot +
-    scatter path — the SIMD dispatch lives in exactly those kernels.
+    The harness's small matrices take the production kernels, whose word
+    loops hold the SIMD dispatch: nothing gates the swap-form exchange or
+    the in-place push by matrix size.
     """
     _require_backend("c")
     if _ckernel.simd_detected() == 0:
         pytest.skip("CPU supports no SIMD level beyond scalar")
-    from repro.engine import knowledge as knowledge_mod
-
-    monkeypatch.setattr(knowledge_mod, "_SWAP_MIN_WORK", 0)
     original = _ckernel.simd_active()
     try:
         with backends.use("c") as active:
