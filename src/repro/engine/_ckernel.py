@@ -1043,7 +1043,8 @@ int64_t repro_push_in_place(uint64_t *data, const int64_t *src,
  * ------------------------------------------------------------------ */
 
 /* CSR of the undirected graph on `n` nodes whose edges are the `m` pair
- * indices in `pairs`.  `indptr` has n + 1 slots and `indices` 2m.  Pass 1
+ * indices in `pairs`.  `indptr` has n + 1 slots and `indices` 2m; the
+ * caller keeps n below 2^31, so every node id fits int32_t.  Pass 1
  * checks the input (strictly increasing, below n(n-1)/2) and counts
  * degrees; pass 2 walks the pairs again, writing c into row r and r into
  * row c through per-row cursors.  The pairs (v, u), v < u, that give row u
@@ -1052,7 +1053,7 @@ int64_t repro_push_in_place(uint64_t *data, const int64_t *src,
  * ascending: the rows come out sorted with no sort.  Returns 0, or -1
  * (nothing meaningful written to `indices`) when the input is invalid. */
 int64_t repro_pairs_csr(const int64_t *pairs, int64_t m, int64_t n,
-                        int64_t *indptr, int64_t *indices) {
+                        int64_t *indptr, int32_t *indices) {
     const int64_t total = n > 1 ? n * (n - 1) / 2 : 0;
     memset(indptr, 0, (size_t)(n + 1) * sizeof(int64_t));
     /* Row r spans pair indices [start, end). */
@@ -1088,8 +1089,8 @@ int64_t repro_pairs_csr(const int64_t *pairs, int64_t m, int64_t n,
             end += n - 1 - r;
         }
         const int64_t c = r + 1 + pos - start;
-        indices[indptr[r]++] = c;
-        indices[indptr[c]++] = r;
+        indices[indptr[r]++] = (int32_t)c;
+        indices[indptr[c]++] = (int32_t)r;
     }
     /* The cursors now hold each row's END: shift them back to starts. */
     memmove(indptr + 1, indptr, (size_t)n * sizeof(int64_t));
@@ -1102,7 +1103,7 @@ int64_t repro_pairs_csr(const int64_t *pairs, int64_t m, int64_t n,
  * soon as all n nodes are queued, so a connected graph never scans the
  * lists of its last frontier.  The caller guarantees a valid CSR:
  * indptr non-decreasing from 0 to the size of `indices`, entries < n. */
-int64_t repro_bfs_connected(const int64_t *indptr, const int64_t *indices,
+int64_t repro_bfs_connected(const int64_t *indptr, const int32_t *indices,
                             int64_t n, int64_t *queue, uint8_t *seen) {
     if (n <= 1)
         return 1;
@@ -1239,9 +1240,9 @@ def _bind(lib: ctypes.CDLL) -> None:
     # The serial kernels return a status and take no shard count.
     lib.repro_push_in_place.argtypes = [u64p, i64p, i64p, i64, i64, i64, i64p]
     lib.repro_push_in_place.restype = i64
-    lib.repro_pairs_csr.argtypes = [i64p, i64, i64, i64p, i64p]
+    lib.repro_pairs_csr.argtypes = [i64p, i64, i64, i64p, i32p]
     lib.repro_pairs_csr.restype = i64
-    lib.repro_bfs_connected.argtypes = [i64p, i64p, i64, i64p, u8p]
+    lib.repro_bfs_connected.argtypes = [i64p, i32p, i64, i64p, u8p]
     lib.repro_bfs_connected.restype = i64
     lib.repro_simd_detect.argtypes = []
     lib.repro_simd_detect.restype = ctypes.c_int
@@ -1619,22 +1620,25 @@ def pairs_csr(n: int, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``pairs`` holds strictly increasing indices into the row-major upper
     triangle (pair ``(r, c)``, ``r < c``, is ``r*n - r*(r+1)/2 + c - r - 1``),
     as :mod:`repro.graphs.erdos_renyi` samples them.  Two serial O(n + m)
-    passes, no sort; the rows come out sorted.  Raises :class:`ValueError`
-    when ``pairs`` is not strictly increasing or leaves ``[0, n(n-1)/2)``.
+    passes, no sort; the rows come out sorted.  ``indptr`` is ``int64`` and
+    ``indices`` ``int32``, the dtypes :class:`~repro.graphs.adjacency.Adjacency`
+    keeps.  Raises :class:`ValueError` when ``pairs`` is not strictly
+    increasing or leaves ``[0, n(n-1)/2)``, or when ``n`` exceeds the
+    ``int32`` range.
     """
     pairs = np.ascontiguousarray(pairs, dtype=np.int64)
     if pairs.ndim != 1:
         raise ValueError("pair indices must be one-dimensional")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    if not 0 <= n <= np.iinfo(np.int32).max:
+        raise ValueError(f"n must lie in [0, 2**31 - 1], got {n}")
     indptr = np.empty(n + 1, dtype=np.int64)
-    indices = np.empty(2 * pairs.size, dtype=np.int64)
+    indices = np.empty(2 * pairs.size, dtype=np.int32)
     status = _LIB.repro_pairs_csr(
         _i64(pairs),
         ctypes.c_int64(pairs.size),
         ctypes.c_int64(n),
         _i64(indptr),
-        _i64(indices),
+        indices.ctypes.data_as(_I32P),
     )
     if status != 0:
         raise ValueError(
@@ -1650,16 +1654,19 @@ def bfs_connected(indptr: np.ndarray, indices: np.ndarray) -> bool:
     :class:`~repro.graphs.adjacency.Adjacency` checks on construction:
     ``indptr`` non-decreasing from 0 to ``indices.size`` and every entry of
     ``indices`` in ``[0, n)``; the reads stay inside ``indices`` only then.
+    ``indices`` is read in place, so it must be a C-contiguous ``int32``
+    array (:class:`ValueError` otherwise).
     """
+    if indices.dtype != np.int32 or not indices.flags.c_contiguous:
+        raise ValueError("indices must be a C-contiguous int32 array")
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
     n = indptr.size - 1
     queue = np.empty(max(n, 1), dtype=np.int64)
     seen = np.zeros(max(n, 1), dtype=np.uint8)
     return bool(
         _LIB.repro_bfs_connected(
             _i64(indptr),
-            _i64(indices),
+            indices.ctypes.data_as(_I32P),
             ctypes.c_int64(n),
             _i64(queue),
             seen.ctypes.data_as(_U8P),

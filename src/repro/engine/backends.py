@@ -259,11 +259,12 @@ class CBackend(KernelBackend):
 
     def pairs_csr(self, n, pairs):
         """CSR ``(indptr, indices)`` of ``G(n, p)`` from its sorted pair
-        indices (see ``_ckernel.pairs_csr``)."""
+        indices, with ``int32`` ids (see ``_ckernel.pairs_csr``)."""
         return _ckernel.pairs_csr(n, pairs)
 
     def is_connected(self, indptr, indices) -> bool:
-        """Queue BFS from node 0 over a valid CSR graph."""
+        """Queue BFS from node 0 over a valid CSR graph, reading its
+        ``int32`` ids in place."""
         return _ckernel.bfs_connected(indptr, indices)
 
 

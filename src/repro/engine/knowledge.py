@@ -26,7 +26,8 @@ through the active :mod:`repro.engine.backends` backend
 all paths are pinned bit-identical by
 ``tests/engine/test_kernel_equivalence.py``.  Every bulk entry point checks
 its node ids first and raises :class:`IndexError`, writing nothing, on an
-id outside ``[0, n_nodes)``.
+id outside ``[0, n_nodes)``; the packed rows and per-node arrays it hands
+the kernels are checked the same way and raise :class:`ValueError`.
 
 Storage is one class.  :class:`KnowledgeMatrix` holds the full gossiping
 state as one contiguous ``n_nodes x words`` matrix and defines the storage
@@ -175,7 +176,9 @@ class KnowledgeMatrix:
     with ``data``, so protocols and analysis code must not hold references
     to ``data`` across round updates; :meth:`rows` returns copies.  Every
     bulk entry point checks its node ids before it writes anything and
-    raises :class:`IndexError` on an id outside ``[0, n_nodes)``.
+    raises :class:`IndexError` on an id outside ``[0, n_nodes)``, and
+    :class:`ValueError` on a mask, completion row or per-node array of the
+    wrong shape (:meth:`_word_row`, :meth:`_exchange_extras`).
     """
 
     __slots__ = (
@@ -306,6 +309,62 @@ class KnowledgeMatrix:
         if first.shape != second.shape:
             raise ValueError(f"{names[0]} and {names[1]} must have identical shapes")
         return first, second
+
+    def _word_row(self, row: np.ndarray, name: str) -> np.ndarray:
+        """``row`` as a C-contiguous ``uint64`` packed row of ``words`` words.
+
+        Raises :class:`ValueError` naming ``name`` on any other shape: the
+        compiled kernels read ``words`` words from it, and NumPy would
+        broadcast a one-word row.
+        """
+        row = np.ascontiguousarray(row, dtype=_WORD_DTYPE)
+        if row.shape != (self.words,):
+            raise ValueError(f"{name} must have shape ({self.words},), got {row.shape}")
+        return row
+
+    def _exchange_extras(
+        self,
+        complete: Optional[np.ndarray],
+        complete_row: Optional[np.ndarray],
+        deficit_mask: Optional[np.ndarray],
+        deficits_out: Optional[np.ndarray],
+    ) -> "tuple[Optional[np.ndarray], ...]":
+        """The optional :meth:`apply_exchange` arguments, checked up front.
+
+        ``complete`` becomes a contiguous boolean ``(n_nodes,)`` mask and
+        needs ``complete_row``; ``complete_row`` and ``deficit_mask`` are
+        packed rows (:meth:`_word_row`); ``deficit_mask`` and
+        ``deficits_out`` come together, and the kernels write
+        ``deficits_out`` in place, so it must already be a writable,
+        C-contiguous ``int64`` array of shape ``(n_nodes,)``.  Raises
+        :class:`ValueError` naming the argument.
+        """
+        if complete is not None:
+            complete = np.ascontiguousarray(complete, dtype=bool)
+            if complete.shape != (self.n_nodes,):
+                raise ValueError(
+                    f"complete must have shape ({self.n_nodes},), got {complete.shape}"
+                )
+            if complete_row is None:
+                raise ValueError("complete needs complete_row")
+        if complete_row is not None:
+            complete_row = self._word_row(complete_row, "complete_row")
+        if (deficit_mask is None) != (deficits_out is None):
+            raise ValueError("deficit_mask and deficits_out must be given together")
+        if deficit_mask is not None:
+            deficit_mask = self._word_row(deficit_mask, "deficit_mask")
+            if not (
+                isinstance(deficits_out, np.ndarray)
+                and deficits_out.dtype == np.int64
+                and deficits_out.shape == (self.n_nodes,)
+                and deficits_out.flags.c_contiguous
+                and deficits_out.flags.writeable
+            ):
+                raise ValueError(
+                    "deficits_out must be a writable, C-contiguous int64 array "
+                    f"of shape ({self.n_nodes},)"
+                )
+        return complete, complete_row, deficit_mask, deficits_out
 
     def scatter_rows(
         self, source: np.ndarray, src_idx: np.ndarray, receivers: np.ndarray
@@ -476,8 +535,10 @@ class KnowledgeMatrix:
         This is the recount primitive behind
         :class:`~repro.core.completion.CompletionTracker`; subclasses
         override it with representation-aware implementations that are
-        pinned bit-identical to this scan.
+        pinned bit-identical to this scan.  Raises :class:`ValueError` when
+        ``mask`` is not one packed row (see :meth:`_word_row`).
         """
+        mask = self._word_row(mask, "mask")
         rows = _ids(rows, self.n_nodes, "rows")
         if rows.size == 0:
             return np.zeros(0, dtype=np.int64)
@@ -677,8 +738,15 @@ class KnowledgeMatrix:
             duplicates: a node can receive in both directions);
             ``promoted`` — sorted unique receivers directly saturated.  The
             two sets are disjoint.
+
+        Raises :class:`IndexError` on an id outside ``[0, n_nodes)`` and
+        :class:`ValueError` on an optional argument of the wrong shape or
+        kind (see :meth:`_exchange_extras`), before anything is written.
         """
         callers, targets = self._batch(callers, targets, ("callers", "targets"))
+        complete, complete_row, deficit_mask, deficits_out = self._exchange_extras(
+            complete, complete_row, deficit_mask, deficits_out
+        )
         empty = np.zeros(0, dtype=np.int64)
         self.fused_deficits = False
         if callers.size == 0:
@@ -724,9 +792,9 @@ class KnowledgeMatrix:
                     targets,
                     off,
                     adj,
-                    np.ascontiguousarray(complete).view(np.uint8),
+                    complete.view(np.uint8),
                     promoted_u8,
-                    np.ascontiguousarray(complete_row),
+                    complete_row,
                     deficit_mask,
                     deficits_out,
                 )
@@ -981,6 +1049,9 @@ class FrontierKnowledge(KnowledgeMatrix):
         deficits_out: Optional[np.ndarray] = None,
     ) -> "tuple[np.ndarray, np.ndarray]":
         callers, targets = self._batch(callers, targets, ("callers", "targets"))
+        complete, complete_row, deficit_mask, deficits_out = self._exchange_extras(
+            complete, complete_row, deficit_mask, deficits_out
+        )
         empty = np.zeros(0, dtype=np.int64)
         self.fused_deficits = False
         if callers.size == 0:
@@ -1190,6 +1261,7 @@ class FrontierKnowledge(KnowledgeMatrix):
         available).  Pinned bit-identical to the scan path by
         ``tests/engine/test_layouts.py``.
         """
+        mask = self._word_row(mask, "mask")
         rows = _ids(rows, self.n_nodes, "rows")
         if rows.size == 0 or self._retired:
             return super().count_missing(mask, rows)

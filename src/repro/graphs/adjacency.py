@@ -7,8 +7,8 @@ must be fast and allocation-light because they sit in the per-round hot loop:
   (:meth:`Adjacency.sample_neighbors`, one batched draw per round),
 * sampling distinct neighbours while avoiding short per-node address lists —
   the memory model's ``open-avoid`` — for a whole batch of callers at once
-  (:meth:`Adjacency.sample_neighbors_avoiding_many`: one ``searchsorted``
-  pass over a cached ``owner * n + neighbour`` key array plus vectorised
+  (:meth:`Adjacency.sample_neighbors_avoiding_many`: one vectorised binary
+  search inside every caller's own sorted neighbour slice plus vectorised
   skip-sampling; the single-node :meth:`Adjacency.sample_neighbors_avoiding`
   remains for callers outside the hot path), and
 * iterating neighbours of a node (for structural analysis and the
@@ -23,10 +23,13 @@ reference loops sharing that discipline.
 
 :class:`Adjacency` stores the graph in CSR form (``indptr``/``indices``) with
 sorted neighbour lists, which supports all of the above with NumPy
-vectorisation and binary search.  Graphs are undirected and simple (no
-self-loops, no parallel edges); generators that naturally produce
-multi-edges (the configuration model) deduplicate before constructing an
-:class:`Adjacency`.
+vectorisation and binary search, and holds nothing else: the neighbour ids
+are ``int32``, so a graph costs 4 bytes per directed edge plus 16 per node
+(``indptr`` and ``degrees``), and the node count is capped at
+:data:`MAX_NODES`.  Graphs are undirected
+and simple (no self-loops, no parallel edges); generators that naturally
+produce multi-edges (the configuration model) deduplicate before
+constructing an :class:`Adjacency`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,16 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Adjacency"]
+__all__ = ["Adjacency", "MAX_NODES"]
+
+#: Largest node count a graph may have: every neighbour id fits ``int32``.
+MAX_NODES = int(np.iinfo(np.int32).max)
+
+
+def _check_node_count(n: int) -> None:
+    """Raise :class:`ValueError` when ``n`` nodes cannot have ``int32`` ids."""
+    if n > MAX_NODES:
+        raise ValueError(f"graphs hold at most {MAX_NODES} nodes, got {n}")
 
 
 class Adjacency:
@@ -44,25 +56,28 @@ class Adjacency:
     Parameters
     ----------
     indptr:
-        CSR row pointer of length ``n + 1``.
+        CSR row pointer of length ``n + 1`` (stored as ``int64``).
     indices:
-        Concatenated, per-row sorted neighbour lists.
+        Concatenated, per-row sorted neighbour lists (stored as
+        C-contiguous ``int32``; such an array is kept without a copy).
 
     Use the :meth:`from_edges`, :meth:`from_neighbor_lists` or
     :meth:`from_networkx` constructors rather than building the arrays by
-    hand.
+    hand.  Raises :class:`ValueError` on an inconsistent CSR, a neighbour
+    id outside ``[0, n)``, or more than :data:`MAX_NODES` nodes.
     """
 
-    __slots__ = ("n", "indptr", "indices", "degrees", "has_isolated", "_owner_keys")
+    __slots__ = ("n", "indptr", "indices", "degrees", "has_isolated")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        if self.indptr.ndim != 1 or self.indices.ndim != 1:
+        indices = np.asarray(indices)
+        if self.indptr.ndim != 1 or indices.ndim != 1:
             raise ValueError("indptr and indices must be one-dimensional")
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
+        if self.indptr[0] != 0 or self.indptr[-1] != indices.size:
             raise ValueError("inconsistent CSR structure")
         self.n = int(self.indptr.size - 1)
+        _check_node_count(self.n)
         self.degrees = np.diff(self.indptr)
         min_degree = int(self.degrees.min()) if self.n else 0
         if min_degree < 0:
@@ -70,14 +85,10 @@ class Adjacency:
         #: Whether any node has degree zero (precomputed: neighbour sampling
         #: takes a branch-free fast path when every node has neighbours).
         self.has_isolated = bool(self.n) and min_degree == 0
-        if self.indices.size and (
-            self.indices.min() < 0 or self.indices.max() >= self.n
-        ):
+        # Checked before narrowing, so a wide id cannot wrap into range.
+        if indices.size and (indices.min() < 0 or indices.max() >= self.n):
             raise ValueError("neighbour index out of range")
-        #: Lazily built ``owner * n + neighbour`` key array (globally sorted
-        #: because per-row neighbour lists are sorted); enables one
-        #: searchsorted pass over arbitrary (node, address) query batches.
-        self._owner_keys: Optional[np.ndarray] = None
+        self.indices = np.ascontiguousarray(indices, dtype=np.int32)
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -88,6 +99,7 @@ class Adjacency:
 
         Self-loops and duplicate edges are removed.
         """
+        _check_node_count(n)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range")
@@ -106,7 +118,8 @@ class Adjacency:
         directed = np.concatenate([keys, hi * n64 + lo])
         directed.sort()
         indptr = np.searchsorted(directed, np.arange(n + 1, dtype=np.int64) * n64)
-        return cls(indptr, np.remainder(directed, n64, out=directed))
+        indices = np.empty(directed.size, dtype=np.int32)
+        return cls(indptr, np.remainder(directed, n64, out=indices))
 
     @classmethod
     def from_neighbor_lists(cls, neighbor_lists: Sequence[Sequence[int]]) -> "Adjacency":
@@ -154,7 +167,7 @@ class Adjacency:
         return int(self.degrees[node])
 
     def neighbors(self, node: int) -> np.ndarray:
-        """Sorted neighbour array of ``node`` (a view, do not mutate)."""
+        """Sorted ``int32`` neighbour array of ``node`` (a view, do not mutate)."""
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -202,7 +215,7 @@ class Adjacency:
             # random draw count matches the masked path, so both consume the
             # generator identically.
             offsets = (rng.random(nodes.size) * deg).astype(np.int64)
-            return self.indices[self.indptr[nodes] + offsets]
+            return self.indices[self.indptr[nodes] + offsets].astype(np.int64)
         result = np.full(nodes.size, -1, dtype=np.int64)
         ok = deg > 0
         if np.any(ok):
@@ -268,38 +281,34 @@ class Adjacency:
             picked = rng.choice(nbrs, size=count, replace=True)
         return np.asarray(picked, dtype=np.int64)
 
-    def _ensure_owner_keys(self) -> np.ndarray:
-        """``owner * n + neighbour`` for every CSR entry, globally sorted."""
-        if self._owner_keys is None:
-            owners = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-            self._owner_keys = owners * np.int64(self.n) + self.indices
-        return self._owner_keys
-
     def neighbor_positions(self, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Per-pair local position of ``values[i]`` in ``nodes[i]``'s list.
 
-        Returns -1 where ``values[i]`` is not a neighbour of ``nodes[i]``.
-        All pairs are resolved with a single binary search over the cached
-        ``owner * n + neighbour`` key array, so the cost is one
-        ``searchsorted`` pass regardless of how many distinct nodes appear.
+        Returns -1 where ``values[i]`` is not a neighbour of ``nodes[i]``;
+        an id outside ``[0, n)`` never is one.  Every pair is resolved by a
+        lower-bound binary search inside its own node's sorted slice
+        ``indices[indptr[u]:indptr[u + 1]]``, all pairs advancing together:
+        ``ceil(log2(max degree + 1))`` vectorised passes and no index beyond
+        the CSR itself.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
-        if nodes.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        # Out-of-range addresses are never neighbours; clamping them to a
-        # self-key (node * n + node, never present: no self-loops) keeps the
-        # key arithmetic from aliasing into the next node's key range.
-        in_graph = (values >= 0) & (values < self.n)
-        safe_values = np.where(in_graph, values, nodes)
-        keys = nodes * np.int64(self.n) + safe_values
-        owner_keys = self._ensure_owner_keys()
-        pos = np.searchsorted(owner_keys, keys)
         local = np.full(nodes.size, -1, dtype=np.int64)
-        in_range = pos < owner_keys.size
-        matched = np.zeros(nodes.size, dtype=bool)
-        matched[in_range] = owner_keys[pos[in_range]] == keys[in_range]
-        local[matched] = pos[matched] - self.indptr[nodes[matched]]
+        if nodes.size == 0 or self.indices.size == 0:
+            return local
+        start = self.indptr[nodes]
+        end = self.indptr[nodes + 1]
+        lo, hi = start, end
+        last = self.indices.size - 1
+        # Each pass halves every pair's interval [lo, hi); a pair whose
+        # interval is already empty reads a clamped slot and stays put.
+        for _ in range(int((end - start).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            below = (lo < hi) & (self.indices[np.minimum(mid, last)] < values)
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        hit = (lo < end) & (self.indices[np.minimum(lo, last)] == values)
+        local[hit] = lo[hit] - start[hit]
         return local
 
     def sample_neighbors_avoiding_many(
@@ -314,9 +323,9 @@ class Adjacency:
         For every ``nodes[i]`` this samples up to ``count`` *distinct*
         neighbours uniformly from ``N(nodes[i]) \\ avoid[i]``, exactly like
         calling :meth:`sample_neighbors_avoiding` per node, but with no
-        per-node Python: avoided addresses are located with one
-        ``searchsorted`` pass over all callers and the samples are drawn by
-        rank (skip-sampling over the excluded positions).
+        per-node Python: avoided addresses are located by
+        :meth:`neighbor_positions` for all callers at once and the samples
+        are drawn by rank (skip-sampling over the excluded positions).
 
         Parameters
         ----------

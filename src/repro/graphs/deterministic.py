@@ -22,8 +22,9 @@ def complete_graph(n: int) -> Adjacency:
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     # Row v lists 0..n-1 without v: slot j holds j, or j + 1 once j >= v.
-    slots = np.arange(n - 1, dtype=np.int64)
-    indices = slots + (slots >= np.arange(n, dtype=np.int64)[:, None])
+    # The ids are written as int32, the dtype Adjacency keeps.
+    slots = np.arange(n - 1, dtype=np.int32)
+    indices = slots + (slots >= np.arange(n, dtype=np.int32)[:, None])
     return Adjacency(np.arange(n + 1, dtype=np.int64) * (n - 1), indices.ravel())
 
 

@@ -8,9 +8,10 @@ skipping technique (Batagelj & Brandes) so that sampling the edges costs
 vectorised in NumPy.  The sample is the sorted list of the present pairs'
 indices into the row-major upper triangle.  Under the compiled backend one
 serial C pass turns that list into the CSR adjacency in ``O(n + m)`` with no
-sort (:func:`repro.engine._ckernel.pairs_csr`); the NumPy path decodes it
-into an edge list for :meth:`Adjacency.from_edges`.  Both give the same
-bytes.  ``p = 1`` is the complete graph, built directly.
+sort (:func:`repro.engine._ckernel.pairs_csr`), writing the ``int32``
+neighbour ids the graph keeps, so the CSR is never copied; the NumPy path
+decodes it into an edge list for :meth:`Adjacency.from_edges`.  Both give
+the same bytes.  ``p = 1`` is the complete graph, built directly.
 """
 
 from __future__ import annotations

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -270,3 +276,58 @@ class TestFailures:
         b = MemoryGossiping(leader=0).run(small_paper_graph, rng=32)
         assert a.total_messages() == b.total_messages()
         assert a.completed and b.completed
+
+
+#: Run in a fresh interpreter: one memory-model run on ``K_2048``, then its
+#: VmHWM above the RSS the process had once the graph was built.
+_PEAK_ON_K2048 = """
+import json
+from repro.core import MemoryGossiping
+from repro.graphs import complete_graph
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(key + ":"):
+                return int(line.split()[1]) * 1024
+    raise KeyError(key)
+
+graph = complete_graph(2048)
+base = status("VmRSS")
+result = MemoryGossiping().run(graph, rng=7)
+print(json.dumps({"rise": status("VmHWM") - base, "completed": bool(result.completed)}))
+"""
+
+
+class TestPeakAboveTheGraph:
+    """A memory run adds no per-edge array to the graph it runs on.
+
+    ``K_2048`` has 4.2 million directed edges, stored in 16 MiB; its
+    knowledge matrix is 0.5 MiB.  ``open-avoid`` searches each caller's own
+    neighbour slice, so the run's peak stays a few MiB above the graph (on a
+    2-core x86-64 VM, 4 MB, which is the complete graph's own build
+    temporary).  A sorted ``owner * n + neighbour`` key per directed edge,
+    built on the first memory run and kept with the graph, raised it by
+    about 69 MB there.
+    """
+
+    BOUND = 16 * 2**20
+
+    def test_memory_run_peak_stays_near_the_graph(self):
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("peak RSS is read from /proc")
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        run = subprocess.run(
+            [sys.executable, "-c", _PEAK_ON_K2048],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        report = json.loads(run.stdout.strip().splitlines()[-1])
+        assert report["completed"]
+        assert report["rise"] <= self.BOUND, report

@@ -384,6 +384,100 @@ class TestOutOfRangeIds:
         assert state == KnowledgeMatrix(10)
 
 
+def _exchange(state, **extras):
+    """A push-pull round on a 10-node state with the given optional arguments."""
+    return state.apply_exchange(np.arange(5), np.arange(5, 10), **extras)
+
+
+#: Every packed-row or per-node argument a compiled kernel reads or writes,
+#: as a call on a 10-node, 640-message (10-word) state that gets it wrong,
+#: and the error it must raise.
+BAD_ARGUMENT_CALLS = {
+    "short mask": (
+        lambda s: s.count_missing(np.full(1, 2**64 - 1, np.uint64), [0, 1]),
+        r"mask must have shape \(10,\)",
+    ),
+    "short complete": (
+        lambda s: _exchange(
+            s, complete=np.ones(3, bool), complete_row=s.full_row_mask()
+        ),
+        r"complete must have shape \(10,\)",
+    ),
+    "complete without its row": (
+        lambda s: _exchange(s, complete=np.ones(10, bool)),
+        "complete needs complete_row",
+    ),
+    "short complete_row": (
+        lambda s: _exchange(
+            s, complete=np.zeros(10, bool), complete_row=s.full_row_mask()[:1]
+        ),
+        r"complete_row must have shape \(10,\)",
+    ),
+    "short deficit_mask": (
+        lambda s: _exchange(
+            s, deficit_mask=s.full_row_mask()[:1], deficits_out=np.zeros(10, np.int64)
+        ),
+        r"deficit_mask must have shape \(10,\)",
+    ),
+    "short deficits_out": (
+        lambda s: _exchange(
+            s, deficit_mask=s.full_row_mask(), deficits_out=np.zeros(2, np.int64)
+        ),
+        "deficits_out must be",
+    ),
+    "int32 deficits_out": (
+        lambda s: _exchange(
+            s, deficit_mask=s.full_row_mask(), deficits_out=np.zeros(10, np.int32)
+        ),
+        "deficits_out must be",
+    ),
+    "strided deficits_out": (
+        lambda s: _exchange(
+            s, deficit_mask=s.full_row_mask(), deficits_out=np.zeros(20, np.int64)[::2]
+        ),
+        "deficits_out must be",
+    ),
+    "read-only deficits_out": (
+        lambda s: _exchange(
+            s,
+            deficit_mask=s.full_row_mask(),
+            deficits_out=np.broadcast_to(np.zeros(1, np.int64), (10,)),
+        ),
+        "deficits_out must be",
+    ),
+    "deficit_mask alone": (
+        lambda s: _exchange(s, deficit_mask=s.full_row_mask()),
+        "given together",
+    ),
+    "deficits_out alone": (
+        lambda s: _exchange(s, deficits_out=np.zeros(10, np.int64)),
+        "given together",
+    ),
+}
+
+
+class TestArgumentShapes:
+    """A mask, completion row or per-node array of the wrong shape raises
+    :class:`ValueError` naming it, before anything is written.
+
+    The compiled kernels read ``words`` words of a mask and write
+    ``n_nodes`` deficits, so without the check a short array is read or
+    written past its end (a short ``deficits_out`` corrupted the heap), and
+    NumPy broadcasts a one-word mask.
+    """
+
+    @pytest.mark.parametrize("layout", list(STORAGE_CLASSES))
+    @pytest.mark.parametrize("call", list(BAD_ARGUMENT_CALLS))
+    def test_raises_and_writes_nothing(self, backend, layout, call):
+        state = STORAGE_CLASSES[layout](10, 640)
+        state.apply_transmissions(np.arange(10), np.roll(np.arange(10), 1))
+        before = state.fingerprint()
+        fn, message = BAD_ARGUMENT_CALLS[call]
+        with pytest.raises(ValueError, match=message):
+            fn(state)
+        assert state.fingerprint() == before
+
+
 class TestCountMissingPinned:
     """Every layout's count_missing equals the plain masked dense scan."""
 

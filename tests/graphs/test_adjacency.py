@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.adjacency import Adjacency
+from repro.graphs import complete_graph
+from repro.graphs.adjacency import MAX_NODES, Adjacency
 from repro.engine import _ckernel, backends
 from repro.engine.rng import make_rng
 
@@ -72,6 +73,62 @@ class TestConstruction:
         # Consistent ends, but row 1 would have degree -1.
         with pytest.raises(ValueError, match="non-decreasing"):
             Adjacency(np.array([0, 3, 2]), np.array([1, 0]))
+
+
+class TestStorage:
+    """A graph holds its CSR and nothing else, at 4 bytes per directed edge."""
+
+    def test_slots_hold_only_the_csr_arrays(self):
+        graph = path_graph(6)
+        graph.neighbor_positions(np.arange(6), np.arange(6))  # no cache appears
+        arrays = {
+            name for name in Adjacency.__slots__
+            if isinstance(getattr(graph, name), np.ndarray)
+        }
+        assert arrays == {"indptr", "indices", "degrees"}
+        assert graph.indices.dtype == np.int32
+        assert graph.indices.flags.c_contiguous
+        assert graph.indptr.dtype == np.int64
+
+    def test_every_constructor_stores_int32_ids(self):
+        graphs = [
+            path_graph(5),
+            complete_graph(7),
+            Adjacency.from_neighbor_lists([[1], [0], []]),
+            Adjacency(np.array([0, 1, 2]), [1, 0]),
+        ]
+        for graph in graphs:
+            assert graph.indices.dtype == np.int32
+            assert graph.neighbors(0).dtype == np.int32
+
+    def test_int32_input_is_kept_without_a_copy(self):
+        indices = np.array([1, 0], dtype=np.int32)
+        assert Adjacency(np.array([0, 1, 2]), indices).indices is indices
+
+    def test_wide_ids_are_checked_before_narrowing(self):
+        # 2**32 + 1 would narrow to the valid id 1.
+        with pytest.raises(ValueError, match="out of range"):
+            Adjacency(np.array([0, 1, 2]), np.array([2**32 + 1, 0], dtype=np.int64))
+
+    def test_sampled_ids_are_int64(self):
+        graph = Adjacency.from_edges(4, np.asarray([[0, 1], [1, 2]]))  # 3 isolated
+        rng = make_rng(0)
+        assert graph.sample_neighbors(np.arange(3), rng).dtype == np.int64
+        assert graph.sample_neighbors(np.arange(4), rng).dtype == np.int64
+        assert graph.sample_neighbors_avoiding(1, rng, avoid=[0]).dtype == np.int64
+        many = graph.sample_neighbors_avoiding_many(np.arange(4), rng, count=2)
+        assert many.dtype == np.int64
+        assert graph.edge_list().dtype == np.int64
+
+    def test_node_count_is_capped_without_allocating_it(self):
+        # A zero-stride view: 2**31 + 1 row pointers in 8 bytes.  The cap is
+        # checked before anything of length n is built.
+        indptr = np.broadcast_to(np.zeros(1, dtype=np.int64), (MAX_NODES + 2,))
+        with pytest.raises(ValueError, match="at most 2147483647 nodes"):
+            Adjacency(indptr, np.zeros(0, dtype=np.int32))
+        with pytest.raises(ValueError, match="at most 2147483647 nodes"):
+            Adjacency.from_edges(MAX_NODES + 1, np.zeros((0, 2), dtype=np.int64))
+        assert MAX_NODES == 2**31 - 1
 
 
 class TestQueries:
@@ -161,7 +218,7 @@ class TestSampling:
 
 
 class TestSampleAvoidingMany:
-    """The batched open-avoid kernel (one searchsorted pass, skip-sampling)."""
+    """The batched open-avoid kernel (per-slice binary search, skip-sampling)."""
 
     def _scalar_reference(self, graph, nodes, uniforms, avoid, count):
         out = np.full((len(nodes), count), -1, dtype=np.int64)
@@ -277,6 +334,30 @@ class TestSampleAvoidingMany:
         values = np.asarray([1, 2, 3, 3, 0], dtype=np.int64)
         assert graph.neighbor_positions(nodes, values).tolist() == [0, -1, 1, 0, -1]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_neighbor_positions_match_a_per_pair_loop(self, data):
+        """Repeated and degree-0 callers, ids outside the graph, complete graphs."""
+        n, edges = data.draw(random_edge_list())
+        if data.draw(st.booleans()):
+            graph = complete_graph(n)
+        else:
+            graph = Adjacency.from_edges(n, edges)
+        k = data.draw(st.integers(min_value=0, max_value=40))
+        node = st.integers(min_value=0, max_value=n - 1)
+        value = node | st.sampled_from([-1, n, 2**40])
+        nodes = data.draw(st.lists(node, min_size=k, max_size=k))
+        values = data.draw(st.lists(value, min_size=k, max_size=k))
+        expected = []
+        for u, v in zip(nodes, values):
+            nbrs = graph.neighbors(u).tolist()
+            expected.append(nbrs.index(v) if v in nbrs else -1)
+        got = graph.neighbor_positions(
+            np.asarray(nodes, dtype=np.int64), np.asarray(values, dtype=np.int64)
+        )
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+
     def test_out_of_range_avoid_addresses_are_ignored(self):
         """Regression: an avoid address >= n used to alias into the next
         node's key range and exclude a phantom neighbour."""
@@ -377,12 +458,14 @@ class TestAdjacencyProperties:
     @settings(max_examples=200, deadline=None)
     @given(random_edge_list())
     def test_matches_reference_construction(self, data):
-        """Byte-identical CSR to the unique + lexsort construction."""
+        """Byte-identical CSR to the unique + lexsort construction, with the
+        neighbour ids compared as int64 (the graph keeps them as int32)."""
         n, edges = data
         graph = Adjacency.from_edges(n, edges)
         indptr, indices = reference_csr(n, edges)
+        assert graph.indices.dtype == np.int32
         assert graph.indptr.tobytes() == indptr.tobytes()
-        assert graph.indices.tobytes() == indices.tobytes()
+        assert graph.indices.astype(np.int64).tobytes() == indices.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(random_edge_list(), st.data())

@@ -4,7 +4,8 @@ Under the compiled backend ``erdos_renyi`` hands the sampler's sorted
 upper-triangle pair indices to ``_ckernel.pairs_csr`` instead of decoding
 them for ``Adjacency.from_edges``.  These tests pin:
 
-* the compiled CSR byte-equal to the NumPy path's for any sorted pair set;
+* the compiled CSR byte-equal to the NumPy path's for any sorted pair set,
+  with ``int32`` ids on both, and the C BFS reading those ids in place;
 * invalid pair lists (unsorted, duplicate, negative, out of range) rejected
   with ``ValueError`` before anything is written out of bounds;
 * the in-place sampler drawing exactly the earlier sampler's pair indices
@@ -14,6 +15,8 @@ them for ``Adjacency.from_edges``.  These tests pin:
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ def numpy_csr(n, pairs):
 def assert_paths_agree(n, pairs):
     indptr, indices = _ckernel.pairs_csr(n, pairs)
     expected_indptr, expected_indices = numpy_csr(n, pairs)
+    assert indices.dtype == expected_indices.dtype == np.int32
     assert indptr.tobytes() == expected_indptr.tobytes()
     assert indices.tobytes() == expected_indices.tobytes()
 
@@ -105,6 +109,35 @@ class TestPairsCsr:
             _ckernel.pairs_csr(-1, np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
             _ckernel.pairs_csr(5, np.zeros((2, 2), dtype=np.int64))
+
+    def test_node_count_beyond_int32_raises_before_allocating(self):
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            _ckernel.pairs_csr(2**31, np.zeros(0, dtype=np.int64))
+
+
+@needs_compiled
+class TestBfsConnected:
+    def test_reads_the_graph_ids_in_place(self, monkeypatch):
+        graph = make_graph(paper_graph_spec(512), rng=3)
+        seen = []
+        kernel = _ckernel._LIB.repro_bfs_connected
+
+        def spy(indptr, indices, *rest):
+            seen.append(ctypes.addressof(indices.contents))
+            return kernel(indptr, indices, *rest)
+
+        monkeypatch.setattr(_ckernel._LIB, "repro_bfs_connected", spy)
+        assert _ckernel.bfs_connected(graph.indptr, graph.indices)
+        assert seen == [graph.indices.ctypes.data]
+
+    @pytest.mark.parametrize(
+        "indices",
+        [np.array([1, 0], dtype=np.int64), np.array([1, 9, 0, 9], dtype=np.int32)[::2]],
+        ids=["int64", "strided"],
+    )
+    def test_refuses_ids_it_would_have_to_copy(self, indices):
+        with pytest.raises(ValueError, match="C-contiguous int32"):
+            _ckernel.bfs_connected(np.array([0, 1, 2]), indices)
 
 
 def reference_sampler(n, p, rng):

@@ -6,7 +6,10 @@ and replays verbatim) exercising every bulk primitive of
 push–pull exchanges with and without the saturation filter, external-row
 scatters, two-way merges with external rows, row assignment, point adds,
 deficit recounts and event-clock batches grouped by
-:func:`repro.engine.event_clock.group_events`.
+:func:`repro.engine.event_clock.group_events`.  Programs carry 1 to 1024
+messages (up to 16 words, where the frontier layout's word-sparse kernel
+runs), and row assignments often write the full row, so that the
+saturation filter meets complete rows.
 
 :func:`run_program` replays a program against an engine layout and the
 set-based :class:`oracle.OracleKnowledge` side by side, comparing the packed
@@ -62,6 +65,11 @@ OP_KINDS = (
 #: Message counts that exercise 64-bit word boundaries.
 _WORD_EDGE_MESSAGES = (63, 64, 65, 127, 128)
 
+#: Largest message count (16 words).  From 9 words on, a fresh row's one
+#: active word is under the frontier crossover (0.125 x words), so wide
+#: programs reach the word-sparse frontier kernel.
+_WIDE_MESSAGES = 1024
+
 
 def make_storage(layout: str, program: Dict[str, Any]) -> KnowledgeMatrix:
     """Instantiate ``layout`` for a program."""
@@ -98,6 +106,22 @@ def _gen_message_rows(rng: np.random.Generator, m: int, count: int) -> List[List
     ]
 
 
+def _gen_assign(
+    rng: np.random.Generator, n: int, m: int, full: bool
+) -> Tuple[str, Dict[str, Any]]:
+    """Assign one row to up to a quarter of the nodes: the full row
+    (complete rows for the saturation filter) or a few messages."""
+    k = int(rng.integers(1, max(2, n // 4 + 1)))
+    nodes = sorted(int(x) for x in rng.choice(n, size=k, replace=False))
+    if full:
+        messages = list(range(m))
+    else:
+        messages = sorted(
+            int(x) for x in rng.choice(m, size=int(rng.integers(0, min(m, 12) + 1)), replace=False)
+        )
+    return "assign_rows", {"nodes": nodes, "messages": messages}
+
+
 def _gen_op(rng: np.random.Generator, n: int, m: int) -> Tuple[str, Dict[str, Any]]:
     kind = str(rng.choice(OP_KINDS))
     if kind == "transmissions":
@@ -132,12 +156,7 @@ def _gen_op(rng: np.random.Generator, n: int, m: int) -> Tuple[str, Dict[str, An
             "nodes": [int(x) for x in rng.choice(hosts, size=k)],
         }
     if kind == "assign_rows":
-        k = int(rng.integers(1, max(2, n // 4 + 1)))
-        nodes = sorted(int(x) for x in rng.choice(n, size=k, replace=False))
-        messages = sorted(
-            int(x) for x in rng.choice(m, size=int(rng.integers(0, min(m, 12) + 1)), replace=False)
-        )
-        return kind, {"nodes": nodes, "messages": messages}
+        return _gen_assign(rng, n, m, full=rng.random() < 0.5)
     if kind == "add":
         return kind, {"node": int(rng.integers(0, n)), "message": int(rng.integers(0, m))}
     if kind == "add_many":
@@ -155,12 +174,20 @@ def generate_program(seed: int) -> Dict[str, Any]:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 41))
     # Word-boundary message counts are over-represented on purpose: the
-    # packed kernels' edge cases live at multiples of 64 bits.
-    if rng.random() < 0.5:
+    # packed kernels' edge cases live at multiples of 64 bits.  A quarter
+    # of the programs are wide, most of them past the frontier crossover.
+    draw = rng.random()
+    if draw < 0.5:
         m = int(rng.choice(_WORD_EDGE_MESSAGES))
-    else:
+    elif draw < 0.75:
         m = int(rng.integers(1, 161))
+    else:
+        m = int(rng.integers(161, _WIDE_MESSAGES + 1))
     ops = [_gen_op(rng, n, m) for _ in range(int(rng.integers(3, 13)))]
+    if rng.random() < 0.25:
+        # Start from a few complete rows, so that the program's filtered
+        # exchanges meet the saturation filter.
+        ops.insert(0, _gen_assign(rng, n, m, full=True))
     return {
         "seed": seed,
         "n_nodes": n,

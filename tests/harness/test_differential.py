@@ -13,16 +13,21 @@ delta-debugged to a locally-minimal op sequence and the assertion message
 prints it along with the seed and replay instructions.
 
 ``REPRO_HARNESS_PROGRAMS`` scales the number of programs per configuration
-(default 25 locally; CI runs 200+).
+(default 15 locally; CI runs 200+).  A call-count test pins that a fixed
+set of programs reaches the word-sparse frontier kernel and both branches
+of the saturation-filtered exchange.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.engine import _ckernel, backends
+from repro.engine.knowledge import KnowledgeMatrix
 
 from programs import (
     HARNESS_LAYOUTS,
@@ -103,6 +108,55 @@ def test_programs_match_oracle_across_simd_levels(layout: str) -> None:
                     )
     finally:
         _ckernel.set_simd_level(original)
+
+
+#: Programs the call-count test replays (fixed, whatever the environment asks).
+COVERAGE_PROGRAMS = 40
+
+
+def test_programs_reach_the_frontier_kernel_and_both_filter_branches(
+    monkeypatch,
+) -> None:
+    """The generated programs reach the kernels they exist to check.
+
+    Each counted ``_ckernel`` entry point is wrapped to count its calls,
+    keyed by layout and by whether an ``apply_exchange`` that met a complete
+    row made them.  A filtered exchange runs the swap-form
+    ``exchange_filtered`` while at least half the rows are in play and
+    gathers the surviving edges into ``scatter_or`` otherwise; the frontier
+    layout's sparse batches run ``frontier_scatter``.
+    """
+    _require_backend("c")
+    calls = Counter()
+    context = []
+    for name in ("exchange_filtered", "scatter_or", "frontier_scatter"):
+
+        def counted(*args, _kernel=getattr(_ckernel, name), _name=name, **kwargs):
+            calls[context[-1] if context else "unfiltered", _name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_ckernel, name, counted)
+    exchange = KnowledgeMatrix.apply_exchange
+
+    def tracked(self, callers, targets, **kwargs):
+        complete = kwargs.get("complete")
+        filtered = complete is not None and np.any(complete)
+        context.append("filtered" if filtered else "unfiltered")
+        try:
+            return exchange(self, callers, targets, **kwargs)
+        finally:
+            context.pop()
+
+    monkeypatch.setattr(KnowledgeMatrix, "apply_exchange", tracked)
+    with backends.use(BACKENDS["c"]):
+        for layout in HARNESS_LAYOUTS:
+            calls.clear()
+            for k in range(COVERAGE_PROGRAMS):
+                assert run_program(generate_program(BASE_SEED + k), layout) is None
+            assert calls["filtered", "exchange_filtered"] > 0, (layout, calls)
+            assert calls["filtered", "scatter_or"] > 0, (layout, calls)
+            if layout == "frontier":
+                assert calls["unfiltered", "frontier_scatter"] > 0, calls
 
 
 def test_program_generation_is_deterministic() -> None:
