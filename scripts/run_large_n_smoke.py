@@ -137,7 +137,6 @@ def main() -> int:
         return 1
 
     tracker = CompletionTracker(knowledge)
-    complete_row = knowledge.full_row_mask()
     rounds = 0
     t0 = time.perf_counter()
     while not tracker.is_complete():
@@ -148,14 +147,7 @@ def main() -> int:
             )
             return 1
         targets = rng.integers(0, n, n).astype(np.int64)
-        touched, promoted = knowledge.apply_exchange(
-            callers,
-            targets,
-            complete=tracker.complete_rows,
-            complete_row=complete_row,
-        )
-        tracker.update(touched)
-        tracker.mark_promoted(promoted)
+        tracker.exchange(callers, targets)
         rounds += 1
     wall = time.perf_counter() - t0
     # The loop's peak, before the verification scan's temporaries.

@@ -92,7 +92,8 @@ class CompletionTracker:
     ----------
     knowledge:
         The knowledge state to track.  The tracker reads the live matrix, so
-        it must be told about every mutation via :meth:`update`.
+        it must be told about every mutation via :meth:`update`, or make the
+        exchange itself through :meth:`exchange`.
     alive_nodes:
         Optional array of healthy nodes (the robustness setting).
     """
@@ -195,7 +196,7 @@ class CompletionTracker:
         row they rewrite while the row is still hot in cache, storing the
         result straight into :attr:`deficits` (rows the kernel did not touch
         keep their previous — still correct — deficit).  After such a round
-        the driver calls :meth:`refresh` instead of :meth:`update` /
+        :meth:`exchange` calls :meth:`refresh` instead of :meth:`update` /
         :meth:`mark_promoted`: no rows are recounted here, only the derived
         complete mask and incomplete counter are rebuilt from the deficits.
         """
@@ -210,6 +211,34 @@ class CompletionTracker:
         if done.any():
             self._complete[done] = True
         self.incomplete = int(np.count_nonzero(self.deficits))
+
+    def exchange(
+        self, callers: np.ndarray, targets: np.ndarray, *, filtered: bool = True
+    ) -> None:
+        """Apply one exchange batch and keep the deficits current.
+
+        Calls :meth:`~repro.engine.knowledge.KnowledgeMatrix.apply_exchange`
+        with the fused deficit recount into :attr:`deficits` and, when
+        ``filtered``, with the saturation filter (:attr:`complete_rows` and
+        :attr:`mask`).  Pass ``filtered=False`` when live rows may not be
+        subsets of the mask (churn).  Then adopts the fused counts
+        (:meth:`refresh`) or, after a gather/scatter batch, recounts the
+        touched rows and records the promoted ones.
+        """
+        knowledge = self.knowledge
+        touched, promoted = knowledge.apply_exchange(
+            callers,
+            targets,
+            complete=self._complete if filtered else None,
+            complete_row=self.mask if filtered else None,
+            deficit_mask=self.mask,
+            deficits_out=self.deficits,
+        )
+        if knowledge.fused_deficits:
+            self.refresh()
+        else:
+            self.update(touched)
+            self.mark_promoted(promoted)
 
     def is_complete(self) -> bool:
         """True when every relevant node knows every relevant message."""

@@ -235,28 +235,14 @@ class FastGossiping(GossipProtocol):
             ledger.record_opens(alive_nodes)
             # One synchronous exchange: push and pull both read start-of-step
             # state inside the kernel, and saturated rows are filtered out of
-            # the batch (bit-exact).
-            touched, promoted = knowledge.apply_exchange(
-                channels.callers,
-                channels.targets,
-                complete=tracker.complete_rows,
-                complete_row=tracker.mask,
-                deficit_mask=tracker.mask,
-                deficits_out=tracker.deficits,
-            )
+            # the batch (bit-exact).  The tracker keeps its deficits current,
+            # so completion is checked after every step.
+            tracker.exchange(channels.callers, channels.targets)
             ledger.record_pushes(channels.callers)
             ledger.record_pulls(channels.targets)
             ledger.end_round()
             trace.record(ledger.rounds - 1, "phase3-broadcast", knowledge)
             steps += 1
-            if knowledge.fused_deficits:
-                # The swap-form kernel recounted changed rows in-kernel.
-                tracker.refresh()
-            else:
-                # The incremental tracker recounts only the rows touched this
-                # round, so completion is checked after every step.
-                tracker.update(touched)
-                tracker.mark_promoted(promoted)
             completed = tracker.is_complete()
         ledger.end_phase()
         return completed

@@ -128,31 +128,19 @@ class PushPullGossip(GossipProtocol):
             # kernel, which also drops transmissions into saturated rows and
             # short-circuits those from saturated senders (bit-exact), so the
             # per-round cost shrinks with the number of incomplete nodes.
-            touched, promoted = knowledge.apply_exchange(
-                channels.callers,
-                channels.targets,
-                complete=tracker.complete_rows if track else None,
-                complete_row=tracker.mask if track else None,
-                deficit_mask=tracker.mask if track else None,
-                deficits_out=tracker.deficits if track else None,
-            )
+            if track:
+                tracker.exchange(channels.callers, channels.targets)
+            else:
+                knowledge.apply_exchange(channels.callers, channels.targets)
             ledger.record_pushes(channels.callers)
             ledger.record_pulls(channels.targets)
 
             ledger.end_round()
             trace.record(round_index, "push-pull", knowledge)
 
-            if track:
-                if knowledge.fused_deficits:
-                    # The swap-form kernel already recounted every row it
-                    # changed straight into the tracker's deficits.
-                    tracker.refresh()
-                else:
-                    tracker.update(touched)
-                    tracker.mark_promoted(promoted)
-                if tracker.is_complete():
-                    completed = True
-                    break
+            if track and tracker.is_complete():
+                completed = True
+                break
 
         ledger.end_phase()
         return GossipResult(
@@ -218,26 +206,14 @@ class PushPullGossip(GossipProtocol):
             if group.size:
                 # Fused deficit counting is safe even with churn (the count
                 # ``popcount(mask & ~row)`` is exact regardless of the subset
-                # invariant; ``refresh`` clamps not-finally-alive rows), so it
-                # is passed unconditionally — unlike the saturation filter.
-                touched, promoted = knowledge.apply_exchange(
-                    group.callers,
-                    group.targets,
-                    complete=tracker.complete_rows if use_filter else None,
-                    complete_row=tracker.mask if use_filter else None,
-                    deficit_mask=tracker.mask,
-                    deficits_out=tracker.deficits,
-                )
+                # invariant; ``refresh`` clamps not-finally-alive rows), so
+                # the tracker always passes it — unlike the saturation filter.
+                tracker.exchange(group.callers, group.targets, filtered=use_filter)
                 ledger.record_pushes(group.callers)
                 ledger.record_pulls(group.targets)
                 ledger.end_round()
                 trace.record(group_index, "push-pull", knowledge)
                 group_index += 1
-                if knowledge.fused_deficits:
-                    tracker.refresh()
-                else:
-                    tracker.update(touched)
-                    tracker.mark_promoted(promoted)
                 if tracker.is_complete():
                     completed = True
                     break

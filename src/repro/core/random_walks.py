@@ -97,11 +97,6 @@ class WalkPool:
         return self._queued == 0 and self._transit_ids.size == 0
 
     @property
-    def in_transit(self) -> List[tuple]:
-        """In-transit walks as (walk id, destination) pairs (a copy)."""
-        return list(zip(self._transit_ids.tolist(), self._transit_dests.tolist()))
-
-    @property
     def queues(self) -> Dict[int, Deque[int]]:
         """Per-node FIFO queues, materialised from the flat arrays (a copy).
 

@@ -4,15 +4,14 @@ NumPy's fancy-indexing machinery moves every gathered row through fresh
 temporaries, which caps the gossip kernel's throughput well below what the
 hardware allows.  This module compiles a small C library once per machine
 with the system C compiler and loads it through :mod:`ctypes`.  Its
-knowledge primitives are the swap-form exchange kernels (:func:`exchange`
-and its saturation-filtered :func:`exchange_filtered`: build the round's
-incoming-sender CSR, write each row's next state exactly once into the
-spare buffer, caller swaps — about half the traffic of snapshot +
-read-modify-write), the serial :func:`push_in_place`, which applies every
-push batch straight into the matrix in an order that reads every sender
-before anything writes it, the order-independent :func:`scatter_or` from
-rows stored apart from the written ones, the word-sparse
-:func:`frontier_scatter` pass used by
+knowledge primitives are the swap-form exchange kernel :func:`exchange`
+(build the round's incoming-sender CSR, write each row's next state
+exactly once into the spare buffer, caller swaps — about half the traffic
+of snapshot + read-modify-write), the serial :func:`push_in_place`, which
+applies every push batch straight into the matrix in an order that reads
+every sender before anything writes it, the order-independent
+:func:`scatter_or` from rows stored apart from the written ones, the
+word-sparse :func:`frontier_scatter` pass used by
 :class:`~repro.engine.knowledge.FrontierKnowledge`, and the fused
 mask-and-popcount deficit :func:`recount_deficits`.  Two serial graph
 kernels sit beside them: :func:`pairs_csr` builds the CSR of ``G(n, p)``
@@ -35,11 +34,11 @@ runtime-dispatched row primitives (OR-2, OR-accumulate, masked popcount,
 frontier pair gather) with scalar, AVX2 and AVX-512 variants selected
 per CPU at load time (``repro_simd_set``); ``REPRO_DISABLE_SIMD``
 pins the honest scalar forms, and :func:`set_simd_level` /
-:func:`simd_active` expose the dispatch to Python.  The swap-form kernels
-additionally accept a completion mask to fuse deficit recounts into the
-round and come in saturation-filtered variants
-(:func:`exchange_filtered`) that memcpy already-complete receiver rows
-instead of re-ORing them — see ``docs/architecture.md``.
+:func:`simd_active` expose the dispatch to Python.  The swap-form kernel
+additionally accepts a completion mask to fuse deficit recounts into the
+round, and optional complete-row flags that drop edges into complete rows
+and memcpy the full row into receivers of complete senders instead of
+re-ORing them — see ``docs/architecture.md``.
 
 The build is strictly best-effort: if no compiler is present, the build
 fails, or ``REPRO_DISABLE_CKERNEL`` is set in the environment, callers fall
@@ -75,7 +74,6 @@ __all__ = [
     "bfs_connected",
     "ensure_shards",
     "exchange",
-    "exchange_filtered",
     "push_in_place",
     "frontier_scatter",
     "library_path",
@@ -374,64 +372,20 @@ __attribute__((constructor)) static void repro_simd_init(void) {
  * dst[i] from src[i] and src[i] from dst[i].  `off` has n+1 slots and
  * `adj` two slots per channel.  After the fill pass off[r] is the END of
  * row r's slice (the classic cursor trick), so row r spans
- * [r ? off[r-1] : 0, off[r]). */
-static void repro_sender_csr(const int64_t *src, const int64_t *dst,
-                             int64_t k, int64_t n,
-                             int64_t *off, int64_t *adj) {
-    memset(off, 0, (size_t)(n + 1) * sizeof(int64_t));
-    for (int64_t i = 0; i < k; i++) {
-        off[dst[i]]++;
-        off[src[i]]++;
-    }
-    int64_t run = 0;
-    for (int64_t r = 0; r < n; r++) {
-        const int64_t c = off[r];
-        off[r] = run;
-        run += c;
-    }
-    off[n] = run;
-    for (int64_t i = 0; i < k; i++) {
-        adj[off[dst[i]]++] = src[i];
-        adj[off[src[i]]++] = dst[i];
-    }
-}
-
-/* `mask`/`deficits` (both NULLable, must be set together) fuse the
- * completion recount into the round: rows that get OR-updated have their
- * deficit recomputed while the freshly written row is still in cache.
- * The semantics are IN-OUT — memcpy'd rows are NOT written, because an
- * unchanged row's previously recorded deficit is still correct — which
- * is what lets the caller drop its separate recount pass entirely. */
-static void repro_swap_rows(const uint64_t *cur, uint64_t *next,
-                            const int64_t *off, const int64_t *adj,
-                            int64_t lo, int64_t hi, int64_t words,
-                            const uint64_t *mask, int64_t *deficits) {
-    for (int64_t r = lo; r < hi; r++) {
-        const int64_t start = r ? off[r - 1] : 0;
-        const int64_t end = off[r];
-        const uint64_t *src = cur + r * words;
-        uint64_t *dst = next + r * words;
-        if (start == end) {
-            memcpy(dst, src, (size_t)words * sizeof(uint64_t));
-            continue;
-        }
-        repro_or2(dst, src, cur + adj[start] * words, words);
-        for (int64_t j = start + 1; j < end; j++)
-            repro_oracc(dst, cur + adj[j] * words, words);
-        if (deficits != NULL)
-            deficits[r] = repro_missing(dst, mask, words);
-    }
-}
-
-/* Saturation-filtered CSR build.  Edges into an already-complete receiver
- * are dropped outright (its row cannot change).  Edges FROM a complete
- * sender mark the receiver "promoted": a complete row equals the full
- * mask row exactly (subset invariant), so ORing it in is equivalent to
- * assigning the full row — the swap pass handles promoted rows with one
- * memcpy instead of any ORs.  Count and fill passes use the identical
- * predicate, so the cursors line up; a promoted row may still own adj
- * entries from its incomplete senders, which the swap pass ignores
- * (their contribution is a subset of the full row). */
+ * [r ? off[r-1] : 0, off[r]).
+ *
+ * `complete` (n uint8 flags, or NULL when no row is complete) filters the
+ * round by saturation.  Edges into an already-complete receiver are
+ * dropped outright (its row cannot change).  Edges FROM a complete sender
+ * mark the receiver "promoted" (`promoted`, n uint8 zeroed by the caller;
+ * NULL is allowed with a NULL `complete`, which promotes nothing): a
+ * complete row equals the full mask row exactly (subset invariant), so
+ * ORing it in is equivalent to assigning the full row — the swap pass
+ * handles promoted rows with one memcpy instead of any ORs.  Count and
+ * fill passes use the identical predicate, so the cursors line up; a
+ * promoted row may still own adj entries from its incomplete senders,
+ * which the swap pass ignores (their contribution is a subset of the
+ * full row). */
 static void repro_sender_csr_f(const int64_t *src, const int64_t *dst,
                                int64_t k, int64_t n,
                                const uint8_t *complete, uint8_t *promoted,
@@ -439,14 +393,16 @@ static void repro_sender_csr_f(const int64_t *src, const int64_t *dst,
     memset(off, 0, (size_t)(n + 1) * sizeof(int64_t));
     for (int64_t i = 0; i < k; i++) {
         const int64_t s = src[i], d = dst[i];
-        if (!complete[d]) {
-            if (complete[s])
+        const int cs = complete != NULL && complete[s];
+        const int cd = complete != NULL && complete[d];
+        if (!cd) {
+            if (cs)
                 promoted[d] = 1;
             else
                 off[d]++;
         }
-        if (!complete[s]) {
-            if (complete[d])
+        if (!cs) {
+            if (cd)
                 promoted[s] = 1;
             else
                 off[s]++;
@@ -461,18 +417,25 @@ static void repro_sender_csr_f(const int64_t *src, const int64_t *dst,
     off[n] = run;
     for (int64_t i = 0; i < k; i++) {
         const int64_t s = src[i], d = dst[i];
-        if (!complete[d] && !complete[s]) {
+        if (complete == NULL || (!complete[d] && !complete[s])) {
             adj[off[d]++] = s;
             adj[off[s]++] = d;
         }
     }
 }
 
-/* Swap pass over a filtered CSR.  Promoted rows are assigned the full
- * mask row (deficit 0); complete rows have no edges by construction and
- * fall through to the memcpy path, which copies their (already full)
- * row unchanged.  Bit-identical to the unfiltered pass over the same
- * channels — see docs/architecture.md for the argument. */
+/* Swap pass over the CSR.  Promoted rows are assigned the full mask row
+ * (deficit 0); complete rows have no edges by construction and fall
+ * through to the memcpy path, which copies their (already full) row
+ * unchanged.  Bit-identical to ORing every channel unfiltered — see
+ * docs/architecture.md for the argument.
+ *
+ * `mask`/`deficits` (both NULLable, must be set together) fuse the
+ * completion recount into the round: rows that get OR-updated have their
+ * deficit recomputed while the freshly written row is still in cache.
+ * The semantics are IN-OUT — memcpy'd rows are NOT written, because an
+ * unchanged row's previously recorded deficit is still correct — which
+ * is what lets the caller drop its separate recount pass entirely. */
 static void repro_swap_rows_f(const uint64_t *cur, uint64_t *next,
                               const int64_t *off, const int64_t *adj,
                               int64_t lo, int64_t hi, int64_t words,
@@ -481,7 +444,7 @@ static void repro_swap_rows_f(const uint64_t *cur, uint64_t *next,
                               const uint64_t *mask, int64_t *deficits) {
     for (int64_t r = lo; r < hi; r++) {
         uint64_t *dst = next + r * words;
-        if (promoted[r]) {
+        if (promoted != NULL && promoted[r]) {
             memcpy(dst, full_row, (size_t)words * sizeof(uint64_t));
             if (deficits != NULL)
                 deficits[r] = 0;
@@ -686,7 +649,7 @@ typedef struct {
     const int64_t *off;
     const int64_t *adj;
     int64_t n, words;
-    const uint8_t *promoted; /* non-NULL selects the filtered row pass */
+    const uint8_t *promoted;
     const uint64_t *full_row;
     const uint64_t *mask;
     int64_t *deficits;
@@ -696,12 +659,8 @@ static void repro_swap_shard(int64_t tid, int64_t T, void *p) {
     const repro_swap_args a = *(const repro_swap_args *)p;
     int64_t lo, hi;
     repro_shard_range(a.n, tid, T, &lo, &hi);
-    if (a.promoted != NULL)
-        repro_swap_rows_f(a.cur, a.next, a.off, a.adj, lo, hi, a.words,
-                          a.promoted, a.full_row, a.mask, a.deficits);
-    else
-        repro_swap_rows(a.cur, a.next, a.off, a.adj, lo, hi, a.words, a.mask,
-                        a.deficits);
+    repro_swap_rows_f(a.cur, a.next, a.off, a.adj, lo, hi, a.words,
+                      a.promoted, a.full_row, a.mask, a.deficits);
 }
 
 /* One synchronous push-pull round: for every channel (callers[i],
@@ -709,31 +668,20 @@ static void repro_swap_shard(int64_t tid, int64_t T, void *p) {
  * Writes the full next state into `next`; the caller swaps buffers.  The
  * CSR build is O(k) integer work on the calling thread; the row pass
  * shards over disjoint row ranges reading only the immutable `cur`
- * (deficit writes land in the shard's own rows). */
+ * (deficit writes land in the shard's own rows).  `complete` (n uint8
+ * flags, or NULL: no row is complete and none is promoted) marks rows
+ * already holding every required bit, `promoted` (n uint8, caller zeroes
+ * it; NULL with a NULL `complete`) reports rows assigned the `full_row`
+ * mask row this round, and the fused deficit write covers OR-updated and
+ * promoted rows. */
 void repro_exchange(const uint64_t *cur, uint64_t *next,
                     const int64_t *callers, const int64_t *targets,
                     int64_t k, int64_t n, int64_t words,
                     int64_t *off, int64_t *adj,
+                    const uint8_t *complete, uint8_t *promoted,
+                    const uint64_t *full_row,
                     const uint64_t *mask, int64_t *deficits,
                     int64_t nshards) {
-    repro_sender_csr(callers, targets, k, n, off, adj);
-    repro_swap_args a = {cur,  next, off,  adj,     n,
-                         words, NULL, NULL, mask, deficits};
-    repro_run_sharded(repro_swap_shard, &a, nshards);
-}
-
-/* Saturation-filtered push-pull round: `complete` (n uint8 flags) marks
- * rows already holding every required bit, `promoted` (n uint8, caller
- * zeroes it) reports rows assigned the `full_row` mask row this round,
- * and the fused deficit write covers OR-updated and promoted rows. */
-void repro_exchange_f(const uint64_t *cur, uint64_t *next,
-                      const int64_t *callers, const int64_t *targets,
-                      int64_t k, int64_t n, int64_t words,
-                      int64_t *off, int64_t *adj,
-                      const uint8_t *complete, uint8_t *promoted,
-                      const uint64_t *full_row,
-                      const uint64_t *mask, int64_t *deficits,
-                      int64_t nshards) {
     repro_sender_csr_f(callers, targets, k, n, complete, promoted, off, adj);
     repro_swap_args a = {cur,   next,     off,      adj,  n,
                          words, promoted, full_row, mask, deficits};
@@ -1221,9 +1169,6 @@ def _bind(lib: ctypes.CDLL) -> None:
     kernels = {
         "repro_scatter_or": [u64p, u64p, i64p, i64p, i64, i64, i64],
         "repro_exchange": [
-            u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p, u64p, i64p,
-        ],
-        "repro_exchange_f": [
             u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p,
             u8p, u8p, u64p, u64p, i64p,
         ],
@@ -1446,6 +1391,9 @@ def exchange(
     targets: np.ndarray,
     off: np.ndarray,
     adj: np.ndarray,
+    complete: Optional[np.ndarray] = None,
+    promoted: Optional[np.ndarray] = None,
+    full_row: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
     deficits: Optional[np.ndarray] = None,
     shards: int = 1,
@@ -1458,13 +1406,25 @@ def exchange(
     ``2 * callers.size``).  **The caller must swap the two buffers
     afterwards**; this halves the memory traffic of snapshot + RMW.
 
+    ``complete`` (an ``n`` uint8 array, or ``None``: no row is complete)
+    flags rows that already hold every required bit; edges into them are
+    dropped and edges from them promote their receiver to a single
+    ``full_row`` memcpy.  With ``complete`` given, ``promoted`` (an ``n``
+    uint8 output array the caller must zero beforehand) reports the rows
+    assigned ``full_row`` this round, and both are required.  Bit-identical
+    to ORing every channel under the subset invariant (every row ⊆
+    ``full_row``, complete rows == ``full_row``).
+
     When ``mask``/``deficits`` are given (a ``words`` uint64 row and an
     ``n`` int64 array), the kernel fuses the completion recount into the
     round: every OR-updated row gets ``deficits[r] = popcount(mask &
-    ~row)`` written while the row is hot.  Untouched rows keep their
-    prior deficit values (which remain correct — the rows did not
-    change), so ``deficits`` must already hold valid counts on entry.
+    ~row)`` written while the row is hot, and every promoted row gets 0.
+    Untouched rows keep their prior deficit values (which remain correct —
+    the rows did not change), so ``deficits`` must already hold valid
+    counts on entry.
     """
+    if complete is not None and (promoted is None or full_row is None):
+        raise ValueError("complete needs promoted and full_row")
     _LIB.repro_exchange(
         _u64(data),
         _u64(scratch),
@@ -1475,49 +1435,9 @@ def exchange(
         ctypes.c_int64(data.shape[1]),
         _i64(off),
         _i64(adj),
-        _u64(mask) if mask is not None else None,
-        _i64(deficits) if deficits is not None else None,
-        ctypes.c_int64(shards),
-    )
-
-
-def exchange_filtered(
-    data: np.ndarray,
-    scratch: np.ndarray,
-    callers: np.ndarray,
-    targets: np.ndarray,
-    off: np.ndarray,
-    adj: np.ndarray,
-    complete: np.ndarray,
-    promoted: np.ndarray,
-    full_row: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-    deficits: Optional[np.ndarray] = None,
-    shards: int = 1,
-) -> None:
-    """Saturation-filtered :func:`exchange`.
-
-    ``complete`` is an ``n`` uint8 array flagging rows that already hold
-    every required bit; edges into them are dropped and edges from them
-    promote their receiver to a single ``full_row`` memcpy.  ``promoted``
-    is an ``n`` uint8 output array the caller must zero beforehand; it
-    reports the rows assigned ``full_row`` this round.  Bit-identical to
-    the unfiltered kernel under the subset invariant (every row ⊆
-    ``full_row``, complete rows == ``full_row``).
-    """
-    _LIB.repro_exchange_f(
-        _u64(data),
-        _u64(scratch),
-        _i64(callers),
-        _i64(targets),
-        ctypes.c_int64(callers.size),
-        ctypes.c_int64(data.shape[0]),
-        ctypes.c_int64(data.shape[1]),
-        _i64(off),
-        _i64(adj),
-        complete.ctypes.data_as(_U8P),
-        promoted.ctypes.data_as(_U8P),
-        _u64(full_row),
+        complete.ctypes.data_as(_U8P) if complete is not None else None,
+        promoted.ctypes.data_as(_U8P) if promoted is not None else None,
+        _u64(full_row) if full_row is not None else None,
         _u64(mask) if mask is not None else None,
         _i64(deficits) if deficits is not None else None,
         ctypes.c_int64(shards),

@@ -11,9 +11,10 @@ protocols never see which one is active:
     compiled library is missing.
 
 ``c``
-    The compiled kernels from :mod:`repro.engine._ckernel` — swap-form
-    exchange rounds, the scatter-OR from pre-gathered or external rows, the
-    word-sparse frontier pass, and the mask-and-popcount deficit recount —
+    The compiled kernels from :mod:`repro.engine._ckernel` — one swap-form
+    exchange kernel for filtered and unfiltered rounds alike, the
+    scatter-OR from pre-gathered or external rows, the word-sparse
+    frontier pass, and the mask-and-popcount deficit recount —
     with a thread budget, plus three serial kernels: the in-place push
     batch, which applies every push batch, and the two graph kernels (the
     CSR fill from sorted pair indices and a queue BFS).  Each sharded batch
@@ -207,30 +208,19 @@ class CBackend(KernelBackend):
 
     def exchange(
         self, data, scratch, callers, targets, off, adj,
-        mask=None, deficits=None,
+        complete=None, promoted=None, full_row=None, mask=None, deficits=None,
     ) -> None:
         """Swap-form round: writes the next state into ``scratch``; the
         caller swaps the buffers afterwards (see ``_ckernel.exchange``).
-        ``mask``/``deficits`` opt into the fused completion recount."""
+        ``complete`` filters by saturation — complete receivers keep their
+        rows, receivers of complete senders get one ``full_row`` memcpy
+        (reported in ``promoted``) — and ``mask``/``deficits`` opt into the
+        fused completion recount."""
         # Every row is read and written once, plus a partner row per
         # channel direction.
         n, words = data.shape
         shards = self._shards((2 * n + 2 * callers.size) * words)
         _ckernel.exchange(
-            data, scratch, callers, targets, off, adj, mask, deficits, shards
-        )
-
-    def exchange_filtered(
-        self, data, scratch, callers, targets, off, adj,
-        complete, promoted, full_row, mask=None, deficits=None,
-    ) -> None:
-        """Saturation-filtered swap-form round (see
-        ``_ckernel.exchange_filtered``): complete receivers keep their
-        rows, receivers of complete senders get one ``full_row`` memcpy
-        (reported in ``promoted``)."""
-        n, words = data.shape
-        shards = self._shards((2 * n + 2 * callers.size) * words)
-        _ckernel.exchange_filtered(
             data, scratch, callers, targets, off, adj,
             complete, promoted, full_row, mask, deficits, shards,
         )

@@ -13,14 +13,16 @@ All bulk updates are fully batched — there is no per-transmission Python
 loop.  Every transmission of a step reads start-of-step state (the
 synchronous-model discipline).  On the compiled backend one serial kernel
 applies every push batch in place, in an order that reads every sender row
-before anything writes it, and exchange rounds write each row's next state
-once into a spare buffer that then swaps with the matrix (the *swap
-form*).  The remaining batches — sparse saturation-filtered exchanges, and
-everything on the NumPy backend — are one *snapshot-gather + scatter-OR*:
-the sender rows involved are read before any row is written.  Duplicate
-receivers are resolved either by an order-independent compiled pass —
-sharded across a worker pool when the batch is large enough, dispatched
-through the active :mod:`repro.engine.backends` backend
+before anything writes it, and an exchange batch with at least
+``n_nodes / 2`` live channel endpoints writes each row's next state once
+into a spare buffer that then swaps with the matrix (the *swap form*, one
+kernel whether or not the batch is saturation-filtered).  The remaining
+batches — smaller exchanges such as late filtered rounds and event-clock
+groups, and everything on the NumPy backend — are one *snapshot-gather +
+scatter-OR*: the sender rows involved are read before any row is written.
+Duplicate receivers are resolved either by an order-independent compiled
+pass — sharded across a worker pool when the batch is large enough,
+dispatched through the active :mod:`repro.engine.backends` backend
 (``REPRO_KERNEL_BACKEND`` / ``REPRO_KERNEL_THREADS``;
 ``REPRO_DISABLE_CKERNEL=1`` forces NumPy) — or by a layered NumPy scatter;
 all paths are pinned bit-identical by
@@ -62,7 +64,7 @@ with the layout registry (``REPRO_KNOWLEDGE_LAYOUT`` /
 callers that explicitly want the dense family.
 
 No caller outside this package may hold a raw ``data`` reference: the
-swap-form kernels exchange the underlying buffer.  Use ``rows`` /
+swap-form kernel exchanges the underlying buffer.  Use ``rows`` /
 ``scatter_rows`` / ``count_missing`` and friends instead.
 """
 
@@ -215,7 +217,8 @@ class KnowledgeMatrix:
         self.words = _n_words(self.n_messages)
         #: Whether the most recent :meth:`apply_exchange` call wrote the
         #: caller's ``deficits_out`` array in-kernel (see that method).
-        #: Callers branch on this to skip their separate recount pass.
+        #: ``CompletionTracker.exchange`` branches on this to skip its
+        #: separate recount pass.
         self.fused_deficits = False
         #: Saturation-filter counters, accumulated over the state's life:
         #: filtered rounds seen, directed edges offered to the filter,
@@ -228,12 +231,12 @@ class KnowledgeMatrix:
             "promotions": 0,
         }
         self.data = np.zeros((self.n_nodes, self.words), dtype=_WORD_DTYPE)
-        #: Reusable spare buffer for the swap-form exchange kernels and for
+        #: Reusable spare buffer for the swap-form exchange kernel and for
         #: the start-of-round copy of a dense gather/scatter exchange (lazily
-        #: built; push batches never build it).
+        #: built; push batches and small exchange batches never build it).
         self._scratch: Optional[np.ndarray] = None
         #: Reusable CSR buffers (offsets / incoming senders) for the
-        #: swap-form exchange kernels (lazily built, grown on demand).
+        #: swap-form exchange kernel (lazily built, grown on demand).
         self._csr_off: Optional[np.ndarray] = None
         self._csr_adj: Optional[np.ndarray] = None
         #: Reusable integer plan for the in-place push kernel: four zeroed
@@ -632,7 +635,7 @@ class KnowledgeMatrix:
         return self._scratch
 
     def _csr_buffers(self, edges: int) -> "tuple[np.ndarray, np.ndarray]":
-        """CSR scratch for the swap-form exchange kernels (grown on demand)."""
+        """CSR scratch for the swap-form exchange kernel (grown on demand)."""
         if self._csr_off is None:
             self._csr_off = np.empty(self.n_nodes + 1, dtype=np.int64)
         if self._csr_adj is None or self._csr_adj.size < edges:
@@ -717,16 +720,19 @@ class KnowledgeMatrix:
         directly assigned ``complete_row``.  This is bit-exact provided every
         participating row is a subset of ``complete_row`` — true whenever
         channels only ever connect alive nodes, because crashed nodes never
-        transmit and their messages never spread.  On compiled backends a
-        round where at least half the rows are still in play runs as one
-        saturation-filtered swap-form kernel pass; sparser late rounds take
-        the gather/scatter path below, whose cost scales with the surviving
-        edges.
+        transmit and their messages never spread.
+
+        On compiled backends one rule picks the path, filtered or not: a
+        batch whose live channel endpoints (those not in a complete row;
+        all ``2k`` without a filter) number at least ``n_nodes / 2`` runs as
+        one swap-form kernel pass; smaller batches — late filtered rounds,
+        event-clock groups — take the gather/scatter path below, whose cost
+        scales with the surviving edges.
 
         ``deficit_mask``/``deficits_out`` (given together) fuse the
-        completion recount into the compiled swap-form passes: they write
+        completion recount into the compiled swap-form pass: they write
         ``popcount(deficit_mask & ~row)`` into ``deficits_out[r]`` for every
-        row they change (``deficits_out`` must hold valid counts on entry —
+        row it changes (``deficits_out`` must hold valid counts on entry —
         unchanged rows are left alone) and set :attr:`fused_deficits`.  The
         gather/scatter paths ignore the arguments and leave
         :attr:`fused_deficits` false, in which case the caller recounts.
@@ -754,45 +760,33 @@ class KnowledgeMatrix:
         if complete is not None and not complete.any():
             complete = None
         backend = backends.active()
-        if complete is None and backend.use_compiled():
-            # Unfiltered round, swap form: both directions are resolved in
-            # one compiled pass that writes each row's end-of-round state
-            # exactly once into the spare buffer, then the buffers swap.
-            self._ensure_scratch()
-            off, adj = self._csr_buffers(2 * callers.size)
-            backend.exchange(
-                self.data,
-                self._scratch,
-                callers,
-                targets,
-                off,
-                adj,
-                deficit_mask,
-                deficits_out,
-            )
-            self.data, self._scratch = self._scratch, self.data
-            self.fused_deficits = deficits_out is not None
-            return np.concatenate([callers, targets]), empty
-        if complete is not None and backend.use_compiled():
-            live_rows = int((~complete[callers]).sum()) + int(
-                (~complete[targets]).sum()
-            )
+        if backend.use_compiled():
+            # Channel endpoints still in play: all 2k without a filter.
+            live_rows = 2 * callers.size
+            if complete is not None:
+                live_rows = int((~complete[callers]).sum()) + int(
+                    (~complete[targets]).sum()
+                )
             if live_rows * 2 >= self.n_nodes:
-                # Filtered swap form: most rows are still in play, so the
-                # full-matrix swap pass beats gathering the surviving edges.
-                # The kernel drops edges into complete receivers, memcpys
-                # promoted rows from ``complete_row``, and fuses deficits.
+                # Swap form: enough rows are in play that one pass writing
+                # every row's end-of-round state once into the spare buffer
+                # beats gathering the batch's rows.  The kernel drops edges
+                # into complete receivers, memcpys promoted rows from
+                # ``complete_row``, and fuses deficits; then buffers swap.
                 self._ensure_scratch()
                 off, adj = self._csr_buffers(2 * callers.size)
-                promoted_u8 = np.zeros(self.n_nodes, dtype=np.uint8)
-                backend.exchange_filtered(
+                flags = promoted_u8 = None
+                if complete is not None:
+                    flags = complete.view(np.uint8)
+                    promoted_u8 = np.zeros(self.n_nodes, dtype=np.uint8)
+                backend.exchange(
                     self.data,
                     self._scratch,
                     callers,
                     targets,
                     off,
                     adj,
-                    complete.view(np.uint8),
+                    flags,
                     promoted_u8,
                     complete_row,
                     deficit_mask,
@@ -800,8 +794,10 @@ class KnowledgeMatrix:
                 )
                 self.data, self._scratch = self._scratch, self.data
                 self.fused_deficits = deficits_out is not None
-                promoted = np.flatnonzero(promoted_u8)
                 touched = np.concatenate([callers, targets])
+                if complete is None:
+                    return touched, empty
+                promoted = np.flatnonzero(promoted_u8)
                 if promoted.size:
                     # Keep the documented disjointness of touched/promoted
                     # (CompletionTracker counts each promotion exactly once).

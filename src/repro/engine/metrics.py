@@ -110,11 +110,6 @@ class TransmissionLedger:
         self._phase = None
 
     @property
-    def current_phase(self) -> Optional[str]:
-        """Name of the phase currently being recorded, if any."""
-        return self._phase
-
-    @property
     def phases(self) -> List[str]:
         """Phase names in the order they were first seen."""
         return list(self._phase_order)

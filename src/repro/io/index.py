@@ -372,13 +372,6 @@ class QueryIndex:
             for config, repetition, _seed, body in self._completed_rows(scenario)
         }
 
-    def completed_seeds(self, scenario: str) -> Dict[Pair, int]:
-        """Seed stored with each completed pair (resume/cache validation)."""
-        return {
-            (config, int(repetition)): int(seed)
-            for config, repetition, seed, _body in self._completed_rows(scenario)
-        }
-
     def records(self, scenario: str) -> List[Dict[str, Any]]:
         """Index-served equivalent of :meth:`ResultStore.records`."""
         self.refresh(scenario)

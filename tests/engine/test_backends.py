@@ -351,21 +351,35 @@ class TestShardedKernelParity:
         for c, t in zip(callers.tolist(), targets.tolist()):
             expected[c] |= snapshot[t]
             expected[t] |= snapshot[c]
+        # No complete rows: every channel is ORed in both directions.
         for state in next_states(
             lambda out, s: _ckernel.exchange(
-                base.data, out, callers, targets, off, adj, shards=s
+                base.data, out, callers, targets, off, adj, complete=None,
+                shards=s,
             )
         ):
             assert np.array_equal(state, expected)
         # The filter skips complete receivers and promotes the receivers of
         # complete senders to the full row: the same end state.
         for state in next_states(
-            lambda out, s: _ckernel.exchange_filtered(
+            lambda out, s: _ckernel.exchange(
                 base.data, out, callers, targets, off, adj, complete,
                 np.zeros(n, dtype=np.uint8), full_row, shards=s,
             )
         ):
             assert np.array_equal(state, expected)
+
+    def test_exchange_complete_needs_promoted_and_full_row(self):
+        """The kernel writes ``promoted`` and reads ``full_row`` whenever
+        ``complete`` is given, so the wrapper refuses to pass NULL."""
+        km = random_state(0, 16, 64)
+        callers = np.arange(16, dtype=np.int64)
+        with pytest.raises(ValueError, match="promoted and full_row"):
+            _ckernel.exchange(
+                km.data, np.empty_like(km.data), callers, callers,
+                np.empty(17, dtype=np.int64), np.empty(32, dtype=np.int64),
+                complete=np.zeros(16, dtype=np.uint8),
+            )
 
     @pytest.mark.parametrize("shards", [2, 3, 8])
     def test_recount(self, shards):

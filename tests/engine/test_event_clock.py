@@ -319,6 +319,27 @@ class TestWholeRunParity:
                 got = self._fingerprint(graph, layout, backend)
                 assert got == reference, f"{layout}/{backend}"
 
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_event_groups_never_build_the_swap_buffer(self, backend):
+        """Event groups carry far fewer than ``n / 4`` channels, so every
+        group gathers and scatters: the run holds no swap buffer, and its
+        bits stay pinned."""
+        if backend != "numpy" and not _ckernel.available():
+            pytest.skip("compiled kernel unavailable on this machine")
+        n = 512
+        graph = erdos_renyi(
+            n, paper_edge_probability(n), rng=7, require_connected=True
+        )
+        with backends.use(self.BACKENDS[backend]):
+            result = PushPullGossip().run(graph, rng=42, clock="event")
+        assert result.completed
+        assert result.rounds == 395
+        assert result.extras["events"] == 5644
+        assert result.knowledge.fingerprint() == (
+            "0bf86c1fa00c9a796e06bc3240672e77e5c0a83e8df9a4520a7aff41a5c5e8be"
+        )
+        assert result.knowledge._scratch is None
+
     def test_event_run_reports_event_extras(self, graph):
         result = PushPullGossip().run(graph, rng=42, clock="event")
         assert result.extras["clock"] == "event"

@@ -41,21 +41,30 @@ from repro.engine.knowledge import FrontierKnowledge, KnowledgeMatrix
 from repro.engine.layouts import PagedKnowledge
 
 
+#: The compiled kernels on one thread, and forced to two shards on every
+#: batch, however small.
+COMPILED_PATHS = {
+    "compiled": backends.CBackend(max_threads=1),
+    "threads": backends.CBackend(max_threads=2, shard_work=1),
+}
+
+
 @pytest.fixture(params=["compiled", "threads", "numpy"])
 def kernel_path(request, monkeypatch):
-    """The active backend's compiled kernels, the sharded ones, or NumPy."""
+    """The compiled kernels serial or sharded, or NumPy.
+
+    Each case installs its backend for the test only, so none is left
+    cached as the process-wide choice (a NumPy one would outlive the test).
+    """
     if request.param == "numpy":
         monkeypatch.setattr(_ckernel, "_LIB", None)
-        yield request.param
+        with backends.use(backends.NumpyBackend()):
+            yield request.param
         return
     if not _ckernel.available():
         pytest.skip("compiled kernel unavailable on this machine")
-    if request.param == "threads":
-        # Two shards for every batch, however small.
-        with backends.use(backends.CBackend(max_threads=2, shard_work=1)):
-            yield request.param
-        return
-    yield request.param
+    with backends.use(COMPILED_PATHS[request.param]):
+        yield request.param
 
 
 #: Small node counts, odd and even.
@@ -556,6 +565,35 @@ class TestPagedMechanics:
         assert paged.storage_nbytes() == 16 * n * paged.words + csr
         paged.apply_exchange(callers, rng.integers(0, n, n).astype(np.int64))
         assert {id(paged.data), id(paged._scratch)} == buffers
+
+    @pytest.mark.parametrize("layout", ["dense", "paged"])
+    def test_small_unfiltered_exchange_gathers_and_scatters(
+        self, kernel_path, layout
+    ):
+        """An unfiltered batch of ``k < n / 4`` channels takes the gather +
+        scatter path on every backend: no swap buffer, no fused recount,
+        the NumPy bits.  With ``k = n`` the swap buffer is kept."""
+        from repro.core.completion import CompletionTracker
+
+        n = 53
+        rng = np.random.default_rng(12)
+        state, reference = make_layouts(n)[layout], KnowledgeMatrix(n)
+        tracker = CompletionTracker(state)
+        for k in (5, n):
+            callers = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
+            targets = rng.integers(0, n, k).astype(np.int64)
+            tracker.exchange(callers, targets, filtered=False)
+            with backends.use(backends.NumpyBackend()):
+                reference.apply_exchange(callers, targets)
+            assert state == reference
+            assert np.array_equal(
+                tracker.deficits, CompletionTracker(reference).deficits
+            )
+            if k < n / 4:
+                assert state._scratch is None
+                assert not state.fused_deficits
+        assert state._scratch is not None
+        assert state.fused_deficits == (kernel_path != "numpy")
 
     def test_memory_model_run_never_allocates_the_swap_buffer(
         self, kernel_path, small_paper_graph

@@ -20,8 +20,8 @@ Shapes are chosen to hit the awkward cases:
   exercise the tail masks of the popcount kernels.
 
 These small matrices take the same kernels as production-size runs: the
-in-place push, and the swap-form exchange in its plain, saturation-filtered
-and fused-deficit variants.
+in-place push, and the one swap-form exchange kernel with and without the
+saturation filter and the fused deficit recount.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ def _trajectory(layout: str, words: int, seed: int) -> list:
 #: The compiled knowledge entry points, by their ``_ckernel`` names.
 KNOWLEDGE_KERNELS = (
     "exchange",
-    "exchange_filtered",
     "scatter_or",
     "push_in_place",
     "frontier_scatter",
@@ -225,8 +224,9 @@ def test_trajectories_reach_every_knowledge_kernel(monkeypatch):
             for words in WORD_COUNTS:
                 _trajectory(layout, words, seed=words * 101)
     assert {name for _, name in calls} == set(KNOWLEDGE_KERNELS)
-    # Both branches of the filtered exchange.
-    assert calls["filtered", "exchange_filtered"] > 0
+    # Both branches of the filtered exchange, and the unfiltered swap form.
+    assert calls["filtered", "exchange"] > 0
+    assert calls["other", "exchange"] > 0
     assert calls["filtered", "scatter_or"] > 0
 
 

@@ -121,15 +121,15 @@ def test_programs_reach_the_frontier_kernel_and_both_filter_branches(
 
     Each counted ``_ckernel`` entry point is wrapped to count its calls,
     keyed by layout and by whether an ``apply_exchange`` that met a complete
-    row made them.  A filtered exchange runs the swap-form
-    ``exchange_filtered`` while at least half the rows are in play and
-    gathers the surviving edges into ``scatter_or`` otherwise; the frontier
+    row made them.  A filtered exchange runs the swap-form ``exchange``
+    while its live channel endpoints reach half the rows and gathers the
+    surviving edges into ``scatter_or`` otherwise; the frontier
     layout's sparse batches run ``frontier_scatter``.
     """
     _require_backend("c")
     calls = Counter()
     context = []
-    for name in ("exchange_filtered", "scatter_or", "frontier_scatter"):
+    for name in ("exchange", "scatter_or", "frontier_scatter"):
 
         def counted(*args, _kernel=getattr(_ckernel, name), _name=name, **kwargs):
             calls[context[-1] if context else "unfiltered", _name] += 1
@@ -153,7 +153,7 @@ def test_programs_reach_the_frontier_kernel_and_both_filter_branches(
             calls.clear()
             for k in range(COVERAGE_PROGRAMS):
                 assert run_program(generate_program(BASE_SEED + k), layout) is None
-            assert calls["filtered", "exchange_filtered"] > 0, (layout, calls)
+            assert calls["filtered", "exchange"] > 0, (layout, calls)
             assert calls["filtered", "scatter_or"] > 0, (layout, calls)
             if layout == "frontier":
                 assert calls["unfiltered", "frontier_scatter"] > 0, calls
