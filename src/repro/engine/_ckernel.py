@@ -29,12 +29,16 @@ every write, the results are bit-identical for any shard count; see
 a shard count here — the per-batch thread count lives in
 :mod:`repro.engine.backends`.
 
-All knowledge kernels run their word loops through a small set of
-runtime-dispatched row primitives (OR-2, OR-accumulate, masked popcount,
-frontier pair gather) with scalar, AVX2 and AVX-512 variants selected
-per CPU at load time (``repro_simd_set``); ``REPRO_DISABLE_SIMD``
-pins the honest scalar forms, and :func:`set_simd_level` /
-:func:`simd_active` expose the dispatch to Python.  The swap-form kernel
+All knowledge kernels run their word loops through three
+runtime-dispatched row primitives (OR-2, OR-accumulate, masked popcount)
+with scalar, AVX2 and AVX-512 variants selected per CPU at load time
+(``repro_simd_set``); the frontier's pair gather has one plain form.  The
+x86 variants are written with the compiler's generic vector types and
+per-function ``target`` attributes, not an intrinsics header, whose
+parsing alone would take most of the cold build.
+``REPRO_DISABLE_SIMD`` pins the honest scalar forms, and
+:func:`set_simd_level` / :func:`simd_active` expose the dispatch to
+Python.  The swap-form kernel
 additionally accepts a completion mask to fuse deficit recounts into the
 round, and optional complete-row flags that drop edges into complete rows
 and memcpy the full row into receivers of complete senders instead of
@@ -48,7 +52,9 @@ the import: :func:`status` names its reason, the ``describe()`` of every
 kernel backend carries it, and it is logged once at WARNING on this
 module's logger.  The shared library is cached in a private per-user
 directory keyed on source hash, build flags and CPU signature, so repeated imports pay nothing and heterogeneous
-machines sharing a filesystem never load each other's tuned binaries.
+machines sharing a filesystem never load each other's tuned binaries.  A
+cold build logs one INFO record naming the compiler, its wall seconds and
+the library path.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import time
 from typing import Optional, Tuple
 
 import numpy as np
@@ -96,12 +103,11 @@ _SOURCE = r"""
 /* ------------------------------------------------------------------ *
  * Runtime-dispatched SIMD row primitives.
  *
- * Every kernel family below reduces to four row-sized operations:
+ * Every kernel family below reduces to three row-sized operations:
  *
  *     or2      dst[w] = a[w] | b[w]          (swap-form first sender)
  *     oracc    dst[w] |= src[w]              (every other OR)
  *     missing  sum(popcount(mask & ~row))    (completion deficits)
- *     fgather  row/linear-index pair gather  (frontier pass 1)
  *
  * Each has a portable scalar form plus x86 vector forms compiled with
  * per-function target attributes (the TU itself is built WITHOUT
@@ -112,11 +118,16 @@ _SOURCE = r"""
  * next to the word traffic.  The scalar forms carry a no-vectorize
  * attribute so a level-0 run (REPRO_DISABLE_SIMD=1) is an honest
  * scalar control, not whatever auto-vectorization -O3 felt like.
+ *
+ * The vector forms use the compiler's generic vector types, not an
+ * intrinsics header: parsing that header alone would cost more than
+ * compiling everything else here.  The frontier's pair gather
+ * (repro_fgather) has one plain form: generic vectors cannot spell a
+ * gather instruction.
  * ------------------------------------------------------------------ */
 
 #if defined(__x86_64__) || defined(__i386__)
 #define REPRO_SIMD_X86 1
-#include <immintrin.h>
 #endif
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -131,8 +142,6 @@ typedef void (*repro_or2_fn)(uint64_t *, const uint64_t *, const uint64_t *,
 typedef void (*repro_oracc_fn)(uint64_t *, const uint64_t *, int64_t);
 typedef int64_t (*repro_missing_fn)(const uint64_t *, const uint64_t *,
                                     int64_t);
-typedef void (*repro_fgather_fn)(const uint64_t *, const int32_t *, int64_t,
-                                 int64_t, uint64_t *, int64_t *);
 
 static REPRO_SCALAR void repro_or2_scalar(uint64_t *dst, const uint64_t *a,
                                           const uint64_t *b, int64_t words) {
@@ -155,32 +164,26 @@ static REPRO_SCALAR int64_t repro_missing_plain(const uint64_t *row,
     return missing;
 }
 
-static REPRO_SCALAR void repro_fgather_scalar(const uint64_t *row,
-                                              const int32_t *aw, int64_t m,
-                                              int64_t base, uint64_t *val,
-                                              int64_t *lin) {
-    for (int64_t j = 0; j < m; j++) {
-        const int64_t w = aw[j];
-        val[j] = row[w];
-        lin[j] = base + w;
-    }
-}
-
 #ifdef REPRO_SIMD_X86
+
+/* 4 and 8 words read and written in place: aligned(8) makes every access
+ * an unaligned load or store, may_alias lets them view uint64_t rows. */
+typedef uint64_t repro_v4
+    __attribute__((vector_size(32), aligned(8), may_alias));
+typedef uint64_t repro_v8
+    __attribute__((vector_size(64), aligned(8), may_alias));
 
 __attribute__((target("avx2"))) static void
 repro_or2_avx2(uint64_t *dst, const uint64_t *a, const uint64_t *b,
                int64_t words) {
     int64_t w = 0;
     for (; w + 8 <= words; w += 8) {
-        __m256i x0 =
-            _mm256_or_si256(_mm256_loadu_si256((const __m256i *)(a + w)),
-                            _mm256_loadu_si256((const __m256i *)(b + w)));
-        __m256i x1 =
-            _mm256_or_si256(_mm256_loadu_si256((const __m256i *)(a + w + 4)),
-                            _mm256_loadu_si256((const __m256i *)(b + w + 4)));
-        _mm256_storeu_si256((__m256i *)(dst + w), x0);
-        _mm256_storeu_si256((__m256i *)(dst + w + 4), x1);
+        const repro_v4 x0 = *(const repro_v4 *)(a + w) |
+                            *(const repro_v4 *)(b + w);
+        const repro_v4 x1 = *(const repro_v4 *)(a + w + 4) |
+                            *(const repro_v4 *)(b + w + 4);
+        *(repro_v4 *)(dst + w) = x0;
+        *(repro_v4 *)(dst + w + 4) = x1;
     }
     for (; w < words; w++)
         dst[w] = a[w] | b[w];
@@ -190,14 +193,12 @@ __attribute__((target("avx2"))) static void
 repro_oracc_avx2(uint64_t *dst, const uint64_t *src, int64_t words) {
     int64_t w = 0;
     for (; w + 8 <= words; w += 8) {
-        __m256i x0 =
-            _mm256_or_si256(_mm256_loadu_si256((const __m256i *)(dst + w)),
-                            _mm256_loadu_si256((const __m256i *)(src + w)));
-        __m256i x1 = _mm256_or_si256(
-            _mm256_loadu_si256((const __m256i *)(dst + w + 4)),
-            _mm256_loadu_si256((const __m256i *)(src + w + 4)));
-        _mm256_storeu_si256((__m256i *)(dst + w), x0);
-        _mm256_storeu_si256((__m256i *)(dst + w + 4), x1);
+        const repro_v4 x0 = *(repro_v4 *)(dst + w) |
+                            *(const repro_v4 *)(src + w);
+        const repro_v4 x1 = *(repro_v4 *)(dst + w + 4) |
+                            *(const repro_v4 *)(src + w + 4);
+        *(repro_v4 *)(dst + w) = x0;
+        *(repro_v4 *)(dst + w + 4) = x1;
     }
     for (; w < words; w++)
         dst[w] |= src[w];
@@ -208,14 +209,12 @@ repro_or2_avx512(uint64_t *dst, const uint64_t *a, const uint64_t *b,
                  int64_t words) {
     int64_t w = 0;
     for (; w + 16 <= words; w += 16) {
-        __m512i x0 =
-            _mm512_or_si512(_mm512_loadu_si512((const void *)(a + w)),
-                            _mm512_loadu_si512((const void *)(b + w)));
-        __m512i x1 =
-            _mm512_or_si512(_mm512_loadu_si512((const void *)(a + w + 8)),
-                            _mm512_loadu_si512((const void *)(b + w + 8)));
-        _mm512_storeu_si512((void *)(dst + w), x0);
-        _mm512_storeu_si512((void *)(dst + w + 8), x1);
+        const repro_v8 x0 = *(const repro_v8 *)(a + w) |
+                            *(const repro_v8 *)(b + w);
+        const repro_v8 x1 = *(const repro_v8 *)(a + w + 8) |
+                            *(const repro_v8 *)(b + w + 8);
+        *(repro_v8 *)(dst + w) = x0;
+        *(repro_v8 *)(dst + w + 8) = x1;
     }
     for (; w < words; w++)
         dst[w] = a[w] | b[w];
@@ -225,14 +224,12 @@ __attribute__((target("avx512f"))) static void
 repro_oracc_avx512(uint64_t *dst, const uint64_t *src, int64_t words) {
     int64_t w = 0;
     for (; w + 16 <= words; w += 16) {
-        __m512i x0 =
-            _mm512_or_si512(_mm512_loadu_si512((const void *)(dst + w)),
-                            _mm512_loadu_si512((const void *)(src + w)));
-        __m512i x1 =
-            _mm512_or_si512(_mm512_loadu_si512((const void *)(dst + w + 8)),
-                            _mm512_loadu_si512((const void *)(src + w + 8)));
-        _mm512_storeu_si512((void *)(dst + w), x0);
-        _mm512_storeu_si512((void *)(dst + w + 8), x1);
+        const repro_v8 x0 = *(repro_v8 *)(dst + w) |
+                            *(const repro_v8 *)(src + w);
+        const repro_v8 x1 = *(repro_v8 *)(dst + w + 8) |
+                            *(const repro_v8 *)(src + w + 8);
+        *(repro_v8 *)(dst + w) = x0;
+        *(repro_v8 *)(dst + w + 8) = x1;
     }
     for (; w < words; w++)
         dst[w] |= src[w];
@@ -251,42 +248,15 @@ repro_missing_popcnt(const uint64_t *row, const uint64_t *mask,
     return missing;
 }
 
-/* _mm512_andnot_si512(a, b) computes ~a & b, so the operand order below
- * yields mask & ~row. */
+/* The same loop again: with VPOPCNTQ available, -O3 vectorizes it into
+ * vpandnq + vpopcntq over zmm registers (a build test checks that). */
 __attribute__((target("avx512f,avx512vpopcntdq"))) static int64_t
 repro_missing_avx512(const uint64_t *row, const uint64_t *mask,
                      int64_t words) {
-    int64_t w = 0;
-    __m512i acc = _mm512_setzero_si512();
-    for (; w + 8 <= words; w += 8) {
-        __m512i d = _mm512_loadu_si512((const void *)(row + w));
-        __m512i m = _mm512_loadu_si512((const void *)(mask + w));
-        acc = _mm512_add_epi64(acc,
-                               _mm512_popcnt_epi64(_mm512_andnot_si512(d, m)));
-    }
-    int64_t missing = _mm512_reduce_add_epi64(acc);
-    for (; w < words; w++)
+    int64_t missing = 0;
+    for (int64_t w = 0; w < words; w++)
         missing += __builtin_popcountll(mask[w] & ~row[w]);
     return missing;
-}
-
-__attribute__((target("avx2"))) static void
-repro_fgather_avx2(const uint64_t *row, const int32_t *aw, int64_t m,
-                   int64_t base, uint64_t *val, int64_t *lin) {
-    int64_t j = 0;
-    const __m256i vbase = _mm256_set1_epi64x(base);
-    for (; j + 4 <= m; j += 4) {
-        __m128i idx = _mm_loadu_si128((const __m128i *)(aw + j));
-        __m256i v = _mm256_i32gather_epi64((const long long *)row, idx, 8);
-        __m256i l = _mm256_add_epi64(vbase, _mm256_cvtepi32_epi64(idx));
-        _mm256_storeu_si256((__m256i *)(val + j), v);
-        _mm256_storeu_si256((__m256i *)(lin + j), l);
-    }
-    for (; j < m; j++) {
-        const int64_t w = aw[j];
-        val[j] = row[w];
-        lin[j] = base + w;
-    }
 }
 
 #endif /* REPRO_SIMD_X86 */
@@ -294,7 +264,6 @@ repro_fgather_avx2(const uint64_t *row, const int32_t *aw, int64_t m,
 static repro_or2_fn repro_or2 = repro_or2_scalar;
 static repro_oracc_fn repro_oracc = repro_oracc_scalar;
 static repro_missing_fn repro_missing = repro_missing_plain;
-static repro_fgather_fn repro_fgather = repro_fgather_scalar;
 static int repro_simd_level = 0;
 
 int repro_simd_detect(void) {
@@ -322,7 +291,6 @@ int repro_simd_set(int level) {
     repro_or2 = repro_or2_scalar;
     repro_oracc = repro_oracc_scalar;
     repro_missing = repro_missing_plain;
-    repro_fgather = repro_fgather_scalar;
 #ifdef REPRO_SIMD_X86
     __builtin_cpu_init();
     if (__builtin_cpu_supports("popcnt"))
@@ -330,7 +298,6 @@ int repro_simd_set(int level) {
     if (level >= 1) {
         repro_or2 = repro_or2_avx2;
         repro_oracc = repro_oracc_avx2;
-        repro_fgather = repro_fgather_avx2;
     }
     if (level >= 2) {
         repro_or2 = repro_or2_avx512;
@@ -717,6 +684,17 @@ void repro_scatter_or(uint64_t *data, const uint64_t *source,
                       int64_t k, int64_t n, int64_t words, int64_t nshards) {
     repro_scatter_args a = {data, source, src, dst, k, n, words};
     repro_run_sharded(repro_scatter_shard, &a, nshards);
+}
+
+/* Frontier pass 1: the (value, linear word index) pairs of one row's
+ * active words. */
+static void repro_fgather(const uint64_t *row, const int32_t *aw, int64_t m,
+                          int64_t base, uint64_t *val, int64_t *lin) {
+    for (int64_t j = 0; j < m; j++) {
+        const int64_t w = aw[j];
+        val[j] = row[w];
+        lin[j] = base + w;
+    }
 }
 
 typedef struct {
@@ -1221,7 +1199,8 @@ def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     Never raises.  The reason is ``"disabled"`` when ``REPRO_DISABLE_CKERNEL``
     is set, otherwise it names the failure: no compiler, a refused cache
     directory, a compiler error or timeout, or a library that does not load
-    or lacks a symbol.
+    or lacks a symbol.  A compile (a cache miss) logs one INFO record with
+    the compiler, its wall seconds and the library path.
     """
     if os.environ.get("REPRO_DISABLE_CKERNEL"):
         return None, "disabled"
@@ -1234,7 +1213,12 @@ def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
         return None, f"cache directory refused: {exc}"
     try:
         if not os.path.exists(lib_path):
+            start = time.perf_counter()
             _compile(compiler, lib_path)
+            _log.info(
+                "compiled kernels with %s in %.2f s: %s",
+                compiler, time.perf_counter() - start, lib_path,
+            )
         lib = ctypes.CDLL(lib_path)
         _bind(lib)
     except subprocess.CalledProcessError as exc:

@@ -10,7 +10,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import backends
 from repro.graphs import complete_graph, erdos_renyi, paper_edge_probability, random_regular
+
+
+@pytest.fixture(autouse=True)
+def _scoped_active_backend():
+    """Resolve the process-wide kernel backend before each test; restore it after.
+
+    Tests stub ``_ckernel._LIB = None`` for their NumPy cases.  Resolving
+    here, before any such stub, keeps the environment's backend in place
+    for them (with the library stubbed it takes its NumPy paths), and
+    restoring it afterwards means a backend a test installs or resolves
+    for itself, say ``NumpyBackend()`` resolved inside a stub, never
+    outlives that test.
+    """
+    previous = backends.active()
+    yield
+    backends.set_active(previous)
 
 
 @pytest.fixture(scope="session")

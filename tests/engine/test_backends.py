@@ -54,13 +54,6 @@ def resolve_compiled(name=None, **kwargs):
         return backends.resolve(name, **kwargs) if name else backends.resolve(**kwargs)
 
 
-@pytest.fixture(autouse=True)
-def _restore_active_backend():
-    previous = backends._ACTIVE
-    yield
-    backends.set_active(previous)
-
-
 class TestRegistry:
     def test_known_names_resolve(self):
         assert backends.resolve("numpy").name == "numpy"
@@ -129,6 +122,28 @@ class TestRegistry:
         assert not one.use_compiled()
         assert not four.use_compiled()
         assert not backends.resolve("numpy").use_compiled()
+
+
+@needs_compiled
+class TestNumpyStubStaysInItsTest:
+    """A NumPy-stubbed test that resolves the backend first leaks nothing.
+
+    The two tests run in this order.  The first resolves the process-wide
+    backend for the first time with the library stubbed out, as the
+    ``numpy`` case of a ``kernel_path`` fixture may; that caches
+    ``NumpyBackend()``.  The second is the next resolution: the suite's
+    autouse ``_scoped_active_backend`` must have put the environment's
+    compiled choice back, or every later "compiled" test would run NumPy.
+    """
+
+    def test_first_resolution_inside_a_numpy_stub(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        backends.set_active(None)
+        monkeypatch.setattr(_ckernel, "_LIB", None)
+        assert backends.active().name == "numpy"
+
+    def test_next_resolution_is_the_environments_backend(self):
+        assert type(backends.active()) is type(backends.resolve())
 
 
 class TestThreadHeuristic:

@@ -3,13 +3,19 @@
 ``_ckernel._build()`` never raises: every failure returns ``(None, reason)``,
 the import falls back to NumPy, logs the reason once at WARNING and shows it
 in every backend's ``describe()``.  ``REPRO_DISABLE_CKERNEL`` is a choice,
-not a failure: its reason is ``"disabled"`` and nothing is logged.
+not a failure: its reason is ``"disabled"`` and nothing is logged.  A
+compile logs one INFO record.  Two guards keep the cold build cheap and the
+SIMD forms vectorized: the source includes only libc headers, and the
+compiled library's vector forms use the registers of their level.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
+import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -23,10 +29,10 @@ from repro.engine import _ckernel
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
-needs_compiler = pytest.mark.skipif(
-    not (shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")),
-    reason="no C compiler on this machine",
-)
+#: The compiler ``_ckernel._build`` would pick.
+COMPILER = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+
+needs_compiler = pytest.mark.skipif(COMPILER is None, reason="no C compiler on this machine")
 
 
 def _child_env(**overrides: str) -> dict:
@@ -67,6 +73,71 @@ def test_build_failures_report_their_reason(monkeypatch, tmp_path):
     monkeypatch.setattr(_ckernel, "_SOURCE", "int repro_placeholder;\n")
     lib, reason = _ckernel._build()
     assert lib is None and reason.startswith("missing symbol: ")
+
+
+@needs_compiler
+def test_a_compile_logs_one_info_record(monkeypatch, tmp_path, caplog):
+    """A cache miss names the compiler, its seconds and the library; a hit logs nothing."""
+    _fresh_cache(monkeypatch, tmp_path)
+    caplog.set_level(logging.INFO, logger=_ckernel.__name__)
+    lib, reason = _ckernel._build()
+    assert lib is not None and reason is None
+    (record,) = caplog.records
+    assert record.name == _ckernel.__name__ and record.levelno == logging.INFO
+    compiler, seconds, lib_path = record.args
+    assert compiler == COMPILER
+    assert 0 < seconds < 120
+    assert lib_path == _ckernel.library_path() and os.path.exists(lib_path)
+    caplog.clear()
+    lib, reason = _ckernel._build()
+    assert lib is not None and reason is None
+    assert caplog.records == []
+
+
+def test_source_includes_only_libc_headers():
+    """No intrinsics header: parsing one took most of the cold build."""
+    includes = re.findall(r"^\s*#\s*include\s*[<\"]([^>\"]+)", _ckernel._SOURCE, re.M)
+    assert sorted(includes) == ["pthread.h", "stdint.h", "stdlib.h", "string.h"]
+
+
+def _disassembly(lib_path: Path) -> dict:
+    """``objdump -d`` of ``lib_path``: function name -> its instruction text."""
+    listing = subprocess.run(
+        ["objdump", "-d", str(lib_path)], check=True, capture_output=True, text=True
+    ).stdout
+    functions: dict = {}
+    name = None
+    for line in listing.splitlines():
+        header = re.match(r"^[0-9a-f]+ <([^>]+)>:$", line)
+        if header:
+            name = header.group(1)
+            functions[name] = []
+        elif name is not None and line.count("\t") >= 2:
+            functions[name].append(line.split("\t", 2)[2])
+    return {name: "\n".join(body) for name, body in functions.items()}
+
+
+@needs_compiler
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86-64 only")
+@pytest.mark.skipif(shutil.which("objdump") is None, reason="no objdump on this machine")
+def test_vector_forms_use_their_registers(tmp_path):
+    """Each SIMD level compiles to its own register width.
+
+    Built with the module's own ``_compile`` and ``_CFLAGS``.  A compiler
+    that stopped vectorizing a generic-vector OR or the popcount loop would
+    otherwise only show as a slower run.
+    """
+    lib_path = tmp_path / "libreprokernel.so"
+    _ckernel._compile(COMPILER, str(lib_path))
+    code = _disassembly(lib_path)
+    for name in ("repro_or2_avx512", "repro_oracc_avx512", "repro_missing_avx512"):
+        assert "zmm" in code[name], name
+    assert "vpopcntq" in code["repro_missing_avx512"]
+    for name in ("repro_or2_avx2", "repro_oracc_avx2"):
+        assert "ymm" in code[name] and "zmm" not in code[name], name
+    for name in ("repro_or2_scalar", "repro_oracc_scalar", "repro_missing_plain",
+                 "repro_missing_popcnt"):
+        assert "ymm" not in code[name] and "zmm" not in code[name], name
 
 
 def _hang(cmd, **kwargs):
