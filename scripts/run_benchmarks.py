@@ -51,9 +51,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from repro import FastGossiping, MemoryGossiping, PushPullGossip, erdos_renyi
-from repro.engine import FrontierKnowledge, KnowledgeMatrix, backends, make_rng
+from repro.engine import KnowledgeMatrix, backends, make_rng
 from repro.engine import _ckernel
-from repro.engine.knowledge import _CROSSOVER, _FRONTIER_MIN_WORDS
 from repro.graphs import paper_edge_probability
 
 #: Thread counts exercised by the thread-scaling micro-bench.
@@ -411,41 +410,7 @@ def kernel_entry(n: int, repeats: int) -> Dict[str, object]:
                     lambda: km.apply_exchange(nodes, targets), repeats
                 )
             entry["thread_scaling"][str(threads)] = round(wall * 1000, 4)
-    entry.update(frontier_phase_entry(n, repeats))
     return entry
-
-
-def frontier_phase_entry(n: int, repeats: int) -> Dict[str, object]:
-    """Frontier-phase timings: the first 5 exchange rounds from a cold start.
-
-    Early rounds are where the sparsity-aware path earns its keep, so this
-    times the identical channel sequence on a fresh ``FrontierKnowledge``
-    versus a fresh dense ``KnowledgeMatrix`` (state construction included —
-    protocol runs pay it too).  Five rounds cover the sparse regime and the
-    first dense hand-offs at every benchmarked size.
-    """
-    rng = make_rng(29)
-    rounds = []
-    for _ in range(5):
-        callers = np.arange(n, dtype=np.int64)
-        rounds.append((callers, rng.integers(0, n, n).astype(np.int64)))
-
-    def run(cls):
-        km = cls(n)
-        for callers, targets in rounds:
-            km.apply_exchange(callers, targets)
-        return km
-
-    dense_wall, _ = best_of(lambda: run(KnowledgeMatrix), repeats)
-    frontier_wall, result = best_of(lambda: run(FrontierKnowledge), repeats)
-    return {
-        "early5_dense_ms": round(dense_wall * 1000, 4),
-        "early5_frontier_ms": round(frontier_wall * 1000, 4),
-        "early5_frontier_speedup": round(dense_wall / frontier_wall, 2)
-        if frontier_wall > 0
-        else None,
-        "frontier_rows_after5": round(result.frontier_fraction(), 4),
-    }
 
 
 def memory_kernel_entry(graph, repeats: int) -> Dict[str, object]:
@@ -472,8 +437,8 @@ def memory_kernel_entry(graph, repeats: int) -> Dict[str, object]:
 
     build_wall, tree = best_of(build, repeats)
 
-    def replay(knowledge_cls):
-        knowledge = knowledge_cls(graph.n)
+    def replay():
+        knowledge = KnowledgeMatrix(graph.n)
         ledger = TransmissionLedger(graph.n)
         protocol._gather(
             tree, knowledge, ledger, alive=None, contacts=schedule.gather_contacts
@@ -483,14 +448,10 @@ def memory_kernel_entry(graph, repeats: int) -> Dict[str, object]:
         )
         return knowledge
 
-    replay_wall, _ = best_of(lambda: replay(KnowledgeMatrix), repeats)
-    # The same replay on frontier knowledge: Phase II gathers are word-sparse
-    # (most rows hold a couple of words), Phase III ratchets dense.
-    replay_frontier_wall, _ = best_of(lambda: replay(FrontierKnowledge), repeats)
+    replay_wall, _ = best_of(replay, repeats)
     return {
         "tree_build_ms": round(build_wall * 1000, 4),
         "replay_ms": round(replay_wall * 1000, 4),
-        "replay_frontier_ms": round(replay_frontier_wall * 1000, 4),
         "tree_push_edges": int(tree.num_push_edges),
         "tree_pull_edges": int(tree.num_pull_edges),
     }
@@ -610,7 +571,6 @@ def main() -> int:
         "backend": backends.active().describe(),
         "simd": backends.simd_info() if _ckernel.available() else None,
         "cpu_count": os.cpu_count(),
-        "frontier": {"crossover": _CROSSOVER, "min_words": _FRONTIER_MIN_WORDS},
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "machine": platform.machine(),
@@ -680,15 +640,9 @@ def main() -> int:
         mk = entry["memory_kernel"]
         print(
             f"  n={n:>6} {'memory-kernel':<15} tree={mk['tree_build_ms']:.2f}ms "
-            f"replay={mk['replay_ms']:.2f}ms "
-            f"replay-frontier={mk['replay_frontier_ms']:.2f}ms"
+            f"replay={mk['replay_ms']:.2f}ms"
         )
         kr = entry["kernel"]
-        print(
-            f"  n={n:>6} {'frontier-early5':<15} dense={kr['early5_dense_ms']:.2f}ms "
-            f"frontier={kr['early5_frontier_ms']:.2f}ms "
-            f"({kr['early5_frontier_speedup']}x)"
-        )
         if kr["thread_scaling"]:
             scaling = "  ".join(
                 f"t={t}:{ms:.2f}ms" for t, ms in kr["thread_scaling"].items()

@@ -17,10 +17,10 @@ partner each round, both directions merge, the incremental
 then asserts three things about the process's memory:
 
 * its peak RSS stayed under a ceiling (400 MB by default),
-* on the paged layout, its peak above the RSS it had just before
-  allocating the matrix, read before the first exchange allocates the swap
-  buffer, is at most one matrix plus the in-place push plan plus
-  ``ESTIMATE_TOLERANCE``: paged push rounds hold no second matrix, and
+* its peak above the RSS it had just before allocating the matrix, read
+  before the first exchange allocates the swap buffer, is at most one
+  matrix plus the in-place push plan plus ``ESTIMATE_TOLERANCE``: push
+  rounds hold no second matrix, and
 * its peak above that start RSS over the whole run is at most
   :func:`~repro.engine.layouts.estimate_bytes` plus ``ESTIMATE_TOLERANCE``.
 
@@ -28,13 +28,12 @@ The two bounds hold on the compiled kernels, which they model; the NumPy
 fallback's temporaries are not modelled, so it skips them.
 
 An exchange round writes its next state into a swap buffer the size of the
-matrix, which the paged and dense layouts both keep between rounds
-(2 x 100000 x 128 x 8 = ~205 MB); the dense layout adds frontier
-bookkeeping.  On a 2-core x86-64 VM the push rounds peak 110 MB above the
+matrix, which both layouts keep between rounds (2 x 100000 x 128 x 8 =
+~205 MB).  On a 2-core x86-64 VM the push rounds peak 109 MB above the
 start RSS (1.02 x one matrix plus the plan), and the run peaks at about
-258 MB paged (221 MB above the start RSS, 1.06 x the 207 MB estimate,
-which leaves out the 5 MB plan) and 298 MB with ``--layout dense``.  The run itself verifies correctness end to end: the
-loop must reach completion (every node knows all 8192 messages) within the
+256 MB under either layout (218 MB above the start RSS, 1.05 x the 207 MB
+estimate, which leaves out the 5 MB plan).  The run itself verifies
+correctness end to end: the loop must reach completion (every node knows all 8192 messages) within the
 round cap, and the tracker's incremental verdict is cross-checked against a
 final :func:`~repro.core.completion.gossip_complete` scan.
 
@@ -60,9 +59,9 @@ from repro.core.completion import CompletionTracker, gossip_complete
 from repro.engine import backends, layouts
 
 #: Allowed excess of the measured peak over ``estimate_bytes``.  Runs at
-#: n = m = 16384 measured 0.93 x the estimate dense and 1.03 x paged;
+#: n = m = 16384 measured 1.03 x the estimate under either layout name;
 #: ``tests/engine/test_layout_boundaries.py`` holds both within it.  The
-#: paged push rounds' bound uses the same tolerance (measured 1.00 x).
+#: push rounds' bound uses the same tolerance (measured 1.01 x).
 ESTIMATE_TOLERANCE = 0.08
 
 #: Push rounds before the exchange loop.
@@ -127,11 +126,11 @@ def main() -> int:
         f"{push_bound / 1e6:.1f}MB",
         flush=True,
     )
-    if layout != "paged" or not compiled:
-        print("push-round bound skipped: it models paged compiled push rounds")
+    if not compiled:
+        print("push-round bound skipped: it models the compiled push rounds")
     elif push_above > push_bound * (1 + ESTIMATE_TOLERANCE):
         print(
-            "FAIL: paged push rounds exceed one matrix plus the plan by more "
+            "FAIL: push rounds exceed one matrix plus the plan by more "
             f"than {ESTIMATE_TOLERANCE:.0%}"
         )
         return 1
@@ -158,7 +157,7 @@ def main() -> int:
         return 1
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    estimate = layouts.estimate_bytes(layout, n, m)
+    estimate = layouts.estimate_bytes(n, m)
     print(
         f"complete in {rounds} rounds, {wall:.1f}s; "
         f"peak RSS {peak_mb:.1f}MB (ceiling {args.ceiling_mb:.0f}MB), "

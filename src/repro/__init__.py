@@ -39,12 +39,6 @@ per-walk Python loop survives on the per-round hot path.
 * Random-walk queues (:class:`repro.core.WalkPool`) live in flat arrays:
   deliveries merge payloads by destination in one vectorised pass and each
   forwarding step pops the oldest walk per host with a single lexsort.
-* Early rounds are sparsity-aware: protocols run on
-  :class:`repro.engine.FrontierKnowledge`, which tracks each row's nonzero
-  words as an index frontier and scatters only the words actually in flight
-  while batches are sparse, falling back (one-way) to the dense kernels as
-  rows saturate past the crossover threshold (bit-identical to the dense
-  path).
 * Kernel execution is pluggable: :mod:`repro.engine.backends` exposes one
   dispatch surface over two interchangeable backends — ``numpy`` and ``c``
   (the compiled kernels built by :mod:`repro.engine._ckernel` at first
@@ -85,7 +79,6 @@ from .core import (
 )
 from .engine import (
     FailurePlan,
-    FrontierKnowledge,
     KnowledgeMatrix,
     MessageAccounting,
     NO_FAILURES,
@@ -128,7 +121,6 @@ __all__ = [
     "tuned_fast_gossiping",
     "tuned_memory_gossiping",
     "FailurePlan",
-    "FrontierKnowledge",
     "KnowledgeMatrix",
     "MessageAccounting",
     "NO_FAILURES",

@@ -12,11 +12,9 @@ Two forms are provided: the one-shot predicates (:func:`gossip_complete`,
 recounts only the receiver rows a round actually touched — fed with the
 (possibly duplicated) receiver multiset the knowledge-storage batch kernels
 return — and its per-row recount delegates to
-:meth:`~repro.engine.knowledge.KnowledgeMatrix.count_missing`, so every
-storage layout answers it natively (dense and paged rows dispatch through
-the active :mod:`repro.engine.backends` backend, frontier rows are counted
-from their active word set) without this module ever touching raw row
-storage.
+:meth:`~repro.engine.knowledge.KnowledgeMatrix.count_missing`, which
+dispatches through the active :mod:`repro.engine.backends` backend,
+without this module ever touching raw row storage.
 """
 
 from __future__ import annotations
@@ -156,11 +154,10 @@ class CompletionTracker:
     def _recount(self, rows: np.ndarray) -> np.ndarray:
         """Missing-bit counts (``popcount(mask & ~row)``) for the given rows.
 
-        Delegates to the storage layout's native counter: dense and paged
-        layouts run the fused mask-and-popcount backend kernel (sharded when
-        the batch is large enough), and frontier rows count from their active
-        word set.  All paths are pinned bit-identical to the plain masked
-        scan.
+        Delegates to :meth:`KnowledgeMatrix.count_missing`, which runs the
+        fused mask-and-popcount backend kernel (sharded when the batch is
+        large enough) or NumPy's masked scan; the two are pinned
+        bit-identical.
         """
         return self.knowledge.count_missing(self.mask, rows)
 

@@ -86,10 +86,6 @@ class FastGossiping(GossipProtocol):
         alive_mask: Optional[np.ndarray] = None if failures.is_empty() else alive
 
         schedule = self.params.resolve(graph.n)
-        # Frontier (sparsity-aware) knowledge: Phase I distribution steps are
-        # the sparse extreme; rows ratchet dense as walks and broadcasts fill
-        # them (walk deliveries go through ``merge_rows``, which keeps the
-        # frontier's bookkeeping).
         knowledge = adaptive_knowledge(graph.n)
         ledger = TransmissionLedger(graph.n)
         trace = SpreadingTrace(enabled=record_trace)

@@ -38,13 +38,12 @@ The Phase II/III replays apply each recorded per-step edge group as one
 scatter-OR batch against start-of-round state; the failure-free broadcast
 additionally drops edges into complete rows and assigns the full row to
 receivers of complete senders (:func:`_broadcast_group`; see
-``docs/architecture.md``).  The replays run word-sparsely on
-:class:`~repro.engine.knowledge.FrontierKnowledge` while rows are thin.
+``docs/architecture.md``).
 ``tests/core/test_batched_equivalence.py`` pins Phases I–III and the
 leader election bit-identically to per-node reference loops sharing the
 documented RNG stream discipline;
-``tests/engine/test_frontier_knowledge.py`` pins the per-group replay and
-the frontier path.
+``tests/core/test_memory_gossiping.py`` pins the per-group replay on every
+storage class.
 
 Every scatter-OR batch dispatches through the active kernel backend
 (:mod:`repro.engine.backends`): the protocol is backend-agnostic and its
@@ -290,9 +289,6 @@ class MemoryGossiping(GossipProtocol):
 
         ledger = TransmissionLedger(n)
         trace = SpreadingTrace(enabled=record_trace)
-        # Frontier (sparsity-aware) knowledge: Phase I rows hold only the
-        # leader's message, so the Phase II gather replays word-sparsely and
-        # rows ratchet dense as the broadcast cascades the full set back down.
         knowledge = adaptive_knowledge(n)
 
         # Failure masks.  Failures at 'start' apply to every phase; failures

@@ -93,8 +93,6 @@ class PushPullGossip(GossipProtocol):
         alive = failures.alive_mask(graph.n)
         alive_nodes = np.flatnonzero(alive)
 
-        # Frontier (sparsity-aware) knowledge: early rounds scatter only the
-        # words in flight; rows ratchet onto the dense kernels as they fill.
         knowledge = adaptive_knowledge(graph.n)
         ledger = TransmissionLedger(graph.n)
         trace = SpreadingTrace(enabled=record_trace)

@@ -38,12 +38,10 @@ from .failures import (
     sample_uniform_failures,
 )
 from .knowledge import (
-    FrontierKnowledge,
     KnowledgeMatrix,
     SingleMessageState,
     WORD_BITS,
     adaptive_knowledge,
-    dense_knowledge,
 )
 from . import layouts
 from .layouts import PagedKnowledge
@@ -71,13 +69,11 @@ __all__ = [
     "NO_FAILURES",
     "FailurePlan",
     "sample_uniform_failures",
-    "FrontierKnowledge",
     "KnowledgeMatrix",
     "PagedKnowledge",
     "SingleMessageState",
     "WORD_BITS",
     "adaptive_knowledge",
-    "dense_knowledge",
     "layouts",
     "MessageAccounting",
     "PhaseTotals",

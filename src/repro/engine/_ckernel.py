@@ -10,10 +10,8 @@ exactly once into the spare buffer, caller swaps — about half the traffic
 of snapshot + read-modify-write), the serial :func:`push_in_place`, which
 applies every push batch straight into the matrix in an order that reads
 every sender before anything writes it, the order-independent
-:func:`scatter_or` from rows stored apart from the written ones, the
-word-sparse :func:`frontier_scatter` pass used by
-:class:`~repro.engine.knowledge.FrontierKnowledge`, and the fused
-mask-and-popcount deficit :func:`recount_deficits`.  Two serial graph
+:func:`scatter_or` from rows stored apart from the written ones, and the
+fused mask-and-popcount deficit :func:`recount_deficits`.  Two serial graph
 kernels sit beside them: :func:`pairs_csr` builds the CSR of ``G(n, p)``
 straight from the sampler's sorted pair indices, and
 :func:`bfs_connected` is the connectivity check.
@@ -32,10 +30,9 @@ a shard count here — the per-batch thread count lives in
 All knowledge kernels run their word loops through three
 runtime-dispatched row primitives (OR-2, OR-accumulate, masked popcount)
 with scalar, AVX2 and AVX-512 variants selected per CPU at load time
-(``repro_simd_set``); the frontier's pair gather has one plain form.  The
-x86 variants are written with the compiler's generic vector types and
-per-function ``target`` attributes, not an intrinsics header, whose
-parsing alone would take most of the cold build.
+(``repro_simd_set``).  The x86 variants are written with the compiler's
+generic vector types and per-function ``target`` attributes, not an
+intrinsics header, whose parsing alone would take most of the cold build.
 ``REPRO_DISABLE_SIMD`` pins the honest scalar forms, and
 :func:`set_simd_level` / :func:`simd_active` expose the dispatch to
 Python.  The swap-form kernel
@@ -82,7 +79,6 @@ __all__ = [
     "ensure_shards",
     "exchange",
     "push_in_place",
-    "frontier_scatter",
     "library_path",
     "pairs_csr",
     "recount_deficits",
@@ -121,9 +117,7 @@ _SOURCE = r"""
  *
  * The vector forms use the compiler's generic vector types, not an
  * intrinsics header: parsing that header alone would cost more than
- * compiling everything else here.  The frontier's pair gather
- * (repro_fgather) has one plain form: generic vectors cannot spell a
- * gather instruction.
+ * compiling everything else here.
  * ------------------------------------------------------------------ */
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -437,13 +431,13 @@ static void repro_swap_rows_f(const uint64_t *cur, uint64_t *next,
  *
  * Every kernel below takes `nshards` and partitions the RECEIVER rows of
  * its batch into that many disjoint contiguous ranges; shard t applies
- * exactly the writes whose target row lies in [n*t/T, n*(t+1)/T).  All
- * gathers (snapshot copies, frontier pair-value reads) run as a separate
- * job that completes before the scatter job starts, so threads only read
- * state no thread is writing, and each row is written by exactly one
- * thread in the same relative order a single shard would use.  The
- * results — row data and frontier bookkeeping alike — are therefore
- * bit-identical for every shard count.
+ * exactly the writes whose target row lies in [n*t/T, n*(t+1)/T).  Every
+ * row a job reads is either start-of-step storage no thread writes (the
+ * swap form's current matrix, a scatter's snapshot source) or one of the
+ * shard's own rows, so threads only read state no thread is writing, and
+ * each row is written by exactly one thread in the same relative order a
+ * single shard would use.  The results are therefore bit-identical for
+ * every shard count.
  *
  * One shard runs inline on the calling thread: no lock, no pool wake-up,
  * no allocation, so single-shard calls stay lock-free and reentrant.  The
@@ -684,131 +678,6 @@ void repro_scatter_or(uint64_t *data, const uint64_t *source,
                       int64_t k, int64_t n, int64_t words, int64_t nshards) {
     repro_scatter_args a = {data, source, src, dst, k, n, words};
     repro_run_sharded(repro_scatter_shard, &a, nshards);
-}
-
-/* Frontier pass 1: the (value, linear word index) pairs of one row's
- * active words. */
-static void repro_fgather(const uint64_t *row, const int32_t *aw, int64_t m,
-                          int64_t base, uint64_t *val, int64_t *lin) {
-    for (int64_t j = 0; j < m; j++) {
-        const int64_t w = aw[j];
-        val[j] = row[w];
-        lin[j] = base + w;
-    }
-}
-
-typedef struct {
-    uint64_t *data;
-    int32_t *active;
-    int64_t *nnz;
-    uint8_t *word_active;
-    uint8_t *dense_rows;
-    int64_t cap, words, n, k, p;
-    const int64_t *src;
-    const int64_t *dst;
-    uint64_t *val_buf;
-    int64_t *lin_buf;
-    const int64_t *off;
-} repro_frontier_args;
-
-static void repro_frontier_gather_shard(int64_t tid, int64_t T, void *pa) {
-    const repro_frontier_args a = *(const repro_frontier_args *)pa;
-    int64_t lo, hi;
-    repro_shard_range(a.k, tid, T, &lo, &hi);
-    for (int64_t i = lo; i < hi; i++) {
-        const int64_t s = a.src[i];
-        repro_fgather(a.data + s * a.words, a.active + s * a.cap, a.nnz[s],
-                      a.dst[i] * a.words, a.val_buf + a.off[i],
-                      a.lin_buf + a.off[i]);
-    }
-}
-
-static void repro_frontier_scatter_shard(int64_t tid, int64_t T, void *pa) {
-    const repro_frontier_args a = *(const repro_frontier_args *)pa;
-    int64_t lo, hi;
-    repro_shard_range(a.n, tid, T, &lo, &hi);
-    /* Row r lies in [lo, hi) iff its linear word index lies in
-     * [lo*words, hi*words) — no divide on the filter path. */
-    const int64_t lo_lin = lo * a.words, hi_lin = hi * a.words;
-    for (int64_t q = 0; q < a.p; q++) {
-        const int64_t lin = a.lin_buf[q];
-        if (lin < lo_lin || lin >= hi_lin)
-            continue;
-        a.data[lin] |= a.val_buf[q];
-        if (!a.word_active[lin]) {
-            /* Fresh activation: rare once a round is under way, so the
-             * divide and the list append stay off the common path.  (The
-             * mask is also set for dense-flagged rows — harmless, it is
-             * never read for them again.) */
-            a.word_active[lin] = 1;
-            const int64_t r = lin / a.words;
-            if (!a.dense_rows[r]) {
-                if (a.nnz[r] < a.cap) {
-                    a.active[r * a.cap + a.nnz[r]] =
-                        (int32_t)(lin - r * a.words);
-                    a.nnz[r] += 1;
-                } else {
-                    a.dense_rows[r] = 1;
-                }
-            }
-        }
-    }
-}
-
-/* The frontier (sparsity-aware) transmission pass.  Every sender row lists
- * its nonzero words in `active` (row-major, `cap` slots per row, `nnz[s]`
- * valid); a transmission contributes only those (word, value) pairs.
- *
- * Pass 1 gathers all pair values and linear targets into the caller-sized
- * buffers BEFORE any write — the snapshot-read / live-write semantics of a
- * synchronous round — so duplicate targets merge order-independently.
- * Pass 2 scatters and maintains the frontier bookkeeping in place: a newly
- * activated word is appended to the receiver's list, and a receiver pushed
- * past `cap` ratchets onto the dense path (dense_rows).  The bookkeeping
- * only steers future path decisions; the data result is bit-identical to
- * the dense kernels.
- *
- * One shard gathers in transmission order and needs no offsets.  More
- * shards first take per-transmission pair offsets (a serial O(k) prefix
- * sum, cheap next to the word traffic); the gather then runs sharded over
- * transmissions (disjoint buffer slices), and the scatter + bookkeeping
- * sharded over receiver rows.  A shard scans all pairs and skips foreign
- * rows, so every row's pairs are processed in the same ascending order at
- * any shard count — bookkeeping is bit-identical. */
-void repro_frontier_scatter(uint64_t *data, int32_t *active, int64_t *nnz,
-                            uint8_t *word_active, uint8_t *dense_rows,
-                            int64_t cap, int64_t words, int64_t n,
-                            const int64_t *src, const int64_t *dst, int64_t k,
-                            uint64_t *val_buf, int64_t *lin_buf,
-                            int64_t nshards) {
-    int64_t *off = NULL;
-    if (nshards > 1)
-        off = (int64_t *)malloc((size_t)k * sizeof(int64_t));
-    int64_t p = 0;
-    if (off == NULL) { /* one shard (or out of memory): gather in order */
-        for (int64_t i = 0; i < k; i++) {
-            const int64_t s = src[i];
-            const int64_t m = nnz[s];
-            repro_fgather(data + s * words, active + s * cap, m,
-                          dst[i] * words, val_buf + p, lin_buf + p);
-            p += m;
-        }
-    } else {
-        for (int64_t i = 0; i < k; i++) {
-            off[i] = p;
-            p += nnz[src[i]];
-        }
-    }
-    repro_frontier_args a = {data, active,  nnz, word_active, dense_rows,
-                             cap,  words,   n,   k,           p,
-                             src,  dst,     val_buf, lin_buf, off};
-    if (off == NULL) {
-        repro_frontier_scatter_shard(0, 1, &a);
-        return;
-    }
-    repro_run_sharded(repro_frontier_gather_shard, &a, nshards);
-    repro_run_sharded(repro_frontier_scatter_shard, &a, nshards);
-    free(off);
 }
 
 typedef struct {
@@ -1150,10 +1019,6 @@ def _bind(lib: ctypes.CDLL) -> None:
             u64p, u64p, i64p, i64p, i64, i64, i64, i64p, i64p,
             u8p, u8p, u64p, u64p, i64p,
         ],
-        "repro_frontier_scatter": [
-            u64p, i32p, i64p, u8p, u8p, i64, i64, i64, i64p, i64p, i64,
-            u64p, i64p,
-        ],
         "repro_recount": [u64p, u64p, i64p, i64, i64, i64p],
     }
     for name, argtypes in kernels.items():
@@ -1460,45 +1325,6 @@ def push_in_place(
         raise IndexError(f"transmission endpoints must lie in [0, {n})")
     if status != 0:
         raise MemoryError("cannot allocate the snapshot rows of a push batch")
-
-
-def frontier_scatter(
-    data: np.ndarray,
-    active: np.ndarray,
-    nnz: np.ndarray,
-    word_active: np.ndarray,
-    dense_rows: np.ndarray,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    val_buf: np.ndarray,
-    lin_buf: np.ndarray,
-    shards: int = 1,
-) -> None:
-    """Apply one word-sparse transmission batch with frontier bookkeeping.
-
-    ``active``/``nnz``/``word_active``/``dense_rows`` are the
-    :class:`~repro.engine.knowledge.FrontierKnowledge` bookkeeping arrays
-    (mutated in place); ``val_buf``/``lin_buf`` are caller-managed pair
-    buffers of at least ``nnz[senders].sum()`` elements (reused across
-    rounds to avoid per-round page faults).  All arrays must be
-    C-contiguous; index arrays int64.
-    """
-    _LIB.repro_frontier_scatter(
-        _u64(data),
-        active.ctypes.data_as(_I32P),
-        _i64(nnz),
-        word_active.ctypes.data_as(_U8P),
-        dense_rows.ctypes.data_as(_U8P),
-        ctypes.c_int64(active.shape[1]),
-        ctypes.c_int64(data.shape[1]),
-        ctypes.c_int64(data.shape[0]),
-        _i64(senders),
-        _i64(receivers),
-        ctypes.c_int64(senders.size),
-        _u64(val_buf),
-        _i64(lin_buf),
-        ctypes.c_int64(shards),
-    )
 
 
 def recount_deficits(

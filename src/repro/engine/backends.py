@@ -13,11 +13,11 @@ protocols never see which one is active:
 ``c``
     The compiled kernels from :mod:`repro.engine._ckernel` — one swap-form
     exchange kernel for filtered and unfiltered rounds alike, the
-    scatter-OR from pre-gathered or external rows, the word-sparse
-    frontier pass, and the mask-and-popcount deficit recount —
-    with a thread budget, plus three serial kernels: the in-place push
-    batch, which applies every push batch, and the two graph kernels (the
-    CSR fill from sorted pair indices and a queue BFS).  Each sharded batch
+    scatter-OR from pre-gathered or external rows, and the
+    mask-and-popcount deficit recount — with a thread budget, plus three
+    serial kernels: the in-place push batch, which applies every push
+    batch, and the two graph kernels (the CSR fill from sorted pair
+    indices and a queue BFS).  Each sharded batch
     picks its own shard count from its word traffic, with a measured
     small-batch cutoff so small runs never pay pool-dispatch overhead.
     Receiver rows are partitioned into disjoint contiguous shards and all
@@ -223,17 +223,6 @@ class CBackend(KernelBackend):
         _ckernel.exchange(
             data, scratch, callers, targets, off, adj,
             complete, promoted, full_row, mask, deficits, shards,
-        )
-
-    def frontier_scatter(
-        self, data, active, nnz, word_active, dense_rows,
-        senders, receivers, val_buf, lin_buf, total,
-    ) -> None:
-        # ``total`` word pairs are gathered and scattered once each.
-        shards = self._shards(2 * total)
-        _ckernel.frontier_scatter(
-            data, active, nnz, word_active, dense_rows,
-            senders, receivers, val_buf, lin_buf, shards,
         )
 
     def recount_deficits(self, data, mask, rows) -> np.ndarray:

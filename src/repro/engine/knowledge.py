@@ -35,33 +35,15 @@ Storage is one class.  :class:`KnowledgeMatrix` holds the full gossiping
 state as one contiguous ``n_nodes x words`` matrix and defines the storage
 contract — snapshot-read row gathers, order-independent scatter-ORs, the two
 batched round entry points and the aggregate queries — and protocols only
-ever talk to its methods.  This module provides it and its dense subclass:
+ever talk to its methods.  It serves every problem size.  This module also
+provides :class:`SingleMessageState`, a light-weight informed/uninformed
+boolean vector used by the single-message *broadcasting* baselines in
+:mod:`repro.broadcast`.
 
-``KnowledgeMatrix``
-    The matrix, updated through the dense batched kernels.  The default
-    whenever it fits in memory.
-
-``FrontierKnowledge``
-    A :class:`KnowledgeMatrix` that additionally tracks, per row, the set of
-    nonzero (active) 64-bit words as an index frontier.  While a batch of
-    transmissions is sparse — the senders' active words are few compared to
-    the full row width — updates scatter only the active words instead of
-    gathering whole rows, so early gossip rounds cost ``O(frontier)`` rather
-    than ``O(n x words)``.  Rows ratchet one-way onto the dense path as they
-    saturate past the crossover threshold; results are bit-identical to the
-    dense kernels (``tests/engine/test_frontier_knowledge.py``).
-
-``SingleMessageState``
-    A light-weight informed/uninformed boolean vector used by the
-    single-message *broadcasting* baselines in :mod:`repro.broadcast`.
-
-The class used over the dense budget — the matrix whose push rounds never
-allocate a second matrix — lives in :mod:`repro.engine.layouts` together
-with the layout registry (``REPRO_KNOWLEDGE_LAYOUT`` /
+The ``paged`` tag class lives in :mod:`repro.engine.layouts` together with
+the layout registry (``REPRO_KNOWLEDGE_LAYOUT`` /
 :func:`repro.engine.layouts.use`).  Protocols construct their state through
-:func:`adaptive_knowledge`, which delegates to the registry's memory model;
-:func:`dense_knowledge` keeps the historical frontier-or-plain choice for
-callers that explicitly want the dense family.
+:func:`adaptive_knowledge`, which delegates to that registry.
 
 No caller outside this package may hold a raw ``data`` reference: the
 swap-form kernel exchanges the underlying buffer.  Use ``rows`` /
@@ -71,6 +53,7 @@ swap-form kernel exchanges the underlying buffer.  Use ``rows`` /
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Iterable, Optional
 
 import numpy as np
@@ -78,12 +61,10 @@ import numpy as np
 from . import backends
 
 __all__ = [
-    "FrontierKnowledge",
     "KnowledgeMatrix",
     "SingleMessageState",
     "WORD_BITS",
     "adaptive_knowledge",
-    "dense_knowledge",
 ]
 
 #: Number of bits per storage word.
@@ -178,9 +159,10 @@ class KnowledgeMatrix:
     with ``data``, so protocols and analysis code must not hold references
     to ``data`` across round updates; :meth:`rows` returns copies.  Every
     bulk entry point checks its node ids before it writes anything and
-    raises :class:`IndexError` on an id outside ``[0, n_nodes)``, and
-    :class:`ValueError` on a mask, completion row or per-node array of the
-    wrong shape (:meth:`_word_row`, :meth:`_exchange_extras`).
+    raises :class:`IndexError` on an id outside ``[0, n_nodes)``, as do the
+    one-node queries, and :class:`ValueError` on a mask, completion row or
+    per-node array of the wrong shape (:meth:`_word_row`,
+    :meth:`_exchange_extras`).
     """
 
     __slots__ = (
@@ -289,7 +271,7 @@ class KnowledgeMatrix:
         The result is a fresh ``(len(nodes), words)`` array owned by the
         caller — safe to hold across subsequent bulk updates.
         """
-        return self.data[np.asarray(nodes, dtype=np.int64)]
+        return self.data[_ids(nodes, self.n_nodes, "nodes")]
 
     def _batch(
         self,
@@ -429,7 +411,8 @@ class KnowledgeMatrix:
 
     def assign_rows(self, nodes: np.ndarray, row: np.ndarray) -> None:
         """Overwrite each row in ``nodes`` with the packed row ``row``."""
-        self.data[np.asarray(nodes, dtype=np.int64)] = row
+        nodes = _ids(nodes, self.n_nodes, "nodes")
+        self.data[nodes] = self._word_row(row, "row")
 
     def storage_nbytes(self) -> int:
         """Bytes of resident storage (rows plus the reusable round buffers)."""
@@ -451,34 +434,40 @@ class KnowledgeMatrix:
                 f"message {message} out of range [0, {self.n_messages})"
             )
 
+    def _row(self, node: int) -> np.ndarray:
+        """The packed row of ``node``; :class:`IndexError` outside ``[0, n_nodes)``."""
+        node = operator.index(node)
+        if not 0 <= node < self.n_nodes:
+            raise IndexError(f"node must lie in [0, {self.n_nodes})")
+        return self.data[node]
+
     def knows(self, node: int, message: int) -> bool:
         """Whether ``node`` currently knows ``message``."""
         self._check_message(message)
-        return bool(self.data[node, message // WORD_BITS] & self._bit(message))
+        return bool(self._row(node)[message // WORD_BITS] & self._bit(message))
 
     def known_messages(self, node: int) -> np.ndarray:
         """Sorted array of message identifiers known by ``node``."""
         bits = np.unpackbits(
-            np.ascontiguousarray(self.data[node]).view(np.uint8), bitorder="little"
+            np.ascontiguousarray(self._row(node)).view(np.uint8), bitorder="little"
         )
         return np.flatnonzero(bits[: self.n_messages])
 
     def missing_messages_at(self, node: int) -> np.ndarray:
         """Message identifiers *not* known by ``node``."""
         known = np.unpackbits(
-            np.ascontiguousarray(self.data[node]).view(np.uint8), bitorder="little"
+            np.ascontiguousarray(self._row(node)).view(np.uint8), bitorder="little"
         )
         return np.flatnonzero(~known[: self.n_messages].astype(bool))
 
     def add(self, node: int, message: int) -> None:
         """Mark ``node`` as knowing ``message``."""
-        self._check_message(message)
-        self.data[node, message // WORD_BITS] |= self._bit(message)
+        self.add_many([node], message)
 
     def add_many(self, nodes: np.ndarray, message: int) -> None:
         """Mark every entry of ``nodes`` as knowing ``message``."""
         self._check_message(message)
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = _ids(nodes, self.n_nodes, "nodes")
         if nodes.size:
             self.data[nodes, message // WORD_BITS] |= self._bit(message)
 
@@ -536,10 +525,9 @@ class KnowledgeMatrix:
 
         ``mask`` is the completion target (usually :meth:`full_row_mask`).
         This is the recount primitive behind
-        :class:`~repro.core.completion.CompletionTracker`; subclasses
-        override it with representation-aware implementations that are
-        pinned bit-identical to this scan.  Raises :class:`ValueError` when
-        ``mask`` is not one packed row (see :meth:`_word_row`).
+        :class:`~repro.core.completion.CompletionTracker`.  Raises
+        :class:`ValueError` when ``mask`` is not one packed row (see
+        :meth:`_word_row`).
         """
         mask = self._word_row(mask, "mask")
         rows = _ids(rows, self.n_nodes, "rows")
@@ -647,12 +635,11 @@ class KnowledgeMatrix:
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Start-of-step source rows for ``senders``, copied before any write.
 
-        Serves the gather/scatter exchange rounds and the frontier's dense
-        sub-batches.  Dense batches (most nodes sending) reuse a full double
-        buffer filled with one sequential ``copyto`` — far faster than a
-        random row gather.  Sparse batches gather only the unique sender
-        rows, so the snapshot cost scales with the actual senders, not with
-        ``n_nodes``.
+        Serves the gather/scatter exchange rounds.  Dense batches (most
+        nodes sending) reuse a full double buffer filled with one
+        sequential ``copyto`` — far faster than a random row gather.
+        Sparse batches gather only the unique sender rows, so the snapshot
+        cost scales with the actual senders, not with ``n_nodes``.
 
         Returns ``(source, indices)`` such that ``source[indices[i]]`` is
         sender ``i``'s start-of-step row.
@@ -924,422 +911,15 @@ class KnowledgeMatrix:
 KnowledgeStorage = KnowledgeMatrix
 
 
-#: Fraction of ``transmissions * words`` below which the frontier
-#: (word-sparse) path is used; also sizes the per-row active-word capacity.
-#: 0.125 won the crossover sweep at n=20000 (see docs/benchmarks.md): the
-#: compiled pair pass costs ~4-6x more per word than the streaming dense
-#: kernels, so the sparse path should stop well before nominal break-even.
-_CROSSOVER = 0.125
-
-
-class FrontierKnowledge(KnowledgeMatrix):
-    """A :class:`KnowledgeMatrix` with a sparsity-aware (frontier) fast path.
-
-    In early gossip rounds almost every row holds a handful of message bits,
-    yet the dense kernels move full ``words``-wide rows per round.  This
-    subclass tracks, for every row, the set of *active* (nonzero) 64-bit
-    words as an index frontier and applies a sparse batch by scattering only
-    ``(receiver, word)`` pairs drawn from the senders' frontiers — the cost
-    of a round scales with the number of set words actually in flight, not
-    with ``n_nodes * words``.
-
-    The representation is adaptive with a one-way ratchet:
-
-    * per batch, the estimated frontier cost (``sum`` of sender active-word
-      counts, dense rows counted at full width) is compared against
-      ``0.125 * transmissions * words``; at or past the threshold the
-      batch takes the plain matrix's kernels;
-    * per row, once more than ``word_cap`` words become active — or the row
-      is written through a dense batch, an external-row scatter or
-      assignment, or a saturation promotion — the row is flagged dense and is never
-      enumerated again (knowledge only grows, so density never decreases).
-
-    Both paths implement the identical snapshot-read / live-write round
-    semantics (all gathers strictly precede all writes), so trajectories are
-    bit-identical to a plain :class:`KnowledgeMatrix` at equal seeds; see
-    ``tests/engine/test_frontier_knowledge.py``.
-    """
-
-    __slots__ = (
-        "word_cap",
-        "_nnz",
-        "_active_words",
-        "_word_active",
-        "_dense_rows",
-        "_val_buf",
-        "_lin_buf",
-        "_retired",
-    )
-
-    def __init__(
-        self,
-        n_nodes: int,
-        n_messages: Optional[int] = None,
-        *,
-        initialize_own: bool = True,
-    ) -> None:
-        super().__init__(n_nodes, n_messages, initialize_own=initialize_own)
-        #: Active words a row may list before it ratchets onto the dense path.
-        self.word_cap = min(self.words, max(4, int(round(self.words * _CROSSOVER))))
-        #: Rows permanently on the dense path (no frontier bookkeeping).
-        self._dense_rows = np.zeros(self.n_nodes, dtype=bool)
-        #: Number of active words listed per row.
-        self._nnz = np.zeros(self.n_nodes, dtype=np.int64)
-        #: Active word indices per row (first ``_nnz[i]`` entries valid,
-        #: discovery order — order is irrelevant for an OR).
-        self._active_words = np.zeros((self.n_nodes, self.word_cap), dtype=np.int32)
-        #: Membership mask: ``_word_active[i, w]`` iff ``w`` is listed for
-        #: row ``i`` (meaningless once a row is flagged dense).
-        self._word_active = np.zeros((self.n_nodes, self.words), dtype=bool)
-        #: Reusable pair buffers for the compiled frontier pass (grown on
-        #: demand; avoids a multi-megabyte allocation per round).
-        self._val_buf: Optional[np.ndarray] = None
-        self._lin_buf: Optional[np.ndarray] = None
-        #: Set once every row is dense-flagged; the wrappers then delegate
-        #: to the parent kernels with zero bookkeeping overhead.
-        self._retired = False
-        if initialize_own:
-            upto = min(self.n_nodes, self.n_messages)
-            idx = np.arange(upto)
-            own_word = idx // WORD_BITS
-            self._active_words[idx, 0] = own_word
-            self._nnz[:upto] = 1
-            self._word_active[idx, own_word] = True
-
-    def copy(self) -> "FrontierKnowledge":
-        """Deep copy of the matrix and of its frontier bookkeeping."""
-        clone = super().copy()
-        clone._dense_rows[:] = self._dense_rows
-        clone._nnz[:] = self._nnz
-        clone._active_words[:] = self._active_words
-        clone._word_active[:] = self._word_active
-        clone._retired = self._retired
-        return clone
-
-    # ------------------------------------------------------------------ #
-    # Batch entry points
-    # ------------------------------------------------------------------ #
-    def apply_transmissions(
-        self, senders: np.ndarray, receivers: np.ndarray
-    ) -> np.ndarray:
-        senders, receivers = self._batch(senders, receivers, ("senders", "receivers"))
-        if senders.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if self._retired:
-            return super().apply_transmissions(senders, receivers)
-        dense_sel, estimate = self._estimate(senders)
-        if estimate < _CROSSOVER * senders.size * self.words:
-            return self._sparse_apply(senders, receivers, dense_sel)
-        touched = super().apply_transmissions(senders, receivers)
-        self._mark_dense(receivers)
-        return touched
-
-    def apply_exchange(
-        self,
-        callers: np.ndarray,
-        targets: np.ndarray,
-        *,
-        complete: Optional[np.ndarray] = None,
-        complete_row: Optional[np.ndarray] = None,
-        deficit_mask: Optional[np.ndarray] = None,
-        deficits_out: Optional[np.ndarray] = None,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        callers, targets = self._batch(callers, targets, ("callers", "targets"))
-        complete, complete_row, deficit_mask, deficits_out = self._exchange_extras(
-            complete, complete_row, deficit_mask, deficits_out
-        )
-        empty = np.zeros(0, dtype=np.int64)
-        self.fused_deficits = False
-        if callers.size == 0:
-            return empty, empty
-        if self._retired:
-            return super().apply_exchange(
-                callers,
-                targets,
-                complete=complete,
-                complete_row=complete_row,
-                deficit_mask=deficit_mask,
-                deficits_out=deficits_out,
-            )
-        if complete is None or not complete.any():
-            # Both directions of an exchange read the same start-of-step
-            # state, so the round is exactly one combined transmission batch.
-            senders = np.concatenate([callers, targets])
-            receivers = np.concatenate([targets, callers])
-            dense_sel, estimate = self._estimate(senders)
-            if estimate < _CROSSOVER * senders.size * self.words:
-                return self._sparse_apply(senders, receivers, dense_sel), empty
-        # Dense (or saturation-filtered) rounds go through the parent kernel;
-        # by the time rows saturate the matrix is dense anyway, so everything
-        # the parent may have written simply ratchets to the dense path.
-        touched, promoted = super().apply_exchange(
-            callers,
-            targets,
-            complete=complete,
-            complete_row=complete_row,
-            deficit_mask=deficit_mask,
-            deficits_out=deficits_out,
-        )
-        self._dense_rows[callers] = True
-        self._mark_dense(targets)
-        return touched, promoted
-
-    # ------------------------------------------------------------------ #
-    # The frontier path
-    # ------------------------------------------------------------------ #
-    def _mark_dense(self, rows: np.ndarray) -> None:
-        """Ratchet ``rows`` to the dense path; retire once all rows are."""
-        self._dense_rows[rows] = True
-        if self._dense_rows.all():
-            self._retired = True
-
-    def _estimate(self, senders: np.ndarray) -> "tuple[np.ndarray, int]":
-        """Dense-row selector and estimated word-pair cost of a batch."""
-        dense_sel = self._dense_rows[senders]
-        nnz = self._nnz[senders]
-        if dense_sel.any():
-            nnz = np.where(dense_sel, self.words, nnz)
-        return dense_sel, int(nnz.sum())
-
-    def _sparse_apply(
-        self, senders: np.ndarray, receivers: np.ndarray, dense_sel: np.ndarray
-    ) -> np.ndarray:
-        """Apply one batch word-sparsely (snapshot semantics preserved).
-
-        Transmissions from frontier rows contribute only their active
-        ``(word, value)`` pairs; transmissions from dense-flagged rows go
-        through the row-level scatter.  Every gather — sparse word values
-        and dense source rows alike — happens strictly before any write, so
-        the result is bit-identical to the dense one-batch kernel.
-        """
-        words = self.words
-        if dense_sel.any():
-            sparse_s = senders[~dense_sel]
-            sparse_r = receivers[~dense_sel]
-            dense_s = senders[dense_sel]
-            dense_r = receivers[dense_sel]
-        else:
-            sparse_s, sparse_r = senders, receivers
-            dense_s = dense_r = None
-        # ---- dense sub-batch gather (before any write) ---------------- #
-        if dense_s is not None:
-            source, dense_idx = self._snapshot_sources(dense_s)
-        total = int(self._nnz[sparse_s].sum()) if sparse_s.size else 0
-        backend = backends.active()
-        if total and backend.use_compiled():
-            # One fused compiled pass: pair gather (still pre-write), scatter
-            # and frontier bookkeeping.  Runs before the dense scatter so its
-            # value gather also precedes every write of the batch.
-            if self._val_buf is None or self._val_buf.size < total:
-                # Double-up slack: pair counts roughly double per early round.
-                self._val_buf = np.empty(2 * total, dtype=np.uint64)
-                self._lin_buf = np.empty(2 * total, dtype=np.int64)
-            backend.frontier_scatter(
-                self.data,
-                self._active_words,
-                self._nnz,
-                self._word_active,
-                self._dense_rows,
-                np.ascontiguousarray(sparse_s),
-                np.ascontiguousarray(sparse_r),
-                self._val_buf,
-                self._lin_buf,
-                total,
-            )
-        elif total:
-            nnz = self._nnz[sparse_s]
-            tx = np.repeat(np.arange(sparse_s.size, dtype=np.int64), nnz)
-            ends = np.cumsum(nnz)
-            rank = np.arange(total, dtype=np.int64) - np.repeat(ends - nnz, nnz)
-            tx_senders = sparse_s[tx]
-            wcols = self._active_words[tx_senders, rank].astype(np.int64)
-            vals = self.data[tx_senders, wcols]
-            pair_rows = sparse_r[tx]
-            lin = pair_rows * words + wcols
-            order = np.argsort(lin, kind="stable")
-            lin_sorted = lin[order]
-            vals_sorted = vals[order]
-            bounds = np.flatnonzero(np.r_[True, lin_sorted[1:] != lin_sorted[:-1]])
-            merged = np.bitwise_or.reduceat(vals_sorted, bounds)
-            self.data.reshape(-1)[lin_sorted[bounds]] |= merged
-            self._note_pairs(pair_rows, wcols, lin)
-        # ---- dense sub-batch scatter ---------------------------------- #
-        if dense_s is not None:
-            self._scatter_or(source, dense_idx, dense_r)
-            # A dense sender's words are a superset of the cap, so the
-            # receiving row crosses it too.
-            self._dense_rows[dense_r] = True
-        return receivers
-
-    def _note_pairs(
-        self, rows: np.ndarray, wcols: np.ndarray, lin: np.ndarray
-    ) -> None:
-        """Record that words ``wcols`` were OR-written into ``rows``.
-
-        Newly activated words are appended to each receiver's frontier;
-        receivers whose count would exceed ``word_cap`` ratchet to dense.
-        """
-        fresh = ~self._word_active[rows, wcols] & ~self._dense_rows[rows]
-        if not fresh.any():
-            return
-        unique_lin = np.unique(lin[fresh])
-        r = unique_lin // self.words
-        w = (unique_lin % self.words).astype(np.int32)
-        self._word_active[r, w] = True
-        # ``unique_lin`` is sorted, so rows arrive grouped.
-        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-        counts = np.diff(np.r_[starts, r.size])
-        unique_rows = r[starts]
-        new_nnz = self._nnz[unique_rows] + counts
-        overflow = new_nnz > self.word_cap
-        within = np.arange(r.size) - np.repeat(starts, counts)
-        positions = self._nnz[r] + within
-        keep = ~np.repeat(overflow, counts)
-        if keep.any():
-            self._active_words[r[keep], positions[keep]] = w[keep]
-            self._nnz[unique_rows[~overflow]] = new_nnz[~overflow]
-        if overflow.any():
-            self._dense_rows[unique_rows[overflow]] = True
-
-    def _note_single_word(self, rows: np.ndarray, word: int) -> None:
-        """Record that the single word ``word`` gained bits in ``rows``."""
-        rows = rows[~self._dense_rows[rows] & ~self._word_active[rows, word]]
-        if rows.size == 0:
-            return
-        # Duplicated rows read the same ``_nnz`` before any write, so every
-        # copy writes the same slot with the same word: no dedup needed.
-        self._word_active[rows, word] = True
-        positions = self._nnz[rows]
-        overflow = positions >= self.word_cap
-        ok = rows[~overflow]
-        self._active_words[ok, positions[~overflow]] = word
-        self._nnz[ok] = positions[~overflow] + 1
-        if overflow.any():
-            self._dense_rows[rows[overflow]] = True
-
-    # ------------------------------------------------------------------ #
-    # Bookkeeping for the non-batch mutators
-    # ------------------------------------------------------------------ #
-    def add(self, node: int, message: int) -> None:
-        super().add(node, message)
-        self._note_single_word(
-            np.asarray([node], dtype=np.int64), message // WORD_BITS
-        )
-
-    def add_many(self, nodes: np.ndarray, message: int) -> None:
-        super().add_many(nodes, message)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size:
-            self._note_single_word(nodes, message // WORD_BITS)
-
-    def scatter_rows(
-        self, source: np.ndarray, src_idx: np.ndarray, receivers: np.ndarray
-    ) -> None:
-        super().scatter_rows(source, src_idx, receivers)
-        # External rows carry unknown word sets; the receivers leave the
-        # frontier rather than re-deriving their active words.
-        self._mark_dense(np.asarray(receivers, dtype=np.int64))
-
-    def assign_rows(self, nodes: np.ndarray, row: np.ndarray) -> None:
-        super().assign_rows(nodes, row)
-        self._mark_dense(np.asarray(nodes, dtype=np.int64))
-
-    # ------------------------------------------------------------------ #
-    # Frontier-aware recounts
-    # ------------------------------------------------------------------ #
-    def count_missing(self, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Deficits from the active frontier words instead of full-row scans.
-
-        For a frontier row every word outside its active set is zero, so
-        ``popcount(mask & ~row) == popcount(mask) - sum_w popcount(mask[w] &
-        row[w])`` over the row's active words only — exact, not an estimate.
-        Dense-flagged rows fall back to the parent's scan (compiled when
-        available).  Pinned bit-identical to the scan path by
-        ``tests/engine/test_layouts.py``.
-        """
-        mask = self._word_row(mask, "mask")
-        rows = _ids(rows, self.n_nodes, "rows")
-        if rows.size == 0 or self._retired:
-            return super().count_missing(mask, rows)
-        dense_sel = self._dense_rows[rows]
-        out = np.empty(rows.size, dtype=np.int64)
-        if dense_sel.any():
-            out[dense_sel] = super().count_missing(mask, rows[dense_sel])
-        frontier_rows = rows[~dense_sel]
-        if frontier_rows.size:
-            total = int(np.bitwise_count(mask).sum())
-            nnz = self._nnz[frontier_rows]
-            pairs = int(nnz.sum())
-            known = np.zeros(frontier_rows.size, dtype=np.int64)
-            if pairs:
-                tx = np.repeat(np.arange(frontier_rows.size, dtype=np.int64), nnz)
-                ends = np.cumsum(nnz)
-                rank = np.arange(pairs, dtype=np.int64) - np.repeat(ends - nnz, nnz)
-                r = frontier_rows[tx]
-                w = self._active_words[r, rank].astype(np.int64)
-                got = np.bitwise_count(self.data[r, w] & mask[w]).astype(np.int64)
-                np.add.at(known, tx, got)
-            out[~dense_sel] = total - known
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Introspection (used by tests and the benchmark harness)
-    # ------------------------------------------------------------------ #
-    def frontier_fraction(self) -> float:
-        """Fraction of rows still on the frontier (sparse) path."""
-        return 1.0 - float(self._dense_rows.mean())
-
-    def storage_nbytes(self) -> int:
-        total = super().storage_nbytes()
-        for buf in (
-            self._nnz,
-            self._active_words,
-            self._word_active,
-            self._dense_rows,
-            self._val_buf,
-            self._lin_buf,
-        ):
-            if buf is not None:
-                total += buf.nbytes
-        return total
-
-
-#: Minimum row width (in 64-bit words) for the frontier representation to
-#: pay for its bookkeeping; narrower matrices always use the dense kernels.
-#: Re-measured after the SIMD kernels landed (they shifted the break-even
-#: upward — vectorized dense passes got cheaper while the frontier's
-#: per-row bookkeeping did not; sweep in docs/benchmarks.md): whole-protocol
-#: push-pull is a wash at 64-79 words and only wins from ~96 words up.
-_FRONTIER_MIN_WORDS = 96
-
-
-def dense_knowledge(
-    n_nodes: int, n_messages: Optional[int] = None
-) -> KnowledgeMatrix:
-    """The dense-family knowledge state for a problem size.
-
-    Returns a :class:`FrontierKnowledge` (sparse/dense adaptive) for wide
-    matrices (``>= 96`` words, i.e. ``n_messages >= 6081``); narrow rows are
-    cheap to move whole — especially through the SIMD word-OR kernels — so
-    smaller problems stay on the plain dense :class:`KnowledgeMatrix`.  Both
-    produce bit-identical trajectories.
-    """
-    words = _n_words(n_nodes if n_messages is None else n_messages)
-    if words < _FRONTIER_MIN_WORDS:
-        return KnowledgeMatrix(n_nodes, n_messages)
-    return FrontierKnowledge(n_nodes, n_messages)
-
-
 def adaptive_knowledge(
     n_nodes: int, n_messages: Optional[int] = None
 ) -> KnowledgeMatrix:
     """The knowledge state protocols should instantiate.
 
-    Delegates to the layout registry (:mod:`repro.engine.layouts`): the
-    documented memory model picks dense storage while it fits the budget and
-    the paged layout beyond, and ``REPRO_KNOWLEDGE_LAYOUT`` or a
-    per-scope :func:`repro.engine.layouts.use` override forces a specific
-    layout.  All layouts produce bit-identical trajectories.
+    Delegates to the layout registry (:mod:`repro.engine.layouts`): a plain
+    :class:`KnowledgeMatrix` unless ``REPRO_KNOWLEDGE_LAYOUT`` or a
+    per-scope :func:`repro.engine.layouts.use` override asks for the
+    ``paged`` tag.  Both produce bit-identical trajectories.
     """
     from . import layouts
 

@@ -79,8 +79,8 @@ class ScaleConfig:
     Attributes
     ----------
     sizes:
-        Graph sizes; the point of the scenario is sizes past the dense
-        budget, where ``auto`` picks the paged layout.
+        Graph sizes; the point of the scenario is large sizes, where the
+        matrix and its swap buffer dominate the run's memory.
     layouts:
         Knowledge-storage layouts compared per size
         (:data:`repro.engine.layouts.LAYOUTS` names).
@@ -113,7 +113,7 @@ class ScaleConfig:
 
     @classmethod
     def paper_scale(cls) -> "ScaleConfig":
-        """The n >= 100k regime ``auto`` pages (slow, memory-heavy)."""
+        """The n >= 100k regime (slow, memory-heavy)."""
         return cls(sizes=(50_000, 100_000), layouts=("paged",))
 
 

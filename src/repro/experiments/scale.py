@@ -16,7 +16,7 @@ push-pull, fast-gossiping) that includes the swap buffer for ``paged`` as
 well as ``dense``: both keep it after an exchange round, and only the
 memory model's push rounds never allocate it.  ``scale --smoke`` keeps
 CI-friendly sizes; ``ScaleConfig.paper_scale()`` moves to the n >= 100k
-regime the paged layout is auto-selected for.
+regime.
 """
 
 from __future__ import annotations

@@ -1,4 +1,9 @@
-"""Tests for repro.core.memory_gossiping (Algorithm 2)."""
+"""Tests for repro.core.memory_gossiping (Algorithm 2).
+
+Besides whole runs, :class:`TestPerGroupReplay` pins the Phase II/III
+replay: each recorded step group as one batch on every storage class, and
+the saturation-filtered broadcast helper against the unfiltered replay.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +21,10 @@ from repro.core import (
     PushPullGossip,
     tuned_memory_gossiping,
 )
-from repro.engine import MessageAccounting, sample_uniform_failures
+from repro.core.memory_gossiping import _broadcast_group
+from repro.engine import MessageAccounting, _ckernel, sample_uniform_failures
+from repro.engine.knowledge import KnowledgeMatrix
+from repro.engine.layouts import PagedKnowledge
 from repro.graphs import complete_graph
 
 
@@ -331,3 +339,128 @@ class TestPeakAboveTheGraph:
         report = json.loads(run.stdout.strip().splitlines()[-1])
         assert report["completed"]
         assert report["rise"] <= self.BOUND, report
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel_path(request, monkeypatch):
+    if request.param == "numpy":
+        monkeypatch.setattr(_ckernel, "_LIB", None)
+    elif not _ckernel.available():
+        pytest.skip("compiled kernel unavailable on this machine")
+    return request.param
+
+
+#: The storage classes a memory-model replay can run on.
+REPLAY_STORAGES = {
+    "dense": KnowledgeMatrix,
+    "paged": PagedKnowledge,
+}
+
+
+class TestPerGroupReplay:
+    """The memory model replays each recorded step group as one batch.
+
+    Every storage class must match a per-edge reference that snapshots the
+    group's sender rows before any write, and the saturation-filtered
+    broadcast helper must match the unfiltered replay bit for bit.
+    """
+
+    #: 10 words per row.
+    N = 640
+
+    @pytest.fixture(params=list(REPLAY_STORAGES))
+    def storage(self, request):
+        return REPLAY_STORAGES[request.param]
+
+    @staticmethod
+    def as_groups(*pairs):
+        return [
+            (np.asarray(s, dtype=np.int64), np.asarray(r, dtype=np.int64))
+            for s, r in pairs
+        ]
+
+    @staticmethod
+    def reference_replay(n, groups):
+        data = KnowledgeMatrix(n).data.copy()
+        for senders, receivers in groups:
+            sent = data[senders].copy()  # start-of-group rows
+            for row, receiver in zip(sent, receivers):
+                data[receiver] |= row
+        return data
+
+    @staticmethod
+    def replay(state, groups, complete=None, complete_row=None):
+        for senders, receivers in groups:
+            _broadcast_group(state, senders, receivers, complete, complete_row)
+        return state
+
+    @staticmethod
+    def random_groups(rng, n, count, max_size):
+        return [
+            (
+                rng.integers(0, n, m).astype(np.int64),
+                rng.integers(0, n, m).astype(np.int64),
+            )
+            for m in rng.integers(1, max_size, count)
+        ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_group_sequences_match_sequential(self, kernel_path, storage, seed):
+        rng = np.random.default_rng(600 + seed)
+        groups = self.random_groups(rng, self.N, 25, 40)
+        state = self.replay(storage(self.N), groups)
+        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+
+    def test_many_edges_into_one_node_then_it_sends(self, kernel_path, storage):
+        groups = self.as_groups((list(range(100, 300)), [0] * 200), ([0], [1]))
+        state = self.replay(storage(self.N), groups)
+        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+        assert state.known_messages(1).tolist() == [0, 1] + list(range(100, 300))
+
+    def test_sender_that_also_receives_forwards_its_start_row(self, kernel_path, storage):
+        # Node 1 receives from 0 and sends to 2 in the same group: 2 gets
+        # only 1's start-of-group row.  The next group relays message 0.
+        groups = self.as_groups(([0, 1], [1, 2]), ([1], [2]))
+        state = self.replay(storage(self.N), groups[:1])
+        assert state.known_messages(2).tolist() == [1, 2]
+        self.replay(state, groups[1:])
+        assert state.known_messages(2).tolist() == [0, 1, 2]
+        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+
+    def test_duplicate_receivers_accumulate(self, kernel_path, storage):
+        groups = self.as_groups(([7, 8, 9, 7], [5, 5, 5, 5]))
+        state = self.replay(storage(self.N), groups)
+        assert state.known_messages(5).tolist() == [5, 7, 8, 9]
+        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_filtered_broadcast_matches_unfiltered(self, kernel_path, storage, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = self.N
+        groups = self.random_groups(rng, n, 30, 60)
+        # A root that knows everything, as after the gather phase; every
+        # row is a subset of the full mask, which the filter relies on.
+        full = storage(n).full_row_mask()
+        plain, filtered = storage(n), storage(n)
+        for state in (plain, filtered):
+            state.assign_rows(np.asarray([0, 3], dtype=np.int64), full)
+        groups.insert(0, self.as_groups(([0] * 8, rng.integers(0, n, 8)))[0])
+        everyone = np.arange(n, dtype=np.int64)
+        complete = filtered.count_missing(full, everyone) == 0
+        self.replay(plain, groups)
+        self.replay(filtered, groups, complete, full)
+        assert filtered == plain
+        assert filtered.filter_stats["rounds"] == len(groups)
+        assert filtered.filter_stats["promotions"] > 0
+        assert plain.filter_stats["rounds"] == 0
+        # ``complete`` marks only rows that really are complete.
+        assert not plain.count_missing(full, np.flatnonzero(complete)).any()
+
+    def test_empty_groups_are_skipped(self, kernel_path, storage):
+        state = storage(5)
+        empty = np.zeros(0, dtype=np.int64)
+        complete = np.zeros(5, dtype=bool)
+        _broadcast_group(state, empty, empty, None, None)
+        _broadcast_group(state, empty, empty, complete, state.full_row_mask())
+        assert np.array_equal(state.data, KnowledgeMatrix(5).data)
+        assert state.filter_stats["rounds"] == 0

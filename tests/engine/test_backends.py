@@ -6,8 +6,8 @@ Two layers are covered here:
   thread-count heuristic with its measured small-batch cutoff, and the
   :func:`repro.engine.backends.use` override used by tests and benchmarks;
 * every compiled kernel at 2, 3 and 8 shards against the same kernel at one
-  shard — row data *and* frontier bookkeeping — and against an independent
-  NumPy reference, so one shard is never only compared with itself.
+  shard and against an independent NumPy reference, so one shard is never
+  only compared with itself.
 
 Whole-protocol trajectory parity across backends lives in
 ``tests/engine/test_kernel_equivalence.py``.
@@ -24,11 +24,7 @@ import pytest
 
 from repro.core.completion import CompletionTracker, gossip_complete
 from repro.engine import _ckernel, backends
-from repro.engine.knowledge import (
-    FrontierKnowledge,
-    KnowledgeMatrix,
-    _layered_scatter,
-)
+from repro.engine.knowledge import KnowledgeMatrix, _layered_scatter
 
 needs_compiled = pytest.mark.skipif(
     not _ckernel.available(), reason="compiled kernel unavailable on this machine"
@@ -409,56 +405,6 @@ class TestShardedKernelParity:
                 _ckernel.recount_deficits(km.data, mask, rows, nshards), expected
             )
 
-    @pytest.mark.parametrize("shards", [2, 3, 8])
-    def test_frontier_scatter_data_and_bookkeeping(self, shards):
-        """One shard and ``shards`` shards keep identical bookkeeping.
-
-        The NumPy frontier pass lists a row's words in a different order
-        and stops listing them once the row overflows, so against NumPy
-        only the row data and the dense-row flags are comparable.
-        """
-        got = _ckernel.ensure_shards(shards)
-        rng = np.random.default_rng(31)
-        reference = FrontierKnowledge(240, 70 * 64)
-        states = {nshards: FrontierKnowledge(240, 70 * 64) for nshards in (1, got)}
-        # Scattered extra messages spread rows past their word cap, so the
-        # dense ratchet fires during the rounds below.
-        nodes = rng.integers(0, 240, 240).tolist()
-        messages = rng.integers(0, 70 * 64, 240).tolist()
-        for fk in (reference, *states.values()):
-            for node, message in zip(nodes, messages):
-                fk.add(node, message)
-        for _ in range(5):
-            k = int(rng.integers(1, 700))
-            senders = rng.integers(0, 240, k).astype(np.int64)
-            receivers = rng.integers(0, 240, k).astype(np.int64)
-            # The frontier pass serves frontier senders only; dense-flagged
-            # rows take the row scatter.
-            frontier = ~reference._dense_rows[senders]
-            senders, receivers = senders[frontier], receivers[frontier]
-            with backends.use(backends.NumpyBackend()):
-                reference._sparse_apply(
-                    senders, receivers, np.zeros(senders.size, dtype=bool)
-                )
-            for nshards, fk in states.items():
-                total = int(fk._nnz[senders].sum())
-                _ckernel.frontier_scatter(
-                    fk.data, fk._active_words, fk._nnz, fk._word_active,
-                    fk._dense_rows, senders, receivers,
-                    np.empty(total, dtype=np.uint64),
-                    np.empty(total, dtype=np.int64),
-                    nshards,
-                )
-        one, sharded = states[1], states[got]
-        assert 0 < reference._dense_rows.sum() < reference.n_nodes
-        assert np.array_equal(one.data, reference.data)
-        assert np.array_equal(one._dense_rows, reference._dense_rows)
-        assert np.array_equal(one.data, sharded.data)
-        assert np.array_equal(one._nnz, sharded._nnz)
-        assert np.array_equal(one._active_words, sharded._active_words)
-        assert np.array_equal(one._word_active, sharded._word_active)
-        assert np.array_equal(one._dense_rows, sharded._dense_rows)
-
 
 @needs_compiled
 class TestBackendDispatchParity:
@@ -482,24 +428,6 @@ class TestBackendDispatchParity:
         assert np.array_equal(
             run(backends.CBackend(max_threads=1)), run(threaded(threads))
         )
-
-    @pytest.mark.parametrize("threads", [2, 8])
-    def test_frontier_matrix_rounds_match(self, threads):
-        def run(backend):
-            rng = np.random.default_rng(17)
-            fk = FrontierKnowledge(260, 70 * 64)
-            with backends.use(backend):
-                for _ in range(8):
-                    senders = rng.integers(0, 260, 260).astype(np.int64)
-                    receivers = rng.integers(0, 260, 260).astype(np.int64)
-                    fk.apply_transmissions(senders, receivers)
-            return fk
-
-        serial = run(backends.CBackend(max_threads=1))
-        sharded = run(threaded(threads))
-        assert np.array_equal(serial.data, sharded.data)
-        assert np.array_equal(serial._dense_rows, sharded._dense_rows)
-        assert np.array_equal(serial._nnz, sharded._nnz)
 
     def test_completion_tracker_matches_reference(self):
         rng = np.random.default_rng(5)

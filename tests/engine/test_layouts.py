@@ -4,40 +4,41 @@ The storage contract (:class:`repro.engine.knowledge.KnowledgeMatrix`) is
 that every storage class — dense :class:`KnowledgeMatrix` and
 :class:`PagedKnowledge`, the matrix whose push rounds never allocate a
 second matrix — produces **bit-identical trajectories** at every size where
-dense fits.  These tests pin that contract:
+dense fits.  The per-layout checks build one state per name the registry
+accepts (``auto``, ``dense``, ``paged``), so whatever ``auto`` builds, the
+storage every run gets unless a layout is forced, meets the same contract.
+These tests pin that contract:
 
 * randomized batch operations (``apply_transmissions``, ``apply_exchange``
   with the saturation filter, ``scatter_rows``, element mutators) against
   the dense reference on the compiled serial, compiled sharded and
   pure-NumPy kernel paths,
 * ``merge_rows`` on every storage class and backend against a per-pair
-  reference, including frontier rows leaving the frontier,
+  reference,
 * paged rounds on every kernel branch they take — the push batch, the
   exchange, and a filtered exchange with promotions on both its swap and
   its gather/scatter branch — plus when the swap buffer exists: never for a
   push batch or a whole memory-model run on either class, and kept and
   reused across exchange rounds,
-* ``count_missing`` for every layout (including the frontier's
-  active-word-set counter) pinned to the plain masked scan,
+* ``count_missing`` for every layout pinned to the plain masked scan,
 * ``copy`` keeping the storage class and everything a later round reads,
 * whole-protocol trajectory parity across the full layout x backend matrix
   (dense / paged x numpy / c at one thread / c sharded),
-* the selection registry (env var, ``use`` scope, explicit argument, the
-  ``auto`` memory model),
+* the selection registry (env var, ``use`` scope, explicit argument),
 * a sweep interrupted under the dense layout and resumed under the paged
   layout, which must be bit-identical to an uninterrupted dense run.
 """
 
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.engine import _ckernel, backends, layouts
-from repro.engine import knowledge as knowledge_mod
-from repro.engine.knowledge import FrontierKnowledge, KnowledgeMatrix
+from repro.engine.knowledge import KnowledgeMatrix
 from repro.engine.layouts import PagedKnowledge
 
 
@@ -71,20 +72,17 @@ def kernel_path(request, monkeypatch):
 SIZES = (15, 16, 17, 53)
 
 
+#: Every layout name the registry accepts, as a constructor taking
+#: ``(n_nodes, n_messages=None)``.
+STORAGE_LAYOUTS = {
+    name: functools.partial(layouts.make_knowledge, layout=name)
+    for name in layouts.LAYOUTS
+}
+
+
 def make_layouts(n, n_messages=None):
     """One instance of every layout."""
-    return {
-        "dense": KnowledgeMatrix(n, n_messages),
-        "paged": PagedKnowledge(n, n_messages),
-    }
-
-
-#: Every storage class, by the harness's layout names.
-STORAGE_CLASSES = {
-    "dense": KnowledgeMatrix,
-    "frontier": FrontierKnowledge,
-    "paged": PagedKnowledge,
-}
+    return {name: make(n, n_messages) for name, make in STORAGE_LAYOUTS.items()}
 
 
 def random_batch(rng, n, size):
@@ -205,12 +203,12 @@ class TestUnitEquivalence:
                 ),
             )
 
-    @pytest.mark.parametrize("layout", list(STORAGE_CLASSES))
+    @pytest.mark.parametrize("layout", list(STORAGE_LAYOUTS))
     def test_copy_is_independent(self, kernel_path, layout):
         """A copy keeps its class and evolves exactly like the original."""
-        # 40 words per row: wide enough that the frontier's sparse path runs.
+        # 40 words per row.
         n, m = 40, 64 * 40
-        store = STORAGE_CLASSES[layout](n, m)
+        store = STORAGE_LAYOUTS[layout](n, m)
         rng = np.random.default_rng(23)
         for node, message in zip(rng.integers(0, n, 60), rng.integers(0, m, 60)):
             store.add(int(node), int(message))
@@ -261,12 +259,12 @@ class TestMergeRows:
             state[node] |= union
         return state, external
 
-    @pytest.mark.parametrize("layout", list(STORAGE_CLASSES))
+    @pytest.mark.parametrize("layout", list(STORAGE_LAYOUTS))
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_per_pair_reference(self, backend, layout, seed):
         rng = np.random.default_rng(300 + seed)
         n = 53
-        store = STORAGE_CLASSES[layout](n, 64 * 12)
+        store = STORAGE_LAYOUTS[layout](n, 64 * 12)
         store.apply_transmissions(*random_batch(rng, n, n))
         external = rng.integers(0, 2**63, size=(20, store.words), dtype=np.uint64)
         ext_rows = rng.choice(20, size=15, replace=False).astype(np.int64)
@@ -278,33 +276,6 @@ class TestMergeRows:
         store.merge_rows(external, ext_rows, nodes)
         assert np.array_equal(store.data, want_state)
         assert np.array_equal(external, want_external)
-
-    def test_frontier_rows_leave_the_frontier(self, backend):
-        # 40 words per row: the frontier's sparse path is live.
-        fk = FrontierKnowledge(40, 64 * 40)
-        plain = KnowledgeMatrix(40, 64 * 40)
-        nodes = np.asarray([2, 5, 2], dtype=np.int64)
-        ext_rows = np.asarray([2, 0, 1], dtype=np.int64)
-        assert not fk._dense_rows.any()
-        external = np.stack(
-            [fk.row_with([100]), fk.row_with([2000, 2001]), fk.row_with([7])]
-        )
-        want_state, want_external = self.reference(
-            fk.data, external, ext_rows, nodes
-        )
-        plain_external = external.copy()
-        fk.merge_rows(external, ext_rows, nodes)
-        plain.merge_rows(plain_external, ext_rows, nodes)
-        assert np.array_equal(fk.data, want_state)
-        assert np.array_equal(external, want_external)
-        assert np.array_equal(plain_external, want_external)
-        assert np.flatnonzero(fk._dense_rows).tolist() == [2, 5]
-        # A later sparse round over the merged rows still matches.
-        senders = np.asarray([2, 5, 9], dtype=np.int64)
-        receivers = np.asarray([11, 12, 2], dtype=np.int64)
-        fk.apply_transmissions(senders, receivers)
-        plain.apply_transmissions(senders, receivers)
-        assert fk == plain
 
     def test_empty_call_and_bad_external_rows(self, backend):
         store = KnowledgeMatrix(10)
@@ -354,6 +325,17 @@ OUT_OF_RANGE_CALLS = {
     "recount rows": lambda state, ext, bad: state.count_missing(
         state.full_row_mask(), _ids_ending(bad(10))
     ),
+    "row gather": lambda state, ext, bad: state.rows(_ids_ending(bad(10))),
+    "assigned nodes": lambda state, ext, bad: state.assign_rows(
+        _ids_ending(bad(10)), state.full_row_mask()
+    ),
+    "add_many nodes": lambda state, ext, bad: state.add_many(_ids_ending(bad(10)), 0),
+    "added node": lambda state, ext, bad: state.add(bad(10), 0),
+    "knows node": lambda state, ext, bad: state.knows(bad(10), 0),
+    "known_messages node": lambda state, ext, bad: state.known_messages(bad(10)),
+    "missing_messages_at node": lambda state, ext, bad: state.missing_messages_at(
+        bad(10)
+    ),
 }
 
 
@@ -365,14 +347,14 @@ class TestOutOfRangeIds:
     round to the last row.
     """
 
-    @pytest.mark.parametrize("layout", list(STORAGE_CLASSES))
+    @pytest.mark.parametrize("layout", list(STORAGE_LAYOUTS))
     @pytest.mark.parametrize(
         "bad", [lambda bound: bound, lambda bound: -1], ids=["bound", "minus-one"]
     )
     @pytest.mark.parametrize("call", list(OUT_OF_RANGE_CALLS))
     def test_raises_and_writes_nothing(self, backend, layout, bad, call):
         rng = np.random.default_rng(8)
-        state = STORAGE_CLASSES[layout](10)
+        state = STORAGE_LAYOUTS[layout](10)
         state.apply_transmissions(np.arange(10), np.roll(np.arange(10), 1))
         external = rng.integers(0, 2**63, size=(3, state.words), dtype=np.uint64)
         before, external_before = state.fingerprint(), external.copy()
@@ -462,6 +444,10 @@ BAD_ARGUMENT_CALLS = {
         lambda s: _exchange(s, deficits_out=np.zeros(10, np.int64)),
         "given together",
     ),
+    "one-word assigned row": (
+        lambda s: s.assign_rows([0], np.array([1], np.uint64)),
+        r"row must have shape \(10,\)",
+    ),
 }
 
 
@@ -475,10 +461,10 @@ class TestArgumentShapes:
     NumPy broadcasts a one-word mask.
     """
 
-    @pytest.mark.parametrize("layout", list(STORAGE_CLASSES))
+    @pytest.mark.parametrize("layout", list(STORAGE_LAYOUTS))
     @pytest.mark.parametrize("call", list(BAD_ARGUMENT_CALLS))
     def test_raises_and_writes_nothing(self, backend, layout, call):
-        state = STORAGE_CLASSES[layout](10, 640)
+        state = STORAGE_LAYOUTS[layout](10, 640)
         state.apply_transmissions(np.arange(10), np.roll(np.arange(10), 1))
         before = state.fingerprint()
         fn, message = BAD_ARGUMENT_CALLS[call]
@@ -515,20 +501,6 @@ class TestCountMissingPinned:
         empty = np.zeros(0, dtype=np.int64)
         for store in instances.values():
             assert store.count_missing(mask, empty).size == 0
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_frontier_active_word_counter(self, kernel_path, seed):
-        # n past the frontier width gate so rows actually live in index form.
-        n = 64 * 66
-        rng = np.random.default_rng(40 + seed)
-        fk = FrontierKnowledge(n)
-        senders, receivers = random_batch(rng, n, n)
-        fk.apply_transmissions(senders, receivers)
-        assert fk.frontier_fraction() > 0.0  # the frontier path is exercised
-        mask = fk.full_row_mask()
-        rows = rng.integers(0, n, 200).astype(np.int64)
-        got = fk.count_missing(mask, rows)
-        assert np.array_equal(got, self.reference(fk, mask, rows))
 
 
 class TestPagedMechanics:
@@ -720,36 +692,6 @@ class TestLayoutRegistry:
         monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "nope")
         with pytest.raises(ValueError):
             layouts.resolve_layout()
-
-    def test_auto_selection_follows_budget(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KNOWLEDGE_LAYOUT", raising=False)
-        n = 512
-        assert isinstance(layouts.make_knowledge(n), KnowledgeMatrix)
-        # Shrink the budget below the dense estimate: auto must page.
-        monkeypatch.setenv("REPRO_KNOWLEDGE_DENSE_BUDGET", "1024")
-        assert isinstance(layouts.make_knowledge(n), PagedKnowledge)
-
-    def test_estimates_are_ordered(self):
-        n, m = 100_000, 100_000
-        dense = layouts.estimate_bytes("dense", n, m)
-        paged = layouts.estimate_bytes("paged", n, m)
-        words = (m + 63) // 64
-        # Both peak with the matrix, its swap buffer and an exchange's CSR;
-        # the dense layout adds the frontier's bookkeeping on wide rows.
-        assert paged == 16 * n * words + 8 * (3 * n + 1)
-        assert paged < dense
-
-    @pytest.mark.parametrize("words", [63, 64, 95, 96])
-    def test_dense_estimate_counts_frontier_exactly_when_built(self, words):
-        """The frontier term follows the gate ``dense_knowledge`` applies."""
-        n, m = 1000, 64 * words
-        frontier = isinstance(knowledge_mod.dense_knowledge(n, m), FrontierKnowledge)
-        assert frontier == (words >= 96)
-        # Everything beyond the plain matrix's peak.
-        frontier_bytes = layouts.estimate_bytes("dense", n, m) - layouts.estimate_bytes(
-            "paged", n, m
-        )
-        assert frontier_bytes > 0 if frontier else frontier_bytes == 0
 
     def test_protocols_pick_up_use_scope(self, small_paper_graph):
         from repro import PushPullGossip

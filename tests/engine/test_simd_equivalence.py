@@ -1,9 +1,9 @@
 """SIMD-vs-scalar bit-identity for the compiled word-OR kernel families.
 
 The compiled library dispatches its row primitives (row OR, OR-accumulate,
-missing-word popcounts, frontier gathers) through function pointers selected
-at load time from the CPU: scalar, AVX2 or AVX-512
-(``REPRO_DISABLE_SIMD=1`` pins scalar).  The vector forms must be *exactly*
+missing-word popcounts) through function pointers selected at load time
+from the CPU: scalar, AVX2 or AVX-512 (``REPRO_DISABLE_SIMD=1`` pins
+scalar).  The vector forms must be *exactly*
 the scalar forms, only wider — these tests replay identical op sequences at
 every level the host supports and require bit-identical storage states,
 deficit counts and fused in-kernel recounts.
@@ -33,11 +33,7 @@ import pytest
 
 from repro.core.completion import CompletionTracker
 from repro.engine import _ckernel, backends
-from repro.engine import (
-    FrontierKnowledge,
-    KnowledgeMatrix,
-    PagedKnowledge,
-)
+from repro.engine import KnowledgeMatrix, PagedKnowledge
 
 pytestmark = pytest.mark.skipif(
     not _ckernel.available(), reason="no compiled kernel"
@@ -46,7 +42,7 @@ pytestmark = pytest.mark.skipif(
 #: Word counts straddling the 256/512-bit vector widths.
 WORD_COUNTS = (1, 7, 63, 64, 65, 127, 128)
 
-LAYOUTS = ("dense", "frontier", "paged")
+LAYOUTS = ("dense", "paged")
 
 #: The compiled kernels on one thread, and forced to two shards on every
 #: batch — the sharded scatter runs on the same SIMD row primitives.
@@ -64,8 +60,6 @@ def _n_messages(words: int) -> int:
 def _make(layout: str, n: int, m: int):
     if layout == "dense":
         return KnowledgeMatrix(n, m)
-    if layout == "frontier":
-        return FrontierKnowledge(n, m)
     return PagedKnowledge(n, m)
 
 
@@ -73,8 +67,8 @@ def _trajectory(layout: str, words: int, seed: int) -> list:
     """Replay a fixed seeded op sequence; return everything observable.
 
     The sequence walks every kernel family: a dense transmission round and
-    a sparse one (in-place push kernel, or the frontier pass), an
-    unfiltered exchange with fused deficits, a saturation-filtered
+    a sparse one (both on the in-place push kernel), an unfiltered
+    exchange with fused deficits, a saturation-filtered
     exchange (filtered swap kernel), an external-row scatter, a standalone
     deficit recount, and a filtered exchange with few live rows (gather +
     scatter kernel).
@@ -107,21 +101,15 @@ def _trajectory(layout: str, words: int, seed: int) -> list:
     targets = np.asarray(
         [(c + 1) % n for c in callers], dtype=np.int64
     )
-    touched, promoted = storage.apply_exchange(
+    storage.apply_exchange(
         callers,
         targets,
         deficit_mask=tracker.mask,
         deficits_out=tracker.deficits,
     )
-    if layout != "frontier":
-        # The swap kernel fuses the recount; the frontier's sparse rounds
-        # recount via the tracker.
-        assert storage.fused_deficits
-    if storage.fused_deficits:
-        tracker.refresh()
-    else:
-        tracker.update(touched)
-        tracker.mark_promoted(promoted)
+    # The swap kernel fuses the recount.
+    assert storage.fused_deficits
+    tracker.refresh()
     out.append(tracker.deficits.tobytes())
     snap()
 
@@ -187,7 +175,6 @@ KNOWLEDGE_KERNELS = (
     "exchange",
     "scatter_or",
     "push_in_place",
-    "frontier_scatter",
     "recount_deficits",
 )
 

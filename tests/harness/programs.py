@@ -7,9 +7,8 @@ push–pull exchanges with and without the saturation filter, external-row
 scatters, two-way merges with external rows, row assignment, point adds,
 deficit recounts and event-clock batches grouped by
 :func:`repro.engine.event_clock.group_events`.  Programs carry 1 to 1024
-messages (up to 16 words, where the frontier layout's word-sparse kernel
-runs), and row assignments often write the full row, so that the
-saturation filter meets complete rows.
+messages (up to 16 words), and row assignments often write the full row,
+so that the saturation filter meets complete rows.
 
 :func:`run_program` replays a program against an engine layout and the
 set-based :class:`oracle.OracleKnowledge` side by side, comparing the packed
@@ -25,12 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine import (
-    FrontierKnowledge,
-    KnowledgeMatrix,
-    PagedKnowledge,
-    group_events,
-)
+from repro.engine import KnowledgeMatrix, PagedKnowledge, group_events
 
 from oracle import OracleKnowledge
 
@@ -45,8 +39,8 @@ __all__ = [
     "shrink_program",
 ]
 
-#: Layout names the harness sweeps (``frontier`` is the dense fast path).
-HARNESS_LAYOUTS = ("dense", "frontier", "paged")
+#: Layout names the harness sweeps.
+HARNESS_LAYOUTS = ("dense", "paged")
 
 #: Every op kind the generator can emit.
 OP_KINDS = (
@@ -65,9 +59,7 @@ OP_KINDS = (
 #: Message counts that exercise 64-bit word boundaries.
 _WORD_EDGE_MESSAGES = (63, 64, 65, 127, 128)
 
-#: Largest message count (16 words).  From 9 words on, a fresh row's one
-#: active word is under the frontier crossover (0.125 x words), so wide
-#: programs reach the word-sparse frontier kernel.
+#: Largest message count (16 words).
 _WIDE_MESSAGES = 1024
 
 
@@ -76,8 +68,6 @@ def make_storage(layout: str, program: Dict[str, Any]) -> KnowledgeMatrix:
     n, m = program["n_nodes"], program["n_messages"]
     if layout == "dense":
         return KnowledgeMatrix(n, m)
-    if layout == "frontier":
-        return FrontierKnowledge(n, m)
     if layout == "paged":
         return PagedKnowledge(n, m)
     raise ValueError(f"unknown harness layout {layout!r}")
@@ -175,7 +165,7 @@ def generate_program(seed: int) -> Dict[str, Any]:
     n = int(rng.integers(2, 41))
     # Word-boundary message counts are over-represented on purpose: the
     # packed kernels' edge cases live at multiples of 64 bits.  A quarter
-    # of the programs are wide, most of them past the frontier crossover.
+    # of the programs are wide.
     draw = rng.random()
     if draw < 0.5:
         m = int(rng.choice(_WORD_EDGE_MESSAGES))

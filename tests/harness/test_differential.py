@@ -14,8 +14,8 @@ prints it along with the seed and replay instructions.
 
 ``REPRO_HARNESS_PROGRAMS`` scales the number of programs per configuration
 (default 15 locally; CI runs 200+).  A call-count test pins that a fixed
-set of programs reaches the word-sparse frontier kernel and both branches
-of the saturation-filtered exchange.
+set of programs reaches both branches of the saturation-filtered
+exchange.
 """
 
 from __future__ import annotations
@@ -114,22 +114,19 @@ def test_programs_match_oracle_across_simd_levels(layout: str) -> None:
 COVERAGE_PROGRAMS = 40
 
 
-def test_programs_reach_the_frontier_kernel_and_both_filter_branches(
-    monkeypatch,
-) -> None:
+def test_programs_reach_both_filter_branches(monkeypatch) -> None:
     """The generated programs reach the kernels they exist to check.
 
     Each counted ``_ckernel`` entry point is wrapped to count its calls,
     keyed by layout and by whether an ``apply_exchange`` that met a complete
     row made them.  A filtered exchange runs the swap-form ``exchange``
     while its live channel endpoints reach half the rows and gathers the
-    surviving edges into ``scatter_or`` otherwise; the frontier
-    layout's sparse batches run ``frontier_scatter``.
+    surviving edges into ``scatter_or`` otherwise.
     """
     _require_backend("c")
     calls = Counter()
     context = []
-    for name in ("exchange", "scatter_or", "frontier_scatter"):
+    for name in ("exchange", "scatter_or"):
 
         def counted(*args, _kernel=getattr(_ckernel, name), _name=name, **kwargs):
             calls[context[-1] if context else "unfiltered", _name] += 1
@@ -155,8 +152,6 @@ def test_programs_reach_the_frontier_kernel_and_both_filter_branches(
                 assert run_program(generate_program(BASE_SEED + k), layout) is None
             assert calls["filtered", "exchange"] > 0, (layout, calls)
             assert calls["filtered", "scatter_or"] > 0, (layout, calls)
-            if layout == "frontier":
-                assert calls["unfiltered", "frontier_scatter"] > 0, calls
 
 
 def test_program_generation_is_deterministic() -> None:
