@@ -25,11 +25,9 @@ round at t in {1, 2, 4, 8} — the measurement behind the small-batch
 dispatch cutoff documented in ``docs/parallelism.md``.
 
 Memory measurements (schema 3): every protocol entry carries the peak RSS
-of the run, and a ``large_n`` section runs the full push-pull protocol at
-n = 100000 once per knowledge-storage layout (``dense`` / ``paged``,
-:mod:`repro.engine.layouts`) with per-layout wall-clock, peak
-RSS and resident storage bytes, cross-checked for bit-identical final
-states via the storage fingerprint.  ``ru_maxrss`` is a process-lifetime
+of the run, and a ``large_n`` section runs the full push-pull protocol once
+at n = 100000 with its wall-clock, peak RSS, resident storage bytes and
+final knowledge fingerprint.  ``ru_maxrss`` is a process-lifetime
 high-water mark, so each of these measurements runs in a fresh subprocess
 (this script re-invoked with ``--_child``); the reported RSS includes
 graph construction, which every protocol run pays.
@@ -59,9 +57,8 @@ from repro.graphs import paper_edge_probability
 SCALING_THREADS = (1, 2, 4, 8)
 
 SIZES = (1000, 5000, 20000)
-#: Large-n layout benchmark: one full protocol run per storage layout.
+#: Large-n benchmark: one full push-pull run.
 LARGE_N = 100_000
-LARGE_N_LAYOUTS = ("dense", "paged")
 GRAPH_SEED = 5
 PROTOCOL_SEEDS = {"push-pull": 1, "fast-gossiping": 2, "memory": 3}
 
@@ -117,9 +114,7 @@ def _child_main(spec_json: str) -> int:
     """One isolated protocol measurement; prints a JSON result line.
 
     Runs in a fresh process so ``ru_maxrss`` (a process-lifetime high-water
-    mark) reflects exactly this (layout, protocol, n) combination.  The
-    storage layout is inherited from ``REPRO_KNOWLEDGE_LAYOUT``, which the
-    parent sets per measurement.
+    mark) reflects exactly this (protocol, n) combination.
     """
     import resource
 
@@ -139,8 +134,6 @@ def _child_main(spec_json: str) -> int:
     knowledge = result.knowledge
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     out = {
-        "layout": type(knowledge).layout,
-        "storage_class": type(knowledge).__name__,
         "backend": backends.active().name,
         "wall_clock_s": round(wall, 6),
         "rounds": int(result.rounds),
@@ -156,77 +149,44 @@ def _child_main(spec_json: str) -> int:
 
 
 def measure_in_subprocess(
-    n: int,
-    protocol_name: str,
-    seed: int,
-    repeats: int = 1,
-    layout: Optional[str] = None,
+    n: int, protocol_name: str, seed: int, repeats: int = 1
 ) -> Dict[str, object]:
-    """Run one (layout, protocol, n) measurement in a fresh subprocess."""
+    """Run one (protocol, n) measurement in a fresh subprocess."""
     spec = {"n": n, "protocol": protocol_name, "seed": seed, "repeats": repeats}
-    env = dict(os.environ)
-    if layout is not None:
-        env["REPRO_KNOWLEDGE_LAYOUT"] = layout
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--_child", json.dumps(spec)],
-        env=env,
         capture_output=True,
         text=True,
     )
     if proc.returncode != 0:
         raise RuntimeError(
-            f"child benchmark failed (n={n}, {protocol_name}, layout={layout}):\n"
-            f"{proc.stderr}"
+            f"child benchmark failed (n={n}, {protocol_name}):\n{proc.stderr}"
         )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def large_n_entry(n: int, repeats: int) -> Dict[str, object]:
-    """Full push-pull runs at large n, once per storage layout.
-
-    The layouts must agree on rounds, message totals and the final knowledge
-    fingerprint — the cross-layout bit-identity contract, verified here at a
-    size where it actually matters.
-    """
+    """One full push-pull run at large n, in a fresh subprocess."""
+    print(f"large-n={n}: push-pull ...", flush=True)
+    row = measure_in_subprocess(n, "push-pull", PROTOCOL_SEEDS["push-pull"], repeats)
+    if not row["completed"]:
+        raise RuntimeError("large-n push-pull did not complete")
     entry: Dict[str, object] = {
         "n": n,
         "protocol": "push-pull",
         "graph_seed": GRAPH_SEED,
         "seed": PROTOCOL_SEEDS["push-pull"],
-        "layouts": {},
     }
-    reference = None
-    for layout in LARGE_N_LAYOUTS:
-        print(f"large-n={n}: push-pull under {layout} layout ...", flush=True)
-        row = measure_in_subprocess(
-            n, "push-pull", PROTOCOL_SEEDS["push-pull"], repeats, layout=layout
-        )
-        if not row["completed"]:
-            raise RuntimeError(f"large-n push-pull did not complete under {layout}")
-        if reference is None:
-            reference = row
-        elif (
-            row["rounds"] != reference["rounds"]
-            or row["total_messages"] != reference["total_messages"]
-            or row["fingerprint"] != reference["fingerprint"]
-        ):
-            raise RuntimeError(
-                f"large-n trajectory diverged under the {layout} layout"
-            )
-        entry["layouts"][layout] = {
-            k: row[k]
-            for k in (
-                "storage_class",
-                "wall_clock_s",
-                "rounds",
-                "completed",
-                "total_messages",
-                "peak_rss_mb",
-                "storage_mb",
-            )
-        }
-    entry["fingerprint"] = reference["fingerprint"]
-    entry["fingerprints_match"] = True
+    for key in (
+        "wall_clock_s",
+        "rounds",
+        "completed",
+        "total_messages",
+        "peak_rss_mb",
+        "storage_mb",
+        "fingerprint",
+    ):
+        entry[key] = row[key]
     return entry
 
 
@@ -543,13 +503,13 @@ def main() -> int:
     parser.add_argument(
         "--skip-large",
         action="store_true",
-        help="skip the n=100000 per-layout section (implied by --quick)",
+        help="skip the n=100000 section (implied by --quick)",
     )
     args = parser.parse_args()
 
     sizes = SIZES[:1] if args.quick else SIZES
     report: Dict[str, object] = {
-        "schema": "repro-bench-kernel/5",
+        "schema": "repro-bench-kernel/6",
         "description": (
             "Kernel benchmark baseline: full protocol runs and raw knowledge-"
             "kernel operations at fixed seeds (graph rng=5; protocol rngs: "
@@ -558,14 +518,15 @@ def main() -> int:
             "exchange scaling live under sizes.<n>.kernel / the protocols' "
             "backend_wall_clock_ms.  peak_rss_mb fields are ru_maxrss of a "
             "fresh subprocess per measurement (graph construction included); "
-            "large_n runs full push-pull per storage layout at n=100000; "
+            "large_n runs full push-pull once at n=100000; "
             "aggregate_query times the same grouped aggregate over a "
             "synthetic result store via a full JSONL scan vs the SQLite "
             "query index (docs/caching.md).  Schema 5 adds the simd section "
             "(per-kernel scalar-vs-SIMD timings per instruction-set level at "
             "the largest size, plus a REPRO_DISABLE_SIMD control subprocess), "
             "the active/detected ISA in the header, and each protocol's "
-            "saturation_filter hit rate (docs/architecture.md)."
+            "saturation_filter hit rate (docs/architecture.md); schema 6 "
+            "runs large_n once instead of once per storage layout."
         ),
         "compiled_kernel": _ckernel.available(),
         "backend": backends.active().describe(),
@@ -676,14 +637,12 @@ def main() -> int:
         )
     large = report.get("large_n")
     if large:
-        print(f"  large-n={large['n']} push-pull per storage layout:")
-        for layout, row in large["layouts"].items():
-            print(
-                f"    {layout:<7} rounds={row['rounds']:>3} "
-                f"wall={row['wall_clock_s']:7.2f}s "
-                f"rss={row['peak_rss_mb']:>8}MB "
-                f"storage={row['storage_mb']:>8}MB"
-            )
+        print(
+            f"  large-n={large['n']} push-pull rounds={large['rounds']:>3} "
+            f"wall={large['wall_clock_s']:7.2f}s "
+            f"rss={large['peak_rss_mb']:>8}MB "
+            f"storage={large['storage_mb']:>8}MB"
+        )
     return 0
 
 

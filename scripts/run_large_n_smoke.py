@@ -1,20 +1,16 @@
 #!/usr/bin/env python
-"""Large-n smoke: a 100k-node gossip run under the paged layout, RSS-bounded.
+"""Large-n smoke: a 100k-node gossip run, RSS-bounded.
 
-CI-grade check that a 100k-node run fits a bounded footprint under the
-paged knowledge layout: runs a few push rounds (every node pushes to a
-uniform random node, as fast-gossiping's Phase I does), then a full
-synchronous push-pull exchange loop (every node calls a uniform random
-partner each round, both directions merge, the incremental
-:class:`~repro.core.completion.CompletionTracker` drives termination) at
-
-* ``n = 100000`` nodes with ``m = 8192`` messages (128 words per row —
-  rectangular on purpose: the protocols' square ``m = n`` default would make
-  each round's next-state buffer alone 1.25 GB, which is a benchmark, not a
-  smoke test), and
-* the **paged** layout forced via :func:`repro.engine.layouts.use`,
-
-then asserts three things about the process's memory:
+CI-grade check that a 100k-node run fits a bounded footprint: runs a few
+push rounds (every node pushes to a uniform random node, as
+fast-gossiping's Phase I does), then a full synchronous push-pull exchange
+loop (every node calls a uniform random partner each round, both directions
+merge, the incremental :class:`~repro.core.completion.CompletionTracker`
+drives termination) at ``n = 100000`` nodes with ``m = 8192`` messages
+(128 words per row — rectangular on purpose: the protocols' square
+``m = n`` default would make each round's next-state buffer alone 1.25 GB,
+which is a benchmark, not a smoke test), then asserts three things about
+the process's memory:
 
 * its peak RSS stayed under a ceiling (400 MB by default),
 * its peak above the RSS it had just before allocating the matrix, read
@@ -22,20 +18,21 @@ then asserts three things about the process's memory:
   matrix plus the in-place push plan plus ``ESTIMATE_TOLERANCE``: push
   rounds hold no second matrix, and
 * its peak above that start RSS over the whole run is at most
-  :func:`~repro.engine.layouts.estimate_bytes` plus ``ESTIMATE_TOLERANCE``.
+  :func:`~repro.engine.knowledge.estimate_bytes` plus ``ESTIMATE_TOLERANCE``.
 
 The two bounds hold on the compiled kernels, which they model; the NumPy
 fallback's temporaries are not modelled, so it skips them.
 
 An exchange round writes its next state into a swap buffer the size of the
-matrix, which both layouts keep between rounds (2 x 100000 x 128 x 8 =
+matrix, which the matrix keeps between rounds (2 x 100000 x 128 x 8 =
 ~205 MB).  On a 2-core x86-64 VM the push rounds peak 109 MB above the
 start RSS (1.02 x one matrix plus the plan), and the run peaks at about
-256 MB under either layout (218 MB above the start RSS, 1.05 x the 207 MB
-estimate, which leaves out the 5 MB plan).  The run itself verifies
-correctness end to end: the loop must reach completion (every node knows all 8192 messages) within the
-round cap, and the tracker's incremental verdict is cross-checked against a
-final :func:`~repro.core.completion.gossip_complete` scan.
+256 MB (218 MB above the start RSS, 1.05 x the 207 MB estimate, which
+leaves out the 5 MB plan).  The run itself verifies correctness end to
+end: the loop must reach completion (every node knows all 8192 messages)
+within the round cap, and the tracker's incremental verdict is
+cross-checked against a final :func:`~repro.core.completion.gossip_complete`
+scan.
 
 Usage::
 
@@ -56,11 +53,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from repro.core.completion import CompletionTracker, gossip_complete
-from repro.engine import backends, layouts
+from repro.engine import backends
+from repro.engine.knowledge import KnowledgeMatrix, estimate_bytes
 
 #: Allowed excess of the measured peak over ``estimate_bytes``.  Runs at
-#: n = m = 16384 measured 1.03 x the estimate under either layout name;
-#: ``tests/engine/test_layout_boundaries.py`` holds both within it.  The
+#: n = m = 16384 measured 1.03 x the estimate;
+#: ``tests/engine/test_memory_model.py`` holds the run within it.  The
 #: push rounds' bound uses the same tolerance (measured 1.01 x).
 ESTIMATE_TOLERANCE = 0.08
 
@@ -84,9 +82,6 @@ def main() -> int:
         "--messages", type=int, default=8192, help="number of original messages"
     )
     parser.add_argument(
-        "--layout", default="paged", help="knowledge layout to force"
-    )
-    parser.add_argument(
         "--ceiling-mb",
         type=float,
         default=400.0,
@@ -101,16 +96,13 @@ def main() -> int:
     n, m = args.n, args.messages
     rng = np.random.default_rng(args.seed)
     start_rss = _status_bytes("VmRSS")
-    with layouts.use(args.layout):
-        knowledge = layouts.make_knowledge(n, m)
+    knowledge = KnowledgeMatrix(n, m)
     print(
-        f"n={n} m={m} layout={type(knowledge).layout} "
-        f"({type(knowledge).__name__}), backend={backends.active().name}, "
+        f"n={n} m={m}, backend={backends.active().name}, "
         f"storage={knowledge.storage_nbytes() / 1e6:.1f}MB",
         flush=True,
     )
 
-    layout = type(knowledge).layout
     compiled = backends.active().use_compiled()
     callers = np.arange(n, dtype=np.int64)
     for _ in range(PUSH_ROUNDS):
@@ -157,13 +149,13 @@ def main() -> int:
         return 1
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    estimate = layouts.estimate_bytes(n, m)
+    estimate = estimate_bytes(n, m)
     print(
         f"complete in {rounds} rounds, {wall:.1f}s; "
         f"peak RSS {peak_mb:.1f}MB (ceiling {args.ceiling_mb:.0f}MB), "
         f"storage {knowledge.storage_nbytes() / 1e6:.1f}MB; "
         f"peak above start {above / 1e6:.1f}MB = {above / estimate:.3f} x "
-        f"{layout} estimate {estimate / 1e6:.1f}MB",
+        f"estimate {estimate / 1e6:.1f}MB",
         flush=True,
     )
     if peak_mb > args.ceiling_mb:
@@ -173,8 +165,8 @@ def main() -> int:
         print("estimate check skipped: the estimate models the compiled kernels")
     elif above > estimate * (1 + ESTIMATE_TOLERANCE):
         print(
-            f"FAIL: peak above start exceeds the {layout} estimate by more "
-            f"than {ESTIMATE_TOLERANCE:.0%}"
+            f"FAIL: peak above start exceeds the estimate by more than "
+            f"{ESTIMATE_TOLERANCE:.0%}"
         )
         return 1
     print("OK")

@@ -142,8 +142,7 @@ class WalkPool:
         All arrivals of one call are synchronous: each walk merges with the
         node's start-of-delivery knowledge, and the node accumulates the union
         of every arriving payload — one
-        :meth:`~repro.engine.knowledge.KnowledgeMatrix.merge_rows` call on
-        every storage layout.
+        :meth:`~repro.engine.knowledge.KnowledgeMatrix.merge_rows` call.
         """
         walk_ids = self._transit_ids
         dests = self._transit_dests

@@ -2,10 +2,8 @@
 
 This package provides the building blocks shared by every protocol in the
 library: deterministic randomness management (:mod:`repro.engine.rng`), packed
-bitset knowledge tracking (:mod:`repro.engine.knowledge`), the pluggable
-knowledge-storage layouts and their selection registry
-(:mod:`repro.engine.layouts`), the kernel backend
-registry that selects between NumPy, serial-C and threaded-C execution
+bitset knowledge tracking (:mod:`repro.engine.knowledge`), the kernel backend
+registry that selects between NumPy and compiled-C execution
 (:mod:`repro.engine.backends`), per-step channel bookkeeping
 (:mod:`repro.engine.channels`), communication-cost accounting
 (:mod:`repro.engine.metrics`), crash-failure plans
@@ -43,8 +41,6 @@ from .knowledge import (
     WORD_BITS,
     adaptive_knowledge,
 )
-from . import layouts
-from .layouts import PagedKnowledge
 from .metrics import MessageAccounting, PhaseTotals, TransmissionLedger
 from .rng import RandomState, derive_seed, ensure_rng, make_rng, spawn_rngs
 from .trace import RoundRecord, SpreadingTrace
@@ -70,11 +66,9 @@ __all__ = [
     "FailurePlan",
     "sample_uniform_failures",
     "KnowledgeMatrix",
-    "PagedKnowledge",
     "SingleMessageState",
     "WORD_BITS",
     "adaptive_knowledge",
-    "layouts",
     "MessageAccounting",
     "PhaseTotals",
     "TransmissionLedger",

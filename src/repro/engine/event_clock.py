@@ -6,8 +6,8 @@ clock and lets a node act alone whenever its clock rings.  The superposition
 of ``n`` rate-1 clocks is one global rate-``n`` Poisson process whose ring
 owners are i.i.d. uniform over the nodes, so the whole event stream can be
 sampled from a single generator in fixed draw order — which is what keeps
-event-clock runs bit-identical across storage layouts, kernel backends and
-thread counts at equal seeds.
+event-clock runs bit-identical across kernel backends and thread counts at
+equal seeds.
 
 **Stream discipline** (the determinism contract, pinned by
 ``tests/engine/test_event_clock.py``): events are drawn in chunks of
@@ -19,9 +19,9 @@ in exactly this order:
 2. ``rng.integers(0, n, chunk)`` — the ring owners,
 3. ``graph.sample_neighbors(owners, rng)`` — each owner's callee.
 
-Nothing downstream (liveness thinning, grouping, storage layout, kernel
-backend) touches the generator, so the sampled stream depends only on the
-seed, the graph and the chunk size.  The chunk size is part of the stream
+Nothing downstream (liveness thinning, grouping, kernel backend) touches
+the generator, so the sampled stream depends only on the seed, the graph
+and the chunk size.  The chunk size is part of the stream
 definition — numpy's ziggurat/rejection samplers consume a data-dependent
 number of raw draws, so re-chunking genuinely reorders the stream — which is
 why every production driver uses the one fixed default; the ``chunk_events``

@@ -40,10 +40,8 @@ provides :class:`SingleMessageState`, a light-weight informed/uninformed
 boolean vector used by the single-message *broadcasting* baselines in
 :mod:`repro.broadcast`.
 
-The ``paged`` tag class lives in :mod:`repro.engine.layouts` together with
-the layout registry (``REPRO_KNOWLEDGE_LAYOUT`` /
-:func:`repro.engine.layouts.use`).  Protocols construct their state through
-:func:`adaptive_knowledge`, which delegates to that registry.
+Protocols construct their state through :func:`adaptive_knowledge`, and
+:func:`estimate_bytes` is the memory model of a run.
 
 No caller outside this package may hold a raw ``data`` reference: the
 swap-form kernel exchanges the underlying buffer.  Use ``rows`` /
@@ -65,6 +63,7 @@ __all__ = [
     "SingleMessageState",
     "WORD_BITS",
     "adaptive_knowledge",
+    "estimate_bytes",
 ]
 
 #: Number of bits per storage word.
@@ -141,7 +140,7 @@ class KnowledgeMatrix:
 
     Notes
     -----
-    The contract every storage class honours:
+    The storage contract:
 
     * **Snapshot rounds.**  ``apply_transmissions`` / ``apply_exchange``
       evaluate every transmission of a batch against the same start-of-step
@@ -151,8 +150,8 @@ class KnowledgeMatrix:
       resolved by OR, which commutes — so any schedule that reads only
       start-of-step rows yields the same bits.
     * **Bit-identity.**  Given equal seeds, trajectories are bit-identical
-      across every storage class and every kernel backend.
-      ``tests/engine/test_layouts.py`` pins this.
+      across every kernel backend, shard count and SIMD level.
+      ``tests/engine/test_storage.py`` pins this.
 
     Bulk updates either mutate rows in place or — on the compiled exchange
     rounds — write the end-of-round state into a spare buffer and *swap* it
@@ -178,7 +177,7 @@ class KnowledgeMatrix:
         "_plan",
     )
 
-    #: Registry tag of the storage class (``dense`` / ``paged``).
+    #: Storage tag the benchmark checks (see :mod:`repro.engine.layouts`).
     layout = "dense"
 
     def __init__(
@@ -914,16 +913,33 @@ KnowledgeStorage = KnowledgeMatrix
 def adaptive_knowledge(
     n_nodes: int, n_messages: Optional[int] = None
 ) -> KnowledgeMatrix:
-    """The knowledge state protocols should instantiate.
+    """The knowledge state protocols should instantiate: a :class:`KnowledgeMatrix`.
 
-    Delegates to the layout registry (:mod:`repro.engine.layouts`): a plain
-    :class:`KnowledgeMatrix` unless ``REPRO_KNOWLEDGE_LAYOUT`` or a
-    per-scope :func:`repro.engine.layouts.use` override asks for the
-    ``paged`` tag.  Both produce bit-identical trajectories.
+    It is built by :func:`repro.engine.layouts.make_knowledge`, the call the
+    benchmark's tracer wraps.
     """
     from . import layouts
 
     return layouts.make_knowledge(n_nodes, n_messages)
+
+
+def estimate_bytes(n_nodes: int, n_messages: Optional[int] = None) -> int:
+    """Peak bytes of an ``n_nodes x n_messages`` problem: the memory model.
+
+    The peak of a full push–pull exchange loop, with ``w`` =
+    ``ceil(n_messages / 64)`` words per row: ``16 n w`` for the matrix and
+    its swap buffer, plus ``8 (3 n + 1)`` for the CSR offsets (``n + 1``)
+    and incoming edges (``2 n``) of a full exchange round.  Push batches
+    never allocate a second matrix, so the memory-model protocol, which only
+    pushes, peaks near one matrix.  Exchange rounds never build the in-place
+    push plan, so the model leaves it out; a run that pushes first keeps its
+    ``8 (4 n + 2 k)`` bytes resident on top.
+    ``tests/engine/test_memory_model.py`` pins the model against the
+    measured peak of the loop at n = 16384.
+    """
+    n = int(n_nodes)
+    words = _n_words(n if n_messages is None else int(n_messages))
+    return 16 * n * words + 8 * (3 * n + 1)
 
 
 class SingleMessageState:

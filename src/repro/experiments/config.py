@@ -74,18 +74,15 @@ class SizeSweepConfig:
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    """Configuration of the large-n storage-layout scale scenario.
+    """Configuration of the large-n scale scenario.
 
     Attributes
     ----------
     sizes:
         Graph sizes; the point of the scenario is large sizes, where the
         matrix and its swap buffer dominate the run's memory.
-    layouts:
-        Knowledge-storage layouts compared per size
-        (:data:`repro.engine.layouts.LAYOUTS` names).
     repetitions:
-        Independent runs per (size, layout) pair.
+        Independent runs per size.
     seed:
         Base seed; all runs derive their seeds deterministically from it.
     protocol:
@@ -99,7 +96,6 @@ class ScaleConfig:
     """
 
     sizes: Tuple[int, ...] = (4096, 16384)
-    layouts: Tuple[str, ...] = ("dense", "paged")
     repetitions: int = 1
     seed: Optional[int] = 20150525
     protocol: str = "push-pull"
@@ -113,8 +109,8 @@ class ScaleConfig:
 
     @classmethod
     def paper_scale(cls) -> "ScaleConfig":
-        """The n >= 100k regime (slow, memory-heavy)."""
-        return cls(sizes=(50_000, 100_000), layouts=("paged",))
+        """Sizes 50k and 100k (slow, memory-heavy)."""
+        return cls(sizes=(50_000, 100_000))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from ..core.parameters import (
 )
 from ..core.push_pull import PushPullGossip
 from ..core.push_sum import PushSumGossip, PushSumParameters
-from ..engine import layouts
+from ..core.results import GossipResult
 from ..engine.event_clock import sample_churn_plan
 from ..engine.failures import NO_FAILURES, sample_uniform_failures
 from ..engine.metrics import MessageAccounting
@@ -50,6 +50,7 @@ __all__ = [
     "PROTOCOL_NAMES",
     "ALL_PROTOCOL_NAMES",
     "make_protocol",
+    "run_gossip",
     "gossip_task",
     "robustness_task",
     "push_sum_task",
@@ -115,14 +116,11 @@ def make_protocol(
 # --------------------------------------------------------------------------- #
 # Task functions (module level so they are picklable for process pools)
 # --------------------------------------------------------------------------- #
-def gossip_task(task: SweepTask) -> Dict[str, Any]:
-    """Run one gossiping protocol once; used by the size/density sweeps.
+def run_gossip(task: SweepTask) -> Tuple[Dict[str, Any], GossipResult]:
+    """Run one gossiping protocol once; return its sweep record and result.
 
-    Expected task params: ``graph_spec`` (dict), ``protocol`` (name),
-    optional ``protocol_options`` (dict) and optional ``knowledge_layout``
-    (a :data:`repro.engine.layouts.LAYOUTS` name forced for the run via
-    :func:`repro.engine.layouts.use`; trajectories are layout-invariant, so
-    this only affects memory/speed — used by the large-n scale scenario).
+    Expected task params: ``graph_spec`` (dict), ``protocol`` (name) and
+    optional ``protocol_options`` (dict).
     """
     params = task.params
     spec = GraphSpec.from_dict(params["graph_spec"])
@@ -130,12 +128,7 @@ def gossip_task(task: SweepTask) -> Dict[str, Any]:
     protocol = make_protocol(
         params["protocol"], protocol_options=params.get("protocol_options")
     )
-    layout = params.get("knowledge_layout")
-    if layout is not None:
-        with layouts.use(layout):
-            result = protocol.run(graph, rng=task.seed + 1)
-    else:
-        result = protocol.run(graph, rng=task.seed + 1)
+    result = protocol.run(graph, rng=task.seed + 1)
     record = {
         "n": spec.n,
         "graph": spec.describe(),
@@ -149,11 +142,12 @@ def gossip_task(task: SweepTask) -> Dict[str, Any]:
             MessageAccounting.OPENS_AND_PACKETS
         ),
     }
-    if layout is not None:
-        record["knowledge_layout"] = layout
-        record["storage_class"] = type(result.knowledge).__name__
-        record["storage_mb"] = round(result.knowledge.storage_nbytes() / 1e6, 1)
-    return record
+    return record, result
+
+
+def gossip_task(task: SweepTask) -> Dict[str, Any]:
+    """The :func:`run_gossip` record; the task of the size/density sweeps."""
+    return run_gossip(task)[0]
 
 
 def robustness_task(task: SweepTask) -> Dict[str, Any]:
@@ -208,10 +202,10 @@ def push_sum_task(task: SweepTask) -> Dict[str, Any]:
     """Run push-sum averaging once under a configured clock.
 
     Expected task params: ``graph_spec`` (dict), ``clock`` (``"sync"`` /
-    ``"event"``), ``base_seed`` and optional ``tolerance``.  Like
-    ``scale_task``, the simulation seed derives from the size alone (not the
-    configuration key, which includes the clock), so both clocks run the
-    same graph and their convergence behaviour is directly comparable.
+    ``"event"``), ``base_seed`` and optional ``tolerance``.  The simulation
+    seed derives from the size alone (not the configuration key, which
+    includes the clock), so both clocks run the same graph and their
+    convergence behaviour is directly comparable.
     """
     params = task.params
     spec = GraphSpec.from_dict(params["graph_spec"])
@@ -248,7 +242,7 @@ def churn_task(task: SweepTask) -> Dict[str, Any]:
     """Run event-clock push-pull with seeded join/leave churn.
 
     Expected task params: ``graph_spec`` (dict), ``churn_fraction`` (float),
-    ``rejoin_fraction`` (float) and optional ``knowledge_layout``.
+    ``rejoin_fraction`` (float).
     """
     params = task.params
     spec = GraphSpec.from_dict(params["graph_spec"])
@@ -266,12 +260,7 @@ def churn_task(task: SweepTask) -> Dict[str, Any]:
             horizon=protocol.params.max_events(spec.n) // 4,
             rejoin_fraction=float(params.get("rejoin_fraction", 0.5)),
         )
-    layout = params.get("knowledge_layout")
-    if layout is not None:
-        with layouts.use(layout):
-            result = protocol.run(graph, rng=task.seed + 1, churn=plan)
-    else:
-        result = protocol.run(graph, rng=task.seed + 1, churn=plan)
+    result = protocol.run(graph, rng=task.seed + 1, churn=plan)
     extras = result.extras
     return {
         "n": spec.n,

@@ -37,13 +37,10 @@ def env_task(task: SweepTask) -> dict:
 
 
 def execution_task(task: SweepTask) -> dict:
-    """Module-level task reporting the worker's backend and layout."""
-    from repro.engine import backends, layouts
+    """Module-level task reporting the worker's backend."""
+    from repro.engine import backends
 
-    return {
-        "backend": backends.active().describe()["name"],
-        "layout": layouts.resolve_layout(),
-    }
+    return {"backend": backends.active().describe()["name"]}
 
 
 class TestExpandGrid:
@@ -200,18 +197,17 @@ class TestSchedulerHooks:
 
     @pytest.mark.skipif(os.cpu_count() is None or os.cpu_count() < 2, reason="needs >=2 CPUs")
     def test_scoped_overrides_reach_spawned_workers(self, monkeypatch):
-        """``backends.use`` / ``layouts.use`` in the parent hold in workers
-        that do not inherit its memory (the ``spawn`` start method)."""
-        from repro.engine import backends, layouts
+        """``backends.use`` in the parent holds in workers that do not
+        inherit its memory (the ``spawn`` start method)."""
+        from repro.engine import backends
 
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "dense")
         tasks = expand_grid([(i, {}) for i in range(2)], repetitions=1, base_seed=9)
         previous = multiprocessing.get_start_method(allow_none=True)
         multiprocessing.set_start_method("spawn", force=True)
         try:
-            with backends.use("numpy"), layouts.use("paged"):
+            with backends.use("numpy"):
                 records = run_sweep(execution_task, tasks, n_jobs=2)
         finally:
             multiprocessing.set_start_method(previous, force=True)
-        assert [(r["backend"], r["layout"]) for r in records] == [("numpy", "paged")] * 2
+        assert [r["backend"] for r in records] == ["numpy"] * 2

@@ -1,8 +1,10 @@
 """Tests for repro.core.memory_gossiping (Algorithm 2).
 
 Besides whole runs, :class:`TestPerGroupReplay` pins the Phase II/III
-replay: each recorded step group as one batch on every storage class, and
-the saturation-filtered broadcast helper against the unfiltered replay.
+replay: each recorded step group as one batch, and the saturation-filtered
+broadcast helper against the unfiltered replay, on NumPy and on the
+compiled kernels serial or sharded, with the last word of a row whole or
+ragged.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from repro.core import (
     tuned_memory_gossiping,
 )
 from repro.core.memory_gossiping import _broadcast_group
-from repro.engine import MessageAccounting, _ckernel, sample_uniform_failures
+from repro.engine import MessageAccounting, _ckernel, backends, sample_uniform_failures
 from repro.engine.knowledge import KnowledgeMatrix
-from repro.engine.layouts import PagedKnowledge
 from repro.graphs import complete_graph
 
 
@@ -341,36 +342,35 @@ class TestPeakAboveTheGraph:
         assert report["rise"] <= self.BOUND, report
 
 
-@pytest.fixture(params=["compiled", "numpy"])
+@pytest.fixture(params=["compiled", "threads", "numpy"])
 def kernel_path(request, monkeypatch):
+    """The compiled kernels as installed, or forced to two shards on every
+    batch however small, or NumPy."""
     if request.param == "numpy":
         monkeypatch.setattr(_ckernel, "_LIB", None)
-    elif not _ckernel.available():
+        yield request.param
+        return
+    if not _ckernel.available():
         pytest.skip("compiled kernel unavailable on this machine")
-    return request.param
-
-
-#: The storage classes a memory-model replay can run on.
-REPLAY_STORAGES = {
-    "dense": KnowledgeMatrix,
-    "paged": PagedKnowledge,
-}
+    if request.param == "threads":
+        with backends.use(backends.CBackend(max_threads=2, shard_work=1)):
+            yield request.param
+        return
+    yield request.param
 
 
 class TestPerGroupReplay:
     """The memory model replays each recorded step group as one batch.
 
-    Every storage class must match a per-edge reference that snapshots the
-    group's sender rows before any write, and the saturation-filtered
-    broadcast helper must match the unfiltered replay bit for bit.
+    The replay must match a per-edge reference that snapshots the group's
+    sender rows before any write, and the saturation-filtered broadcast
+    helper must match the unfiltered replay bit for bit.
     """
 
-    #: 10 words per row.
-    N = 640
-
-    @pytest.fixture(params=list(REPLAY_STORAGES))
-    def storage(self, request):
-        return REPLAY_STORAGES[request.param]
+    @pytest.fixture(params=[640, 601])
+    def n(self, request):
+        """Nodes (and messages): 10 words per row, the last one whole or ragged."""
+        return request.param
 
     @staticmethod
     def as_groups(*pairs):
@@ -405,43 +405,42 @@ class TestPerGroupReplay:
         ]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_group_sequences_match_sequential(self, kernel_path, storage, seed):
+    def test_random_group_sequences_match_sequential(self, kernel_path, n, seed):
         rng = np.random.default_rng(600 + seed)
-        groups = self.random_groups(rng, self.N, 25, 40)
-        state = self.replay(storage(self.N), groups)
-        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+        groups = self.random_groups(rng, n, 25, 40)
+        state = self.replay(KnowledgeMatrix(n), groups)
+        assert np.array_equal(state.data, self.reference_replay(n, groups))
 
-    def test_many_edges_into_one_node_then_it_sends(self, kernel_path, storage):
+    def test_many_edges_into_one_node_then_it_sends(self, kernel_path, n):
         groups = self.as_groups((list(range(100, 300)), [0] * 200), ([0], [1]))
-        state = self.replay(storage(self.N), groups)
-        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+        state = self.replay(KnowledgeMatrix(n), groups)
+        assert np.array_equal(state.data, self.reference_replay(n, groups))
         assert state.known_messages(1).tolist() == [0, 1] + list(range(100, 300))
 
-    def test_sender_that_also_receives_forwards_its_start_row(self, kernel_path, storage):
+    def test_sender_that_also_receives_forwards_its_start_row(self, kernel_path, n):
         # Node 1 receives from 0 and sends to 2 in the same group: 2 gets
         # only 1's start-of-group row.  The next group relays message 0.
         groups = self.as_groups(([0, 1], [1, 2]), ([1], [2]))
-        state = self.replay(storage(self.N), groups[:1])
+        state = self.replay(KnowledgeMatrix(n), groups[:1])
         assert state.known_messages(2).tolist() == [1, 2]
         self.replay(state, groups[1:])
         assert state.known_messages(2).tolist() == [0, 1, 2]
-        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+        assert np.array_equal(state.data, self.reference_replay(n, groups))
 
-    def test_duplicate_receivers_accumulate(self, kernel_path, storage):
+    def test_duplicate_receivers_accumulate(self, kernel_path, n):
         groups = self.as_groups(([7, 8, 9, 7], [5, 5, 5, 5]))
-        state = self.replay(storage(self.N), groups)
+        state = self.replay(KnowledgeMatrix(n), groups)
         assert state.known_messages(5).tolist() == [5, 7, 8, 9]
-        assert np.array_equal(state.data, self.reference_replay(self.N, groups))
+        assert np.array_equal(state.data, self.reference_replay(n, groups))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_filtered_broadcast_matches_unfiltered(self, kernel_path, storage, seed):
+    def test_filtered_broadcast_matches_unfiltered(self, kernel_path, n, seed):
         rng = np.random.default_rng(700 + seed)
-        n = self.N
         groups = self.random_groups(rng, n, 30, 60)
         # A root that knows everything, as after the gather phase; every
         # row is a subset of the full mask, which the filter relies on.
-        full = storage(n).full_row_mask()
-        plain, filtered = storage(n), storage(n)
+        full = KnowledgeMatrix(n).full_row_mask()
+        plain, filtered = KnowledgeMatrix(n), KnowledgeMatrix(n)
         for state in (plain, filtered):
             state.assign_rows(np.asarray([0, 3], dtype=np.int64), full)
         groups.insert(0, self.as_groups(([0] * 8, rng.integers(0, n, 8)))[0])
@@ -456,8 +455,8 @@ class TestPerGroupReplay:
         # ``complete`` marks only rows that really are complete.
         assert not plain.count_missing(full, np.flatnonzero(complete)).any()
 
-    def test_empty_groups_are_skipped(self, kernel_path, storage):
-        state = storage(5)
+    def test_empty_groups_are_skipped(self, kernel_path):
+        state = KnowledgeMatrix(5)
         empty = np.zeros(0, dtype=np.int64)
         complete = np.zeros(5, dtype=bool)
         _broadcast_group(state, empty, empty, None, None)

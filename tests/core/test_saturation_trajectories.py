@@ -27,14 +27,6 @@ from repro.engine.knowledge import KnowledgeMatrix
 from repro.graphs import paper_edge_probability
 
 
-@pytest.fixture(autouse=True)
-def _dense_layout(monkeypatch):
-    # These pins target the dense driver shortcuts (the block layouts ignore
-    # the fused kwargs and have their own filter path); neutralize any forced
-    # storage layout from the surrounding CI environment.
-    monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "dense")
-
-
 def _graph(n, rng):
     return erdos_renyi(n, paper_edge_probability(n), rng=rng, require_connected=True)
 

@@ -2,15 +2,15 @@
 
 The contract (module docstring of :mod:`repro.engine.event_clock`):
 
-* the event stream is a pure function of (seed, graph) — chunk size, storage
-  layout and kernel backend never touch the generator,
+* the event stream is a pure function of (seed, graph) — chunk size and
+  kernel backend never touch the generator,
 * groups are maximal non-colliding prefixes: all ``2k`` endpoints pairwise
   distinct, callers sorted (the ``apply_exchange`` precondition),
 * batched group application is bit-identical to applying the wakeups one at
   a time (pinned here against a sequential replay, and on random event lists
   by ``tests/harness/``),
-* whole event-clock runs are bit-identical across every storage layout and
-  kernel backend at equal seeds,
+* whole event-clock runs are bit-identical across every kernel backend at
+  equal seeds,
 * churn plans are seeded data; membership only changes at forced group
   boundaries and dead nodes are thinned from the stream.
 """
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import PushPullGossip, PushPullParameters
-from repro.engine import _ckernel, backends, layouts
+from repro.engine import _ckernel, backends
 from repro.engine.event_clock import (
     ChurnPlan,
     EventScheduler,
@@ -285,9 +285,8 @@ class TestBatchedEqualsSequential:
 
 
 class TestWholeRunParity:
-    """Event-clock runs are bit-identical across layouts and backends."""
+    """Event-clock runs are bit-identical across backends."""
 
-    LAYOUT_NAMES = ("dense", "paged")
     #: NumPy, the compiled kernels on one thread, and the compiled kernels
     #: forced to two shards on every batch.
     BACKENDS = {
@@ -296,8 +295,8 @@ class TestWholeRunParity:
         "c-sharded": backends.CBackend(max_threads=2, shard_work=1),
     }
 
-    def _fingerprint(self, graph, layout, backend):
-        with backends.use(self.BACKENDS[backend]), layouts.use(layout):
+    def _fingerprint(self, graph, backend):
+        with backends.use(self.BACKENDS[backend]):
             result = PushPullGossip(PushPullParameters(clock="event")).run(
                 graph, rng=42
             )
@@ -309,15 +308,13 @@ class TestWholeRunParity:
             result.extras["sim_time"],
         )
 
-    def test_bit_identical_across_layouts_and_backends(self, graph):
-        reference = self._fingerprint(graph, "dense", "numpy")
+    def test_bit_identical_across_backends(self, graph):
+        reference = self._fingerprint(graph, "numpy")
         compiled = _ckernel.available()
-        for layout in self.LAYOUT_NAMES:
-            for backend in self.BACKENDS:
-                if backend != "numpy" and not compiled:
-                    continue
-                got = self._fingerprint(graph, layout, backend)
-                assert got == reference, f"{layout}/{backend}"
+        for backend in self.BACKENDS:
+            if backend != "numpy" and not compiled:
+                continue
+            assert self._fingerprint(graph, backend) == reference, backend
 
     @pytest.mark.parametrize("backend", list(BACKENDS))
     def test_event_groups_never_build_the_swap_buffer(self, backend):

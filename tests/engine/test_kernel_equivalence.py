@@ -28,7 +28,6 @@ from repro.core.completion import CompletionTracker, gossip_complete
 from repro.core.random_walks import WalkPool
 from repro.engine import _ckernel, backends
 from repro.engine.knowledge import KnowledgeMatrix
-from repro.engine.layouts import PagedKnowledge
 
 
 def reference_apply(data: np.ndarray, senders, receivers, snapshot) -> None:
@@ -114,17 +113,18 @@ class TestApplyTransmissionsEquivalence:
     def test_in_place_write_order(self, threads, words):
         """Compiled push batches whose write order is hard to get right.
 
-        Both storage classes apply every compiled push batch in place; each
-        shape runs over all nodes and over a fifth of them.  Each shape runs
+        Every compiled push batch is applied in place; each shape runs over
+        all nodes and over a fifth of them.  Each shape runs
         in its own and in reversed edge order, so a chain gives a DFS as
-        deep as the chain once each way.  The batches run back to back on the same states,
-        each from fresh sparse rows, so every one starts from a clean plan.
+        deep as the chain once each way.  The batches run back to back on the
+        same state, each from fresh sparse rows, so every one starts from a
+        clean plan.
         """
         if not _ckernel.available():
             pytest.skip("compiled kernel unavailable on this machine")
         n = 150
         rng = np.random.default_rng(2200 + words)
-        states = [KnowledgeMatrix(n, 64 * words), PagedKnowledge(n, 64 * words)]
+        state = KnowledgeMatrix(n, 64 * words)
 
         def shapes(p):
             m = p.size
@@ -153,13 +153,11 @@ class TestApplyTransmissionsEquivalence:
                         start &= rng.integers(0, 2**63, (n, words), dtype=np.uint64)
                         ref = start.copy()
                         reference_apply(ref, s, r, start)
-                        for state in states:
-                            state.data[...] = start
-                            state.apply_transmissions(s, r)
-                            assert np.array_equal(state.data, ref), (
-                                f"{type(state).__name__}: {name} over "
-                                f"{p.size} nodes, order {order}"
-                            )
+                        state.data[...] = start
+                        state.apply_transmissions(s, r)
+                        assert np.array_equal(state.data, ref), (
+                            f"{name} over {p.size} nodes, order {order}"
+                        )
 
 
 class TestApplyExchangeEquivalence:

@@ -17,7 +17,8 @@ Shapes are chosen to hit the awkward cases:
   ``r * words * 8``, so e.g. 7-word rows never repeat the 32/64-byte
   alignment of row 0 and the kernels must use unaligned loads throughout;
 * partially-filled last words (``n_messages`` not a multiple of 64)
-  exercise the tail masks of the popcount kernels.
+  exercise the tail masks of the popcount kernels;
+* two node counts, odd and even, split the sharded batches differently.
 
 These small matrices take the same kernels as production-size runs: the
 in-place push, and the one swap-form exchange kernel with and without the
@@ -33,7 +34,7 @@ import pytest
 
 from repro.core.completion import CompletionTracker
 from repro.engine import _ckernel, backends
-from repro.engine import KnowledgeMatrix, PagedKnowledge
+from repro.engine import KnowledgeMatrix
 
 pytestmark = pytest.mark.skipif(
     not _ckernel.available(), reason="no compiled kernel"
@@ -41,8 +42,6 @@ pytestmark = pytest.mark.skipif(
 
 #: Word counts straddling the 256/512-bit vector widths.
 WORD_COUNTS = (1, 7, 63, 64, 65, 127, 128)
-
-LAYOUTS = ("dense", "paged")
 
 #: The compiled kernels on one thread, and forced to two shards on every
 #: batch — the sharded scatter runs on the same SIMD row primitives.
@@ -52,18 +51,16 @@ BACKENDS = {
 }
 
 
+#: Node counts of the replayed states: odd (33) and even (80).
+NODE_COUNTS = (33, 80)
+
+
 def _n_messages(words: int) -> int:
     """A message count occupying exactly ``words`` words, ragged tail when odd."""
     return 64 * words - (17 if words % 2 else 0)
 
 
-def _make(layout: str, n: int, m: int):
-    if layout == "dense":
-        return KnowledgeMatrix(n, m)
-    return PagedKnowledge(n, m)
-
-
-def _trajectory(layout: str, words: int, seed: int) -> list:
+def _trajectory(words: int, seed: int, n: int) -> list:
     """Replay a fixed seeded op sequence; return everything observable.
 
     The sequence walks every kernel family: a dense transmission round and
@@ -74,9 +71,8 @@ def _trajectory(layout: str, words: int, seed: int) -> list:
     scatter kernel).
     """
     rng = np.random.default_rng(seed)
-    n = 33
     m = _n_messages(words)
-    storage = _make(layout, n, m)
+    storage = KnowledgeMatrix(n, m)
     everyone = np.arange(n, dtype=np.int64)
     out = []
 
@@ -127,7 +123,7 @@ def _trajectory(layout: str, words: int, seed: int) -> list:
         deficit_mask=tracker.mask,
         deficits_out=tracker.deficits,
     )
-    # On every layout the filtered swap kernel takes it and fuses the recount.
+    # The filtered swap kernel takes it and fuses the recount.
     assert storage.fused_deficits
     tracker.refresh()
     out.append(np.sort(np.asarray(promoted)).tobytes())
@@ -207,9 +203,9 @@ def test_trajectories_reach_every_knowledge_kernel(monkeypatch):
 
     monkeypatch.setattr(KnowledgeMatrix, "apply_exchange", tracked)
     with backends.use(BACKENDS["c"]):
-        for layout in LAYOUTS:
+        for n in NODE_COUNTS:
             for words in WORD_COUNTS:
-                _trajectory(layout, words, seed=words * 101)
+                _trajectory(words, seed=words * 101, n=n)
     assert {name for _, name in calls} == set(KNOWLEDGE_KERNELS)
     # Both branches of the filtered exchange, and the unfiltered swap form.
     assert calls["filtered", "exchange"] > 0
@@ -218,9 +214,9 @@ def test_trajectories_reach_every_knowledge_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("backend", list(BACKENDS))
-@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("n", NODE_COUNTS)
 @pytest.mark.parametrize("words", WORD_COUNTS)
-def test_all_levels_bit_identical(words, layout, backend):
+def test_all_levels_bit_identical(words, n, backend):
     if _ckernel.simd_detected() == 0:
         pytest.skip("CPU supports no SIMD level beyond scalar")
     original = _ckernel.simd_active()
@@ -229,15 +225,14 @@ def test_all_levels_bit_identical(words, layout, backend):
             reference = None
             for level in range(_ckernel.simd_detected() + 1):
                 assert _ckernel.set_simd_level(level) == level
-                got = _trajectory(layout, words, seed=words * 101)
+                got = _trajectory(words, seed=words * 101, n=n)
                 if reference is None:
                     reference = got
                 elif got != reference:
                     bad = [i for i, (a, b) in enumerate(zip(reference, got)) if a != b]
                     pytest.fail(
                         f"{_ckernel.simd_name(level)} diverged from scalar on "
-                        f"layout={layout} words={words} "
-                        f"backend={backend} at observation(s) {bad}"
+                        f"words={words} n={n} backend={backend} at observation(s) {bad}"
                     )
     finally:
         _ckernel.set_simd_level(original)

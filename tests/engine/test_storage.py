@@ -1,45 +1,42 @@
-"""Cross-layout equivalence tests for the pluggable knowledge storage.
+"""Storage-contract tests for the knowledge matrix.
 
 The storage contract (:class:`repro.engine.knowledge.KnowledgeMatrix`) is
-that every storage class — dense :class:`KnowledgeMatrix` and
-:class:`PagedKnowledge`, the matrix whose push rounds never allocate a
-second matrix — produces **bit-identical trajectories** at every size where
-dense fits.  The per-layout checks build one state per name the registry
-accepts (``auto``, ``dense``, ``paged``), so whatever ``auto`` builds, the
-storage every run gets unless a layout is forced, meets the same contract.
-These tests pin that contract:
+that every kernel path produces **bit-identical trajectories**.  These tests
+pin it:
 
 * randomized batch operations (``apply_transmissions``, ``apply_exchange``
-  with the saturation filter, ``scatter_rows``, element mutators) against
-  the dense reference on the compiled serial, compiled sharded and
-  pure-NumPy kernel paths,
-* ``merge_rows`` on every storage class and backend against a per-pair
-  reference,
-* paged rounds on every kernel branch they take — the push batch, the
-  exchange, and a filtered exchange with promotions on both its swap and
-  its gather/scatter branch — plus when the swap buffer exists: never for a
-  push batch or a whole memory-model run on either class, and kept and
-  reused across exchange rounds,
-* ``count_missing`` for every layout pinned to the plain masked scan,
+  with the saturation filter, ``scatter_rows``, element mutators) on the
+  compiled serial, compiled sharded and pure-NumPy kernel paths against a
+  reference replayed on NumPy,
+* ``merge_rows`` on every backend against a per-pair reference, at one,
+  twelve and thirteen words per row,
+* out-of-range ids (as ``int64`` or ``int32`` arrays, Python lists or
+  scalars) and wrongly shaped arguments (on states with as many, fewer and
+  more words than nodes), which raise before anything is written,
+* ``count_missing`` pinned to the plain masked scan,
 * ``copy`` keeping the storage class and everything a later round reads,
-* whole-protocol trajectory parity across the full layout x backend matrix
-  (dense / paged x numpy / c at one thread / c sharded),
-* the selection registry (env var, ``use`` scope, explicit argument),
-* a sweep interrupted under the dense layout and resumed under the paged
-  layout, which must be bit-identical to an uninterrupted dense run.
+  at one word per row, a ragged seven and forty,
+* rounds on every kernel branch they take — the push batch, the exchange,
+  and a filtered exchange with promotions on both its swap and its
+  gather/scatter branch — plus when the swap buffer exists: never for a
+  push batch or a whole memory-model run, and kept and reused across
+  exchange rounds,
+* whole-protocol trajectory parity across the backends (numpy / c at one
+  thread / c sharded),
+* the benchmark's storage tag hook (:mod:`repro.engine.layouts`),
+* a sweep interrupted on one backend and resumed on another, which must be
+  bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
 
-import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.engine import _ckernel, backends, layouts
+from repro.engine import _ckernel, backends
 from repro.engine.knowledge import KnowledgeMatrix
-from repro.engine.layouts import PagedKnowledge
 
 
 #: The compiled kernels on one thread, and forced to two shards on every
@@ -72,17 +69,10 @@ def kernel_path(request, monkeypatch):
 SIZES = (15, 16, 17, 53)
 
 
-#: Every layout name the registry accepts, as a constructor taking
-#: ``(n_nodes, n_messages=None)``.
-STORAGE_LAYOUTS = {
-    name: functools.partial(layouts.make_knowledge, layout=name)
-    for name in layouts.LAYOUTS
-}
-
-
-def make_layouts(n, n_messages=None):
-    """One instance of every layout."""
-    return {name: make(n, n_messages) for name, make in STORAGE_LAYOUTS.items()}
+def on_numpy(op, state):
+    """``op(state)`` on the NumPy kernels: the reference side of a test."""
+    with backends.use(backends.NumpyBackend()):
+        return op(state)
 
 
 def random_batch(rng, n, size):
@@ -92,123 +82,105 @@ def random_batch(rng, n, size):
 
 
 class TestUnitEquivalence:
-    """Randomized storage operations match the dense reference bit-for-bit."""
+    """Randomized storage operations match the NumPy reference bit-for-bit."""
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("seed", range(3))
     def test_apply_transmissions(self, kernel_path, n, seed):
         rng = np.random.default_rng(seed)
-        instances = make_layouts(n)
+        store, reference = KnowledgeMatrix(n), KnowledgeMatrix(n)
         for _ in range(4):
             senders, receivers = random_batch(rng, n, int(rng.integers(1, 3 * n)))
-            for store in instances.values():
-                store.apply_transmissions(senders, receivers)
-        reference = instances["dense"]
-        for name, store in instances.items():
-            assert store == reference, f"layout {name} diverged"
-            assert store.fingerprint() == reference.fingerprint()
+            store.apply_transmissions(senders, receivers)
+            on_numpy(lambda s: s.apply_transmissions(senders, receivers), reference)
+        assert store == reference
+        assert store.fingerprint() == reference.fingerprint()
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("seed", range(3))
     def test_apply_exchange_with_saturation(self, kernel_path, n, seed):
         rng = np.random.default_rng(100 + seed)
-        instances = make_layouts(n)
-        complete_row = instances["dense"].full_row_mask()
+        store, reference = KnowledgeMatrix(n), KnowledgeMatrix(n)
+        complete_row = store.full_row_mask()
+        everyone = np.arange(n, dtype=np.int64)
         for _ in range(6):
             # Callers must be sorted and unique (one outgoing channel per
             # node — the dense pull path relies on it); targets may repeat.
             k = int(rng.integers(1, n))
             callers = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
             targets = rng.integers(0, n, k).astype(np.int64)
-            # Recompute saturation per layout from its own state: identical
+
+            # Saturation is recomputed per state from its own rows: identical
             # states must produce identical filters.
-            results = {}
-            for name, store in instances.items():
-                complete = (
-                    store.count_missing(
-                        complete_row, np.arange(n, dtype=np.int64)
-                    )
-                    == 0
+            def step(state):
+                complete = state.count_missing(complete_row, everyone) == 0
+                return state.apply_exchange(
+                    callers, targets, complete=complete, complete_row=complete_row
                 )
-                results[name] = store.apply_exchange(
-                    callers,
-                    targets,
-                    complete=complete,
-                    complete_row=complete_row,
-                )
-            # ``touched`` is a multiset whose duplication is layout-specific
-            # (the contract allows duplicates; the tracker dedups), so compare
-            # the deduplicated sets.
-            ref_touched, ref_promoted = results["dense"]
-            for name, (touched, promoted) in results.items():
-                assert np.array_equal(np.unique(touched), np.unique(ref_touched))
-                assert np.array_equal(np.sort(promoted), np.sort(ref_promoted))
-        reference = instances["dense"]
-        for name, store in instances.items():
-            assert store == reference, f"layout {name} diverged"
+
+            touched, promoted = step(store)
+            ref_touched, ref_promoted = on_numpy(step, reference)
+            # ``touched`` is a multiset whose duplication depends on the
+            # kernel path (the contract allows duplicates; the tracker
+            # dedups), so compare the deduplicated sets.
+            assert np.array_equal(np.unique(touched), np.unique(ref_touched))
+            assert np.array_equal(np.sort(promoted), np.sort(ref_promoted))
+        assert store == reference
 
     @pytest.mark.parametrize("n", SIZES)
     def test_scatter_rows_external_source(self, kernel_path, n):
         rng = np.random.default_rng(7)
-        instances = make_layouts(n)
-        words = instances["dense"].words
-        pool = rng.integers(0, 2**63, size=(8, words), dtype=np.uint64)
+        store, reference = KnowledgeMatrix(n), KnowledgeMatrix(n)
+        pool = rng.integers(0, 2**63, size=(8, store.words), dtype=np.uint64)
         src_idx = rng.integers(0, 8, 3 * n).astype(np.int64)
         receivers = rng.integers(0, n, 3 * n).astype(np.int64)
-        for store in instances.values():
-            store.scatter_rows(pool, src_idx, receivers)
-        reference = instances["dense"]
-        for name, store in instances.items():
-            assert store == reference, f"layout {name} diverged"
+        store.scatter_rows(pool, src_idx, receivers)
+        on_numpy(lambda s: s.scatter_rows(pool, src_idx, receivers), reference)
+        assert store == reference
 
     @pytest.mark.parametrize("n", SIZES)
     def test_element_mutators(self, kernel_path, n):
         rng = np.random.default_rng(13)
-        instances = make_layouts(n)
-        words = instances["dense"].words
+        store, reference = KnowledgeMatrix(n), KnowledgeMatrix(n)
         nodes = rng.integers(0, n, 10).astype(np.int64)
         message = int(rng.integers(0, n))
-        extra_row = rng.integers(0, 2**63, size=words, dtype=np.uint64)
-        for store in instances.values():
-            store.add(int(nodes[0]), message)
-            store.add_many(nodes, message)
-            store.scatter_rows(extra_row[None], [0], [int(nodes[1])])
-            store.apply_transmissions([int(nodes[1])], [int(nodes[2])])
-        reference = instances["dense"]
-        for name, store in instances.items():
-            assert store == reference, f"layout {name} diverged"
-            assert store.total_known() == reference.total_known()
-            assert np.array_equal(store.counts(), reference.counts())
+        extra_row = rng.integers(0, 2**63, size=store.words, dtype=np.uint64)
+
+        def mutate(state):
+            state.add(int(nodes[0]), message)
+            state.add_many(nodes, message)
+            state.scatter_rows(extra_row[None], [0], [int(nodes[1])])
+            state.apply_transmissions([int(nodes[1])], [int(nodes[2])])
+
+        mutate(store)
+        on_numpy(mutate, reference)
+        assert store == reference
+        assert store.total_known() == reference.total_known()
+        assert np.array_equal(store.counts(), reference.counts())
 
     @pytest.mark.parametrize("n", SIZES)
     def test_row_queries_and_data_property(self, kernel_path, n):
         rng = np.random.default_rng(17)
-        instances = make_layouts(n)
+        store, reference = KnowledgeMatrix(n), KnowledgeMatrix(n)
         for _ in range(3):
             senders, receivers = random_batch(rng, n, 2 * n)
-            for store in instances.values():
-                store.apply_transmissions(senders, receivers)
-        reference = instances["dense"].data
+            store.apply_transmissions(senders, receivers)
+            on_numpy(lambda s: s.apply_transmissions(senders, receivers), reference)
+        want = reference.data
         probe = rng.integers(0, n, 5).astype(np.int64)
-        for store in instances.values():
-            assert np.array_equal(store.data, reference)
-            assert np.array_equal(store.rows(probe), reference[probe])
-            assert np.array_equal(store.rows([probe[0]])[0], reference[probe[0]])
-            assert np.array_equal(
-                store.known_messages(int(probe[1])),
-                np.flatnonzero(
-                    np.unpackbits(
-                        reference[probe[1]].view(np.uint8), bitorder="little"
-                    )
-                ),
-            )
+        assert np.array_equal(store.data, want)
+        assert np.array_equal(store.rows(probe), want[probe])
+        assert np.array_equal(store.rows([probe[0]])[0], want[probe[0]])
+        assert np.array_equal(
+            store.known_messages(int(probe[1])),
+            np.flatnonzero(np.unpackbits(want[probe[1]].view(np.uint8), bitorder="little")),
+        )
 
-    @pytest.mark.parametrize("layout", list(STORAGE_LAYOUTS))
-    def test_copy_is_independent(self, kernel_path, layout):
+    # 40 words per row, one word, and 7 words with a ragged last word.
+    @pytest.mark.parametrize("n,m", [(40, 64 * 40), (40, 40), (33, 64 * 7 - 17)])
+    def test_copy_is_independent(self, kernel_path, n, m):
         """A copy keeps its class and evolves exactly like the original."""
-        # 40 words per row.
-        n, m = 40, 64 * 40
-        store = STORAGE_LAYOUTS[layout](n, m)
+        store = KnowledgeMatrix(n, m)
         rng = np.random.default_rng(23)
         for node, message in zip(rng.integers(0, n, 60), rng.integers(0, m, 60)):
             store.add(int(node), int(message))
@@ -223,7 +195,7 @@ class TestUnitEquivalence:
         assert clone.fingerprint() == store.fingerprint()
         message = int(store.missing_messages_at(0)[0])
         clone.add(0, message)
-        assert not store.knows(0, message), f"layout {layout} copy aliases storage"
+        assert not store.knows(0, message), "copy aliases storage"
 
 
 #: Backends ``merge_rows`` and the id checks are pinned under: NumPy, the
@@ -259,12 +231,14 @@ class TestMergeRows:
             state[node] |= union
         return state, external
 
-    @pytest.mark.parametrize("layout", list(STORAGE_LAYOUTS))
+    # Message counts giving one word per row, twelve (whole vectors at
+    # both SIMD widths) and thirteen with a ragged last word.
+    @pytest.mark.parametrize("n_messages", [53, 64 * 12, 64 * 13 - 41])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_per_pair_reference(self, backend, layout, seed):
+    def test_matches_per_pair_reference(self, backend, seed, n_messages):
         rng = np.random.default_rng(300 + seed)
         n = 53
-        store = STORAGE_LAYOUTS[layout](n, 64 * 12)
+        store = KnowledgeMatrix(n, n_messages)
         store.apply_transmissions(*random_batch(rng, n, n))
         external = rng.integers(0, 2**63, size=(20, store.words), dtype=np.uint64)
         ext_rows = rng.choice(20, size=15, replace=False).astype(np.int64)
@@ -289,52 +263,73 @@ class TestMergeRows:
             store.merge_rows(np.zeros((1, store.words), dtype=np.int64), one, one)
 
 
-def _ids_ending(last, size=10):
-    """The ids ``0 .. size - 2`` followed by ``last``."""
-    return np.r_[np.arange(size - 1), last].astype(np.int64)
+#: The forms an id argument arrives in: ``int64`` arrays (the protocols'
+#: own draws), ``int32`` arrays (graph neighbour ids are stored as
+#: ``int32``) and Python lists, with the matching scalar for a one-node call.
+ID_FORMS = {"int64": np.int64, "int32": np.int32, "python": int}
+
+
+class _Ids:
+    """Id arguments in one of :data:`ID_FORMS`, the last one ``bad(bound)``."""
+
+    def __init__(self, form, bad):
+        self.form, self.bad = form, bad
+
+    def __call__(self, ids):
+        """``ids`` in this form."""
+        ids = np.asarray(ids, dtype=np.int64)
+        return ids.tolist() if self.form is int else ids.astype(self.form)
+
+    def ending(self, bound, size=10):
+        """The ids ``0 .. size - 2`` followed by ``bad(bound)``."""
+        return self(np.r_[np.arange(size - 1), self.bad(bound)])
+
+    def one(self, bound):
+        """``bad(bound)`` alone, as a scalar."""
+        return self.form(self.bad(bound))
 
 
 #: Every checked id argument, as a call on a 10-node state and a 3-row
-#: external array that puts ``bad(bound)`` into it, ``bound`` being the
-#: number of rows the argument indexes.
+#: external array that puts ``bad(bound)`` into it (through an :class:`_Ids`),
+#: ``bound`` being the number of rows the argument indexes.
 OUT_OF_RANGE_CALLS = {
-    "transmission senders": lambda state, ext, bad: state.apply_transmissions(
-        _ids_ending(bad(10)), np.arange(10)
+    "transmission senders": lambda state, ext, ids: state.apply_transmissions(
+        ids.ending(10), ids(np.arange(10))
     ),
-    "transmission receivers": lambda state, ext, bad: state.apply_transmissions(
-        np.arange(10), _ids_ending(bad(10))
+    "transmission receivers": lambda state, ext, ids: state.apply_transmissions(
+        ids(np.arange(10)), ids.ending(10)
     ),
-    "exchange callers": lambda state, ext, bad: state.apply_exchange(
-        _ids_ending(bad(10)), np.arange(10)
+    "exchange callers": lambda state, ext, ids: state.apply_exchange(
+        ids.ending(10), ids(np.arange(10))
     ),
-    "exchange targets": lambda state, ext, bad: state.apply_exchange(
-        np.arange(10), _ids_ending(bad(10))
+    "exchange targets": lambda state, ext, ids: state.apply_exchange(
+        ids(np.arange(10)), ids.ending(10)
     ),
-    "scatter receivers": lambda state, ext, bad: state.scatter_rows(
-        ext, np.zeros(10, dtype=np.int64), _ids_ending(bad(10))
+    "scatter receivers": lambda state, ext, ids: state.scatter_rows(
+        ext, ids(np.zeros(10)), ids.ending(10)
     ),
-    "scatter source rows": lambda state, ext, bad: state.scatter_rows(
-        ext, _ids_ending(bad(3), size=3), np.arange(3)
+    "scatter source rows": lambda state, ext, ids: state.scatter_rows(
+        ext, ids.ending(3, size=3), ids(np.arange(3))
     ),
-    "merge nodes": lambda state, ext, bad: state.merge_rows(
-        ext, np.arange(3), _ids_ending(bad(10), size=3)
+    "merge nodes": lambda state, ext, ids: state.merge_rows(
+        ext, ids(np.arange(3)), ids.ending(10, size=3)
     ),
-    "merge external rows": lambda state, ext, bad: state.merge_rows(
-        ext, _ids_ending(bad(3), size=3), np.arange(3)
+    "merge external rows": lambda state, ext, ids: state.merge_rows(
+        ext, ids.ending(3, size=3), ids(np.arange(3))
     ),
-    "recount rows": lambda state, ext, bad: state.count_missing(
-        state.full_row_mask(), _ids_ending(bad(10))
+    "recount rows": lambda state, ext, ids: state.count_missing(
+        state.full_row_mask(), ids.ending(10)
     ),
-    "row gather": lambda state, ext, bad: state.rows(_ids_ending(bad(10))),
-    "assigned nodes": lambda state, ext, bad: state.assign_rows(
-        _ids_ending(bad(10)), state.full_row_mask()
+    "row gather": lambda state, ext, ids: state.rows(ids.ending(10)),
+    "assigned nodes": lambda state, ext, ids: state.assign_rows(
+        ids.ending(10), state.full_row_mask()
     ),
-    "add_many nodes": lambda state, ext, bad: state.add_many(_ids_ending(bad(10)), 0),
-    "added node": lambda state, ext, bad: state.add(bad(10), 0),
-    "knows node": lambda state, ext, bad: state.knows(bad(10), 0),
-    "known_messages node": lambda state, ext, bad: state.known_messages(bad(10)),
-    "missing_messages_at node": lambda state, ext, bad: state.missing_messages_at(
-        bad(10)
+    "add_many nodes": lambda state, ext, ids: state.add_many(ids.ending(10), 0),
+    "added node": lambda state, ext, ids: state.add(ids.one(10), 0),
+    "knows node": lambda state, ext, ids: state.knows(ids.one(10), 0),
+    "known_messages node": lambda state, ext, ids: state.known_messages(ids.one(10)),
+    "missing_messages_at node": lambda state, ext, ids: state.missing_messages_at(
+        ids.one(10)
     ),
 }
 
@@ -344,22 +339,23 @@ class TestOutOfRangeIds:
 
     The compiled kernels index raw memory with these ids, so without the
     check a bad id writes or reads past the matrix; NumPy wraps ``-1``
-    round to the last row.
+    round to the last row.  Every id form is converted and checked the
+    same way, so an ``int32`` or list argument is no way round the check.
     """
 
-    @pytest.mark.parametrize("layout", list(STORAGE_LAYOUTS))
+    @pytest.mark.parametrize("form", list(ID_FORMS))
     @pytest.mark.parametrize(
         "bad", [lambda bound: bound, lambda bound: -1], ids=["bound", "minus-one"]
     )
     @pytest.mark.parametrize("call", list(OUT_OF_RANGE_CALLS))
-    def test_raises_and_writes_nothing(self, backend, layout, bad, call):
+    def test_raises_and_writes_nothing(self, backend, bad, call, form):
         rng = np.random.default_rng(8)
-        state = STORAGE_LAYOUTS[layout](10)
+        state = KnowledgeMatrix(10)
         state.apply_transmissions(np.arange(10), np.roll(np.arange(10), 1))
         external = rng.integers(0, 2**63, size=(3, state.words), dtype=np.uint64)
         before, external_before = state.fingerprint(), external.copy()
         with pytest.raises(IndexError, match=r"must lie in \[0, (10|3)\)"):
-            OUT_OF_RANGE_CALLS[call](state, external, bad)
+            OUT_OF_RANGE_CALLS[call](state, external, _Ids(ID_FORMS[form], bad))
         assert state.fingerprint() == before
         assert np.array_equal(external, external_before)
 
@@ -376,55 +372,62 @@ class TestOutOfRangeIds:
 
 
 def _exchange(state, **extras):
-    """A push-pull round on a 10-node state with the given optional arguments."""
+    """A push-pull round on a state of at least 10 nodes with the given
+    optional arguments."""
     return state.apply_exchange(np.arange(5), np.arange(5, 10), **extras)
 
 
 #: Every packed-row or per-node argument a compiled kernel reads or writes,
-#: as a call on a 10-node, 640-message (10-word) state that gets it wrong,
-#: and the error it must raise.
+#: as a call on a state ``s`` that gets it wrong, and the error it must
+#: raise (``{n}`` and ``{words}`` stand for the state's node and word counts).
 BAD_ARGUMENT_CALLS = {
     "short mask": (
-        lambda s: s.count_missing(np.full(1, 2**64 - 1, np.uint64), [0, 1]),
-        r"mask must have shape \(10,\)",
+        lambda s: s.count_missing(s.full_row_mask()[:-1], [0, 1]),
+        r"mask must have shape \({words},\)",
     ),
     "short complete": (
         lambda s: _exchange(
-            s, complete=np.ones(3, bool), complete_row=s.full_row_mask()
+            s, complete=np.ones(s.n_nodes - 1, bool), complete_row=s.full_row_mask()
         ),
-        r"complete must have shape \(10,\)",
+        r"complete must have shape \({n},\)",
     ),
     "complete without its row": (
-        lambda s: _exchange(s, complete=np.ones(10, bool)),
+        lambda s: _exchange(s, complete=np.ones(s.n_nodes, bool)),
         "complete needs complete_row",
     ),
     "short complete_row": (
         lambda s: _exchange(
-            s, complete=np.zeros(10, bool), complete_row=s.full_row_mask()[:1]
+            s, complete=np.zeros(s.n_nodes, bool), complete_row=s.full_row_mask()[:-1]
         ),
-        r"complete_row must have shape \(10,\)",
+        r"complete_row must have shape \({words},\)",
     ),
     "short deficit_mask": (
         lambda s: _exchange(
-            s, deficit_mask=s.full_row_mask()[:1], deficits_out=np.zeros(10, np.int64)
+            s,
+            deficit_mask=s.full_row_mask()[:-1],
+            deficits_out=np.zeros(s.n_nodes, np.int64),
         ),
-        r"deficit_mask must have shape \(10,\)",
+        r"deficit_mask must have shape \({words},\)",
     ),
     "short deficits_out": (
         lambda s: _exchange(
-            s, deficit_mask=s.full_row_mask(), deficits_out=np.zeros(2, np.int64)
+            s,
+            deficit_mask=s.full_row_mask(),
+            deficits_out=np.zeros(s.n_nodes - 1, np.int64),
         ),
         "deficits_out must be",
     ),
     "int32 deficits_out": (
         lambda s: _exchange(
-            s, deficit_mask=s.full_row_mask(), deficits_out=np.zeros(10, np.int32)
+            s, deficit_mask=s.full_row_mask(), deficits_out=np.zeros(s.n_nodes, np.int32)
         ),
         "deficits_out must be",
     ),
     "strided deficits_out": (
         lambda s: _exchange(
-            s, deficit_mask=s.full_row_mask(), deficits_out=np.zeros(20, np.int64)[::2]
+            s,
+            deficit_mask=s.full_row_mask(),
+            deficits_out=np.zeros(2 * s.n_nodes, np.int64)[::2],
         ),
         "deficits_out must be",
     ),
@@ -432,7 +435,7 @@ BAD_ARGUMENT_CALLS = {
         lambda s: _exchange(
             s,
             deficit_mask=s.full_row_mask(),
-            deficits_out=np.broadcast_to(np.zeros(1, np.int64), (10,)),
+            deficits_out=np.broadcast_to(np.zeros(1, np.int64), (s.n_nodes,)),
         ),
         "deficits_out must be",
     ),
@@ -441,14 +444,21 @@ BAD_ARGUMENT_CALLS = {
         "given together",
     ),
     "deficits_out alone": (
-        lambda s: _exchange(s, deficits_out=np.zeros(10, np.int64)),
+        lambda s: _exchange(s, deficits_out=np.zeros(s.n_nodes, np.int64)),
         "given together",
     ),
-    "one-word assigned row": (
-        lambda s: s.assign_rows([0], np.array([1], np.uint64)),
-        r"row must have shape \(10,\)",
+    "short assigned row": (
+        lambda s: s.assign_rows([0], s.full_row_mask()[:-1]),
+        r"row must have shape \({words},\)",
     ),
 }
+
+
+#: ``(n_nodes, n_messages)`` of the states the argument checks run on: as
+#: many words as nodes, one word, and more words than nodes with a ragged
+#: last word, so a row checked against the node count (or the reverse)
+#: shows.
+ARGUMENT_SHAPES = {"10x640": (10, 640), "12x64": (12, 64), "10x800": (10, 800)}
 
 
 class TestArgumentShapes:
@@ -461,87 +471,74 @@ class TestArgumentShapes:
     NumPy broadcasts a one-word mask.
     """
 
-    @pytest.mark.parametrize("layout", list(STORAGE_LAYOUTS))
+    @pytest.mark.parametrize("shape", list(ARGUMENT_SHAPES))
     @pytest.mark.parametrize("call", list(BAD_ARGUMENT_CALLS))
-    def test_raises_and_writes_nothing(self, backend, layout, call):
-        state = STORAGE_LAYOUTS[layout](10, 640)
-        state.apply_transmissions(np.arange(10), np.roll(np.arange(10), 1))
+    def test_raises_and_writes_nothing(self, backend, call, shape):
+        n, m = ARGUMENT_SHAPES[shape]
+        state = KnowledgeMatrix(n, m)
+        state.apply_transmissions(np.arange(n), np.roll(np.arange(n), 1))
         before = state.fingerprint()
         fn, message = BAD_ARGUMENT_CALLS[call]
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message.format(n=n, words=state.words)):
             fn(state)
         assert state.fingerprint() == before
 
 
 class TestCountMissingPinned:
-    """Every layout's count_missing equals the plain masked dense scan."""
+    """count_missing equals the plain masked scan."""
 
     def reference(self, store: KnowledgeMatrix, mask, rows):
-        dense = store.data
-        return np.bitwise_count(mask[None, :] & ~dense[rows]).sum(
+        return np.bitwise_count(mask[None, :] & ~store.data[rows]).sum(
             axis=1, dtype=np.int64
         )
 
     @pytest.mark.parametrize("n", (17, 53))
     @pytest.mark.parametrize("seed", range(3))
-    def test_all_layouts(self, kernel_path, n, seed):
+    def test_matches_the_masked_scan(self, kernel_path, n, seed):
         rng = np.random.default_rng(seed)
-        instances = make_layouts(n)
+        store = KnowledgeMatrix(n)
         for _ in range(3):
-            senders, receivers = random_batch(rng, n, 2 * n)
-            for store in instances.values():
-                store.apply_transmissions(senders, receivers)
-        words = instances["dense"].words
-        mask = rng.integers(0, 2**63, size=words, dtype=np.uint64)
+            store.apply_transmissions(*random_batch(rng, n, 2 * n))
+        mask = rng.integers(0, 2**63, size=store.words, dtype=np.uint64)
         rows = rng.integers(0, n, n // 2).astype(np.int64)
-        for name, store in instances.items():
-            got = store.count_missing(mask, rows)
-            assert np.array_equal(got, self.reference(store, mask, rows)), name
+        got = store.count_missing(mask, rows)
+        assert np.array_equal(got, self.reference(store, mask, rows))
         # Empty row list: a zero-length result, never an error.
-        empty = np.zeros(0, dtype=np.int64)
-        for store in instances.values():
-            assert store.count_missing(mask, empty).size == 0
+        assert store.count_missing(mask, np.zeros(0, dtype=np.int64)).size == 0
 
 
-class TestPagedMechanics:
-    """Paged rounds: when the swap buffer exists, and every kernel branch."""
+class TestRoundBuffers:
+    """When the swap buffer exists, and rounds on every kernel branch."""
 
     def test_push_batches_never_allocate_the_swap_buffer(self, kernel_path):
-        """Push batches run in place (NumPy: gather their senders), on both
-        storage classes."""
+        """Push batches run in place (NumPy: gather their senders)."""
         n = 53
-        paged, dense = PagedKnowledge(n), KnowledgeMatrix(n)
+        state = KnowledgeMatrix(n)
         rng = np.random.default_rng(9)
         # The in-place kernel's plan stays resident on the compiled paths:
         # four slots per node and two per transmission of the largest batch.
         plan = 8 * (4 * n + 2 * 3 * n) if kernel_path != "numpy" else 0
         # A dense batch (every node sends) and a sparse one.
         for size in (3 * n, 3):
-            senders, receivers = random_batch(rng, n, size)
-            for state in (paged, dense):
-                state.apply_transmissions(senders, receivers)
-                assert state._scratch is None
-                assert state.storage_nbytes() == 8 * n * state.words + plan
-            assert paged == dense
+            state.apply_transmissions(*random_batch(rng, n, size))
+            assert state._scratch is None
+            assert state.storage_nbytes() == 8 * n * state.words + plan
 
     def test_exchange_keeps_and_reuses_the_swap_buffer(self, kernel_path):
         n = 53
-        paged = PagedKnowledge(n)
+        state = KnowledgeMatrix(n)
         rng = np.random.default_rng(10)
         callers = np.arange(n, dtype=np.int64)
-        paged.apply_exchange(callers, rng.integers(0, n, n).astype(np.int64))
-        assert paged._scratch is not None
-        buffers = {id(paged.data), id(paged._scratch)}
+        state.apply_exchange(callers, rng.integers(0, n, n).astype(np.int64))
+        assert state._scratch is not None
+        buffers = {id(state.data), id(state._scratch)}
         # The compiled exchange also keeps its CSR: n + 1 offsets, 2n edges.
         csr = 8 * (n + 1 + 2 * n) if kernel_path != "numpy" else 0
-        assert paged.storage_nbytes() == 16 * n * paged.words + csr
-        paged.apply_exchange(callers, rng.integers(0, n, n).astype(np.int64))
-        assert {id(paged.data), id(paged._scratch)} == buffers
+        assert state.storage_nbytes() == 16 * n * state.words + csr
+        state.apply_exchange(callers, rng.integers(0, n, n).astype(np.int64))
+        assert {id(state.data), id(state._scratch)} == buffers
 
-    @pytest.mark.parametrize("layout", ["dense", "paged"])
-    def test_small_unfiltered_exchange_gathers_and_scatters(
-        self, kernel_path, layout
-    ):
+    def test_small_unfiltered_exchange_gathers_and_scatters(self, kernel_path):
         """An unfiltered batch of ``k < n / 4`` channels takes the gather +
         scatter path on every backend: no swap buffer, no fused recount,
         the NumPy bits.  With ``k = n`` the swap buffer is kept."""
@@ -549,14 +546,13 @@ class TestPagedMechanics:
 
         n = 53
         rng = np.random.default_rng(12)
-        state, reference = make_layouts(n)[layout], KnowledgeMatrix(n)
+        state, reference = KnowledgeMatrix(n), KnowledgeMatrix(n)
         tracker = CompletionTracker(state)
         for k in (5, n):
             callers = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
             targets = rng.integers(0, n, k).astype(np.int64)
             tracker.exchange(callers, targets, filtered=False)
-            with backends.use(backends.NumpyBackend()):
-                reference.apply_exchange(callers, targets)
+            on_numpy(lambda s: s.apply_exchange(callers, targets), reference)
             assert state == reference
             assert np.array_equal(
                 tracker.deficits, CompletionTracker(reference).deficits
@@ -570,8 +566,7 @@ class TestPagedMechanics:
     def test_memory_model_run_never_allocates_the_swap_buffer(
         self, kernel_path, small_paper_graph
     ):
-        """The memory model only pushes, so it peaks near one matrix on
-        either layout.
+        """The memory model only pushes, so it peaks near one matrix.
 
         Fanout 8 and three trees give step groups of at least n / 4 senders.
         """
@@ -579,50 +574,40 @@ class TestPagedMechanics:
         from repro.core.parameters import MemoryGossipingParameters
 
         params = MemoryGossipingParameters(fanout=8, num_trees=3)
-        knowledge = {}
-        for layout in ("paged", "dense"):
-            with layouts.use(layout):
-                result = MemoryGossiping(params, leader=0).run(
-                    small_paper_graph, rng=23
-                )
-            assert result.completed
-            knowledge[layout] = result.knowledge
-        assert type(knowledge["paged"]) is PagedKnowledge
-        assert type(knowledge["dense"]) is KnowledgeMatrix
-        for state in knowledge.values():
-            assert state._scratch is None
-        assert knowledge["paged"] == knowledge["dense"]
+        result = MemoryGossiping(params, leader=0).run(small_paper_graph, rng=23)
+        assert result.completed
+        assert type(result.knowledge) is KnowledgeMatrix
+        assert result.knowledge._scratch is None
 
     @pytest.mark.parametrize("n_messages", [15, 448, 4096, 4160])
-    def test_rounds_match_dense(self, kernel_path, n_messages):
+    def test_rounds_match_numpy(self, kernel_path, n_messages):
         """Exchange (plain and filtered with promotions) and push rounds.
 
         A filtered round with at least half its rows live runs the filtered
         swap kernel on the compiled paths, and one with fewer the gather +
-        scatter branch.  The dense reference always runs on NumPy.
+        scatter branch.  The reference always runs on NumPy.
         """
         from repro.core.completion import CompletionTracker
 
         n = 33
         rng = np.random.default_rng(n_messages)
-        paged = PagedKnowledge(n, n_messages)
+        state = KnowledgeMatrix(n, n_messages)
         reference = KnowledgeMatrix(n, n_messages)
-        trackers = {id(s): CompletionTracker(s) for s in (paged, reference)}
+        trackers = {id(s): CompletionTracker(s) for s in (state, reference)}
 
         def both(step):
-            with backends.use(backends.NumpyBackend()):
-                expected = step(reference)
-            got = step(paged)
-            assert paged.fingerprint() == reference.fingerprint()
+            expected = on_numpy(step, reference)
+            got = step(state)
+            assert state.fingerprint() == reference.fingerprint()
             return got, expected
 
         def exchange(complete):
             callers = np.sort(rng.choice(n, size=n - 3, replace=False)).astype(np.int64)
             targets = rng.integers(0, n, callers.size).astype(np.int64)
 
-            def step(state):
-                tracker = trackers[id(state)]
-                touched, promoted = state.apply_exchange(
+            def step(s):
+                tracker = trackers[id(s)]
+                touched, promoted = s.apply_exchange(
                     callers,
                     targets,
                     complete=tracker.complete_rows if complete else None,
@@ -630,29 +615,29 @@ class TestPagedMechanics:
                     deficit_mask=tracker.mask,
                     deficits_out=tracker.deficits,
                 )
-                if state.fused_deficits:
+                if s.fused_deficits:
                     tracker.refresh()
                 else:
                     tracker.update(touched)
                     tracker.mark_promoted(promoted)
-                return state.fused_deficits, np.sort(promoted)
+                return s.fused_deficits, np.sort(promoted)
 
             (fused, promoted), (_, expected) = both(step)
             assert np.array_equal(promoted, expected)
             assert np.array_equal(
-                trackers[id(paged)].deficits, trackers[id(reference)].deficits
+                trackers[id(state)].deficits, trackers[id(reference)].deficits
             )
             return fused, promoted.size
 
         fused, _ = exchange(complete=False)
         assert fused == (kernel_path != "numpy")
-        # Exchange rounds keep the swap buffer, as the dense class does.
-        assert paged._scratch is not None
+        # Exchange rounds keep the swap buffer.
+        assert state._scratch is not None
         # Saturate a third of the rows so the filter drops and promotes.
         saturated = np.arange(0, n, 3, dtype=np.int64)
-        for state in (paged, reference):
-            state.assign_rows(saturated, state.full_row_mask())
-            trackers[id(state)].mark_promoted(saturated)
+        for s in (state, reference):
+            s.assign_rows(saturated, s.full_row_mask())
+            trackers[id(s)].mark_promoted(saturated)
         fused, promotions = exchange(complete=True)
         assert fused == (kernel_path != "numpy")
         # A second filtered round, on whichever branch its live rows pick.
@@ -660,51 +645,41 @@ class TestPagedMechanics:
         # Saturate all but four rows: too few live rows for the swap form,
         # so the round gathers and scatters, and the tracker recounts.
         saturated = np.arange(4, n, dtype=np.int64)
-        for state in (paged, reference):
-            state.assign_rows(saturated, state.full_row_mask())
-            trackers[id(state)].mark_promoted(saturated)
+        for s in (state, reference):
+            s.assign_rows(saturated, s.full_row_mask())
+            trackers[id(s)].mark_promoted(saturated)
         fused, _ = exchange(complete=True)
         assert not fused
         # Push rounds: a dense batch (most nodes send) and a sparse one.
         # Neither touches the swap buffer.
-        buffers = (paged.data, paged._scratch)
+        buffers = (state.data, state._scratch)
         for size in (2 * n, 3):
             senders, receivers = random_batch(rng, n, size)
-            both(lambda state: state.apply_transmissions(senders, receivers))
-            assert paged.data is buffers[0] and paged._scratch is buffers[1]
+            both(lambda s: s.apply_transmissions(senders, receivers))
+            assert state.data is buffers[0] and state._scratch is buffers[1]
 
 
-class TestLayoutRegistry:
-    def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "paged")
-        assert layouts.resolve_layout() == "paged"
+def test_benchmark_storage_tag_hook(small_paper_graph):
+    """``layouts.use("paged")`` builds the tagged class, with the same bits."""
+    from repro import PushPullGossip
+    from repro.engine import layouts
+
+    default = PushPullGossip().run(small_paper_graph, rng=5)
+    with layouts.use("paged"):
+        tagged = PushPullGossip().run(small_paper_graph, rng=5)
+    assert type(tagged.knowledge) is layouts.PagedKnowledge
+    assert tagged.knowledge.layout == "paged"
+    assert type(default.knowledge) is KnowledgeMatrix
+    assert tagged.completed
+    assert tagged.knowledge.fingerprint() == default.knowledge.fingerprint()
+    with pytest.raises(ValueError, match="expected 'paged'"):
         with layouts.use("dense"):
-            assert layouts.resolve_layout() == "dense"
-            assert layouts.resolve_layout("auto") == "auto"  # explicit wins
-        assert layouts.resolve_layout() == "paged"
-
-    def test_invalid_layout_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            layouts.resolve_layout("mmap")
-        with pytest.raises(ValueError):
-            with layouts.use("bogus"):
-                pass
-        monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "nope")
-        with pytest.raises(ValueError):
-            layouts.resolve_layout()
-
-    def test_protocols_pick_up_use_scope(self, small_paper_graph):
-        from repro import PushPullGossip
-
-        with layouts.use("paged"):
-            result = PushPullGossip().run(small_paper_graph, rng=5)
-        assert isinstance(result.knowledge, PagedKnowledge)
-        assert result.completed
+            pass
 
 
 @pytest.mark.slow
-class TestCrossLayoutTrajectoryParity:
-    """Full protocol runs are layout- AND backend-invariant, bit for bit."""
+class TestTrajectoryParity:
+    """Full protocol runs are backend-invariant, bit for bit."""
 
     def _backend_matrix(self):
         yield "numpy", backends.NumpyBackend()
@@ -713,7 +688,7 @@ class TestCrossLayoutTrajectoryParity:
             yield "c[2]", backends.CBackend(max_threads=2, shard_work=1)
 
     @pytest.mark.parametrize("protocol_name", ["push-pull", "fast-gossiping", "memory"])
-    def test_all_layouts_all_backends(self, small_paper_graph, protocol_name):
+    def test_all_backends(self, small_paper_graph, protocol_name):
         from repro import FastGossiping, MemoryGossiping, PushPullGossip
 
         factory = {
@@ -723,31 +698,24 @@ class TestCrossLayoutTrajectoryParity:
         }[protocol_name]
         seed = {"push-pull": 21, "fast-gossiping": 22, "memory": 23}[protocol_name]
         reference = None
-        for layout in ("dense", "paged"):
-            for backend_label, backend in self._backend_matrix():
-                with layouts.use(layout), backends.use(backend):
-                    result = factory().run(small_paper_graph, rng=seed)
-                summary = (result.rounds, result.completed, result.ledger.total())
-                label = f"{layout}/{backend_label}"
-                if reference is None:
-                    reference = (summary, result.knowledge, label)
-                else:
-                    assert summary == reference[0], (
-                        f"{protocol_name} trajectory diverged: "
-                        f"{label} vs {reference[2]}"
-                    )
-                    assert result.knowledge == reference[1], (
-                        f"{protocol_name} knowledge diverged: "
-                        f"{label} vs {reference[2]}"
-                    )
-                    assert (
-                        result.knowledge.fingerprint()
-                        == reference[1].fingerprint()
-                    )
+        for label, backend in self._backend_matrix():
+            with backends.use(backend):
+                result = factory().run(small_paper_graph, rng=seed)
+            summary = (result.rounds, result.completed, result.ledger.total())
+            if reference is None:
+                reference = (summary, result.knowledge, label)
+                continue
+            assert summary == reference[0], (
+                f"{protocol_name} trajectory diverged: {label} vs {reference[2]}"
+            )
+            assert result.knowledge == reference[1], (
+                f"{protocol_name} knowledge diverged: {label} vs {reference[2]}"
+            )
+            assert result.knowledge.fingerprint() == reference[1].fingerprint()
 
 
 # --------------------------------------------------------------------------- #
-# Resume-from-store under the paged layout
+# Resume-from-store on another backend
 # --------------------------------------------------------------------------- #
 def _store_task(task):
     """Module-level (picklable) sweep task: one real push-pull run."""
@@ -767,48 +735,50 @@ def _store_task(task):
     }
 
 
-class TestPagedResumeFromStore:
+class TestResumeFromStore:
     def _spec(self):
         from repro.experiments.scenarios import ScenarioSpec
 
         return ScenarioSpec(
-            name="layout-resume",
-            result_name="layout-resume",
-            description="cross-layout resume test",
+            name="storage-resume",
+            result_name="storage-resume",
+            description="cross-backend resume test",
             task=_store_task,
             grid=lambda config: [(("n", n), {"n": n}) for n in (64, 96, 128)],
             group_by=("n",),
             metrics=("rounds",),
         )
 
-    def test_resume_under_paged_layout_is_bit_identical(self, tmp_path, monkeypatch):
+    def test_resume_on_another_backend_is_bit_identical(self, tmp_path):
         from repro.experiments import run_scenario
         from repro.io.store import ResultStore
 
+        if not _ckernel.available():
+            pytest.skip("compiled kernel unavailable on this machine")
         config = SimpleNamespace(repetitions=2, seed=11, n_jobs=1)
         spec = self._spec()
 
-        # Uninterrupted reference run under the dense layout.
-        monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "dense")
+        # Uninterrupted reference run on the NumPy kernels.
         store_a = ResultStore(tmp_path / "a")
-        result_a = run_scenario(spec, config=config, store=store_a)
+        with backends.use(backends.NumpyBackend()):
+            result_a = run_scenario(spec, config=config, store=store_a)
         store_a.close()
-        file_a = (tmp_path / "a" / "layout-resume.jsonl").read_bytes()
+        file_a = (tmp_path / "a" / "storage-resume.jsonl").read_bytes()
 
         # Kill after two complete records plus a truncated third, then resume
-        # the remainder under the paged layout.  The rounds,
-        # transmissions and knowledge fingerprints of the re-run pairs must be
+        # the remainder on the compiled kernels.  The rounds, transmissions
+        # and knowledge fingerprints of the re-run pairs must be
         # bit-identical, so the store file converges to the reference bytes.
         lines = file_a.splitlines(keepends=True)
         assert len(lines) == 6  # 3 sizes x 2 repetitions
         (tmp_path / "b").mkdir()
-        (tmp_path / "b" / "layout-resume.jsonl").write_bytes(
+        (tmp_path / "b" / "storage-resume.jsonl").write_bytes(
             b"".join(lines[:2]) + lines[2][:40]
         )
-        monkeypatch.setenv("REPRO_KNOWLEDGE_LAYOUT", "paged")
         store_b = ResultStore(tmp_path / "b")
-        result_b = run_scenario(spec, config=config, store=store_b, resume=True)
+        with backends.use(backends.CBackend(max_threads=1)):
+            result_b = run_scenario(spec, config=config, store=store_b, resume=True)
         store_b.close()
 
-        assert (tmp_path / "b" / "layout-resume.jsonl").read_bytes() == file_a
+        assert (tmp_path / "b" / "storage-resume.jsonl").read_bytes() == file_a
         assert result_b.raw_records == result_a.raw_records

@@ -13,6 +13,7 @@ from repro.experiments import (
     Figure3Config,
     RobustnessConfig,
     RobustnessDetailConfig,
+    ScaleConfig,
     SizeSweepConfig,
     run_scenario,
 )
@@ -143,3 +144,25 @@ class TestTable1:
     def test_default_sizes(self):
         result = run_scenario("table1")
         assert len(result.rows) > 0
+
+
+class TestScale:
+    CONFIG = ScaleConfig(sizes=(512, 1024), repetitions=2, seed=1)
+
+    def test_one_row_per_size(self):
+        result = run_scenario("scale", config=self.CONFIG)
+        assert sorted(row["n"] for row in result.rows) == [512, 1024]
+        for row in result.rows:
+            assert row["completed"]
+            assert row["repetitions"] == 2
+            assert row["storage_mb"] > 0
+
+    def test_record_is_the_gossip_record_plus_storage(self):
+        from repro.analysis.sweep import expand_grid
+        from repro.experiments.runner import gossip_task
+        from repro.experiments.scale import SCALE
+
+        task = expand_grid(SCALE.grid(self.CONFIG), 1, self.CONFIG.seed)[0]
+        record = SCALE.task(task)
+        assert record.pop("storage_mb") > 0
+        assert record == gossip_task(task)

@@ -3,10 +3,10 @@
 A deliberately naive re-implementation of the
 :class:`repro.engine.knowledge.KnowledgeMatrix` semantics using one Python
 ``set`` of message identifiers per node — no numpy, no bit packing, no
-kernels, no layouts.  Every bulk operation follows the snapshot-round
-discipline literally (gather all source sets as copies, then write), so the
-oracle is obviously correct by inspection and any divergence from an engine
-layout/backend combination indicts the engine, not the reference.
+kernels.  Every bulk operation follows the snapshot-round discipline
+literally (gather all source sets as copies, then write), so the oracle is
+obviously correct by inspection and any divergence under an engine backend
+indicts the engine, not the reference.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ deficit recounts and event-clock batches grouped by
 messages (up to 16 words), and row assignments often write the full row,
 so that the saturation filter meets complete rows.
 
-:func:`run_program` replays a program against an engine layout and the
+:func:`run_program` replays a program against the engine and the
 set-based :class:`oracle.OracleKnowledge` side by side, comparing the packed
 state, and any rows or counts an op returns, after every op.
 :func:`shrink_program` delta-debugs a failing program down to a
@@ -24,23 +24,18 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine import KnowledgeMatrix, PagedKnowledge, group_events
+from repro.engine import KnowledgeMatrix, group_events
 
 from oracle import OracleKnowledge
 
 __all__ = [
-    "HARNESS_LAYOUTS",
     "OP_KINDS",
     "Failure",
     "describe_failure",
     "generate_program",
-    "make_storage",
     "run_program",
     "shrink_program",
 ]
-
-#: Layout names the harness sweeps.
-HARNESS_LAYOUTS = ("dense", "paged")
 
 #: Every op kind the generator can emit.
 OP_KINDS = (
@@ -61,16 +56,6 @@ _WORD_EDGE_MESSAGES = (63, 64, 65, 127, 128)
 
 #: Largest message count (16 words).
 _WIDE_MESSAGES = 1024
-
-
-def make_storage(layout: str, program: Dict[str, Any]) -> KnowledgeMatrix:
-    """Instantiate ``layout`` for a program."""
-    n, m = program["n_nodes"], program["n_messages"]
-    if layout == "dense":
-        return KnowledgeMatrix(n, m)
-    if layout == "paged":
-        return PagedKnowledge(n, m)
-    raise ValueError(f"unknown harness layout {layout!r}")
 
 
 # ---------------------------------------------------------------------- #
@@ -190,7 +175,7 @@ def generate_program(seed: int) -> Dict[str, Any]:
 # Interpretation
 # ---------------------------------------------------------------------- #
 class Failure:
-    """A divergence between an engine layout and the oracle."""
+    """A divergence between the engine and the oracle."""
 
     def __init__(self, op_index: int, kind: str, detail: str) -> None:
         self.op_index = op_index
@@ -281,9 +266,9 @@ def _apply_oracle(oracle: OracleKnowledge, kind: str, arg: Dict[str, Any]) -> Op
     raise AssertionError(kind)
 
 
-def run_program(program: Dict[str, Any], layout: str) -> Optional[Failure]:
-    """Replay ``program`` on ``layout`` vs the oracle; None means bit-identical."""
-    engine = make_storage(layout, program)
+def run_program(program: Dict[str, Any]) -> Optional[Failure]:
+    """Replay ``program`` on the engine vs the oracle; None means bit-identical."""
+    engine = KnowledgeMatrix(program["n_nodes"], program["n_messages"])
     oracle = OracleKnowledge(program["n_nodes"], program["n_messages"])
     everyone = np.arange(program["n_nodes"], dtype=np.int64)
     for i, (kind, arg) in enumerate(program["ops"]):
@@ -339,16 +324,14 @@ def shrink_program(
     return with_ops(ops)
 
 
-def describe_failure(
-    program: Dict[str, Any], layout: str, backend: Any, failure: Failure
-) -> str:
+def describe_failure(program: Dict[str, Any], backend: Any, failure: Failure) -> str:
     """Render the minimal failing program with exact replay instructions.
 
     ``backend`` is the kernel backend the program ran under; its ``repr``
     is the constructor call the replay line uses.
     """
     lines = [
-        f"differential harness failure: layout={layout} backend={backend!r}",
+        f"differential harness failure: backend={backend!r}",
         f"  seed={program['seed']} n_nodes={program['n_nodes']} "
         f"n_messages={program['n_messages']}",
         f"  {failure!r}",
@@ -362,6 +345,6 @@ def describe_failure(
         "    from repro.engine import backends",
         f"    prog = generate_program({program['seed']})",
         f"    with backends.use(backends.{backend!r}):",
-        f"        run_program(prog, {layout!r})",
+        "        run_program(prog)",
     ]
     return "\n".join(lines)

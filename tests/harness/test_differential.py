@@ -1,14 +1,14 @@
-"""Property-based differential harness: layouts x backends vs a set oracle.
+"""Property-based differential harness: kernel backends vs a set oracle.
 
 Seeded random programs (:mod:`programs`) exercise every knowledge-storage
 bulk primitive — transmissions, filtered and unfiltered exchanges, scatter,
 two-way merges, assignment, point adds, deficit recounts and event-clock
-batches — and each program is replayed on every layout x backend
-combination against the pure Python set-per-node oracle (:mod:`oracle`),
+batches — and each program is replayed on every kernel backend
+configuration against the pure Python set-per-node oracle (:mod:`oracle`),
 comparing the packed state bit-for-bit after every op.
 
 The SAME program seeds run under every configuration, so a divergence
-pinpoints the (layout, backend) pair at fault.  On failure the program is
+pinpoints the backend at fault.  On failure the program is
 delta-debugged to a locally-minimal op sequence and the assertion message
 prints it along with the seed and replay instructions.
 
@@ -30,14 +30,13 @@ from repro.engine import _ckernel, backends
 from repro.engine.knowledge import KnowledgeMatrix
 
 from programs import (
-    HARNESS_LAYOUTS,
     describe_failure,
     generate_program,
     run_program,
     shrink_program,
 )
 
-#: Programs per (layout, backend) configuration.  The local default keeps
+#: Programs per backend configuration.  The local default keeps
 #: `pytest -q` fast; the CI harness leg raises it to 200+.
 N_PROGRAMS = int(os.environ.get("REPRO_HARNESS_PROGRAMS", "15"))
 
@@ -59,26 +58,22 @@ def _require_backend(name: str) -> None:
 
 
 @pytest.mark.parametrize("backend", list(BACKENDS))
-@pytest.mark.parametrize("layout", HARNESS_LAYOUTS)
-def test_programs_match_oracle(layout: str, backend: str) -> None:
+def test_programs_match_oracle(backend: str) -> None:
     _require_backend(backend)
     with backends.use(BACKENDS[backend]) as active:
         for k in range(N_PROGRAMS):
             program = generate_program(BASE_SEED + k)
-            failure = run_program(program, layout)
+            failure = run_program(program)
             if failure is None:
                 continue
             # Shrink before reporting: re-run smaller candidate programs and
             # keep deletions that still diverge anywhere.
-            minimal = shrink_program(
-                program, lambda p: run_program(p, layout) is not None
-            )
-            final = run_program(minimal, layout)
-            pytest.fail(describe_failure(minimal, layout, active, final or failure))
+            minimal = shrink_program(program, lambda p: run_program(p) is not None)
+            final = run_program(minimal)
+            pytest.fail(describe_failure(minimal, active, final or failure))
 
 
-@pytest.mark.parametrize("layout", HARNESS_LAYOUTS)
-def test_programs_match_oracle_across_simd_levels(layout: str) -> None:
+def test_programs_match_oracle_across_simd_levels() -> None:
     """The same programs, replayed at every SIMD level the CPU supports.
 
     The harness's small matrices take the production kernels, whose word
@@ -95,16 +90,14 @@ def test_programs_match_oracle_across_simd_levels(layout: str) -> None:
                 _ckernel.set_simd_level(level)
                 for k in range(max(1, N_PROGRAMS // 3)):
                     program = generate_program(BASE_SEED + k)
-                    failure = run_program(program, layout)
+                    failure = run_program(program)
                     if failure is None:
                         continue
-                    minimal = shrink_program(
-                        program, lambda p: run_program(p, layout) is not None
-                    )
-                    final = run_program(minimal, layout)
+                    minimal = shrink_program(program, lambda p: run_program(p) is not None)
+                    final = run_program(minimal)
                     pytest.fail(
                         f"simd level {_ckernel.simd_name(level)}: "
-                        + describe_failure(minimal, layout, active, final or failure)
+                        + describe_failure(minimal, active, final or failure)
                     )
     finally:
         _ckernel.set_simd_level(original)
@@ -118,8 +111,8 @@ def test_programs_reach_both_filter_branches(monkeypatch) -> None:
     """The generated programs reach the kernels they exist to check.
 
     Each counted ``_ckernel`` entry point is wrapped to count its calls,
-    keyed by layout and by whether an ``apply_exchange`` that met a complete
-    row made them.  A filtered exchange runs the swap-form ``exchange``
+    keyed by whether an ``apply_exchange`` that met a complete row made
+    them.  A filtered exchange runs the swap-form ``exchange``
     while its live channel endpoints reach half the rows and gathers the
     surviving edges into ``scatter_or`` otherwise.
     """
@@ -146,12 +139,10 @@ def test_programs_reach_both_filter_branches(monkeypatch) -> None:
 
     monkeypatch.setattr(KnowledgeMatrix, "apply_exchange", tracked)
     with backends.use(BACKENDS["c"]):
-        for layout in HARNESS_LAYOUTS:
-            calls.clear()
-            for k in range(COVERAGE_PROGRAMS):
-                assert run_program(generate_program(BASE_SEED + k), layout) is None
-            assert calls["filtered", "exchange"] > 0, (layout, calls)
-            assert calls["filtered", "scatter_or"] > 0, (layout, calls)
+        for k in range(COVERAGE_PROGRAMS):
+            assert run_program(generate_program(BASE_SEED + k)) is None
+    assert calls["filtered", "exchange"] > 0, calls
+    assert calls["filtered", "scatter_or"] > 0, calls
 
 
 def test_program_generation_is_deterministic() -> None:
