@@ -38,7 +38,7 @@ SCALE_COLUMNS = (
 def scale_task(task: SweepTask) -> Dict[str, Any]:
     """The ``gossip_task`` record plus the run's final ``storage_mb``."""
     record, result = run_gossip(task)
-    record["storage_mb"] = round(result.knowledge.storage_nbytes() / 1e6, 1)
+    record["storage_mb"] = result.knowledge.storage_nbytes() / 1e6
     return record
 
 

@@ -3,20 +3,26 @@
 ``_ckernel._build()`` never raises: every failure returns ``(None, reason)``,
 the import falls back to NumPy, logs the reason once at WARNING and shows it
 in every backend's ``describe()``.  ``REPRO_DISABLE_CKERNEL`` is a choice,
-not a failure: its reason is ``"disabled"`` and nothing is logged.  A
-compile logs one INFO record.  Two guards keep the cold build cheap and the
-SIMD forms vectorized: the source includes only libc headers, and the
-compiled library's vector forms use the registers of their level.
+not a failure: its reason is ``"disabled"`` and nothing is logged.
+``REPRO_REQUIRE_CKERNEL`` turns any such reason into an ``ImportError``.  A
+compile logs one INFO record.  The build compiles every unit under
+``kernels/`` at once and links them; a failing or hanging unit is named,
+and no compiler or temporary file outlives the build.  Two guards keep the
+cold build cheap and the SIMD forms vectorized: the sources include only
+libc headers (and their own), and the compiled library's vector forms use
+the registers of their level.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import logging
 import os
 import platform
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -54,15 +60,66 @@ def _fresh_cache(monkeypatch, tmp_path) -> Path:
     return tmp_path / ".cache"
 
 
+def _kernel_copy(monkeypatch, tmp_path, replaced=None) -> Path:
+    """Point the build at a copy of ``kernels/``, the files named in ``replaced`` rewritten."""
+    kernels = tmp_path / "kernels"
+    shutil.copytree(_ckernel._KERNEL_DIR, kernels)
+    for name, text in (replaced or {}).items():
+        (kernels / name).write_text(text)
+    monkeypatch.setattr(_ckernel, "_KERNEL_DIR", str(kernels))
+    return kernels
+
+
+class _Recorder:
+    """Stands in for ``subprocess.Popen`` and keeps every process started.
+
+    ``rewrite(args)`` may swap the command before it runs; ``popen`` is the
+    class that runs it.  ``commands`` keeps the commands as the build gave
+    them, ``procs`` the processes.
+    """
+
+    def __init__(self, rewrite=None, popen=subprocess.Popen):
+        self.commands, self.procs = [], []
+        self.rewrite = rewrite
+        self.popen = popen
+
+    def __call__(self, args, **kwargs):
+        self.commands.append(args)
+        proc = self.popen(args if self.rewrite is None else self.rewrite(args), **kwargs)
+        self.procs.append(proc)
+        return proc
+
+
+def _unit_of(args) -> str:
+    """The unit a compile command compiles (``"link"`` for the link)."""
+    return os.path.basename(args[args.index("-c") + 1]) if "-c" in args else "link"
+
+
+@needs_compiler
+@pytest.mark.parametrize("unit", _ckernel._UNITS)
+def test_a_unit_that_does_not_compile_is_named(monkeypatch, tmp_path, unit):
+    """The reason names the unit; no compiler is left running or unreaped."""
+    cache = _fresh_cache(monkeypatch, tmp_path)
+    _kernel_copy(monkeypatch, tmp_path, {unit: "this is not C\n"})
+    started = _Recorder()
+    monkeypatch.setattr(subprocess, "Popen", started)
+    lib, reason = _ckernel._build()
+    assert lib is None and reason.startswith(f"compiler error: {unit}: "), reason
+    (cache_dir,) = cache.glob("repro-ckernel-*")
+    assert list(cache_dir.iterdir()) == []  # no object or library left
+    assert sorted(map(_unit_of, started.commands)) == sorted(_ckernel._UNITS)  # no link
+    assert all(proc.returncode is not None for proc in started.procs)
+
+
 @needs_compiler
 def test_build_failures_report_their_reason(monkeypatch, tmp_path):
     cache = _fresh_cache(monkeypatch, tmp_path)
 
-    monkeypatch.setattr(_ckernel, "_SOURCE", "this is not C\n")
+    kernels = _kernel_copy(monkeypatch, tmp_path, {"simd.c": "this is not C\n"})
     lib, reason = _ckernel._build()
     assert lib is None and reason.startswith("compiler error: ")
     (cache_dir,) = cache.glob("repro-ckernel-*")
-    assert list(cache_dir.iterdir()) == []  # no temp source or library left
+    assert list(cache_dir.iterdir()) == []  # no temp object or library left
 
     cache_dir.chmod(0o777)
     lib, reason = _ckernel._build()
@@ -70,9 +127,15 @@ def test_build_failures_report_their_reason(monkeypatch, tmp_path):
 
     # Compiles and loads but has none of the kernels: the import must
     # still survive it.
-    monkeypatch.setattr(_ckernel, "_SOURCE", "int repro_placeholder;\n")
+    for unit in _ckernel._UNITS:
+        (kernels / unit).write_text(f"int repro_placeholder_{unit[0]};\n")
     lib, reason = _ckernel._build()
     assert lib is None and reason.startswith("missing symbol: ")
+
+    # A package installed without its sources.
+    (kernels / "simd.h").unlink()
+    lib, reason = _ckernel._build()
+    assert lib is None and reason.startswith("kernel source unreadable: ")
 
 
 @needs_compiler
@@ -94,10 +157,58 @@ def test_a_compile_logs_one_info_record(monkeypatch, tmp_path, caplog):
     assert caplog.records == []
 
 
-def test_source_includes_only_libc_headers():
-    """No intrinsics header: parsing one took most of the cold build."""
-    includes = re.findall(r"^\s*#\s*include\s*[<\"]([^>\"]+)", _ckernel._SOURCE, re.M)
-    assert sorted(includes) == ["pthread.h", "stdint.h", "stdlib.h", "string.h"]
+def test_sources_include_only_libc_headers():
+    """No intrinsics header: parsing one took most of the cold build.
+
+    Every unit and header includes libc headers or the package's own
+    header, nothing else.
+    """
+    system, local = set(), set()
+    for name in (*_ckernel._UNITS, *_ckernel._HEADERS):
+        text = (Path(_ckernel._KERNEL_DIR) / name).read_text()
+        system.update(re.findall(r"^\s*#\s*include\s*<([^>]+)>", text, re.M))
+        local.update(re.findall(r'^\s*#\s*include\s*"([^"]+)"', text, re.M))
+    assert sorted(system) == ["pthread.h", "stdint.h", "stdlib.h", "string.h"]
+    assert sorted(local) == sorted(_ckernel._HEADERS)
+
+
+def test_the_kernel_directory_holds_exactly_the_build_files():
+    """A C file dropped in ``kernels/`` and never compiled would go unnoticed."""
+    files = sorted(os.listdir(_ckernel._KERNEL_DIR))
+    assert files == sorted((*_ckernel._UNITS, *_ckernel._HEADERS))
+
+
+def test_package_data_ships_every_file_the_build_reads():
+    """An installed package must carry its C sources, or no build can run."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    package_data = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
+    globs = package_data["repro.engine"]
+    for name in (*_ckernel._UNITS, *_ckernel._HEADERS):
+        relative = f"kernels/{name}"
+        assert any(fnmatch.fnmatchcase(relative, pattern) for pattern in globs), relative
+
+
+def test_library_path_follows_every_source_byte_and_flag(monkeypatch, tmp_path):
+    """Any unit, the header, a compile flag or a link flag: a new cache key."""
+    _fresh_cache(monkeypatch, tmp_path)
+    kernels = _kernel_copy(monkeypatch, tmp_path)
+    seen = {_ckernel.library_path()}
+    for name in (*_ckernel._UNITS, *_ckernel._HEADERS):
+        path = kernels / name
+        original = path.read_bytes()
+        path.write_bytes(original + b"\n")
+        seen.add(_ckernel.library_path())
+        path.write_bytes(original)
+        assert _ckernel.library_path() in seen
+    cflags = _ckernel._CFLAGS
+    monkeypatch.setattr(_ckernel, "_CFLAGS", (*cflags, "-g"))
+    seen.add(_ckernel.library_path())
+    monkeypatch.setattr(_ckernel, "_CFLAGS", cflags)
+    monkeypatch.setattr(_ckernel, "_LDFLAGS", (*_ckernel._LDFLAGS, "-s"))
+    seen.add(_ckernel.library_path())
+    n_files = len(_ckernel._UNITS) + len(_ckernel._HEADERS)
+    assert len({os.path.basename(os.path.dirname(path)) for path in seen}) == 1 + n_files + 2
 
 
 def _disassembly(lib_path: Path) -> dict:
@@ -140,27 +251,56 @@ def test_vector_forms_use_their_registers(tmp_path):
         assert "ymm" not in code[name] and "zmm" not in code[name], name
 
 
-def _hang(cmd, **kwargs):
-    raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+#: A compiler that never finishes.
+_SLEEP = [sys.executable, "-c", "import time; time.sleep(600)"]
 
 
-def _emit_garbage(cmd, **kwargs):
-    Path(cmd[cmd.index("-o") + 1]).write_bytes(b"not a shared object\n")
+class _Hangs(subprocess.Popen):
+    """A process whose every wait with a timeout finds the deadline passed.
+
+    Stands in for the whole 120 s wait; a wait without a timeout (the reap
+    after a kill) is real.
+    """
+
+    def communicate(self, input=None, timeout=None):
+        if timeout is not None:
+            raise subprocess.TimeoutExpired(self.args, timeout)
+        return super().communicate(input)
 
 
-@pytest.mark.parametrize(
-    "compiler_run,expected",
-    [(_hang, "compiler timed out after 120 s"), (_emit_garbage, "library not built or loaded: ")],
-    ids=["timeout", "unloadable"],
-)
-def test_compile_failures_report_their_reason(monkeypatch, tmp_path, compiler_run, expected):
-    """A compiler that hangs, or emits something other than a shared object."""
+def _hang(args):
+    return _SLEEP
+
+
+def _emit_garbage(args):
+    """Write something other than an object or a shared object at ``-o``."""
+    out = args[args.index("-o") + 1]
+    return [sys.executable, "-c", f"open({out!r}, 'wb').write(b'not a shared object')"]
+
+
+def test_a_hanging_unit_times_out_and_every_compile_is_killed(monkeypatch, tmp_path):
     cache = _fresh_cache(monkeypatch, tmp_path)
     monkeypatch.setattr(shutil, "which", lambda name: "cc")
-    monkeypatch.setattr(subprocess, "run", compiler_run)
+    started = _Recorder(_hang, _Hangs)
+    monkeypatch.setattr(subprocess, "Popen", started)
     lib, reason = _ckernel._build()
-    assert lib is None and reason.startswith(expected)
-    assert list(cache.glob("*/*.tmp*")) == []  # no temp source or library left
+    assert lib is None and reason == f"compiler timed out after 120 s: {_ckernel._UNITS[0]}"
+    assert list(map(_unit_of, started.commands)) == list(_ckernel._UNITS)  # at once, no link
+    assert [proc.returncode for proc in started.procs] == [-signal.SIGKILL] * len(_ckernel._UNITS)
+    assert list(cache.glob("*/*.tmp*")) == []  # no temp object or library left
+
+
+def test_an_unloadable_library_reports_its_reason(monkeypatch, tmp_path):
+    """A compiler that emits something other than a shared object."""
+    cache = _fresh_cache(monkeypatch, tmp_path)
+    monkeypatch.setattr(shutil, "which", lambda name: "cc")
+    started = _Recorder(_emit_garbage)
+    monkeypatch.setattr(subprocess, "Popen", started)
+    lib, reason = _ckernel._build()
+    assert lib is None and reason.startswith("library not built or loaded: ")
+    assert list(map(_unit_of, started.commands)) == [*_ckernel._UNITS, "link"]
+    assert all(proc.returncode == 0 for proc in started.procs)
+    assert list(cache.glob("*/*.tmp*")) == []  # no temp object or library left
 
 
 def test_build_loads_the_file_at_library_path(monkeypatch, tmp_path):
@@ -170,10 +310,12 @@ def test_build_loads_the_file_at_library_path(monkeypatch, tmp_path):
     """
     _fresh_cache(monkeypatch, tmp_path)
     monkeypatch.setattr(shutil, "which", lambda name: "cc")
-    monkeypatch.setattr(subprocess, "run", _hang)  # a compile would time out
+    started = _Recorder(_hang, _Hangs)  # a compile would time out
+    monkeypatch.setattr(subprocess, "Popen", started)
     Path(_ckernel.library_path()).write_bytes(b"not a shared object\n")
     lib, reason = _ckernel._build()
     assert lib is None and reason.startswith("library not built or loaded: ")
+    assert started.procs == []
 
 
 @pytest.mark.parametrize("disabled", [False, True])
@@ -198,14 +340,42 @@ def test_import_falls_back_with_reason(tmp_path, disabled):
         assert described["ckernel"] in logged[0]
 
 
+_REQUIRED = "REPRO_REQUIRE_CKERNEL is set but the compiled kernels are unavailable: "
+
+
+@pytest.mark.parametrize("disabled", [False, True])
+def test_required_kernels_fail_the_import_with_reason(tmp_path, disabled):
+    """``REPRO_REQUIRE_CKERNEL`` turns the fallback into an ImportError, even a chosen one."""
+    if disabled:
+        env = _child_env(REPRO_REQUIRE_CKERNEL="1", REPRO_DISABLE_CKERNEL="1")
+        reason = "disabled"
+    else:
+        (tmp_path / "bin").mkdir()
+        env = _child_env(REPRO_REQUIRE_CKERNEL="1", PATH=str(tmp_path / "bin"))
+        reason = "no C compiler (cc, gcc or clang) on PATH"
+    proc = subprocess.run([sys.executable, "-c", "import repro.engine._ckernel"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert proc.stderr.splitlines()[-1] == f"ImportError: {_REQUIRED}{reason}", proc.stderr
+
+
+def test_a_blank_require_flag_counts_as_unset(tmp_path):
+    (tmp_path / "bin").mkdir()
+    env = _child_env(REPRO_REQUIRE_CKERNEL=" ", PATH=str(tmp_path / "bin"))
+    code = "from repro.engine import _ckernel; print(_ckernel.status())"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("no C compiler")
+
+
 @pytest.mark.slow
 @needs_compiler
 def test_concurrent_cold_cache_imports_all_load(tmp_path):
     """Eight imports racing to build into one empty cache all get the kernels.
 
-    Each child must compile its own source file: a shared one can be
-    truncated under another child's compiler, which then installs a library
-    without symbols.
+    Each child must write its own objects and library: a shared one can be
+    truncated under another child's compiler or linker, which then installs
+    a library without symbols.
     """
     cmd = [sys.executable, "-c", "from repro.engine import _ckernel; print(_ckernel.available())"]
     for trial in range(3):

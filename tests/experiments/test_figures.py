@@ -157,6 +157,16 @@ class TestScale:
             assert row["repetitions"] == 2
             assert row["storage_mb"] > 0
 
+    def test_smoke_rows_show_their_storage(self):
+        """At the smoke sizes the matrix, swap buffer and graph hold a few KB."""
+        from repro.experiments import get_scenario, resolve_config
+
+        config = resolve_config(get_scenario("scale"), smoke=True)
+        result = run_scenario("scale", config=config)
+        assert sorted(row["n"] for row in result.rows) == list(config.sizes)
+        for row in result.rows:
+            assert row["storage_mb"] > 0
+
     def test_record_is_the_gossip_record_plus_storage(self):
         from repro.analysis.sweep import expand_grid
         from repro.experiments.runner import gossip_task
