@@ -47,20 +47,18 @@ holds everything else; ``simd.h`` declares the three pointers both units
 share.  A build starts one ``cc -c`` per unit at once, so the two compile
 in parallel on two cores, then links the objects into one shared library.
 
-The build is best-effort: if no compiler is present, the build fails, or
-``REPRO_DISABLE_CKERNEL`` is set in the environment, callers fall back to
-the pure-NumPy implementations (which are semantically identical — see
-``tests/engine/test_kernel_equivalence.py``).  Such a failure does not
-break the import: :func:`status` names its reason, the ``describe()`` of
-every kernel backend carries it, and it is logged once at WARNING on this
-module's logger.  ``REPRO_REQUIRE_CKERNEL`` (any non-blank value) turns it
-into an :class:`ImportError` naming the reason, for runs that must not
-quietly become several times slower.  The shared library is cached in a
-private per-user directory keyed on the build flags, the bytes of every
-source file and the CPU signature, so repeated imports pay nothing and
-heterogeneous machines sharing a filesystem never load each other's tuned
-binaries.  A cold build logs one INFO record naming the compiler, its
-wall seconds and the library path.
+The build is strictly best-effort: if no compiler is present, the build
+fails, or ``REPRO_DISABLE_CKERNEL`` is set in the environment, callers fall
+back to the pure-NumPy implementations (which are semantically identical —
+see ``tests/engine/test_kernel_equivalence.py``).  A failure never breaks
+the import: :func:`status` names its reason, the ``describe()`` of every
+kernel backend carries it, and it is logged once at WARNING on this
+module's logger.  The shared library is cached in a private per-user
+directory keyed on the build flags, the bytes of every source file and the
+CPU signature, so repeated imports pay nothing and heterogeneous machines
+sharing a filesystem never load each other's tuned binaries.  A cold build
+logs one INFO record naming the compiler, its wall seconds and the library
+path.
 """
 
 from __future__ import annotations
@@ -72,6 +70,7 @@ import logging
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -197,22 +196,25 @@ def _compile(compiler: str, lib_path: str) -> None:
     """Build the library at ``lib_path`` from :data:`_UNITS`.
 
     Every unit's compile starts at once; the link follows when all have
-    succeeded.  Objects and the library are written under per-process
-    temporary names and the library moved into place with one rename, so
-    concurrent cold-cache imports never load a half-written file.  On any
-    failure every compiler still running is killed and reaped and every
-    temporary file removed; :class:`_BuildError` names the unit (or
-    ``link``).
+    succeeded.  Everything is written in a private build directory next to
+    ``lib_path`` (also the compilers' ``TMPDIR``) and the library moved into
+    place with one rename, so concurrent cold-cache imports never load a
+    half-written file.  Each compiler runs in its own session; on any
+    failure every one still running is killed with its whole process group
+    (a hung ``cc1`` or ``as`` too) and reaped, and the build directory is
+    removed.  :class:`_BuildError` names the unit (or ``link``).
     """
-    tmp_path = f"{lib_path}.tmp{os.getpid()}"
-    objects = [f"{tmp_path}.{unit}.o" for unit in _UNITS]
+    build_dir = tempfile.mkdtemp(prefix=".build-", dir=os.path.dirname(lib_path))
+    env = {**os.environ, "TMPDIR": build_dir}
+    objects = [os.path.join(build_dir, f"{unit}.o") for unit in _UNITS]
+    tmp_path = os.path.join(build_dir, os.path.basename(lib_path))
     deadline = time.monotonic() + _TIMEOUT_S
     procs = []
 
     def start(name, args):
         procs.append((name, subprocess.Popen(
-            [compiler, *args], stdin=subprocess.DEVNULL,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            [compiler, *args], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, env=env, start_new_session=True,
         )))
 
     try:
@@ -225,13 +227,13 @@ def _compile(compiler: str, lib_path: str) -> None:
     finally:
         for _, proc in procs:
             if proc.returncode is None:
-                proc.kill()
-                proc.communicate()
-        for leftover in (*objects, tmp_path):
-            try:
-                os.remove(leftover)
-            except FileNotFoundError:
-                pass
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+            proc.stderr.close()
+        shutil.rmtree(build_dir, ignore_errors=True)
 
 
 def _bind(lib: ctypes.CDLL) -> None:
@@ -333,11 +335,6 @@ def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
 
 
 _LIB, _UNAVAILABLE = _build()
-
-if _LIB is None and os.environ.get("REPRO_REQUIRE_CKERNEL", "").strip():
-    raise ImportError(
-        f"REPRO_REQUIRE_CKERNEL is set but the compiled kernels are unavailable: {_UNAVAILABLE}"
-    )
 
 if _UNAVAILABLE is not None and _UNAVAILABLE != "disabled":
     _log.warning("compiled kernels unavailable, using NumPy: %s", _UNAVAILABLE)

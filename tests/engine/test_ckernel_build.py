@@ -3,14 +3,13 @@
 ``_ckernel._build()`` never raises: every failure returns ``(None, reason)``,
 the import falls back to NumPy, logs the reason once at WARNING and shows it
 in every backend's ``describe()``.  ``REPRO_DISABLE_CKERNEL`` is a choice,
-not a failure: its reason is ``"disabled"`` and nothing is logged.
-``REPRO_REQUIRE_CKERNEL`` turns any such reason into an ``ImportError``.  A
+not a failure: its reason is ``"disabled"`` and nothing is logged.  A
 compile logs one INFO record.  The build compiles every unit under
 ``kernels/`` at once and links them; a failing or hanging unit is named,
-and no compiler or temporary file outlives the build.  Two guards keep the
-cold build cheap and the SIMD forms vectorized: the sources include only
-libc headers (and their own), and the compiled library's vector forms use
-the registers of their level.
+and no compiler, compiler child or temporary file outlives the build.  Two
+guards keep the cold build cheap and the SIMD forms vectorized: the sources
+include only libc headers (and their own), and the compiled library's
+vector forms use the registers of their level.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from subprocess import PIPE
 
@@ -251,15 +251,10 @@ def test_vector_forms_use_their_registers(tmp_path):
         assert "ymm" not in code[name] and "zmm" not in code[name], name
 
 
-#: A compiler that never finishes.
-_SLEEP = [sys.executable, "-c", "import time; time.sleep(600)"]
-
-
 class _Hangs(subprocess.Popen):
     """A process whose every wait with a timeout finds the deadline passed.
 
-    Stands in for the whole 120 s wait; a wait without a timeout (the reap
-    after a kill) is real.
+    Stands in for the whole 120 s wait; the reap after the kill is real.
     """
 
     def communicate(self, input=None, timeout=None):
@@ -268,8 +263,62 @@ class _Hangs(subprocess.Popen):
         return super().communicate(input)
 
 
-def _hang(args):
-    return _SLEEP
+#: A compiler whose own child hangs, as ``cc`` waits on a hung ``cc1``.  The
+#: child inherits the stderr pipe.  The stand-in leaves a file in its
+#: ``TMPDIR``, as ``cc`` leaves its assembly there, writes the child's pid
+#: to ``argv[1]`` and waits.
+_HUNG_CHILD = """\
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(30)"])
+open(os.path.join(os.environ["TMPDIR"], "cc.s"), "w").close()
+with open(sys.argv[1] + ".tmp", "w") as fh:
+    fh.write(str(child.pid))
+os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+child.wait()
+"""
+
+
+class _HungChildren:
+    """Stands in for ``Popen``: the units in ``hanging`` hang in a child, the rest fail.
+
+    A hanging unit runs :data:`_HUNG_CHILD` through ``popen`` and is returned
+    once its child runs; ``children`` keeps the children's pids.  Any other
+    command exits 1 with ``error: not C``.
+    """
+
+    def __init__(self, tmp_path, hanging, popen=subprocess.Popen):
+        self.dir, self.hanging, self.popen = tmp_path, set(hanging), popen
+        self.children = []
+
+    def __call__(self, args, **kwargs):
+        unit = _unit_of(args)
+        if unit not in self.hanging:
+            return self.popen([sys.executable, "-c", "import sys; sys.exit('error: not C')"], **kwargs)
+        pid_file = self.dir / f"{unit}.pid"
+        proc = self.popen([sys.executable, "-c", _HUNG_CHILD, str(pid_file)], **kwargs)
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, "the stand-in never started its child"
+            time.sleep(0.01)
+        self.children.append(int(pid_file.read_text()))
+        return proc
+
+
+def _exits(pid, within=10.0) -> bool:
+    """Whether process ``pid`` is gone or a zombie within ``within`` seconds."""
+    deadline = time.monotonic() + within
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rpartition(")")[2].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="no /proc to see a process exit")
 
 
 def _emit_garbage(args):
@@ -278,16 +327,43 @@ def _emit_garbage(args):
     return [sys.executable, "-c", f"open({out!r}, 'wb').write(b'not a shared object')"]
 
 
+@needs_proc
 def test_a_hanging_unit_times_out_and_every_compile_is_killed(monkeypatch, tmp_path):
+    """Both compiles and the children holding their stderr are killed at the deadline."""
     cache = _fresh_cache(monkeypatch, tmp_path)
     monkeypatch.setattr(shutil, "which", lambda name: "cc")
-    started = _Recorder(_hang, _Hangs)
+    hung = _HungChildren(tmp_path, _ckernel._UNITS, popen=_Hangs)
+    started = _Recorder(popen=hung)
     monkeypatch.setattr(subprocess, "Popen", started)
+    begin = time.monotonic()
     lib, reason = _ckernel._build()
+    assert time.monotonic() - begin < 10  # no wait on a pipe a child still holds
     assert lib is None and reason == f"compiler timed out after 120 s: {_ckernel._UNITS[0]}"
     assert list(map(_unit_of, started.commands)) == list(_ckernel._UNITS)  # at once, no link
     assert [proc.returncode for proc in started.procs] == [-signal.SIGKILL] * len(_ckernel._UNITS)
-    assert list(cache.glob("*/*.tmp*")) == []  # no temp object or library left
+    assert len(hung.children) == len(_ckernel._UNITS)
+    assert all(_exits(pid) for pid in hung.children)
+    (cache_dir,) = cache.glob("repro-ckernel-*")
+    assert list(cache_dir.iterdir()) == []  # no object, library or compiler temp file left
+
+
+@needs_proc
+def test_a_failing_unit_kills_the_other_compile(monkeypatch, tmp_path):
+    """The first unit fails at once; the second, hung in a child, is killed whole."""
+    cache = _fresh_cache(monkeypatch, tmp_path)
+    monkeypatch.setattr(shutil, "which", lambda name: "cc")
+    failing, hanging = _ckernel._UNITS
+    hung = _HungChildren(tmp_path, [hanging])
+    started = _Recorder(popen=hung)
+    monkeypatch.setattr(subprocess, "Popen", started)
+    begin = time.monotonic()
+    lib, reason = _ckernel._build()
+    assert time.monotonic() - begin < 10
+    assert lib is None and reason == f"compiler error: {failing}: error: not C"
+    assert [proc.returncode for proc in started.procs] == [1, -signal.SIGKILL]
+    assert len(hung.children) == 1 and _exits(hung.children[0])
+    (cache_dir,) = cache.glob("repro-ckernel-*")
+    assert list(cache_dir.iterdir()) == []
 
 
 def test_an_unloadable_library_reports_its_reason(monkeypatch, tmp_path):
@@ -300,7 +376,8 @@ def test_an_unloadable_library_reports_its_reason(monkeypatch, tmp_path):
     assert lib is None and reason.startswith("library not built or loaded: ")
     assert list(map(_unit_of, started.commands)) == [*_ckernel._UNITS, "link"]
     assert all(proc.returncode == 0 for proc in started.procs)
-    assert list(cache.glob("*/*.tmp*")) == []  # no temp object or library left
+    (cache_dir,) = cache.glob("repro-ckernel-*")
+    assert [path.name for path in cache_dir.iterdir()] == ["libreprokernel.so"]  # no temp file left
 
 
 def test_build_loads_the_file_at_library_path(monkeypatch, tmp_path):
@@ -310,7 +387,7 @@ def test_build_loads_the_file_at_library_path(monkeypatch, tmp_path):
     """
     _fresh_cache(monkeypatch, tmp_path)
     monkeypatch.setattr(shutil, "which", lambda name: "cc")
-    started = _Recorder(_hang, _Hangs)  # a compile would time out
+    started = _Recorder()  # records any compile
     monkeypatch.setattr(subprocess, "Popen", started)
     Path(_ckernel.library_path()).write_bytes(b"not a shared object\n")
     lib, reason = _ckernel._build()
@@ -338,34 +415,6 @@ def test_import_falls_back_with_reason(tmp_path, disabled):
         logged = [line for line in proc.stderr.splitlines() if "unavailable" in line]
         assert len(logged) == 1, proc.stderr
         assert described["ckernel"] in logged[0]
-
-
-_REQUIRED = "REPRO_REQUIRE_CKERNEL is set but the compiled kernels are unavailable: "
-
-
-@pytest.mark.parametrize("disabled", [False, True])
-def test_required_kernels_fail_the_import_with_reason(tmp_path, disabled):
-    """``REPRO_REQUIRE_CKERNEL`` turns the fallback into an ImportError, even a chosen one."""
-    if disabled:
-        env = _child_env(REPRO_REQUIRE_CKERNEL="1", REPRO_DISABLE_CKERNEL="1")
-        reason = "disabled"
-    else:
-        (tmp_path / "bin").mkdir()
-        env = _child_env(REPRO_REQUIRE_CKERNEL="1", PATH=str(tmp_path / "bin"))
-        reason = "no C compiler (cc, gcc or clang) on PATH"
-    proc = subprocess.run([sys.executable, "-c", "import repro.engine._ckernel"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode != 0
-    assert proc.stderr.splitlines()[-1] == f"ImportError: {_REQUIRED}{reason}", proc.stderr
-
-
-def test_a_blank_require_flag_counts_as_unset(tmp_path):
-    (tmp_path / "bin").mkdir()
-    env = _child_env(REPRO_REQUIRE_CKERNEL=" ", PATH=str(tmp_path / "bin"))
-    code = "from repro.engine import _ckernel; print(_ckernel.status())"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("no C compiler")
 
 
 @pytest.mark.slow

@@ -15,6 +15,8 @@ from repro.experiments import (
     RobustnessDetailConfig,
     ScaleConfig,
     SizeSweepConfig,
+    get_scenario,
+    resolve_config,
     run_scenario,
 )
 from repro.experiments.figure1 import FIGURE1_COLUMNS
@@ -148,23 +150,16 @@ class TestTable1:
 
 class TestScale:
     CONFIG = ScaleConfig(sizes=(512, 1024), repetitions=2, seed=1)
+    SMOKE = resolve_config(get_scenario("scale"), smoke=True)
 
-    def test_one_row_per_size(self):
-        result = run_scenario("scale", config=self.CONFIG)
-        assert sorted(row["n"] for row in result.rows) == [512, 1024]
+    @pytest.mark.parametrize("config", [CONFIG, SMOKE], ids=["quick", "smoke"])
+    def test_one_row_per_size(self, config):
+        """At the smoke sizes the matrix, swap buffer and graph hold a few KB, still > 0."""
+        result = run_scenario("scale", config=config)
+        assert sorted(row["n"] for row in result.rows) == sorted(config.sizes)
         for row in result.rows:
             assert row["completed"]
-            assert row["repetitions"] == 2
-            assert row["storage_mb"] > 0
-
-    def test_smoke_rows_show_their_storage(self):
-        """At the smoke sizes the matrix, swap buffer and graph hold a few KB."""
-        from repro.experiments import get_scenario, resolve_config
-
-        config = resolve_config(get_scenario("scale"), smoke=True)
-        result = run_scenario("scale", config=config)
-        assert sorted(row["n"] for row in result.rows) == list(config.sizes)
-        for row in result.rows:
+            assert row["repetitions"] == config.repetitions
             assert row["storage_mb"] > 0
 
     def test_record_is_the_gossip_record_plus_storage(self):
