@@ -252,7 +252,7 @@ def simd_entry(n: int, repeats: int) -> Optional[Dict[str, object]]:
         "n": n,
         "detected": _ckernel.simd_name(detected),
         "active": _ckernel.simd_name(),
-        "disabled_by_env": bool(os.environ.get("REPRO_DISABLE_SIMD")),
+        "disabled_by_env": _ckernel.env_flag("REPRO_DISABLE_SIMD"),
         "levels": {},
     }
     try:

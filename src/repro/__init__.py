@@ -43,10 +43,10 @@ per-walk Python loop survives on the per-round hot path.
   dispatch surface over two interchangeable backends — ``numpy`` and ``c``
   (the compiled kernels built by :mod:`repro.engine._ckernel` at first
   import, cached per machine, which shard large batches by receiver rows
-  across a persistent worker pool).  Selection is ``REPRO_KERNEL_BACKEND``
-  (default ``auto``) with the thread budget in ``REPRO_KERNEL_THREADS``;
-  trajectories are bit-identical across backends and thread counts.  ``REPRO_DISABLE_CKERNEL=1`` remains the kill switch
-  that forces the pure-NumPy fallback.
+  across a persistent worker pool).  ``c`` runs whenever the library
+  loads, with the thread budget in ``REPRO_KERNEL_THREADS``;
+  ``REPRO_DISABLE_CKERNEL=1`` is the one switch that forces ``numpy``.
+  Trajectories are bit-identical across backends and thread counts.
 * Experiments are declarative scenarios: every paper figure/table and
   extension is a :class:`repro.experiments.ScenarioSpec` executed by a
   streaming, resumable sweep engine (``repro scenarios run`` with

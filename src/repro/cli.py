@@ -463,8 +463,8 @@ def _open_query_index(directory: str):
     index = ResultStore(path).query_index
     if index is None:
         print(
-            "error: the query index is disabled (REPRO_DISABLE_STORE_INDEX "
-            "or sqlite3 unavailable); unset it to use `repro results`",
+            "error: `repro results` reads the query index, which needs the "
+            "sqlite3 module; this Python cannot import it",
             file=sys.stderr,
         )
         return None, 2

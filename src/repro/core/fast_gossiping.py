@@ -24,7 +24,7 @@ deliveries and the Phase III exchange-with-saturation-filter), which
 dispatch through the active kernel backend (:mod:`repro.engine.backends`):
 the driver is backend-agnostic and its trajectories are bit-identical across
 the ``numpy`` and ``c`` backends at every thread count
-(``REPRO_KERNEL_BACKEND`` / ``REPRO_KERNEL_THREADS``; see
+(``REPRO_DISABLE_CKERNEL`` / ``REPRO_KERNEL_THREADS``; see
 ``docs/parallelism.md``).
 """
 

@@ -48,7 +48,7 @@ storage class.
 Every scatter-OR batch dispatches through the active kernel backend
 (:mod:`repro.engine.backends`): the protocol is backend-agnostic and its
 trajectories are bit-identical across the ``numpy`` and ``c`` backends at
-every thread count (``REPRO_KERNEL_BACKEND`` /
+every thread count (``REPRO_DISABLE_CKERNEL`` /
 ``REPRO_KERNEL_THREADS``; see ``docs/parallelism.md``).
 """
 

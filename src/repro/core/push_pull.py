@@ -13,7 +13,7 @@ incremental :class:`~repro.core.completion.CompletionTracker` update.  Both
 dispatch through the active kernel backend (:mod:`repro.engine.backends`), so
 the driver is backend-agnostic and its trajectories are bit-identical across
 the ``numpy`` and ``c`` backends at every thread count
-(``REPRO_KERNEL_BACKEND`` / ``REPRO_KERNEL_THREADS``; see
+(``REPRO_DISABLE_CKERNEL`` / ``REPRO_KERNEL_THREADS``; see
 ``docs/parallelism.md``).
 
 The protocol also runs under the **event clock**

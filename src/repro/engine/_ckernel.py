@@ -50,19 +50,22 @@ in parallel on two cores, then links the objects into one shared library.
 The build is strictly best-effort: if no compiler is present, the build
 fails, or ``REPRO_DISABLE_CKERNEL`` is set in the environment, callers fall
 back to the pure-NumPy implementations (which are semantically identical —
-see ``tests/engine/test_kernel_equivalence.py``).  A failure never breaks
+see ``tests/engine/test_kernel_equivalence.py``).  Both ``REPRO_DISABLE_*``
+switches are read by :func:`env_flag`: a value that strips to empty or
+``0`` leaves a switch unset.  A failure never breaks
 the import: :func:`status` names its reason, the ``describe()`` of every
 kernel backend carries it, and it is logged once at WARNING on this
 module's logger.  The shared library is cached in a private per-user
 directory keyed on the build flags, the bytes of every source file and the
 CPU signature, so repeated imports pay nothing and heterogeneous machines
-sharing a filesystem never load each other's tuned binaries.  A cold build
-logs one INFO record naming the compiler, its wall seconds and the library
-path.
+sharing a filesystem never load each other's tuned binaries.  A cached file
+that does not load is removed and built again, once.  A build logs one INFO
+record naming the compiler, its wall seconds and the library path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import getpass
 import hashlib
@@ -76,6 +79,7 @@ import tempfile
 import time
 from typing import Optional, Tuple
 
+import _ctypes
 import numpy as np
 
 _log = logging.getLogger(__name__)
@@ -85,6 +89,7 @@ __all__ = [
     "available",
     "bfs_connected",
     "ensure_shards",
+    "env_flag",
     "exchange",
     "push_in_place",
     "library_path",
@@ -97,6 +102,17 @@ __all__ = [
     "simd_name",
     "status",
 ]
+
+
+def env_flag(name: str) -> bool:
+    """Whether the on/off environment switch ``name`` is set.
+
+    The value is stripped; empty or ``0`` means unset, anything else set.
+    ``REPRO_DISABLE_CKERNEL`` and ``REPRO_DISABLE_SIMD`` are read through
+    this one rule.
+    """
+    return os.environ.get(name, "").strip() not in ("", "0")
+
 
 def _cpu_signature() -> str:
     """A machine identifier for the cache key.
@@ -279,8 +295,9 @@ def library_path() -> str:
     The cache directory is keyed on a digest of the compile and link flags
     and of every unit's and header's name and bytes, and on the CPU
     signature; it is created if missing.  :func:`_build` loads the file
-    there when it exists and compiles it otherwise, so a library placed at
-    this path beforehand (say, a sanitizer build) is the one loaded.
+    there when it exists and loads, and compiles it otherwise, so a
+    loadable library placed at this path beforehand (say, a sanitizer
+    build) is the one loaded.
     Raises :class:`OSError` when a source file cannot be read or the
     directory is refused.
     """
@@ -294,6 +311,22 @@ def library_path() -> str:
     return os.path.join(cache_dir, "libreprokernel.so")
 
 
+def _load(lib_path: str) -> ctypes.CDLL:
+    """Load and bind the library at ``lib_path``.
+
+    A library that loads but lacks a symbol is closed again: ``dlopen``
+    hands out an already-loaded library by its path, so it would shadow a
+    rebuild at the same path.
+    """
+    lib = ctypes.CDLL(lib_path)
+    try:
+        _bind(lib)
+    except AttributeError:
+        _ctypes.dlclose(lib._handle)
+        raise
+    return lib
+
+
 def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     """Build, load and bind the library: ``(lib, None)`` or ``(None, reason)``.
 
@@ -301,10 +334,12 @@ def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     is set, otherwise it names the failure: no compiler, an unreadable
     source file, a refused cache directory, a compiler error or timeout
     (naming the unit, or the link), or a library that does not load or
-    lacks a symbol.  A compile (a cache miss) logs one INFO record with
-    the compiler, its wall seconds and the library path.
+    lacks a symbol.  A cached library that does not load or bind is
+    removed and compiled again, once; a library this call just compiled
+    is not.  A compile logs one INFO record with the compiler, its wall
+    seconds and the library path.
     """
-    if os.environ.get("REPRO_DISABLE_CKERNEL"):
+    if env_flag("REPRO_DISABLE_CKERNEL"):
         return None, "disabled"
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if compiler is None:
@@ -316,22 +351,25 @@ def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
             return None, f"kernel source unreadable: {exc}"
         return None, f"cache directory refused: {exc}"
     try:
-        if not os.path.exists(lib_path):
-            start = time.perf_counter()
-            _compile(compiler, lib_path)
-            _log.info(
-                "compiled kernels with %s in %.2f s: %s",
-                compiler, time.perf_counter() - start, lib_path,
-            )
-        lib = ctypes.CDLL(lib_path)
-        _bind(lib)
+        if os.path.exists(lib_path):
+            try:
+                return _load(lib_path), None
+            except (AttributeError, OSError):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(lib_path)
+        start = time.perf_counter()
+        _compile(compiler, lib_path)
+        _log.info(
+            "compiled kernels with %s in %.2f s: %s",
+            compiler, time.perf_counter() - start, lib_path,
+        )
+        return _load(lib_path), None
     except _BuildError as exc:
         return None, str(exc)
     except AttributeError as exc:
         return None, f"missing symbol: {exc}"
     except OSError as exc:
         return None, f"library not built or loaded: {exc}"
-    return lib, None
 
 
 _LIB, _UNAVAILABLE = _build()
@@ -339,7 +377,7 @@ _LIB, _UNAVAILABLE = _build()
 if _UNAVAILABLE is not None and _UNAVAILABLE != "disabled":
     _log.warning("compiled kernels unavailable, using NumPy: %s", _UNAVAILABLE)
 
-if _LIB is not None and os.environ.get("REPRO_DISABLE_SIMD"):
+if _LIB is not None and env_flag("REPRO_DISABLE_SIMD"):
     _LIB.repro_simd_set(0)
 
 _U64P = ctypes.POINTER(ctypes.c_uint64)
@@ -356,8 +394,9 @@ def available() -> bool:
 def status() -> str:
     """``"loaded"``, or why the compiled kernels are unavailable.
 
-    ``"disabled"`` means ``REPRO_DISABLE_CKERNEL`` is set; anything else is
-    the build or load failure logged at import.
+    ``"disabled"`` means ``REPRO_DISABLE_CKERNEL`` is set (see
+    :func:`env_flag`); anything else is the build or load failure logged at
+    import.
     """
     if _LIB is not None:
         return "loaded"

@@ -1,60 +1,60 @@
-"""Kernel backend registry: one dispatch surface over interchangeable kernels.
+"""Kernel backends: one dispatch surface over interchangeable kernels.
 
 The knowledge/completion hot paths, and the ``G(n, p)`` build and
 connectivity check, run on one of two interchangeable implementations, and
 protocols never see which one is active:
 
-``numpy``
+:class:`NumpyBackend`
     Pure-NumPy kernels (the layered scatter-OR and ``reduceat`` merges
     implemented inside :mod:`repro.engine.knowledge`, the graph code in
     :mod:`repro.graphs`).  Always available; the fallback whenever the
     compiled library is missing.
 
-``c``
+:class:`CBackend`
     The compiled kernels from :mod:`repro.engine._ckernel` — one swap-form
     exchange kernel for filtered and unfiltered rounds alike, the
     scatter-OR from pre-gathered or external rows, and the
-    mask-and-popcount deficit recount — with a thread budget, plus three
-    serial kernels: the in-place push batch, which applies every push
-    batch, and the two graph kernels (the CSR fill from sorted pair
-    indices and a queue BFS).  Each sharded batch
-    picks its own shard count from its word traffic, with a measured
+    mask-and-popcount deficit recount — with a thread budget.  Each sharded
+    batch picks its own shard count from its word traffic, with a measured
     small-batch cutoff so small runs never pay pool-dispatch overhead.
     Receiver rows are partitioned into disjoint contiguous shards and all
     gathers precede all writes, so trajectories are **bit-identical at
-    every thread count** (see ``docs/parallelism.md``).
+    every thread count** (see ``docs/parallelism.md``).  Three serial
+    compiled kernels take no thread budget and are not backend methods:
+    the in-place push batch, which applies every push batch, and the two
+    graph kernels (the CSR fill from sorted pair indices and a queue BFS).
+    Their callers run them from :mod:`repro.engine._ckernel` whenever the
+    active backend's :meth:`~KernelBackend.use_compiled` is true.
 
-Selection is environment driven and resolved once per process:
-
-``REPRO_KERNEL_BACKEND``
-    ``auto`` (default), ``numpy`` or ``c``.  ``auto`` picks ``c`` when the
-    compiled library is available and ``numpy`` otherwise.
+Each process starts on :class:`CBackend` when the compiled library loaded
+and on :class:`NumpyBackend` otherwise (:func:`resolve`).  Two environment
+switches shape that choice:
 
 ``REPRO_KERNEL_THREADS``
-    Thread budget for ``c`` (default: the machine's CPU count).  ``1``
-    runs every batch on the calling thread.
+    Thread budget of :class:`CBackend` (default: the machine's CPU count).
+    ``1`` runs every batch on the calling thread.
 
 ``REPRO_DISABLE_CKERNEL``
-    Back-compat kill switch: prevents the compiled build entirely, so every
-    backend resolves to NumPy behaviour.
+    Skips the compiled build, so every run takes the NumPy kernels.  A
+    value that strips to empty or ``0`` leaves it unset
+    (:func:`repro.engine._ckernel.env_flag`).
 
 Tests and benchmarks can override the process-wide choice with
-:func:`use` (a context manager) or :func:`set_active`.
+:func:`use` (a context manager) or :func:`set_active`, both of which take
+a backend object.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Type
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
 from . import _ckernel
 
 __all__ = [
-    "BACKENDS",
     "CBackend",
     "KernelBackend",
     "NumpyBackend",
@@ -72,7 +72,7 @@ def simd_info() -> Dict[str, object]:
     return {
         "active": _ckernel.simd_name(),
         "detected": _ckernel.simd_name(_ckernel.simd_detected()),
-        "disabled": bool(os.environ.get("REPRO_DISABLE_SIMD")),
+        "disabled": _ckernel.env_flag("REPRO_DISABLE_SIMD"),
     }
 
 #: Word-units (64-bit word OR-or-copy operations) of batch work per shard.
@@ -113,7 +113,8 @@ class KernelBackend:
         return f"{type(self).__name__}()"
 
     def use_compiled(self) -> bool:
-        """Whether the compiled batch methods may be called."""
+        """Whether the compiled kernels may be called: the batch methods,
+        and the serial kernels in :mod:`repro.engine._ckernel`."""
         raise NotImplementedError
 
     def describe(self) -> Dict[str, object]:
@@ -229,77 +230,22 @@ class CBackend(KernelBackend):
         shards = self._shards(rows.size * data.shape[1])
         return _ckernel.recount_deficits(data, mask, rows, shards)
 
-    # The in-place push and the graph kernels are serial: they never wake
-    # the thread pool.
-    def push_in_place(self, data, senders, receivers, plan) -> None:
-        """Push batch applied straight into ``data``, each sender read
-        before anything writes it (see ``_ckernel.push_in_place``)."""
-        _ckernel.push_in_place(data, senders, receivers, plan)
 
-    def pairs_csr(self, n, pairs):
-        """CSR ``(indptr, indices)`` of ``G(n, p)`` from its sorted pair
-        indices, with ``int32`` ids (see ``_ckernel.pairs_csr``)."""
-        return _ckernel.pairs_csr(n, pairs)
+def resolve() -> KernelBackend:
+    """The backend a process starts on.
 
-    def is_connected(self, indptr, indices) -> bool:
-        """Queue BFS from node 0 over a valid CSR graph, reading its
-        ``int32`` ids in place."""
-        return _ckernel.bfs_connected(indptr, indices)
-
-
-#: Backend registry: name -> class.  ``auto`` is a resolution rule, not a
-#: registry entry — see :func:`resolve`.
-BACKENDS: Dict[str, Type[KernelBackend]] = {
-    NumpyBackend.name: NumpyBackend,
-    CBackend.name: CBackend,
-}
-
-
-def resolve(
-    name: Optional[str] = None, *, max_threads: Optional[int] = None
-) -> KernelBackend:
-    """Construct the backend ``name`` (or the environment's choice).
-
-    ``name=None`` reads ``REPRO_KERNEL_BACKEND`` (default ``auto``).
-    ``auto`` picks the compiled kernels when the library is available and
-    NumPy otherwise.  ``max_threads`` is the compiled backend's thread
-    budget (default :func:`default_max_threads`).
+    :class:`CBackend` with the default thread budget
+    (:func:`default_max_threads`) when the compiled library is available,
+    :class:`NumpyBackend` otherwise.
     """
-    if name is None:
-        name = os.environ.get("REPRO_KERNEL_BACKEND", "").strip().lower() or "auto"
-    if name == "auto":
-        name = "c" if _ckernel.available() else "numpy"
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        options = ", ".join(sorted(BACKENDS) + ["auto"])
-        raise ValueError(
-            f"unknown kernel backend {name!r} (choose from: {options})"
-        ) from None
-    if cls is NumpyBackend:
-        return NumpyBackend()
-    if not _ckernel.available():
-        # An *explicit* request for the compiled backend that cannot run
-        # compiled code must not degrade silently: every dispatch site
-        # would quietly take the NumPy path, so e.g. a CI job meant to
-        # exercise the sharded kernels would pass green without covering
-        # them.  Warn loudly (the run is still correct, just not what was
-        # asked for).
-        warnings.warn(
-            f"kernel backend {name!r} was requested but the compiled "
-            "library is unavailable (no C compiler, failed build, or "
-            "REPRO_DISABLE_CKERNEL set); kernels will run on NumPy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return CBackend(max_threads=max_threads)
+    return CBackend() if _ckernel.available() else NumpyBackend()
 
 
 _ACTIVE: Optional[KernelBackend] = None
 
 
 def active() -> KernelBackend:
-    """The process-wide backend (resolved from the environment on first use)."""
+    """The process-wide backend (:func:`resolve` on first use)."""
     global _ACTIVE
     if _ACTIVE is None:
         _ACTIVE = resolve()
@@ -307,18 +253,20 @@ def active() -> KernelBackend:
 
 
 def set_active(backend: Optional[KernelBackend]) -> None:
-    """Install ``backend`` process-wide; ``None`` re-resolves from the env."""
+    """Install ``backend`` process-wide; ``None`` resolves again on next use."""
     global _ACTIVE
     _ACTIVE = backend
 
 
 @contextmanager
-def use(
-    backend: "str | KernelBackend", **kwargs: object
-) -> Iterator[KernelBackend]:
-    """Temporarily switch the active backend (tests, benchmark A/B runs)."""
+def use(backend: KernelBackend) -> Iterator[KernelBackend]:
+    """Temporarily install ``backend`` (tests, benchmark A/B runs).
+
+    Raises :class:`TypeError`, switching nothing, unless ``backend`` is a
+    :class:`KernelBackend` object.
+    """
     if not isinstance(backend, KernelBackend):
-        backend = resolve(backend, **kwargs)
+        raise TypeError(f"use() takes a KernelBackend object, got {backend!r}")
     previous = _ACTIVE
     set_active(backend)
     try:

@@ -23,8 +23,8 @@ scatter-OR*: the sender rows involved are read before any row is written.
 Duplicate receivers are resolved either by an order-independent compiled
 pass — sharded across a worker pool when the batch is large enough,
 dispatched through the active :mod:`repro.engine.backends` backend
-(``REPRO_KERNEL_BACKEND`` / ``REPRO_KERNEL_THREADS``;
-``REPRO_DISABLE_CKERNEL=1`` forces NumPy) — or by a layered NumPy scatter;
+(thread budget ``REPRO_KERNEL_THREADS``; ``REPRO_DISABLE_CKERNEL=1``
+forces NumPy) — or by a layered NumPy scatter;
 all paths are pinned bit-identical by
 ``tests/engine/test_kernel_equivalence.py``.  Every bulk entry point checks
 its node ids first and raises :class:`IndexError`, writing nothing, on an
@@ -56,7 +56,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import backends
+from . import _ckernel, backends
 
 __all__ = [
     "KnowledgeMatrix",
@@ -594,9 +594,8 @@ class KnowledgeMatrix:
         senders, receivers = self._batch(senders, receivers, ("senders", "receivers"))
         if senders.size == 0:
             return np.zeros(0, dtype=np.int64)
-        backend = backends.active()
-        if backend.use_compiled():
-            backend.push_in_place(
+        if backends.active().use_compiled():
+            _ckernel.push_in_place(
                 self.data, senders, receivers, self._push_plan(senders.size)
             )
             return receivers

@@ -465,11 +465,10 @@ class Adjacency:
         """
         if self.n <= 1:
             return True
-        from ..engine import backends  # lazy: the engine imports this module
+        from ..engine import _ckernel, backends  # lazy: the engine imports this module
 
-        backend = backends.active()
-        if backend.use_compiled():
-            return backend.is_connected(self.indptr, self.indices)
+        if backends.active().use_compiled():
+            return _ckernel.bfs_connected(self.indptr, self.indices)
         return self.connected_component(0).size == self.n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine import backends
+from ..engine import _ckernel, backends
 from ..engine.rng import RandomState, make_rng
 from .adjacency import Adjacency
 from .deterministic import complete_graph
@@ -91,9 +91,8 @@ def _pairs_to_edges(n: int, linear: np.ndarray) -> np.ndarray:
 
 def _graph_from_pairs(n: int, pairs: np.ndarray) -> Adjacency:
     """The CSR adjacency of the sampled pairs, on the active kernel backend."""
-    backend = backends.active()
-    if backend.use_compiled():
-        return Adjacency(*backend.pairs_csr(n, pairs))
+    if backends.active().use_compiled():
+        return Adjacency(*_ckernel.pairs_csr(n, pairs))
     return Adjacency.from_edges(n, _pairs_to_edges(n, pairs))
 
 

@@ -130,10 +130,9 @@ class ResultStore:
     index:
         Whether to serve queries from the SQLite query index
         (:mod:`repro.io.index`) kept next to the JSONL files.  ``None`` (the
-        default) enables it when ``sqlite3`` is importable and the
-        ``REPRO_DISABLE_STORE_INDEX`` environment variable is unset.  The
-        index is derived state, caught up on each read (appends never touch
-        it): disabling it only routes reads through full JSONL scans.
+        default) enables it when ``sqlite3`` is importable.  The index is
+        derived state, caught up on each read (appends never touch it):
+        disabling it only routes reads through full JSONL scans.
     """
 
     def __init__(
@@ -146,9 +145,7 @@ class ResultStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.lock_timeout = float(lock_timeout)
-        if index is None:
-            index = not os.environ.get("REPRO_DISABLE_STORE_INDEX")
-        self._index_enabled = bool(index)
+        self._index_enabled = index is None or bool(index)
         self._query_index: Optional[Any] = None
         # scenario -> {"entries", "pairs", "failures", "corrupt",
         #              "valid_end", "size", "truncated"}
@@ -158,13 +155,13 @@ class ResultStore:
     @property
     def query_index(self):
         """Lazily constructed :class:`repro.io.index.QueryIndex`, or ``None``
-        when indexing is disabled (flag, env var or missing sqlite3)."""
+        when indexing is disabled (``index=False`` or missing sqlite3)."""
         if not self._index_enabled:
             return None
         if self._query_index is None:
             from .index import QueryIndex, index_available
 
-            if not index_available():  # pragma: no cover - sqlite-less build
+            if not index_available():
                 self._index_enabled = False
                 return None
             self._query_index = QueryIndex(self)

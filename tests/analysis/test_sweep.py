@@ -33,7 +33,7 @@ def env_task(task: SweepTask) -> dict:
     """Module-level task reporting a REPRO_* env var seen in the worker."""
     import os
 
-    return {"backend": os.environ.get("REPRO_KERNEL_BACKEND", "")}
+    return {"threads": os.environ.get("REPRO_KERNEL_THREADS", "")}
 
 
 def execution_task(task: SweepTask) -> dict:
@@ -190,23 +190,22 @@ class TestSchedulerHooks:
 
     @pytest.mark.skipif(os.cpu_count() is None or os.cpu_count() < 2, reason="needs >=2 CPUs")
     def test_backend_env_propagates_to_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
         tasks = expand_grid([(i, {}) for i in range(2)], repetitions=1, base_seed=8)
         records = run_sweep(env_task, tasks, n_jobs=2)
-        assert all(r["backend"] == "numpy" for r in records)
+        assert all(r["threads"] == "3" for r in records)
 
     @pytest.mark.skipif(os.cpu_count() is None or os.cpu_count() < 2, reason="needs >=2 CPUs")
-    def test_scoped_overrides_reach_spawned_workers(self, monkeypatch):
+    def test_scoped_overrides_reach_spawned_workers(self):
         """``backends.use`` in the parent holds in workers that do not
         inherit its memory (the ``spawn`` start method)."""
         from repro.engine import backends
 
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         tasks = expand_grid([(i, {}) for i in range(2)], repetitions=1, base_seed=9)
         previous = multiprocessing.get_start_method(allow_none=True)
         multiprocessing.set_start_method("spawn", force=True)
         try:
-            with backends.use("numpy"):
+            with backends.use(backends.NumpyBackend()):
                 records = run_sweep(execution_task, tasks, n_jobs=2)
         finally:
             multiprocessing.set_start_method(previous, force=True)

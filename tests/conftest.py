@@ -19,7 +19,7 @@ def _scoped_active_backend():
     """Resolve the process-wide kernel backend before each test; restore it after.
 
     Tests stub ``_ckernel._LIB = None`` for their NumPy cases.  Resolving
-    here, before any such stub, keeps the environment's backend in place
+    here, before any such stub, keeps the process's backend in place
     for them (with the library stubbed it takes its NumPy paths), and
     restoring it afterwards means a backend a test installs or resolves
     for itself, say ``NumpyBackend()`` resolved inside a stub, never

@@ -1,10 +1,12 @@
-"""Tests for the kernel backend registry and the sharded kernels.
+"""Tests for the kernel backend selection and the sharded kernels.
 
 Two layers are covered here:
 
-* the registry itself — name/environment resolution, the ``auto`` rule, the
+* the selection itself — :func:`repro.engine.backends.resolve` (compiled
+  whenever the library loaded), the ``REPRO_KERNEL_THREADS`` budget, the
   thread-count heuristic with its measured small-batch cutoff, and the
-  :func:`repro.engine.backends.use` override used by tests and benchmarks;
+  :func:`repro.engine.backends.use` override used by tests and benchmarks,
+  which takes a backend object;
 * every compiled kernel at 2, 3 and 8 shards against the same kernel at one
   shard and against an independent NumPy reference, so one shard is never
   only compared with itself.
@@ -36,62 +38,28 @@ def threaded(max_threads: int) -> backends.CBackend:
     return backends.CBackend(max_threads=max_threads, shard_work=1)
 
 
-def resolve_compiled(name=None, **kwargs):
-    """Resolve the compiled backend, absorbing the degradation warning.
-
-    Explicitly requesting ``c`` without the compiled library warns by
-    design; under ``filterwarnings = ["error"]`` that warning must be
-    asserted rather than leaked into the registry tests, which check
-    resolution behaviour, not availability.
-    """
-    if _ckernel.available():
-        return backends.resolve(name, **kwargs) if name else backends.resolve(**kwargs)
-    with pytest.warns(RuntimeWarning, match="compiled library is unavailable"):
-        return backends.resolve(name, **kwargs) if name else backends.resolve(**kwargs)
-
-
 class TestRegistry:
-    def test_known_names_resolve(self):
-        assert backends.resolve("numpy").name == "numpy"
-        assert resolve_compiled("c").name == "c"
-        resolved = resolve_compiled("c", max_threads=3)
-        assert resolved.name == "c"
-        assert resolved.max_threads == 3
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            backends.resolve("cuda")
-
-    def test_retired_threads_name_raises(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            backends.resolve("c-threads")
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c-threads")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            backends.resolve()
-
-    def test_env_backend_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        assert backends.resolve().name == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "c")
-        assert resolve_compiled().name == "c"
+    def test_known_names_resolve(self, monkeypatch):
+        """``resolve()`` is the compiled backend when the library loaded."""
+        resolved = backends.resolve()
+        if _ckernel.available():
+            assert type(resolved) is backends.CBackend and resolved.name == "c"
+            assert resolved.max_threads == backends.default_max_threads()
+        monkeypatch.setattr(_ckernel, "_LIB", None)
+        resolved = backends.resolve()
+        assert type(resolved) is backends.NumpyBackend and resolved.name == "numpy"
 
     def test_env_thread_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "6")
-        assert backends.default_max_threads() == 6
-        assert resolve_compiled("c").max_threads == 6
-        assert backends.CBackend().max_threads == 6
+        for threads in (1, 6):
+            monkeypatch.setenv("REPRO_KERNEL_THREADS", f" {threads} ")
+            assert backends.default_max_threads() == threads
+            assert backends.CBackend().max_threads == threads
+            if _ckernel.available():  # compiled at any thread budget
+                assert backends.resolve().name == "c"
+                assert backends.resolve().max_threads == threads
         monkeypatch.setenv("REPRO_KERNEL_THREADS", "soon")
         with pytest.raises(ValueError, match="REPRO_KERNEL_THREADS"):
             backends.default_max_threads()
-
-    def test_auto_prefers_compiled_at_any_thread_budget(self, monkeypatch):
-        if _ckernel.available():
-            for threads in (1, 4):
-                resolved = backends.resolve("auto", max_threads=threads)
-                assert resolved.name == "c"
-                assert resolved.max_threads == threads
-        monkeypatch.setattr(_ckernel, "_LIB", None)
-        assert backends.resolve("auto", max_threads=4).name == "numpy"
 
     def test_describe_reports_thread_budget(self):
         described = backends.CBackend(max_threads=3, shard_work=7).describe()
@@ -105,19 +73,30 @@ class TestRegistry:
 
     def test_use_context_manager_restores(self):
         before = backends.active()
-        with backends.use("numpy") as switched:
+        with backends.use(backends.NumpyBackend()) as switched:
             assert backends.active() is switched
             assert switched.name == "numpy"
         assert backends.active() is before
 
+    @pytest.mark.parametrize(
+        "stale", ["numpy", "c", backends.NumpyBackend], ids=["numpy", "c", "class"]
+    )
+    def test_use_takes_only_a_backend_object(self, stale):
+        """A name (or a class) fails on entry, before anything is switched."""
+        before = backends.active()
+        with pytest.raises(TypeError, match="KernelBackend object"):
+            with backends.use(stale):
+                pass
+        assert backends.active() is before
+
     def test_use_compiled_tracks_library_availability(self, monkeypatch):
-        one = resolve_compiled("c", max_threads=1)
-        four = resolve_compiled("c", max_threads=4)
+        one = backends.CBackend(max_threads=1)
+        four = backends.CBackend(max_threads=4)
         assert one.use_compiled() == _ckernel.available()
         monkeypatch.setattr(_ckernel, "_LIB", None)
         assert not one.use_compiled()
         assert not four.use_compiled()
-        assert not backends.resolve("numpy").use_compiled()
+        assert not backends.NumpyBackend().use_compiled()
 
 
 @needs_compiled
@@ -128,12 +107,11 @@ class TestNumpyStubStaysInItsTest:
     backend for the first time with the library stubbed out, as the
     ``numpy`` case of a ``kernel_path`` fixture may; that caches
     ``NumpyBackend()``.  The second is the next resolution: the suite's
-    autouse ``_scoped_active_backend`` must have put the environment's
-    compiled choice back, or every later "compiled" test would run NumPy.
+    autouse ``_scoped_active_backend`` must have put the compiled backend
+    back, or every later "compiled" test would run NumPy.
     """
 
     def test_first_resolution_inside_a_numpy_stub(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         backends.set_active(None)
         monkeypatch.setattr(_ckernel, "_LIB", None)
         assert backends.active().name == "numpy"

@@ -3,8 +3,10 @@
 ``_ckernel._build()`` never raises: every failure returns ``(None, reason)``,
 the import falls back to NumPy, logs the reason once at WARNING and shows it
 in every backend's ``describe()``.  ``REPRO_DISABLE_CKERNEL`` is a choice,
-not a failure: its reason is ``"disabled"`` and nothing is logged.  A
-compile logs one INFO record.  The build compiles every unit under
+not a failure: its reason is ``"disabled"`` and nothing is logged; it and
+``REPRO_DISABLE_SIMD`` count a blank or ``0`` value as unset.  A compile
+logs one INFO record.  A cached library is used when it loads and rebuilt
+once when it does not.  The build compiles every unit under
 ``kernels/`` at once and links them; a failing or hanging unit is named,
 and no compiler, compiler child or temporary file outlives the build.  Two
 guards keep the cold build cheap and the SIMD forms vectorized: the sources
@@ -380,19 +382,82 @@ def test_an_unloadable_library_reports_its_reason(monkeypatch, tmp_path):
     assert [path.name for path in cache_dir.iterdir()] == ["libreprokernel.so"]  # no temp file left
 
 
-def test_build_loads_the_file_at_library_path(monkeypatch, tmp_path):
-    """A library placed at ``library_path()`` beforehand is loaded, not rebuilt.
+def _stale_library(path: Path, kind: str) -> None:
+    """Leave at ``path`` a file that does not load, or one that lacks the kernels."""
+    if kind == "junk":
+        path.write_bytes(b"not a shared object\n")
+    else:
+        subprocess.run(
+            [COMPILER, "-shared", "-fPIC", "-x", "c", "-", "-o", str(path)],
+            input=b"int repro_placeholder;\n", check=True,
+        )
+
+
+@needs_compiler
+@pytest.mark.parametrize("kind", ["junk", "no-symbols"])
+def test_a_cached_library_that_does_not_load_is_rebuilt_once(monkeypatch, tmp_path, kind):
+    """One compile round (both units, then the link) replaces it; the rebuild loads.
+
+    A library that loads but lacks a symbol stays loaded under its path,
+    so the rebuild would bind it again unless it was closed first.
+    """
+    _fresh_cache(monkeypatch, tmp_path)
+    lib_path = Path(_ckernel.library_path())
+    _stale_library(lib_path, kind)
+    started = _Recorder()
+    monkeypatch.setattr(subprocess, "Popen", started)
+    lib, reason = _ckernel._build()
+    assert lib is not None and reason is None, reason
+    assert list(map(_unit_of, started.commands)) == [*_ckernel._UNITS, "link"]
+    assert list(lib_path.parent.iterdir()) == [lib_path]
+
+
+def test_a_loadable_library_at_library_path_is_used_as_is(monkeypatch, tmp_path):
+    """A library placed at ``library_path()`` that loads is loaded, not rebuilt.
 
     The sanitizer CI job relies on this to run its own build.
     """
+    if not _ckernel.available():
+        pytest.skip("no compiled library loaded to copy")
     _fresh_cache(monkeypatch, tmp_path)
     monkeypatch.setattr(shutil, "which", lambda name: "cc")
     started = _Recorder()  # records any compile
     monkeypatch.setattr(subprocess, "Popen", started)
-    Path(_ckernel.library_path()).write_bytes(b"not a shared object\n")
+    lib_path = _ckernel.library_path()
+    shutil.copyfile(_ckernel._LIB._name, lib_path)
     lib, reason = _ckernel._build()
-    assert lib is None and reason.startswith("library not built or loaded: ")
-    assert started.procs == []
+    assert lib is not None and reason is None, reason
+    assert lib._name == lib_path
+    assert started.commands == []
+
+
+#: Each value of an on/off switch, and whether it sets the switch.
+FLAG_VALUES = [("", False), (" ", False), ("0", False), ("1", True)]
+
+#: Prints what the import made of ``REPRO_DISABLE_CKERNEL`` and ``REPRO_DISABLE_SIMD``.
+_REPORT_FLAGS = (
+    "import json; from repro.engine import _ckernel, backends; "
+    "print(json.dumps({'status': _ckernel.status(), 'simd': backends.simd_info()}))"
+)
+
+
+@pytest.mark.parametrize("value,is_set", FLAG_VALUES, ids=["empty", "blank", "zero", "one"])
+@pytest.mark.parametrize("switch", ["REPRO_DISABLE_CKERNEL", "REPRO_DISABLE_SIMD"])
+def test_a_blank_or_zero_switch_is_unset(switch, value, is_set):
+    """The import and ``simd_info()`` read both switches by one rule."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_FLAGS], env=_child_env(**{switch: value}),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    if switch == "REPRO_DISABLE_CKERNEL":
+        assert (report["status"] == "disabled") is is_set, report
+        return
+    assert report["simd"]["disabled"] is is_set, report
+    if report["status"] == "loaded":
+        expected = "scalar" if is_set else report["simd"]["detected"]
+        assert report["simd"]["active"] == expected, report
 
 
 @pytest.mark.parametrize("disabled", [False, True])

@@ -100,14 +100,14 @@ class TestRunScenario:
 
     @pytest.mark.skipif(not _ckernel.available(), reason="compiled kernel unavailable")
     def test_metadata_records_compiled_execution(self):
-        with backends.use("c"):
+        with backends.use(backends.CBackend()):
             execution = run_scenario("figure1", smoke=True).metadata["execution"]
         assert execution["name"] == "c" and execution["compiled"] is True
         assert execution["ckernel"] == "loaded"
         assert execution["simd"]["active"] == _ckernel.simd_name()
 
     def test_metadata_records_numpy_execution(self):
-        with backends.use("numpy"):
+        with backends.use(backends.NumpyBackend()):
             execution = run_scenario("figure1", smoke=True).metadata["execution"]
         assert execution["name"] == "numpy" and execution["compiled"] is False
 

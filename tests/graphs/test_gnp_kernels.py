@@ -211,7 +211,7 @@ def test_make_graph_calls_each_compiled_entry_point_once(monkeypatch):
             return _kernel(*args)
 
         monkeypatch.setattr(_ckernel._LIB, name, counted)
-    with backends.use("c"):
+    with backends.use(backends.CBackend()):
         graph = make_graph(paper_graph_spec(2048), rng=1)
     assert graph.n == 2048
     assert calls == {"repro_pairs_csr": 1, "repro_bfs_connected": 1}

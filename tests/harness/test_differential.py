@@ -85,7 +85,7 @@ def test_programs_match_oracle_across_simd_levels() -> None:
         pytest.skip("CPU supports no SIMD level beyond scalar")
     original = _ckernel.simd_active()
     try:
-        with backends.use("c") as active:
+        with backends.use(backends.CBackend()) as active:
             for level in range(_ckernel.simd_detected() + 1):
                 _ckernel.set_simd_level(level)
                 for k in range(max(1, N_PROGRAMS // 3)):

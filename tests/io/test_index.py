@@ -23,6 +23,7 @@ import pytest
 
 sqlite3 = pytest.importorskip("sqlite3")
 
+import repro.io.index
 from repro.analysis.statistics import aggregate_records, summarize
 from repro.io import ResultStore, index_available
 from repro.io.index import QueryIndex, nearest_rank
@@ -142,8 +143,9 @@ class TestAvailability:
     def test_index_available_here(self):
         assert index_available()
 
-    def test_env_var_disables_index(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_STORE_INDEX", "1")
+    def test_default_index_is_off_without_sqlite(self, tmp_path, monkeypatch):
+        """``index=None`` turns the index on only when sqlite3 imports."""
+        monkeypatch.setattr(repro.io.index, "index_available", lambda: False)
         store = _populate(tmp_path)
         assert store.query_index is None
         # Export still works through the scan path; no sqlite file appears.

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro.io.index
 from repro.cli import build_parser, main
 from repro.io import ResultStore
 
@@ -341,10 +342,12 @@ class TestResultsCommand:
         assert err.startswith("error:") and "'graph' is not numeric" in err
 
     def test_disabled_index_is_an_error(self, smoke_store, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_STORE_INDEX", "1")
+        """Without sqlite3 there is no index to query."""
+        monkeypatch.setattr(repro.io.index, "index_available", lambda: False)
         code = main(["results", "stats", str(smoke_store)])
         assert code == 2
-        assert "REPRO_DISABLE_STORE_INDEX" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sqlite3" in err
 
 
 class TestCacheFromOption:
