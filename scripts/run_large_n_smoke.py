@@ -92,6 +92,12 @@ def main() -> int:
     )
     parser.add_argument("--seed", type=int, default=20150525)
     args = parser.parse_args()
+    if args.messages > args.n:
+        # KnowledgeMatrix seeds message i at node i only for i < n.
+        parser.error(
+            f"--messages {args.messages} exceeds --n {args.n}: messages past "
+            "the node count start at no node, so the run never completes"
+        )
 
     n, m = args.n, args.messages
     rng = np.random.default_rng(args.seed)

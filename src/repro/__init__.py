@@ -2,9 +2,10 @@
 
 The package implements the random phone call model, the paper's gossiping
 algorithms (plain push–pull, ``fast-gossiping`` and the memory model with
-leader election), the random-graph substrates they run on, broadcasting
-baselines, an analysis toolkit and the experiment harness that regenerates
-every table and figure of the paper's empirical section.
+leader election), the random-graph substrates they run on, Karp et al.'s
+age-based broadcasting baseline, an analysis toolkit and the experiment
+harness that regenerates every table and figure of the paper's empirical
+section.
 
 Quick start::
 

@@ -1,4 +1,4 @@
-"""Analysis toolkit: theoretical bounds, run statistics, sweeps, spreading curves."""
+"""Analysis toolkit: theoretical bounds, run statistics, sweeps, ASCII plots."""
 
 from .ascii_plot import AsciiPlot, Series, plot_experiment_rows, plot_series
 from .bounds import (
@@ -15,14 +15,7 @@ from .bounds import (
     push_pull_gossip_rounds,
     shape_correlation,
 )
-from .spreading import GrowthSummary, coverage_growth, phase_breakdown, rounds_to_coverage
-from .statistics import (
-    SampleStatistics,
-    aggregate_records,
-    summarize,
-    summarize_records,
-    welford,
-)
+from .statistics import SampleStatistics, aggregate_records, summarize
 from .supervisor import RetryPolicy, SweepReport, TaskFailure, run_supervised_sweep
 from .sweep import SweepTask, expand_grid, run_sweep
 
@@ -43,15 +36,9 @@ __all__ = [
     "push_pull_gossip_messages_per_node",
     "push_pull_gossip_rounds",
     "shape_correlation",
-    "GrowthSummary",
-    "coverage_growth",
-    "phase_breakdown",
-    "rounds_to_coverage",
     "SampleStatistics",
     "aggregate_records",
     "summarize",
-    "summarize_records",
-    "welford",
     "RetryPolicy",
     "SweepReport",
     "TaskFailure",

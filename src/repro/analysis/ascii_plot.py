@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["Series", "AsciiPlot", "plot_series", "plot_experiment_rows"]
 
@@ -28,14 +28,6 @@ class Series:
     label: str
     xs: List[float] = field(default_factory=list)
     ys: List[float] = field(default_factory=list)
-
-    def add(self, x: float, y: float) -> None:
-        """Append one point."""
-        self.xs.append(float(x))
-        self.ys.append(float(y))
-
-    def __len__(self) -> int:
-        return len(self.xs)
 
 
 class AsciiPlot:

@@ -18,8 +18,6 @@ __all__ = [
     "SampleStatistics",
     "aggregate_records",
     "summarize",
-    "summarize_records",
-    "welford",
 ]
 
 
@@ -68,18 +66,6 @@ def summarize(values: Iterable[float]) -> SampleStatistics:
     )
 
 
-def summarize_records(
-    records: Sequence[Mapping[str, object]], keys: Sequence[str]
-) -> Dict[str, SampleStatistics]:
-    """Summarise the named numeric fields across a sequence of record dicts."""
-    out: Dict[str, SampleStatistics] = {}
-    for key in keys:
-        values = [float(r[key]) for r in records if key in r and r[key] is not None]
-        if values:
-            out[key] = summarize(values)
-    return out
-
-
 def aggregate_records(
     records: Sequence[Mapping[str, Any]],
     group_by: Sequence[str],
@@ -118,33 +104,3 @@ def aggregate_records(
             row[f"{metric}_std"] = stats.std
         rows.append(row)
     return rows
-
-
-def welford(values: Iterable[float]) -> SampleStatistics:
-    """Streaming (Welford) mean/variance — numerically stable for long streams.
-
-    Provided for callers that cannot hold all measurements in memory (e.g.
-    per-round traces of very long runs); equivalent to :func:`summarize`.
-    """
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    minimum = math.inf
-    maximum = -math.inf
-    for value in values:
-        count += 1
-        delta = value - mean
-        mean += delta / count
-        m2 += delta * (value - mean)
-        minimum = min(minimum, value)
-        maximum = max(maximum, value)
-    if count == 0:
-        raise ValueError("cannot summarise an empty sample")
-    variance = m2 / (count - 1) if count > 1 else 0.0
-    return SampleStatistics(
-        count=count,
-        mean=mean,
-        std=math.sqrt(variance),
-        minimum=minimum,
-        maximum=maximum,
-    )

@@ -1,15 +1,9 @@
-"""Single-message broadcasting baselines (push, pull, push–pull, age-based)."""
+"""Single-message broadcasting baseline: Karp et al.'s age-based push–pull."""
 
 from .age_based import AgeBasedBroadcast
-from .pull import PullBroadcast
-from .push import PushBroadcast
-from .push_pull import PushPullBroadcast
 from .results import BroadcastResult
 
 __all__ = [
     "AgeBasedBroadcast",
-    "PullBroadcast",
-    "PushBroadcast",
-    "PushPullBroadcast",
     "BroadcastResult",
 ]

@@ -1,4 +1,4 @@
-"""Result record for single-message broadcasting baselines."""
+"""Result record of the single-message broadcasting baseline."""
 
 from __future__ import annotations
 
@@ -59,15 +59,3 @@ class BroadcastResult:
     ) -> int:
         """Total communication cost under the chosen accounting."""
         return self.ledger.total(accounting)
-
-    def summary(self) -> Dict[str, Any]:
-        """Serializable summary used by the experiment harness."""
-        return {
-            "protocol": self.protocol,
-            "n_nodes": self.n_nodes,
-            "source": self.source,
-            "completed": self.completed,
-            "rounds": self.rounds,
-            "messages_per_node": self.messages_per_node(),
-            "informed": self.state.num_informed(),
-        }

@@ -7,15 +7,15 @@ caller, pull by the callee) during that step.  A node can therefore have at
 most one outgoing channel but arbitrarily many incoming ones.
 
 :func:`open_channels` performs the random choices for a whole step at once and
-returns a :class:`ChannelSet`, which exposes both directions of the resulting
-communication structure in CSR-like form so that protocols can vectorise their
-push and pull transmissions.
+returns a :class:`ChannelSet`: the aligned ``callers`` / ``targets`` arrays of
+the opened channels, from which protocols vectorise their push and pull
+transmissions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -36,60 +36,11 @@ class ChannelSet:
         Nodes that opened a channel this step (sorted, unique).
     targets:
         ``targets[i]`` is the callee of ``callers[i]``.
-    outgoing:
-        Dense array of length ``n_nodes``: the callee of each node's outgoing
-        channel, or ``-1`` if the node opened no channel this step.  Built
-        lazily on first access — the per-round hot path only needs the
-        aligned ``callers``/``targets`` pair.
     """
 
     n_nodes: int
     callers: np.ndarray
     targets: np.ndarray
-    _outgoing: Optional[np.ndarray] = None
-
-    @property
-    def outgoing(self) -> np.ndarray:
-        if self._outgoing is None:
-            out = np.full(self.n_nodes, -1, dtype=np.int64)
-            out[self.callers] = self.targets
-            object.__setattr__(self, "_outgoing", out)
-        return self._outgoing
-
-    # ------------------------------------------------------------------ #
-    # Derived views
-    # ------------------------------------------------------------------ #
-    def num_channels(self) -> int:
-        """Number of channels opened this step."""
-        return int(self.callers.size)
-
-    def incoming_counts(self) -> np.ndarray:
-        """Number of incoming channels per node."""
-        counts = np.zeros(self.n_nodes, dtype=np.int64)
-        if self.targets.size:
-            np.add.at(counts, self.targets, 1)
-        return counts
-
-    def incoming_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(callees, callers)`` aligned arrays of all channels.
-
-        ``callees[i]`` received an incoming channel from ``callers[i]``.  The
-        pairs are sorted by callee, which groups each node's incoming channels
-        contiguously.
-        """
-        if self.targets.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        order = np.argsort(self.targets, kind="stable")
-        return self.targets[order], self.callers[order]
-
-    def channels_into(self, node: int) -> np.ndarray:
-        """Callers that opened a channel to ``node`` this step."""
-        return self.callers[self.targets == node]
-
-    def has_outgoing(self, node: int) -> bool:
-        """Whether ``node`` opened a channel this step."""
-        return bool(self.outgoing[node] >= 0)
 
 
 def open_channels(

@@ -37,7 +37,7 @@ contract — snapshot-read row gathers, order-independent scatter-ORs, the two
 batched round entry points and the aggregate queries — and protocols only
 ever talk to its methods.  It serves every problem size.  This module also
 provides :class:`SingleMessageState`, a light-weight informed/uninformed
-boolean vector used by the single-message *broadcasting* baselines in
+boolean vector used by the single-message *broadcasting* baseline in
 :mod:`repro.broadcast`.
 
 Protocols construct their state through :func:`adaptive_knowledge`, and
@@ -942,7 +942,7 @@ def estimate_bytes(n_nodes: int, n_messages: Optional[int] = None) -> int:
 
 
 class SingleMessageState:
-    """Informed/uninformed state for single-message broadcasting baselines.
+    """Informed/uninformed state for the single-message broadcasting baseline.
 
     Parameters
     ----------
@@ -991,7 +991,3 @@ class SingleMessageState:
     def uninformed_nodes(self) -> np.ndarray:
         """Array of nodes that are still uninformed."""
         return np.flatnonzero(~self.informed)
-
-    def informed_nodes(self) -> np.ndarray:
-        """Array of nodes that are informed."""
-        return np.flatnonzero(self.informed)

@@ -30,7 +30,6 @@ from .figure1 import FIGURE1_COLUMNS
 from .figure2 import FIGURE2_COLUMNS
 from .figure3 import FIGURE3_COLUMNS, Figure3Config
 from .figure4 import FIGURE4_COLUMNS, default_figure4_config
-from .figure5 import figure5_columns
 from .report import (
     build_report,
     experiment_section,
@@ -71,7 +70,6 @@ __all__ = [
     "Figure3Config",
     "FIGURE4_COLUMNS",
     "default_figure4_config",
-    "figure5_columns",
     "SCALE_COLUMNS",
     "build_report",
     "experiment_section",

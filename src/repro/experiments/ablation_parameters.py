@@ -95,7 +95,7 @@ PARAMETER_ABLATION = register(
         ),
         task=gossip_task,
         grid=_configurations,
-        default_config=ParameterAblationConfig.quick,
+        default_config=ParameterAblationConfig,
         cli_config=lambda seed: ParameterAblationConfig(
             size=512, repetitions=2, seed=20150530 if seed is None else seed
         ),

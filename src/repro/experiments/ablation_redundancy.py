@@ -134,7 +134,7 @@ REDUNDANCY_ABLATION = register(
         ),
         task=redundancy_task,
         grid=_configurations,
-        default_config=RobustnessConfig.quick,
+        default_config=RobustnessConfig,
         cli_config=lambda seed: RobustnessConfig(
             size=1024,
             failed_fractions=(0.0, 0.1, 0.3),

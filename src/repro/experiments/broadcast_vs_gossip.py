@@ -132,7 +132,7 @@ BROADCAST_ABLATION = register(
         ),
         task=broadcast_task,
         grid=_configurations,
-        default_config=BroadcastAblationConfig.quick,
+        default_config=BroadcastAblationConfig,
         cli_config=lambda seed: BroadcastAblationConfig(
             sizes=(256, 512, 1024), repetitions=2, seed=20150529 if seed is None else seed
         ),

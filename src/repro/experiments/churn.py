@@ -92,7 +92,7 @@ CHURN = register(
         ),
         task=churn_task,
         grid=_configurations,
-        default_config=ChurnConfig.quick,
+        default_config=ChurnConfig,
         cli_config=lambda seed: ChurnConfig(
             seed=20150533 if seed is None else seed
         ),

@@ -3,21 +3,17 @@
 The paper simulates graphs of up to a million nodes on 64-core, 0.5–1 TB
 machines; the default configurations here are scaled down so that the full
 suite finishes on a laptop in minutes while preserving the growth trends over
-a decade of sizes.  Every configuration dataclass has two constructors:
-
-``quick()``
-    The default used by the test-suite and by ``run_scenario`` without a config.
-
-``paper_scale()``
-    Larger sizes closer to the paper's ranges, for users with more time and
-    memory (still bounded by the O(n²/8) knowledge matrices, and by twice
-    that on the exchange protocols, whose rounds keep a swap buffer).
+a decade of sizes.  The dataclass defaults are the scale ``run_scenario``
+uses when called without a config (Figure 4 and the graph-model comparison
+pick their own :class:`SizeSweepConfig` sizes); pass larger sizes to run
+closer to the paper's ranges (bounded by the O(n²/8) knowledge matrices, and
+by twice that on the exchange protocols, whose rounds keep a swap buffer).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 __all__ = [
     "ChurnConfig",
@@ -61,16 +57,6 @@ class SizeSweepConfig:
     density_exponent: float = 2.0
     n_jobs: int = 1
 
-    @classmethod
-    def quick(cls) -> "SizeSweepConfig":
-        """Laptop-scale default configuration."""
-        return cls()
-
-    @classmethod
-    def paper_scale(cls) -> "SizeSweepConfig":
-        """Larger sizes closer to the paper's range (slower)."""
-        return cls(sizes=(1024, 2048, 4096, 8192, 16384, 32768), repetitions=5)
-
 
 @dataclass(frozen=True)
 class ScaleConfig:
@@ -101,16 +87,6 @@ class ScaleConfig:
     protocol: str = "push-pull"
     density_exponent: float = 2.0
     n_jobs: int = 1
-
-    @classmethod
-    def quick(cls) -> "ScaleConfig":
-        """Laptop-scale default configuration."""
-        return cls()
-
-    @classmethod
-    def paper_scale(cls) -> "ScaleConfig":
-        """Sizes 50k and 100k (slow, memory-heavy)."""
-        return cls(sizes=(50_000, 100_000))
 
 
 @dataclass(frozen=True)
@@ -145,16 +121,6 @@ class PushSumConfig:
     density_exponent: float = 2.0
     n_jobs: int = 1
 
-    @classmethod
-    def quick(cls) -> "PushSumConfig":
-        """Laptop-scale default configuration."""
-        return cls()
-
-    @classmethod
-    def paper_scale(cls) -> "PushSumConfig":
-        """Larger sizes (slower)."""
-        return cls(sizes=(4096, 16384), repetitions=5)
-
 
 @dataclass(frozen=True)
 class ChurnConfig:
@@ -187,16 +153,6 @@ class ChurnConfig:
     density_exponent: float = 2.0
     n_jobs: int = 1
 
-    @classmethod
-    def quick(cls) -> "ChurnConfig":
-        """Laptop-scale default configuration."""
-        return cls()
-
-    @classmethod
-    def paper_scale(cls) -> "ChurnConfig":
-        """Larger sizes (slower)."""
-        return cls(sizes=(2048, 8192), repetitions=5)
-
 
 @dataclass(frozen=True)
 class RobustnessConfig:
@@ -222,16 +178,6 @@ class RobustnessConfig:
     seed: Optional[int] = 20150526
     density_exponent: float = 2.0
     n_jobs: int = 1
-
-    @classmethod
-    def quick(cls, size: int = 2048) -> "RobustnessConfig":
-        """Laptop-scale default configuration."""
-        return cls(size=size)
-
-    @classmethod
-    def paper_scale(cls, size: int = 16384) -> "RobustnessConfig":
-        """Larger graph (slower)."""
-        return cls(size=size, repetitions=5)
 
     def failed_counts(self) -> List[int]:
         """Absolute failed-node counts derived from the fractions."""
@@ -263,16 +209,6 @@ class RobustnessDetailConfig:
     density_exponent: float = 2.0
     n_jobs: int = 1
 
-    @classmethod
-    def quick(cls) -> "RobustnessDetailConfig":
-        """Laptop-scale default configuration."""
-        return cls()
-
-    @classmethod
-    def paper_scale(cls) -> "RobustnessDetailConfig":
-        """Larger sizes (slower)."""
-        return cls(sizes=(8192, 16384), repetitions=5)
-
 
 @dataclass(frozen=True)
 class DensitySweepConfig:
@@ -290,16 +226,6 @@ class DensitySweepConfig:
     repetitions: int = 3
     seed: Optional[int] = 20150528
     n_jobs: int = 1
-
-    @classmethod
-    def quick(cls) -> "DensitySweepConfig":
-        """Laptop-scale default configuration."""
-        return cls()
-
-    @classmethod
-    def paper_scale(cls) -> "DensitySweepConfig":
-        """Larger graph (slower)."""
-        return cls(size=8192, repetitions=3)
 
     def degrees(self) -> List[float]:
         """Expected degrees of the sweep (defaults to log²n · {1, 2, 4, 8, …})."""
@@ -326,16 +252,6 @@ class BroadcastAblationConfig:
     density_exponent: float = 2.0
     n_jobs: int = 1
 
-    @classmethod
-    def quick(cls) -> "BroadcastAblationConfig":
-        """Laptop-scale default configuration."""
-        return cls()
-
-    @classmethod
-    def paper_scale(cls) -> "BroadcastAblationConfig":
-        """Larger sizes (slower)."""
-        return cls(sizes=(1024, 4096, 16384, 65536), repetitions=3)
-
 
 @dataclass(frozen=True)
 class ParameterAblationConfig:
@@ -349,16 +265,6 @@ class ParameterAblationConfig:
     density_exponent: float = 2.0
     n_jobs: int = 1
 
-    @classmethod
-    def quick(cls) -> "ParameterAblationConfig":
-        """Laptop-scale default configuration."""
-        return cls()
-
-    @classmethod
-    def paper_scale(cls) -> "ParameterAblationConfig":
-        """Larger graph (slower)."""
-        return cls(size=8192)
-
 
 @dataclass(frozen=True)
 class LeaderElectionConfig:
@@ -370,12 +276,4 @@ class LeaderElectionConfig:
     density_exponent: float = 2.0
     n_jobs: int = 1
 
-    @classmethod
-    def quick(cls) -> "LeaderElectionConfig":
-        """Laptop-scale default configuration."""
-        return cls()
 
-    @classmethod
-    def paper_scale(cls) -> "LeaderElectionConfig":
-        """Larger sizes (slower)."""
-        return cls(sizes=(1024, 4096, 16384), repetitions=5)

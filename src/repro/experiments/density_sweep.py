@@ -94,7 +94,7 @@ DENSITY_SWEEP = register(
         ),
         task=gossip_task,
         grid=_configurations,
-        default_config=DensitySweepConfig.quick,
+        default_config=DensitySweepConfig,
         cli_config=lambda seed: DensitySweepConfig(
             size=512, repetitions=2, seed=20150528 if seed is None else seed
         ),

@@ -110,7 +110,7 @@ FIGURE1 = register(
         ),
         task=gossip_task,
         grid=_configurations,
-        default_config=SizeSweepConfig.quick,
+        default_config=SizeSweepConfig,
         cli_config=lambda seed: SizeSweepConfig(
             sizes=(256, 512, 1024, 2048), repetitions=2, seed=20150525 if seed is None else seed
         ),

@@ -83,7 +83,7 @@ FIGURE2 = register(
         ),
         task=robustness_task,
         grid=robustness_configurations,
-        default_config=RobustnessConfig.quick,
+        default_config=RobustnessConfig,
         cli_config=lambda seed: RobustnessConfig(
             size=1024, repetitions=2, seed=20150526 if seed is None else seed
         ),

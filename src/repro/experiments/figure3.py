@@ -27,15 +27,9 @@ __all__ = [
     "FIGURE3_COLUMNS",
     "FIGURE3",
     "Figure3Config",
-    "default_figure3_sizes",
 ]
 
 FIGURE3_COLUMNS = FIGURE2_COLUMNS
-
-
-def default_figure3_sizes() -> Tuple[int, int]:
-    """Two graph sizes mirroring the paper's 10^5 / 5*10^5 pair (scaled down)."""
-    return (1024, 2048)
 
 
 @dataclass(frozen=True)

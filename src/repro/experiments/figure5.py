@@ -21,14 +21,7 @@ from .config import RobustnessDetailConfig
 from .runner import robustness_task
 from .scenarios import ScenarioSpec, register
 
-__all__ = ["figure5_columns", "FIGURE5"]
-
-
-def figure5_columns(thresholds) -> Tuple[str, ...]:
-    """Column layout of the aggregated Figure 5 rows."""
-    return ("n", "failed", "failed_fraction", "repetitions") + tuple(
-        f"exceed_T{t}" for t in thresholds
-    )
+__all__ = ["FIGURE5"]
 
 
 def _configurations(config: RobustnessDetailConfig) -> List[Tuple[Tuple[int, int], Dict]]:
@@ -96,7 +89,7 @@ FIGURE5 = register(
         ),
         task=robustness_task,
         grid=_configurations,
-        default_config=RobustnessDetailConfig.quick,
+        default_config=RobustnessDetailConfig,
         cli_config=lambda seed: RobustnessDetailConfig(
             sizes=(512, 1024), repetitions=3, seed=20150527 if seed is None else seed
         ),

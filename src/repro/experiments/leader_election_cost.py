@@ -108,7 +108,7 @@ LEADER_ELECTION_COST = register(
         ),
         task=election_task,
         grid=_configurations,
-        default_config=LeaderElectionConfig.quick,
+        default_config=LeaderElectionConfig,
         cli_config=lambda seed: LeaderElectionConfig(
             sizes=(256, 512, 1024), repetitions=2, seed=20150531 if seed is None else seed
         ),

@@ -105,7 +105,7 @@ PUSHSUM = register(
         ),
         task=push_sum_task,
         grid=_configurations,
-        default_config=PushSumConfig.quick,
+        default_config=PushSumConfig,
         cli_config=lambda seed: PushSumConfig(
             seed=20150532 if seed is None else seed
         ),

@@ -8,7 +8,7 @@ state holds at the end of the run.  On the exchange protocols (the default
 push-pull, fast-gossiping) that includes the swap buffer, which the matrix
 keeps after an exchange round; only the memory model's push rounds never
 allocate it.  ``scale --smoke`` keeps CI-friendly sizes;
-``ScaleConfig.paper_scale()`` moves to the n >= 50k regime.
+``ScaleConfig(sizes=(50_000, 100_000))`` moves to the n >= 50k regime.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ SCALE = register(
         ),
         task=scale_task,
         grid=_configurations,
-        default_config=ScaleConfig.quick,
+        default_config=ScaleConfig,
         cli_config=lambda seed: ScaleConfig(
             seed=20150525 if seed is None else seed
         ),

@@ -9,8 +9,7 @@ must be fast and allocation-light because they sit in the per-round hot loop:
   the memory model's ``open-avoid`` — for a whole batch of callers at once
   (:meth:`Adjacency.sample_neighbors_avoiding_many`: one vectorised binary
   search inside every caller's own sorted neighbour slice plus vectorised
-  skip-sampling; the single-node :meth:`Adjacency.sample_neighbors_avoiding`
-  remains for callers outside the hot path), and
+  skip-sampling), and
 * iterating neighbours of a node (for structural analysis and the
   vectorised BFS used by connectivity checks).
 
@@ -34,7 +33,7 @@ constructing an :class:`Adjacency`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -227,60 +226,6 @@ class Adjacency:
         """Sample one uniformly random neighbour of a single node (-1 if isolated)."""
         return int(self.sample_neighbors(np.asarray([node]), rng)[0])
 
-    def sample_neighbors_avoiding(
-        self,
-        node: int,
-        rng: np.random.Generator,
-        avoid: Optional[Iterable[int]] = None,
-        count: int = 1,
-        distinct: bool = True,
-    ) -> np.ndarray:
-        """Sample neighbours of ``node`` avoiding the addresses in ``avoid``.
-
-        This implements the memory model's ``open-avoid`` operation: choose a
-        neighbour uniformly at random from ``N(node) \\ avoid``.  When fewer
-        eligible neighbours than ``count`` exist the returned array is shorter
-        (possibly empty).
-
-        Parameters
-        ----------
-        node:
-            The calling node.
-        rng:
-            Randomness source.
-        avoid:
-            Addresses that must not be chosen (e.g. the node's memory list).
-        count:
-            Number of samples requested.
-        distinct:
-            When true (default) the samples are distinct neighbours.
-        """
-        nbrs = self.neighbors(node)
-        if avoid is not None:
-            if isinstance(avoid, np.ndarray):
-                avoid_arr = avoid.astype(np.int64, copy=False)
-            else:
-                avoid_arr = np.fromiter((int(a) for a in avoid), dtype=np.int64)
-            if avoid_arr.size and nbrs.size:
-                # The neighbour list is already sorted, so each avoided
-                # address is located with a binary search instead of the
-                # O(len(nbrs) * len(avoid)) ``np.isin`` scan.
-                pos = np.searchsorted(nbrs, avoid_arr)
-                in_range = pos < nbrs.size
-                hit = pos[in_range][nbrs[pos[in_range]] == avoid_arr[in_range]]
-                if hit.size:
-                    keep = np.ones(nbrs.size, dtype=bool)
-                    keep[hit] = False
-                    nbrs = nbrs[keep]
-        if nbrs.size == 0 or count <= 0:
-            return np.zeros(0, dtype=np.int64)
-        if distinct:
-            k = min(count, int(nbrs.size))
-            picked = rng.choice(nbrs, size=k, replace=False)
-        else:
-            picked = rng.choice(nbrs, size=count, replace=True)
-        return np.asarray(picked, dtype=np.int64)
-
     def neighbor_positions(self, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Per-pair local position of ``values[i]`` in ``nodes[i]``'s list.
 
@@ -321,8 +266,7 @@ class Adjacency:
         """Batched ``open-avoid``: distinct random neighbours for many callers.
 
         For every ``nodes[i]`` this samples up to ``count`` *distinct*
-        neighbours uniformly from ``N(nodes[i]) \\ avoid[i]``, exactly like
-        calling :meth:`sample_neighbors_avoiding` per node, but with no
+        neighbours uniformly from ``N(nodes[i]) \\ avoid[i]`` with no
         per-node Python: avoided addresses are located by
         :meth:`neighbor_positions` for all callers at once and the samples
         are drawn by rank (skip-sampling over the excluded positions).

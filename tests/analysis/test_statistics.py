@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import SampleStatistics, summarize, summarize_records, welford
+from repro.analysis import summarize
 
 
 class TestSummarize:
@@ -37,34 +37,11 @@ class TestSummarize:
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
-    def test_property_welford_matches_summarize(self, values):
-        direct = summarize(values)
-        streaming = welford(values)
-        assert streaming.count == direct.count
-        assert streaming.mean == pytest.approx(direct.mean, rel=1e-9, abs=1e-6)
-        assert streaming.std == pytest.approx(direct.std, rel=1e-6, abs=1e-6)
-        assert streaming.minimum == direct.minimum
-        assert streaming.maximum == direct.maximum
-
-    def test_welford_empty_rejected(self):
-        with pytest.raises(ValueError):
-            welford([])
-
-
-class TestSummarizeRecords:
-    def test_selected_keys(self):
-        records = [
-            {"a": 1.0, "b": 2.0, "c": "x"},
-            {"a": 3.0, "b": 4.0, "c": "y"},
-        ]
-        out = summarize_records(records, ["a", "b"])
-        assert out["a"].mean == pytest.approx(2.0)
-        assert out["b"].maximum == 4.0
-
-    def test_missing_keys_skipped(self):
-        out = summarize_records([{"a": 1.0}], ["a", "zzz"])
-        assert "zzz" not in out
-
-    def test_none_values_ignored(self):
-        out = summarize_records([{"a": 1.0}, {"a": None}], ["a"])
-        assert out["a"].count == 1
+    def test_property_matches_the_stdlib(self, values):
+        stats = summarize(values)
+        assert stats.count == len(values)
+        assert stats.mean == pytest.approx(statistics.fmean(values), rel=1e-9, abs=1e-6)
+        expected_std = statistics.stdev(values) if len(values) > 1 else 0.0
+        assert stats.std == pytest.approx(expected_std, rel=1e-6, abs=1e-6)
+        assert stats.minimum == min(values)
+        assert stats.maximum == max(values)

@@ -1,4 +1,4 @@
-"""Tests for the single-message broadcasting baselines."""
+"""Tests for the single-message broadcasting baseline (age-based push–pull)."""
 
 from __future__ import annotations
 
@@ -7,15 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.broadcast import (
-    AgeBasedBroadcast,
-    BroadcastResult,
-    PullBroadcast,
-    PushBroadcast,
-    PushPullBroadcast,
-)
-from repro.engine import MessageAccounting
-from repro.graphs import complete_graph, erdos_renyi, hypercube, paper_edge_probability
+from repro.broadcast import AgeBasedBroadcast
+from repro.graphs import complete_graph, erdos_renyi, paper_edge_probability
 
 
 @pytest.fixture(scope="module")
@@ -29,94 +22,26 @@ def dense_graph():
     return complete_graph(256)
 
 
-ALL_PROTOCOLS = [PushBroadcast, PullBroadcast, PushPullBroadcast, AgeBasedBroadcast]
-
-
 class TestCompletion:
-    @pytest.mark.parametrize("protocol_cls", ALL_PROTOCOLS)
-    def test_completes_on_sparse_graph(self, protocol_cls, sparse_graph):
-        result = protocol_cls().run(sparse_graph, source=0, rng=1)
+    def test_completes_on_sparse_graph(self, sparse_graph):
+        result = AgeBasedBroadcast().run(sparse_graph, source=0, rng=1)
         assert result.completed
         assert result.state.is_complete()
 
-    @pytest.mark.parametrize("protocol_cls", ALL_PROTOCOLS)
-    def test_completes_on_complete_graph(self, protocol_cls, dense_graph):
-        result = protocol_cls().run(dense_graph, source=5, rng=2)
+    def test_completes_on_complete_graph(self, dense_graph):
+        result = AgeBasedBroadcast().run(dense_graph, source=5, rng=2)
         assert result.completed
         assert result.state.informed_at[5] == 0
 
-    @pytest.mark.parametrize("protocol_cls", ALL_PROTOCOLS)
-    def test_deterministic(self, protocol_cls, sparse_graph):
-        a = protocol_cls().run(sparse_graph, rng=3)
-        b = protocol_cls().run(sparse_graph, rng=3)
+    def test_deterministic(self, sparse_graph):
+        a = AgeBasedBroadcast().run(sparse_graph, rng=3)
+        b = AgeBasedBroadcast().run(sparse_graph, rng=3)
         assert a.rounds == b.rounds
         assert a.total_messages() == b.total_messages()
 
-    @pytest.mark.parametrize("protocol_cls", ALL_PROTOCOLS)
-    def test_requires_two_nodes(self, protocol_cls):
+    def test_requires_two_nodes(self):
         with pytest.raises(ValueError):
-            protocol_cls().run(complete_graph(1), rng=1)
-
-
-class TestPush:
-    def test_rounds_logarithmic(self, dense_graph):
-        result = PushBroadcast().run(dense_graph, rng=4)
-        n = dense_graph.n
-        # Pittel: log2 n + ln n + O(1).
-        assert result.rounds <= math.log2(n) + math.log(n) + 10
-        assert result.rounds >= math.log2(n) - 1
-
-    def test_transmissions_grow_with_informed_set(self, dense_graph):
-        result = PushBroadcast().run(dense_graph, rng=5, record_trace=True)
-        # Total pushes equal the sum of informed nodes over all rounds.
-        informed_series = [r.fully_informed_nodes for r in result.trace.records]
-        expected = 1 + sum(informed_series[:-1])
-        assert result.ledger.total(MessageAccounting.PUSHES) == expected
-
-    def test_abort_bound(self):
-        result = PushBroadcast(max_rounds_factor=0.1).run(hypercube(8), rng=6)
-        assert not result.completed
-
-
-class TestPull:
-    def test_uninformed_callers_only_mode(self, dense_graph):
-        result = PullBroadcast().run(dense_graph, rng=7)
-        # Opens are charged to uninformed nodes only, so the total number of
-        # opens shrinks as the informed set grows.
-        assert result.ledger.total(MessageAccounting.OPENS) > 0
-        assert result.completed
-
-    def test_all_callers_mode(self, dense_graph):
-        result = PullBroadcast(callers="all").run(dense_graph, rng=8)
-        assert result.completed
-        assert result.ledger.total(MessageAccounting.OPENS) == dense_graph.n * result.rounds
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            PullBroadcast(callers="bogus")
-
-    def test_pull_packets_attributed_to_informed(self, dense_graph):
-        result = PullBroadcast().run(dense_graph, rng=9)
-        assert result.ledger.total(MessageAccounting.PULLS) >= dense_graph.n - 1
-
-
-class TestPushPull:
-    def test_faster_than_push_alone(self, dense_graph):
-        push = PushBroadcast().run(dense_graph, rng=10)
-        both = PushPullBroadcast().run(dense_graph, rng=10)
-        assert both.rounds <= push.rounds
-
-    def test_rumor_packet_counting_mode(self, dense_graph):
-        only_rumor = PushPullBroadcast(count_only_rumor_packets=True).run(dense_graph, rng=11)
-        every_packet = PushPullBroadcast(count_only_rumor_packets=False).run(
-            dense_graph, rng=11
-        )
-        assert only_rumor.total_messages() < every_packet.total_messages()
-
-    def test_summary(self, dense_graph):
-        summary = PushPullBroadcast().run(dense_graph, rng=12).summary()
-        assert summary["completed"]
-        assert summary["informed"] == dense_graph.n
+            AgeBasedBroadcast().run(complete_graph(1), rng=1)
 
 
 class TestAgeBased:

@@ -70,6 +70,13 @@ class TestAccounting:
         assert np.all(np.diff(curve) >= 0)
         assert curve[-1] == pytest.approx(1.0)
 
+    def test_push_pull_growth_is_exponential_early(self, small_paper_graph):
+        result = PushPullGossip().run(small_paper_graph, rng=1, record_trace=True)
+        curve = result.trace.coverage_curve()
+        assert curve[-1] == pytest.approx(1.0)
+        # Early rounds at least double the coverage (push+pull 2x growth).
+        assert (curve[1:] / curve[:-1]).max() >= 2.0
+
     def test_no_trace_by_default(self, small_paper_graph):
         assert PushPullGossip().run(small_paper_graph, rng=9).trace is None
 

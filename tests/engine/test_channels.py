@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.channels import ChannelSet, open_channels
+from repro.engine.channels import open_channels
 from repro.engine.rng import make_rng
 from repro.graphs import complete_graph, erdos_renyi
 
@@ -18,8 +18,8 @@ def graph():
 class TestOpenChannels:
     def test_every_node_opens_one_channel(self, graph):
         channels = open_channels(graph, make_rng(1))
-        assert channels.num_channels() == graph.n
-        assert np.all(channels.outgoing >= 0)
+        assert channels.callers.tolist() == list(range(graph.n))
+        assert channels.targets.size == graph.n
 
     def test_targets_are_neighbors(self, graph):
         channels = open_channels(graph, make_rng(2))
@@ -30,13 +30,14 @@ class TestOpenChannels:
     def test_participants_subset(self, graph):
         participants = np.asarray([0, 5, 9])
         channels = open_channels(graph, make_rng(3), participants=participants)
-        assert set(channels.callers.tolist()) <= {0, 5, 9}
-        assert channels.outgoing[1] == -1
+        assert channels.callers.tolist() == [0, 5, 9]
+        assert channels.targets.size == 3
 
     def test_deterministic_given_seed(self, graph):
         a = open_channels(graph, make_rng(7))
         b = open_channels(graph, make_rng(7))
-        assert np.array_equal(a.outgoing, b.outgoing)
+        assert np.array_equal(a.callers, b.callers)
+        assert np.array_equal(a.targets, b.targets)
 
     def test_alive_mask_excludes_failed_callees(self, graph):
         alive = np.ones(graph.n, dtype=bool)
@@ -51,52 +52,22 @@ class TestOpenChannels:
 
         graph = Adjacency.from_edges(3, np.asarray([[0, 1]]))
         channels = open_channels(graph, make_rng(5))
-        assert channels.outgoing[2] == -1
-        assert 2 not in channels.callers.tolist()
+        assert channels.callers.tolist() == [0, 1]
+        assert channels.targets.tolist() == [1, 0]
 
-
-class TestChannelSetViews:
-    def test_incoming_counts_sum_to_channels(self, graph):
-        channels = open_channels(graph, make_rng(6))
-        counts = channels.incoming_counts()
-        assert counts.sum() == channels.num_channels()
-
-    def test_incoming_pairs_grouped_by_callee(self, graph):
-        channels = open_channels(graph, make_rng(8))
-        callees, callers = channels.incoming_pairs()
-        assert callees.size == channels.num_channels()
-        assert np.all(np.diff(callees) >= 0)
-        # Each (callee, caller) pair corresponds to an opened channel.
-        for callee, caller in zip(callees.tolist()[:10], callers.tolist()[:10]):
-            assert channels.outgoing[caller] == callee
-
-    def test_channels_into(self, graph):
-        channels = open_channels(graph, make_rng(9))
-        node = int(channels.targets[0])
-        into = channels.channels_into(node)
-        assert all(channels.outgoing[c] == node for c in into.tolist())
-        assert into.size == channels.incoming_counts()[node]
-
-    def test_has_outgoing(self, graph):
-        channels = open_channels(graph, make_rng(10), participants=np.asarray([4]))
-        assert channels.has_outgoing(4)
-        assert not channels.has_outgoing(5)
-
-    def test_empty_channel_set(self):
+    def test_empty_participants(self):
         from repro.graphs.adjacency import Adjacency
 
         graph = Adjacency.from_edges(2, np.asarray([[0, 1]]))
         channels = open_channels(graph, make_rng(11), participants=np.asarray([], dtype=np.int64))
-        assert channels.num_channels() == 0
-        callees, callers = channels.incoming_pairs()
-        assert callees.size == 0 and callers.size == 0
+        assert channels.callers.size == 0 and channels.targets.size == 0
 
 
 class TestOnRandomGraph:
     def test_incoming_roughly_balanced(self):
         graph = erdos_renyi(500, expected_degree=60, rng=1, require_connected=True)
         channels = open_channels(graph, make_rng(12))
-        counts = channels.incoming_counts()
+        counts = np.bincount(channels.targets, minlength=graph.n)
         # Balls-into-bins: the maximum number of incoming channels stays small.
         assert counts.max() <= 12
-        assert counts.sum() == channels.num_channels()
+        assert counts.sum() == channels.callers.size == graph.n

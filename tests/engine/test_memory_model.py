@@ -30,6 +30,17 @@ def test_estimate_is_exact_for_the_probe_size():
     assert estimate_bytes(N, N) == 16 * N * 2 + 8 * (3 * N + 1)
 
 
+def test_smoke_rejects_more_messages_than_nodes():
+    run = subprocess.run(
+        [sys.executable, str(SMOKE), "--n", "64", "--messages", "128"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 2, run.stdout + run.stderr
+    assert "--messages 128 exceeds --n 64" in run.stderr
+
+
 class TestEstimateIsThePeak:
     """``estimate_bytes`` against the measured peak of the exchange loop.
 

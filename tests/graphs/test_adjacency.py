@@ -115,7 +115,6 @@ class TestStorage:
         rng = make_rng(0)
         assert graph.sample_neighbors(np.arange(3), rng).dtype == np.int64
         assert graph.sample_neighbors(np.arange(4), rng).dtype == np.int64
-        assert graph.sample_neighbors_avoiding(1, rng, avoid=[0]).dtype == np.int64
         many = graph.sample_neighbors_avoiding_many(np.arange(4), rng, count=2)
         assert many.dtype == np.int64
         assert graph.edge_list().dtype == np.int64
@@ -185,36 +184,6 @@ class TestSampling:
         samples = graph.sample_neighbors(np.zeros(4000, dtype=np.int64), rng)
         counts = np.bincount(samples, minlength=5)[1:]
         assert counts.min() > 800  # each neighbour ~1000 expected
-
-    def test_sample_avoiding(self):
-        graph = Adjacency.from_edges(5, np.asarray([[0, 1], [0, 2], [0, 3], [0, 4]]))
-        rng = make_rng(2)
-        for _ in range(20):
-            picked = graph.sample_neighbors_avoiding(0, rng, avoid=[1, 2], count=1)
-            assert picked.size == 1
-            assert picked[0] in (3, 4)
-
-    def test_sample_avoiding_distinct(self):
-        graph = Adjacency.from_edges(6, np.asarray([[0, i] for i in range(1, 6)]))
-        picked = graph.sample_neighbors_avoiding(0, make_rng(3), count=4)
-        assert picked.size == 4
-        assert len(set(picked.tolist())) == 4
-
-    def test_sample_avoiding_all_avoided(self):
-        graph = Adjacency.from_edges(3, np.asarray([[0, 1], [0, 2]]))
-        picked = graph.sample_neighbors_avoiding(0, make_rng(4), avoid=[1, 2], count=1)
-        assert picked.size == 0
-
-    def test_sample_avoiding_count_exceeds_neighbors(self):
-        graph = Adjacency.from_edges(3, np.asarray([[0, 1], [0, 2]]))
-        picked = graph.sample_neighbors_avoiding(0, make_rng(5), count=10)
-        assert set(picked.tolist()) == {1, 2}
-
-    def test_sample_avoiding_with_replacement(self):
-        graph = Adjacency.from_edges(2, np.asarray([[0, 1]]))
-        picked = graph.sample_neighbors_avoiding(0, make_rng(6), count=5, distinct=False)
-        assert picked.size == 5
-        assert set(picked.tolist()) == {1}
 
 
 class TestSampleAvoidingMany:
@@ -289,6 +258,14 @@ class TestSampleAvoidingMany:
         assert picked.shape == (1, 4)
         assert set(picked[0, :2].tolist()) == {2, 3}
         assert picked[0, 2:].tolist() == [-1, -1]
+
+    def test_all_avoided_gets_no_sample(self):
+        graph = Adjacency.from_edges(3, np.asarray([[0, 1], [0, 2]]))
+        avoid = np.asarray([[1, 2]], dtype=np.int64)
+        picked = graph.sample_neighbors_avoiding_many(
+            np.zeros(1, dtype=np.int64), make_rng(4), avoid=avoid, count=1
+        )
+        assert picked.tolist() == [[-1]]
 
     def test_isolated_node_gets_no_sample(self):
         graph = Adjacency.from_edges(3, np.asarray([[0, 1]]))
