@@ -25,7 +25,6 @@ from repro.experiments import (
     run_scenario,
     write_report,
 )
-from repro.experiments.figure3 import Figure3Config
 from repro.io import ResultStore
 
 #: Scenario order of the report (paper artifacts first, extensions after).
@@ -46,7 +45,6 @@ SCENARIO_ORDER = (
 
 #: Historical config overrides (kept from the pre-registry script).
 CONFIG_OVERRIDES = {
-    "figure3": Figure3Config(size=1024, repetitions=3, sizes=(1024, 2048)),
     "redundancy": RobustnessConfig(size=1024, repetitions=3),
 }
 

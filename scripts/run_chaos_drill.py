@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     spec = get_scenario(args.scenario)
     if spec.run_override is not None:
         parser.error(f"scenario {args.scenario!r} does not run through the sweep engine")
-    config = resolve_config(spec, seed=args.seed, smoke=True)
+    config = resolve_config(spec, seed=args.seed, profile="smoke")
     policy = RetryPolicy(max_retries=3, backoff_base=0.01, jitter=0.0)
     work = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="chaos-drill-"))
     work.mkdir(parents=True, exist_ok=True)

@@ -64,7 +64,13 @@ from .experiments import (
     scenario_names,
     scenario_plot,
 )
-from .graphs import GraphSpec, make_graph, paper_edge_probability, profile_graph
+from .graphs import (
+    GraphSpec,
+    make_graph,
+    paper_edge_probability,
+    paper_graph_spec,
+    profile_graph,
+)
 from .io import ResultStore, format_records, format_table, save_json, to_jsonable
 
 __all__ = ["main", "build_parser"]
@@ -282,15 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _graph_spec(kind: str, n: int, expected_degree: Optional[float]) -> GraphSpec:
     """Build a GraphSpec from CLI arguments."""
     if kind == "erdos_renyi":
-        params = {
-            "p": (
-                paper_edge_probability(n)
-                if expected_degree is None
-                else min(1.0, expected_degree / max(n - 1, 1))
-            ),
-            "require_connected": True,
-        }
-        return GraphSpec("erdos_renyi", n, params)
+        if expected_degree is None:
+            return paper_graph_spec(n)
+        p = min(1.0, expected_degree / max(n - 1, 1))
+        return GraphSpec("erdos_renyi", n, {"p": p, "require_connected": True})
     if kind == "random_regular":
         degree = int(expected_degree or max(4, round(paper_edge_probability(n) * (n - 1))))
         if (degree * n) % 2:
@@ -600,7 +601,7 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         for name in args.names:
             spec = get_scenario(name)
             config = resolve_config(
-                spec, seed=args.seed, smoke=args.smoke, profile="cli"
+                spec, seed=args.seed, profile="smoke" if args.smoke else "cli"
             )
 
             def progress(done: int, total: int, _name: str = name) -> None:

@@ -67,7 +67,10 @@ class PushSumParameters:
         Safety limit: at most ``ceil(max_rounds_factor * log n)`` synchronous
         rounds, or that many times ``n`` wakeups under the event clock.  The
         default is generous because reaching a ``1e-8`` spread needs
-        ``O(log n + log(1/tol))`` rounds.
+        ``O(log n + log(1/tol))`` rounds on a well-connected graph, and many
+        more on a heavy-tailed one: on connected power-law samples
+        (exponent 2.5, n = 128 to 2048) either clock needed 30 to 83 ·
+        log2 n rounds.
     clock:
         Default execution clock (``"sync"`` or ``"event"``).
     values:
@@ -75,7 +78,7 @@ class PushSumParameters:
     """
 
     tolerance: float = 1e-8
-    max_rounds_factor: float = 24.0
+    max_rounds_factor: float = 100.0
     clock: str = "sync"
     values: str = "linear"
 

@@ -30,15 +30,12 @@ class ChannelSet:
 
     Attributes
     ----------
-    n_nodes:
-        Number of nodes in the network.
     callers:
         Nodes that opened a channel this step (sorted, unique).
     targets:
         ``targets[i]`` is the callee of ``callers[i]``.
     """
 
-    n_nodes: int
     callers: np.ndarray
     targets: np.ndarray
 
@@ -85,4 +82,4 @@ def open_channels(
         ok &= np.where(targets >= 0, alive[np.clip(targets, 0, None)], False)
     callers = participants[ok]
     callees = targets[ok]
-    return ChannelSet(n_nodes=graph.n, callers=callers, targets=callees)
+    return ChannelSet(callers=callers, targets=callees)

@@ -29,7 +29,7 @@ from .config import (
 from .figure1 import FIGURE1_COLUMNS
 from .figure2 import FIGURE2_COLUMNS
 from .figure3 import FIGURE3_COLUMNS, Figure3Config
-from .figure4 import FIGURE4_COLUMNS, default_figure4_config
+from .figure4 import FIGURE4_COLUMNS
 from .report import (
     build_report,
     experiment_section,
@@ -69,7 +69,6 @@ __all__ = [
     "FIGURE3_COLUMNS",
     "Figure3Config",
     "FIGURE4_COLUMNS",
-    "default_figure4_config",
     "SCALE_COLUMNS",
     "build_report",
     "experiment_section",

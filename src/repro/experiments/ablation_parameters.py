@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec
+from ..graphs.generators import paper_graph_spec
 from .config import ParameterAblationConfig
 from .runner import gossip_task
 from .scenarios import ScenarioSpec, register
@@ -36,14 +35,7 @@ ABLATION_COLUMNS = (
 def _configurations(
     config: ParameterAblationConfig,
 ) -> List[Tuple[Tuple[float, float], Dict]]:
-    spec = GraphSpec(
-        kind="erdos_renyi",
-        n=config.size,
-        params={
-            "p": paper_edge_probability(config.size, config.density_exponent),
-            "require_connected": True,
-        },
-    )
+    spec = paper_graph_spec(config.size)
     configurations: List[Tuple[Tuple[float, float], Dict]] = []
     for walk_factor in config.walk_probability_factors:
         for broadcast_factor in config.broadcast_steps_factors:
@@ -95,28 +87,18 @@ PARAMETER_ABLATION = register(
         ),
         task=gossip_task,
         grid=_configurations,
-        default_config=ParameterAblationConfig,
-        cli_config=lambda seed: ParameterAblationConfig(
-            size=512, repetitions=2, seed=20150530 if seed is None else seed
-        ),
-        smoke_config=lambda seed: ParameterAblationConfig(
+        default_config=ParameterAblationConfig(),
+        cli_config=ParameterAblationConfig(size=512, repetitions=2),
+        smoke_config=ParameterAblationConfig(
             size=128,
             walk_probability_factors=(0.5, 2.0),
             broadcast_steps_factors=(0.5,),
             repetitions=1,
-            seed=20150530 if seed is None else seed,
         ),
         group_by=("walk_probability_factor", "broadcast_steps_factor"),
         metrics=("messages_per_node", "rounds"),
         prepare_records=_prepare_records,
         finalize=_finalize,
-        metadata=lambda config: {
-            "size": config.size,
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-            "walk_probability_factors": list(config.walk_probability_factors),
-            "broadcast_steps_factors": list(config.broadcast_steps_factors),
-        },
         columns=ABLATION_COLUMNS,
         render=None,
     )

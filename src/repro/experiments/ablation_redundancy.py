@@ -22,8 +22,7 @@ from ..core.memory_gossiping import MemoryGossiping
 from ..core.parameters import tuned_memory_gossiping
 from ..engine.failures import NO_FAILURES, sample_uniform_failures
 from ..engine.metrics import MessageAccounting
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec, make_graph
+from ..graphs.generators import GraphSpec, make_graph, paper_graph_spec
 from .config import RobustnessConfig
 from .scenarios import ScenarioSpec, register
 
@@ -80,14 +79,7 @@ def redundancy_task(task: SweepTask) -> Dict[str, Any]:
 
 
 def _configurations(config: RobustnessConfig) -> List[Tuple[Tuple[str, int], Dict]]:
-    spec = GraphSpec(
-        kind="erdos_renyi",
-        n=config.size,
-        params={
-            "p": paper_edge_probability(config.size, config.density_exponent),
-            "require_connected": True,
-        },
-    )
+    spec = paper_graph_spec(config.size)
     configurations: List[Tuple[Tuple[str, int], Dict]] = []
     for mode in ("all", "first"):
         for failed in config.failed_counts():
@@ -134,26 +126,16 @@ REDUNDANCY_ABLATION = register(
         ),
         task=redundancy_task,
         grid=_configurations,
-        default_config=RobustnessConfig,
-        cli_config=lambda seed: RobustnessConfig(
-            size=1024,
-            failed_fractions=(0.0, 0.1, 0.3),
-            repetitions=2,
-            seed=20150532 if seed is None else seed,
+        default_config=RobustnessConfig(),
+        cli_config=RobustnessConfig(
+            size=1024, failed_fractions=(0.0, 0.1, 0.3), repetitions=2, seed=20150532
         ),
-        smoke_config=lambda seed: RobustnessConfig(
-            size=128, failed_fractions=(0.0, 0.3), repetitions=1, seed=20150532 if seed is None else seed
+        smoke_config=RobustnessConfig(
+            size=128, failed_fractions=(0.0, 0.3), repetitions=1, seed=20150532
         ),
         group_by=("gather_contacts", "failed"),
         metrics=("additional_lost", "loss_ratio", "messages_per_node"),
         finalize=_finalize,
-        metadata=lambda config: {
-            "size": config.size,
-            "num_trees": config.num_trees,
-            "failed_fractions": list(config.failed_fractions),
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-        },
         columns=REDUNDANCY_COLUMNS,
         render={"x": "failed", "y": "loss_ratio", "group_by": "gather_contacts", "log_x": False},
     )

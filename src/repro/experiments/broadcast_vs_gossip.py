@@ -21,8 +21,7 @@ from typing import Any, Dict, List, Tuple
 from ..analysis.sweep import SweepTask
 from ..broadcast.age_based import AgeBasedBroadcast
 from ..engine.metrics import MessageAccounting
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec, make_graph
+from ..graphs.generators import GraphSpec, make_graph, paper_graph_spec
 from .config import BroadcastAblationConfig
 from .runner import make_protocol
 from .scenarios import ScenarioSpec, register
@@ -82,14 +81,7 @@ def _configurations(
 ) -> List[Tuple[Tuple[int, str, str], Dict]]:
     configurations: List[Tuple[Tuple[int, str, str], Dict]] = []
     for n in config.sizes:
-        sparse = GraphSpec(
-            kind="erdos_renyi",
-            n=n,
-            params={
-                "p": paper_edge_probability(n, config.density_exponent),
-                "require_connected": True,
-            },
-        )
+        sparse = paper_graph_spec(n)
         complete = GraphSpec(kind="complete", n=n)
         for topology, spec in (("sparse", sparse), ("complete", complete)):
             for kind in ("broadcast", "gossip-memory"):
@@ -132,21 +124,12 @@ BROADCAST_ABLATION = register(
         ),
         task=broadcast_task,
         grid=_configurations,
-        default_config=BroadcastAblationConfig,
-        cli_config=lambda seed: BroadcastAblationConfig(
-            sizes=(256, 512, 1024), repetitions=2, seed=20150529 if seed is None else seed
-        ),
-        smoke_config=lambda seed: BroadcastAblationConfig(
-            sizes=(96, 128), repetitions=1, seed=20150529 if seed is None else seed
-        ),
+        default_config=BroadcastAblationConfig(),
+        cli_config=BroadcastAblationConfig(sizes=(256, 512, 1024), repetitions=2),
+        smoke_config=BroadcastAblationConfig(sizes=(96, 128), repetitions=1),
         group_by=("n", "topology", "task"),
         metrics=("messages_per_node", "rounds"),
         finalize=_finalize,
-        metadata=lambda config: {
-            "sizes": list(config.sizes),
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-        },
         columns=BROADCAST_COLUMNS,
         render={"x": "n", "y": "messages_per_node", "group_by": "task", "log_x": True},
     )

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec
+from ..graphs.generators import paper_graph_spec
 from .config import ChurnConfig
 from .runner import churn_task
 from .scenarios import ScenarioSpec, register
@@ -44,14 +43,7 @@ CHURN_COLUMNS = (
 def _configurations(config: ChurnConfig) -> List[Tuple[Tuple[int, float], Dict]]:
     configurations = []
     for n in config.sizes:
-        spec = GraphSpec(
-            kind="erdos_renyi",
-            n=n,
-            params={
-                "p": paper_edge_probability(n, config.density_exponent),
-                "require_connected": True,
-            },
-        )
+        spec = paper_graph_spec(n)
         for fraction in config.churn_fractions:
             configurations.append(
                 (
@@ -92,16 +84,9 @@ CHURN = register(
         ),
         task=churn_task,
         grid=_configurations,
-        default_config=ChurnConfig,
-        cli_config=lambda seed: ChurnConfig(
-            seed=20150533 if seed is None else seed
-        ),
-        smoke_config=lambda seed: ChurnConfig(
-            sizes=(96,),
-            churn_fractions=(0.0, 0.125),
-            repetitions=1,
-            seed=20150533 if seed is None else seed,
-        ),
+        default_config=ChurnConfig(),
+        cli_config=ChurnConfig(),
+        smoke_config=ChurnConfig(sizes=(96,), churn_fractions=(0.0, 0.125), repetitions=1),
         group_by=("n", "churn_fraction"),
         metrics=(
             "rounds",
@@ -112,14 +97,6 @@ CHURN = register(
             "survivors",
         ),
         finalize=_finalize,
-        metadata=lambda config: {
-            "sizes": list(config.sizes),
-            "churn_fractions": list(config.churn_fractions),
-            "rejoin_fraction": config.rejoin_fraction,
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-            "density_exponent": config.density_exponent,
-        },
         columns=CHURN_COLUMNS,
         render={
             "x": "churn_fraction",

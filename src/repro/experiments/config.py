@@ -44,18 +44,12 @@ class SizeSweepConfig:
         Base seed; all runs derive their seeds deterministically from it.
     protocols:
         Protocols included in the sweep.
-    density_exponent:
-        The sweep uses ``G(n, log^density_exponent(n) / n)``; the paper uses 2.
-    n_jobs:
-        Worker processes for the sweep.
     """
 
     sizes: Tuple[int, ...] = (256, 512, 1024, 2048, 4096)
     repetitions: int = 3
     seed: Optional[int] = 20150525
     protocols: Tuple[str, ...] = ("push-pull", "fast-gossiping", "memory")
-    density_exponent: float = 2.0
-    n_jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -74,19 +68,12 @@ class ScaleConfig:
     protocol:
         The gossiping protocol to scale (push-pull by default — the one
         whose cost the paper's Figure 1 anchors).
-    density_exponent:
-        The sweep uses ``G(n, log^density_exponent(n) / n)``.
-    n_jobs:
-        Worker processes for the sweep (keep at 1 for honest per-run
-        memory readings).
     """
 
     sizes: Tuple[int, ...] = (4096, 16384)
     repetitions: int = 1
     seed: Optional[int] = 20150525
     protocol: str = "push-pull"
-    density_exponent: float = 2.0
-    n_jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -107,10 +94,6 @@ class PushSumConfig:
         Independent runs per (size, clock) pair.
     seed:
         Base seed; all runs derive their seeds deterministically from it.
-    density_exponent:
-        The sweep uses ``G(n, log^density_exponent(n) / n)``.
-    n_jobs:
-        Worker processes for the sweep.
     """
 
     sizes: Tuple[int, ...] = (256, 512, 1024)
@@ -118,8 +101,6 @@ class PushSumConfig:
     tolerance: float = 1e-8
     repetitions: int = 3
     seed: Optional[int] = 20150532
-    density_exponent: float = 2.0
-    n_jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -139,10 +120,6 @@ class ChurnConfig:
         Independent runs per (size, fraction) pair.
     seed:
         Base seed; all runs derive their seeds deterministically from it.
-    density_exponent:
-        The sweep uses ``G(n, log^density_exponent(n) / n)``.
-    n_jobs:
-        Worker processes for the sweep.
     """
 
     sizes: Tuple[int, ...] = (256, 512)
@@ -150,8 +127,6 @@ class ChurnConfig:
     rejoin_fraction: float = 0.5
     repetitions: int = 3
     seed: Optional[int] = 20150533
-    density_exponent: float = 2.0
-    n_jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -176,8 +151,6 @@ class RobustnessConfig:
     num_trees: int = 3
     repetitions: int = 3
     seed: Optional[int] = 20150526
-    density_exponent: float = 2.0
-    n_jobs: int = 1
 
     def failed_counts(self) -> List[int]:
         """Absolute failed-node counts derived from the fractions."""
@@ -206,8 +179,6 @@ class RobustnessDetailConfig:
     num_trees: int = 3
     repetitions: int = 5
     seed: Optional[int] = 20150527
-    density_exponent: float = 2.0
-    n_jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -225,7 +196,6 @@ class DensitySweepConfig:
     protocols: Tuple[str, ...] = ("push-pull", "fast-gossiping", "memory")
     repetitions: int = 3
     seed: Optional[int] = 20150528
-    n_jobs: int = 1
 
     def degrees(self) -> List[float]:
         """Expected degrees of the sweep (defaults to log²n · {1, 2, 4, 8, …})."""
@@ -249,8 +219,6 @@ class BroadcastAblationConfig:
     sizes: Tuple[int, ...] = (256, 512, 1024, 2048, 4096)
     repetitions: int = 3
     seed: Optional[int] = 20150529
-    density_exponent: float = 2.0
-    n_jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -262,8 +230,6 @@ class ParameterAblationConfig:
     broadcast_steps_factors: Tuple[float, ...] = (0.25, 0.5, 1.0)
     repetitions: int = 3
     seed: Optional[int] = 20150530
-    density_exponent: float = 2.0
-    n_jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -273,7 +239,5 @@ class LeaderElectionConfig:
     sizes: Tuple[int, ...] = (256, 512, 1024, 2048, 4096)
     repetitions: int = 3
     seed: Optional[int] = 20150531
-    density_exponent: float = 2.0
-    n_jobs: int = 1
 
 

@@ -94,25 +94,12 @@ DENSITY_SWEEP = register(
         ),
         task=gossip_task,
         grid=_configurations,
-        default_config=DensitySweepConfig,
-        cli_config=lambda seed: DensitySweepConfig(
-            size=512, repetitions=2, seed=20150528 if seed is None else seed
-        ),
-        smoke_config=lambda seed: DensitySweepConfig(
-            size=128,
-            expected_degrees=(32.0, 64.0),
-            include_complete=True,
-            repetitions=1,
-            seed=20150528 if seed is None else seed,
-        ),
+        default_config=DensitySweepConfig(),
+        cli_config=DensitySweepConfig(size=512, repetitions=2),
+        smoke_config=DensitySweepConfig(size=128, expected_degrees=(32.0, 64.0), repetitions=1),
         group_by=("graph", "protocol"),
         metrics=("messages_per_node", "rounds", "mean_degree"),
         finalize=_finalize,
-        metadata=lambda config: {
-            "size": config.size,
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-        },
         columns=DENSITY_COLUMNS,
         render={
             "x": "expected_degree",

@@ -26,8 +26,7 @@ from ..analysis.bounds import (
     memory_gossiping_messages_per_node,
     push_pull_gossip_messages_per_node,
 )
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec
+from ..graphs.generators import paper_graph_spec
 from .config import SizeSweepConfig
 from .runner import gossip_task
 from .scenarios import ScenarioSpec, register
@@ -49,14 +48,7 @@ FIGURE1_COLUMNS = (
 def _configurations(config: SizeSweepConfig) -> List[Tuple[Tuple[int, str], Dict]]:
     configurations = []
     for n in config.sizes:
-        spec = GraphSpec(
-            kind="erdos_renyi",
-            n=n,
-            params={
-                "p": paper_edge_probability(n, config.density_exponent),
-                "require_connected": True,
-            },
-        )
+        spec = paper_graph_spec(n)
         for protocol in config.protocols:
             options: Dict[str, object] = {}
             if protocol == "memory":
@@ -110,22 +102,12 @@ FIGURE1 = register(
         ),
         task=gossip_task,
         grid=_configurations,
-        default_config=SizeSweepConfig,
-        cli_config=lambda seed: SizeSweepConfig(
-            sizes=(256, 512, 1024, 2048), repetitions=2, seed=20150525 if seed is None else seed
-        ),
-        smoke_config=lambda seed: SizeSweepConfig(
-            sizes=(96, 128), repetitions=1, seed=20150525 if seed is None else seed
-        ),
+        default_config=SizeSweepConfig(),
+        cli_config=SizeSweepConfig(sizes=(256, 512, 1024, 2048), repetitions=2),
+        smoke_config=SizeSweepConfig(sizes=(96, 128), repetitions=1),
         group_by=("n", "protocol"),
         metrics=("messages_per_node", "rounds", "opens_per_node", "strict_cost_per_node"),
         finalize=_finalize,
-        metadata=lambda config: {
-            "sizes": list(config.sizes),
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-            "density_exponent": config.density_exponent,
-        },
         columns=FIGURE1_COLUMNS,
         render={"x": "n", "y": "messages_per_node", "group_by": "protocol", "log_x": True},
     )

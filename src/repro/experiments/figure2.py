@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec
+from ..graphs.generators import paper_graph_spec
 from .config import RobustnessConfig
 from .runner import robustness_task
 from .scenarios import ScenarioSpec, register
@@ -40,14 +39,7 @@ def robustness_configurations(
     config: RobustnessConfig,
 ) -> List[Tuple[Tuple[int, int], Dict]]:
     """Build the (size, failed-count) sweep configurations."""
-    spec = GraphSpec(
-        kind="erdos_renyi",
-        n=config.size,
-        params={
-            "p": paper_edge_probability(config.size, config.density_exponent),
-            "require_connected": True,
-        },
-    )
+    spec = paper_graph_spec(config.size)
     configurations = []
     for failed in config.failed_counts():
         configurations.append(
@@ -83,23 +75,12 @@ FIGURE2 = register(
         ),
         task=robustness_task,
         grid=robustness_configurations,
-        default_config=RobustnessConfig,
-        cli_config=lambda seed: RobustnessConfig(
-            size=1024, repetitions=2, seed=20150526 if seed is None else seed
-        ),
-        smoke_config=lambda seed: RobustnessConfig(
-            size=128, failed_fractions=(0.0, 0.25), repetitions=1, seed=20150526 if seed is None else seed
-        ),
+        default_config=RobustnessConfig(),
+        cli_config=RobustnessConfig(size=1024, repetitions=2),
+        smoke_config=RobustnessConfig(size=128, failed_fractions=(0.0, 0.25), repetitions=1),
         group_by=("n", "failed"),
         metrics=("additional_lost", "loss_ratio", "messages_per_node"),
         finalize=_finalize,
-        metadata=lambda config: {
-            "size": config.size,
-            "num_trees": config.num_trees,
-            "failed_fractions": list(config.failed_fractions),
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-        },
         columns=FIGURE2_COLUMNS,
         render={"x": "failed", "y": "loss_ratio", "group_by": None, "log_x": False},
     )

@@ -8,16 +8,17 @@ shape across scales.  The reproduction runs the identical sweep on two
 The scenario expresses the multi-size study as a single grid whose keys are
 ``(n, failed)`` — seeds derive from a stable hash of the key, so every
 (size, failure-count) cell keeps its trajectory no matter which other sizes
-are in the grid.  Run it with ``run_scenario("figure3", config=Figure3Config(...))``.
+are in the grid.  :class:`Figure3Config` holds Figure 2's failure fractions,
+tree count, repetitions and seed, with a ``sizes`` list in place of Figure 2's
+single ``size``.  Run it with ``run_scenario("figure3", config=Figure3Config(...))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec
+from ..graphs.generators import paper_graph_spec
 from .config import RobustnessConfig
 from .figure2 import FIGURE2_COLUMNS
 from .runner import robustness_task
@@ -33,23 +34,34 @@ FIGURE3_COLUMNS = FIGURE2_COLUMNS
 
 
 @dataclass(frozen=True)
-class Figure3Config(RobustnessConfig):
-    """Robustness config with an explicit size list (one sweep, many sizes)."""
+class Figure3Config:
+    """The Figure 2 robustness study over a list of sizes (one sweep, many sizes).
+
+    Attributes
+    ----------
+    sizes:
+        Graph sizes (the paper uses 10^5 and 5*10^5).
+    failed_fractions:
+        Failed-node counts expressed as fractions of each size.
+    num_trees:
+        Independently built communication trees (3 in the paper).
+    repetitions:
+        Runs per (size, failure count).
+    seed:
+        Base seed; all runs derive their seeds deterministically from it.
+    """
 
     sizes: Tuple[int, ...] = (1024, 2048)
+    failed_fractions: Tuple[float, ...] = RobustnessConfig.failed_fractions
+    num_trees: int = 3
+    repetitions: int = 3
+    seed: Optional[int] = 20150526
 
 
 def _configurations(config: Figure3Config) -> List[Tuple[Tuple[int, int], Dict]]:
     configurations = []
     for size in config.sizes:
-        spec = GraphSpec(
-            kind="erdos_renyi",
-            n=int(size),
-            params={
-                "p": paper_edge_probability(int(size), config.density_exponent),
-                "require_connected": True,
-            },
-        )
+        spec = paper_graph_spec(int(size))
         for fraction in config.failed_fractions:
             failed = int(round(size * fraction))
             configurations.append(
@@ -85,26 +97,12 @@ FIGURE3 = register(
         ),
         task=robustness_task,
         grid=_configurations,
-        default_config=Figure3Config,
-        cli_config=lambda seed: Figure3Config(
-            sizes=(512, 1024), repetitions=2, seed=20150526 if seed is None else seed
-        ),
-        smoke_config=lambda seed: Figure3Config(
-            sizes=(96, 128),
-            failed_fractions=(0.1, 0.4),
-            repetitions=1,
-            seed=20150526 if seed is None else seed,
-        ),
+        default_config=Figure3Config(),
+        cli_config=Figure3Config(sizes=(512, 1024), repetitions=2),
+        smoke_config=Figure3Config(sizes=(96, 128), failed_fractions=(0.1, 0.4), repetitions=1),
         group_by=("n", "failed"),
         metrics=("additional_lost", "loss_ratio"),
         finalize=_finalize,
-        metadata=lambda config: {
-            "sizes": list(config.sizes),
-            "num_trees": config.num_trees,
-            "failed_fractions": list(config.failed_fractions),
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-        },
         columns=FIGURE3_COLUMNS,
         render={"x": "failed", "y": "loss_ratio", "group_by": "n", "log_x": False},
     )

@@ -13,17 +13,15 @@ Declared as a scenario spec.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
 from ..core.parameters import tuned_fast_gossiping
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec
+from ..graphs.generators import paper_graph_spec
 from .config import SizeSweepConfig
 from .runner import gossip_task
 from .scenarios import ScenarioSpec, register
 
-__all__ = ["FIGURE4_COLUMNS", "FIGURE4", "default_figure4_config"]
+__all__ = ["FIGURE4_COLUMNS", "FIGURE4"]
 
 FIGURE4_COLUMNS = (
     "n",
@@ -36,30 +34,21 @@ FIGURE4_COLUMNS = (
 )
 
 
-def default_figure4_config() -> SizeSweepConfig:
-    """A finer size grid restricted to the fast-gossiping protocol."""
-    return SizeSweepConfig(
-        sizes=(256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096),
-        repetitions=3,
-        protocols=("fast-gossiping",),
-    )
+#: A finer size grid restricted to the fast-gossiping protocol.
+_FINE_GRID = SizeSweepConfig(
+    sizes=(256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096),
+    repetitions=3,
+    protocols=("fast-gossiping",),
+)
 
 
 def _configurations(config: SizeSweepConfig) -> List[Tuple[Tuple[int, str], Dict]]:
     configurations = []
     for n in config.sizes:
-        spec = GraphSpec(
-            kind="erdos_renyi",
-            n=n,
-            params={
-                "p": paper_edge_probability(n, config.density_exponent),
-                "require_connected": True,
-            },
-        )
         configurations.append(
             (
                 (n, "fast-gossiping"),
-                {"graph_spec": spec.as_dict(), "protocol": "fast-gossiping"},
+                {"graph_spec": paper_graph_spec(n).as_dict(), "protocol": "fast-gossiping"},
             )
         )
     return configurations
@@ -106,26 +95,14 @@ FIGURE4 = register(
         ),
         task=gossip_task,
         grid=_configurations,
-        default_config=default_figure4_config,
-        cli_config=lambda seed: (
-            default_figure4_config()
-            if seed is None
-            else replace(default_figure4_config(), seed=seed)
-        ),
-        smoke_config=lambda seed: SizeSweepConfig(
-            sizes=(96, 128, 192),
-            repetitions=1,
-            protocols=("fast-gossiping",),
-            seed=20150525 if seed is None else seed,
+        default_config=_FINE_GRID,
+        cli_config=_FINE_GRID,
+        smoke_config=SizeSweepConfig(
+            sizes=(96, 128, 192), repetitions=1, protocols=("fast-gossiping",)
         ),
         group_by=("n",),
         metrics=("messages_per_node", "rounds"),
         finalize=_finalize,
-        metadata=lambda config: {
-            "sizes": list(config.sizes),
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-        },
         columns=FIGURE4_COLUMNS,
         render={"x": "n", "y": "messages_per_node", "group_by": None, "log_x": True},
     )

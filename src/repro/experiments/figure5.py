@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec
+from ..graphs.generators import paper_graph_spec
 from .config import RobustnessDetailConfig
 from .runner import robustness_task
 from .scenarios import ScenarioSpec, register
@@ -27,14 +26,7 @@ __all__ = ["FIGURE5"]
 def _configurations(config: RobustnessDetailConfig) -> List[Tuple[Tuple[int, int], Dict]]:
     configurations = []
     for n in config.sizes:
-        spec = GraphSpec(
-            kind="erdos_renyi",
-            n=n,
-            params={
-                "p": paper_edge_probability(n, config.density_exponent),
-                "require_connected": True,
-            },
-        )
+        spec = paper_graph_spec(n)
         for fraction in config.failed_fractions:
             failed = int(round(n * fraction))
             configurations.append(
@@ -89,26 +81,12 @@ FIGURE5 = register(
         ),
         task=robustness_task,
         grid=_configurations,
-        default_config=RobustnessDetailConfig,
-        cli_config=lambda seed: RobustnessDetailConfig(
-            sizes=(512, 1024), repetitions=3, seed=20150527 if seed is None else seed
-        ),
-        smoke_config=lambda seed: RobustnessDetailConfig(
-            sizes=(128,),
-            thresholds=(0, 10),
-            failed_fractions=(0.1, 0.5),
-            repetitions=2,
-            seed=20150527 if seed is None else seed,
+        default_config=RobustnessDetailConfig(),
+        cli_config=RobustnessDetailConfig(sizes=(512, 1024), repetitions=3),
+        smoke_config=RobustnessDetailConfig(
+            sizes=(128,), thresholds=(0, 10), failed_fractions=(0.1, 0.5), repetitions=2
         ),
         aggregate=_aggregate,
-        metadata=lambda config: {
-            "sizes": list(config.sizes),
-            "thresholds": list(config.thresholds),
-            "failed_fractions": list(config.failed_fractions),
-            "num_trees": config.num_trees,
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-        },
         render={"x": "failed", "y": "exceed_T0", "group_by": "n", "log_x": False},
     )
 )

@@ -13,10 +13,9 @@ Declared as a scenario spec.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Tuple
 
-from ..graphs.generators import GraphSpec
+from ..graphs.generators import GraphSpec, paper_expected_degree
 from .config import SizeSweepConfig
 from .runner import gossip_task
 from .scenarios import ScenarioSpec, register
@@ -34,14 +33,10 @@ GRAPH_MODEL_COLUMNS = (
 )
 
 
-def _default_config() -> SizeSweepConfig:
-    return SizeSweepConfig(sizes=(512, 1024), repetitions=3)
-
-
 def _configurations(config: SizeSweepConfig) -> List[Tuple[Tuple[int, str, str], Dict]]:
     configurations: List[Tuple[Tuple[int, str, str], Dict]] = []
     for n in config.sizes:
-        degree = int(round(math.log2(n) ** config.density_exponent))
+        degree = int(round(paper_expected_degree(n)))
         if (degree * n) % 2:
             degree += 1
         specs = {
@@ -112,22 +107,13 @@ GRAPH_MODELS = register(
         ),
         task=gossip_task,
         grid=_configurations,
-        default_config=_default_config,
-        cli_config=lambda seed: SizeSweepConfig(
-            sizes=(256, 512), repetitions=2, seed=20150533 if seed is None else seed
-        ),
-        smoke_config=lambda seed: SizeSweepConfig(
-            sizes=(128,), repetitions=1, seed=20150533 if seed is None else seed
-        ),
+        default_config=SizeSweepConfig(sizes=(512, 1024), repetitions=3),
+        cli_config=SizeSweepConfig(sizes=(256, 512), repetitions=2, seed=20150533),
+        smoke_config=SizeSweepConfig(sizes=(128,), repetitions=1, seed=20150533),
         group_by=("n", "model", "protocol"),
         metrics=("messages_per_node", "rounds"),
         prepare_records=_prepare_records,
         finalize=_finalize,
-        metadata=lambda config: {
-            "sizes": list(config.sizes),
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-        },
         columns=GRAPH_MODEL_COLUMNS,
         render={"x": "n", "y": "messages_per_node", "group_by": "model", "log_x": True},
     )

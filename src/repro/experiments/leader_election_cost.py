@@ -20,8 +20,7 @@ import math
 from ..analysis.sweep import SweepTask
 from ..core.leader_election import LeaderElection
 from ..core.parameters import LeaderElectionParameters, loglog2
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec, make_graph
+from ..graphs.generators import GraphSpec, make_graph, paper_graph_spec
 from .config import LeaderElectionConfig
 from .scenarios import ScenarioSpec, register
 
@@ -71,14 +70,7 @@ def election_task(task: SweepTask) -> Dict[str, Any]:
 def _configurations(config: LeaderElectionConfig) -> List[Tuple[Tuple[int, str], Dict]]:
     configurations: List[Tuple[Tuple[int, str], Dict]] = []
     for n in config.sizes:
-        spec = GraphSpec(
-            kind="erdos_renyi",
-            n=n,
-            params={
-                "p": paper_edge_probability(n, config.density_exponent),
-                "require_connected": True,
-            },
-        )
+        spec = paper_graph_spec(n)
         for variant in ("pseudocode", "budgeted"):
             configurations.append(
                 ((n, variant), {"graph_spec": spec.as_dict(), "variant": variant})
@@ -108,21 +100,12 @@ LEADER_ELECTION_COST = register(
         ),
         task=election_task,
         grid=_configurations,
-        default_config=LeaderElectionConfig,
-        cli_config=lambda seed: LeaderElectionConfig(
-            sizes=(256, 512, 1024), repetitions=2, seed=20150531 if seed is None else seed
-        ),
-        smoke_config=lambda seed: LeaderElectionConfig(
-            sizes=(128,), repetitions=1, seed=20150531 if seed is None else seed
-        ),
+        default_config=LeaderElectionConfig(),
+        cli_config=LeaderElectionConfig(sizes=(256, 512, 1024), repetitions=2),
+        smoke_config=LeaderElectionConfig(sizes=(128,), repetitions=1),
         group_by=("n", "variant"),
         metrics=("messages_per_node", "rounds"),
         finalize=_finalize,
-        metadata=lambda config: {
-            "sizes": list(config.sizes),
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-        },
         columns=ELECTION_COLUMNS,
         render={"x": "n", "y": "messages_per_node", "group_by": "variant", "log_x": True},
     )

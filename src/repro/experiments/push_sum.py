@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec
+from ..graphs.generators import paper_graph_spec
 from .config import PushSumConfig
 from .runner import push_sum_task
 from .scenarios import ScenarioSpec, register
@@ -49,14 +48,7 @@ PUSHSUM_COLUMNS = (
 def _configurations(config: PushSumConfig) -> List[Tuple[Tuple[int, str], Dict]]:
     configurations = []
     for n in config.sizes:
-        spec = GraphSpec(
-            kind="erdos_renyi",
-            n=n,
-            params={
-                "p": paper_edge_probability(n, config.density_exponent),
-                "require_connected": True,
-            },
-        )
+        spec = paper_graph_spec(n)
         for clock in config.clocks:
             configurations.append(
                 (
@@ -105,15 +97,9 @@ PUSHSUM = register(
         ),
         task=push_sum_task,
         grid=_configurations,
-        default_config=PushSumConfig,
-        cli_config=lambda seed: PushSumConfig(
-            seed=20150532 if seed is None else seed
-        ),
-        smoke_config=lambda seed: PushSumConfig(
-            sizes=(96, 128),
-            repetitions=1,
-            seed=20150532 if seed is None else seed,
-        ),
+        default_config=PushSumConfig(),
+        cli_config=PushSumConfig(),
+        smoke_config=PushSumConfig(sizes=(96, 128), repetitions=1),
         group_by=("n", "clock"),
         metrics=(
             "rounds",
@@ -125,14 +111,6 @@ PUSHSUM = register(
             "spread_final",
         ),
         finalize=_finalize,
-        metadata=lambda config: {
-            "sizes": list(config.sizes),
-            "clocks": list(config.clocks),
-            "tolerance": config.tolerance,
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-            "density_exponent": config.density_exponent,
-        },
         columns=PUSHSUM_COLUMNS,
         render={
             "x": "n",

@@ -101,7 +101,7 @@ def experiment_section(
     interesting_metadata = {
         key: value
         for key, value in result.metadata.items()
-        if isinstance(value, (int, float, str, bool, list, dict)) and key != "seed"
+        if isinstance(value, (int, float, str, bool, list, tuple, dict)) and key != "seed"
     }
     if interesting_metadata:
         lines.append("<details><summary>configuration</summary>")

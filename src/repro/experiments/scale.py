@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from ..analysis.sweep import SweepTask
-from ..graphs.erdos_renyi import paper_edge_probability
-from ..graphs.generators import GraphSpec
+from ..graphs.generators import paper_graph_spec
 from .config import ScaleConfig
 from .runner import run_gossip
 from .scenarios import ScenarioSpec, register
@@ -46,14 +45,7 @@ def _configurations(config: ScaleConfig) -> List[Tuple[Tuple[int, str], Dict]]:
     options: Dict[str, object] = {"leader": 0} if config.protocol == "memory" else {}
     configurations = []
     for n in config.sizes:
-        spec = GraphSpec(
-            kind="erdos_renyi",
-            n=n,
-            params={
-                "p": paper_edge_probability(n, config.density_exponent),
-                "require_connected": True,
-            },
-        )
+        spec = paper_graph_spec(n)
         configurations.append(
             (
                 (n, config.protocol),
@@ -88,25 +80,12 @@ SCALE = register(
         ),
         task=scale_task,
         grid=_configurations,
-        default_config=ScaleConfig,
-        cli_config=lambda seed: ScaleConfig(
-            seed=20150525 if seed is None else seed
-        ),
-        smoke_config=lambda seed: ScaleConfig(
-            sizes=(96, 128),
-            repetitions=1,
-            seed=20150525 if seed is None else seed,
-        ),
+        default_config=ScaleConfig(),
+        cli_config=ScaleConfig(),
+        smoke_config=ScaleConfig(sizes=(96, 128), repetitions=1),
         group_by=("n",),
         metrics=("rounds", "messages_per_node", "storage_mb"),
         finalize=_finalize,
-        metadata=lambda config: {
-            "sizes": list(config.sizes),
-            "protocol": config.protocol,
-            "repetitions": config.repetitions,
-            "seed": config.seed,
-            "density_exponent": config.density_exponent,
-        },
         columns=SCALE_COLUMNS,
         render={"x": "n", "y": "storage_mb", "group_by": None, "log_x": True},
     )

@@ -9,8 +9,8 @@ one :class:`ScenarioSpec` — a declarative bundle of
 * the **aggregation** recipe (``group_by`` + ``metrics``, or a custom
   aggregate), plus optional record-preparation and finalize hooks for the
   experiment-specific derived columns and metadata,
-* **config factories** for the library default, the CLI quick scale and the
-  tiny ``--smoke`` scale, and
+* one **config value** per profile: the library default, the CLI quick
+  scale and the tiny ``--smoke`` scale, and
 * **render hints** for the ASCII plots.
 
 New workloads therefore become *data*: registering a spec is enough to make
@@ -18,13 +18,14 @@ an experiment runnable through :func:`run_scenario`, the ``repro scenarios``
 CLI, the combined report builder and the on-disk result store — including
 ``--resume`` after an interrupted sweep.  :func:`run_scenario` is the one way
 to run an experiment; with no config it uses the spec's library-scale
-default.
+default.  A sweep's result metadata starts from its config's fields
+(``dataclasses.asdict``), so every result names the settings that made it.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 from typing import (
     Any,
@@ -81,13 +82,13 @@ class ScenarioSpec:
     grid:
         ``config -> [(key, params), ...]`` building the sweep grid.
     default_config:
-        Library-scale config factory (used by :func:`run_scenario` when
-        called without a config).
+        Library-scale config (the ``"default"`` profile, used by
+        :func:`run_scenario` when called without a config).
     cli_config:
-        ``seed -> config`` factory at the CLI quick scale
-        (``repro scenarios run``).
+        Config at the CLI quick scale (the ``"cli"`` profile,
+        ``repro scenarios run``).
     smoke_config:
-        ``seed -> config`` factory at the tiny ``--smoke`` scale.
+        Config at the tiny ``--smoke`` scale (the ``"smoke"`` profile).
     group_by / metrics:
         Default aggregation recipe (``aggregate_records``).
     prepare_records:
@@ -100,8 +101,6 @@ class ScenarioSpec:
         Optional hook ``(rows, records, config) -> extra_metadata`` run after
         aggregation; may mutate rows (derived columns) and returns metadata
         entries (fit constants, growth summaries, ...).
-    metadata:
-        ``config -> dict`` of sweep settings recorded in the result.
     columns:
         Preferred column order for rendered tables.
     render:
@@ -116,9 +115,9 @@ class ScenarioSpec:
     description: str
     task: Optional[Callable[[SweepTask], Dict[str, Any]]] = None
     grid: Optional[Callable[[Any], Configurations]] = None
-    default_config: Optional[Callable[[], Any]] = None
-    cli_config: Optional[Callable[[Optional[int]], Any]] = None
-    smoke_config: Optional[Callable[[Optional[int]], Any]] = None
+    default_config: Any = None
+    cli_config: Any = None
+    smoke_config: Any = None
     group_by: Tuple[str, ...] = ()
     metrics: Tuple[str, ...] = ()
     prepare_records: Optional[Callable[[List[Dict[str, Any]], Any], None]] = None
@@ -126,7 +125,6 @@ class ScenarioSpec:
     finalize: Optional[
         Callable[[List[Dict[str, Any]], List[Dict[str, Any]], Any], Optional[Dict[str, Any]]]
     ] = None
-    metadata: Optional[Callable[[Any], Dict[str, Any]]] = None
     columns: Optional[Tuple[str, ...]] = None
     render: Optional[Mapping[str, Any]] = None
     run_override: Optional[Callable[[Any], ExperimentResult]] = None
@@ -199,23 +197,22 @@ def resolve_config(
     *,
     config: Any = None,
     seed: Optional[int] = None,
-    smoke: bool = False,
     profile: str = "default",
 ) -> Any:
     """Resolve the config object for a scenario run.
 
-    ``config`` wins when given (with ``seed`` overriding its seed field);
-    otherwise the ``smoke`` / ``cli`` / ``default`` factory is used.
+    ``config`` wins when given; otherwise the spec's config for ``profile``
+    (``"default"``, ``"cli"`` or ``"smoke"``) is used, or its default config
+    when it declares none for that profile.  A given ``seed`` replaces the
+    config's seed field.  An unknown profile raises :class:`ValueError`.
     """
+    profiles = {"default": spec.default_config, "cli": spec.cli_config, "smoke": spec.smoke_config}
+    if profile not in profiles:
+        raise ValueError(f"unknown config profile {profile!r}; expected one of {tuple(profiles)}")
     if config is None:
-        if smoke and spec.smoke_config is not None:
-            return spec.smoke_config(seed)
-        if profile == "cli" and spec.cli_config is not None:
-            return spec.cli_config(seed)
-        if spec.default_config is not None:
-            config = spec.default_config()
-        else:
-            return None
+        config = profiles[profile]
+        if config is None:
+            config = spec.default_config
     if seed is not None and hasattr(config, "seed"):
         config = replace(config, seed=seed)
     return config
@@ -230,9 +227,8 @@ def run_scenario(
     *,
     config: Any = None,
     seed: Optional[int] = None,
-    smoke: bool = False,
     profile: str = "default",
-    n_jobs: Optional[int] = None,
+    n_jobs: int = 1,
     store: Optional[ResultStore] = None,
     read_store: Optional[Any] = None,
     resume: bool = False,
@@ -248,17 +244,16 @@ def run_scenario(
     scenario:
         A :class:`ScenarioSpec` or a registry name.
     config:
-        Config object; defaults per ``smoke`` / ``profile`` (see
+        Config object; defaults to the spec's config for ``profile`` (see
         :func:`resolve_config`).
     seed:
         Optional base-seed override.
-    smoke:
-        Use the tiny smoke-scale config (CI / sanity runs).
     profile:
-        ``"default"`` (library scale) or ``"cli"`` (quick CLI scale) when no
-        explicit config is given.
+        ``"default"`` (library scale), ``"cli"`` (quick CLI scale) or
+        ``"smoke"`` (tiny CI scale) when no explicit config is given; any
+        other name raises :class:`ValueError`.
     n_jobs:
-        Worker processes; defaults to the config's ``n_jobs``.
+        Worker processes.
     store:
         Optional :class:`~repro.io.store.ResultStore`; every completed
         (configuration, repetition) record is appended to it the moment it
@@ -304,13 +299,15 @@ def run_scenario(
     ExperimentResult
         Aggregated rows, raw records (in deterministic task order) and
         metadata.  Quarantined pairs are absent from the records (the sweep
-        is degraded, not aborted).  ``metadata["execution"]`` is the active
+        is degraded, not aborted).  A sweep's metadata holds the config's
+        fields (``dataclasses.asdict``) and the finalize hook's entries.
+        ``metadata["execution"]`` is the active
         kernel backend's ``describe()``: its name, whether the compiled
         kernels run, the thread budget, the C-kernel status and the SIMD
         level.
     """
     spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
-    config = resolve_config(spec, config=config, seed=seed, smoke=smoke, profile=profile)
+    config = resolve_config(spec, config=config, seed=seed, profile=profile)
 
     if spec.run_override is not None:
         result = spec.run_override(config)
@@ -323,8 +320,6 @@ def run_scenario(
     configurations = spec.grid(config)
     repetitions = int(getattr(config, "repetitions", 1))
     base_seed = getattr(config, "seed", None)
-    if n_jobs is None:
-        n_jobs = int(getattr(config, "n_jobs", 1))
     tasks = expand_grid(configurations, repetitions, base_seed)
     pairs = [_task_pair(task) for task in tasks]
 
@@ -467,7 +462,7 @@ def run_scenario(
         rows = spec.aggregate(records, config)
     else:
         rows = aggregate_records(records, spec.group_by, spec.metrics)
-    metadata: Dict[str, Any] = dict(spec.metadata(config)) if spec.metadata else {}
+    metadata: Dict[str, Any] = asdict(config) if is_dataclass(config) else {}
     metadata["execution"] = backends.active().describe()
     if cache_info is not None:
         metadata["cache"] = cache_info

@@ -84,7 +84,7 @@ TABLE1 = register(
         name="table1",
         result_name="table1",
         description="Table 1: simulation constants of Algorithms 1 and 2 resolved per n",
-        smoke_config=lambda seed: [1024, 65536],
+        smoke_config=(1024, 65536),
         columns=TABLE1_COLUMNS,
         run_override=run_table1,
     )

@@ -25,11 +25,11 @@ DETERMINISTIC = RetryPolicy(max_retries=3, backoff_base=0.0, jitter=0.0)
 
 
 def smoke_pushsum_config():
-    return PUSHSUM.smoke_config(None)
+    return PUSHSUM.smoke_config
 
 
 def smoke_churn_config():
-    return CHURN.smoke_config(None)
+    return CHURN.smoke_config
 
 
 class TestRegistry:

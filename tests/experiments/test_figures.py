@@ -99,12 +99,17 @@ class TestFigure2:
 class TestFigure3:
     def test_two_sizes(self):
         config = Figure3Config(
-            size=128, sizes=(128, 256), failed_fractions=(0.1, 0.4), repetitions=1, seed=4
+            sizes=(128, 256), failed_fractions=(0.1, 0.4), repetitions=1, seed=4
         )
         result = run_scenario("figure3", config=config)
         sizes = {row["n"] for row in result.rows}
         assert sizes == {128, 256}
         assert len(result.rows) == 4
+
+    def test_single_size_is_rejected(self):
+        """The grid reads only ``sizes``, so a ``size`` field would be silently ignored."""
+        with pytest.raises(TypeError):
+            Figure3Config(size=128)
 
 
 class TestFigure5:
@@ -150,7 +155,7 @@ class TestTable1:
 
 class TestScale:
     CONFIG = ScaleConfig(sizes=(512, 1024), repetitions=2, seed=1)
-    SMOKE = resolve_config(get_scenario("scale"), smoke=True)
+    SMOKE = resolve_config(get_scenario("scale"), profile="smoke")
 
     @pytest.mark.parametrize("config", [CONFIG, SMOKE], ids=["quick", "smoke"])
     def test_one_row_per_size(self, config):

@@ -18,7 +18,6 @@ from repro.experiments import (
     RobustnessConfig,
     RobustnessDetailConfig,
     SizeSweepConfig,
-    default_figure4_config,
     run_scenario,
 )
 
@@ -49,9 +48,7 @@ def test_figure2_loss_ratio_shape():
 
 def test_figure3_same_shape_at_both_sizes():
     """Fig. 3: the Figure 2 curve keeps its shape at two graph sizes."""
-    config = Figure3Config(
-        size=512, sizes=(512, 1024), failed_fractions=(0.0, 0.1, 0.3), repetitions=2
-    )
+    config = Figure3Config(sizes=(512, 1024), failed_fractions=(0.0, 0.1, 0.3), repetitions=2)
     result = run_scenario("figure3", config=config)
     for n in (512, 1024):
         series = sorted(
@@ -63,7 +60,7 @@ def test_figure3_same_shape_at_both_sizes():
 
 def test_figure4_cost_envelope():
     """Fig. 4: fast-gossiping's cost moves in plateaus inside a narrow envelope."""
-    result = run_scenario("figure4", config=default_figure4_config())
+    result = run_scenario("figure4")
     costs = [row["messages_per_node"] for row in result.rows]
     assert max(costs) < 3 * min(costs)
     assert "within_plateau_deltas" in result.metadata

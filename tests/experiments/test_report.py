@@ -46,6 +46,12 @@ class TestSections:
         assert "| n | cost |" in section
         assert "configuration" in section
 
+    def test_section_shows_tuple_metadata(self):
+        """A sweep's metadata holds its config's fields, tuples included."""
+        result = sample_result()
+        result.metadata = {"sizes": (256, 512)}
+        assert '"sizes"' in experiment_section(result)
+
     def test_section_with_plot_and_notes(self):
         section = experiment_section(sample_result(), plot="ASCII", notes="a note")
         assert "```text" in section and "ASCII" in section

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.experiments import (
@@ -60,7 +62,7 @@ class TestRegistry:
         for spec in all_scenarios():
             if spec.run_override is not None:
                 continue
-            config = spec.smoke_config(None)
+            config = spec.smoke_config
             sizes = getattr(config, "sizes", None) or (getattr(config, "size", 0),)
             assert max(int(s) for s in sizes) <= 256, spec.name
 
@@ -75,7 +77,7 @@ class TestResolveConfig:
         spec = get_scenario("figure1")
         config = resolve_config(spec, config=SizeSweepConfig(), seed=123)
         assert config.seed == 123
-        smoke = resolve_config(spec, seed=77, smoke=True)
+        smoke = resolve_config(spec, seed=77, profile="smoke")
         assert smoke.seed == 77
 
     def test_profiles(self):
@@ -83,32 +85,43 @@ class TestResolveConfig:
         assert resolve_config(spec, profile="cli").sizes == (256, 512, 1024, 2048)
         assert resolve_config(spec, profile="default").sizes == SizeSweepConfig().sizes
 
+    def test_unknown_profile_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown config profile 'smok'"):
+            resolve_config(get_scenario("figure1"), profile="smok")
+
     def test_seed_zero_is_respected(self):
         """Regression: ``--seed 0`` must not fall back to the default seed."""
         for spec in all_scenarios():
             if spec.run_override is not None:
                 continue
             assert resolve_config(spec, seed=0, profile="cli").seed == 0, spec.name
-            assert resolve_config(spec, seed=0, smoke=True).seed == 0, spec.name
+            assert resolve_config(spec, seed=0, profile="smoke").seed == 0, spec.name
 
 
 class TestRunScenario:
-    def test_run_by_name_smoke(self):
-        result = run_scenario("election", smoke=True)
-        assert result.name == "leader_election_cost"
-        assert result.rows and result.raw_records
+    @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
+    def test_run_by_name_smoke(self, name):
+        """Every scenario runs at the smoke profile; a sweep's metadata names its config."""
+        spec = get_scenario(name)
+        result = run_scenario(name, profile="smoke")
+        assert result.name == spec.result_name
+        assert result.rows
+        if spec.run_override is None:
+            assert result.raw_records
+            fields = asdict(resolve_config(spec, profile="smoke"))
+            assert {key: result.metadata[key] for key in fields} == fields
 
     @pytest.mark.skipif(not _ckernel.available(), reason="compiled kernel unavailable")
     def test_metadata_records_compiled_execution(self):
         with backends.use(backends.CBackend()):
-            execution = run_scenario("figure1", smoke=True).metadata["execution"]
+            execution = run_scenario("figure1", profile="smoke").metadata["execution"]
         assert execution["name"] == "c" and execution["compiled"] is True
         assert execution["ckernel"] == "loaded"
         assert execution["simd"]["active"] == _ckernel.simd_name()
 
     def test_metadata_records_numpy_execution(self):
         with backends.use(backends.NumpyBackend()):
-            execution = run_scenario("figure1", smoke=True).metadata["execution"]
+            execution = run_scenario("figure1", profile="smoke").metadata["execution"]
         assert execution["name"] == "numpy" and execution["compiled"] is False
 
     def test_table1_override(self):

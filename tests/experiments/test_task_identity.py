@@ -112,7 +112,7 @@ TASK_DIGESTS = {
 
 def task_digest(name, profile, seed):
     spec = get_scenario(name)
-    config = resolve_config(spec, seed=seed, smoke=profile == "smoke", profile=profile)
+    config = resolve_config(spec, seed=seed, profile=profile)
     tasks = expand_grid(
         spec.grid(config), int(getattr(config, "repetitions", 1)), getattr(config, "seed", None)
     )

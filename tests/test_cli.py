@@ -45,6 +45,15 @@ class TestRunCommand:
         assert data["protocol"] == "push-pull"
         assert data["completed"] is True
 
+    @pytest.mark.parametrize("clock", ["sync", "event"])
+    def test_push_sum_completes_on_power_law(self, capsys, clock):
+        """The round cap fits the CLI's heavy-tailed family: sync needs 448 rounds,
+        more than 24 * log2(512)."""
+        argv = ["run", "--protocol", "push-sum", "--graph", "power_law", "-n", "512"]
+        code = main(argv + ["--seed", "3", "--clock", clock, "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["completed"] is True
+
     def test_run_on_complete_graph(self, capsys):
         code = main(["run", "--graph", "complete", "-n", "128", "--seed", "2"])
         assert code == 0
