@@ -16,6 +16,11 @@ plan) and crash runs (every protocol with crashes at ``start``, and the
 memory model with crashes ``before_gather``) at n = 256 and at n = 333, whose
 last knowledge word is ragged.  They also pin the final knowledge
 ``fingerprint()``.
+
+:data:`PUSH_SUM_PINS` holds push-sum under both clocks on the same graphs.
+Push-sum has no knowledge matrix; its pins are the rounds, the completion
+flag, the ledger's packets and opens, the wakeups (``events``), the
+simulated time and a SHA-256 of the convergence series.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ import numpy as np
 import pytest
 
 from repro import FastGossiping, MemoryGossiping, PushPullGossip, erdos_renyi
-from repro.core import PushPullParameters
+from repro.core import PushPullParameters, PushSumGossip
 from repro.engine.event_clock import sample_churn_plan
 from repro.engine.failures import sample_uniform_failures
+from repro.engine.metrics import MessageAccounting
 from repro.graphs import paper_edge_probability
 
 N = 6208
@@ -284,3 +290,50 @@ def test_run_matches_its_pin(small_graphs, name, n):
         result.knowledge.fingerprint(),
     )
     assert got == RUN_PINS[name, n]
+
+
+#: Per (clock, n): rounds, completed, packets, channel opens, ``events``,
+#: ``sim_time``, and the SHA-256 of the series ``time``, ``mass_error``,
+#: ``spread`` and ``variance`` concatenated as float64.  The graph uses rng
+#: ``n`` and the run rng ``n + 1``.
+PUSH_SUM_PINS = {
+    ("sync", 256): (
+        59, True, 15104, 15104, 15104, 59.0,
+        "3dc990af1814fb390d6472e85348561ad91406b7f15d1bcb537154f1c4f0aae0",
+    ),
+    ("sync", 333): (
+        59, True, 19647, 19647, 19647, 59.0,
+        "8b6205ec3d952f274e2e4407438f0dec21baf2d3924ab64cde1da0d26a7a21d5",
+    ),
+    ("event", 256): (
+        2027, True, 20098, 20099, 20099, 78.85900784150627,
+        "609f0fb48a4f8a1e322dacc66817ab1ab7067249e702fe518121206b6c4ad5c4",
+    ),
+    ("event", 333): (
+        2408, True, 27498, 27499, 27499, 82.42979078933172,
+        "f5412b26057717a00741649126c3c5a54cbb247ab13cfaae3ec3082a6c273bd8",
+    ),
+}
+
+
+@pytest.mark.parametrize("clock,n", list(PUSH_SUM_PINS))
+def test_push_sum_matches_its_pin(small_graphs, clock, n):
+    result = PushSumGossip().run(small_graphs[n], rng=n + 1, clock=clock)
+    series = result.extras["series"]
+    got = (
+        result.rounds,
+        result.completed,
+        result.ledger.total(),
+        result.ledger.total(MessageAccounting.OPENS),
+        result.extras["events"],
+        result.extras["sim_time"],
+        sha256(
+            np.concatenate(
+                [
+                    np.asarray(series[key], dtype=np.float64)
+                    for key in ("time", "mass_error", "spread", "variance")
+                ]
+            )
+        ),
+    )
+    assert got == PUSH_SUM_PINS[clock, n]
