@@ -4,12 +4,15 @@
 Runs every scenario in the declarative registry at the default laptop scale
 (with a couple of historical overrides), saves the aggregated rows as
 JSON/CSV, appends each run's raw records to the JSONL result store under
-``results/store/`` (so a killed invocation can be resumed with
-``repro scenarios run <name> --resume --out results``), and prints the tables
-so the numbers quoted in the documentation can be re-derived with one
-command::
+``results/store/``, and prints the tables so the numbers quoted in the
+documentation can be re-derived with one command::
 
     python scripts/generate_results.py [output_dir]
+
+Every sweep runs with ``resume=True``, so rerunning the same command after
+an interruption resumes it: records already in the store are reused.
+``repro scenarios run <name> --resume`` would not do the same, because it
+runs the scenario's ``cli`` profile rather than the default scale.
 """
 
 from __future__ import annotations

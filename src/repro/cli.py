@@ -298,7 +298,7 @@ def _graph_spec(kind: str, n: int, expected_degree: Optional[float]) -> GraphSpe
             degree += 1
         return GraphSpec("random_regular", n, {"d": degree, "require_connected": True})
     if kind == "power_law":
-        return GraphSpec("power_law", n, {"exponent": 2.5})
+        return GraphSpec("power_law", n, {"exponent": 2.5, "require_connected": True})
     return GraphSpec(kind, n)
 
 

@@ -15,19 +15,27 @@ return — and its per-row recount delegates to
 :meth:`~repro.engine.knowledge.KnowledgeMatrix.count_missing`, which
 dispatches through the active :mod:`repro.engine.backends` backend,
 without this module ever touching raw row storage.
+
+:func:`exchange_rounds` is the push–pull loop around the tracker: it applies
+the rounds of either clock's round source (:mod:`repro.engine.channels`)
+until gossiping completes.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
+from ..engine.channels import ChannelRound
 from ..engine.knowledge import WORD_BITS, KnowledgeMatrix
+from ..engine.metrics import TransmissionLedger
+from ..engine.trace import SpreadingTrace
 
 __all__ = [
     "CompletionTracker",
     "alive_message_mask",
+    "exchange_rounds",
     "gossip_complete",
     "missing_pairs",
 ]
@@ -244,6 +252,58 @@ class CompletionTracker:
     def missing_pairs(self) -> int:
         """Number of (relevant node, relevant message) pairs still missing."""
         return int(self.deficits.sum())
+
+
+def exchange_rounds(
+    rounds: Iterable[ChannelRound],
+    tracker: CompletionTracker,
+    ledger: TransmissionLedger,
+    trace: SpreadingTrace,
+    phase: str,
+    *,
+    filtered: bool = True,
+) -> bool:
+    """Apply push–pull rounds (callers push, callees answer) until completion.
+
+    Every round charges its openers; one that counts as a round
+    (:attr:`~repro.engine.channels.ChannelRound.is_round`) also exchanges,
+    charges pushes and pulls, ends a ledger round and records the trace under
+    ``phase``.  ``filtered`` goes to :meth:`CompletionTracker.exchange`.
+    Returns whether gossiping completed.
+    """
+    knowledge = tracker.knowledge
+    # Upper bound on any row's count of required messages: a receiver ends a
+    # round with at most its own row, one pull answer and one push per
+    # in-edge (``2 + indegree`` rows).  While it stays below the mask
+    # popcount no row can be saturated, so the tracker is skipped — the
+    # saturation filter would see an all-false complete mask anyway, and a
+    # row can only complete in a tracked round, which recounts it.
+    mask_bits = int(np.bitwise_count(tracker.mask).sum())
+    deficits = tracker.deficits
+    if tracker._relevant is not None:
+        deficits = deficits[tracker._relevant]
+    known_bound = mask_bits - int(deficits.min()) if deficits.size else mask_bits
+    for channels in rounds:
+        ledger.record_opens(channels.openers)
+        if not channels.is_round:
+            continue
+        if known_bound < mask_bits:
+            indeg = np.bincount(channels.targets, minlength=knowledge.n_nodes).max()
+            known_bound = min(known_bound * (2 + int(indeg)), mask_bits)
+        track = known_bound >= mask_bits
+        # Push and pull both read start-of-round state; the kernel drops
+        # transmissions into saturated rows (bit-exact).
+        if track:
+            tracker.exchange(channels.callers, channels.targets, filtered=filtered)
+        else:
+            knowledge.apply_exchange(channels.callers, channels.targets)
+        ledger.record_pushes(channels.callers)
+        ledger.record_pulls(channels.targets)
+        ledger.end_round()
+        trace.record(ledger.rounds - 1, phase, knowledge)
+        if track and tracker.is_complete():
+            return True
+    return False
 
 
 def missing_pairs(

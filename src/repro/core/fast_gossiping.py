@@ -34,14 +34,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine.channels import open_channels
+from ..engine.channels import SyncRounds, open_channels
 from ..engine.failures import NO_FAILURES, FailurePlan
 from ..engine.knowledge import KnowledgeMatrix, adaptive_knowledge
 from ..engine.metrics import TransmissionLedger
 from ..engine.rng import RandomState
 from ..engine.trace import SpreadingTrace
 from ..graphs.adjacency import Adjacency
-from .completion import CompletionTracker
+from .completion import CompletionTracker, exchange_rounds
 from .parameters import FastGossipingParameters, FastGossipingSchedule, tuned_fast_gossiping
 from .protocol import GossipProtocol
 from .random_walks import start_walks
@@ -90,13 +90,35 @@ class FastGossiping(GossipProtocol):
         ledger = TransmissionLedger(graph.n)
         trace = SpreadingTrace(enabled=record_trace)
 
-        self._phase_distribution(graph, knowledge, ledger, trace, generator, schedule, alive_mask, alive_nodes)
+        # Phase I — distribution: every alive node pushes to a random
+        # neighbour for a few synchronous rounds.
+        ledger.begin_phase("phase1-distribution")
+        phase1 = SyncRounds(
+            graph, generator, max_rounds=schedule.distribution_steps, alive=alive_mask
+        )
+        for channels in phase1.rounds():
+            ledger.record_opens(channels.openers)
+            knowledge.apply_transmissions(channels.callers, channels.targets)
+            ledger.record_pushes(channels.callers)
+            ledger.end_round()
+            trace.record(ledger.rounds - 1, "phase1-distribution", knowledge)
+        ledger.end_phase()
+
         walk_stats = self._phase_random_walks(
-            graph, knowledge, ledger, trace, generator, schedule, alive_mask, alive_nodes
+            graph, knowledge, ledger, trace, generator, schedule, alive_mask
         )
-        completed = self._phase_broadcast(
-            graph, knowledge, ledger, trace, generator, schedule, alive_mask, alive_nodes
+
+        # Phase III — push–pull broadcast until every alive node knows every
+        # alive node's message.
+        ledger.begin_phase("phase3-broadcast")
+        tracker = CompletionTracker(knowledge, alive_nodes)
+        phase3 = SyncRounds(
+            graph, generator, max_rounds=schedule.max_extra_rounds, alive=alive_mask
         )
+        completed = tracker.is_complete() or exchange_rounds(
+            phase3.rounds(), tracker, ledger, trace, "phase3-broadcast"
+        )
+        ledger.end_phase()
 
         return GossipResult(
             protocol=self.name,
@@ -115,30 +137,6 @@ class FastGossiping(GossipProtocol):
         )
 
     # ------------------------------------------------------------------ #
-    # Phase I — distribution
-    # ------------------------------------------------------------------ #
-    def _phase_distribution(
-        self,
-        graph: Adjacency,
-        knowledge: KnowledgeMatrix,
-        ledger: TransmissionLedger,
-        trace: SpreadingTrace,
-        rng: np.random.Generator,
-        schedule: FastGossipingSchedule,
-        alive_mask: Optional[np.ndarray],
-        alive_nodes: np.ndarray,
-    ) -> None:
-        ledger.begin_phase("phase1-distribution")
-        for _ in range(schedule.distribution_steps):
-            channels = open_channels(graph, rng, participants=alive_nodes, alive=alive_mask)
-            ledger.record_opens(alive_nodes)
-            knowledge.apply_transmissions(channels.callers, channels.targets)
-            ledger.record_pushes(channels.callers)
-            ledger.end_round()
-            trace.record(ledger.rounds - 1, "phase1-distribution", knowledge)
-        ledger.end_phase()
-
-    # ------------------------------------------------------------------ #
     # Phase II — random walks
     # ------------------------------------------------------------------ #
     def _phase_random_walks(
@@ -150,7 +148,6 @@ class FastGossiping(GossipProtocol):
         rng: np.random.Generator,
         schedule: FastGossipingSchedule,
         alive_mask: Optional[np.ndarray],
-        alive_nodes: np.ndarray,
     ) -> dict:
         ledger.begin_phase("phase2-random-walks")
         total_walks = 0
@@ -189,56 +186,18 @@ class FastGossiping(GossipProtocol):
                 active[hosts] = True
             for _ in range(schedule.broadcast_steps):
                 senders = np.flatnonzero(active)
-                if alive_mask is not None and senders.size:
+                if alive_mask is not None:
                     senders = senders[alive_mask[senders]]
                 if senders.size == 0:
                     ledger.end_round()
                     continue
-                destinations = graph.sample_neighbors(senders, rng)
-                ok = destinations >= 0
-                if alive_mask is not None:
-                    ok &= np.where(destinations >= 0, alive_mask[np.clip(destinations, 0, None)], False)
+                channels = open_channels(graph, rng, participants=senders, alive=alive_mask)
                 ledger.record_opens(senders)
-                knowledge.apply_transmissions(senders[ok], destinations[ok])
+                knowledge.apply_transmissions(channels.callers, channels.targets)
                 ledger.record_pushes(senders)
-                active[destinations[ok]] = True
+                active[channels.targets] = True
                 ledger.end_round()
                 trace.record(ledger.rounds - 1, "phase2-random-walks", knowledge)
             # All nodes become inactive at the end of the round.
         ledger.end_phase()
         return {"total_walks": total_walks, "total_walk_moves": total_walk_moves}
-
-    # ------------------------------------------------------------------ #
-    # Phase III — push–pull broadcast
-    # ------------------------------------------------------------------ #
-    def _phase_broadcast(
-        self,
-        graph: Adjacency,
-        knowledge: KnowledgeMatrix,
-        ledger: TransmissionLedger,
-        trace: SpreadingTrace,
-        rng: np.random.Generator,
-        schedule: FastGossipingSchedule,
-        alive_mask: Optional[np.ndarray],
-        alive_nodes: np.ndarray,
-    ) -> bool:
-        ledger.begin_phase("phase3-broadcast")
-        tracker = CompletionTracker(knowledge, alive_nodes)
-        completed = tracker.is_complete()
-        steps = 0
-        while not completed and steps < schedule.max_extra_rounds:
-            channels = open_channels(graph, rng, participants=alive_nodes, alive=alive_mask)
-            ledger.record_opens(alive_nodes)
-            # One synchronous exchange: push and pull both read start-of-step
-            # state inside the kernel, and saturated rows are filtered out of
-            # the batch (bit-exact).  The tracker keeps its deficits current,
-            # so completion is checked after every step.
-            tracker.exchange(channels.callers, channels.targets)
-            ledger.record_pushes(channels.callers)
-            ledger.record_pulls(channels.targets)
-            ledger.end_round()
-            trace.record(ledger.rounds - 1, "phase3-broadcast", knowledge)
-            steps += 1
-            completed = tracker.is_complete()
-        ledger.end_phase()
-        return completed

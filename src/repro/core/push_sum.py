@@ -16,7 +16,8 @@ sharp correctness probe:
 
 Under the synchronous clock all nodes act each round (the classic protocol);
 under the event clock (:mod:`repro.engine.event_clock`) one node acts per
-wakeup.  Event groups batch only non-colliding events, and within a group
+wakeup.  One loop consumes either clock's round source
+(:mod:`repro.engine.channels`); only the float update differs.  Event groups batch only non-colliding events, and within a group
 every target receives exactly one contribution, so the vectorised group
 update performs the *same floating-point additions in the same order* as
 sequential application — event-clock push-sum is bit-identical to a
@@ -37,6 +38,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..engine.channels import SyncRounds
 from ..engine.event_clock import EventScheduler
 from ..engine.failures import NO_FAILURES, FailurePlan
 from ..engine.metrics import TransmissionLedger
@@ -158,35 +160,27 @@ class PushSumGossip(GossipProtocol):
         ledger.begin_phase("push-sum")
         tolerance = float(self.params.tolerance)
         completed = False
-        events = 0
-        sim_time = 0.0
-
         if clock == "sync":
-            all_nodes = np.arange(n, dtype=np.int64)
-            for round_index in range(self.params.max_rounds(n)):
-                targets = graph.sample_neighbors(all_nodes, generator)
-                s_half = 0.5 * s
-                w_half = 0.5 * w
-                s = s_half + np.bincount(targets, weights=s_half, minlength=n)
-                w = w_half + np.bincount(targets, weights=w_half, minlength=n)
-                ledger.record_opens(all_nodes)
-                ledger.record_pushes(all_nodes)
-                ledger.end_round()
-                events += n
-                sim_time = float(round_index + 1)
-                if observe(sim_time) <= tolerance:
-                    completed = True
-                    break
+            source = SyncRounds(graph, generator, max_rounds=self.params.max_rounds(n))
         else:
-            scheduler = EventScheduler(
+            source = EventScheduler(
                 graph, generator, max_events=self.params.max_events(n)
             )
-            for group in scheduler.groups():
-                if group.openers.size:
-                    ledger.record_opens(group.openers)
-                if not group.size:
-                    continue
-                callers, targets = group.callers, group.targets
+        for channels in source.rounds():
+            ledger.record_opens(channels.openers)
+            if not channels.is_round:
+                continue
+            callers, targets = channels.callers, channels.targets
+            # The order of the float additions fixes the bits, so each clock
+            # keeps its own update.
+            if clock == "sync":
+                # Every node calls (the graph has no isolated node), so
+                # ``callers`` is every node in order.
+                s_half = 0.5 * s
+                w_half = 0.5 * w
+                s = s_half + np.bincount(targets, weights=s_half[callers], minlength=n)
+                w = w_half + np.bincount(targets, weights=w_half[callers], minlength=n)
+            else:
                 s_half = 0.5 * s[callers]
                 w_half = 0.5 * w[callers]
                 s[callers] = s_half
@@ -196,20 +190,18 @@ class PushSumGossip(GossipProtocol):
                 # per-event application would — bit-identical floats.
                 s[targets] += s_half
                 w[targets] += w_half
-                ledger.record_pushes(callers)
-                ledger.end_round()
-                if observe(group.end_time) <= tolerance:
-                    completed = True
-                    break
-            events = scheduler.events
-            sim_time = scheduler.time
+            ledger.record_pushes(callers)
+            ledger.end_round()
+            if observe(channels.end_time) <= tolerance:
+                completed = True
+                break
 
         ledger.end_phase()
         ratio = s / w
         extras = {
             "clock": clock,
-            "events": events,
-            "sim_time": sim_time,
+            "events": source.events,
+            "sim_time": source.time,
             "true_mean": true_mean,
             "mass_error": series["mass_error"][-1] if series["mass_error"] else 0.0,
             "spread": series["spread"][-1] if series["spread"] else 0.0,

@@ -32,6 +32,7 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
+from ..engine.channels import open_channels
 from ..engine.knowledge import KnowledgeMatrix
 from ..engine.metrics import TransmissionLedger
 from ..graphs.adjacency import Adjacency
@@ -256,18 +257,11 @@ def start_walks(
         nodes = nodes[alive[nodes]]
     coins = rng.random(nodes.size) < probability
     starters = nodes[coins]
-    destinations = graph.sample_neighbors(starters, rng)
-    ok = destinations >= 0
-    if alive is not None and starters.size:
-        ok &= np.where(destinations >= 0, alive[np.clip(destinations, 0, None)], False)
+    channels = open_channels(graph, rng, participants=starters, alive=alive)
     # The channel open and push happen regardless of whether the callee is
     # healthy; only delivery depends on it.
-    if starters.size:
-        ledger.record_opens(starters)
-        ledger.record_pushes(starters)
-    starters_ok = starters[ok]
-    destinations_ok = destinations[ok]
-    payloads = knowledge.rows(starters_ok)
-    pool = WalkPool(payloads, move_cap)
-    pool.send_many(np.arange(destinations_ok.size, dtype=np.int64), destinations_ok)
+    ledger.record_opens(starters)
+    ledger.record_pushes(starters)
+    pool = WalkPool(knowledge.rows(channels.callers), move_cap)
+    pool.send_many(np.arange(channels.targets.size, dtype=np.int64), channels.targets)
     return pool

@@ -4,15 +4,16 @@ This package provides the building blocks shared by every protocol in the
 library: deterministic randomness management (:mod:`repro.engine.rng`), packed
 bitset knowledge tracking (:mod:`repro.engine.knowledge`), the kernel backend
 registry that selects between NumPy and compiled-C execution
-(:mod:`repro.engine.backends`), per-step channel bookkeeping
-(:mod:`repro.engine.channels`), communication-cost accounting
+(:mod:`repro.engine.backends`), per-step channel bookkeeping and the
+synchronous round source (:mod:`repro.engine.channels`), the event clock
+(:mod:`repro.engine.event_clock`), communication-cost accounting
 (:mod:`repro.engine.metrics`), crash-failure plans
 (:mod:`repro.engine.failures`) and per-round progress traces
 (:mod:`repro.engine.trace`).
 """
 
 from . import backends
-from .channels import ChannelSet, open_channels
+from .channels import ChannelRound, ChannelSet, SyncRounds, open_channels
 from .event_clock import (
     ChurnPlan,
     EventGroup,
@@ -47,7 +48,9 @@ from .trace import RoundRecord, SpreadingTrace
 
 __all__ = [
     "backends",
+    "ChannelRound",
     "ChannelSet",
+    "SyncRounds",
     "open_channels",
     "ChurnPlan",
     "EventGroup",

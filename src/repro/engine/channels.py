@@ -10,18 +10,24 @@ most one outgoing channel but arbitrarily many incoming ones.
 returns a :class:`ChannelSet`: the aligned ``callers`` / ``targets`` arrays of
 the opened channels, from which protocols vectorise their push and pull
 transmissions.
+
+Protocols that repeat the step read it from a *round source*, one per clock.
+:class:`SyncRounds` opens one channel per alive node in every synchronous
+round; :class:`~repro.engine.event_clock.EventScheduler` batches Poisson
+wakeups into non-colliding groups.  Both yield :class:`ChannelRound` objects
+and count the wakeups (``events``) and the simulated ``time`` they consumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from ..graphs.adjacency import Adjacency
 
-__all__ = ["ChannelSet", "open_channels"]
+__all__ = ["ChannelRound", "ChannelSet", "SyncRounds", "open_channels"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,25 @@ class ChannelSet:
 
     callers: np.ndarray
     targets: np.ndarray
+
+
+@dataclass(frozen=True)
+class ChannelRound(ChannelSet):
+    """One round of a round source: its channels, every node charged an open
+    (including calls into crashed callees), and the simulated ``end_time``."""
+
+    openers: np.ndarray
+    end_time: float
+
+    @property
+    def size(self) -> int:
+        """Number of channels that reached a live callee."""
+        return int(self.callers.size)
+
+    @property
+    def is_round(self) -> bool:
+        """Whether the ledger counts it: a sync round does, even without a channel."""
+        return True
 
 
 def open_channels(
@@ -83,3 +108,37 @@ def open_channels(
     callers = participants[ok]
     callees = targets[ok]
     return ChannelSet(callers=callers, targets=callees)
+
+
+class SyncRounds:
+    """The synchronous round source: up to ``max_rounds`` rounds, in each of
+    which every node of the optional ``alive`` mask calls through
+    :func:`open_channels`."""
+
+    def __init__(
+        self,
+        graph: Adjacency,
+        rng: np.random.Generator,
+        *,
+        max_rounds: int,
+        alive: Optional[np.ndarray] = None,
+    ) -> None:
+        self._graph = graph
+        self._rng = rng
+        self._max_rounds = int(max_rounds)
+        self._alive = alive
+        #: Channel opens so far (one per alive node per round).
+        self.events = 0
+        #: Rounds so far, as simulated time.
+        self.time = 0.0
+
+    def rounds(self) -> Iterator[ChannelRound]:
+        """Yield one :class:`ChannelRound` per synchronous round."""
+        alive = self._alive
+        n = self._graph.n
+        openers = np.arange(n, dtype=np.int64) if alive is None else np.flatnonzero(alive)
+        for _ in range(self._max_rounds):
+            channels = open_channels(self._graph, self._rng, participants=openers, alive=alive)
+            self.events += int(openers.size)
+            self.time += 1.0
+            yield ChannelRound(channels.callers, channels.targets, openers, self.time)

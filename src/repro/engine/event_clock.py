@@ -42,22 +42,27 @@ reproduces the scheduler's partition exactly and the per-run group count is
 deterministic.
 
 **Churn.**  :class:`ChurnPlan` holds seeded join/leave edits keyed by global
-wakeup index.  The scheduler forces a group boundary at every churn index so
-membership never changes inside a batch; wakeups of currently-dead nodes are
-discarded (thinning — statistically this is exactly the dead nodes' clocks
-standing still), and calls into dead callees open a channel but exchange
-nothing, mirroring :func:`repro.engine.channels.open_channels`.
+wakeup index, and the scheduler applies it: at every churn index it forces a
+group boundary, then applies the edits keyed there, so membership never
+changes inside a batch.  Wakeups of currently-dead nodes are discarded
+(thinning — statistically this is exactly the dead nodes' clocks standing
+still), and calls into dead callees open a channel but exchange nothing,
+mirroring :func:`repro.engine.channels.open_channels`.
+
+The scheduler is the event clock's round source: its groups are
+:class:`~repro.engine.channels.ChannelRound` objects, like the rounds of
+:class:`~repro.engine.channels.SyncRounds`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graphs.adjacency import Adjacency
+from .channels import ChannelRound
 from .rng import RandomState, make_rng
 
 __all__ = [
@@ -76,7 +81,7 @@ DEFAULT_CHUNK_EVENTS = 1024
 
 
 @dataclass(frozen=True)
-class EventGroup:
+class EventGroup(ChannelRound):
     """One non-colliding batch of exchange events, ready for ``apply_exchange``.
 
     Attributes
@@ -96,21 +101,17 @@ class EventGroup:
     end_index:
         Global wakeups consumed when the group was emitted.
     forced:
-        True when the boundary was forced (churn break or event budget)
+        True when the boundary was forced (churn index or event budget)
         rather than caused by an endpoint collision.
     """
 
-    callers: np.ndarray
-    targets: np.ndarray
-    openers: np.ndarray
-    end_time: float
     end_index: int
     forced: bool = False
 
     @property
-    def size(self) -> int:
-        """Number of exchange events in the group."""
-        return int(self.callers.size)
+    def is_round(self) -> bool:
+        """A group without an exchange charges its openers but is no round."""
+        return self.size > 0
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,6 @@ class ChurnPlan:
 
     def __len__(self) -> int:
         return int(self.indices.size)
-
-    @property
-    def breaks(self) -> np.ndarray:
-        """Sorted unique wakeup indices where a group boundary is forced."""
-        return np.unique(self.indices)
 
     def final_alive(self, initial: np.ndarray) -> np.ndarray:
         """The alive mask after every edit has been applied."""
@@ -259,13 +255,11 @@ class EventScheduler:
     max_events:
         Total wakeup budget (the event-clock analogue of ``max_rounds``).
     alive:
-        Initial boolean liveness mask (default: all alive).  Mutable during
-        iteration via :meth:`set_alive` — the hook churn drivers use at
-        forced group boundaries.
-    breaks:
-        Global wakeup indices at which a group boundary is forced and a
-        (possibly empty) group is emitted, handing control back to the
-        driver before the stream continues.
+        Initial boolean liveness mask (default: all alive).
+    churn:
+        Optional join/leave edits.  At each of its indices the scheduler
+        emits a (possibly empty) forced group, then applies the edits keyed
+        there before the stream continues.
     chunk_events:
         Generator chunk size.  Part of the stream definition (see the
         module docstring); leave at the default outside of tests.
@@ -278,7 +272,7 @@ class EventScheduler:
         *,
         max_events: int,
         alive: Optional[np.ndarray] = None,
-        breaks: Optional[Sequence[int]] = None,
+        churn: Optional[ChurnPlan] = None,
         chunk_events: int = DEFAULT_CHUNK_EVENTS,
     ) -> None:
         if max_events <= 0:
@@ -293,27 +287,23 @@ class EventScheduler:
             self._alive: List[bool] = [True] * graph.n
         else:
             self._alive = [bool(a) for a in np.asarray(alive, dtype=bool)]
-        break_list = [] if breaks is None else [int(b) for b in breaks]
-        self._breaks = deque(sorted(break_list))
+        # Churn edits as (index, node, join), last first so the next one pops.
+        self._edits: List[Tuple[int, int, bool]] = []
+        if churn is not None:
+            self._edits = list(
+                zip(churn.indices.tolist(), churn.nodes.tolist(), churn.joins.tolist())
+            )[::-1]
         #: Wakeups consumed so far (including thinned dead-node wakeups).
         self.events = 0
         #: Simulated time of the last consumed wakeup.
         self.time = 0.0
 
-    def set_alive(self, node: int, value: bool) -> None:
-        """Toggle a node's liveness; effective from the next wakeup on."""
-        self._alive[int(node)] = bool(value)
-
-    def alive_mask(self) -> np.ndarray:
-        """The current liveness mask as a boolean array."""
-        return np.asarray(self._alive, dtype=bool)
-
-    def groups(self) -> Iterator[EventGroup]:
+    def rounds(self) -> Iterator[EventGroup]:
         """Yield non-colliding event groups until the wakeup budget is spent.
 
         The final (possibly partial) group is flushed when the budget runs
-        out; empty forced groups are emitted at break indices so the driver
-        regains control even when no exchange happened in between.
+        out; a forced group, possibly empty, is emitted at every churn index
+        before its edits apply.
         """
         n = self._graph.n
         scale = 1.0 / n
@@ -348,6 +338,7 @@ class EventScheduler:
             return group
 
         alive = self._alive
+        edits = self._edits
         while self.events < self._max_events:
             k = min(self._chunk, self._max_events - self.events)
             gaps = self._rng.exponential(scale, k)
@@ -357,9 +348,11 @@ class EventScheduler:
             owners_l = owners.tolist()
             targets_l = targets.tolist()
             for j in range(k):
-                while self._breaks and self._breaks[0] == self.events:
-                    self._breaks.popleft()
+                if edits and edits[-1][0] <= self.events:
                     yield flush(forced=True)
+                    while edits and edits[-1][0] <= self.events:
+                        _, node, join = edits.pop()
+                        alive[node] = join
                 self.events += 1
                 self.time = times[j]
                 owner = owners_l[j]

@@ -85,7 +85,6 @@ CHURN = register(
         task=churn_task,
         grid=_configurations,
         default_config=ChurnConfig(),
-        cli_config=ChurnConfig(),
         smoke_config=ChurnConfig(sizes=(96,), churn_fractions=(0.0, 0.125), repetitions=1),
         group_by=("n", "churn_fraction"),
         metrics=(

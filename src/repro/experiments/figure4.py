@@ -34,14 +34,6 @@ FIGURE4_COLUMNS = (
 )
 
 
-#: A finer size grid restricted to the fast-gossiping protocol.
-_FINE_GRID = SizeSweepConfig(
-    sizes=(256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096),
-    repetitions=3,
-    protocols=("fast-gossiping",),
-)
-
-
 def _configurations(config: SizeSweepConfig) -> List[Tuple[Tuple[int, str], Dict]]:
     configurations = []
     for n in config.sizes:
@@ -95,8 +87,12 @@ FIGURE4 = register(
         ),
         task=gossip_task,
         grid=_configurations,
-        default_config=_FINE_GRID,
-        cli_config=_FINE_GRID,
+        # A finer size grid restricted to the fast-gossiping protocol.
+        default_config=SizeSweepConfig(
+            sizes=(256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096),
+            repetitions=3,
+            protocols=("fast-gossiping",),
+        ),
         smoke_config=SizeSweepConfig(
             sizes=(96, 128, 192), repetitions=1, protocols=("fast-gossiping",)
         ),

@@ -98,7 +98,6 @@ PUSHSUM = register(
         task=push_sum_task,
         grid=_configurations,
         default_config=PushSumConfig(),
-        cli_config=PushSumConfig(),
         smoke_config=PushSumConfig(sizes=(96, 128), repetitions=1),
         group_by=("n", "clock"),
         metrics=(

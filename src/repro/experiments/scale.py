@@ -81,7 +81,6 @@ SCALE = register(
         task=scale_task,
         grid=_configurations,
         default_config=ScaleConfig(),
-        cli_config=ScaleConfig(),
         smoke_config=ScaleConfig(sizes=(96, 128), repetitions=1),
         group_by=("n",),
         metrics=("rounds", "messages_per_node", "storage_mb"),

@@ -86,7 +86,7 @@ class ScenarioSpec:
         :func:`run_scenario` when called without a config).
     cli_config:
         Config at the CLI quick scale (the ``"cli"`` profile,
-        ``repro scenarios run``).
+        ``repro scenarios run``); ``None`` runs the default config.
     smoke_config:
         Config at the tiny ``--smoke`` scale (the ``"smoke"`` profile).
     group_by / metrics:

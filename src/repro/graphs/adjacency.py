@@ -33,11 +33,11 @@ constructing an :class:`Adjacency`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Adjacency", "MAX_NODES"]
+__all__ = ["Adjacency", "MAX_NODES", "sample_connected"]
 
 #: Largest node count a graph may have: every neighbour id fits ``int32``.
 MAX_NODES = int(np.iinfo(np.int32).max)
@@ -417,3 +417,23 @@ class Adjacency:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Adjacency(n={self.n}, m={self.num_edges}, mean_degree={self.mean_degree():.2f})"
+
+
+def sample_connected(
+    sample: Callable[[], Adjacency],
+    *,
+    require_connected: bool,
+    max_retries: int,
+    description: str,
+) -> Adjacency:
+    """Return ``sample()``, redrawn up to ``max_retries`` times until it is
+    connected when ``require_connected``; raise :class:`RuntimeError` if none is."""
+    attempts = max(1, max_retries if require_connected else 1)
+    for _ in range(attempts):
+        graph = sample()
+        if not require_connected or graph.is_connected():
+            return graph
+    raise RuntimeError(
+        f"failed to sample a connected {description} in {attempts} attempts; "
+        f"last sample had min degree {graph.min_degree()}"
+    )

@@ -14,12 +14,12 @@ which the communication model requires (a node cannot call itself).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from ..engine.rng import RandomState, make_rng
-from .adjacency import Adjacency
+from .adjacency import Adjacency, sample_connected
 
 __all__ = ["configuration_model", "random_regular"]
 
@@ -111,15 +111,9 @@ def random_regular(
         raise ValueError("n * d must be even")
     generator = make_rng(rng)
     degrees = np.full(n, d, dtype=np.int64)
-    attempts = max(1, max_retries if require_connected else 1)
-    last: Optional[Adjacency] = None
-    for _ in range(attempts):
-        graph = configuration_model(degrees, rng=generator)
-        last = graph
-        if not require_connected or graph.is_connected():
-            return graph
-    raise RuntimeError(
-        f"failed to sample a connected random regular graph (n={n}, d={d}) "
-        f"in {attempts} attempts; last sample had min degree "
-        f"{last.min_degree() if last else 'n/a'}"
+    return sample_connected(
+        lambda: configuration_model(degrees, rng=generator),
+        require_connected=require_connected,
+        max_retries=max_retries,
+        description=f"random regular graph (n={n}, d={d})",
     )

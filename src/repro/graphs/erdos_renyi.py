@@ -23,7 +23,7 @@ import numpy as np
 
 from ..engine import _ckernel, backends
 from ..engine.rng import RandomState, make_rng
-from .adjacency import Adjacency
+from .adjacency import Adjacency, sample_connected
 from .deterministic import complete_graph
 
 __all__ = ["erdos_renyi", "expected_degree_to_p", "paper_edge_probability"]
@@ -139,14 +139,9 @@ def erdos_renyi(
     if p >= 1.0:
         return complete_graph(n)
     generator = make_rng(rng)
-    attempts = max(1, max_retries if require_connected else 1)
-    last: Optional[Adjacency] = None
-    for _ in range(attempts):
-        graph = _graph_from_pairs(n, _sample_gnp_pairs(n, p, generator))
-        last = graph
-        if not require_connected or graph.is_connected():
-            return graph
-    raise RuntimeError(
-        f"failed to sample a connected G({n}, {p:.4g}) in {attempts} attempts; "
-        f"last sample had min degree {last.min_degree() if last else 'n/a'}"
+    return sample_connected(
+        lambda: _graph_from_pairs(n, _sample_gnp_pairs(n, p, generator)),
+        require_connected=require_connected,
+        max_retries=max_retries,
+        description=f"G({n}, {p:.4g})",
     )

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..engine.rng import RandomState, make_rng
-from .adjacency import Adjacency
+from .adjacency import Adjacency, sample_connected
 from .configuration_model import configuration_model
 
 __all__ = ["power_law_degree_sequence", "power_law_graph"]
@@ -83,14 +83,23 @@ def power_law_graph(
     min_degree: int = 2,
     max_degree: Optional[int] = None,
     rng: RandomState = None,
+    require_connected: bool = False,
+    max_retries: int = 20,
 ) -> Adjacency:
-    """Sample a power-law graph via the erased configuration model."""
+    """Sample a power-law graph via the erased configuration model.
+
+    Erasing defect edges can isolate a node; with ``require_connected`` each
+    of up to ``max_retries`` attempts draws a new degree sequence and pairing.
+    """
     generator = make_rng(rng)
-    degrees = power_law_degree_sequence(
-        n,
-        exponent,
-        min_degree=min_degree,
-        max_degree=max_degree,
-        rng=generator,
+    return sample_connected(
+        lambda: configuration_model(
+            power_law_degree_sequence(
+                n, exponent, min_degree=min_degree, max_degree=max_degree, rng=generator
+            ),
+            rng=generator,
+        ),
+        require_connected=require_connected,
+        max_retries=max_retries,
+        description=f"power-law graph (n={n}, exponent={exponent})",
     )
-    return configuration_model(degrees, rng=generator)

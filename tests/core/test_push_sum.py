@@ -75,7 +75,7 @@ class TestEventModeBitIdentity:
         scheduler = EventScheduler(
             graph, np.random.default_rng(13), max_events=6 * n
         )
-        for group in scheduler.groups():
+        for group in scheduler.rounds():
             if not group.size:
                 continue
             callers, targets = group.callers, group.targets

@@ -21,6 +21,10 @@ last knowledge word is ragged.  They also pin the final knowledge
 Push-sum has no knowledge matrix; its pins are the rounds, the completion
 flag, the ledger's packets and opens, the wakeups (``events``), the
 simulated time and a SHA-256 of the convergence series.
+
+:data:`SCHEDULE_PINS` pins the round sources alone: a SHA-256 of who opens
+and who exchanges with whom in every round, without touching knowledge.  A
+change to the random stream fails them; a change to the kernels does not.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ import pytest
 
 from repro import FastGossiping, MemoryGossiping, PushPullGossip, erdos_renyi
 from repro.core import PushPullParameters, PushSumGossip
-from repro.engine.event_clock import sample_churn_plan
-from repro.engine.failures import sample_uniform_failures
+from repro.engine.channels import SyncRounds
+from repro.engine.event_clock import EventScheduler, sample_churn_plan
+from repro.engine.failures import FailurePlan, sample_uniform_failures
 from repro.engine.metrics import MessageAccounting
-from repro.graphs import paper_edge_probability
+from repro.graphs import Adjacency, paper_edge_probability
 
 N = 6208
 
@@ -337,3 +342,78 @@ def test_push_sum_matches_its_pin(small_graphs, clock, n):
         ),
     )
     assert got == PUSH_SUM_PINS[clock, n]
+
+
+def _sync_source(n, crashes):
+    alive = None
+    if crashes:
+        alive = sample_uniform_failures(
+            n, n // 16, rng=5, inject_at="start", protect=[0]
+        ).alive_mask(n)
+    return lambda graph, rng: SyncRounds(
+        graph, rng, max_rounds=PushPullParameters().max_rounds(n), alive=alive
+    )
+
+
+def _event_source(n, churn):
+    max_events = PushPullParameters().max_events(n)
+    plan = None
+    if churn:
+        plan = sample_churn_plan(n, leavers=n // 8, rng=7, horizon=max_events // 4)
+    return lambda graph, rng: EventScheduler(
+        graph, rng, max_events=max_events, churn=plan
+    )
+
+
+#: Per configuration: ``n -> round source factory (graph, rng)``.  Each runs
+#: its whole budget: push-pull's ``max_rounds`` or ``max_events``.
+SOURCES = {
+    "sync": lambda n: _sync_source(n, crashes=False),
+    "sync-crashes": lambda n: _sync_source(n, crashes=True),
+    "event": lambda n: _event_source(n, churn=False),
+    "event-churn": lambda n: _event_source(n, churn=True),
+}
+
+#: Per (configuration, n): SHA-256 over the rounds of the source, each round
+#: hashed as int64 ``[len(openers), len(callers), (end_index,) openers,
+#: callers, targets]``; ``end_index`` only under the event clock.  The graph
+#: uses rng ``n`` and the source rng ``n + 1``.
+SCHEDULE_PINS = {
+    ("sync", 256): "289d21c0fab5d52cc717a480470a7d1c8196e7da2695aeeb9ed622b3c7fe4907",
+    ("sync", 333): "9387b463dc2d4d35b2ea44e9e1dfc472083a8f333f1c910cfaa739d36140db13",
+    ("sync-crashes", 256): "301304d6140ae6c7b8a630112937df8d014520d0fe102f4af1084bcda264f5b3",
+    ("sync-crashes", 333): "1c39d989af5e19ebb29360967e87cb66689c5fa18f8e7b82d1793b7c85ab1eea",
+    ("event", 256): "671388427f3044dfbe1ef808dd08c930e5d20f0f6a9572975712137505b65dc1",
+    ("event", 333): "b4172ab97c6165bcb8ab554ae060700b823097a43b5c2c4070d671887a098cbd",
+    ("event-churn", 256): "ebd7227f503e2950f2ee28dc10f0a648e9886e2b88a6cdb06951d9a46ce20953",
+    ("event-churn", 333): "d3baff2bc6b3ab9475f6535a15cc49e44fbbcafcb0bb2a4a09d113c5cc017f66",
+}
+
+
+@pytest.mark.parametrize("name,n", list(SCHEDULE_PINS))
+def test_schedule_matches_its_pin(small_graphs, name, n):
+    source = SOURCES[name](n)(small_graphs[n], np.random.default_rng(n + 1))
+    digest = hashlib.sha256()
+    for channels in source.rounds():
+        head = [channels.openers.size, channels.callers.size]
+        if name.startswith("event"):
+            head.append(channels.end_index)
+        row = [np.asarray(head), channels.openers, channels.callers, channels.targets]
+        digest.update(np.concatenate(row).astype("<i8").tobytes())
+    assert digest.hexdigest() == SCHEDULE_PINS[name, n]
+
+
+@pytest.mark.parametrize(
+    "clock,rounds,opens", [("sync", 26, 208), ("event", 0, 211)]
+)
+def test_rounds_without_an_exchange(clock, rounds, opens):
+    """A 9-node star whose hub crashes: every channel goes into the hub.  A
+    sync round without a channel still counts as a round; an event group
+    without an exchange charges its openers but is no round."""
+    star = Adjacency.from_edges(9, np.asarray([(0, leaf) for leaf in range(1, 9)]))
+    hub = FailurePlan(failed=np.asarray([0]), inject_at="start")
+    result = PushPullGossip().run(star, rng=3, failures=hub, clock=clock)
+    assert not result.completed
+    assert result.rounds == rounds
+    assert result.ledger.total(MessageAccounting.OPENS) == opens
+    assert result.ledger.total() == 0

@@ -11,8 +11,9 @@ The contract (module docstring of :mod:`repro.engine.event_clock`):
   by ``tests/harness/``),
 * whole event-clock runs are bit-identical across every kernel backend at
   equal seeds,
-* churn plans are seeded data; membership only changes at forced group
-  boundaries and dead nodes are thinned from the stream.
+* churn plans are seeded data that the scheduler applies itself;
+  membership only changes at forced group boundaries and dead nodes are
+  thinned from the stream.
 """
 
 from __future__ import annotations
@@ -38,11 +39,19 @@ def graph():
     return erdos_renyi(n, paper_edge_probability(n), rng=7, require_connected=True)
 
 
+def churn_plan(indices, nodes, joins):
+    return ChurnPlan(
+        indices=np.asarray(indices, dtype=np.int64),
+        nodes=np.asarray(nodes, dtype=np.int64),
+        joins=np.asarray(joins, dtype=bool),
+    )
+
+
 def collect_groups(graph, seed, **kwargs):
     scheduler = EventScheduler(
         graph, np.random.default_rng(seed), max_events=600, **kwargs
     )
-    return list(scheduler.groups()), scheduler
+    return list(scheduler.rounds()), scheduler
 
 
 class TestStreamDeterminism:
@@ -146,15 +155,17 @@ class TestGroupInvariants:
         with pytest.raises(ValueError, match="itself"):
             group_events([1], [1], 4)
 
-    def test_forced_breaks_emit_boundaries(self, graph):
-        groups, _ = collect_groups(graph, 42, breaks=[100, 300])
+    def test_boundaries_fall_at_churn_indices(self, graph):
+        plan = churn_plan([100, 300], [5, 5], [False, True])
+        groups, _ = collect_groups(graph, 42, churn=plan)
         forced_indices = [g.end_index for g in groups if g.forced]
         assert 100 in forced_indices
         assert 300 in forced_indices
 
-    def test_break_boundaries_do_not_change_the_stream(self, graph):
-        """Breaks re-cut groups but never consume randomness: the flattened
-        event sequence is identical with and without them."""
+    def test_boundaries_that_change_no_liveness_keep_the_stream(self, graph):
+        """Churn boundaries re-cut groups but never consume randomness: with
+        edits that re-join nodes already alive, the flattened event sequence
+        is identical with and without the plan."""
 
         def flat(groups):
             pairs = []
@@ -162,9 +173,12 @@ class TestGroupInvariants:
                 pairs.extend(zip(g.callers.tolist(), g.targets.tolist()))
             return pairs
 
+        plan = churn_plan([50, 51, 200], [1, 2, 3], [True, True, True])
         plain, _ = collect_groups(graph, 42)
-        broken, _ = collect_groups(graph, 42, breaks=[50, 51, 200])
-        assert sorted(flat(plain)) == sorted(flat(broken))
+        rejoined, _ = collect_groups(graph, 42, churn=plan)
+        assert {50, 51, 200} <= {g.end_index for g in rejoined if g.forced}
+        assert len(rejoined) > len(plain)
+        assert sorted(flat(plain)) == sorted(flat(rejoined))
 
 
 class TestLiveness:
@@ -188,24 +202,16 @@ class TestLiveness:
             assert 5 not in g.targets
         assert openers.size > exchanges
 
-    def test_set_alive_rejoins_node(self, graph):
+    def test_rejoined_node_calls_again(self, graph):
         alive = np.ones(graph.n, dtype=bool)
         alive[5] = False
-        scheduler = EventScheduler(
-            graph,
-            np.random.default_rng(42),
-            max_events=600,
-            alive=alive,
-            breaks=[300],
+        groups, _ = collect_groups(
+            graph, 42, alive=alive, churn=churn_plan([300], [5], [True])
         )
-        seen_after_rejoin = False
-        for group in scheduler.groups():
-            if group.forced and group.end_index == 300:
-                scheduler.set_alive(5, True)
-            elif scheduler.events > 300 and 5 in group.callers:
-                seen_after_rejoin = True
-        assert scheduler.alive_mask()[5]
-        assert seen_after_rejoin
+        before = [g for g in groups if g.end_index <= 300]
+        after = [g for g in groups if g.end_index > 300]
+        assert not any(5 in g.openers for g in before)
+        assert any(5 in g.callers for g in after)
 
     def test_validation(self, graph):
         with pytest.raises(ValueError, match="max_events"):
@@ -250,7 +256,6 @@ class TestChurnPlan:
     def test_zero_leavers(self):
         plan = sample_churn_plan(64, leavers=0, rng=9, horizon=500)
         assert len(plan) == 0
-        assert plan.breaks.size == 0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="leavers"):
@@ -272,7 +277,7 @@ class TestBatchedEqualsSequential:
         scheduler = EventScheduler(
             graph, np.random.default_rng(11), max_events=4 * graph.n
         )
-        for group in scheduler.groups():
+        for group in scheduler.rounds():
             if not group.size:
                 continue
             batched.apply_exchange(group.callers, group.targets)

@@ -51,12 +51,15 @@ class TestRegistry:
             assert spec.description
             assert spec.result_name
             if spec.run_override is None:
-                # Sweep scenarios need a grid, a task and an aggregation.
+                # Sweep scenarios need a grid, a task and an aggregation,
+                # and every profile resolves to a config with a grid.
                 assert spec.task is not None
                 assert spec.grid is not None
                 assert spec.group_by or spec.aggregate is not None
-                assert spec.cli_config is not None
-                assert spec.smoke_config is not None
+                for profile in ("default", "cli", "smoke"):
+                    config = resolve_config(spec, profile=profile)
+                    assert config is not None, (spec.name, profile)
+                    assert list(spec.grid(config)), (spec.name, profile)
 
     def test_smoke_configs_are_tiny(self):
         for spec in all_scenarios():

@@ -206,6 +206,14 @@ class TestPowerLaw:
         assert graph.n == 500
         assert graph.max_degree() > 2 * graph.mean_degree()
 
+    def test_require_connected_resamples(self):
+        # The first draw at this seed isolates a node; the second is connected.
+        assert not power_law_graph(256, 2.5, rng=4).is_connected()
+        graph = power_law_graph(256, 2.5, rng=4, require_connected=True)
+        assert graph.is_connected()
+        with pytest.raises(RuntimeError, match="power-law graph"):
+            power_law_graph(256, 2.5, rng=4, require_connected=True, max_retries=1)
+
 
 def graph_digest(graph) -> str:
     """sha256 of ``indptr || indices`` as little-endian int64."""

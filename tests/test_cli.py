@@ -54,6 +54,17 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["completed"] is True
 
+    @pytest.mark.parametrize("clock", ["sync", "event"])
+    def test_power_law_sample_is_connected(self, capsys, clock):
+        """The first power-law draw at this seed leaves a node isolated, so
+        the CLI asks for a connected sample instead of failing the run."""
+        argv = ["run", "--protocol", "push-pull", "--graph", "power_law", "-n", "256"]
+        code = main(argv + ["--seed", "4", "--clock", clock, "--json"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["completed"] is True
+        assert "require_connected=True" in data["graph"]
+
     def test_run_on_complete_graph(self, capsys):
         code = main(["run", "--graph", "complete", "-n", "128", "--seed", "2"])
         assert code == 0
