@@ -17,11 +17,12 @@ sharp correctness probe:
 Under the synchronous clock all nodes act each round (the classic protocol);
 under the event clock (:mod:`repro.engine.event_clock`) one node acts per
 wakeup.  One loop consumes either clock's round source
-(:mod:`repro.engine.channels`); only the float update differs.  Event groups batch only non-colliding events, and within a group
-every target receives exactly one contribution, so the vectorised group
-update performs the *same floating-point additions in the same order* as
-sequential application — event-clock push-sum is bit-identical to a
-one-event-at-a-time reference, which ``tests/core/test_push_sum.py`` pins.
+(:mod:`repro.engine.channels`); only the float update differs.  Event groups
+batch only non-colliding events, and within a group every target receives
+exactly one contribution, so the vectorised group update performs the *same
+floating-point additions in the same order* as sequential application —
+event-clock push-sum is bit-identical to a one-event-at-a-time reference,
+which ``tests/core/test_push_sum.py`` pins.
 
 The run returns a regular :class:`~repro.core.results.GossipResult` (with
 ``knowledge=None``): ``completed`` means the spread converged below the
