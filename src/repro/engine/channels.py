@@ -135,8 +135,10 @@ class SyncRounds:
     def rounds(self) -> Iterator[ChannelRound]:
         """Yield one :class:`ChannelRound` per synchronous round."""
         alive = self._alive
-        n = self._graph.n
-        openers = np.arange(n, dtype=np.int64) if alive is None else np.flatnonzero(alive)
+        if alive is None:
+            openers = np.arange(self._graph.n, dtype=np.int64)
+        else:
+            openers = np.flatnonzero(alive)
         for _ in range(self._max_rounds):
             channels = open_channels(self._graph, self._rng, participants=openers, alive=alive)
             self.events += int(openers.size)
