@@ -175,12 +175,12 @@ class PushSumGossip(GossipProtocol):
             # The order of the float additions fixes the bits, so each clock
             # keeps its own update.
             if clock == "sync":
-                # Every node calls (the graph has no isolated node), so
-                # ``callers`` is every node in order.
+                # Every node calls (``_prepare`` rejects isolated nodes), so
+                # ``targets[i]`` is node ``i``'s callee.
                 s_half = 0.5 * s
                 w_half = 0.5 * w
-                s = s_half + np.bincount(targets, weights=s_half[callers], minlength=n)
-                w = w_half + np.bincount(targets, weights=w_half[callers], minlength=n)
+                s = s_half + np.bincount(targets, weights=s_half, minlength=n)
+                w = w_half + np.bincount(targets, weights=w_half, minlength=n)
             else:
                 s_half = 0.5 * s[callers]
                 w_half = 0.5 * w[callers]

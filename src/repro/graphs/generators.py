@@ -152,7 +152,6 @@ def make_graph(spec: GraphSpec, rng: RandomState = None) -> Adjacency:
             min_degree=int(params.pop("min_degree", 2)),
             max_degree=params.pop("max_degree", None),
             require_connected=bool(params.pop("require_connected", False)),
-            max_retries=int(params.pop("max_retries", 20)),
             rng=generator,
         )
     else:  # pragma: no cover - GraphSpec validates the kind

@@ -84,12 +84,11 @@ def power_law_graph(
     max_degree: Optional[int] = None,
     rng: RandomState = None,
     require_connected: bool = False,
-    max_retries: int = 20,
 ) -> Adjacency:
     """Sample a power-law graph via the erased configuration model.
 
     Erasing defect edges can isolate a node; with ``require_connected`` each
-    of up to ``max_retries`` attempts draws a new degree sequence and pairing.
+    of up to 20 attempts draws a new degree sequence and pairing.
     """
     generator = make_rng(rng)
     return sample_connected(
@@ -100,6 +99,6 @@ def power_law_graph(
             rng=generator,
         ),
         require_connected=require_connected,
-        max_retries=max_retries,
+        max_retries=20,
         description=f"power-law graph (n={n}, exponent={exponent})",
     )

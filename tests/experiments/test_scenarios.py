@@ -56,6 +56,9 @@ class TestRegistry:
                 assert spec.task is not None
                 assert spec.grid is not None
                 assert spec.group_by or spec.aggregate is not None
+                # A missing smoke config would fall back to the default
+                # scale under --smoke, so it must be declared.
+                assert spec.smoke_config is not None
                 for profile in ("default", "cli", "smoke"):
                     config = resolve_config(spec, profile=profile)
                     assert config is not None, (spec.name, profile)
