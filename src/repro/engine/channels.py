@@ -102,6 +102,9 @@ def open_channels(
     if alive is not None:
         participants = participants[alive[participants]]
     targets = graph.sample_neighbors(participants, rng)
+    if alive is None and not graph.has_isolated:
+        # Every call reaches a live callee: nothing to filter or copy.
+        return ChannelSet(callers=participants, targets=targets)
     ok = targets >= 0
     if alive is not None and targets.size:
         ok &= np.where(targets >= 0, alive[np.clip(targets, 0, None)], False)
